@@ -12,9 +12,9 @@ whose state and buffers carry a leading program axis:
 * scalar operands/values become ``(P, K)``, vectors ``(P, K, w)``, matrices
   ``(P, K, f, w)``;
 * an instruction whose parameters agree across the group and whose operator
-  is exact under a leading axis — the ``_BATCH_SAFE`` / ``_BATCH_OVERRIDES``
-  registry the fused day path trusts, plus the stack-only extensions below —
-  runs as **one** NumPy call for the whole group;
+  has a leading-axis kernel in the registry both tape runners share
+  (:data:`repro.compile.executor.KERNELS`) runs as **one** NumPy call for
+  the whole group, through the kernel's ``out=`` form where it has one;
 * the extraction operators (``get_scalar`` / ``get_row`` / ``get_column``)
   with *differing* per-member indices run as one advanced-indexing gather;
 * everything else falls back to a per-member slice loop *inside* the entry
@@ -23,21 +23,13 @@ whose state and buffers carry a leading program axis:
   still collapses P-fold dispatch into one call.
 
 Bitwise parity with per-program execution is the same hard contract the
-compiled executor honours against the interpreter.  On top of the fused day
-path's elementwise registry, stacking may also batch the trailing-axis
-reductions, the fixed-subscript contractions and the cross-sectional rank
-(:data:`_STACK_SAFE` / :data:`_STACK_OVERRIDES`): each lane's reduction run
-— the contiguous trailing axis over which NumPy accumulates — is unchanged
-by a leading program axis, so the per-element accumulation order (and hence
-every bit of the result) is identical to the per-program call.
-Transcendental elementwise operators (``s_sin`` … ``s_log``) are admitted
-by an import-time probe (:func:`_probe_transcendental_stacking`): their
-SIMD kernels *could* take a different code path for different array
-lengths, so each one is batched only after its stacked call reproduces the
-per-slice call bit for bit on adversarial 2-D and 3-D fixtures (negatives,
-zeros, clip boundaries, denormals).  An operator that fails the probe on
-the running platform simply stays in the per-lane loop — the parity
-contract never rests on an unverified shape-independence assumption.
+compiled executor honours against the interpreter.  The registry's kernels
+equal the per-slice registry call bit for bit under any leading axes (see
+:mod:`repro.compile.executor`), which is exactly what a program axis — or,
+on the fused path, a program axis plus a day axis — needs.  Each entry's
+sanitize steps are resolved at bind time from the same registry contract
+as the solo tape's, and a :meth:`StackedAlpha.resume` restores full
+sanitizing for the rest of the binding.
 
 Suspend/resume slices cleanly in and out of the stacked buffers:
 :meth:`StackedAlpha.suspend_member` emits a :class:`TapeState`
@@ -51,11 +43,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.memory import INPUT_MATRIX, LABEL, Operand, OperandType, PREDICTION
-from ..core.ops import _EPS, CLIP_VALUE, get_op, sanitize
 from ..core.program import COMPONENTS
 from ..errors import ExecutionError
 from .compiler import CompiledProgram
-from .executor import TAPE_STATE_VERSION, TapeState, _batched_func, tape_key_for
+from .executor import (
+    KERNELS,
+    TAPE_STATE_VERSION,
+    TapeState,
+    _sanitize_into,
+    _sanitize_steps,
+    tape_key_for,
+)
 
 __all__ = ["StackedAlpha", "stack_signature"]
 
@@ -64,183 +62,11 @@ __all__ = ["StackedAlpha", "stack_signature"]
 #: 32 MB however large the fleet grows.
 _MAX_CHUNK_ELEMENTS = 1 << 22
 
-#: Operators whose registry implementation is already leading-axis-agnostic
-#: (negative-axis reductions, broadcasting matmul) *and* whose per-lane
-#: accumulation runs are unchanged by a leading program axis — NumPy reduces
-#: each trailing-axis run independently in a fixed per-element order, so the
-#: stacked result is bit-for-bit the per-program result.
-_STACK_SAFE = frozenset({
-    "v_sum", "v_mean", "v_std", "v_norm",
-    "m_norm", "m_mean", "m_std", "m_mean_axis", "m_std_axis",
-    "matmul",
-})
-
-#: Transcendental elementwise candidates for stacking.  Unlike the
-#: reductions above, their shape independence is *verified* at import time
-#: rather than argued: see :func:`_probe_transcendental_stacking`.
-_TRANSCENDENTAL_CANDIDATES = (
-    "s_sin", "s_cos", "s_tan", "s_arcsin", "s_arccos", "s_arctan",
-    "s_exp", "s_log",
-)
-
-
-def _probe_transcendental_stacking(candidates=_TRANSCENDENTAL_CANDIDATES):
-    """The subset of ``candidates`` whose stacked call is bit-exact here.
-
-    For each candidate the registry kernel runs once over a stacked fixture
-    and once per leading-axis slice; the operator is admitted only when the
-    bytes agree on both a 2-D ``(P, K)`` and a 3-D ``(P, C, K)`` fixture —
-    the two shapes the stacked day loop and the stacked fused path feed it.
-    Fixture values cover the sanitised input range: both clip boundaries,
-    zeros, denormals, exact ±1 (the arcsin/arccos clip edge) and a spread
-    of magnitudes.
-    """
-    rng = np.random.default_rng(0x5AFE)
-    specials = np.array([
-        0.0, -0.0, 1.0, -1.0, CLIP_VALUE, -CLIP_VALUE, _EPS, -_EPS,
-        5e-324, -5e-324, np.pi, -np.pi, 50.0, -50.0, 1e-9, 123456.789,
-    ])
-
-    def fixture(shape):
-        flat = rng.standard_normal(int(np.prod(shape)))
-        flat *= 10.0 ** rng.integers(-12, 12, flat.shape)
-        flat[:specials.size] = specials
-        return np.clip(flat, -CLIP_VALUE, CLIP_VALUE).reshape(shape)
-
-    fixtures = (fixture((7, 13)), fixture((3, 5, 17)))
-    admitted = []
-    for name in candidates:
-        func = get_op(name).func
-        with np.errstate(all="ignore"):
-            ok = all(
-                func(None, (stacked,), {}).tobytes()
-                == np.stack([
-                    func(None, (lane,), {}) for lane in stacked
-                ]).tobytes()
-                for stacked in fixtures
-            )
-        if ok:
-            admitted.append(name)
-    return frozenset(admitted)
-
-
-_STACK_SAFE = _STACK_SAFE | _probe_transcendental_stacking()
-
 #: Stacked-mode operators worth chunking over the program axis: the
 #: matrix-heavy contractions whose per-lane working set is large enough
 #: that a monolithic ``(P, ...)`` call spills cache.  Batch elements are
 #: contracted independently, so any leading-axis split is bitwise-neutral.
 _PROGRAM_CHUNK_OPS = frozenset({"matmul", "matvec", "v_dot"})
-
-
-def _stacked_rank(values: np.ndarray) -> np.ndarray:
-    """Tie-averaged cross-sectional rank over the last axis, any leading axes.
-
-    Vectorised form of :func:`repro.core.ops._cross_sectional_rank`: ranks
-    are a permutation of ``arange(n)`` and tie runs average *consecutive*
-    integers, so every intermediate is an exactly representable integer (or
-    half-integer) and the result is bit-for-bit the 1-D implementation's.
-    """
-    n = values.shape[-1]
-    if n == 1:
-        return np.zeros_like(values)
-    order = np.argsort(values, axis=-1, kind="stable")
-    sorted_values = np.take_along_axis(values, order, -1)
-    positions = np.arange(n, dtype=np.float64)
-    is_run_start = np.ones(sorted_values.shape, dtype=bool)
-    is_run_start[..., 1:] = sorted_values[..., 1:] != sorted_values[..., :-1]
-    # Each sorted slot's rank is the average of its tie run's positions =
-    # (run start + run end) / 2.  Run starts forward-fill; run ends are the
-    # next run's start minus one (sentinel n past the last slot).
-    starts = np.where(is_run_start, positions, 0.0)
-    np.maximum.accumulate(starts, axis=-1, out=starts)
-    next_start = np.where(is_run_start, positions, np.inf)
-    next_start = np.minimum.accumulate(
-        next_start[..., ::-1], axis=-1
-    )[..., ::-1]
-    ends = np.empty_like(sorted_values)
-    ends[..., :-1] = np.minimum(next_start[..., 1:], float(n)) - 1.0
-    ends[..., -1] = float(n - 1)
-    ranks = np.empty_like(sorted_values)
-    np.put_along_axis(ranks, order, (starts + ends) * 0.5, -1)
-    return ranks / (n - 1)
-
-
-#: Stack-only batched kernels: exact re-implementations whose per-lane
-#: arithmetic (contraction order, rank/tie math) reproduces the registry
-#: operator bit for bit under any leading axes.  Unlike ``_BATCH_OVERRIDES``
-#: these are *not* used by the solo fused day path — they exist for the
-#: stacked program axis (and the stacked fused path, where the same
-#: per-run-order argument applies to the day axis).
-_STACK_OVERRIDES = {
-    "v_dot": lambda ctx, inputs, params: np.einsum(
-        "...w,...w->...", inputs[0], inputs[1]
-    ),
-    "matvec": lambda ctx, inputs, params: np.einsum(
-        "...fw,...w->...f", inputs[0], inputs[1]
-    ),
-    "rank": lambda ctx, inputs, params: _stacked_rank(inputs[0]),
-}
-
-
-def _stacked_func(name: str):
-    """The stack-batched kernel for operator ``name`` (``None`` → lane loop)."""
-    func = _batched_func(name)
-    if func is not None:
-        return func
-    if name in _STACK_SAFE:
-        return get_op(name).func
-    return _STACK_OVERRIDES.get(name)
-
-
-def _sanitize_into(out: np.ndarray, values: np.ndarray) -> None:
-    """Write ``sanitize(values)`` into ``out`` without allocating.
-
-    Same three elementwise steps as :func:`repro.core.ops.sanitize` (clip
-    maps ``±inf`` to the bounds, the masked write zeroes NaN), fused into
-    the preallocated output buffer — on the large ``(P, ...)`` stacked
-    buffers the avoided copies are a measurable share of the day loop.
-    """
-    np.clip(values, -CLIP_VALUE, CLIP_VALUE, out=out)
-    np.copyto(out, 0.0, where=np.isnan(out))
-
-
-def _binary_out(ufunc):
-    return lambda inputs, out: ufunc(inputs[0], inputs[1], out=out)
-
-
-def _unary_out(ufunc):
-    return lambda inputs, out: ufunc(inputs[0], out=out)
-
-
-def _divide_out(inputs, out):
-    # Same guarded quotient as ops._protected_divide, written into ``out``.
-    np.divide(
-        inputs[0],
-        np.where(np.abs(inputs[1]) < _EPS, 1.0, inputs[1]),
-        out=out,
-    )
-
-
-#: Elementwise operators backed by a single ufunc: the stacked path calls
-#: them with ``out=`` so the result lands directly in the entry's
-#: preallocated ``(P, ...)`` buffer and is sanitised in place — skipping a
-#: temporary allocation plus one full copy pass per instruction, which on
-#: DRAM-sized matrix-group buffers is a large share of the day loop.  A
-#: ufunc computes each element identically with or without ``out=``, so the
-#: result is bit-for-bit the registry operator's.
-_OUT_KERNELS = {}
-for _shape in ("s", "v", "m"):
-    _OUT_KERNELS.update({
-        f"{_shape}_add": _binary_out(np.add),
-        f"{_shape}_sub": _binary_out(np.subtract),
-        f"{_shape}_mul": _binary_out(np.multiply),
-        f"{_shape}_div": _divide_out,
-        f"{_shape}_min": _binary_out(np.minimum),
-        f"{_shape}_max": _binary_out(np.maximum),
-        f"{_shape}_abs": _unary_out(np.abs),
-    })
-_OUT_KERNELS["s_sign"] = _unary_out(np.sign)
 
 
 def stack_signature(compiled: CompiledProgram) -> str:
@@ -289,28 +115,32 @@ class _StackedEntry:
     ``mode`` is decided once at bind time:
 
     * ``"stacked"`` — parameters identical across members and the operator
-      has a leading-axis-exact kernel: one call over ``(P, ...)`` arrays;
+      has a leading-axis kernel: one call over ``(P, ...)`` arrays;
     * ``"gather"`` — an extraction operator with per-member indices: one
       advanced-indexing call with precomputed index vectors;
     * ``"loop"`` — per-member slice fallback (exact by construction).
+
+    ``clip`` / ``scan`` are the sanitize steps the result still owes, as on
+    the solo tape.
     """
 
     __slots__ = (
-        "op", "mode", "func", "out_func", "nan_free", "spec_func", "gather",
-        "inputs", "input_ids", "output", "output_id", "params0",
+        "op", "mode", "func", "out_func", "clip", "scan", "spec_func",
+        "gather", "inputs", "input_ids", "output", "output_id", "params0",
         "member_params", "calls", "pchunk",
     )
 
     def __init__(self, op, mode, func, spec_func, gather, inputs, input_ids,
-                 output, output_id, params0, member_params, calls):
+                 output, output_id, params0, member_params, calls, steps):
         self.op = op
         self.mode = mode
         self.func = func
-        #: ``out=``-writing variant (elementwise ufuncs only, stacked mode).
-        self.out_func = _OUT_KERNELS.get(op) if mode == "stacked" else None
-        #: Whether the post-clip NaN scan is provably a no-op (see
-        #: ``StackedAlpha._bind_entry``).
-        self.nan_free = False
+        #: ``out=``-writing variant (stacked mode only).
+        kernel = KERNELS.get(op)
+        self.out_func = (
+            kernel.out if mode == "stacked" and kernel is not None else None
+        )
+        self.clip, self.scan = steps
         self.spec_func = spec_func
         self.gather = gather
         self.inputs = inputs
@@ -391,9 +221,6 @@ class StackedAlpha:
         self.num_programs = P = len(compiled_group)
         #: Batched NumPy kernel calls issued so far (telemetry counter feed).
         self.kernel_calls = 0
-        #: Set by :meth:`resume`: tape-restored state may hold raw captures
-        #: of the feature/label arrays, so ``nan_free`` skips are disabled.
-        self._force_nan_scan = False
         if program_chunk is None:
             # Auto: keep one chunk's matrix operands around the same
             # budget the fused path uses for its day chunks.
@@ -498,27 +325,17 @@ class StackedAlpha:
     def _bind_entry(self, instr, inputs, output, member_params):
         params0 = member_params[0]
         same_params = all(p == params0 for p in member_params[1:])
-        stacked_func = _stacked_func(instr.op)
-        if same_params and stacked_func is not None:
-            entry = _StackedEntry(
-                instr.op, "stacked", stacked_func, instr.spec.func, None,
+        kernel = KERNELS.get(instr.op)
+        steps = _sanitize_steps(
+            instr.op, inputs,
+            (self._state[INPUT_MATRIX], self._state[LABEL]),
+        )
+        if same_params and kernel is not None:
+            return _StackedEntry(
+                instr.op, "stacked", kernel.func, instr.spec.func, None,
                 inputs, instr.inputs, output, instr.result, params0,
-                member_params, calls=1,
+                member_params, calls=1, steps=steps,
             )
-            if entry.out_func is not None:
-                # The _OUT_KERNELS ops are closed over finite sanitised
-                # inputs: sums/products/extrema of |x| <= CLIP_VALUE stay
-                # finite, and the guarded divide is bounded by
-                # CLIP_VALUE / _EPS.  Every input except the raw feature /
-                # label arrays is a post-sanitize buffer, so unless the
-                # entry reads those (or state was resumed from a tape —
-                # see :meth:`resume`), the post-clip NaN scan cannot fire
-                # and is skipped.
-                raw = (self._state[INPUT_MATRIX], self._state[LABEL])
-                entry.nan_free = not any(
-                    array is raw[0] or array is raw[1] for array in inputs
-                )
-            return entry
         gather = None if same_params else _make_gather(
             instr.op, member_params, self.ctx
         )
@@ -526,12 +343,12 @@ class StackedAlpha:
             return _StackedEntry(
                 instr.op, "gather", None, instr.spec.func, gather,
                 inputs, instr.inputs, output, instr.result, params0,
-                member_params, calls=1,
+                member_params, calls=1, steps=steps,
             )
         return _StackedEntry(
             instr.op, "loop", None, instr.spec.func, None,
             inputs, instr.inputs, output, instr.result, params0,
-            member_params, calls=self.num_programs,
+            member_params, calls=self.num_programs, steps=steps,
         )
 
     # ------------------------------------------------------------------
@@ -560,55 +377,50 @@ class StackedAlpha:
         self._state[LABEL][...] = labels
 
     # ------------------------------------------------------------------
+    def _run_stacked(self, entry, inputs, out) -> int:
+        """Run a ``"stacked"``-mode entry into ``out``; returns its calls."""
+        if entry.out_func is not None:
+            entry.out_func(inputs, out)
+            _sanitize_into(out, out, entry.clip, entry.scan)
+            return 1
+        P, chunk = self.num_programs, self.program_chunk
+        if not (entry.pchunk and 0 < chunk < P):
+            _sanitize_into(out, entry.func(self.ctx, inputs, entry.params0),
+                           entry.clip, entry.scan)
+            return 1
+        for lane0 in range(0, P, chunk):
+            lanes = slice(lane0, lane0 + chunk)
+            _sanitize_into(
+                out[lanes],
+                entry.func(self.ctx, tuple(array[lanes] for array in inputs),
+                           entry.params0),
+                entry.clip, entry.scan,
+            )
+        return -(-P // chunk)
+
     def _run_tape(self, entries) -> None:
         ctx = self.ctx
-        force_scan = self._force_nan_scan
         calls = 0
         for entry in entries:
             mode = entry.mode
+            out = entry.output
             if mode == "stacked":
-                out_func = entry.out_func
-                if out_func is not None:
-                    out = entry.output
-                    out_func(entry.inputs, out)
-                    np.clip(out, -CLIP_VALUE, CLIP_VALUE, out=out)
-                    if force_scan or not entry.nan_free:
-                        np.copyto(out, 0.0, where=np.isnan(out))
-                elif (entry.pchunk
-                        and 0 < self.program_chunk < self.num_programs):
-                    chunk = self.program_chunk
-                    for lane0 in range(0, self.num_programs, chunk):
-                        lanes = slice(lane0, lane0 + chunk)
-                        _sanitize_into(
-                            entry.output[lanes],
-                            entry.func(
-                                ctx,
-                                tuple(array[lanes]
-                                      for array in entry.inputs),
-                                entry.params0,
-                            ),
-                        )
-                        calls += 1
-                    calls -= entry.calls  # netted against the shared add
-                else:
-                    _sanitize_into(
-                        entry.output,
-                        entry.func(ctx, entry.inputs, entry.params0),
-                    )
-            elif mode == "gather":
-                _sanitize_into(entry.output, entry.gather(entry.inputs[0]))
+                calls += self._run_stacked(entry, entry.inputs, out)
+                continue
+            if mode == "gather":
+                _sanitize_into(out, entry.gather(entry.inputs[0]),
+                               entry.clip, entry.scan)
             else:
-                output = entry.output
                 func = entry.spec_func
                 inputs = entry.inputs
                 for lane, params in enumerate(entry.member_params):
-                    output[lane] = func(
+                    out[lane] = func(
                         ctx, tuple(array[lane] for array in inputs), params
                     )
                 # sanitize is elementwise, so one pass over the stacked
                 # buffer equals P per-lane passes bit for bit — and costs
                 # one dispatch instead of P.
-                _sanitize_into(output, output)
+                _sanitize_into(out, out, entry.clip, entry.scan)
             calls += entry.calls
         self.kernel_calls += calls
 
@@ -707,9 +519,10 @@ class StackedAlpha:
             for lane, state in enumerate(states):
                 array[lane] = state.operands[name]
         # Restored operand state is whatever the tape holds — including raw
-        # feature/label captures — so the nan_free scan skip no longer
-        # applies to reads of carried state.
-        self._force_nan_scan = True
+        # feature/label captures — so no entry may rely on clean inputs.
+        for tape in (self._static_tape, *self._tapes.values()):
+            for entry in tape:
+                entry.clip = entry.scan = True
 
     # ------------------------------------------------------------------
     def run_inference_batch(self, features: np.ndarray) -> np.ndarray:
@@ -778,45 +591,20 @@ class StackedAlpha:
                     for vid, array in zip(entry.input_ids, entry.inputs)
                 )
                 output = np.empty((P, C) + entry.output.shape[1:])
-                day_func = _batched_func(entry.op)
+                kernel = KERNELS.get(entry.op)
                 if entry.mode == "stacked":
-                    if entry.out_func is not None:
-                        entry.out_func(inputs, output)
-                        np.clip(output, -CLIP_VALUE, CLIP_VALUE, out=output)
-                        if self._force_nan_scan or not entry.nan_free:
-                            np.copyto(
-                                output, 0.0, where=np.isnan(output)
-                            )
-                        calls += 1
-                    elif entry.pchunk and 0 < self.program_chunk < P:
-                        chunk = self.program_chunk
-                        for lane0 in range(0, P, chunk):
-                            lanes = slice(lane0, lane0 + chunk)
-                            _sanitize_into(
-                                output[lanes],
-                                entry.func(
-                                    ctx,
-                                    tuple(array[lanes] for array in inputs),
-                                    entry.params0,
-                                ),
-                            )
-                            calls += 1
-                    else:
-                        _sanitize_into(
-                            output, entry.func(ctx, inputs, entry.params0)
-                        )
-                        calls += 1
-                elif day_func is not None:
+                    calls += self._run_stacked(entry, inputs, output)
+                elif kernel is not None:
                     # Per-member parameters, but the operator batches over
                     # the day axis: one day-batched call per lane (the
                     # elementwise sanitize hoists to one stacked pass).
                     for lane, params in enumerate(entry.member_params):
-                        output[lane] = day_func(
+                        output[lane] = kernel.func(
                             ctx,
                             tuple(array[lane] for array in inputs),
                             params,
                         )
-                    _sanitize_into(output, output)
+                    _sanitize_into(output, output, entry.clip, entry.scan)
                     calls += P
                 else:
                     day_flags = tuple(
@@ -832,7 +620,7 @@ class StackedAlpha:
                             output[lane, day] = entry.spec_func(
                                 ctx, day_inputs, params
                             )
-                    _sanitize_into(output, output)
+                    _sanitize_into(output, output, entry.clip, entry.scan)
                     calls += P * C
                 batched[entry.output_id] = output
             out[day0:day0 + C] = batched[pred_vid].transpose(1, 0, 2)

@@ -56,8 +56,14 @@ def sanitize(values: np.ndarray) -> np.ndarray:
     Bit-for-bit equal to ``clip(nan_to_num(values), ...)`` — ``clip`` already
     maps ``±inf`` to the bounds and propagates NaN, which the masked write
     then zeroes — but in one output allocation and three passes instead of
-    ``nan_to_num``'s copy plus three finiteness scans.  This runs after
-    *every* operator of every execution path, so its constant matters.
+    ``nan_to_num``'s copy plus three finiteness scans.
+
+    This is the oracle: the interpreter (through :meth:`OpSpec.__call__`)
+    and constant folding call it after every operator.  The compiled tapes
+    apply the same elementwise steps in place, into each entry's
+    preallocated buffer, and skip a step only where the operator's
+    sanitize contract proves it a no-op (see
+    :mod:`repro.compile.executor`).
     """
     out = np.clip(np.asarray(values), -CLIP_VALUE, CLIP_VALUE)
     if not isinstance(out, np.ndarray):

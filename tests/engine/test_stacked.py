@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.compile import StackedAlpha, compile_program, stack_signature
-from repro.compile.stacked import _stacked_rank
+from repro.compile.executor import _leading_axis_rank
 from repro.config import make_rng
 from repro.core import AlphaEvaluator, get_initialization
 from repro.core.evolution import CandidateScorer
@@ -212,10 +212,10 @@ class TestStackedKernels:
         rank = get_op("rank").func
         values = make_rng(3).integers(-2, 3, size=(4, 9)).astype(float)
         expected = np.stack([rank(None, (lane,), {}) for lane in values])
-        assert _stacked_rank(values).tobytes() == expected.tobytes()
+        assert _leading_axis_rank(values).tobytes() == expected.tobytes()
 
     def test_stacked_rank_single_column(self):
-        assert _stacked_rank(np.ones((3, 1))).tobytes() == \
+        assert _leading_axis_rank(np.ones((3, 1))).tobytes() == \
             np.zeros((3, 1)).tobytes()
 
 
