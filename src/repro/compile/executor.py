@@ -20,7 +20,14 @@ bookkeeping:
 * **fused batched inference** — when the trained memory is static across
   inference days (``Predict()`` neither reads the label nor reads an operand
   it also writes), the whole inference stage collapses into a single tape
-  execution over a leading *day* axis instead of a Python loop over days.
+  execution over a leading *day* axis instead of a Python loop over days;
+* **copy-on-write snapshots** — ``snapshot()`` / ``restore(snap)`` save and
+  rewind the operand state for delta-replay serving (:class:`_TapeRunner`,
+  shared with the stacked runner).  While serving only ``m0``, ``s0`` and
+  the carried operands ``Predict()`` writes back change, so a snapshot
+  copies those and shares every frozen array with the previous snapshot.
+  :class:`TapeState` stays the only external format, for checkpoints and
+  persisted replay state.
 
 The leading-axis kernel registry
 --------------------------------
@@ -52,8 +59,11 @@ Every input of a tape entry is either a sanitized SSA buffer, a state
 array written back from one, or the raw ``m0`` feature / ``s0`` label
 state, which holds whatever the data holds.  So at bind time
 (:func:`_sanitize_steps`) an entry that reads no raw state drops the steps
-its contract makes no-ops.  State restored by ``resume()`` may hold raw
-captures, so a resumed tape runs every step again.
+its contract makes no-ops.  That holds only while every value in the
+binding came from its own tape: restoring its own snapshot keeps the
+skipped steps, but state taken in from outside — by ``resume()`` or an
+adopted persisted snapshot — may hold raw captures, so from then on the
+tape runs every step again.
 
 Bitwise parity with the interpreter is a hard contract (the fingerprint
 cache and the search both rely on it); the interpreter and
@@ -419,7 +429,9 @@ class TapeState:
 
     ``TapeState`` is plain data (strings, ints and numpy arrays) and pickles
     cleanly, which is what the streaming checkpoint helpers in
-    :mod:`repro.stream.state` rely on.
+    :mod:`repro.stream.state` rely on.  It is the external format — for
+    checkpoints and persisted replay state; the runners' own per-day
+    snapshots are the internal tuples of :class:`_TapeRunner`.
     """
 
     version: int
@@ -429,6 +441,161 @@ class TapeState:
     shape: tuple[int, int, int]
     #: Operand name → array snapshot of the loop-carried state.
     operands: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _TapeRunner:
+    """What both tape runners share: the per-component runs and the
+    copy-on-write snapshots of the operand state.
+
+    A *snapshot* is a tuple of read-only arrays, one per operand state array
+    in bind order (with the leading program axis on a stacked tape).  While
+    serving, only the *per-day* arrays change — the ``m0`` features, the
+    ``s0`` labels and the carried operands ``Predict()`` writes back; every
+    other array is written only by ``Setup()``, ``Update()`` or an outside
+    state, so it is frozen.  A snapshot therefore copies the per-day arrays
+    and reuses the previous snapshot's array for every frozen one.
+    ``run_setup``, ``run_update``, ``resume()`` and ``adopt()`` (taking in a
+    persisted state) drop that reuse base, so the next snapshot copies
+    everything; :meth:`restore` makes the restored snapshot the base.
+
+    Sanitize rule: a binding keeps its bind-time sanitize elision only while
+    every value in it came from its own tape.  A snapshot meets that rule,
+    so :meth:`restore` leaves the sanitize steps alone; ``resume()`` and
+    adopted persisted states bring in outside data and force full
+    sanitizing for the rest of the binding.
+    """
+
+    def _bind_snapshots(self, lanes: int) -> None:
+        """Fix the snapshot layout once the state arrays are bound.
+
+        ``lanes`` is the number of leading program axes of the state arrays
+        (0 solo, 1 stacked).
+        """
+        state = self._state
+        per_day = {id(state[INPUT_MATRIX]), id(state[LABEL])}
+        per_day.update(id(target) for target, _ in self._copies["predict"])
+        self._arrays = tuple(state.values())
+        #: Operand names in bind order, cached for the TapeState conversions.
+        self._names = tuple(operand.name for operand in state)
+        self._lane_shapes = tuple(array.shape[lanes:] for array in self._arrays)
+        self._per_day = tuple(id(array) in per_day for array in self._arrays)
+        #: The snapshot whose frozen arrays equal the live ones, or ``None``.
+        self._cow_base: tuple | None = None
+
+    @staticmethod
+    def _write_back(copies: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        for target, source in copies:
+            target[...] = source
+
+    def run_setup(self) -> None:
+        """Run ``Setup()`` once (every lane's, on a stacked tape), plus the
+        hoisted static prologue."""
+        self._cow_base = None
+        self._run_tape(self._tapes["setup"])
+        self._write_back(self._copies["setup"])
+        self._run_tape(self._static_tape)
+
+    def run_predict(self) -> None:
+        """Run ``Predict()`` for the current day."""
+        self._run_tape(self._tapes["predict"])
+        self._write_back(self._copies["predict"])
+
+    def run_update(self) -> None:
+        """Run ``Update()`` for the current day."""
+        self._cow_base = None
+        self._run_tape(self._tapes["update"])
+        self._write_back(self._copies["update"])
+
+    def snapshot(self) -> tuple:
+        """A read-only copy-on-write snapshot of the operand state."""
+        base = self._cow_base
+        if base is None:
+            snap = tuple(_read_only(array.copy()) for array in self._arrays)
+        else:
+            snap = tuple(
+                _read_only(array.copy()) if per_day else kept
+                for array, per_day, kept in zip(self._arrays, self._per_day,
+                                                base)
+            )
+        self._cow_base = snap
+        return snap
+
+    def restore(self, snap: tuple) -> None:
+        """Write a :meth:`snapshot` of this binding back into its state.
+
+        Neither validates nor reruns the static prologue: the binding is
+        live and its prologue buffers have not changed.
+        """
+        for array, saved in zip(self._arrays, snap):
+            array[...] = saved
+        self._cow_base = snap
+
+    def _tape_state(self, snap: tuple, tape_key: str,
+                    lane: int | None = None) -> TapeState:
+        """``snap`` (one lane of it, on a stacked tape) as a :class:`TapeState`."""
+        ctx = self.ctx
+        return TapeState(
+            version=TAPE_STATE_VERSION,
+            tape_key=tape_key,
+            base_seed=ctx.base_seed,
+            shape=(ctx.num_tasks, ctx.num_features, ctx.window),
+            operands={
+                name: array if lane is None else array[lane]
+                for name, array in zip(self._names, snap)
+            },
+        )
+
+    def _check_state(self, state: TapeState, tape_key: str) -> None:
+        """Raise :class:`ExecutionError` unless ``state`` fits this binding."""
+        if state.version != TAPE_STATE_VERSION:
+            raise ExecutionError(
+                f"tape state has version {state.version}, this build reads "
+                f"version {TAPE_STATE_VERSION}"
+            )
+        if state.tape_key != tape_key:
+            raise ExecutionError(
+                "tape state was suspended from a different compiled program"
+            )
+        ctx = self.ctx
+        shape = (ctx.num_tasks, ctx.num_features, ctx.window)
+        if state.shape != shape:
+            raise ExecutionError(
+                f"tape state was bound to shape {state.shape}, "
+                f"this executor is bound to {shape}"
+            )
+        if state.base_seed != ctx.base_seed:
+            raise ExecutionError(
+                f"tape state was produced under base seed {state.base_seed}, "
+                f"this executor runs under {ctx.base_seed}"
+            )
+        expected = set(self._names)
+        snapshot = set(state.operands)
+        if expected != snapshot:
+            raise ExecutionError(
+                "tape state operand set does not match this tape "
+                f"(missing {sorted(expected - snapshot)}, "
+                f"unexpected {sorted(snapshot - expected)})"
+            )
+        for name, lane_shape in zip(self._names, self._lane_shapes):
+            if np.shape(state.operands[name]) != lane_shape:
+                raise ExecutionError(
+                    f"tape state operand {name} has shape "
+                    f"{np.shape(state.operands[name])}, this tape holds "
+                    f"{lane_shape}"
+                )
+
+    def _admit_outside_state(self) -> None:
+        """Outside data may hold raw captures: sanitize every entry fully
+        from now on, and copy everything at the next snapshot."""
+        for tape in (self._static_tape, *self._tapes.values()):
+            for entry in tape:
+                entry.clip = entry.scan = True
+        self._cow_base = None
 
 
 class _TapeEntry:
@@ -455,7 +622,7 @@ class _TapeEntry:
         self.params = instr.param_dict
 
 
-class CompiledAlpha:
+class CompiledAlpha(_TapeRunner):
     """Executable form of one compiled alpha, bound to a problem shape.
 
     Parameters
@@ -559,6 +726,7 @@ class CompiledAlpha:
             if entry.output_id not in day_ids
         ]
         self._prediction_on_day_axis = prediction_value in day_ids
+        self._bind_snapshots(lanes=0)
 
     # ------------------------------------------------------------------
     @property
@@ -612,27 +780,6 @@ class CompiledAlpha:
             if entry.scan:
                 out[isnan(out)] = 0.0
 
-    @staticmethod
-    def _write_back(copies: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        for target, source in copies:
-            target[...] = source
-
-    def run_setup(self) -> None:
-        """Run ``Setup()`` once, plus the hoisted static prologue."""
-        self._run_tape(self._tapes["setup"])
-        self._write_back(self._copies["setup"])
-        self._run_tape(self._static_tape)
-
-    def run_predict(self) -> None:
-        """Run ``Predict()`` for the current day."""
-        self._run_tape(self._tapes["predict"])
-        self._write_back(self._copies["predict"])
-
-    def run_update(self) -> None:
-        """Run ``Update()`` for the current day."""
-        self._run_tape(self._tapes["update"])
-        self._write_back(self._copies["update"])
-
     # ------------------------------------------------------------------
     # Suspend / resume tape protocol
     # ------------------------------------------------------------------
@@ -651,17 +798,11 @@ class CompiledAlpha:
         — it is a deterministic function of the bound context and is
         recomputed on resume.
         """
-        ctx = self.ctx
-        return TapeState(
-            version=TAPE_STATE_VERSION,
-            tape_key=self.tape_key,
-            base_seed=ctx.base_seed,
-            shape=(ctx.num_tasks, ctx.num_features, ctx.window),
-            operands={
-                operand.name: array.copy()
-                for operand, array in self._state.items()
-            },
-        )
+        return self.tape_state(self.snapshot())
+
+    def tape_state(self, snap: tuple) -> TapeState:
+        """A :meth:`snapshot` of this binding as a :class:`TapeState`."""
+        return self._tape_state(snap, self._tape_key)
 
     def resume(self, state: TapeState) -> None:
         """Restore a :meth:`suspend` snapshot into this (fresh) binding.
@@ -672,43 +813,21 @@ class CompiledAlpha:
         suspended executor stopped.  Raises :class:`ExecutionError` when the
         snapshot was taken from a different program, binding shape or seed.
         """
-        if state.version != TAPE_STATE_VERSION:
-            raise ExecutionError(
-                f"tape state has version {state.version}, this build reads "
-                f"version {TAPE_STATE_VERSION}"
-            )
-        if state.tape_key != self.tape_key:
-            raise ExecutionError(
-                "tape state was suspended from a different compiled program"
-            )
-        ctx = self.ctx
-        shape = (ctx.num_tasks, ctx.num_features, ctx.window)
-        if state.shape != shape:
-            raise ExecutionError(
-                f"tape state was bound to shape {state.shape}, "
-                f"this executor is bound to {shape}"
-            )
-        if state.base_seed != ctx.base_seed:
-            raise ExecutionError(
-                f"tape state was produced under base seed {state.base_seed}, "
-                f"this executor runs under {ctx.base_seed}"
-            )
-        expected = {operand.name for operand in self._state}
-        snapshot = set(state.operands)
-        if expected != snapshot:
-            raise ExecutionError(
-                "tape state operand set does not match this tape "
-                f"(missing {sorted(expected - snapshot)}, "
-                f"unexpected {sorted(snapshot - expected)})"
-            )
+        self._check_state(state, self._tape_key)
         self._run_tape(self._static_tape)
-        for operand, array in self._state.items():
-            array[...] = state.operands[operand.name]
-        # Restored state may hold raw feature/label captures, so no entry
-        # may rely on clean inputs any more.
-        for tape in (self._static_tape, *self._tapes.values()):
-            for entry in tape:
-                entry.clip = entry.scan = True
+        for array, name in zip(self._arrays, self._names):
+            array[...] = state.operands[name]
+        self._admit_outside_state()
+
+    def adopt(self, state: TapeState) -> tuple:
+        """Validate a persisted :class:`TapeState` (as :meth:`resume` does)
+        and convert it to a snapshot for :meth:`restore`."""
+        self._check_state(state, self._tape_key)
+        self._admit_outside_state()
+        return tuple(
+            _read_only(np.array(state.operands[name], dtype=np.float64))
+            for name in self._names
+        )
 
     # ------------------------------------------------------------------
     def run_inference_batch(self, features: np.ndarray) -> np.ndarray:

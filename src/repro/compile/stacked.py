@@ -28,14 +28,19 @@ equal the per-slice registry call bit for bit under any leading axes (see
 :mod:`repro.compile.executor`), which is exactly what a program axis — or,
 on the fused path, a program axis plus a day axis — needs.  Each entry's
 sanitize steps are resolved at bind time from the same registry contract
-as the solo tape's, and a :meth:`StackedAlpha.resume` restores full
-sanitizing for the rest of the binding.
+as the solo tape's, and outside state — :meth:`StackedAlpha.resume` or an
+adopted persisted snapshot — restores full sanitizing for the rest of the
+binding.
 
-Suspend/resume slices cleanly in and out of the stacked buffers:
-:meth:`StackedAlpha.suspend_member` emits a :class:`TapeState`
-indistinguishable from the one a solo :class:`CompiledAlpha` of the same
-program would produce (same ``tape_key``, same operand set), so checkpoints
-move freely between stacked and per-program serving.
+Delta-replay snapshots are the solo tape's copy-on-write snapshots
+(:class:`~repro.compile.executor._TapeRunner`) over the stacked buffers:
+one ``(P, …)`` copy per per-day operand for the whole group, the frozen
+ones shared with the previous snapshot.  Suspend/resume slices cleanly in
+and out of them: :meth:`StackedAlpha.suspend_member` and
+:meth:`StackedAlpha.tape_state` emit a :class:`TapeState` indistinguishable
+from the one a solo :class:`CompiledAlpha` of the same program would
+produce (same ``tape_key``, same operand set), so checkpoints move freely
+between stacked and per-program serving.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ from ..errors import ExecutionError
 from .compiler import CompiledProgram
 from .executor import (
     KERNELS,
-    TAPE_STATE_VERSION,
     TapeState,
+    _read_only,
     _sanitize_into,
     _sanitize_steps,
+    _TapeRunner,
     tape_key_for,
 )
 
@@ -176,7 +182,7 @@ def _make_gather(op: str, member_params, ctx):
     return None
 
 
-class StackedAlpha:
+class StackedAlpha(_TapeRunner):
     """One signature group of compiled alphas executed as a single tape.
 
     Satisfies the :class:`~repro.engine.backends.ExecutionEngine` per-day
@@ -303,6 +309,7 @@ class StackedAlpha:
         self.tape_keys = tuple(
             tape_key_for(member.ir) for member in compiled_group
         )
+        self._bind_snapshots(lanes=1)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -424,27 +431,6 @@ class StackedAlpha:
             calls += entry.calls
         self.kernel_calls += calls
 
-    @staticmethod
-    def _write_back(copies) -> None:
-        for target, source in copies:
-            target[...] = source
-
-    def run_setup(self) -> None:
-        """Run every lane's ``Setup()`` once, plus the static prologue."""
-        self._run_tape(self._tapes["setup"])
-        self._write_back(self._copies["setup"])
-        self._run_tape(self._static_tape)
-
-    def run_predict(self) -> None:
-        """Run every lane's ``Predict()`` for the current day."""
-        self._run_tape(self._tapes["predict"])
-        self._write_back(self._copies["predict"])
-
-    def run_update(self) -> None:
-        """Run every lane's ``Update()`` for the current day."""
-        self._run_tape(self._tapes["update"])
-        self._write_back(self._copies["update"])
-
     # ------------------------------------------------------------------
     # Suspend / resume: lanes slice in and out of the stacked buffers
     # ------------------------------------------------------------------
@@ -456,17 +442,22 @@ class StackedAlpha:
         :class:`~repro.compile.executor.CompiledAlpha` of the same program —
         stacked fleets checkpoint into per-program servers and back.
         """
-        ctx = self.ctx
-        return TapeState(
-            version=TAPE_STATE_VERSION,
-            tape_key=self.tape_keys[lane],
-            base_seed=ctx.base_seed,
-            shape=(ctx.num_tasks, ctx.num_features, ctx.window),
-            operands={
-                operand.name: array[lane].copy()
-                for operand, array in self._state.items()
-            },
-        )
+        return self.tape_state(self.snapshot(), lane)
+
+    def tape_state(self, snap: tuple, lane: int) -> TapeState:
+        """Lane ``lane`` of a group :meth:`snapshot` as a :class:`TapeState`."""
+        return self._tape_state(snap, self.tape_keys[lane], lane)
+
+    def _check_states(self, states) -> list:
+        states = list(states)
+        if len(states) != self.num_programs:
+            raise ExecutionError(
+                f"expected {self.num_programs} tape states for this stacked "
+                f"group, got {len(states)}"
+            )
+        for state, tape_key in zip(states, self.tape_keys):
+            self._check_state(state, tape_key)
+        return states
 
     def resume(self, states) -> None:
         """Restore one :class:`TapeState` per lane into this fresh group.
@@ -475,54 +466,25 @@ class StackedAlpha:
         seed, operand set) before any lane is touched, re-runs the static
         prologue, then writes every lane's operand state.
         """
-        states = list(states)
-        if len(states) != self.num_programs:
-            raise ExecutionError(
-                f"expected {self.num_programs} tape states for this stacked "
-                f"group, got {len(states)}"
-            )
-        ctx = self.ctx
-        shape = (ctx.num_tasks, ctx.num_features, ctx.window)
-        expected = {operand.name for operand in self._state}
-        for lane, state in enumerate(states):
-            if state.version != TAPE_STATE_VERSION:
-                raise ExecutionError(
-                    f"tape state has version {state.version}, this build "
-                    f"reads version {TAPE_STATE_VERSION}"
-                )
-            if state.tape_key != self.tape_keys[lane]:
-                raise ExecutionError(
-                    "tape state was suspended from a different compiled "
-                    "program"
-                )
-            if state.shape != shape:
-                raise ExecutionError(
-                    f"tape state was bound to shape {state.shape}, "
-                    f"this executor is bound to {shape}"
-                )
-            if state.base_seed != ctx.base_seed:
-                raise ExecutionError(
-                    f"tape state was produced under base seed "
-                    f"{state.base_seed}, this executor runs under "
-                    f"{ctx.base_seed}"
-                )
-            snapshot = set(state.operands)
-            if expected != snapshot:
-                raise ExecutionError(
-                    "tape state operand set does not match this tape "
-                    f"(missing {sorted(expected - snapshot)}, "
-                    f"unexpected {sorted(snapshot - expected)})"
-                )
+        states = self._check_states(states)
         self._run_tape(self._static_tape)
-        for operand, array in self._state.items():
-            name = operand.name
+        for array, name in zip(self._arrays, self._names):
             for lane, state in enumerate(states):
                 array[lane] = state.operands[name]
-        # Restored operand state is whatever the tape holds — including raw
-        # feature/label captures — so no entry may rely on clean inputs.
-        for tape in (self._static_tape, *self._tapes.values()):
-            for entry in tape:
-                entry.clip = entry.scan = True
+        self._admit_outside_state()
+
+    def adopt(self, states) -> tuple:
+        """Validate persisted per-lane :class:`TapeState`\\ s (as
+        :meth:`resume` does) and stack them into one group snapshot for
+        :meth:`restore`."""
+        states = self._check_states(states)
+        self._admit_outside_state()
+        return tuple(
+            _read_only(np.stack(
+                [state.operands[name] for state in states], dtype=np.float64
+            ))
+            for name in self._names
+        )
 
     # ------------------------------------------------------------------
     def run_inference_batch(self, features: np.ndarray) -> np.ndarray:

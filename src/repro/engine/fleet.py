@@ -185,23 +185,14 @@ class _StackedUnit:
         self._reported_kernel_calls = 0
         # Delta-replay state.  Signature groups share opcode sequence and
         # SSA wiring, so every lane has the template's lookback structure;
-        # ring entries hold the whole group's per-lane tape states at once.
+        # ring entries are whole-group snapshots of the stacked tape.
         self._lookback = backend.group[0].lookback
         self._ring: SnapshotRing | None = None
-        self._anchor: tuple[int, dict[str, object]] | None = None
+        self._anchor: tuple[int, tuple] | None = None
 
     @property
     def max_lookback(self) -> int | None:
         return None if self._lookback is None else self._lookback.max_lookback
-
-    def _suspend_states(self) -> dict[str, object]:
-        return {
-            key: self.backend.suspend_member(lane)
-            for lane, key in enumerate(self.keys)
-        }
-
-    def _restore_states(self, states: dict[str, object]) -> None:
-        self.backend.resume([states[key] for key in self.keys])
 
     def _ensure_ring(self) -> SnapshotRing:
         if self._ring is None:
@@ -225,7 +216,7 @@ class _StackedUnit:
             day_indices=day_indices, use_update=use_update,
         )
         self._warmed = True
-        self._anchor = (0, self._suspend_states())
+        self._anchor = (0, self.backend.snapshot())
 
     def step_bar(self, features) -> dict[str, np.ndarray]:
         if self._awaiting_label:
@@ -248,7 +239,7 @@ class _StackedUnit:
                               "call step() first")
         self.backend.set_label(labels)
         self._awaiting_label = False
-        self._ensure_ring().push(self.days_served, self._suspend_states())
+        self._ensure_ring().push(self.days_served, self.backend.snapshot())
 
     def correct(self, day, features, labels) -> dict[str, CorrectionResult]:
         """Delta-replay a correction once for the whole group.
@@ -269,8 +260,8 @@ class _StackedUnit:
             max_lookback=self.max_lookback,
             ring=self._ensure_ring(),
             anchor=self._anchor,
-            take_snapshot=self._suspend_states,
-            restore_snapshot=self._restore_states,
+            take_snapshot=self.backend.snapshot,
+            restore_snapshot=self.backend.restore,
             what=f"stacked group of {len(self.keys)}",
         )
         return {
@@ -288,46 +279,52 @@ class _StackedUnit:
 
     def replay_states(self) -> dict[str, dict]:
         """Per-key delta-replay payloads (solo-compatible tape states)."""
+        tape_state = self.backend.tape_state
         entries = self._ring.entries() if self._ring is not None else ()
         payloads: dict[str, dict] = {}
-        for key in self.keys:
+        for lane, key in enumerate(self.keys):
             anchor = None
             if self._anchor is not None:
-                anchor = (self._anchor[0], self._anchor[1][key])
+                anchor = (self._anchor[0], tape_state(self._anchor[1], lane))
             payloads[key] = {
                 "anchor": anchor,
                 "entries": tuple(
-                    (day, states[key]) for day, states in entries
+                    (day, tape_state(snap, lane)) for day, snap in entries
                 ),
             }
         return payloads
 
     def restore_replay_states(self, payloads: dict[str, dict]) -> None:
-        """Regroup per-key payloads into group-wide ring entries.
+        """Regroup per-key payloads into group-wide snapshots.
 
         Only anchor/ring days retained for *every* lane are restored — a
-        group snapshot needs all lanes at the same day.
+        group snapshot needs all lanes at the same day.  Each lane's states
+        are validated as :meth:`resume` validates its own before any is
+        adopted.
         """
         mine = [payloads.get(key) for key in self.keys]
         if any(payload is None for payload in mine):
             return
+        adopt = self.backend.adopt
+        anchor = None
         anchors = [payload.get("anchor") for payload in mine]
-        if all(anchor is not None for anchor in anchors):
-            days = {int(anchor[0]) for anchor in anchors}
+        if all(lane_anchor is not None for lane_anchor in anchors):
+            days = {int(lane_anchor[0]) for lane_anchor in anchors}
             if len(days) == 1:
-                self._anchor = (
-                    days.pop(),
-                    {key: anchor[1]
-                     for key, anchor in zip(self.keys, anchors)},
-                )
+                anchor = (days.pop(), adopt(
+                    [lane_anchor[1] for lane_anchor in anchors]
+                ))
         by_day: dict[int, dict[str, object]] = {}
         for key, payload in zip(self.keys, mine):
             for day, state in payload.get("entries") or ():
                 by_day.setdefault(int(day), {})[key] = state
         complete = [
-            (day, states) for day, states in sorted(by_day.items())
+            (day, adopt([states[key] for key in self.keys]))
+            for day, states in sorted(by_day.items())
             if len(states) == len(self.keys)
         ]
+        if anchor is not None:
+            self._anchor = anchor
         if complete:
             self._ring = SnapshotRing(
                 snapshot_depth_for(self.max_lookback), complete
@@ -337,8 +334,10 @@ class _StackedUnit:
         if self._awaiting_label:
             raise StreamError("cannot suspend between step() and reveal(); "
                               "reveal the pending label first")
+        backend = self.backend
+        snap = backend.snapshot()
         return {
-            key: self.backend.suspend_member(lane)
+            key: backend.tape_state(snap, lane)
             for lane, key in enumerate(self.keys)
         }
 
@@ -349,11 +348,9 @@ class _StackedUnit:
         self.backend.resume([tapes[key] for key in self.keys])
         self.days_served = int(days_served)
         self._warmed = True
-        # The resumed per-lane states form a clean group snapshot entering
-        # this day (restore_replay_states may still supply the day-0 one).
-        self._anchor = (
-            self.days_served, {key: tapes[key] for key in self.keys}
-        )
+        # The resumed lanes form a clean group snapshot entering this day
+        # (restore_replay_states may still supply the day-0 one).
+        self._anchor = (self.days_served, self.backend.snapshot())
 
     def drain_kernel_calls(self) -> int:
         """Batched kernel calls issued since the last drain (telemetry)."""
@@ -866,7 +863,12 @@ class FleetEngine:
         return payloads
 
     def resume_replay_states(self, payloads: dict[str, dict]) -> None:
-        """Restore :meth:`suspend_replay_states` output (after resume)."""
+        """Restore :meth:`suspend_replay_states` output (after resume).
+
+        Each persisted state is validated against its executor as
+        ``resume`` validates a tape state, raising
+        :class:`~repro.errors.ExecutionError` before a bad one is adopted.
+        """
         for unit in self._units:
             unit.restore_replay_states(payloads)
 

@@ -6,9 +6,11 @@ state an alpha carries between days is its operand memory, so advancing by
 one day costs exactly one ``Predict()`` pass plus a label reveal,
 independent of how much history precedes it.
 
-:class:`IncrementalExecutor` packages that contract around any suspendable
-:class:`~repro.engine.backends.ExecutionEngine` (today: the compiled
-backend, whose tape protocol provides ``suspend``/``resume``):
+:class:`IncrementalExecutor` packages that contract around any
+:class:`~repro.engine.backends.ExecutionEngine` (the compiled backend adds
+the tape protocol: ``snapshot``/``restore`` internally, ``suspend``/
+``resume`` and ``tape_state``/``adopt`` for the external
+:class:`~repro.compile.executor.TapeState` format):
 
 * :meth:`warm_start` replays the training stage once by delegating to
   :func:`repro.engine.protocol.training_pass` — the same code, day for
@@ -25,7 +27,10 @@ backend, whose tape protocol provides ``suspend``/``resume``):
   lookback analysis) plus the permanent warm-start anchor let a correction
   at day ``t`` replay only the invalidated suffix instead of the whole
   history — bitwise-identical to a full warm-start replay
-  (:mod:`repro.engine.replay`).
+  (:mod:`repro.engine.replay`).  Ring and anchor hold the backend's
+  copy-on-write snapshots, so a reveal copies only the state serving
+  changes; :meth:`replay_state` / :meth:`restore_replay_state` convert
+  them to and from validated ``TapeState``\\ s for persistence.
 
 The public streaming alias is :class:`repro.stream.incremental.IncrementalAlpha`.
 """
@@ -93,11 +98,12 @@ class IncrementalExecutor:
         self._warmed = False
         self._awaiting_label = False
         #: Delta-replay state: a bounded ring of per-day tape snapshots plus
-        #: the permanent warm/resume anchor.  Only backends with a tape
-        #: protocol can snapshot; the interpreter serves corrections through
-        #: the bounded-lookback spin-up path alone.
+        #: the permanent warm/resume anchor, both the backend's own
+        #: copy-on-write snapshots.  Only backends with a tape protocol can
+        #: snapshot; the interpreter serves corrections through the
+        #: bounded-lookback spin-up path alone.
         self._can_snapshot = (
-            getattr(self.executor, "suspend", None) is not None
+            getattr(self.executor, "snapshot", None) is not None
         )
         self._ring: SnapshotRing | None = None
         self._anchor: tuple[int, object] | None = None
@@ -135,21 +141,42 @@ class IncrementalExecutor:
     def _record_snapshot(self, day: int) -> None:
         ring = self._ensure_ring()
         if ring is not None:
-            ring.push(day, self.executor.suspend())
+            ring.push(day, self.executor.snapshot())
 
     def replay_state(self) -> dict:
-        """The persistable delta-replay state (anchor + ring entries)."""
+        """The persistable delta-replay state (anchor + ring entries).
+
+        Snapshots leave as :class:`~repro.compile.executor.TapeState`\\ s,
+        the one external tape format.
+        """
+        if not self._can_snapshot:
+            return {"anchor": None, "entries": ()}
+        tape_state = self.executor.tape_state
+        anchor = self._anchor
+        entries = self._ring.entries() if self._ring is not None else ()
         return {
-            "anchor": self._anchor,
-            "entries": self._ring.entries() if self._ring is not None else (),
+            "anchor": (None if anchor is None
+                       else (anchor[0], tape_state(anchor[1]))),
+            "entries": tuple((day, tape_state(snap)) for day, snap in entries),
         }
 
     def restore_replay_state(self, payload: dict) -> None:
-        """Restore :meth:`replay_state` output (after :meth:`resume`)."""
+        """Restore :meth:`replay_state` output (after :meth:`resume`).
+
+        Every persisted state is validated as :meth:`resume` validates its
+        own (raising :class:`~repro.errors.ExecutionError`) before any is
+        adopted.
+        """
         anchor = payload.get("anchor")
-        if anchor is not None:
-            self._anchor = (int(anchor[0]), anchor[1])
         entries = payload.get("entries") or ()
+        if anchor is None and not entries:
+            return
+        adopt = self._tape_protocol("adopt")
+        if anchor is not None:
+            anchor = (int(anchor[0]), adopt(anchor[1]))
+        entries = [(int(day), adopt(state)) for day, state in entries]
+        if anchor is not None:
+            self._anchor = anchor
         if entries:
             self._ring = SnapshotRing(
                 snapshot_depth_for(self.max_lookback), entries
@@ -190,7 +217,7 @@ class IncrementalExecutor:
         )
         self._warmed = True
         if self._can_snapshot:
-            self._anchor = (0, self.executor.suspend())
+            self._anchor = (0, self.executor.snapshot())
 
     # ------------------------------------------------------------------
     def step(self, features: np.ndarray) -> np.ndarray:
@@ -259,9 +286,9 @@ class IncrementalExecutor:
             max_lookback=self.max_lookback,
             ring=self._ensure_ring(),
             anchor=self._anchor,
-            take_snapshot=(self.executor.suspend if self._can_snapshot
+            take_snapshot=(self.executor.snapshot if self._can_snapshot
                            else None),
-            restore_snapshot=(self.executor.resume if self._can_snapshot
+            restore_snapshot=(self.executor.restore if self._can_snapshot
                               else None),
             what=self.program.name,
         )
@@ -295,4 +322,4 @@ class IncrementalExecutor:
         # The resumed state is a clean snapshot entering this day; retain it
         # so corrections at or after the resume point need no warm anchor.
         # (restore_replay_state can still supply the original day-0 anchor.)
-        self._anchor = (self.days_served, state)
+        self._anchor = (self.days_served, self.executor.snapshot())

@@ -9,8 +9,9 @@ can actually invalidate, and this module turns the bound into a replay
 plan:
 
 * :class:`SnapshotRing` — a bounded ring of per-day loop-carried snapshots
-  (the backend's suspend/resume tape states), pushed after every reveal.
-  A snapshot taken at day ``d`` is *clean* for a correction at day
+  (the backend's own copy-on-write ``snapshot()`` tuples, which share the
+  frozen trained memory between entries), pushed after every reveal.  A
+  snapshot taken at day ``d`` is *clean* for a correction at day
   ``t >= d``: the correction only perturbs state from day ``t`` on.
 * :func:`replay_correction` — pick the cheapest exact restart point and
   replay only the suffix.  Two plans compete:
@@ -27,11 +28,15 @@ plan:
   The replay re-pushes ring snapshots along the corrected timeline (spin-up
   only from the first provably-exact day), preserving the invariant that
   every retained snapshot equals what a clean full replay would have
-  suspended at that day.
+  suspended at that day.  It pushes only the days the ring keeps — a
+  replay longer than the ring would evict its earlier pushes before it
+  returns — so the ring ends every replay exactly as if every day had
+  been pushed.
 
 The helper is engine-agnostic: it drives any
 :class:`~repro.engine.backends.ExecutionEngine` surface
-(``set_input``/``run_predict``/``prediction``/``set_label``), so the solo
+(``set_input``/``run_predict``/``prediction``/``set_label``) plus the
+``take_snapshot``/``restore_snapshot`` callables it is handed, so the solo
 :class:`~repro.engine.incremental.IncrementalExecutor` and the fleet's
 stacked groups share one implementation.
 """
@@ -90,7 +95,7 @@ class CorrectionResult:
 
 
 class SnapshotRing:
-    """Bounded, day-indexed ring of suspended tape states.
+    """Bounded, day-indexed ring of tape snapshots.
 
     Entries are ``(day, state)`` with strictly increasing days, ``day``
     being the serving-day index the state *enters* (i.e. the state after
@@ -210,6 +215,12 @@ def replay_correction(
             ring.truncate_after(day)
         push_from = day
 
+    # A push the ring would evict before the replay returns is skipped:
+    # only the days entering the newest ``depth`` are kept either way.
+    if ring is None or take_snapshot is None:
+        push_from = cur + 1
+    else:
+        push_from = max(push_from, cur - ring.depth + 1)
     predictions: np.ndarray | None = None
     for replay_day in range(start, cur):
         backend.set_input(features[replay_day])
@@ -221,8 +232,7 @@ def replay_correction(
                 )
             predictions[replay_day - day] = backend.prediction
         backend.set_label(labels[replay_day])
-        if (ring is not None and take_snapshot is not None
-                and replay_day + 1 >= push_from):
+        if replay_day + 1 >= push_from:
             ring.push(replay_day + 1, take_snapshot())
     assert predictions is not None  # range(start, cur) includes day
     return CorrectionResult(

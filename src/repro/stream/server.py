@@ -463,7 +463,11 @@ class AlphaServer:
 
         The same programs must have been registered first; the snapshot's
         registration table, version and seed are validated against this
-        server before any state is touched.
+        server before any state is touched.  Every persisted tape state —
+        the fleet's and its delta-replay payloads' — is validated against
+        its executor as it is restored
+        (:class:`~repro.errors.ExecutionError`); a server whose resume
+        raised must be discarded.
         """
         if self._warmed:
             raise StreamError("cannot resume into a server that already ran")

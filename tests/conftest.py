@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import AlphaEvaluator, Dimensions, Mutator
+from repro.core.ops import CLIP_VALUE
 from repro.data import (
     MarketConfig,
     Split,
@@ -26,6 +27,46 @@ def small_panel():
 def small_taskset(small_panel) -> TaskSet:
     """A small task set (30 stocks, ~170 sample days) shared across tests."""
     return build_taskset(small_panel, split=Split(train=110, valid=30, test=30))
+
+
+#: What a dirty panel may hold: every value the sanitize steps act on.
+HOSTILE_VALUES = np.array([
+    np.nan, np.inf, -np.inf, 5e-324, -5e-324, -0.0, CLIP_VALUE, -CLIP_VALUE,
+])
+
+
+def salt(array: np.ndarray, share: int, rng) -> np.ndarray:
+    """A copy of ``array`` with one entry in ``share`` hostile."""
+    salted = np.array(array)
+    flat = salted.reshape(-1)
+    picks = rng.choice(flat.size, size=flat.size // share, replace=False)
+    flat[picks] = HOSTILE_VALUES[np.arange(picks.size) % HOSTILE_VALUES.size]
+    return salted
+
+
+@pytest.fixture(scope="session")
+def hostile_values() -> np.ndarray:
+    """:data:`HOSTILE_VALUES`, for tests that doctor state by hand."""
+    return HOSTILE_VALUES
+
+
+@pytest.fixture(scope="session", name="salt")
+def salt_fixture():
+    """The :func:`salt` helper, for tests that doctor state by hand."""
+    return salt
+
+
+@pytest.fixture(scope="session")
+def hostile_taskset(small_taskset) -> TaskSet:
+    """``small_taskset`` with NaN, ±inf, denormals, -0.0 and the clip bounds
+    salted into its features and labels."""
+    rng = np.random.default_rng(2021)
+    return TaskSet(
+        features=salt(small_taskset.features, 150, rng),
+        labels=salt(small_taskset.labels, 40, rng),
+        dates=small_taskset.dates, taxonomy=small_taskset.taxonomy,
+        split=small_taskset.split, tickers=small_taskset.tickers,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Tests for the regularised evolutionary search."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.core import (
     domain_expert_alpha,
     get_initialization,
 )
+from repro.core import evolution
 from repro.core.fitness import INVALID_FITNESS
 from repro.errors import EvolutionError
 
@@ -106,17 +109,31 @@ class TestEvolutionController:
         assert pruned_result.cache_stats.evaluated < full_result.cache_stats.evaluated
         assert full_result.cache_stats.evaluated == 100
 
-    def test_time_budget_stops_search(self, small_taskset, dims):
+    def test_time_budget_stops_search(self, small_taskset, dims, monkeypatch):
+        # A fake clock that advances 0.125 s per read.  The run reads it at
+        # the start, after each scored candidate and at each budget check
+        # (the first population fill checks only until it is full), so the
+        # check on the 17th read sees 2.0 s and stops the search at 8
+        # candidates, however fast the host is; the 18th read is the
+        # reported elapsed time.
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.125 * (len(reads) - 1)
+
+        monkeypatch.setattr(evolution, "time", SimpleNamespace(perf_counter=clock))
         evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=20)
         controller = EvolutionController(
             evaluator=evaluator,
             mutator=Mutator(dims, seed=1),
-            config=EvolutionConfig(population_size=10, tournament_size=4,
-                                   max_candidates=None, max_seconds=0.5),
+            config=EvolutionConfig(population_size=4, tournament_size=2,
+                                   max_candidates=None, max_seconds=2.0),
         )
         result = controller.run(domain_expert_alpha(dims))
-        assert result.elapsed_seconds < 5.0
-        assert result.candidates_generated > 0
+        assert result.candidates_generated == 8
+        assert len(reads) == 18
+        assert result.elapsed_seconds == 2.125
 
     def test_correlation_filter_invalidates_clones(self, small_taskset, dims):
         """With the initial alpha itself registered as a reference, candidates

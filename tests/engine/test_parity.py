@@ -27,36 +27,9 @@ from repro.core import (
     Operation,
     get_initialization,
 )
-from repro.core.ops import CLIP_VALUE
-from repro.data import TaskSet
 from repro.engine import FleetEngine, IncrementalExecutor, make_backend, run_protocol
 
 SPLITS = ("valid", "test")
-
-#: What a dirty panel may hold: every value the sanitize steps act on.
-HOSTILE_VALUES = np.array([
-    np.nan, np.inf, -np.inf, 5e-324, -5e-324, -0.0, CLIP_VALUE, -CLIP_VALUE,
-])
-
-
-def salt(array: np.ndarray, share: int, rng) -> np.ndarray:
-    """A copy of ``array`` with one entry in ``share`` hostile."""
-    salted = np.array(array)
-    flat = salted.reshape(-1)
-    picks = rng.choice(flat.size, size=flat.size // share, replace=False)
-    flat[picks] = HOSTILE_VALUES[np.arange(picks.size) % HOSTILE_VALUES.size]
-    return salted
-
-
-@pytest.fixture(scope="module")
-def hostile_taskset(small_taskset) -> TaskSet:
-    rng = np.random.default_rng(2021)
-    return TaskSet(
-        features=salt(small_taskset.features, 150, rng),
-        labels=salt(small_taskset.labels, 40, rng),
-        dates=small_taskset.dates, taxonomy=small_taskset.taxonomy,
-        split=small_taskset.split, tickers=small_taskset.tickers,
-    )
 
 
 def fuzz_programs(dims, mutator, count=12):
@@ -237,14 +210,16 @@ class TestSuspendResumeThroughEngine:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("lanes", [None, 2])
     def test_resumed_tape_sanitizes_restored_state(
-        self, small_taskset, lanes
+        self, small_taskset, lanes, salt, hostile_values
     ):
-        """A resumed tape reads restored state as if it were raw.
+        """A tape fed outside state reads it as if it were raw.
 
         The state is doctored with hostile values, which no clean run
-        stores; a resumed tape must still sanitize every read of it, as
+        stores; a tape that took it in through ``resume()`` or through an
+        adopted persisted snapshot must still sanitize every read of it, as
         the interpreter does, although ``get_row`` / ``s_max`` / ``s_add``
-        could skip steps on clean inputs.
+        could skip steps on clean inputs.  Restoring the tape's own snapshot
+        keeps those bind-time skips.
         """
         v1, m2 = Operand.vector(1), Operand.matrix(2)
         s3, s5 = Operand.scalar(3), Operand.scalar(5)
@@ -268,8 +243,8 @@ class TestSuspendResumeThroughEngine:
         rng = np.random.default_rng(5)
         doctored = {
             "m2": salt(np.ones(features.shape[1:]), 3, rng),
-            "s5": HOSTILE_VALUES[np.arange(features.shape[1])
-                                 % HOSTILE_VALUES.size],
+            "s5": hostile_values[np.arange(features.shape[1])
+                                 % hostile_values.size],
         }
 
         reference = make_backend(program, evaluator.make_context(),
@@ -282,24 +257,45 @@ class TestSuspendResumeThroughEngine:
         backend.run_setup()
         state = backend.suspend()
         state.operands.update(doctored)
-        if lanes is None:
-            resumed = make_backend(program, evaluator.make_context())
-            resumed.resume(state)
-        else:
-            resumed = StackedAlpha(
-                [compile_program(program)] * lanes, evaluator.make_context()
-            )
-            resumed.resume([state] * lanes)
 
+        def sanitize_steps(tape):
+            return [(entry.clip, entry.scan)
+                    for entries in (tape._static_tape, *tape._tapes.values())
+                    for entry in entries]
+
+        def fed(how):
+            if lanes is None:
+                tape = make_backend(program, evaluator.make_context())
+                states = state
+            else:
+                tape = StackedAlpha(
+                    [compile_program(program)] * lanes,
+                    evaluator.make_context(),
+                )
+                states = [state] * lanes
+            if how == "resume":
+                tape.resume(states)
+            else:
+                tape.run_setup()
+                bound = sanitize_steps(tape)
+                assert not all(clip and scan for clip, scan in bound)
+                tape.restore(tape.snapshot())
+                assert sanitize_steps(tape) == bound
+                tape.restore(tape.adopt(states))
+            assert all(clip and scan for clip, scan in sanitize_steps(tape))
+            return tape
+
+        tapes = [fed("resume"), fed("adopt")]
         for day in range(features.shape[0]):
-            for executor in (reference, resumed):
+            for executor in (reference, *tapes):
                 executor.set_input(features[day])
                 executor.run_predict()
             expected = reference.prediction.tobytes()
-            got = resumed.prediction
-            for lane in ([got] if lanes is None else got):
-                assert lane.tobytes() == expected, f"diverged on day {day}"
-            for executor in (reference, resumed):
+            for tape in tapes:
+                got = tape.prediction
+                for lane in ([got] if lanes is None else got):
+                    assert lane.tobytes() == expected, f"diverged on day {day}"
+            for executor in (reference, *tapes):
                 executor.set_label(labels[day])
                 executor.run_update()
 

@@ -198,6 +198,44 @@ class TestCorrectionParity:
         )
         assert result.mode == "snapshot"
 
+    def test_deep_correction_leaves_an_exact_ring(self, evaluator):
+        """A replay longer than the ring pushes only the days it keeps.
+
+        A day-2 correction of the unbounded program restarts from the warm
+        anchor and replays 12 days through an 8-deep ring.  Every day the
+        ring retains afterwards must hold the exact corrected state, so a
+        correction restarting from each of them (newest first, so each
+        restores a snapshot the deep replay pushed) matches a full replay.
+        """
+        program = recurrent_alpha()
+        features, labels = served_history(evaluator)
+        executor = warm_executor(evaluator, program)
+        serve(executor, features, labels, 0, SERVE_DAYS)
+        corrected = np.array(features, copy=True)
+
+        def correct(day):
+            corrected[day] = corrected[day] * 1.01
+            result = executor.correct(
+                day, corrected[:SERVE_DAYS], labels[:SERVE_DAYS]
+            )
+            reference = warm_executor(evaluator, program)
+            full = serve(reference, corrected, labels, 0, SERVE_DAYS)
+            assert result.predictions.tobytes() == full[day:].tobytes(), (
+                f"correction at day {day} diverged from full replay"
+            )
+            return result
+
+        deep = correct(2)
+        assert deep.start_day == 0
+        assert deep.replayed_days > DEFAULT_UNBOUNDED_DEPTH
+        retained = [day for day, _ in executor._ring.entries()]
+        assert retained == list(range(
+            SERVE_DAYS - DEFAULT_UNBOUNDED_DEPTH + 1, SERVE_DAYS + 1
+        ))
+        for day in reversed(retained[:-1]):
+            result = correct(day)
+            assert (result.mode, result.start_day) == ("snapshot", day)
+
     def test_interpreter_spins_up_without_snapshots(self, evaluator, dims):
         # The interpreter has no tape protocol: corrections must come out of
         # the bounded-lookback spin-up alone, still bitwise-exact.

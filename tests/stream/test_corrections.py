@@ -4,7 +4,10 @@ The serving-layer face of bounded delta-replay: a correction to an
 already-served bar replays only the invalidated suffix, bitwise-identical
 to a full offline recompute over the corrected history — across fleets,
 stacked groups, suspend/resume round trips through serialized state, and
-the driver/CLI/scenario surfaces that inject corrections.
+the driver/CLI/scenario surfaces that inject corrections.  The mixed-fleet
+cases also run on the hostile panel (NaN, ±inf, denormals, -0.0 and the
+clip bounds): a replay restores the tape's own snapshots and keeps its
+bind-time sanitize skips, so these cases guard that rule.
 """
 
 import argparse
@@ -14,7 +17,19 @@ import numpy as np
 import pytest
 
 from repro.cli import parse_corrections
-from repro.core import AlphaEvaluator, Dimensions, get_initialization
+from repro.config import make_rng
+from repro.core import (
+    INPUT_MATRIX,
+    PREDICTION,
+    AlphaEvaluator,
+    AlphaProgram,
+    Dimensions,
+    Operand,
+    Operation,
+    get_initialization,
+)
+from repro.core.ops import sample_params
+from repro.core.program import COMPONENTS
 from repro.data import (
     CorruptionSpec,
     FileBackend,
@@ -25,7 +40,8 @@ from repro.data import (
     export_panel_csv,
     inject_corruption,
 )
-from repro.errors import StreamError
+from repro.engine import IncrementalExecutor
+from repro.errors import ExecutionError, StreamError
 from repro.obs import TELEMETRY, telemetry_session
 from repro.scenarios import get_scenario, scenario_names
 from repro.stream import (
@@ -40,6 +56,11 @@ from repro.stream.server import SERVER_STATE_VERSION
 
 SERVE_DAYS = 14
 
+#: ``(day, feature scale, label scale)``: a shallow correction, one reaching
+#: beyond the 8-day snapshot ring, then two out of order.
+CORRECTIONS = ((12, 1.01, None), (2, 0.99, 1.02), (9, None, 0.98),
+               (4, 1.02, None))
+
 
 @pytest.fixture()
 def fleet(dims):
@@ -47,6 +68,93 @@ def fleet(dims):
         get_initialization("D", dims, seed=3),
         get_initialization("NN", dims, seed=3),
     ]
+
+
+def param_twin(program, dims, rng, name):
+    """``program`` with every parameter resampled: same stack signature."""
+    twin = program.copy(name=name)
+    for component in COMPONENTS:
+        operations = twin.component(component)
+        for index, operation in enumerate(operations):
+            if operation.spec.param_names:
+                operations[index] = Operation.make(
+                    operation.spec.name, operation.inputs, operation.output,
+                    sample_params(operation.spec, dims, rng),
+                )
+    return twin
+
+
+def recurrent_alpha(row=0, combine="s_add", name="recurrent"):
+    """An accumulator ``Predict()`` carries across days: unbounded lookback."""
+    s3, s4 = Operand.scalar(3), Operand.scalar(4)
+    return AlphaProgram(
+        setup=[],
+        predict=[
+            Operation.make("get_scalar", (INPUT_MATRIX,), s4,
+                           {"row": row, "col": 0}),
+            Operation.make(combine, (s3, s4), s3),
+            Operation.make("s_add", (s3, s4), PREDICTION),
+        ],
+        update=[],
+        name=name,
+    )
+
+
+@pytest.fixture()
+def mixed_fleet(dims):
+    """Three stack groups (one of unbounded lookback) plus two singletons."""
+    rng = make_rng(5)
+    d = get_initialization("D", dims, seed=3)
+    nn = get_initialization("NN", dims, seed=3)
+    return [
+        d, param_twin(d, dims, rng, "d_twin"),
+        param_twin(d, dims, rng, "d_twin_2"),
+        nn, param_twin(nn, dims, rng, "nn_twin"),
+        recurrent_alpha(row=0), recurrent_alpha(row=2, name="recurrent_2"),
+        recurrent_alpha(combine="s_sub", name="recurrent_sub"),
+        get_initialization("R", dims, seed=3),
+    ]
+
+
+def offline_reference(taskset, server, features, labels):
+    """Offline evaluator over the served (already-corrected) history."""
+    import dataclasses
+
+    full_features = np.array(taskset.features, copy=True)
+    full_labels = np.array(taskset.labels, copy=True)
+    start = taskset.split.train
+    full_features[start:start + SERVE_DAYS] = features[:SERVE_DAYS]
+    full_labels[start:start + SERVE_DAYS] = labels[:SERVE_DAYS]
+    patched = dataclasses.replace(
+        taskset, features=full_features, labels=full_labels
+    )
+    reference = AlphaEvaluator(patched, seed=0, max_train_steps=40)
+    reference._base_seed = server.base_seed
+    return reference
+
+
+def apply_correction(servers, features, labels, day, feature_scale,
+                     label_scale):
+    """Patch ``features``/``labels`` in place and send the correction to
+    every server; returns each server's corrected suffix."""
+    corrected = {}
+    if feature_scale is not None:
+        features[day] = features[day] * feature_scale
+        corrected["features"] = features[day]
+    if label_scale is not None:
+        labels[day] = labels[day] * label_scale
+        corrected["labels"] = labels[day]
+    return [server.correct_bar(day, **corrected) for server in servers]
+
+
+def assert_matches_offline(reference, programs, served, start, stop, what):
+    """Every name's ``served`` rows equal offline days ``start .. stop``."""
+    for index, program in enumerate(programs):
+        batch = reference.run(program, splits=("valid",))["valid"]
+        assert (served[f"alpha_{index}"].tobytes()
+                == batch[start:stop].tobytes()), (
+            f"alpha_{index} ({program.name}) diverged {what}"
+        )
 
 
 def make_server(taskset, programs, warm=True, seed=0):
@@ -111,19 +219,41 @@ class TestCorrectBarGuards:
 class TestCorrectBarParity:
     def corrected_reference(self, small_taskset, server, features, labels):
         """Offline evaluator over the served (already-corrected) history."""
-        import dataclasses
+        return offline_reference(small_taskset, server, features, labels)
 
-        full_features = np.array(small_taskset.features, copy=True)
-        full_labels = np.array(small_taskset.labels, copy=True)
-        start = small_taskset.split.train
-        full_features[start:start + SERVE_DAYS] = features[:SERVE_DAYS]
-        full_labels[start:start + SERVE_DAYS] = labels[:SERVE_DAYS]
-        patched = dataclasses.replace(
-            small_taskset, features=full_features, labels=full_labels
-        )
-        reference = AlphaEvaluator(patched, seed=0, max_train_steps=40)
-        reference._base_seed = server.base_seed
-        return reference
+    def assert_corrections_match_offline(self, taskset, programs):
+        server = make_server(taskset, programs)
+        assert server.fleet.stack_groups == 3
+        assert server.num_unique == len(programs)
+        features = np.array(valid_history(taskset)[0], copy=True)
+        labels = np.array(valid_history(taskset)[1], copy=True)
+        serve_days(server, features, labels, 0, SERVE_DAYS)
+        for day, feature_scale, label_scale in CORRECTIONS:
+            suffix, = apply_correction([server], features, labels, day,
+                                       feature_scale, label_scale)
+            reference = offline_reference(taskset, server, features, labels)
+            assert_matches_offline(reference, programs, suffix, day,
+                                   SERVE_DAYS, f"correcting day {day}")
+        tail = serve_days(server, features, labels, SERVE_DAYS,
+                          SERVE_DAYS + 3)
+        streamed = {
+            name: np.array([bar[name] for bar in tail]) for name in tail[0]
+        }
+        assert_matches_offline(reference, programs, streamed, SERVE_DAYS,
+                               SERVE_DAYS + 3, "serving after corrections")
+
+    def test_stacked_and_solo_corrections_match_offline_recompute(
+        self, small_taskset, mixed_fleet
+    ):
+        self.assert_corrections_match_offline(small_taskset, mixed_fleet)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_corrections_match_offline_recompute_on_hostile_panel(
+        self, hostile_taskset, mixed_fleet
+    ):
+        served = hostile_taskset.split_features("valid")[:SERVE_DAYS]
+        assert not np.isfinite(served).all()
+        self.assert_corrections_match_offline(hostile_taskset, mixed_fleet)
 
     def test_correct_bar_matches_offline_recompute(
         self, small_taskset, fleet
@@ -309,13 +439,15 @@ class TestRepairedPanelCorrections:
 
 
 class TestSuspendResumeCorrections:
-    def test_correct_after_resume_matches_live_server(
-        self, small_taskset, fleet, tmp_path
-    ):
-        features, labels = valid_history(small_taskset)
-        live = make_server(small_taskset, fleet)
+    def assert_resumed_corrections_match(self, taskset, programs, tmp_path,
+                                         corrections):
+        """Corrections after a suspend → disk → resume round trip equal the
+        never-suspended server's and the offline recompute, bit for bit."""
+        features = np.array(valid_history(taskset)[0], copy=True)
+        labels = np.array(valid_history(taskset)[1], copy=True)
+        live = make_server(taskset, programs)
         serve_days(live, features, labels, 0, SERVE_DAYS)
-        live.correct_bar(6, labels=labels[6] * 1.05)
+        apply_correction([live], features, labels, 6, None, 1.05)
 
         state = live.suspend()
         assert state.version == SERVER_STATE_VERSION
@@ -326,27 +458,83 @@ class TestSuspendResumeCorrections:
 
         path = tmp_path / "server.state"
         save_state(path, state)
-        resumed = make_server(small_taskset, fleet, warm=False)
+        resumed = make_server(taskset, programs, warm=False)
         resumed.resume(load_state(path))
         assert [record.day for record in resumed.corrections] == [6]
 
-        # A correction reaching *before* the suspend point must behave
+        # Corrections reaching *before* the suspend point must behave
         # identically on the resumed and the never-suspended server.
-        day = SERVE_DAYS - 4
-        corrected = np.array(features, copy=True)
-        corrected[day] = corrected[day] * 1.01
-        from_live = live.correct_bar(day, features=corrected[day])
-        from_resumed = resumed.correct_bar(day, features=corrected[day])
-        assert from_live.keys() == from_resumed.keys()
-        for name in from_live:
-            assert from_live[name].tobytes() == from_resumed[name].tobytes()
-        tail_live = serve_days(live, corrected, labels,
+        for day, feature_scale, label_scale in corrections:
+            from_live, from_resumed = apply_correction(
+                [live, resumed], features, labels, day, feature_scale,
+                label_scale,
+            )
+            assert from_live.keys() == from_resumed.keys()
+            for name in from_live:
+                assert from_live[name].tobytes() == \
+                    from_resumed[name].tobytes()
+            reference = offline_reference(taskset, live, features, labels)
+            assert_matches_offline(reference, programs, from_resumed, day,
+                                   SERVE_DAYS, f"correcting day {day}")
+        tail_live = serve_days(live, features, labels,
                                SERVE_DAYS, SERVE_DAYS + 3)
-        tail_resumed = serve_days(resumed, corrected, labels,
+        tail_resumed = serve_days(resumed, features, labels,
                                   SERVE_DAYS, SERVE_DAYS + 3)
         for bar_live, bar_resumed in zip(tail_live, tail_resumed):
             for name in bar_live:
                 assert bar_live[name].tobytes() == bar_resumed[name].tobytes()
+
+    def test_correct_after_resume_matches_live_server(
+        self, small_taskset, fleet, tmp_path
+    ):
+        self.assert_resumed_corrections_match(
+            small_taskset, fleet, tmp_path, [(SERVE_DAYS - 4, 1.01, None)]
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_correct_after_resume_on_hostile_panel(
+        self, hostile_taskset, mixed_fleet, tmp_path
+    ):
+        self.assert_resumed_corrections_match(
+            hostile_taskset, mixed_fleet, tmp_path, CORRECTIONS
+        )
+
+    @pytest.mark.parametrize("unit", ["stacked", "solo"])
+    @pytest.mark.parametrize("flaw",
+                             ["tape_key", "operand_set", "operand_shape"])
+    def test_resume_rejects_bad_persisted_ring_entry(
+        self, small_taskset, mixed_fleet, unit, flaw
+    ):
+        import dataclasses
+
+        features, labels = valid_history(small_taskset)
+        live = make_server(small_taskset, mixed_fleet)
+        serve_days(live, features, labels, 0, 4)
+        state = live.suspend()
+        key = next(
+            key for key, view in live.fleet.executors.items()
+            if isinstance(view, IncrementalExecutor) == (unit == "solo")
+        )
+        day, entry = state.replay[key]["entries"][-1]
+        if flaw == "tape_key":
+            entry = dataclasses.replace(entry, tape_key="0" * 64)
+            match = "different compiled program"
+        else:
+            operands = dict(entry.operands)
+            if flaw == "operand_set":
+                operands.pop("m0")
+                match = "operand set"
+            else:
+                operands["s0"] = operands["s0"][:-1]
+                match = "operand s0 has shape"
+            entry = dataclasses.replace(entry, operands=operands)
+        payload = dict(state.replay[key])
+        payload["entries"] = payload["entries"][:-1] + ((day, entry),)
+        state = dataclasses.replace(
+            state, replay={**state.replay, key: payload}
+        )
+        with pytest.raises(ExecutionError, match=match):
+            make_server(small_taskset, mixed_fleet, warm=False).resume(state)
 
     def test_resume_of_pre_history_state_rejects_corrections(
         self, small_taskset, fleet
