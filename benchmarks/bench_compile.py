@@ -2,10 +2,10 @@
 """Benchmark: compiled-tape execution vs the reference interpreter.
 
 Evaluates one fixed, deterministic list of candidate alphas twice — once on
-``AlphaEvaluator(compiled=False)`` (the per-day, per-operation interpreter
-loop) and once on ``AlphaEvaluator(compiled=True)`` (the
-:mod:`repro.compile` pipeline: flat tape, pre-resolved dispatch, static
-hoisting and fused batched inference) — and records:
+``AlphaEvaluator(engine="interpreter")`` (the per-day, per-operation
+interpreter loop) and once on ``AlphaEvaluator(engine="compiled")`` (the
+:mod:`repro.compile` pipeline on a one-lane tape: flat tape, pre-resolved
+dispatch, static hoisting and fused batched inference) — and records:
 
 * full-evaluation throughput (train + inference) for both paths;
 * **inference-stage** throughput for both paths, measured as the difference
@@ -73,10 +73,10 @@ def run_benchmark(num_programs: int = 32, repeats: int = 3) -> dict:
     )
 
     interpreter = AlphaEvaluator(
-        taskset, seed=EVALUATOR_SEED, compiled=False, **EVALUATOR_KWARGS
+        taskset, seed=EVALUATOR_SEED, engine="interpreter", **EVALUATOR_KWARGS
     )
     compiled = AlphaEvaluator(
-        taskset, seed=EVALUATOR_SEED, compiled=True, **EVALUATOR_KWARGS
+        taskset, seed=EVALUATOR_SEED, engine="compiled", **EVALUATOR_KWARGS
     )
 
     # ----- parity: the hard contract --------------------------------------

@@ -3,13 +3,13 @@
 
 Measures what the engine layer (:mod:`repro.engine`) buys on top of the
 per-program execution paths it replaced, behind a **hard bitwise-parity
-gate** across all five paths:
+gate** across four paths:
 
 * **parity gate** — for every benchmarked program the valid/test prediction
   panels of the reference interpreter, the compiled day-loop
-  (``time_batched=False``), the time-batched compiled path, a
-  :class:`~repro.engine.fleet.FleetEngine` evaluation with stacking off and
-  one with stacking on must be bit-for-bit identical (non-zero exit on any
+  (``time_batched=False``), the time-batched compiled path and a
+  :class:`~repro.engine.fleet.FleetEngine` evaluation (signature groups on
+  stacked tapes) must be bit-for-bit identical (non-zero exit on any
   divergence);
 * **fleet evaluation throughput** — evaluating an N-program fleet (with the
   duplicate rate a real mined fleet has) through one ``FleetEngine`` — one
@@ -17,9 +17,9 @@ gate** across all five paths:
   loop of building and running a fresh evaluator per program;
 * **cross-program mega-batching** — a fleet-size scaling curve over mining
   generation snapshots (:func:`common.build_generation`): at each fleet
-  size P the per-program loop, the non-stacked fleet, the stacked fleet
-  (signature groups executing as one ``(P, ...)`` tape) and the stacked
-  fleet with **program-axis chunking** (matrix-heavy kernels split into
+  size P the per-program loop, the stacked fleet (signature groups
+  executing as one ``(P, ...)`` tape) and the stacked fleet with
+  **program-axis chunking** (matrix-heavy kernels split into
   cache-resident P-chunks) are timed; the largest point is the
   ``programs_per_second_stacked`` headline and must clear a >= 3x stacked
   speedup at >= 100 unique programs post-dedup;
@@ -36,7 +36,7 @@ Run with::
     python benchmarks/bench_engine.py [--programs N] [--stocks K] [--smoke]
 
 ``--smoke`` shrinks the universe and program count but keeps the full
-five-way parity gate (including at least one multi-program stack group) —
+four-way parity gate (including at least one multi-program stack group) —
 CI uses it as the engine-parity gate.
 """
 
@@ -78,19 +78,16 @@ def make_evaluator(taskset, **kwargs) -> AlphaEvaluator:
 
 
 def check_parity(taskset, programs) -> tuple[bool, int, int]:
-    """The hard gate: five execution paths, bitwise-identical panels.
+    """The hard gate: four execution paths, bitwise-identical panels.
 
     Returns ``(parity, num_static_predict, stack_groups)``.
     """
     interpreter = make_evaluator(taskset, engine="interpreter")
     compiled_loop = make_evaluator(taskset, time_batched=False)
     compiled_batched = make_evaluator(taskset, time_batched=True)
-    fleet = FleetEngine(make_evaluator(taskset), stacked=False)
-    stacked_fleet = FleetEngine(make_evaluator(taskset), stacked=True)
+    stacked_fleet = FleetEngine(make_evaluator(taskset))
     for program in programs:
-        fleet.add(program)
         stacked_fleet.add(program)
-    fleet_runs = fleet.run(splits=SPLITS)
     stacked_runs = stacked_fleet.run(splits=SPLITS)
 
     parity = True
@@ -100,7 +97,6 @@ def check_parity(taskset, programs) -> tuple[bool, int, int]:
         paths = {
             "compiled-loop": compiled_loop.run(program, splits=SPLITS),
             "time-batched": compiled_batched.run(program, splits=SPLITS),
-            "fleet": fleet_runs[program.name],
             "stacked-fleet": stacked_runs[program.name],
         }
         if compiled_batched.make_backend(program).supports_static_predict:
@@ -152,11 +148,10 @@ def bench_stacked_scaling(taskset, sizes=(8, 32, 128, 200),
                           repeats: int = 2, program_chunk: int = 32) -> dict:
     """Fleet-size scaling of the stacked executor over generation snapshots.
 
-    At each size P a fresh mining-generation fleet is built and four paths
+    At each size P a fresh mining-generation fleet is built and three paths
     are timed end to end: the per-program loop (fresh evaluator per member),
-    the non-stacked ``FleetEngine`` (dedup + shared data pass only), the
-    stacked ``FleetEngine`` (signature groups executing as ``(P, ...)``
-    tapes) and the stacked fleet with an explicit ``program_chunk`` — the
+    the ``FleetEngine`` (signature groups executing as ``(P, ...)`` tapes)
+    and the fleet with an explicit ``program_chunk`` — the
     program axis of matrix-heavy kernels split into cache-resident chunks
     (before/after for the chunking knob; bitwise-identical output).  The
     largest point is the headline.
@@ -175,43 +170,36 @@ def bench_stacked_scaling(taskset, sizes=(8, 32, 128, 200),
 
         timings = {}
         unique = stack_groups = 0
-        # (stacked, program_chunk): chunk 0 disables program-axis chunking,
-        # so the third run is the explicit before/after of the knob.
-        for stacked, chunk in ((False, 0), (True, 0), (True, program_chunk)):
+        # Chunk 0 disables program-axis chunking, so the second run is the
+        # explicit before/after of the knob.
+        for chunk in (0, program_chunk):
             best = float("inf")
             for _ in range(repeats):
-                fleet = FleetEngine(
-                    make_evaluator(taskset), stacked=stacked,
-                    program_chunk=chunk,
-                )
+                fleet = FleetEngine(make_evaluator(taskset),
+                                    program_chunk=chunk)
                 for program in programs:
                     fleet.add(program)
                 start = time.perf_counter()
                 fleet.evaluate()
                 best = min(best, time.perf_counter() - start)
-            timings[(stacked, chunk)] = best
-            if stacked and not chunk:
+            timings[chunk] = best
+            if not chunk:
                 unique = fleet.num_unique
                 stack_groups = fleet.stack_groups
-        unchunked = timings[(True, 0)]
-        chunked = timings[(True, program_chunk)]
+        unchunked = timings[0]
+        chunked = timings[program_chunk]
         curve.append({
             "num_programs": size,
             "unique_programs": unique,
             "stack_groups": stack_groups,
             "program_chunk": program_chunk,
             "per_program_loop_seconds": round(loop_best, 4),
-            "fleet_seconds": round(timings[(False, 0)], 4),
             "stacked_fleet_seconds": round(unchunked, 4),
             "stacked_chunked_seconds": round(chunked, 4),
             "programs_per_second_loop": round(size / loop_best, 2),
-            "programs_per_second_fleet": round(size / timings[(False, 0)], 2),
             "programs_per_second_stacked": round(size / unchunked, 2),
             "programs_per_second_stacked_chunked": round(size / chunked, 2),
             "stacked_speedup_vs_loop": round(loop_best / unchunked, 2),
-            "stacked_speedup_vs_fleet": round(
-                timings[(False, 0)] / unchunked, 2
-            ),
             "chunked_speedup_vs_stacked": round(unchunked / chunked, 2),
         })
     headline = curve[-1]
@@ -222,7 +210,6 @@ def bench_stacked_scaling(taskset, sizes=(8, 32, 128, 200),
         "stack_groups": headline["stack_groups"],
         "programs_per_second_stacked": headline["programs_per_second_stacked"],
         "stacked_speedup_vs_loop": headline["stacked_speedup_vs_loop"],
-        "stacked_speedup_vs_fleet": headline["stacked_speedup_vs_fleet"],
     }
 
 
@@ -295,7 +282,7 @@ def run_benchmark(num_programs: int = 18, num_stocks: int = 40,
         "train_days": taskset.split.train,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
-        "parity_interpreter_compiled_fleet_time_batched_stacked": bool(parity),
+        "parity_interpreter_compiled_time_batched_stacked": bool(parity),
         "parity_programs": len(parity_programs),
         "parity_stack_groups": parity_groups,
         "static_predict_programs": num_static,
@@ -326,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         path = write_bench_json("engine", payload)
         print(f"\nsaved {path}")
 
-    if not payload["parity_interpreter_compiled_fleet_time_batched_stacked"]:
+    if not payload["parity_interpreter_compiled_time_batched_stacked"]:
         print("ERROR: execution paths diverge bitwise", file=sys.stderr)
         return 1
     if payload["static_predict_programs"] < 1:
@@ -359,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
               f"({payload['parity_programs']} programs, "
               f"{payload['static_predict_programs']} static-predict, "
               f"{payload['parity_stack_groups']} stack groups, "
-              "5 execution paths bitwise identical)")
+              "4 execution paths bitwise identical)")
     return 0
 
 

@@ -93,7 +93,7 @@ def run_benchmark(num_programs: int = 6, num_stocks: int = 40,
 
     # ----- full recompute: the per-arriving-day cost without carried state -
     evaluator = AlphaEvaluator(
-        taskset, seed=EVALUATOR_SEED, max_train_steps=None, compiled=True
+        taskset, seed=EVALUATOR_SEED, max_train_steps=None, engine="compiled"
     )
     recompute_start = time.perf_counter()
     for program in programs:

@@ -112,7 +112,7 @@ def _render_engine(payload: dict) -> list[Row]:
             "static-predict time batching vs per-day loop (full evaluation)",
             f"{static['speedup']}x",
             f"`bench_engine.py`, {static['num_programs']} static-predict "
-            "programs, 5-way bitwise parity",
+            "programs, 4-way bitwise parity",
         ))
     fleet = payload.get("fleet_evaluation", {})
     if fleet.get("num_programs"):

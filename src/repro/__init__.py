@@ -29,7 +29,7 @@ runnable (doctested) examples of the public surface.
 
 from . import backtest, compile, config, core, data, engine, errors, parallel, stream
 from .engine import ExecutionEngine, FleetEngine
-from .stream import AlphaServer, IncrementalAlpha, OnlineBacktestDriver
+from .stream import AlphaServer, OnlineBacktestDriver
 from .backtest import BacktestEngine, BacktestResult, sharpe_ratio
 from .core import (
     AlphaEvaluator,
@@ -72,7 +72,6 @@ __all__ = [
     "EvolutionController",
     "ExecutionEngine",
     "FleetEngine",
-    "IncrementalAlpha",
     "MarketConfig",
     "MinedAlpha",
     "MiningSession",

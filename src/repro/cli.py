@@ -145,11 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint island searches into DIR and resume from existing checkpoints",
     )
     parser.add_argument(
-        "--no-compile", action="store_true",
-        help="execute candidates on the reference interpreter instead of the "
-             "compiled tape (results are bitwise identical either way)",
-    )
-    parser.add_argument(
         "--engine", choices=["interpreter", "compiled"], default=None,
         help="execution engine candidates run on (default: compiled; "
              "results are bitwise identical across engines)",
@@ -185,8 +180,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["scheduler"] = args.scheduler
     if args.checkpoint is not None:
         overrides["checkpoint_dir"] = args.checkpoint
-    if args.no_compile:
-        overrides["use_compile"] = False
     if args.engine is not None:
         overrides["engine"] = args.engine
     if overrides:

@@ -5,14 +5,16 @@ into a small query-engine-style compiler: programs are lowered into an SSA
 IR (:mod:`.ir`), optimised by a pass pipeline (:mod:`.passes` — constant
 folding, commutative canonicalisation, common-subexpression elimination and
 a dead-code elimination that reuses the backward-liveness pruning), and
-executed by a flat-tape executor (:mod:`.executor`) with pre-resolved
-dispatch, preallocated slots and a fused batched inference stage.
+executed by one flat tape (:mod:`.stacked`) with pre-resolved dispatch,
+preallocated slots, a fused batched inference stage and one lane per
+program, on the kernel registry of :mod:`.executor`.
 
 Entry points:
 
-* :func:`compile_program` + :class:`CompiledAlpha` — the execution pipeline
-  (bitwise identical to the interpreter; used by
-  :class:`repro.core.interpreter.AlphaEvaluator` when ``compiled=True``);
+* :func:`compile_program` + :class:`StackedAlpha` — the execution pipeline
+  (bitwise identical to the interpreter; a one-lane tape is what
+  :class:`repro.core.interpreter.AlphaEvaluator` runs under the default
+  ``"compiled"`` engine, a P-lane one a signature group of a fleet);
 * :func:`canonical_key` — the canonicalised-IR fingerprint substrate used by
   :class:`repro.core.cache.FingerprintCache`;
 * :func:`describe_compilation` — the ``repro inspect`` report.
@@ -25,7 +27,7 @@ from .compiler import (
     compile_program,
     describe_compilation,
 )
-from .executor import CompiledAlpha, TAPE_STATE_VERSION, TapeState, tape_key_for
+from .executor import TAPE_STATE_VERSION, TapeState, tape_key_for
 from .ir import IRComponent, IRInstruction, IRProgram, IRValue, lower_program
 from .lookback import LookbackInfo, analyze_lookback
 from .stacked import StackedAlpha, stack_signature
@@ -40,7 +42,6 @@ from .passes import (
 )
 
 __all__ = [
-    "CompiledAlpha",
     "CompiledProgram",
     "DataflowInfo",
     "IRComponent",

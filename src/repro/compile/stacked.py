@@ -1,63 +1,77 @@
-"""Stacked (cross-program) execution of signature-grouped compiled alphas.
+"""The compiled tape: a signature group of compiled alphas, one lane each.
 
-:class:`CompiledAlpha` removed the per-operation bookkeeping; its fused
-inference path removed the per-*day* dispatch.  The one axis still paid per
-member is the *program* axis: a fleet of P structurally identical programs
-costs P separate tape walks however similar they are.  :class:`StackedAlpha`
-removes it — a group of compiled programs sharing one
-:func:`stack_signature` (same opcode sequence, same SSA wiring, same operand
-inputs/exports; parameter *values* free to differ) executes as **one** tape
-whose state and buffers carry a leading program axis:
+:class:`StackedAlpha` binds the optimised IR (:mod:`.compiler`) of P ≥ 1
+compiled programs sharing one :func:`stack_signature` (same opcode
+sequence, same SSA wiring, same operand inputs/exports; parameter *values*
+free to differ) to one problem shape, and executes them as **one** tape
+whose state and buffers carry a leading program (*lane*) axis: scalars are
+``(P, K)``, vectors ``(P, K, w)``, matrices ``(P, K, f, w)``.  A single
+program is the one-lane tape, which is what
+:func:`repro.engine.make_backend` binds for the compiled engine, so mining,
+offline fleets and serving all run this one runner:
 
-* scalar operands/values become ``(P, K)``, vectors ``(P, K, w)``, matrices
-  ``(P, K, f, w)``;
-* an instruction whose parameters agree across the group and whose operator
-  has a leading-axis kernel in the registry both tape runners share
-  (:data:`repro.compile.executor.KERNELS`) runs as **one** NumPy call for
-  the whole group, through the kernel's ``out=`` form where it has one;
-* the extraction operators (``get_scalar`` / ``get_row`` / ``get_column``)
-  with *differing* per-member indices run as one advanced-indexing gather;
-* everything else falls back to a per-member slice loop *inside* the entry
-  — bitwise identical by construction (the per-lane raw results are written
-  first and sanitised in one elementwise pass), while the batched majority
-  still collapses P-fold dispatch into one call.
+* **pre-resolved dispatch** — every instruction becomes one or more kernel
+  calls with their function, input arrays, preallocated output buffer and
+  sanitize steps resolved at bind time.  An instruction whose parameters
+  agree across the lanes and whose operator has a leading-axis kernel
+  (:data:`repro.compile.executor.KERNELS`) runs as one NumPy call for the
+  whole group, through the kernel's ``out=`` form where it has one; an
+  extraction operator with per-lane indices runs as one advanced-indexing
+  gather; anything else calls the operator once per lane on that lane's
+  views.  At one lane, that is exactly the per-program call;
+* **allocation-free execution** — each SSA value owns one buffer and each
+  live operand one state array; a result lands in its buffer through the
+  ``out=`` form or the clip ufunc, so a call allocates at most its
+  kernel's own result and a NaN mask, and the day loop builds no dicts;
+* **static hoisting** — instructions whose transitive inputs are constants
+  or parameter-free initialisers run once in a prologue instead of once
+  per day;
+* **fused batched inference** — when ``Predict()`` neither reads the label
+  nor an operand it also writes, the inference stage runs over a leading
+  *day* axis instead of a Python loop over days, chunked so a
+  ``(P, C, K, f, w)`` buffer stays bounded however large the group;
+* **copy-on-write snapshots** — :meth:`StackedAlpha.snapshot` /
+  :meth:`StackedAlpha.restore` save and rewind the operand state for
+  delta-replay serving.  While serving only ``m0``, ``s0`` and the carried
+  operands ``Predict()`` writes back change, so a snapshot copies those
+  and shares every frozen array with the previous snapshot;
+* **suspend/resume** — a lane leaves as a
+  :class:`~repro.compile.executor.TapeState` carrying that program's own
+  tape key and per-program operand shapes, so it resumes into a lane of
+  any group holding the same program, the one-lane tape included.
+  ``TapeState`` stays the only external format, for checkpoints and
+  persisted replay state.
 
-Bitwise parity with per-program execution is the same hard contract the
-compiled executor honours against the interpreter.  The registry's kernels
-equal the per-slice registry call bit for bit under any leading axes (see
-:mod:`repro.compile.executor`), which is exactly what a program axis — or,
-on the fused path, a program axis plus a day axis — needs.  Each entry's
-sanitize steps are resolved at bind time from the same registry contract
-as the solo tape's, and outside state — :meth:`StackedAlpha.resume` or an
-adopted persisted snapshot — restores full sanitizing for the rest of the
-binding.
-
-Delta-replay snapshots are the solo tape's copy-on-write snapshots
-(:class:`~repro.compile.executor._TapeRunner`) over the stacked buffers:
-one ``(P, …)`` copy per per-day operand for the whole group, the frozen
-ones shared with the previous snapshot.  Suspend/resume slices cleanly in
-and out of them: :meth:`StackedAlpha.suspend_member` and
-:meth:`StackedAlpha.tape_state` emit a :class:`TapeState` indistinguishable
-from the one a solo :class:`CompiledAlpha` of the same program would
-produce (same ``tape_key``, same operand set), so checkpoints move freely
-between stacked and per-program serving.
+Bitwise parity with the interpreter is a hard contract (the fingerprint
+cache and the search both rely on it): the registry's kernels equal the
+per-slice registry call bit for bit under any leading axes (see
+:mod:`repro.compile.executor`), which is what a lane axis — or, on the
+fused path, a lane axis plus a day axis — needs.  Each instruction's
+sanitize steps are resolved at bind from its operator's registry contract
+(:func:`~repro.compile.executor._sanitize_steps`); a binding keeps that
+elision only while every value in it came from its own tape, so
+:meth:`StackedAlpha.resume` and :meth:`StackedAlpha.adopt` restore full
+sanitizing for the rest of the binding.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..core.memory import INPUT_MATRIX, LABEL, Operand, OperandType, PREDICTION
+from ..core.ops import CLIP_VALUE
 from ..core.program import COMPONENTS
 from ..errors import ExecutionError
 from .compiler import CompiledProgram
 from .executor import (
     KERNELS,
+    TAPE_STATE_VERSION,
     TapeState,
-    _read_only,
+    _clip,
     _sanitize_into,
     _sanitize_steps,
-    _TapeRunner,
     tape_key_for,
 )
 
@@ -115,90 +129,108 @@ def stack_signature(compiled: CompiledProgram) -> str:
     return "\n".join(lines)
 
 
-class _StackedEntry:
-    """One instruction of the stacked tape, execution strategy pre-resolved.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    ``mode`` is decided once at bind time:
 
-    * ``"stacked"`` — parameters identical across members and the operator
-      has a leading-axis kernel: one call over ``(P, ...)`` arrays;
-    * ``"gather"`` — an extraction operator with per-member indices: one
-      advanced-indexing call with precomputed index vectors;
-    * ``"loop"`` — per-member slice fallback (exact by construction).
+class _Call:
+    """One kernel call of the day loop.
 
-    ``clip`` / ``scan`` are the sanitize steps the result still owes, as on
-    the solo tape.
+    ``out_func(inputs, target)`` when set, else ``func(ctx, inputs,
+    params)`` stored into ``target`` — through the clip ufunc when ``clip``.
+    ``scan`` marks an instruction's last call, which NaN-scans the whole
+    ``output`` buffer its calls wrote.
     """
 
-    __slots__ = (
-        "op", "mode", "func", "out_func", "clip", "scan", "spec_func",
-        "gather", "inputs", "input_ids", "output", "output_id", "params0",
-        "member_params", "calls", "pchunk",
-    )
+    __slots__ = ("func", "out_func", "inputs", "params", "target", "output",
+                 "clip", "scan")
 
-    def __init__(self, op, mode, func, spec_func, gather, inputs, input_ids,
-                 output, output_id, params0, member_params, calls, steps):
-        self.op = op
-        self.mode = mode
+    def __init__(self, func, inputs, params, target, output, out_func=None):
         self.func = func
-        #: ``out=``-writing variant (stacked mode only).
-        kernel = KERNELS.get(op)
-        self.out_func = (
-            kernel.out if mode == "stacked" and kernel is not None else None
-        )
-        self.clip, self.scan = steps
-        self.spec_func = spec_func
-        self.gather = gather
+        self.out_func = out_func
         self.inputs = inputs
-        self.input_ids = input_ids
+        self.params = params
+        self.target = target
         self.output = output
-        self.output_id = output_id
-        self.params0 = params0
+        self.clip = self.scan = True
+
+
+class _StackedEntry:
+    """One instruction of the tape, its execution strategy resolved at bind.
+
+    ``mode`` is ``"stacked"`` (one leading-axis kernel call per program
+    chunk ``lanes``), ``"gather"`` (an extraction operator with per-lane
+    indices: one advanced-indexing call) or ``"loop"`` (the operator once
+    per lane).  ``calls`` are the day loop's :class:`_Call`\\ s;
+    ``clip`` / ``scan`` the sanitize steps the result still owes.
+    """
+
+    __slots__ = ("mode", "kernel", "spec_func", "inputs", "input_ids",
+                 "output", "output_id", "member_params", "lanes", "calls",
+                 "clip", "scan")
+
+    def __init__(self, mode, kernel, instr, inputs, output, member_params,
+                 lanes, calls) -> None:
+        self.mode = mode
+        self.kernel = kernel
+        self.spec_func = instr.spec.func
+        self.inputs = inputs
+        self.input_ids = instr.inputs
+        self.output = output
+        self.output_id = instr.result
         self.member_params = member_params
-        #: Kernel calls one execution of this entry issues (telemetry).
+        self.lanes = lanes
         self.calls = calls
-        #: Whether the program axis may be chunked for cache residency
-        #: (stacked-mode matrix contractions only; bitwise-neutral).
-        self.pchunk = mode == "stacked" and op in _PROGRAM_CHUNK_OPS
+
+    def set_steps(self, clip: bool, scan: bool) -> None:
+        self.clip, self.scan = clip, scan
+        for call in self.calls:
+            call.clip, call.scan = clip, False
+        self.calls[-1].scan = scan
 
 
 def _make_gather(op: str, member_params, ctx):
-    """Advanced-indexing kernel for an extraction op with per-member indices."""
+    """One advanced-indexing call for an extraction op with per-lane
+    indices, as an operator function, or ``None``."""
     P = len(member_params)
     pidx = np.arange(P)
     if op == "get_scalar":
         rows = np.array([p["row"] % ctx.num_features for p in member_params])
         cols = np.array([p["col"] % ctx.window for p in member_params])
         kidx = np.arange(ctx.num_tasks)
-        return lambda m: m[
+        return lambda ctx, inputs, params: inputs[0][
             pidx[:, None], kidx[None, :], rows[:, None], cols[:, None]
         ]
     if op == "get_row":
         rows = np.array([p["row"] % ctx.num_features for p in member_params])
-        return lambda m: m[pidx, :, rows, :]
+        return lambda ctx, inputs, params: inputs[0][pidx, :, rows, :]
     if op == "get_column":
         cols = np.array([p["col"] % ctx.window for p in member_params])
-        return lambda m: m[pidx, :, :, cols]
+        return lambda ctx, inputs, params: inputs[0][pidx, :, :, cols]
     return None
 
 
-class StackedAlpha(_TapeRunner):
-    """One signature group of compiled alphas executed as a single tape.
+class StackedAlpha:
+    """The compiled tape of one signature group of P ≥ 1 programs.
 
     Satisfies the :class:`~repro.engine.backends.ExecutionEngine` per-day
-    vocabulary with every array carrying a leading program axis:
+    vocabulary with every array carrying the leading lane axis:
     :attr:`prediction` is ``(P, K)``, :meth:`run_inference_batch` returns
     ``(D, P, K)``, and :meth:`set_input` / :meth:`set_label` broadcast one
-    shared bar across the whole group — so the engine-layer protocol drives
-    a group exactly as it drives one program.
+    shared bar across the lanes — so the engine-layer protocol drives a
+    group exactly as it drives one program.
 
     Parameters
     ----------
     compiled_group:
-        The group's :class:`~repro.compile.compiler.CompiledProgram` members,
-        all sharing one :func:`stack_signature` (validated here).
+        The lanes' :class:`~repro.compile.compiler.CompiledProgram`\\ s, all
+        sharing one :func:`stack_signature` (validated here).  One program
+        makes the one-lane tape.
     ctx:
-        The shared evaluation context every member binds to.
+        The evaluation context (task count, dimensions, relation indices and
+        base seed) every lane binds to — the same object the interpreter
+        would hand to every operator.
     program_chunk:
         Program-axis chunk size for the matrix-heavy stacked contractions
         (:data:`_PROGRAM_CHUNK_OPS`): ``None`` derives a cache-resident
@@ -215,17 +247,18 @@ class StackedAlpha(_TapeRunner):
         if not compiled_group:
             raise ExecutionError("cannot stack an empty program group")
         template = compiled_group[0]
-        signature = stack_signature(template)
-        for other in compiled_group[1:]:
-            if stack_signature(other) != signature:
-                raise ExecutionError(
-                    f"cannot stack {other.program.name!r} with "
-                    f"{template.program.name!r}: tape signatures differ"
-                )
+        if len(compiled_group) > 1:
+            signature = stack_signature(template)
+            for other in compiled_group[1:]:
+                if stack_signature(other) != signature:
+                    raise ExecutionError(
+                        f"cannot stack {other.program.name!r} with "
+                        f"{template.program.name!r}: tape signatures differ"
+                    )
         self.group = compiled_group
         self.ctx = ctx
         self.num_programs = P = len(compiled_group)
-        #: Batched NumPy kernel calls issued so far (telemetry counter feed).
+        #: NumPy kernel calls issued so far (telemetry counter feed).
         self.kernel_calls = 0
         if program_chunk is None:
             # Auto: keep one chunk's matrix operands around the same
@@ -245,6 +278,9 @@ class StackedAlpha(_TapeRunner):
         ir = template.ir
         carried = template.dataflow.carried
 
+        #: Operand state arrays: the loop-carried memory between components
+        #: and days.  Allocated for every operand the program observes plus
+        #: the three reserved addresses.
         self._state: dict[Operand, np.ndarray] = {}
 
         def state_array(operand: Operand) -> np.ndarray:
@@ -258,13 +294,14 @@ class StackedAlpha(_TapeRunner):
             state_array(operand)
 
         self._buffers: dict[int, np.ndarray] = {}
-        self._static_tape: list[_StackedEntry] = []
-        self._tapes: dict[str, list[_StackedEntry]] = {}
+        self._entries: list[_StackedEntry] = []
+        static_entries: list[_StackedEntry] = []
+        component_entries: dict[str, list[_StackedEntry]] = {}
         self._copies: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
         for name, component in ir.components.items():
             static_ids: set[int] = set()
-            tape: list[_StackedEntry] = []
+            entries: list[_StackedEntry] = []
             for index, instr in enumerate(component.instructions):
                 arrays = []
                 for vid in instr.inputs:
@@ -282,81 +319,116 @@ class StackedAlpha(_TapeRunner):
                 entry = self._bind_entry(
                     instr, tuple(arrays), output, member_params
                 )
+                self._entries.append(entry)
+                # Setup already runs exactly once; hoisting only pays off for
+                # the components inside the per-day loops.
                 is_static = name != "setup" and all(
                     vid in static_ids for vid in instr.inputs
                 )
                 if is_static:
                     static_ids.add(instr.result)
-                    self._static_tape.append(entry)
+                    static_entries.append(entry)
                 else:
-                    tape.append(entry)
-            self._tapes[name] = tape
+                    entries.append(entry)
+            component_entries[name] = entries
             self._copies[name] = [
                 (state_array(operand), self._buffers[vid])
                 for operand, vid in component.exports.items()
                 if operand in carried
             ]
+        self._static_tape = self._flatten(static_entries)
+        self._tapes = {
+            name: self._flatten(entries)
+            for name, entries in component_entries.items()
+        }
 
         predict = ir.components["predict"]
-        prediction_value = predict.exports.get(PREDICTION)
-        if prediction_value is not None:
-            self._prediction = self._buffers[prediction_value]
+        self._prediction_id = predict.exports.get(PREDICTION)
+        if self._prediction_id is not None:
+            self._prediction = self._buffers[self._prediction_id]
         else:
             self._prediction = self._state[PREDICTION]
-        self._prediction_id = prediction_value
-        #: Per-member tape identity — the same key a solo CompiledAlpha of
-        #: that member would carry, so suspended lanes resume anywhere.
-        self.tape_keys = tuple(
-            tape_key_for(member.ir) for member in compiled_group
+
+        # Fused inference: which predict values carry the day axis is
+        # structural, so the day-axis entries and the day-invariant ones
+        # are split once here.
+        self._input_matrix_id = predict.inputs.get(INPUT_MATRIX)
+        day_ids = set() if self._input_matrix_id is None else {
+            self._input_matrix_id
+        }
+        for entry in component_entries["predict"]:
+            if any(vid in day_ids for vid in entry.input_ids):
+                day_ids.add(entry.output_id)
+        self._day_entries = [
+            entry for entry in component_entries["predict"]
+            if entry.output_id in day_ids
+        ]
+        self._invariant_tape = self._flatten(
+            entry for entry in component_entries["predict"]
+            if entry.output_id not in day_ids
         )
-        self._bind_snapshots(lanes=1)
+        self._prediction_on_day_axis = self._prediction_id in day_ids
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_programs(cls, programs, ctx) -> "StackedAlpha":
-        """Compile ``programs`` in-process and stack them onto ``ctx``.
-
-        The pickle-free rebind used by the shared-memory pool workers:
-        only the (tiny) :class:`~repro.core.program.AlphaProgram` payloads
-        cross the IPC channel; compilation, the stacked ``(P, ...)`` state
-        buffers and the binding to a context whose panels are shared-memory
-        views all happen inside the worker.  Raises
-        :class:`~repro.errors.ExecutionError` when the programs do not
-        share one :func:`stack_signature`.
-        """
-        from .compiler import compile_program
-
-        return cls([compile_program(program) for program in programs], ctx)
+        # Snapshot layout.  A snapshot holds one read-only array per state
+        # array, in bind order; the per-day ones are copied each time, the
+        # frozen ones shared with the previous snapshot (see snapshot()).
+        state = self._state
+        per_day = {id(state[INPUT_MATRIX]), id(state[LABEL])}
+        per_day.update(id(target) for target, _ in self._copies["predict"])
+        self._arrays = tuple(state.values())
+        #: Operand names in bind order, for the TapeState conversions.
+        self._names = tuple(operand.name for operand in state)
+        self._lane_shapes = tuple(array.shape[1:] for array in self._arrays)
+        self._per_day = tuple(id(array) in per_day for array in self._arrays)
+        #: The snapshot whose frozen arrays equal the live ones, or ``None``.
+        self._cow_base: tuple | None = None
 
     # ------------------------------------------------------------------
     def _bind_entry(self, instr, inputs, output, member_params):
+        P = self.num_programs
         params0 = member_params[0]
         same_params = all(p == params0 for p in member_params[1:])
         kernel = KERNELS.get(instr.op)
-        steps = _sanitize_steps(
-            instr.op, inputs,
-            (self._state[INPUT_MATRIX], self._state[LABEL]),
-        )
-        if same_params and kernel is not None:
-            return _StackedEntry(
-                instr.op, "stacked", kernel.func, instr.spec.func, None,
-                inputs, instr.inputs, output, instr.result, params0,
-                member_params, calls=1, steps=steps,
-            )
+        lanes = (slice(None),)
         gather = None if same_params else _make_gather(
             instr.op, member_params, self.ctx
         )
-        if gather is not None:
-            return _StackedEntry(
-                instr.op, "gather", None, instr.spec.func, gather,
-                inputs, instr.inputs, output, instr.result, params0,
-                member_params, calls=1, steps=steps,
-            )
-        return _StackedEntry(
-            instr.op, "loop", None, instr.spec.func, None,
-            inputs, instr.inputs, output, instr.result, params0,
-            member_params, calls=self.num_programs, steps=steps,
-        )
+        if same_params and kernel is not None and kernel.out is not None:
+            mode = "stacked"
+            calls = [_Call(None, inputs, None, output, output, kernel.out)]
+        elif same_params and kernel is not None and P > 1:
+            # One lane gains nothing from the leading-axis kernel: it takes
+            # the per-lane call below, the operator's own function.
+            mode = "stacked"
+            chunk = self.program_chunk
+            if instr.op in _PROGRAM_CHUNK_OPS and 0 < chunk < P:
+                lanes = tuple(slice(lane0, lane0 + chunk)
+                              for lane0 in range(0, P, chunk))
+            calls = [
+                _Call(kernel.func, tuple(array[part] for array in inputs),
+                      params0, output[part], output)
+                for part in lanes
+            ]
+        elif gather is not None:
+            mode = "gather"
+            calls = [_Call(gather, inputs, None, output, output)]
+        else:
+            mode = "loop"
+            calls = [
+                _Call(instr.spec.func, tuple(array[lane] for array in inputs),
+                      params, output[lane], output)
+                for lane, params in enumerate(member_params)
+            ]
+        entry = _StackedEntry(mode, kernel, instr, inputs, output,
+                              member_params, lanes, calls)
+        entry.set_steps(*_sanitize_steps(
+            instr.op, inputs, (self._state[INPUT_MATRIX], self._state[LABEL])
+        ))
+        return entry
+
+    @staticmethod
+    def _flatten(entries) -> list[_Call]:
+        return [call for entry in entries for call in entry.calls]
 
     # ------------------------------------------------------------------
     @property
@@ -366,13 +438,37 @@ class StackedAlpha(_TapeRunner):
 
     @property
     def supports_fused_inference(self) -> bool:
-        """Whether the group's inference runs as batched tape passes."""
+        """Whether the inference stage can run as batched tape passes."""
         return self.group[0].fused_inference
 
     @property
     def supports_static_predict(self) -> bool:
-        """Whether the group's whole ``Predict()`` tape is day-invariant."""
+        """Whether the whole ``Predict()`` tape is day-loop invariant.
+
+        True when, beyond fused-inference eligibility, ``Predict()`` reads
+        no ``Update()``-carried operand — so the engine layer may run even
+        the *training-stage* predictions as one batched
+        :meth:`run_inference_batch` call (see
+        :func:`repro.engine.protocol.training_pass`).
+        """
         return self.group[0].static_predict
+
+    @property
+    def programs(self) -> tuple:
+        """The lanes' :class:`~repro.core.program.AlphaProgram`\\ s."""
+        return tuple(member.program for member in self.group)
+
+    @property
+    def lookback(self):
+        """The lanes' shared :class:`~repro.compile.lookback.LookbackInfo`
+        (one tape structure, one lookback)."""
+        return self.group[0].lookback
+
+    @cached_property
+    def tape_keys(self) -> tuple[str, ...]:
+        """Per-lane tape identity: the hash of that program's execution IR,
+        the same for whatever group its lane sits in."""
+        return tuple(tape_key_for(member.ir) for member in self.group)
 
     # ------------------------------------------------------------------
     def set_input(self, features: np.ndarray) -> None:
@@ -383,88 +479,175 @@ class StackedAlpha(_TapeRunner):
         """Broadcast one day's realised ``(K,)`` labels into every lane."""
         self._state[LABEL][...] = labels
 
-    # ------------------------------------------------------------------
-    def _run_stacked(self, entry, inputs, out) -> int:
-        """Run a ``"stacked"``-mode entry into ``out``; returns its calls."""
-        if entry.out_func is not None:
-            entry.out_func(inputs, out)
-            _sanitize_into(out, out, entry.clip, entry.scan)
-            return 1
-        P, chunk = self.num_programs, self.program_chunk
-        if not (entry.pchunk and 0 < chunk < P):
-            _sanitize_into(out, entry.func(self.ctx, inputs, entry.params0),
-                           entry.clip, entry.scan)
-            return 1
-        for lane0 in range(0, P, chunk):
-            lanes = slice(lane0, lane0 + chunk)
-            _sanitize_into(
-                out[lanes],
-                entry.func(self.ctx, tuple(array[lanes] for array in inputs),
-                           entry.params0),
-                entry.clip, entry.scan,
-            )
-        return -(-P // chunk)
+    def run_setup(self) -> None:
+        """Run every lane's ``Setup()`` once, plus the hoisted static
+        prologue."""
+        self._cow_base = None
+        self._run_tape(self._tapes["setup"])
+        self._write_back(self._copies["setup"])
+        self._run_tape(self._static_tape)
 
-    def _run_tape(self, entries) -> None:
+    def run_predict(self) -> None:
+        """Run ``Predict()`` for the current day."""
+        self._run_tape(self._tapes["predict"])
+        self._write_back(self._copies["predict"])
+
+    def run_update(self) -> None:
+        """Run ``Update()`` for the current day."""
+        self._cow_base = None
+        self._run_tape(self._tapes["update"])
+        self._write_back(self._copies["update"])
+
+    @staticmethod
+    def _write_back(copies: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        for target, source in copies:
+            target[...] = source
+
+    def _run_tape(self, tape: list[_Call]) -> None:
+        # The hot loop: every sanitize step inlined and in place.
         ctx = self.ctx
-        calls = 0
-        for entry in entries:
-            mode = entry.mode
-            out = entry.output
-            if mode == "stacked":
-                calls += self._run_stacked(entry, entry.inputs, out)
-                continue
-            if mode == "gather":
-                _sanitize_into(out, entry.gather(entry.inputs[0]),
-                               entry.clip, entry.scan)
+        clip, isnan = _clip, np.isnan
+        low, high = -CLIP_VALUE, CLIP_VALUE
+        for call in tape:
+            target = call.target
+            if call.out_func is not None:
+                call.out_func(call.inputs, target)
+                if call.clip:
+                    clip(target, low, high, out=target)
+            elif call.clip:
+                clip(call.func(ctx, call.inputs, call.params), low, high,
+                     out=target)
             else:
-                func = entry.spec_func
-                inputs = entry.inputs
-                for lane, params in enumerate(entry.member_params):
-                    out[lane] = func(
-                        ctx, tuple(array[lane] for array in inputs), params
-                    )
-                # sanitize is elementwise, so one pass over the stacked
-                # buffer equals P per-lane passes bit for bit — and costs
-                # one dispatch instead of P.
-                _sanitize_into(out, out, entry.clip, entry.scan)
-            calls += entry.calls
-        self.kernel_calls += calls
+                target[...] = call.func(ctx, call.inputs, call.params)
+            if call.scan:
+                output = call.output
+                output[isnan(output)] = 0.0
+        self.kernel_calls += len(tape)
 
     # ------------------------------------------------------------------
-    # Suspend / resume: lanes slice in and out of the stacked buffers
+    # Copy-on-write snapshots and the suspend / resume tape protocol
     # ------------------------------------------------------------------
-    def suspend_member(self, lane: int) -> TapeState:
-        """Snapshot one lane as a standard :class:`TapeState`.
+    def snapshot(self) -> tuple:
+        """A read-only copy-on-write snapshot of the operand state.
 
-        The snapshot carries the member's *own* tape key and the per-program
-        operand shapes, so it is interchangeable with one produced by a solo
-        :class:`~repro.compile.executor.CompiledAlpha` of the same program —
-        stacked fleets checkpoint into per-program servers and back.
+        ``run_setup``, ``run_update``, :meth:`resume` and :meth:`adopt`
+        drop the reuse base, so the next snapshot copies everything;
+        :meth:`restore` makes the restored snapshot the base.
         """
-        return self.tape_state(self.snapshot(), lane)
+        base = self._cow_base
+        if base is None:
+            snap = tuple(_read_only(array.copy()) for array in self._arrays)
+        else:
+            snap = tuple(
+                _read_only(array.copy()) if per_day else kept
+                for array, per_day, kept in zip(self._arrays, self._per_day,
+                                                base)
+            )
+        self._cow_base = snap
+        return snap
+
+    def restore(self, snap: tuple) -> None:
+        """Write a :meth:`snapshot` of this binding back into its state.
+
+        Neither validates nor reruns the static prologue: the binding is
+        live and its prologue buffers have not changed.  A snapshot holds
+        only values this tape produced, so the sanitize elision stays.
+        """
+        for array, saved in zip(self._arrays, snap):
+            array[...] = saved
+        self._cow_base = snap
 
     def tape_state(self, snap: tuple, lane: int) -> TapeState:
-        """Lane ``lane`` of a group :meth:`snapshot` as a :class:`TapeState`."""
-        return self._tape_state(snap, self.tape_keys[lane], lane)
+        """Lane ``lane`` of a :meth:`snapshot` as a :class:`TapeState`."""
+        ctx = self.ctx
+        return TapeState(
+            version=TAPE_STATE_VERSION,
+            tape_key=self.tape_keys[lane],
+            base_seed=ctx.base_seed,
+            shape=(ctx.num_tasks, ctx.num_features, ctx.window),
+            operands={
+                name: array[lane] for name, array in zip(self._names, snap)
+            },
+        )
 
-    def _check_states(self, states) -> list:
+    def suspend(self) -> tuple[TapeState, ...]:
+        """Every lane's loop-carried state, one :class:`TapeState` each.
+
+        A state holds everything :meth:`resume` needs to continue
+        day-by-day execution bitwise identically to an uninterrupted run:
+        the operand state arrays (the cross-day memory) plus the tape and
+        binding identity.  The hoisted static prologue is *not* captured —
+        it is a deterministic function of the bound context and is
+        recomputed on resume.
+        """
+        snap = self.snapshot()
+        return tuple(self.tape_state(snap, lane) for lane in range(
+            self.num_programs))
+
+    def _check_states(self, states) -> list[TapeState]:
+        """``states``, one per lane, or :class:`ExecutionError`."""
         states = list(states)
         if len(states) != self.num_programs:
             raise ExecutionError(
-                f"expected {self.num_programs} tape states for this stacked "
-                f"group, got {len(states)}"
+                f"expected {self.num_programs} tape states for this tape, "
+                f"got {len(states)}"
             )
+        ctx = self.ctx
+        shape = (ctx.num_tasks, ctx.num_features, ctx.window)
+        expected = set(self._names)
         for state, tape_key in zip(states, self.tape_keys):
-            self._check_state(state, tape_key)
+            if state.version != TAPE_STATE_VERSION:
+                raise ExecutionError(
+                    f"tape state has version {state.version}, this build "
+                    f"reads version {TAPE_STATE_VERSION}"
+                )
+            if state.tape_key != tape_key:
+                raise ExecutionError(
+                    "tape state was suspended from a different compiled "
+                    "program"
+                )
+            if state.shape != shape:
+                raise ExecutionError(
+                    f"tape state was bound to shape {state.shape}, "
+                    f"this executor is bound to {shape}"
+                )
+            if state.base_seed != ctx.base_seed:
+                raise ExecutionError(
+                    f"tape state was produced under base seed "
+                    f"{state.base_seed}, this executor runs under "
+                    f"{ctx.base_seed}"
+                )
+            found = set(state.operands)
+            if found != expected:
+                raise ExecutionError(
+                    "tape state operand set does not match this tape "
+                    f"(missing {sorted(expected - found)}, "
+                    f"unexpected {sorted(found - expected)})"
+                )
+            for name, lane_shape in zip(self._names, self._lane_shapes):
+                if np.shape(state.operands[name]) != lane_shape:
+                    raise ExecutionError(
+                        f"tape state operand {name} has shape "
+                        f"{np.shape(state.operands[name])}, this tape holds "
+                        f"{lane_shape}"
+                    )
         return states
 
-    def resume(self, states) -> None:
-        """Restore one :class:`TapeState` per lane into this fresh group.
+    def _admit_outside_state(self) -> None:
+        """Outside data may hold raw captures: sanitize every call fully
+        from now on, and copy everything at the next snapshot."""
+        for entry in self._entries:
+            entry.set_steps(True, True)
+        self._cow_base = None
 
-        Validates each snapshot against its lane (tape key, binding shape,
-        seed, operand set) before any lane is touched, re-runs the static
-        prologue, then writes every lane's operand state.
+    def resume(self, states) -> None:
+        """Restore one :class:`TapeState` per lane into this fresh binding.
+
+        Validates every state against its lane (tape key, binding shape,
+        seed, operand set and shapes) before any lane is touched, re-runs
+        the static prologue (pure, so bit-for-bit reproducible), then
+        writes the operand state; the next ``run_predict`` /
+        ``run_update`` continues exactly where the suspended tape stopped.
         """
         states = self._check_states(states)
         self._run_tape(self._static_tape)
@@ -475,7 +658,7 @@ class StackedAlpha(_TapeRunner):
 
     def adopt(self, states) -> tuple:
         """Validate persisted per-lane :class:`TapeState`\\ s (as
-        :meth:`resume` does) and stack them into one group snapshot for
+        :meth:`resume` does) and stack them into one :meth:`snapshot` for
         :meth:`restore`."""
         states = self._check_states(states)
         self._admit_outside_state()
@@ -488,103 +671,90 @@ class StackedAlpha(_TapeRunner):
 
     # ------------------------------------------------------------------
     def run_inference_batch(self, features: np.ndarray) -> np.ndarray:
-        """Run the whole group's inference stage in batched tape passes.
+        """Run the inference stage of every lane in batched tape passes.
 
         ``features`` is the shared ``(D, K, f, w)`` split; the return value
-        holds ``(D, P, K)`` predictions, bit-for-bit equal to running each
-        member's own fused (or day-loop) inference.  The day axis is chunked
-        so the largest ``(P, C, K, f, w)`` intermediate stays bounded
-        (:data:`_MAX_CHUNK_ELEMENTS`) however big the fleet.
+        holds the ``(D, P, K)`` predictions, bit-for-bit equal to looping
+        ``set_input`` / ``run_predict`` over the days.  Only valid when
+        :attr:`supports_fused_inference` is True.
         """
-        template = self.group[0]
-        if not template.fused_inference:
+        if not self.supports_fused_inference:
             raise ValueError(
-                "program group is not eligible for fused inference; "
-                "run day by day"
+                "program is not eligible for fused inference; run day by day"
             )
-        ctx = self.ctx
-        P = self.num_programs
+        # Entries off the day axis read only static memory: one execution
+        # covers every day.
+        self._run_tape(self._invariant_tape)
         num_days = features.shape[0]
-        predict = template.ir.components["predict"]
-        input_matrix_value = predict.inputs.get(INPUT_MATRIX)
-
-        # Which values depend on the day axis is structural, hence shared.
-        batched_ids: set[int] = set()
-        if input_matrix_value is not None:
-            batched_ids.add(input_matrix_value)
-        for entry in self._tapes["predict"]:
-            if any(vid in batched_ids for vid in entry.input_ids):
-                batched_ids.add(entry.output_id)
-
-        # Entries off the day axis read only current stacked state: one
-        # execution covers every day (same move as the solo fused path).
-        static_entries = [
-            entry for entry in self._tapes["predict"]
-            if entry.output_id not in batched_ids
-        ]
-        self._run_tape(static_entries)
-
-        pred_vid = self._prediction_id
-        if pred_vid is None or pred_vid not in batched_ids:
-            # Prediction independent of m0: every day sees the same value.
+        if not self._prediction_on_day_axis:
+            # The prediction does not depend on the input matrix: every day
+            # sees the same (static) value.
             return np.broadcast_to(
                 self._prediction, (num_days,) + self._prediction.shape
             ).copy()
 
+        ctx = self.ctx
+        P = self.num_programs
         out = np.empty((num_days, P, ctx.num_tasks))
         per_day = P * ctx.num_tasks * ctx.num_features * ctx.window
         chunk = max(1, _MAX_CHUNK_ELEMENTS // max(per_day, 1))
         calls = 0
         for day0 in range(0, num_days, chunk):
             days = features[day0:day0 + chunk]
-            C = days.shape[0]
-            batched: dict[int, np.ndarray] = {}
-            if input_matrix_value is not None:
-                # Stride-0 view: the shared bar chunk is never materialised
-                # P times.
-                batched[input_matrix_value] = np.broadcast_to(
-                    days, (P,) + days.shape
-                )
-            for entry in self._tapes["predict"]:
-                if entry.output_id not in batched_ids:
-                    continue
+            # Stride-0 view: the shared bar chunk is never materialised P
+            # times.
+            batched = {self._input_matrix_id: np.broadcast_to(
+                days, (P,) + days.shape
+            )}
+            for entry in self._day_entries:
                 inputs = tuple(
                     batched[vid] if vid in batched else array[:, None]
                     for vid, array in zip(entry.input_ids, entry.inputs)
                 )
-                output = np.empty((P, C) + entry.output.shape[1:])
-                kernel = KERNELS.get(entry.op)
-                if entry.mode == "stacked":
-                    calls += self._run_stacked(entry, inputs, output)
-                elif kernel is not None:
-                    # Per-member parameters, but the operator batches over
-                    # the day axis: one day-batched call per lane (the
-                    # elementwise sanitize hoists to one stacked pass).
-                    for lane, params in enumerate(entry.member_params):
-                        output[lane] = kernel.func(
-                            ctx,
-                            tuple(array[lane] for array in inputs),
-                            params,
-                        )
-                    _sanitize_into(output, output, entry.clip, entry.scan)
-                    calls += P
-                else:
-                    day_flags = tuple(
-                        vid in batched for vid in entry.input_ids
-                    )
-                    for lane, params in enumerate(entry.member_params):
-                        lane_inputs = tuple(array[lane] for array in inputs)
-                        for day in range(C):
-                            day_inputs = tuple(
-                                array[day] if flag else array[0]
-                                for array, flag in zip(lane_inputs, day_flags)
-                            )
-                            output[lane, day] = entry.spec_func(
-                                ctx, day_inputs, params
-                            )
-                    _sanitize_into(output, output, entry.clip, entry.scan)
-                    calls += P * C
+                output = np.empty((P, days.shape[0]) + entry.output.shape[1:])
+                calls += self._run_batched(entry, inputs, output, batched)
                 batched[entry.output_id] = output
-            out[day0:day0 + C] = batched[pred_vid].transpose(1, 0, 2)
+            out[day0:day0 + days.shape[0]] = (
+                batched[self._prediction_id].transpose(1, 0, 2)
+            )
         self.kernel_calls += calls
         return out
+
+    def _run_batched(self, entry, inputs, output, batched) -> int:
+        """Run one day-axis entry over ``(P, C, …)`` inputs into ``output``;
+        returns its kernel calls."""
+        ctx, kernel = self.ctx, entry.kernel
+        if entry.mode == "stacked":
+            if kernel.out is not None:
+                kernel.out(inputs, output)
+                _sanitize_into(output, output, entry.clip, entry.scan)
+            else:
+                for part in entry.lanes:
+                    _sanitize_into(
+                        output[part],
+                        kernel.func(ctx, tuple(array[part] for array in inputs),
+                                    entry.member_params[0]),
+                        entry.clip, entry.scan,
+                    )
+            return len(entry.lanes)
+        if kernel is not None:
+            # Per-lane parameters, but the operator batches over the day
+            # axis: one day-batched call per lane, clipped straight into the
+            # lane (the elementwise NaN scan hoists to one pass).
+            for lane, params in enumerate(entry.member_params):
+                _sanitize_into(output[lane], kernel.func(
+                    ctx, tuple(array[lane] for array in inputs), params
+                ), entry.clip, False)
+            _sanitize_into(output, output, False, entry.scan)
+            return self.num_programs
+        day_flags = tuple(vid in batched for vid in entry.input_ids)
+        for lane, params in enumerate(entry.member_params):
+            lane_inputs = tuple(array[lane] for array in inputs)
+            for day in range(output.shape[1]):
+                output[lane, day] = entry.spec_func(ctx, tuple(
+                    array[day] if flag else array[0]
+                    for array, flag in zip(lane_inputs, day_flags)
+                ), params)
+        # sanitize is elementwise: one pass equals a pass per lane and day.
+        _sanitize_into(output, output, entry.clip, entry.scan)
+        return self.num_programs * output.shape[1]

@@ -78,14 +78,10 @@ class EvolutionConfig:
     max_candidates: int | None = 2000
     max_seconds: float | None = None
     use_pruning: bool = True
-    #: Legacy engine selector: execute candidates through the compilation
-    #: pipeline (:mod:`repro.compile`) instead of the reference interpreter
-    #: loop.  Results are bitwise identical; the CLI exposes
-    #: ``--no-compile`` as an escape hatch.  Superseded by ``engine``.
-    use_compile: bool = True
     #: Execution-engine name candidates run on (see
-    #: :data:`repro.engine.ENGINES`); overrides ``use_compile`` when set.
-    #: The CLI exposes it as ``--engine``.
+    #: :data:`repro.engine.ENGINES`; ``None`` is the default,
+    #: ``"compiled"``).  Results are bitwise identical across engines.  The
+    #: CLI exposes it as ``--engine``.
     engine: str | None = None
     log_every: int = 0
     num_workers: int = 1
@@ -98,10 +94,10 @@ class EvolutionConfig:
 
     @property
     def execution_engine(self) -> str:
-        """The resolved engine name (``engine`` over the legacy flag)."""
+        """The resolved engine name."""
         from ..engine import resolve_engine
 
-        return resolve_engine(self.engine, self.use_compile)
+        return resolve_engine(self.engine)
 
     def __post_init__(self) -> None:
         # Validate the engine name eagerly so a typo fails at configuration

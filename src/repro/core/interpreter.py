@@ -10,8 +10,7 @@ a fitness — and delegates all *execution* to the unified engine layer
   that day-loop; both are gone);
 * the execution backend is selected by name — ``"interpreter"`` for the
   reference per-operation loop, ``"compiled"`` for the flat-tape pipeline
-  of :mod:`repro.compile` — via :func:`repro.engine.make_backend`; the
-  historical ``compiled=`` flag maps onto those names and keeps working;
+  of :mod:`repro.compile` — via :func:`repro.engine.make_backend`;
 * the engine's time-vectorised fast paths (fused inference, static-predict
   time batching) are enabled by default and are bitwise identical to the
   day loop, a contract gated by ``benchmarks/bench_engine.py`` and the
@@ -87,15 +86,10 @@ class AlphaEvaluator:
         function).
     evaluate_test:
         Whether :meth:`evaluate` also produces test-split predictions.
-    compiled:
-        Legacy engine selector, kept for compatibility: ``True`` (the
-        default) maps to ``engine="compiled"``, ``False`` to
-        ``engine="interpreter"``.  Results are bitwise identical either
-        way.
     engine:
         Execution-engine name from :data:`repro.engine.ENGINES`
-        (``"interpreter"`` / ``"compiled"``); overrides ``compiled`` when
-        given.
+        (``"interpreter"`` / ``"compiled"``, the default).  Results are
+        bitwise identical either way.
     time_batched:
         Whether the engine layer may collapse eligible stages into one
         vectorised kernel call (fused inference, static-predict time
@@ -112,7 +106,6 @@ class AlphaEvaluator:
         max_train_steps: int | None = None,
         use_update: bool = True,
         evaluate_test: bool = True,
-        compiled: bool = True,
         engine: str | None = None,
         time_batched: bool = True,
     ) -> None:
@@ -131,17 +124,12 @@ class AlphaEvaluator:
         self.max_train_steps = max_train_steps
         self.use_update = use_update
         self.evaluate_test = evaluate_test
-        self.engine = resolve_engine(engine, compiled)
+        self.engine = resolve_engine(engine)
         self.time_batched = bool(time_batched)
         self._sector_index = taskset.taxonomy.group_index("sector")
         self._industry_index = taskset.taxonomy.group_index("industry")
 
     # ------------------------------------------------------------------
-    @property
-    def compiled(self) -> bool:
-        """Legacy view of the engine selection (``engine == "compiled"``)."""
-        return self.engine == "compiled"
-
     @property
     def base_seed(self) -> int:
         """The derived seed all evaluation RNGs start from.
@@ -187,7 +175,8 @@ class AlphaEvaluator:
 
     # ------------------------------------------------------------------
     def make_backend(self, program: AlphaProgram):
-        """A fresh execution backend for ``program`` under this evaluator."""
+        """A fresh one-lane execution backend for ``program`` under this
+        evaluator."""
         # Imported lazily: repro.engine builds on repro.core submodules.
         from ..engine import make_backend
 
@@ -208,7 +197,8 @@ class AlphaEvaluator:
 
         The training pass always runs (one epoch over the training days); the
         returned dictionary maps each requested split name to an array of
-        shape ``(num_days_in_split, K)``.  Execution is delegated to the
+        shape ``(num_days_in_split, K)`` — the one lane of the backend's
+        ``(num_days_in_split, 1, K)`` panel.  Execution is delegated to the
         single protocol implementation in :mod:`repro.engine.protocol`.
         """
         # Imported lazily: repro.engine builds on repro.core submodules.
@@ -217,7 +207,7 @@ class AlphaEvaluator:
         use_update = self.use_update if use_update is None else use_update
         # Validation happens inside the backend constructor (every backend
         # validates against this evaluator's address space).
-        return run_protocol(
+        panels = run_protocol(
             self.make_backend(program),
             self.taskset,
             splits=splits,
@@ -225,6 +215,7 @@ class AlphaEvaluator:
             use_update=use_update,
             time_batched=self.time_batched,
         )
+        return {split: panel[:, 0] for split, panel in panels.items()}
 
     # ------------------------------------------------------------------
     def score(

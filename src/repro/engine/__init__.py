@@ -5,24 +5,28 @@ train/inference label-reveal protocol.  This package is where that protocol
 lives — once — and where every execution path in the repository plugs in:
 
 * :mod:`repro.engine.backends`   — the :class:`ExecutionEngine` per-day
-  contract, the :class:`InterpreterBackend` reference implementation, the
-  :class:`CompiledBackend` flat tape, and :func:`make_backend` (the
-  ``--engine`` selector behind the CLI, :class:`EvolutionConfig` and
-  :class:`~repro.core.interpreter.AlphaEvaluator`);
+  contract (P ≥ 1 lanes, ``(P, K)`` predictions), the
+  :class:`InterpreterBackend` reference implementation, and
+  :func:`make_backend` (the ``--engine`` selector behind the CLI,
+  :class:`EvolutionConfig` and
+  :class:`~repro.core.interpreter.AlphaEvaluator`), which binds the
+  compiled engine's one-lane :class:`~repro.compile.StackedAlpha` tape;
 * :mod:`repro.engine.protocol`   — the single implementation of the
   Setup → train (Predict / label-reveal / Update) → inference day-loop,
   including the fused-inference and static-predict **time-batched** fast
   paths that collapse eligible stages into one ``(T, K, ...)`` kernel call;
-* :mod:`repro.engine.incremental` — :class:`IncrementalExecutor`, one
-  backend advanced one day per ``step`` with suspend/resume;
+* :mod:`repro.engine.incremental` — :class:`IncrementalExecutor`, the one
+  serving unit: the lanes of one backend advanced one day per ``step``
+  with suspend/resume and delta-replay corrections;
 * :mod:`repro.engine.replay`     — bounded delta-replay of point
   corrections: :class:`SnapshotRing` per-day state retention plus the
   compile-time lookback bound, behind ``IncrementalExecutor.correct`` and
   the fleet's ``correct`` fan-out;
 * :mod:`repro.engine.fleet`      — :class:`FleetEngine`, N programs over
   one shared :class:`~repro.core.ops.ExecutionContext` and data pass with
-  canonical deduplication (behind both the search's batch scorer and the
-  streaming :class:`~repro.stream.server.AlphaServer`).
+  canonical deduplication and one backend per signature group (behind
+  both the search's batch scorer and the streaming
+  :class:`~repro.stream.server.AlphaServer`).
 
 Everything above this layer (evaluator, search, pool workers, streaming,
 benchmarks) selects an engine by name and delegates; everything below it
@@ -33,7 +37,6 @@ parity across all engines and fast paths is a hard, gated contract
 
 from .backends import (
     ENGINES,
-    CompiledBackend,
     ExecutionEngine,
     InterpreterBackend,
     make_backend,
@@ -64,7 +67,6 @@ from .protocol import (
 __all__ = [
     "DEFAULT_UNBOUNDED_DEPTH",
     "ENGINES",
-    "CompiledBackend",
     "CorrectionResult",
     "ExecutionEngine",
     "FleetEngine",

@@ -1,9 +1,9 @@
 """Execution backends: the engine-layer contract and its implementations.
 
-Every way this repository executes an alpha program — the reference
-interpreter, the compiled flat tape, the incremental streaming executor,
-whole fleets — speaks one small per-day vocabulary, the
-:class:`ExecutionEngine` protocol:
+Every way this repository executes alpha programs — the reference
+interpreter, the compiled tape, the incremental streaming executor, whole
+fleets — speaks one small per-day vocabulary, the :class:`ExecutionEngine`
+protocol:
 
 ``run_setup`` · ``set_input`` · ``run_predict`` · ``prediction`` ·
 ``set_label`` · ``run_update``
@@ -11,26 +11,31 @@ whole fleets — speaks one small per-day vocabulary, the
 plus two capability flags (``supports_fused_inference`` /
 ``supports_static_predict``) and the batched kernel entry point
 ``run_inference_batch`` that the time-vectorised fast paths of
-:mod:`repro.engine.protocol` dispatch on.  The *protocol* (which day-loop
-runs, when labels are revealed) lives entirely in
-:mod:`repro.engine.protocol`; backends only know how to execute one
-component once.  That split is what keeps the train/inference label-reveal
-protocol implemented exactly once, however many backends exist.
+:mod:`repro.engine.protocol` dispatch on.  A backend executes P ≥ 1
+programs (*lanes*) over one shared bar: it reports ``(P, K)``
+predictions, so every consumer scatters lanes the same way whatever the
+engine.  The *protocol* (which day-loop runs, when labels are revealed)
+lives entirely in :mod:`repro.engine.protocol`; backends only know how to
+execute one component once.  That split is what keeps the
+train/inference label-reveal protocol implemented exactly once, however
+many backends exist.
 
-Two backends ship:
+Two engines ship:
 
-* :class:`InterpreterBackend` — the reference semantics: a vectorised
-  :class:`~repro.core.memory.Memory` plus direct
-  :class:`~repro.core.ops.OpSpec` dispatch, one operation at a time.
-* :class:`CompiledBackend` — the compilation pipeline
-  (:mod:`repro.compile`): flat tape, pre-resolved dispatch, preallocated
-  buffers, static hoisting, fused/batched kernels and the suspend/resume
-  tape protocol.  Bitwise identical to the interpreter (a hard, tested
-  contract).
+* ``"interpreter"`` — :class:`InterpreterBackend`, the reference
+  semantics: a vectorised :class:`~repro.core.memory.Memory` plus direct
+  :class:`~repro.core.ops.OpSpec` dispatch, one operation at a time, one
+  lane.
+* ``"compiled"`` — :class:`~repro.compile.stacked.StackedAlpha`, the
+  compilation pipeline (:mod:`repro.compile`): flat tape, pre-resolved
+  dispatch, preallocated buffers, static hoisting, fused/batched kernels,
+  copy-on-write snapshots and the suspend/resume tape protocol, one lane
+  per program of a signature group.  Bitwise identical to the interpreter
+  (a hard, tested contract).
 
-:func:`make_backend` is the single constructor every consumer goes through;
-``--engine`` on the CLI, ``EvolutionConfig.engine`` and
-``AlphaEvaluator(engine=...)`` all resolve to one of :data:`ENGINES`.
+:func:`make_backend` is the single per-program constructor; ``--engine`` on
+the CLI, ``EvolutionConfig.engine`` and ``AlphaEvaluator(engine=...)`` all
+resolve to one of :data:`ENGINES`.
 """
 
 from __future__ import annotations
@@ -44,13 +49,12 @@ from ..core.memory import INPUT_MATRIX, LABEL, Memory, PREDICTION
 from ..core.ops import ExecutionContext
 from ..core.program import AlphaProgram
 from ..errors import EngineError
-from ..compile import CompiledAlpha, compile_program
+from ..compile import StackedAlpha, compile_program
 
 __all__ = [
     "ENGINES",
     "ExecutionEngine",
     "InterpreterBackend",
-    "CompiledBackend",
     "make_backend",
     "resolve_engine",
 ]
@@ -59,25 +63,18 @@ __all__ = [
 ENGINES = ("interpreter", "compiled")
 
 
-def resolve_engine(engine: str | None = None,
-                   compiled: bool | None = None) -> str:
-    """Resolve an engine name from the new-style and legacy selectors.
-
-    ``engine`` (a name from :data:`ENGINES`) wins when given; otherwise the
-    historical ``compiled`` flag maps ``True`` → ``"compiled"`` and
-    ``False`` → ``"interpreter"``; with neither, the default is
-    ``"compiled"``.
-    """
-    if engine is not None:
-        if engine not in ENGINES:
-            raise EngineError(
-                f"unknown execution engine {engine!r}; choose from "
-                + ", ".join(ENGINES)
-            )
-        return engine
-    if compiled is None:
+def resolve_engine(engine: str | None = None) -> str:
+    """The engine ``engine`` names (from :data:`ENGINES`); ``None`` is the
+    default, ``"compiled"``.  Raises :class:`EngineError` on an unknown
+    name."""
+    if engine is None:
         return "compiled"
-    return "compiled" if compiled else "interpreter"
+    if engine not in ENGINES:
+        raise EngineError(
+            f"unknown execution engine {engine!r}; choose from "
+            + ", ".join(ENGINES)
+        )
+    return engine
 
 
 @runtime_checkable
@@ -87,25 +84,36 @@ class ExecutionEngine(Protocol):
     The protocol deliberately contains no loops: the day-loop (and the
     label-reveal ordering that defines the paper's training/inference
     protocol) is implemented once in :mod:`repro.engine.protocol` and
-    drives any object that satisfies this interface — single programs,
-    compiled tapes, or whole fleets.
+    drives any object that satisfies this interface.  A backend runs
+    ``num_programs`` lanes (P ≥ 1) over one shared bar; ``programs`` and
+    ``lookback`` name them and bound their delta-replay spin-up
+    (:mod:`repro.engine.replay`).
     """
+
+    #: The lane count P.
+    num_programs: int
+    #: The lanes' :class:`~repro.core.program.AlphaProgram`\ s, in order.
+    programs: tuple
+    #: The lanes' shared :class:`~repro.compile.lookback.LookbackInfo`.
+    lookback: object
 
     def run_setup(self) -> None:
         """Run ``Setup()`` once (plus any backend-private prologue)."""
 
     def set_input(self, features: np.ndarray) -> None:
-        """Load one day's ``(K, f, w)`` feature matrices into ``m0``."""
+        """Load one day's ``(K, f, w)`` feature matrices into every lane's
+        ``m0``."""
 
     def run_predict(self) -> None:
         """Run ``Predict()`` for the current day."""
 
     @property
     def prediction(self) -> np.ndarray:
-        """The ``(K,)`` prediction left by the last ``run_predict``."""
+        """The ``(P, K)`` predictions left by the last ``run_predict``."""
 
     def set_label(self, labels: np.ndarray) -> None:
-        """Reveal one day's realised ``(K,)`` labels into ``s0``."""
+        """Reveal one day's realised ``(K,)`` labels into every lane's
+        ``s0``."""
 
     def run_update(self) -> None:
         """Run ``Update()`` for the current day."""
@@ -125,7 +133,8 @@ class ExecutionEngine(Protocol):
         """
 
     def run_inference_batch(self, features: np.ndarray) -> np.ndarray:
-        """Predict ``(D, K, f, w)`` days in one vectorised kernel call."""
+        """Predict ``(D, K, f, w)`` days as ``(D, P, K)`` in vectorised
+        kernel calls."""
 
 
 class InterpreterBackend:
@@ -135,12 +144,13 @@ class InterpreterBackend:
     :class:`~repro.core.interpreter.AlphaEvaluator` executed — every
     operation reads operand arrays from a :class:`~repro.core.memory.Memory`
     and writes its (sanitised) result back — and defines the semantics all
-    other backends are asserted bitwise identical to.
+    other backends are asserted bitwise identical to.  It runs one lane.
     """
 
     #: The interpreter never batches: it is the reference day loop.
     supports_fused_inference = False
     supports_static_predict = False
+    num_programs = 1
 
     def __init__(
         self,
@@ -149,7 +159,7 @@ class InterpreterBackend:
         address_space: AddressSpace = DEFAULT_ADDRESS_SPACE,
     ) -> None:
         program.validate(address_space)
-        self.program = program
+        self.programs = (program,)
         self.ctx = ctx
         self._memory = Memory(
             num_tasks=ctx.num_tasks,
@@ -162,6 +172,20 @@ class InterpreterBackend:
                    for op in operations]
             for name, operations in program.components().items()
         }
+        #: The ``(1, K)`` prediction: ``s1`` with its lane axis.
+        self.prediction = self._memory.read(PREDICTION)[None]
+        self._lookback = None
+
+    @property
+    def lookback(self):
+        """The program's :class:`~repro.compile.lookback.LookbackInfo`.
+
+        The dataflow, hence the horizon structure, is engine-independent,
+        so the program is compiled once for the analysis alone.
+        """
+        if self._lookback is None:
+            self._lookback = compile_program(self.programs[0]).lookback
+        return self._lookback
 
     # ------------------------------------------------------------------
     def _execute(self, tape) -> None:
@@ -191,11 +215,6 @@ class InterpreterBackend:
         """Reveal one day's labels into ``s0``."""
         self._memory.write(LABEL, labels)
 
-    @property
-    def prediction(self) -> np.ndarray:
-        """The ``(K,)`` prediction left by the last ``run_predict``."""
-        return self._memory.read(PREDICTION)
-
     def run_inference_batch(self, features: np.ndarray) -> np.ndarray:
         """The interpreter has no batched kernels — always loop over days."""
         raise EngineError(
@@ -204,31 +223,20 @@ class InterpreterBackend:
         )
 
 
-class CompiledBackend(CompiledAlpha):
-    """The compiled flat-tape backend, constructed straight from a program.
-
-    A thin constructor over :class:`~repro.compile.executor.CompiledAlpha`
-    (which already satisfies :class:`ExecutionEngine`): it validates the
-    program and runs the execution compilation pipeline, so callers that
-    hold an :class:`~repro.core.program.AlphaProgram` need not touch
-    :mod:`repro.compile` directly.  Adds nothing else — the tape executor
-    *is* the backend.
-    """
-
-    def __init__(
-        self,
-        program: AlphaProgram,
-        ctx: ExecutionContext,
-        address_space: AddressSpace = DEFAULT_ADDRESS_SPACE,
-    ) -> None:
-        program.validate(address_space)
-        super().__init__(compile_program(program), ctx)
+def _one_lane_tape(
+    program: AlphaProgram,
+    ctx: ExecutionContext,
+    address_space: AddressSpace = DEFAULT_ADDRESS_SPACE,
+) -> StackedAlpha:
+    """The compiled backend of one program: a one-lane tape."""
+    program.validate(address_space)
+    return StackedAlpha([compile_program(program)], ctx)
 
 
-#: Engine name → backend class.
+#: Engine name → one-lane backend constructor.
 _BACKENDS = {
     "interpreter": InterpreterBackend,
-    "compiled": CompiledBackend,
+    "compiled": _one_lane_tape,
 }
 
 
@@ -238,5 +246,6 @@ def make_backend(
     engine: str = "compiled",
     address_space: AddressSpace = DEFAULT_ADDRESS_SPACE,
 ) -> ExecutionEngine:
-    """Build the backend named ``engine`` for ``program`` bound to ``ctx``."""
+    """Build the one-lane backend named ``engine`` for ``program`` bound to
+    ``ctx``."""
     return _BACKENDS[resolve_engine(engine)](program, ctx, address_space)

@@ -23,31 +23,33 @@ arriving bar across its registered alphas.  Both used to own their fan-out;
 * **cross-program mega-batching** — after dedup, the surviving unique
   programs are grouped by :func:`~repro.compile.stacked.stack_signature`
   (same opcode sequence and SSA wiring; parameter values free to differ)
-  and every group of two or more executes as **one**
-  :class:`~repro.compile.stacked.StackedAlpha` tape whose state carries a
-  leading program axis — one batched ``(P, T, K, ...)`` kernel call per
-  instruction offline, one ``(P, K, ...)`` call per bar online, instead of
-  P separate tape walks.  Mining fleets are near-duplicate-heavy by
-  construction, so most of a candidate generation lands in a few groups.
+  and every group executes as **one**
+  :class:`~repro.compile.stacked.StackedAlpha` tape with one lane per
+  program — one batched ``(P, T, K, ...)`` kernel call per instruction
+  offline, one ``(P, K, ...)`` call per bar online, instead of P separate
+  tape walks.  A group of one is the one-lane tape every single program
+  runs on.  Mining fleets are near-duplicate-heavy by construction, so
+  most of a candidate generation lands in a few groups.  Under the
+  interpreter every key is its own one-lane group.
 
 Offline, :meth:`run` / :meth:`evaluate` replace looping a fresh
 :class:`~repro.core.interpreter.AlphaEvaluator` over the programs; online,
 :meth:`warm_start` / :meth:`step_bar` / :meth:`reveal` back
-:class:`repro.stream.server.AlphaServer`.  Results are bitwise identical
-to the per-program paths in both modes and with stacking on or off (a
-tested contract — stacked entries are restricted to the same
-elementwise-exact kernel registry the fused day path trusts).
+:class:`repro.stream.server.AlphaServer`, with one
+:class:`~repro.engine.incremental.IncrementalExecutor` per group.  Either
+way every backend reports ``(P, K)`` lanes, which the fleet scatters to
+its member keys.  Results are bitwise identical to the per-program paths
+in both modes (a tested contract — stacked kernel calls are restricted to
+the same elementwise-exact kernel registry the fused day path trusts).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..compile import (
-    CompiledAlpha, StackedAlpha, compile_program, stack_signature,
-)
+from ..compile import StackedAlpha, compile_program, stack_signature
 from ..core.cache import fingerprint
 from ..core.program import AlphaProgram
 from ..core.pruning import prune_program
@@ -55,16 +57,18 @@ from ..errors import StreamError
 from ..obs import TELEMETRY
 from .backends import make_backend, resolve_engine
 from .incremental import IncrementalExecutor
-from .protocol import run_protocol, training_pass
-from .replay import (
-    CorrectionResult, SnapshotRing, replay_correction, snapshot_depth_for,
-)
+from .protocol import run_protocol
+# Not called here: kept so the outside-in tracer of perfbench/tracing.py,
+# which wraps this module's ``training_pass``, still resolves it.
+from .protocol import training_pass
+from .replay import CorrectionResult
 
 __all__ = [
     "FleetMember",
     "FleetEngine",
     "evaluate_program_batch",
     "stack_partition",
+    "training_pass",
 ]
 
 
@@ -92,19 +96,18 @@ def stack_partition(programs, engine: str | None = "compiled") -> list[list[int]
     return list(groups.values())
 
 
-def evaluate_program_batch(evaluator, programs, stacked: bool | None = None):
+def evaluate_program_batch(evaluator, programs):
     """Evaluate ``programs`` as one fleet over a shared context/data pass.
 
     Returns one :class:`~repro.core.interpreter.EvaluationResult` per
     program, in input order.  Deduplication stays off — callers (the
     scorer's cache, the pool's dispatch planner) already decided which
-    programs to run — while stacking (on by default under the compiled
-    engine) executes each signature group as a single stacked tape.  This
-    is the one evaluation entry point shared by the serial scorer and the
-    pool workers, which is what keeps pooled results bitwise identical to
-    serial ones.
+    programs to run — while each signature group executes as a single
+    tape.  This is the one evaluation entry point shared by the serial
+    scorer and the pool workers, which is what keeps pooled results
+    bitwise identical to serial ones.
     """
-    fleet = FleetEngine(evaluator, dedup=False, stacked=stacked)
+    fleet = FleetEngine(evaluator, dedup=False)
     for index, program in enumerate(programs):
         fleet.add(program, name=f"batch-{index}")
     results = fleet.evaluate()
@@ -127,279 +130,6 @@ class FleetMember:
     redundant: bool
 
 
-class _SingleUnit:
-    """Serving unit for a key whose signature matched no other member."""
-
-    def __init__(self, key: str, executor: IncrementalExecutor) -> None:
-        self.key = key
-        self.executor = executor
-
-    def warm_start(self, features, labels, day_indices=None,
-                   use_update=True) -> None:
-        self.executor.warm_start(
-            features, labels, day_indices=day_indices, use_update=use_update
-        )
-
-    def step_bar(self, features) -> dict[str, np.ndarray]:
-        return {self.key: self.executor.step(features)}
-
-    def reveal(self, labels) -> None:
-        self.executor.reveal(labels)
-
-    def suspend(self) -> dict[str, object]:
-        return {self.key: self.executor.suspend()}
-
-    def resume(self, tapes: dict[str, object], days_served: int = 0) -> None:
-        self.executor.resume(tapes[self.key], days_served=days_served)
-
-    def correct(self, day, features, labels) -> dict[str, CorrectionResult]:
-        return {self.key: self.executor.correct(day, features, labels)}
-
-    def replay_states(self) -> dict[str, dict]:
-        return {self.key: self.executor.replay_state()}
-
-    def restore_replay_states(self, payloads: dict[str, dict]) -> None:
-        payload = payloads.get(self.key)
-        if payload is not None:
-            self.executor.restore_replay_state(payload)
-
-    def views(self) -> dict[str, object]:
-        return {self.key: self.executor}
-
-
-class _StackedUnit:
-    """Serving unit for one signature group: P lanes, one stacked tape.
-
-    Mirrors :class:`~repro.engine.incremental.IncrementalExecutor`'s
-    step/reveal contract (including the pending-label guards) around a
-    :class:`~repro.compile.stacked.StackedAlpha`, scattering the ``(P, K)``
-    per-bar prediction back to the group's member keys.
-    """
-
-    def __init__(self, keys, backend: StackedAlpha) -> None:
-        self.keys = list(keys)
-        self.backend = backend
-        self.days_served = 0
-        self._warmed = False
-        self._awaiting_label = False
-        self._reported_kernel_calls = 0
-        # Delta-replay state.  Signature groups share opcode sequence and
-        # SSA wiring, so every lane has the template's lookback structure;
-        # ring entries are whole-group snapshots of the stacked tape.
-        self._lookback = backend.group[0].lookback
-        self._ring: SnapshotRing | None = None
-        self._anchor: tuple[int, tuple] | None = None
-
-    @property
-    def max_lookback(self) -> int | None:
-        return None if self._lookback is None else self._lookback.max_lookback
-
-    def _ensure_ring(self) -> SnapshotRing:
-        if self._ring is None:
-            self._ring = SnapshotRing(snapshot_depth_for(self.max_lookback))
-        return self._ring
-
-    @property
-    def is_warm(self) -> bool:
-        return self._warmed
-
-    def warm_start(self, features, labels, day_indices=None,
-                   use_update=True) -> None:
-        if self._warmed:
-            raise StreamError("stacked group is already warm")
-        self.backend.run_setup()
-        # Day loop, exactly as IncrementalExecutor: the suspended operand
-        # state must evolve as a live process's would — the stacking win is
-        # one (P, K, ...) call per instruction per day instead of P walks.
-        training_pass(
-            self.backend, features, labels,
-            day_indices=day_indices, use_update=use_update,
-        )
-        self._warmed = True
-        self._anchor = (0, self.backend.snapshot())
-
-    def step_bar(self, features) -> dict[str, np.ndarray]:
-        if self._awaiting_label:
-            raise StreamError("previous day's label was never revealed; "
-                              "call reveal() between steps")
-        backend = self.backend
-        backend.set_input(features)
-        backend.run_predict()
-        self.days_served += 1
-        self._awaiting_label = True
-        prediction = backend.prediction
-        return {
-            key: prediction[lane].copy()
-            for lane, key in enumerate(self.keys)
-        }
-
-    def reveal(self, labels) -> None:
-        if not self._awaiting_label:
-            raise StreamError("no prediction is pending a label; "
-                              "call step() first")
-        self.backend.set_label(labels)
-        self._awaiting_label = False
-        self._ensure_ring().push(self.days_served, self.backend.snapshot())
-
-    def correct(self, day, features, labels) -> dict[str, CorrectionResult]:
-        """Delta-replay a correction once for the whole group.
-
-        One bounded replay of the stacked tape serves every lane; the
-        ``(R, P, K)`` corrected prediction block is scattered back to the
-        member keys, exactly as :meth:`step_bar` scatters live bars.
-        """
-        if not self._warmed:
-            raise StreamError("stacked group must be warm-started (or "
-                              "resumed) before it can correct days")
-        if self._awaiting_label:
-            raise StreamError("previous day's label was never revealed; "
-                              "reveal it before correcting history")
-        result = replay_correction(
-            self.backend, day, features, labels,
-            days_served=self.days_served,
-            max_lookback=self.max_lookback,
-            ring=self._ensure_ring(),
-            anchor=self._anchor,
-            take_snapshot=self.backend.snapshot,
-            restore_snapshot=self.backend.restore,
-            what=f"stacked group of {len(self.keys)}",
-        )
-        return {
-            key: CorrectionResult(
-                day=result.day,
-                start_day=result.start_day,
-                mode=result.mode,
-                replayed_days=result.replayed_days,
-                predictions=np.ascontiguousarray(
-                    result.predictions[:, lane]
-                ),
-            )
-            for lane, key in enumerate(self.keys)
-        }
-
-    def replay_states(self) -> dict[str, dict]:
-        """Per-key delta-replay payloads (solo-compatible tape states)."""
-        tape_state = self.backend.tape_state
-        entries = self._ring.entries() if self._ring is not None else ()
-        payloads: dict[str, dict] = {}
-        for lane, key in enumerate(self.keys):
-            anchor = None
-            if self._anchor is not None:
-                anchor = (self._anchor[0], tape_state(self._anchor[1], lane))
-            payloads[key] = {
-                "anchor": anchor,
-                "entries": tuple(
-                    (day, tape_state(snap, lane)) for day, snap in entries
-                ),
-            }
-        return payloads
-
-    def restore_replay_states(self, payloads: dict[str, dict]) -> None:
-        """Regroup per-key payloads into group-wide snapshots.
-
-        Only anchor/ring days retained for *every* lane are restored — a
-        group snapshot needs all lanes at the same day.  Each lane's states
-        are validated as :meth:`resume` validates its own before any is
-        adopted.
-        """
-        mine = [payloads.get(key) for key in self.keys]
-        if any(payload is None for payload in mine):
-            return
-        adopt = self.backend.adopt
-        anchor = None
-        anchors = [payload.get("anchor") for payload in mine]
-        if all(lane_anchor is not None for lane_anchor in anchors):
-            days = {int(lane_anchor[0]) for lane_anchor in anchors}
-            if len(days) == 1:
-                anchor = (days.pop(), adopt(
-                    [lane_anchor[1] for lane_anchor in anchors]
-                ))
-        by_day: dict[int, dict[str, object]] = {}
-        for key, payload in zip(self.keys, mine):
-            for day, state in payload.get("entries") or ():
-                by_day.setdefault(int(day), {})[key] = state
-        complete = [
-            (day, adopt([states[key] for key in self.keys]))
-            for day, states in sorted(by_day.items())
-            if len(states) == len(self.keys)
-        ]
-        if anchor is not None:
-            self._anchor = anchor
-        if complete:
-            self._ring = SnapshotRing(
-                snapshot_depth_for(self.max_lookback), complete
-            )
-
-    def suspend(self) -> dict[str, object]:
-        if self._awaiting_label:
-            raise StreamError("cannot suspend between step() and reveal(); "
-                              "reveal the pending label first")
-        backend = self.backend
-        snap = backend.snapshot()
-        return {
-            key: backend.tape_state(snap, lane)
-            for lane, key in enumerate(self.keys)
-        }
-
-    def resume(self, tapes: dict[str, object], days_served: int = 0) -> None:
-        if self._warmed:
-            raise StreamError("cannot resume into a stacked group that "
-                              "already ran")
-        self.backend.resume([tapes[key] for key in self.keys])
-        self.days_served = int(days_served)
-        self._warmed = True
-        # The resumed lanes form a clean group snapshot entering this day
-        # (restore_replay_states may still supply the day-0 one).
-        self._anchor = (self.days_served, self.backend.snapshot())
-
-    def drain_kernel_calls(self) -> int:
-        """Batched kernel calls issued since the last drain (telemetry)."""
-        total = self.backend.kernel_calls
-        delta = total - self._reported_kernel_calls
-        self._reported_kernel_calls = total
-        return delta
-
-    def views(self) -> dict[str, object]:
-        return {
-            key: _StackedLane(self, lane)
-            for lane, key in enumerate(self.keys)
-        }
-
-
-class _StackedLane:
-    """Per-key executor view of one lane of a :class:`_StackedUnit`.
-
-    Presents the :class:`~repro.engine.incremental.IncrementalExecutor`
-    read surface (``is_warm`` / ``days_served`` / ``suspend``) for one
-    member of a stacked group, so fleet consumers that inspect
-    :attr:`FleetEngine.executors` see the same shape whether or not the
-    key's program was stacked.
-    """
-
-    def __init__(self, unit: _StackedUnit, lane: int) -> None:
-        self._unit = unit
-        self._lane = lane
-
-    @property
-    def program(self) -> AlphaProgram:
-        return self._unit.backend.group[self._lane].program
-
-    @property
-    def is_warm(self) -> bool:
-        return self._unit.is_warm
-
-    @property
-    def days_served(self) -> int:
-        return self._unit.days_served
-
-    def suspend(self):
-        """This lane's :class:`~repro.compile.executor.TapeState`."""
-        if self._unit._awaiting_label:
-            raise StreamError("cannot suspend between step() and reveal(); "
-                              "reveal the pending label first")
-        return self._unit.backend.suspend_member(self._lane)
-
-
 class FleetEngine:
     """Executes a fleet of programs over one shared context and data pass.
 
@@ -417,13 +147,6 @@ class FleetEngine:
         The scorer disables this: its cache layer already decides which
         candidates share an evaluation, and the pruning-disabled ablation
         must not dedup behind its back.
-    stacked:
-        Whether unique programs sharing a tape signature execute as one
-        stacked ``(P, ...)`` tape.  Defaults on for the compiled engine
-        (the interpreter has no tape to stack).  Stacking never changes a
-        bit of any result — it only changes how many NumPy calls produce
-        them — and unlike ``dedup`` it is safe under the scorer, since
-        every member keeps its own lane, parameters and score.
     program_chunk:
         Program-axis chunking for matrix-heavy stacked kernels, passed
         through to :class:`~repro.compile.stacked.StackedAlpha`: ``None``
@@ -433,7 +156,7 @@ class FleetEngine:
     """
 
     def __init__(self, evaluator, engine: str | None = None,
-                 dedup: bool = True, stacked: bool | None = None,
+                 dedup: bool = True,
                  program_chunk: int | None = None) -> None:
         self.evaluator = evaluator
         self.program_chunk = program_chunk
@@ -441,9 +164,6 @@ class FleetEngine:
             engine if engine is not None else getattr(evaluator, "engine", None)
         )
         self.dedup = bool(dedup)
-        if stacked is None:
-            stacked = self.engine_name == "compiled"
-        self.stacked = bool(stacked) and self.engine_name == "compiled"
         self.members: list[FleetMember] = []
         self._by_name: dict[str, str] = {}
         #: name → the program registered under that name (deduplicated
@@ -452,13 +172,15 @@ class FleetEngine:
         self._program_by_name: dict[str, AlphaProgram] = {}
         #: key → representative program, in registration order.
         self._programs: dict[str, AlphaProgram] = {}
-        #: key → serving executor view (built lazily on warm_start/resume).
-        self._executors: dict[str, object] = {}
-        #: Serving units: one per stacked signature group or unmatched key.
-        self._units: list[object] = []
+        #: Serving units: a group's keys (one per lane) and its executor,
+        #: built lazily on warm_start/resume.
+        self._units: list[tuple[list[str], IncrementalExecutor]] = []
+        #: key → the executor serving it (shared by a group's keys).
+        self._executors: dict[str, IncrementalExecutor] = {}
         self._ctx = None
         self._warmed = False
         self._stack_group_count: int | None = None
+        self._reported_kernel_calls = 0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -471,7 +193,6 @@ class FleetEngine:
         max_train_steps: int | None = None,
         engine: str | None = None,
         dedup: bool = True,
-        stacked: bool | None = None,
     ) -> "FleetEngine":
         """Build a fleet straight from a :class:`~repro.data.DataBackend`.
 
@@ -488,7 +209,7 @@ class FleetEngine:
         evaluator = AlphaEvaluator(
             taskset, seed=seed, max_train_steps=max_train_steps, engine=engine
         )
-        fleet = cls(evaluator, engine=engine, dedup=dedup, stacked=stacked)
+        fleet = cls(evaluator, engine=engine, dedup=dedup)
         for program in programs:
             fleet.add(program)
         return fleet
@@ -506,7 +227,7 @@ class FleetEngine:
 
     @property
     def num_unique(self) -> int:
-        """Number of distinct backends behind those names."""
+        """Number of distinct programs (lanes) behind those names."""
         return len(self._programs)
 
     @property
@@ -520,15 +241,13 @@ class FleetEngine:
         return self._warmed
 
     @property
-    def executors(self) -> dict[str, object]:
-        """key → serving executor view (one per unique program).
+    def executors(self) -> dict[str, IncrementalExecutor]:
+        """key → the :class:`~repro.engine.incremental.IncrementalExecutor`
+        serving it (the keys of one signature group share one).
 
-        Unstacked keys map to their
-        :class:`~repro.engine.incremental.IncrementalExecutor`; keys served
-        through a stacked group map to a per-lane view with the same read
-        surface (``is_warm`` / ``days_served`` / ``suspend``).  Empty until
-        :meth:`warm_start` or :meth:`resume_tapes` builds the backends —
-        reading this never triggers compilation as a side effect.
+        Empty until :meth:`warm_start` or :meth:`resume_tapes` builds the
+        backends — reading this never triggers compilation as a side
+        effect.
         """
         return self._executors
 
@@ -536,16 +255,15 @@ class FleetEngine:
     def stack_groups(self) -> int:
         """Number of ≥2-member signature groups behind the unique programs.
 
-        Zero when stacking is off (or the fleet is empty); computed from
+        Zero under the interpreter (or for an empty fleet); computed from
         the registered programs, so it is valid before and after
         warm-start.
         """
-        if not self.stacked or not self._programs:
+        if self.engine_name != "compiled" or not self._programs:
             return 0
         if self._stack_group_count is None:
-            groups = self._signature_groups()[1]
             self._stack_group_count = sum(
-                1 for group in groups if len(group) >= 2
+                1 for group in self._signature_groups()[1] if len(group) >= 2
             )
         return self._stack_group_count
 
@@ -594,7 +312,7 @@ class FleetEngine:
         return self._by_name[name]
 
     # ------------------------------------------------------------------
-    # Stacked grouping
+    # Signature groups: one backend per group
     # ------------------------------------------------------------------
     def _signature_groups(self):
         """Compile every unique program and group keys by tape signature.
@@ -607,12 +325,23 @@ class FleetEngine:
             key: compile_program(program)
             for key, program in self._programs.items()
         }
+        if len(compiled) < 2:
+            return compiled, [[key] for key in compiled]
         groups: dict[str, list[str]] = {}
         for key, artefact in compiled.items():
             groups.setdefault(stack_signature(artefact), []).append(key)
         return compiled, list(groups.values())
 
-    def _record_stack_telemetry(self, groups) -> None:
+    def _bind_groups(self, ctx) -> list[tuple[list[str], object]]:
+        """One backend per signature group bound to ``ctx`` — per key under
+        the interpreter — with the group's keys in lane order."""
+        if self.engine_name != "compiled":
+            return [
+                ([key], make_backend(program, ctx, engine=self.engine_name,
+                                     address_space=self.evaluator.address_space))
+                for key, program in self._programs.items()
+            ]
+        compiled, groups = self._signature_groups()
         stacked_groups = [group for group in groups if len(group) >= 2]
         self._stack_group_count = len(stacked_groups)
         if TELEMETRY.enabled and stacked_groups:
@@ -622,6 +351,11 @@ class FleetEngine:
             TELEMETRY.counter("engine.fleet.stacked_programs").inc(
                 sum(len(group) for group in stacked_groups)
             )
+        return [
+            (group, StackedAlpha([compiled[key] for key in group], ctx,
+                                 program_chunk=self.program_chunk))
+            for group in groups
+        ]
 
     # ------------------------------------------------------------------
     # Offline: one-shot batch evaluation over a shared data pass
@@ -635,14 +369,12 @@ class FleetEngine:
         """Run the full protocol for every member; name → split → ``(D, K)``.
 
         One fresh shared context and one training-day subsample serve the
-        whole call; each *unique* program gets a fresh backend (repeatable,
-        independent of any serving state) and deduplicated names reference
-        the representative's prediction panels.  With stacking on, every
-        signature group of two or more unique programs executes as one
-        stacked tape and its ``(D, P, K)`` panels are scattered back to the
-        member keys — bitwise identical to the per-program path.
-        ``use_update`` and ``time_batched`` default to the paired
-        evaluator's settings.
+        whole call; each signature group gets a fresh backend (repeatable,
+        independent of any serving state), its ``(D, P, K)`` panels are
+        scattered back to the member keys, and deduplicated names
+        reference the representative's prediction panels — bitwise
+        identical to the per-program path.  ``use_update`` and
+        ``time_batched`` default to the paired evaluator's settings.
         """
         evaluator = self.evaluator
         use_update = evaluator.use_update if use_update is None else use_update
@@ -651,54 +383,24 @@ class FleetEngine:
         ctx = evaluator.make_context()
         day_indices = evaluator.train_day_indices()
         by_key: dict[str, dict[str, np.ndarray]] = {}
-        singles = list(self._programs)
-        single_backend = lambda key: make_backend(  # noqa: E731
-            self._programs[key], ctx, engine=self.engine_name,
-            address_space=evaluator.address_space,
-        )
-        if self.stacked and len(self._programs) >= 2:
-            compiled, groups = self._signature_groups()
-            self._record_stack_telemetry(groups)
-            singles = [key for group in groups if len(group) == 1
-                       for key in group]
-            # Singleton groups reuse the compile the signature pass already
-            # paid for instead of recompiling through make_backend.
-            single_backend = lambda key: CompiledAlpha(  # noqa: E731
-                compiled[key], ctx
-            )
-            for group in groups:
-                if len(group) < 2:
-                    continue
-                backend = StackedAlpha(
-                    [compiled[key] for key in group], ctx,
-                    program_chunk=self.program_chunk,
-                )
-                panels = run_protocol(
-                    backend,
-                    self.taskset,
-                    splits=splits,
-                    day_indices=day_indices,
-                    use_update=use_update,
-                    time_batched=time_batched,
-                )
-                if TELEMETRY.enabled:
-                    TELEMETRY.counter(
-                        "engine.fleet.stacked_kernel_calls"
-                    ).inc(backend.kernel_calls)
-                for lane, key in enumerate(group):
-                    by_key[key] = {
-                        split: np.ascontiguousarray(panel[:, lane])
-                        for split, panel in panels.items()
-                    }
-        for key in singles:
-            by_key[key] = run_protocol(
-                single_backend(key),
+        for keys, backend in self._bind_groups(ctx):
+            panels = run_protocol(
+                backend,
                 self.taskset,
                 splits=splits,
                 day_indices=day_indices,
                 use_update=use_update,
                 time_batched=time_batched,
             )
+            if TELEMETRY.enabled and len(keys) >= 2:
+                TELEMETRY.counter("engine.fleet.stacked_kernel_calls").inc(
+                    backend.kernel_calls
+                )
+            for lane, key in enumerate(keys):
+                by_key[key] = {
+                    split: np.ascontiguousarray(panel[:, lane])
+                    for split, panel in panels.items()
+                }
         return {member.name: by_key[member.key] for member in self.members}
 
     def evaluate(
@@ -729,53 +431,26 @@ class FleetEngine:
     # Online: stateful day-major serving (behind AlphaServer)
     # ------------------------------------------------------------------
     def _ensure_executors(self) -> None:
-        if len(self._executors) == len(self._programs):
+        if self._units:
             return
         if self._ctx is None:
             self._ctx = self.evaluator.make_context()
-        singles = list(self._programs)
-        single_backend = lambda key: make_backend(  # noqa: E731
-            self._programs[key], self._ctx, engine=self.engine_name,
-            address_space=self.evaluator.address_space,
-        )
-        if self.stacked and len(self._programs) >= 2:
-            compiled, groups = self._signature_groups()
-            self._record_stack_telemetry(groups)
-            singles = [key for group in groups if len(group) == 1
-                       for key in group]
-            # Reuse the signature pass's compiles for singleton serving
-            # units instead of recompiling through make_backend.
-            single_backend = lambda key: CompiledAlpha(  # noqa: E731
-                compiled[key], self._ctx
-            )
-            for group in groups:
-                if len(group) < 2:
-                    continue
-                unit = _StackedUnit(
-                    group,
-                    StackedAlpha([compiled[key] for key in group], self._ctx,
-                                 program_chunk=self.program_chunk),
-                )
-                self._units.append(unit)
-                self._executors.update(unit.views())
-        for key in singles:
-            unit = _SingleUnit(key, IncrementalExecutor(
-                self._programs[key],
-                backend=single_backend(key),
-            ))
-            self._units.append(unit)
-            self._executors.update(unit.views())
+        for keys, backend in self._bind_groups(self._ctx):
+            executor = IncrementalExecutor(backend=backend)
+            self._units.append((keys, executor))
+            self._executors.update(dict.fromkeys(keys, executor))
 
     def _drain_stacked_kernel_calls(self) -> None:
+        """Feed the kernel calls multi-lane tapes issued since the last
+        drain to telemetry."""
         if not TELEMETRY.enabled:
             return
-        for unit in self._units:
-            if isinstance(unit, _StackedUnit):
-                delta = unit.drain_kernel_calls()
-                if delta:
-                    TELEMETRY.counter(
-                        "engine.fleet.stacked_kernel_calls"
-                    ).inc(delta)
+        total = sum(executor.executor.kernel_calls
+                    for keys, executor in self._units if len(keys) >= 2)
+        delta = total - self._reported_kernel_calls
+        self._reported_kernel_calls = total
+        if delta:
+            TELEMETRY.counter("engine.fleet.stacked_kernel_calls").inc(delta)
 
     def warm_start(self, use_update: bool | None = None) -> None:
         """Set up and train every unique backend over the training split.
@@ -783,9 +458,8 @@ class FleetEngine:
         Replays exactly the evaluator's training stage — same feature
         tensors, same ``max_train_steps`` day subsample, same label-reveal
         ordering (via the shared
-        :func:`repro.engine.protocol.training_pass`) — once per unique
-        backend; stacked groups replay it once per *group*, every lane
-        advancing in lock-step through the same day loop.
+        :func:`repro.engine.protocol.training_pass`) — once per signature
+        group, every lane advancing in lock-step through the same day loop.
         """
         if self._warmed:
             raise StreamError("fleet is already warm")
@@ -797,8 +471,8 @@ class FleetEngine:
         features = self.taskset.split_features("train")
         labels = self.taskset.split_labels("train")
         day_indices = evaluator.train_day_indices()
-        for unit in self._units:
-            unit.warm_start(
+        for _, executor in self._units:
+            executor.warm_start(
                 features, labels, day_indices=day_indices,
                 use_update=use_update,
             )
@@ -808,23 +482,23 @@ class FleetEngine:
     def step_bar(self, features: np.ndarray) -> dict[str, np.ndarray]:
         """Advance every unique backend one day; key → ``(K,)`` prediction.
 
-        Stacked groups advance as one ``(P, K, ...)`` kernel call per
-        instruction; the returned mapping is key-per-key identical to the
-        unstacked fleet's.
+        Each signature group advances as one ``(P, K, ...)`` kernel call
+        per instruction, and its ``(P, K)`` predictions are scattered to
+        the group's keys.
         """
         if not self._warmed:
             raise StreamError("fleet must be warm-started (or resumed) "
                               "before serving bars")
         predictions: dict[str, np.ndarray] = {}
-        for unit in self._units:
-            predictions.update(unit.step_bar(features))
+        for keys, executor in self._units:
+            predictions.update(zip(keys, executor.step(features)))
         self._drain_stacked_kernel_calls()
         return predictions
 
     def reveal(self, labels: np.ndarray) -> None:
         """Reveal the last bar's realised labels to every unique backend."""
-        for unit in self._units:
-            unit.reveal(labels)
+        for _, executor in self._units:
+            executor.reveal(labels)
 
     def correct(
         self,
@@ -835,31 +509,39 @@ class FleetEngine:
         """Delta-replay a correction across the fleet; key → result.
 
         ``features``/``labels`` are the *corrected* full served history
-        (``(days_served, K, f, w)`` / ``(days_served, K)``).  Every unique
-        backend replays only its invalidated suffix — stacked groups once
-        per group — and is left bitwise-identical to a full warm-start
-        replay of the corrected history.
+        (``(days_served, K, f, w)`` / ``(days_served, K)``).  Every
+        signature group replays only its invalidated suffix, once for all
+        its lanes, and is left bitwise-identical to a full warm-start
+        replay of the corrected history; its ``(R, P, K)`` corrected
+        predictions are scattered to the group's keys as ``(R, K)``.
         """
         if not self._warmed:
             raise StreamError("fleet must be warm-started (or resumed) "
                               "before correcting served days")
         results: dict[str, CorrectionResult] = {}
-        for unit in self._units:
-            results.update(unit.correct(day, features, labels))
+        for keys, executor in self._units:
+            result = executor.correct(day, features, labels)
+            for lane, key in enumerate(keys):
+                results[key] = replace(
+                    result,
+                    predictions=np.ascontiguousarray(
+                        result.predictions[:, lane]
+                    ),
+                )
         self._drain_stacked_kernel_calls()
         return results
 
     def suspend_replay_states(self) -> dict[str, dict]:
         """key → persistable delta-replay payload (anchor + ring entries).
 
-        Lane states are solo-compatible
+        Lane states are per-program
         :class:`~repro.compile.executor.TapeState` objects, so payloads
-        restore into stacked and unstacked fleets alike (group rings keep
-        only days retained for every lane).
+        restore into any grouping of the same programs (a group keeps only
+        the days retained for every lane).
         """
         payloads: dict[str, dict] = {}
-        for unit in self._units:
-            payloads.update(unit.replay_states())
+        for keys, executor in self._units:
+            payloads.update(zip(keys, executor.replay_state()))
         return payloads
 
     def resume_replay_states(self, payloads: dict[str, dict]) -> None:
@@ -869,21 +551,20 @@ class FleetEngine:
         ``resume`` validates a tape state, raising
         :class:`~repro.errors.ExecutionError` before a bad one is adopted.
         """
-        for unit in self._units:
-            unit.restore_replay_states(payloads)
+        for keys, executor in self._units:
+            executor.restore_replay_state([payloads.get(key) for key in keys])
 
     def suspend_tapes(self) -> dict[str, object]:
         """key → suspended tape state of every unique backend.
 
-        Stacked lanes emit the same :class:`~repro.compile.executor.TapeState`
-        a per-program executor would, so the snapshot resumes into stacked
-        and unstacked fleets alike.
+        Each is the lane's own :class:`~repro.compile.executor.TapeState`,
+        so the snapshot resumes into any grouping of the same programs.
         """
         if not self._warmed:
             raise StreamError("cannot suspend a fleet that was never warmed")
         tapes: dict[str, object] = {}
-        for unit in self._units:
-            tapes.update(unit.suspend())
+        for keys, executor in self._units:
+            tapes.update(zip(keys, executor.suspend()))
         return tapes
 
     def resume_tapes(self, tapes: dict[str, object],
@@ -892,6 +573,7 @@ class FleetEngine:
         if self._warmed:
             raise StreamError("cannot resume into a fleet that already ran")
         self._ensure_executors()
-        for unit in self._units:
-            unit.resume(tapes, days_served=days_served)
+        for keys, executor in self._units:
+            executor.resume([tapes[key] for key in keys],
+                            days_served=days_served)
         self._warmed = True

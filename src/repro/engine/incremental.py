@@ -1,4 +1,4 @@
-"""Incremental (day-at-a-time) execution of one backend.
+"""Incremental (day-at-a-time) execution: the one serving unit.
 
 The offline protocol (:mod:`repro.engine.protocol`) recomputes an alpha's
 whole history per call; for serving — one new market bar per day — the only
@@ -7,32 +7,34 @@ one day costs exactly one ``Predict()`` pass plus a label reveal,
 independent of how much history precedes it.
 
 :class:`IncrementalExecutor` packages that contract around any
-:class:`~repro.engine.backends.ExecutionEngine` (the compiled backend adds
-the tape protocol: ``snapshot``/``restore`` internally, ``suspend``/
-``resume`` and ``tape_state``/``adopt`` for the external
-:class:`~repro.compile.executor.TapeState` format):
+:class:`~repro.engine.backends.ExecutionEngine` of P ≥ 1 lanes — one
+program, or a whole signature group of a fleet on one compiled tape.  The
+compiled tape adds the tape protocol: ``snapshot``/``restore`` internally,
+``suspend``/``resume`` and ``tape_state``/``adopt`` for the external
+per-lane :class:`~repro.compile.executor.TapeState` format.
 
 * :meth:`warm_start` replays the training stage once by delegating to
   :func:`repro.engine.protocol.training_pass` — the same code, day for
   day, as the offline evaluator, including the ``max_train_steps``
   subsample whose indices the caller passes through;
-* :meth:`step` advances one inference day and returns the prediction;
+* :meth:`step` advances one inference day and returns the ``(P, K)``
+  predictions;
 * :meth:`reveal` writes the realised label *after* the prediction was
   taken, exactly as :func:`~repro.engine.protocol.stream_days` orders it;
-* :meth:`suspend` / :meth:`resume` round-trip the rolling operand state
-  through the backend's tape protocol, so serving can be checkpointed
-  mid-stream and continue bitwise identically;
+* :meth:`suspend` / :meth:`resume` round-trip the rolling operand state,
+  one ``TapeState`` per lane, so serving can be checkpointed mid-stream
+  and continue bitwise identically — into any lane layout that holds the
+  same programs;
 * :meth:`correct` delta-replays a point correction to an already-served
   bar: a bounded ring of per-day snapshots (depth from the compile-time
   lookback analysis) plus the permanent warm-start anchor let a correction
   at day ``t`` replay only the invalidated suffix instead of the whole
   history — bitwise-identical to a full warm-start replay
   (:mod:`repro.engine.replay`).  Ring and anchor hold the backend's
-  copy-on-write snapshots, so a reveal copies only the state serving
-  changes; :meth:`replay_state` / :meth:`restore_replay_state` convert
-  them to and from validated ``TapeState``\\ s for persistence.
-
-The public streaming alias is :class:`repro.stream.incremental.IncrementalAlpha`.
+  copy-on-write snapshots of all lanes at once, so a reveal copies only
+  the state serving changes; :meth:`replay_state` /
+  :meth:`restore_replay_state` convert them to and from validated
+  per-lane ``TapeState``\\ s for persistence.
 """
 
 from __future__ import annotations
@@ -53,45 +55,48 @@ __all__ = ["IncrementalExecutor"]
 
 
 class IncrementalExecutor:
-    """One execution backend advanced one day at a time.
+    """The P ≥ 1 lanes of one backend, advanced one day at a time.
 
     Parameters
     ----------
     program:
-        The alpha to serve.
+        The alpha to serve on a one-lane backend built here (unused when
+        ``backend`` is given).
     ctx:
-        The evaluation context to bind the backend to.  For parity with an
+        The evaluation context to bind that backend to.  For parity with an
         offline :class:`~repro.core.interpreter.AlphaEvaluator`, build it
         with :meth:`~repro.core.interpreter.AlphaEvaluator.make_context` of
         an evaluator constructed with the same seed.
     address_space:
         Operand address-space sizes used for program validation.
     engine:
-        Backend selection (see :data:`repro.engine.ENGINES`).  Suspend and
-        resume require a backend with a tape protocol (the compiled one).
+        Backend selection (see :data:`repro.engine.ENGINES`).  Suspend,
+        resume and snapshot-based corrections need a backend with a tape
+        protocol (the compiled one).
     backend:
-        A pre-built backend to wrap instead of constructing one — how
-        :class:`~repro.engine.fleet.FleetEngine` shares a single
-        :class:`~repro.core.ops.ExecutionContext` across its members.
+        A pre-built backend of any lane count to drive instead — how
+        :class:`~repro.engine.fleet.FleetEngine` serves a signature group
+        on one tape over a shared
+        :class:`~repro.core.ops.ExecutionContext`.
     """
 
     def __init__(
         self,
-        program: AlphaProgram,
+        program: AlphaProgram | None = None,
         ctx: ExecutionContext | None = None,
         address_space: AddressSpace = DEFAULT_ADDRESS_SPACE,
         engine: str = "compiled",
         backend: ExecutionEngine | None = None,
     ) -> None:
         if backend is None:
-            if ctx is None:
+            if program is None or ctx is None:
                 raise StreamError(
-                    "an execution context is required to build the backend"
+                    "a program and an execution context are required to "
+                    "build the backend"
                 )
             backend = make_backend(
                 program, ctx, engine=engine, address_space=address_space
             )
-        self.program = program
         self.executor = backend
         #: Inference days served since the warm start.
         self.days_served = 0
@@ -107,29 +112,15 @@ class IncrementalExecutor:
         )
         self._ring: SnapshotRing | None = None
         self._anchor: tuple[int, object] | None = None
-        self._lookback_cache = None
 
     # ------------------------------------------------------------------
     @property
-    def lookback(self):
-        """The program's :class:`~repro.compile.lookback.LookbackInfo`."""
-        if self._lookback_cache is None:
-            compiled = getattr(self.executor, "compiled", None)
-            if compiled is not None and compiled.lookback is not None:
-                self._lookback_cache = compiled.lookback
-            else:
-                # Interpreter backend: the dataflow (and therefore the
-                # horizon structure) is engine-independent, so compile for
-                # analysis only.
-                from ..compile import compile_program
-
-                self._lookback_cache = compile_program(self.program).lookback
-        return self._lookback_cache
-
-    @property
     def max_lookback(self) -> int | None:
-        """Replay spin-up bound (``None`` = unbounded recurrence)."""
-        return self.lookback.max_lookback
+        """Replay spin-up bound (``None`` = unbounded recurrence).
+
+        The lanes share one tape structure, hence one lookback.
+        """
+        return self.executor.lookback.max_lookback
 
     def _ensure_ring(self) -> SnapshotRing | None:
         if not self._can_snapshot:
@@ -138,54 +129,75 @@ class IncrementalExecutor:
             self._ring = SnapshotRing(snapshot_depth_for(self.max_lookback))
         return self._ring
 
-    def _record_snapshot(self, day: int) -> None:
-        ring = self._ensure_ring()
-        if ring is not None:
-            ring.push(day, self.executor.snapshot())
-
-    def replay_state(self) -> dict:
-        """The persistable delta-replay state (anchor + ring entries).
+    def replay_state(self) -> list[dict]:
+        """The persistable delta-replay state (anchor + ring entries), one
+        payload per lane.
 
         Snapshots leave as :class:`~repro.compile.executor.TapeState`\\ s,
-        the one external tape format.
+        the one external tape format, so a lane's payload restores into any
+        lane layout that holds its program.
         """
+        lanes = range(self.executor.num_programs)
         if not self._can_snapshot:
-            return {"anchor": None, "entries": ()}
+            return [{"anchor": None, "entries": ()} for _ in lanes]
         tape_state = self.executor.tape_state
         anchor = self._anchor
         entries = self._ring.entries() if self._ring is not None else ()
-        return {
-            "anchor": (None if anchor is None
-                       else (anchor[0], tape_state(anchor[1]))),
-            "entries": tuple((day, tape_state(snap)) for day, snap in entries),
-        }
+        return [
+            {
+                "anchor": (None if anchor is None
+                           else (anchor[0], tape_state(anchor[1], lane))),
+                "entries": tuple(
+                    (day, tape_state(snap, lane)) for day, snap in entries
+                ),
+            }
+            for lane in lanes
+        ]
 
-    def restore_replay_state(self, payload: dict) -> None:
+    def restore_replay_state(self, payloads) -> None:
         """Restore :meth:`replay_state` output (after :meth:`resume`).
 
-        Every persisted state is validated as :meth:`resume` validates its
-        own (raising :class:`~repro.errors.ExecutionError`) before any is
-        adopted.
+        ``payloads`` holds one payload per lane (``None`` for a lane with
+        nothing persisted, which restores nothing).  Lane states regroup
+        into whole-tape snapshots, so only anchor and ring days retained
+        for *every* lane come back.  Each state is validated as
+        :meth:`resume` validates its own (raising
+        :class:`~repro.errors.ExecutionError`) before any is adopted.
         """
-        anchor = payload.get("anchor")
-        entries = payload.get("entries") or ()
-        if anchor is None and not entries:
+        payloads = list(payloads)
+        if any(payload is None for payload in payloads):
+            return
+        anchors = [payload.get("anchor") for payload in payloads]
+        by_day: dict[int, dict[int, object]] = {}
+        for lane, payload in enumerate(payloads):
+            for day, state in payload.get("entries") or ():
+                by_day.setdefault(int(day), {})[lane] = state
+        if all(anchor is None for anchor in anchors) and not by_day:
             return
         adopt = self._tape_protocol("adopt")
-        if anchor is not None:
-            anchor = (int(anchor[0]), adopt(anchor[1]))
-        entries = [(int(day), adopt(state)) for day, state in entries]
+        anchor = None
+        if all(lane_anchor is not None for lane_anchor in anchors):
+            days = {int(lane_anchor[0]) for lane_anchor in anchors}
+            if len(days) == 1:
+                anchor = (days.pop(), adopt(
+                    [lane_anchor[1] for lane_anchor in anchors]
+                ))
+        complete = [
+            (day, adopt([states[lane] for lane in range(len(payloads))]))
+            for day, states in sorted(by_day.items())
+            if len(states) == len(payloads)
+        ]
         if anchor is not None:
             self._anchor = anchor
-        if entries:
+        if complete:
             self._ring = SnapshotRing(
-                snapshot_depth_for(self.max_lookback), entries
+                snapshot_depth_for(self.max_lookback), complete
             )
 
     # ------------------------------------------------------------------
     @property
     def is_warm(self) -> bool:
-        """Whether the alpha went through setup + training and can serve."""
+        """Whether the lanes went through setup + training and can serve."""
         return self._warmed
 
     # ------------------------------------------------------------------
@@ -205,7 +217,7 @@ class IncrementalExecutor:
         the two paths to stay bitwise identical.  The loop itself is the
         shared :func:`repro.engine.protocol.training_pass`, kept day-by-day
         so the suspended operand state evolves exactly as a live process's
-        would.
+        would; every lane advances in lock-step.
         """
         if self._warmed:
             raise StreamError("alpha is already warm; construct a fresh one "
@@ -221,11 +233,11 @@ class IncrementalExecutor:
 
     # ------------------------------------------------------------------
     def step(self, features: np.ndarray) -> np.ndarray:
-        """Advance one inference day and return the ``(K,)`` prediction.
+        """Advance one inference day and return the ``(P, K)`` predictions.
 
         Mirrors one iteration of the offline inference loop: the day's
         feature matrices go into ``m0``, ``Predict()`` runs once, and the
-        prediction is returned *before* the day's label exists.  Call
+        predictions are returned *before* the day's label exists.  Call
         :meth:`reveal` once the label realises.
         """
         if not self._warmed:
@@ -254,7 +266,9 @@ class IncrementalExecutor:
                               "call step() first")
         self.executor.set_label(labels)
         self._awaiting_label = False
-        self._record_snapshot(self.days_served)
+        ring = self._ensure_ring()
+        if ring is not None:
+            ring.push(self.days_served, self.executor.snapshot())
 
     # ------------------------------------------------------------------
     def correct(
@@ -269,10 +283,11 @@ class IncrementalExecutor:
         (``(days_served, K, f, w)`` / ``(days_served, K)``).  Restores the
         newest clean snapshot at or before ``day`` — or, when the
         compile-time lookback bound is finite and cheaper, spins up from
-        the current live state — and replays only the invalidated suffix.
-        Predictions and the final operand state are bitwise-identical to a
-        full warm-start replay of the corrected history; ``days_served``
-        is unchanged.
+        the current live state — and replays only the invalidated suffix,
+        once for every lane.  The ``(days_served - day, P, K)`` predictions
+        and the final operand state are bitwise-identical to a full
+        warm-start replay of the corrected history; ``days_served`` is
+        unchanged.
         """
         if not self._warmed:
             raise StreamError("alpha must be warm-started (or resumed) "
@@ -290,7 +305,7 @@ class IncrementalExecutor:
                            else None),
             restore_snapshot=(self.executor.restore if self._can_snapshot
                               else None),
-            what=self.program.name,
+            what=", ".join(program.name for program in self.executor.programs),
         )
 
     # ------------------------------------------------------------------
@@ -304,19 +319,21 @@ class IncrementalExecutor:
             )
         return handler
 
-    def suspend(self):
-        """Snapshot the rolling operand state (the backend's tape state)."""
+    def suspend(self) -> tuple:
+        """Snapshot the rolling operand state: one
+        :class:`~repro.compile.executor.TapeState` per lane."""
         if self._awaiting_label:
             raise StreamError("cannot suspend between step() and reveal(); "
                               "reveal the pending label first")
         return self._tape_protocol("suspend")()
 
-    def resume(self, state, days_served: int = 0) -> None:
-        """Restore a snapshot into this (fresh, un-warmed) executor."""
+    def resume(self, states, days_served: int = 0) -> None:
+        """Restore :meth:`suspend` output — one state per lane, from any
+        lane layout — into this (fresh, un-warmed) executor."""
         if self._warmed:
             raise StreamError("cannot resume into an alpha that already ran; "
                               "construct a fresh one")
-        self._tape_protocol("resume")(state)
+        self._tape_protocol("resume")(states)
         self.days_served = int(days_served)
         self._warmed = True
         # The resumed state is a clean snapshot entering this day; retain it

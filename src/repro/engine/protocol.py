@@ -167,10 +167,11 @@ def inference_pass(
 ) -> np.ndarray:
     """The inference stage over one split: frozen memory, day-by-day reveal.
 
-    Returns the ``(D, K)`` prediction panel.  With ``time_batched`` and a
-    fused-eligible backend the split runs as one batched tape pass (the
-    label reveals are unobservable — ``Predict()`` never reads the label);
-    otherwise the split replays through :func:`stream_days`.
+    Returns the ``(D, P, K)`` prediction panel of the backend's P lanes.
+    With ``time_batched`` and a fused-eligible backend the split runs as
+    one batched tape pass (the label reveals are unobservable —
+    ``Predict()`` never reads the label); otherwise the split replays
+    through :func:`stream_days`.
     """
     if time_batched and backend.supports_fused_inference:
         if TELEMETRY.enabled:
@@ -182,8 +183,6 @@ def inference_pass(
     if TELEMETRY.enabled:
         TELEMETRY.counter("engine.kernel.loop_calls").inc()
         TELEMETRY.counter("engine.kernel.loop_days").inc(int(features.shape[0]))
-    # The panel follows the backend's prediction shape: (D, K) for a single
-    # program, (D, P, K) for a stacked program group.
     out = np.zeros((features.shape[0],) + np.shape(backend.prediction))
 
     def step(day: int, bar: np.ndarray) -> None:
@@ -208,10 +207,9 @@ def run_protocol(
     The one-stop entry point behind
     :meth:`~repro.core.interpreter.AlphaEvaluator.run` and
     :meth:`~repro.engine.fleet.FleetEngine.run`: returns split name →
-    ``(num_days_in_split, K)`` predictions — ``(D, P, K)`` when the backend
-    is a stacked program group — for every requested split
-    (``"train"`` rows of unvisited subsampled days are zero, as they
-    always were).
+    ``(num_days_in_split, P, K)`` predictions of the backend's P lanes for
+    every requested split (``"train"`` rows of unvisited subsampled days
+    are zero, as they always were).
     """
     backend.run_setup()
     train_features = taskset.split_features("train")

@@ -36,9 +36,9 @@ plan:
 The helper is engine-agnostic: it drives any
 :class:`~repro.engine.backends.ExecutionEngine` surface
 (``set_input``/``run_predict``/``prediction``/``set_label``) plus the
-``take_snapshot``/``restore_snapshot`` callables it is handed, so the solo
-:class:`~repro.engine.incremental.IncrementalExecutor` and the fleet's
-stacked groups share one implementation.
+``take_snapshot``/``restore_snapshot`` callables it is handed;
+:class:`~repro.engine.incremental.IncrementalExecutor` calls it once for
+all the lanes of its backend.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ class CorrectionResult:
     #: Days re-executed (``days_served - start_day``).
     replayed_days: int
     #: Corrected predictions for days ``day .. days_served - 1``; shape
-    #: ``(days_served - day, K)`` (stacked groups: ``(…, P, K)``).
+    #: ``(days_served - day, P, K)`` for a backend's P lanes, one lane's
+    #: ``(days_served - day, K)`` once a fleet scatters them to its keys.
     predictions: np.ndarray
 
 

@@ -93,13 +93,9 @@ class ExperimentConfig:
     #: it as ``--scheduler``.
     scheduler: str = "barrier"
     checkpoint_dir: str | None = None
-    #: Execute candidates through the compilation pipeline
-    #: (:mod:`repro.compile`); bitwise identical to the interpreter, so the
-    #: default is on.  ``--no-compile`` on the CLI flips it off.
-    use_compile: bool = True
-    #: Execution-engine name (see :data:`repro.engine.ENGINES`) forwarded to
-    #: the search; overrides ``use_compile`` when set.  The CLI exposes it
-    #: as ``--engine``.
+    #: Execution-engine name (see :data:`repro.engine.ENGINES`; ``None`` is
+    #: the default, ``"compiled"``) forwarded to the search.  Bitwise
+    #: identical across engines.  The CLI exposes it as ``--engine``.
     engine: str | None = None
     #: Wall-clock budget per mining round used when AlphaEvolve and the GP
     #: baseline are compared under the same time budget (Tables 1 and 2); the
@@ -212,7 +208,6 @@ class ExperimentConfig:
             max_candidates=self.max_candidates if max_candidates is None else max_candidates,
             max_seconds=self.max_seconds if max_seconds is None else max_seconds,
             use_pruning=use_pruning,
-            use_compile=self.use_compile,
             engine=self.engine,
             num_workers=self.num_workers,
             num_islands=self.num_islands,

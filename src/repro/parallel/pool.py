@@ -53,7 +53,7 @@ import os
 import signal as _signal
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,14 +96,6 @@ class PoolSpec:
     #: (see :data:`repro.engine.ENGINES`; bitwise identical across
     #: engines).
     engine: str = "compiled"
-    #: Whether signature groups execute as stacked tapes inside workers
-    #: (``None`` → on for the compiled engine).  Never changes a result
-    #: bit; exists so the parity suite can A/B the stacked dispatch.
-    stacked: bool | None = None
-    #: Whether workers withdraw their attach-side resource-tracker
-    #: registration (needed under non-``fork`` start methods, whose
-    #: private trackers would unlink the parent's segment on worker exit).
-    untrack_on_attach: bool = False
 
 
 @dataclass
@@ -139,7 +131,6 @@ class _WorkerState:
 
     evaluator: object
     engine: BacktestEngine | None
-    stacked: bool | None
     store: SharedPanelStore
 
     @classmethod
@@ -148,8 +139,7 @@ class _WorkerState:
         # the interpreter facade imports the engine package itself.
         from ..core.interpreter import AlphaEvaluator
 
-        store = SharedPanelStore.attach(spec.panel,
-                                        untrack=spec.untrack_on_attach)
+        store = SharedPanelStore.attach(spec.panel)
         taskset = TaskSet(
             features=store.features,
             labels=store.labels,
@@ -169,8 +159,7 @@ class _WorkerState:
         engine = None
         if spec.compute_valid_returns:
             engine = BacktestEngine(taskset, long_k=spec.long_k, short_k=spec.short_k)
-        return cls(evaluator=evaluator, engine=engine, stacked=spec.stacked,
-                   store=store)
+        return cls(evaluator=evaluator, engine=engine, store=store)
 
 
 _WORKER: _WorkerState | None = None
@@ -200,9 +189,7 @@ def _evaluate_batch(batch: _WorkBatch) -> list[PoolEvaluation]:
     # Imported lazily: repro.engine builds on repro.core submodules.
     from ..engine import evaluate_program_batch
 
-    results = evaluate_program_batch(
-        state.evaluator, batch.programs, stacked=state.stacked
-    )
+    results = evaluate_program_batch(state.evaluator, batch.programs)
     evaluations: list[PoolEvaluation] = []
     for result in results:
         valid_returns = None
@@ -283,12 +270,6 @@ class EvaluationPool:
     engine:
         Execution-engine name the workers run candidates on (see
         :data:`repro.engine.ENGINES`); bitwise identical across engines.
-        The legacy ``compiled`` flag keeps working and maps onto the
-        engine names.
-    stacked:
-        Whether workers execute signature groups as stacked tapes
-        (default: on under the compiled engine).  Never changes a result
-        bit.
     batch_size:
         Programs per worker dispatch.  Batching amortises the per-task
         overhead and widens the stacked tapes; results always come back in
@@ -316,9 +297,7 @@ class EvaluationPool:
         long_k: int = LONG_POSITIONS,
         short_k: int = SHORT_POSITIONS,
         compute_valid_returns: bool = False,
-        compiled: bool | None = None,
         engine: str | None = None,
-        stacked: bool | None = None,
         batch_size: int = 8,
         max_batch_retries: int = 2,
         start_method: str | None = None,
@@ -349,9 +328,7 @@ class EvaluationPool:
             long_k=long_k,
             short_k=short_k,
             compute_valid_returns=compute_valid_returns,
-            engine=resolve_engine(engine, compiled),
-            stacked=stacked,
-            untrack_on_attach=self._mp_context.get_start_method() != "fork",
+            engine=resolve_engine(engine),
         )
         self.num_workers = num_workers
         self.batch_size = batch_size
@@ -407,13 +384,7 @@ class EvaluationPool:
         # Imported lazily: repro.engine builds on repro.core submodules.
         from ..engine import stack_partition
 
-        stacking = self.spec.stacked
-        if stacking is None:
-            stacking = self.spec.engine == "compiled"
-        if stacking:
-            groups = stack_partition(programs, engine=self.spec.engine)
-        else:
-            groups = [list(range(len(programs)))]
+        groups = stack_partition(programs, engine=self.spec.engine)
         chunk_size = min(
             self.batch_size,
             max(1, (len(programs) + self.num_workers - 1) // self.num_workers),

@@ -53,7 +53,7 @@ import threading
 import uuid
 import weakref
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -268,23 +268,21 @@ class SharedPanelStore:
         return store
 
     @classmethod
-    def attach(cls, handle: SharedPanelHandle, *,
-               untrack: bool = False) -> "SharedPanelStore":
+    def attach(cls, handle: SharedPanelHandle) -> "SharedPanelStore":
         """Attach read-only views to a published store, verifying identity.
 
         The handle's signature must echo the one the publisher wrote into
         the block header; any disagreement (stale handle, recycled name,
         torn header) raises :class:`SharedPanelMismatchError`.
 
-        ``untrack=True`` withdraws the attach-side ``resource_tracker``
-        registration that :class:`~multiprocessing.shared_memory.SharedMemory`
-        makes unconditionally.  Pass it from workers that do **not** share
-        the publisher's tracker process (``spawn`` / ``forkserver`` start
-        methods) — their private tracker would otherwise unlink the
-        publisher's segment when the worker exits.  ``fork``-context
-        workers inherit the publisher's tracker, where re-registration
-        deduplicates harmlessly, and must leave this off so the
-        crash-cleanup registration survives.
+        :class:`~multiprocessing.shared_memory.SharedMemory` registers the
+        attached name with the ``resource_tracker`` unconditionally.  Under
+        every start method the workers share the publisher's tracker
+        process (``fork`` children inherit it; on POSIX, CPython hands
+        ``spawn`` and ``forkserver`` children its fd), whose registry is a
+        set, so the attach-side registration deduplicates harmlessly.  It
+        must stay: withdrawing it would withdraw the publisher's own, the
+        one that lets the tracker unlink the segment after a crash.
         """
         try:
             shm = shared_memory.SharedMemory(name=handle.name)
@@ -332,11 +330,6 @@ class SharedPanelStore:
         except SharedPanelMismatchError:
             shm.close()
             raise
-        if untrack:
-            try:  # stdlib-private, stable since 3.8 (bpo-39959 workaround)
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker already gone
-                pass
         return cls(shm, handle, owner=False)
 
     # ------------------------------------------------------------------

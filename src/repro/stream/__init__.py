@@ -4,11 +4,11 @@ Search (:mod:`repro.parallel`) and compilation (:mod:`repro.compile`)
 produce a portfolio of compiled alphas; this package is where they get
 *used*: evaluating arriving market data day by day without recomputing full
 history, the incremental-evaluation-under-updates shape of serving systems.
+The day-at-a-time unit underneath is the engine layer's
+:class:`~repro.engine.incremental.IncrementalExecutor`, which advances the
+lanes of one compiled tape one day per ``step`` and persists their rolling
+state as per-lane :class:`~repro.compile.executor.TapeState`\ s.
 
-* :mod:`repro.stream.incremental` — :class:`IncrementalAlpha` advances one
-  compiled alpha one day per ``step``, persisting its rolling SSA state
-  through the suspend/resume tape protocol of
-  :mod:`repro.compile.executor`;
 * :mod:`repro.stream.server`      — :class:`AlphaServer` registers the
   top-K mined programs and evaluates each new day's bar across all of them
   in one pass, with shared feature tensors and canonical-IR fingerprint
@@ -43,7 +43,6 @@ from .driver import (
     ServedAlphaRow,
     run_serve,
 )
-from .incremental import IncrementalAlpha
 from .server import AlphaServer, CorrectionRecord, Registration, ServerState
 from .state import load_state, save_state
 
@@ -51,7 +50,6 @@ __all__ = [
     "AlphaServer",
     "BarCorrection",
     "CorrectionRecord",
-    "IncrementalAlpha",
     "OnlineBacktestDriver",
     "Registration",
     "ServeReport",

@@ -317,7 +317,7 @@ class OnlineBacktestDriver:
             seed=self.seed,
             max_train_steps=self.max_train_steps,
             use_update=self.use_update,
-            compiled=True,
+            engine="compiled",
         )
         reference._base_seed = server.base_seed
         batch_by_key: dict[str, dict[str, np.ndarray]] = {}

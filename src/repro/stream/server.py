@@ -198,7 +198,7 @@ class AlphaServer:
             seed=seed,
             max_train_steps=max_train_steps,
             use_update=use_update,
-            compiled=True,
+            engine="compiled",
         )
         self._data_key = taskset_fingerprint(taskset)
         #: The engine-layer fleet behind registration, warm-start and
@@ -271,11 +271,6 @@ class AlphaServer:
     @property
     def _warmed(self) -> bool:
         return self.fleet.is_warm
-
-    @property
-    def _executors(self):
-        """key → incremental executor of the fleet (one per unique alpha)."""
-        return self.fleet.executors
 
     # ------------------------------------------------------------------
     def register(self, program: AlphaProgram, name: str | None = None) -> Registration:

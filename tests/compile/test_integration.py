@@ -1,8 +1,9 @@
 """End-to-end search parity: compiled vs interpreter execution.
 
-The `--no-compile` escape hatch must be a pure performance switch — an
-entire mining search (pruning, caching, cutoffs, tournament selection)
-produces the same mined alpha either way, serial or island/pool.
+The ``--engine`` choice must be a pure performance switch — an entire
+mining search (pruning, caching, cutoffs, tournament selection) produces
+the same mined alpha on the interpreter and on the compiled tape, serial
+or island/pool.
 """
 
 import numpy as np
@@ -19,12 +20,12 @@ def taskset():
     return build_taskset(market.generate(), split=Split(train=70, valid=25, test=25))
 
 
-def run_search(taskset, use_compile, num_islands=1):
+def run_search(taskset, engine, num_islands=1):
     config = EvolutionConfig(
         population_size=10,
         tournament_size=4,
         max_candidates=60,
-        use_compile=use_compile,
+        engine=engine,
         num_islands=num_islands,
     )
     session = MiningSession(
@@ -39,8 +40,8 @@ def run_search(taskset, use_compile, num_islands=1):
 
 class TestSearchParity:
     def test_serial_search_identical(self, taskset):
-        compiled = run_search(taskset, use_compile=True)
-        interpreted = run_search(taskset, use_compile=False)
+        compiled = run_search(taskset, engine="compiled")
+        interpreted = run_search(taskset, engine="interpreter")
         assert compiled.program == interpreted.program
         assert compiled.sharpe == interpreted.sharpe
         assert compiled.ic == interpreted.ic
@@ -51,8 +52,8 @@ class TestSearchParity:
             interpreted.evolution.cache_stats.as_dict()
 
     def test_island_search_identical(self, taskset):
-        compiled = run_search(taskset, use_compile=True, num_islands=2)
-        interpreted = run_search(taskset, use_compile=False, num_islands=2)
+        compiled = run_search(taskset, engine="compiled", num_islands=2)
+        interpreted = run_search(taskset, engine="interpreter", num_islands=2)
         assert compiled.program == interpreted.program
         assert compiled.evolution.best_report.fitness == \
             interpreted.evolution.best_report.fitness
@@ -66,11 +67,12 @@ class TestPoolParity:
         programs = [domain_expert_alpha(dims)]
         for _ in range(5):
             programs.append(mutator.mutate(programs[-1]))
-        serial = AlphaEvaluator(taskset, seed=0, max_train_steps=10, compiled=False)
+        serial = AlphaEvaluator(taskset, seed=0, max_train_steps=10,
+                                engine="interpreter")
         expected = [serial.evaluate(program).report for program in programs]
         with EvaluationPool(
             taskset, num_workers=2, evaluator_seed=0, max_train_steps=10,
-            compiled=True,
+            engine="compiled",
         ) as pool:
             got = pool.evaluate(programs)
         for left, right in zip(expected, got):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.compile import StackedAlpha, compile_program
 from repro.core import AlphaEvaluator, get_initialization
 from repro.engine import (
     ENGINES,
-    CompiledBackend,
     ExecutionEngine,
     InterpreterBackend,
     make_backend,
@@ -23,14 +23,11 @@ def program(dims):
 class TestResolveEngine:
     def test_default_is_compiled(self):
         assert resolve_engine() == "compiled"
-        assert resolve_engine(None, None) == "compiled"
+        assert resolve_engine(None) == "compiled"
 
-    def test_legacy_flag_maps_onto_names(self):
-        assert resolve_engine(compiled=True) == "compiled"
-        assert resolve_engine(compiled=False) == "interpreter"
-
-    def test_explicit_name_wins_over_flag(self):
-        assert resolve_engine("interpreter", compiled=True) == "interpreter"
+    def test_names_resolve_to_themselves(self):
+        for engine in ENGINES:
+            assert resolve_engine(engine) == engine
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(EngineError, match="unknown execution engine"):
@@ -48,11 +45,22 @@ class TestMakeBackend:
         assert isinstance(
             make_backend(program, ctx, "interpreter"), InterpreterBackend
         )
-        assert isinstance(make_backend(program, ctx, "compiled"), CompiledBackend)
+        compiled = make_backend(program, ctx, "compiled")
+        assert isinstance(compiled, StackedAlpha)
+        assert compiled.num_programs == 1
+
+    def test_every_engine_defaults_to_one_lane(self, evaluator, program):
+        for engine in ENGINES:
+            backend = make_backend(program, evaluator.make_context(), engine)
+            assert backend.num_programs == 1
+            assert backend.programs == (program,)
+            assert backend.lookback == \
+                make_backend(program, evaluator.make_context()).lookback
 
 
 class TestStepEquivalence:
-    """Stepping both backends by hand produces bitwise-equal predictions."""
+    """Stepping the backends by hand produces bitwise-equal predictions, on
+    every lane of a tape of any lane count."""
 
     def test_day_by_day_predictions_match(self, small_taskset, evaluator, program):
         features = small_taskset.split_features("train")
@@ -61,6 +69,8 @@ class TestStepEquivalence:
             make_backend(program, evaluator.make_context(), engine)
             for engine in ENGINES
         ]
+        backends.append(StackedAlpha([compile_program(program)] * 3,
+                                     evaluator.make_context()))
         for backend in backends:
             backend.run_setup()
         for day in range(5):
@@ -72,20 +82,22 @@ class TestStepEquivalence:
                 backend.set_label(labels[day])
                 backend.run_update()
             reference = predictions[0]
-            assert reference.shape == (small_taskset.num_tasks,)
+            assert reference.shape == (1, small_taskset.num_tasks)
             for other in predictions[1:]:
-                assert other.tobytes() == reference.tobytes()
+                for lane in other:
+                    assert lane.tobytes() == reference[0].tobytes()
 
-    def test_interpreter_matches_legacy_evaluator(self, small_taskset, program):
-        legacy = AlphaEvaluator(
-            small_taskset, seed=0, max_train_steps=40, compiled=False
-        )
-        modern = AlphaEvaluator(
+    def test_evaluator_defaults_to_the_compiled_engine(self, small_taskset,
+                                                      program):
+        default = AlphaEvaluator(small_taskset, seed=0, max_train_steps=40)
+        interpreter = AlphaEvaluator(
             small_taskset, seed=0, max_train_steps=40, engine="interpreter"
         )
-        assert legacy.engine == modern.engine == "interpreter"
-        left = legacy.run(program, splits=("valid",))["valid"]
-        right = modern.run(program, splits=("valid",))["valid"]
+        assert default.engine == "compiled"
+        left = default.run(program, splits=("valid",))["valid"]
+        right = interpreter.run(program, splits=("valid",))["valid"]
+        assert left.shape == (small_taskset.split.valid,
+                              small_taskset.num_tasks)
         assert left.tobytes() == right.tobytes()
 
 

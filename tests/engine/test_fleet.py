@@ -136,6 +136,12 @@ class TestOfflineEvaluation:
         name = programs[0].name
         assert first[name]["valid"].tobytes() == second[name]["valid"].tobytes()
 
+    @pytest.mark.parametrize("engine", ["compiled", "interpreter"])
+    def test_empty_fleet_runs_nothing(self, evaluator, engine):
+        fleet = FleetEngine(evaluator, engine=engine)
+        assert fleet.run() == {}
+        assert fleet.stack_groups == 0
+
 
 class TestServing:
     def warm_fleet(self, evaluator, programs):

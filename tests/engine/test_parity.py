@@ -164,7 +164,7 @@ class TestSuspendResumeThroughEngine:
     def stream(self, executor, features, labels, start, stop):
         rows = []
         for day in range(start, stop):
-            rows.append(executor.step(features[day]))
+            rows.append(executor.step(features[day])[0])
             executor.reveal(labels[day])
         return rows
 
@@ -255,18 +255,16 @@ class TestSuspendResumeThroughEngine:
 
         backend = make_backend(program, evaluator.make_context())
         backend.run_setup()
-        state = backend.suspend()
+        (state,) = backend.suspend()
         state.operands.update(doctored)
 
         def sanitize_steps(tape):
-            return [(entry.clip, entry.scan)
-                    for entries in (tape._static_tape, *tape._tapes.values())
-                    for entry in entries]
+            return [(entry.clip, entry.scan) for entry in tape._entries]
 
         def fed(how):
             if lanes is None:
                 tape = make_backend(program, evaluator.make_context())
-                states = state
+                states = [state]
             else:
                 tape = StackedAlpha(
                     [compile_program(program)] * lanes,
@@ -292,8 +290,7 @@ class TestSuspendResumeThroughEngine:
                 executor.run_predict()
             expected = reference.prediction.tobytes()
             for tape in tapes:
-                got = tape.prediction
-                for lane in ([got] if lanes is None else got):
+                for lane in tape.prediction:
                     assert lane.tobytes() == expected, f"diverged on day {day}"
             for executor in (reference, *tapes):
                 executor.set_label(labels[day])
@@ -316,4 +313,5 @@ class TestProtocolDirectParity:
             )
             facade = evaluator.run(program, splits=SPLITS)
             for split in SPLITS:
+                assert manual[split].shape[1] == 1  # one lane
                 assert manual[split].tobytes() == facade[split].tobytes()

@@ -54,7 +54,7 @@ class TestTrainingPass:
         features = small_taskset.split_features("train")
         labels = small_taskset.split_labels("train")
         day_indices = evaluator.train_day_indices()
-        out = np.full((features.shape[0], small_taskset.num_tasks), np.nan)
+        out = np.full((features.shape[0], 1, small_taskset.num_tasks), np.nan)
         training_pass(backend, features, labels, day_indices=day_indices,
                       predictions_out=out)
         visited = np.zeros(features.shape[0], dtype=bool)
@@ -87,7 +87,7 @@ class TestTrainingPass:
         for time_batched in (False, True):
             backend = make_backend(program, evaluator.make_context(), "compiled")
             backend.run_setup()
-            out = np.zeros((features.shape[0], small_taskset.num_tasks))
+            out = np.zeros((features.shape[0], 1, small_taskset.num_tasks))
             training_pass(backend, features, labels, day_indices=day_indices,
                           predictions_out=out, time_batched=time_batched)
             panels.append(out)

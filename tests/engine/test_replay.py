@@ -156,8 +156,8 @@ class TestCorrectionParity:
         )
         assert result.day == correction_day
         assert result.replayed_days == SERVE_DAYS - result.start_day
-        assert result.predictions.shape == (
-            SERVE_DAYS - correction_day, evaluator.taskset.num_tasks
+        assert result.predictions.shape == (  # one lane
+            SERVE_DAYS - correction_day, 1, evaluator.taskset.num_tasks
         )
 
         reference = warm_executor(evaluator, program, engine=engine)

@@ -1,18 +1,19 @@
 """Copy-on-write tape snapshots: sharing, read-only arrays and restore.
 
-Both tape runners snapshot their operand state as a tuple of read-only
-arrays in bind order (:class:`repro.compile.executor._TapeRunner`).  While
-serving, only ``m0``, ``s0`` and the carried operands ``Predict()`` writes
-back change, so a snapshot copies those and reuses the previous snapshot's
-array for every other one.  These tests pin that contract on the solo and
-the stacked runner: what is shared and what is copied, when the reuse base
-is dropped, and that ``restore`` puts back exactly what ``snapshot`` took.
+The compiled tape snapshots its operand state as a tuple of read-only
+arrays in bind order (:meth:`repro.compile.stacked.StackedAlpha.snapshot`).
+While serving, only ``m0``, ``s0`` and the carried operands ``Predict()``
+writes back change, so a snapshot copies those and reuses the previous
+snapshot's array for every other one.  These tests pin that contract on a
+one-lane and a two-lane tape: what is shared and what is copied, when the
+reuse base is dropped, and that ``restore`` puts back exactly what
+``snapshot`` took.
 """
 
 import numpy as np
 import pytest
 
-from repro.compile import CompiledAlpha, StackedAlpha, compile_program
+from repro.compile import StackedAlpha, compile_program
 from repro.core import (
     INPUT_MATRIX,
     LABEL,
@@ -47,11 +48,11 @@ def cow_program(constant=0.5, row=0, name="cow"):
     )
 
 
-@pytest.fixture(params=["solo", "stacked"])
+@pytest.fixture(params=["one-lane", "two-lane"])
 def runner(request, small_taskset):
     ctx = AlphaEvaluator(small_taskset, seed=0).make_context()
-    if request.param == "solo":
-        return CompiledAlpha(compile_program(cow_program()), ctx)
+    if request.param == "one-lane":
+        return StackedAlpha([compile_program(cow_program())], ctx)
     return StackedAlpha(
         [compile_program(cow_program()),
          compile_program(cow_program(constant=0.25, row=1, name="twin"))],
@@ -60,12 +61,9 @@ def runner(request, small_taskset):
 
 
 def lane_states(runner, snap):
-    """``snap`` as the runner's external format: one TapeState (solo) or a
-    list with one per lane (stacked)."""
-    if isinstance(runner, StackedAlpha):
-        return [runner.tape_state(snap, lane)
-                for lane in range(runner.num_programs)]
-    return runner.tape_state(snap)
+    """``snap`` as the tape's external format: one TapeState per lane."""
+    return [runner.tape_state(snap, lane)
+            for lane in range(runner.num_programs)]
 
 
 def by_name(runner, snap):

@@ -1,10 +1,11 @@
 """Stacked fleet kernels: signature grouping, bitwise parity, tape interop.
 
-The stacked executor's contract is the repo-wide one — bitwise parity with
-per-program execution — plus two subsystem-specific guarantees: programs
-group strictly by :func:`~repro.compile.stacked.stack_signature` (structure
-shared, parameter values free), and a lane suspended from a stacked group
-resumes anywhere a solo tape would.
+The stacked tape's contract is the repo-wide one — bitwise parity with
+per-program execution and with the interpreter — plus two
+subsystem-specific guarantees: programs group strictly by
+:func:`~repro.compile.stacked.stack_signature` (structure shared, parameter
+values free), and a lane suspended from a group of n resumes into a
+one-lane tape, and back.
 """
 
 import numpy as np
@@ -111,7 +112,7 @@ class TestStackedAlphaValidation:
         stacked = StackedAlpha(group, evaluator.make_context())
         stacked.run_setup()
         with pytest.raises(ExecutionError, match="expected 2 tape states"):
-            stacked.resume([stacked.suspend_member(0)])
+            stacked.resume(stacked.suspend()[:1])
 
     def test_resume_foreign_tape_rejected(self, dims, evaluator):
         ctx = evaluator.make_context()
@@ -123,7 +124,7 @@ class TestStackedAlphaValidation:
         )
         d_solo.run_setup()
         with pytest.raises(ExecutionError, match="different compiled"):
-            nn_solo.resume([d_solo.suspend_member(0)])
+            nn_solo.resume(d_solo.suspend())
 
 
 class TestStackedParity:
@@ -140,18 +141,19 @@ class TestStackedParity:
                     expected[split].tobytes()
 
     @pytest.mark.parametrize("jitter_seed", [5, 17, 29])
-    def test_fuzzed_generations_match_unstacked_fleet(
+    def test_fuzzed_generations_match_evaluator_and_interpreter(
         self, evaluator, dims, mutator, jitter_seed
     ):
         programs = make_generation(dims, mutator, jitter_seed=jitter_seed)
-        stacked = build_fleet(evaluator, programs, stacked=True)
-        plain = build_fleet(evaluator, programs, stacked=False)
-        assert stacked.stack_groups >= 1 and plain.stack_groups == 0
+        stacked = build_fleet(evaluator, programs)
+        interpreted = build_fleet(evaluator, programs, engine="interpreter")
+        assert stacked.stack_groups >= 1 and interpreted.stack_groups == 0
         left = stacked.run(splits=("valid",))
-        right = plain.run(splits=("valid",))
+        right = interpreted.run(splits=("valid",))
         for program in programs:
-            assert left[program.name]["valid"].tobytes() == \
-                right[program.name]["valid"].tobytes()
+            solo = evaluator.run(program, splits=("valid",))["valid"]
+            assert left[program.name]["valid"].tobytes() == solo.tobytes()
+            assert right[program.name]["valid"].tobytes() == solo.tobytes()
 
     def test_evaluate_matches_evaluator_evaluate(self, evaluator, generation):
         fleet = build_fleet(evaluator, generation)
@@ -187,14 +189,15 @@ class TestStackedParity:
     ):
         """NaN-bearing bars exercise the raw-input sanitise guard: entries
         reading the feature matrix must keep their NaN scan even where the
-        finite-closure skip applies elsewhere."""
+        finite-closure skip applies elsewhere.  The interpreter serves the
+        reference."""
         features = small_taskset.split_features("valid")[:4].copy()
         features[:, 0, 0, 0] = np.nan
         features[:, -1, :, -1] = np.nan
         labels = small_taskset.split_labels("valid")[:4]
         outputs = []
-        for stacked in (True, False):
-            fleet = build_fleet(evaluator, generation, stacked=stacked)
+        for engine in ("compiled", "interpreter"):
+            fleet = build_fleet(evaluator, generation, engine=engine)
             fleet.warm_start()
             days = []
             for day in range(features.shape[0]):
@@ -227,12 +230,11 @@ class TestSuspendResume:
             fleet.reveal(labels[day])
         return days
 
-    @pytest.mark.parametrize("resume_stacked", [True, False])
-    def test_roundtrip_across_stacking_modes(
-        self, small_taskset, evaluator, generation, resume_stacked
+    def test_group_checkpoint_resumes_into_a_fresh_fleet(
+        self, small_taskset, evaluator, generation
     ):
-        """A checkpoint cut from stacked buffers resumes bitwise into either
-        a stacked or a per-program fleet (and the reference never pauses)."""
+        """A checkpoint cut from group tapes resumes bitwise into a fresh
+        fleet (and the reference never pauses)."""
         features = small_taskset.split_features("valid")
         labels = small_taskset.split_labels("valid")
 
@@ -253,7 +255,7 @@ class TestSuspendResume:
 
         resumed = build_fleet(
             AlphaEvaluator(small_taskset, seed=0, max_train_steps=40),
-            generation, stacked=resume_stacked,
+            generation,
         )
         resumed.resume_tapes(tapes, days_served=3)
         assert all(ex.days_served == 3 for ex in resumed.executors.values())
@@ -263,35 +265,51 @@ class TestSuspendResume:
             for key, prediction in stepped.items():
                 assert prediction.tobytes() == expected[day][key].tobytes()
 
-    def test_unstacked_checkpoint_resumes_into_stacked_fleet(
-        self, small_taskset, evaluator, generation
+    @pytest.mark.parametrize("direction", ["group-to-lane", "lane-to-group"])
+    def test_state_moves_between_a_group_and_a_one_lane_fleet(
+        self, small_taskset, evaluator, generation, direction
     ):
+        """One key's suspended state resumes bitwise between the key's
+        n-lane group and a one-lane fleet that holds only that key."""
         features = small_taskset.split_features("valid")
         labels = small_taskset.split_labels("valid")
 
+        def fresh(programs):
+            return build_fleet(
+                AlphaEvaluator(small_taskset, seed=0, max_train_steps=40),
+                programs,
+            )
+
+        program = generation[1]  # a member of the D jitter family
+        group, lane = fresh(generation), fresh([program])
+        key = group.key_of(program.name)
+        assert lane.key_of(program.name) == key
+        for fleet in (group, lane):
+            fleet.warm_start()
+            self.serve(fleet, features, labels, 0, 3)
+        assert group.executors[key].executor.num_programs >= 2
+        assert lane.executors[key].executor.num_programs == 1
+
         reference = build_fleet(evaluator, generation)
         reference.warm_start()
-        expected = self.serve(reference, features, labels, 0, 6)
-
-        plain = build_fleet(
-            AlphaEvaluator(small_taskset, seed=0, max_train_steps=40),
-            generation, stacked=False,
-        )
-        plain.warm_start()
-        self.serve(plain, features, labels, 0, 2)
-        tapes = plain.suspend_tapes()
-
-        resumed = build_fleet(
-            AlphaEvaluator(small_taskset, seed=0, max_train_steps=40),
-            generation, stacked=True,
-        )
-        assert resumed.stack_groups >= 1
-        resumed.resume_tapes(tapes, days_served=2)
+        expected = self.serve(reference, features, labels, 0, 7)
+        if direction == "group-to-lane":
+            resumed = fresh([program])
+            resumed.resume_tapes({key: group.suspend_tapes()[key]},
+                                 days_served=3)
+        else:
+            # The key's state comes from the one-lane fleet; the group's
+            # other lanes from the group itself.
+            tapes = group.suspend_tapes()
+            tapes[key] = lane.suspend_tapes()[key]
+            resumed = fresh(generation)
+            resumed.resume_tapes(tapes, days_served=3)
         for day, stepped in zip(
-            range(2, 6), self.serve(resumed, features, labels, 2, 6)
+            range(3, 7), self.serve(resumed, features, labels, 3, 7)
         ):
-            for key, prediction in stepped.items():
-                assert prediction.tobytes() == expected[day][key].tobytes()
+            for served_key, prediction in stepped.items():
+                assert prediction.tobytes() == \
+                    expected[day][served_key].tobytes()
 
 
 class TestMiningPath:

@@ -1,7 +1,7 @@
 """The leading-axis kernel registry and the stacked kernels built on it.
 
 Contracts of :data:`repro.compile.executor.KERNELS`, the one kernel table
-both tape runners share, in the style of an operator-registry test suite:
+of the compiled tape, in the style of an operator-registry test suite:
 
 * registry metadata — every entry names an ``OP_REGISTRY`` operator and
   consumes exactly its arity;
@@ -21,12 +21,7 @@ both tape runners share, in the style of an operator-registry test suite:
 import numpy as np
 import pytest
 
-from repro.compile import (
-    CompiledAlpha,
-    StackedAlpha,
-    compile_program,
-    stack_signature,
-)
+from repro.compile import StackedAlpha, compile_program, stack_signature
 from repro.compile.executor import (
     FINITE_CLOSED,
     KERNELS,
@@ -157,7 +152,7 @@ class TestTranscendentalStacking:
         programs = family(transcendental_alpha, dims)
         solo = solo_runs(evaluator, programs)
         order = programs[::-1] if reverse else programs
-        fleet = build_fleet(evaluator, order, stacked=True)
+        fleet = build_fleet(evaluator, order)
         assert fleet.stack_groups >= 1
         assert_matches_solo(fleet.run(splits=SPLITS), solo, programs)
 
@@ -167,7 +162,7 @@ class TestTranscendentalStacking:
     ):
         programs = family(transcendental_alpha, dims)
         order = programs[::-1] if reverse else programs
-        fleet = build_fleet(evaluator, order, stacked=True)
+        fleet = build_fleet(evaluator, order)
         fleet.warm_start()
         features = small_taskset.split_features("valid")[:10]
         labels = small_taskset.split_labels("valid")[:10]
@@ -218,10 +213,8 @@ class TestProgramChunking:
     def test_forced_chunk_matches_unchunked_bitwise(self, evaluator, dims):
         programs = self.chunk_family(dims)
         solo = solo_runs(evaluator, programs)
-        chunked = build_fleet(evaluator, programs, stacked=True,
-                              program_chunk=2)
-        monolithic = build_fleet(evaluator, programs, stacked=True,
-                                 program_chunk=0)
+        chunked = build_fleet(evaluator, programs, program_chunk=2)
+        monolithic = build_fleet(evaluator, programs, program_chunk=0)
         assert chunked.stack_groups >= 2
         left = chunked.run(splits=SPLITS)
         right = monolithic.run(splits=SPLITS)
@@ -247,10 +240,10 @@ class TestProgramChunking:
             runs.append(executor.run_inference_batch(features))
         assert runs[0].tobytes() == runs[1].tobytes()
         for lane, compiled in enumerate(group):
-            solo = CompiledAlpha(compiled, evaluator.make_context())
+            solo = StackedAlpha([compiled], evaluator.make_context())
             solo.run_setup()
             expected = solo.run_inference_batch(features)
-            assert runs[0][:, lane].tobytes() == expected.tobytes()
+            assert runs[0][:, lane].tobytes() == expected[:, 0].tobytes()
 
     def test_chunked_serving_matches_unchunked_bitwise(
         self, small_taskset, evaluator, dims
@@ -260,8 +253,7 @@ class TestProgramChunking:
         labels = small_taskset.split_labels("valid")[:8]
         streams = []
         for chunk in (2, 0):
-            fleet = build_fleet(evaluator, programs, stacked=True,
-                                program_chunk=chunk)
+            fleet = build_fleet(evaluator, programs, program_chunk=chunk)
             fleet.warm_start()
             streamed = {}
             for day in range(features.shape[0]):

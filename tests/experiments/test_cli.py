@@ -72,17 +72,10 @@ class TestResolveConfig:
         assert config.num_islands == 1
         assert config.checkpoint_dir is None
 
-    def test_compile_default_on(self):
-        config = resolve_config(build_parser().parse_args(["table1"]))
-        assert config.use_compile is True
-        assert config.evolution_config().use_compile is True
-
-    def test_no_compile_escape_hatch(self):
-        args = build_parser().parse_args(["table1", "--no-compile"])
-        config = resolve_config(args)
-        assert config.use_compile is False
-        assert config.evolution_config().use_compile is False
-        assert config.evolution_config().execution_engine == "interpreter"
+    def test_no_compile_flag_is_gone(self):
+        """``--engine interpreter`` is the one way to pick the interpreter."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table1", "--no-compile"])
 
     def test_engine_flag_selects_engine(self):
         args = build_parser().parse_args(["table1", "--engine", "interpreter"])
@@ -98,6 +91,18 @@ class TestResolveConfig:
     def test_unknown_engine_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--engine", "gpu"])
+
+    def test_unknown_engine_rejected_at_configuration_time(self):
+        """A typo'd engine raises the config's own error type, like every
+        other invalid field — not later, in a worker mid-search."""
+        from repro.core import EvolutionConfig
+        from repro.errors import ConfigurationError, EvolutionError
+        from repro.experiments import ExperimentConfig
+
+        with pytest.raises(EvolutionError, match="unknown execution engine"):
+            EvolutionConfig(engine="gpu")
+        with pytest.raises(ConfigurationError, match="unknown execution engine"):
+            ExperimentConfig(engine="gpu")
 
 
 class TestMain:

@@ -10,7 +10,6 @@ where a batch raised inside the pool's ``with`` block.
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.core import AlphaEvaluator, EvolutionConfig, domain_expert_alpha

@@ -84,6 +84,10 @@ class TestEvaluationPool:
         with pytest.raises(ParallelError):
             pool.evaluate([domain_expert_alpha(dims)])
 
+    def test_pool_defaults_to_compiled_engine(self, small_taskset):
+        with EvaluationPool(small_taskset, num_workers=1) as pool:
+            assert pool.spec.engine == "compiled"
+
     def test_invalid_parameters_rejected(self, small_taskset):
         with pytest.raises(ConfigurationError):
             EvaluationPool(small_taskset, num_workers=0)

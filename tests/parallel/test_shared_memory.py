@@ -4,9 +4,9 @@ Covers the zero-copy :class:`~repro.parallel.shm.SharedPanelStore` contract
 (publish → attach → identical read-only views), the content-signature attach
 guard, cleanup on every exit path, and a seeded fuzz suite asserting that
 pooled scoring is bitwise identical to the serial
-:class:`~repro.core.evolution.CandidateScorer` — across engines, with
-stacked dispatch on and off, over NaN-bearing panels, and with
-duplicate-heavy batches.
+:class:`~repro.core.evolution.CandidateScorer` — across engines (the
+pool's stacked dispatch against the serial interpreter too), over
+NaN-bearing panels, and with duplicate-heavy batches.
 """
 
 import dataclasses
@@ -194,23 +194,23 @@ def _fuzz_batch(dims, seed: int, count: int = 8) -> list:
 
 
 class TestFuzzedPoolParity:
-    @pytest.mark.parametrize("engine,stacked", [
-        ("compiled", True),
-        ("compiled", False),
-        ("interpreter", None),
+    @pytest.mark.parametrize("engine,serial_engine", [
+        ("compiled", "compiled"),
+        ("compiled", "interpreter"),
+        ("interpreter", "interpreter"),
     ])
     @pytest.mark.parametrize("seed", [11, 23])
     def test_pool_scorer_matches_serial_scorer(self, small_taskset, dims,
-                                               engine, stacked, seed):
+                                               engine, serial_engine, seed):
         batch = _fuzz_batch(dims, seed)
         serial = CandidateScorer(
             AlphaEvaluator(small_taskset, seed=0, max_train_steps=15,
-                           engine=engine)
+                           engine=serial_engine)
         )
         expected = serial.score_batch(batch)
         with EvaluationPool(small_taskset, num_workers=2, evaluator_seed=0,
                             max_train_steps=15, engine=engine,
-                            stacked=stacked, batch_size=3) as pool:
+                            batch_size=3) as pool:
             pooled = CandidateScorer(
                 AlphaEvaluator(small_taskset, seed=0, max_train_steps=15,
                                engine=engine),

@@ -40,7 +40,6 @@ from repro.data import (
     export_panel_csv,
     inject_corruption,
 )
-from repro.engine import IncrementalExecutor
 from repro.errors import ExecutionError, StreamError
 from repro.obs import TELEMETRY, telemetry_session
 from repro.scenarios import get_scenario, scenario_names
@@ -512,8 +511,8 @@ class TestSuspendResumeCorrections:
         serve_days(live, features, labels, 0, 4)
         state = live.suspend()
         key = next(
-            key for key, view in live.fleet.executors.items()
-            if isinstance(view, IncrementalExecutor) == (unit == "solo")
+            key for key, executor in live.fleet.executors.items()
+            if (executor.executor.num_programs == 1) == (unit == "solo")
         )
         day, entry = state.replay[key]["entries"][-1]
         if flaw == "tape_key":

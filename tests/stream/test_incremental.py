@@ -1,17 +1,19 @@
 """Incremental-vs-batch parity for day-at-a-time compiled execution.
 
-The hard contract of :mod:`repro.stream`: fuzzed programs stepped one day at
-a time through :class:`IncrementalAlpha` must match the batched
-:class:`CompiledAlpha` output (via ``AlphaEvaluator.run``) bit for bit —
-including across suspend/resume round-trips through serialized state files.
+The hard contract of serving: fuzzed programs stepped one day at a time
+through the one serving unit, :class:`~repro.engine.IncrementalExecutor`
+on a one-lane compiled tape, must match the batched output (via
+``AlphaEvaluator.run``) bit for bit — including across suspend/resume
+round-trips through serialized state files.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import AlphaEvaluator, get_initialization
+from repro.engine import IncrementalExecutor
 from repro.errors import ExecutionError, StreamError
-from repro.stream import IncrementalAlpha, load_state, save_state
+from repro.stream import load_state, save_state
 
 SPLITS = ("valid", "test")
 
@@ -33,9 +35,9 @@ def batch_predictions(evaluator, program):
 
 
 def incremental_predictions(evaluator, program):
-    """Stream the valid+test splits day by day through IncrementalAlpha."""
+    """Stream the valid+test splits day by day through one lane."""
     taskset = evaluator.taskset
-    alpha = IncrementalAlpha(program, evaluator.make_context())
+    alpha = IncrementalExecutor(program, evaluator.make_context())
     alpha.warm_start(
         taskset.split_features("train"),
         taskset.split_labels("train"),
@@ -48,7 +50,7 @@ def incremental_predictions(evaluator, program):
         labels = taskset.split_labels(split)
         predictions = np.zeros((features.shape[0], taskset.num_tasks))
         for day in range(features.shape[0]):
-            predictions[day] = alpha.step(features[day])
+            predictions[day] = alpha.step(features[day])[0]
             alpha.reveal(labels[day])
         streamed[split] = predictions
     return streamed
@@ -67,7 +69,7 @@ class TestIncrementalParity:
     def test_matches_reference_interpreter(self, small_taskset, dims, mutator):
         """Transitivity check: incremental == compiled batch == interpreter."""
         interpreter = AlphaEvaluator(
-            small_taskset, seed=0, max_train_steps=40, compiled=False
+            small_taskset, seed=0, max_train_steps=40, engine="interpreter"
         )
         compiled = AlphaEvaluator(small_taskset, seed=0, max_train_steps=40)
         program = fuzz_programs(dims, mutator, count=4)[-1]
@@ -84,7 +86,7 @@ class TestSuspendResume:
         features = taskset.split_features("valid")
         labels = taskset.split_labels("valid")
 
-        alpha = IncrementalAlpha(program, evaluator.make_context())
+        alpha = IncrementalExecutor(program, evaluator.make_context())
         alpha.warm_start(
             taskset.split_features("train"),
             taskset.split_labels("train"),
@@ -92,16 +94,16 @@ class TestSuspendResume:
         )
         predictions = np.zeros((features.shape[0], taskset.num_tasks))
         for day in range(restart_day):
-            predictions[day] = alpha.step(features[day])
+            predictions[day] = alpha.step(features[day])[0]
             alpha.reveal(labels[day])
 
         path = tmp_path / "alpha.state"
         save_state(str(path), alpha.suspend())
-        resumed = IncrementalAlpha(program, evaluator.make_context())
+        resumed = IncrementalExecutor(program, evaluator.make_context())
         resumed.resume(load_state(str(path)), days_served=alpha.days_served)
 
         for day in range(restart_day, features.shape[0]):
-            predictions[day] = resumed.step(features[day])
+            predictions[day] = resumed.step(features[day])[0]
             resumed.reveal(labels[day])
         return predictions, resumed
 
@@ -124,13 +126,13 @@ class TestSuspendResume:
     def test_resume_rejects_other_program(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
         other = get_initialization("NN", dims, seed=3)
-        alpha = IncrementalAlpha(program, evaluator.make_context())
+        alpha = IncrementalExecutor(program, evaluator.make_context())
         alpha.warm_start(
             evaluator.taskset.split_features("train"),
             evaluator.taskset.split_labels("train"),
         )
         state = alpha.suspend()
-        stranger = IncrementalAlpha(other, evaluator.make_context())
+        stranger = IncrementalExecutor(other, evaluator.make_context())
         with pytest.raises(ExecutionError, match="different compiled program"):
             stranger.resume(state)
 
@@ -138,26 +140,26 @@ class TestSuspendResume:
         from dataclasses import replace
 
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalAlpha(program, evaluator.make_context())
+        alpha = IncrementalExecutor(program, evaluator.make_context())
         alpha.warm_start(
             evaluator.taskset.split_features("train"),
             evaluator.taskset.split_labels("train"),
         )
-        state = replace(alpha.suspend(), version=99)
-        fresh = IncrementalAlpha(program, evaluator.make_context())
+        (state,) = alpha.suspend()
+        fresh = IncrementalExecutor(program, evaluator.make_context())
         with pytest.raises(ExecutionError, match="version"):
-            fresh.resume(state)
+            fresh.resume([replace(state, version=99)])
 
     def test_resume_rejects_other_seed(self, small_taskset, dims):
         program = get_initialization("D", dims, seed=3)
         one = AlphaEvaluator(small_taskset, seed=0, max_train_steps=40)
         two = AlphaEvaluator(small_taskset, seed=1, max_train_steps=40)
-        alpha = IncrementalAlpha(program, one.make_context())
+        alpha = IncrementalExecutor(program, one.make_context())
         alpha.warm_start(
             small_taskset.split_features("train"),
             small_taskset.split_labels("train"),
         )
-        stranger = IncrementalAlpha(program, two.make_context())
+        stranger = IncrementalExecutor(program, two.make_context())
         with pytest.raises(ExecutionError, match="base seed"):
             stranger.resume(alpha.suspend())
 
@@ -165,14 +167,14 @@ class TestSuspendResume:
 class TestProtocolErrors:
     def test_step_requires_warm_start(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalAlpha(program, evaluator.make_context())
+        alpha = IncrementalExecutor(program, evaluator.make_context())
         features = evaluator.taskset.split_features("valid")
         with pytest.raises(StreamError, match="warm-started"):
             alpha.step(features[0])
 
     def test_step_without_reveal_rejected(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalAlpha(program, evaluator.make_context())
+        alpha = IncrementalExecutor(program, evaluator.make_context())
         taskset = evaluator.taskset
         alpha.warm_start(
             taskset.split_features("train"), taskset.split_labels("train")
@@ -184,7 +186,7 @@ class TestProtocolErrors:
 
     def test_reveal_without_step_rejected(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalAlpha(program, evaluator.make_context())
+        alpha = IncrementalExecutor(program, evaluator.make_context())
         taskset = evaluator.taskset
         alpha.warm_start(
             taskset.split_features("train"), taskset.split_labels("train")
@@ -194,7 +196,7 @@ class TestProtocolErrors:
 
     def test_double_warm_start_rejected(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalAlpha(program, evaluator.make_context())
+        alpha = IncrementalExecutor(program, evaluator.make_context())
         taskset = evaluator.taskset
         alpha.warm_start(
             taskset.split_features("train"), taskset.split_labels("train")
@@ -206,7 +208,7 @@ class TestProtocolErrors:
 
     def test_suspend_between_step_and_reveal_rejected(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalAlpha(program, evaluator.make_context())
+        alpha = IncrementalExecutor(program, evaluator.make_context())
         taskset = evaluator.taskset
         alpha.warm_start(
             taskset.split_features("train"), taskset.split_labels("train")

@@ -178,7 +178,7 @@ class TestSuspendResume:
         # the per-executor day counters follow the fleet counter
         assert all(
             executor.days_served == 8
-            for executor in resumed._executors.values()
+            for executor in resumed.fleet.executors.values()
         )
         continued = []
         self.stream_days(resumed, small_taskset, 8, 20, continued)
