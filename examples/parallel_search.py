@@ -8,9 +8,9 @@ This walks through the parallel search subsystem (:mod:`repro.parallel`):
    regularised-evolution populations exchanging their best candidates —
    with candidate evaluation fanned out to a pool of worker processes;
 3. checkpoint the search state so a killed run resumes where it stopped;
-4. compare against the serial controller on the same budget: the island
-   search explores the same number of candidates and reports its results
-   in the identical format.
+4. compare against a single-island search (plain regularised evolution)
+   on the same budget: both explore the same number of candidates and
+   report their results in the identical format.
 
 Run with::
 
@@ -39,10 +39,11 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as checkpoint_dir:
         # -------------------------------------------------- parallel session
-        # num_islands > 1 selects the island-model controller; num_workers > 1
-        # additionally evaluates each per-step candidate batch on a process
-        # pool.  Checkpoints land in checkpoint_dir/<search name>.ckpt, and a
-        # rerun of the same search name resumes from them automatically.
+        # num_islands > 1 evolves several populations with ring migration;
+        # num_workers > 1 evaluates each per-step candidate batch on a
+        # process pool without changing any result.  Checkpoints land in
+        # checkpoint_dir/<search name>.ckpt, and a rerun of the same search
+        # name resumes from them automatically.
         session = MiningSession(
             taskset,
             evolution_config=EvolutionConfig(
@@ -93,7 +94,7 @@ def main() -> None:
         print("\nRestarted process resumes to the identical alpha:",
               resumed.program == mined.program)
 
-    # --------------------------------------------------------- serial pendant
+    # ---------------------------------------------------- one-island pendant
     serial_session = MiningSession(
         taskset,
         evolution_config=EvolutionConfig(

@@ -37,7 +37,6 @@ from .core import (
     CorrelationFilter,
     Dimensions,
     EvolutionConfig,
-    EvolutionController,
     MinedAlpha,
     MiningSession,
     Mutator,
@@ -69,7 +68,6 @@ __all__ = [
     "CorrelationFilter",
     "Dimensions",
     "EvolutionConfig",
-    "EvolutionController",
     "ExecutionEngine",
     "FleetEngine",
     "MarketConfig",

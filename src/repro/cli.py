@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint", default=None, metavar="DIR",
-        help="checkpoint island searches into DIR and resume from existing checkpoints",
+        help="checkpoint every search into DIR and resume from existing checkpoints",
     )
     parser.add_argument(
         "--engine", choices=["interpreter", "compiled"], default=None,

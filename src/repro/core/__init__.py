@@ -7,7 +7,6 @@ from .evolution import (
     Candidate,
     CandidateScorer,
     EvolutionConfig,
-    EvolutionController,
     EvolutionResult,
     ScoreBatchHandle,
     TrajectoryPoint,
@@ -52,7 +51,6 @@ __all__ = [
     "Dimensions",
     "EvaluationResult",
     "EvolutionConfig",
-    "EvolutionController",
     "EvolutionResult",
     "ExecutionContext",
     "SCHEDULERS",

@@ -10,6 +10,13 @@ The search maintains an aging population of candidate alphas:
 3. when the search budget is exhausted, the alpha with the highest fitness
    in the final population is returned as the evolved alpha.
 
+This module holds what every search shares: its configuration
+(:class:`EvolutionConfig`), its outcome (:class:`EvolutionResult`) and the
+candidate scoring pipeline (:class:`CandidateScorer`).  The loop itself is
+:class:`repro.parallel.islands.IslandEvolutionController`: one island is
+the regularised evolution above, and several islands run that loop side by
+side with periodic ring migration.
+
 Candidate scoring runs through the pruning + fingerprint cache
 (:mod:`repro.core.cache`) and, when a set of previously accepted alphas is
 supplied, through the 15 % correlation cutoff
@@ -18,38 +25,33 @@ receives the invalid sentinel fitness and effectively drops out of
 tournament selection, exactly like the paper's "candidate alphas are
 eliminated if they are correlated with a given set of alphas".
 
-That prune → cache → evaluate → cutoff pipeline lives in
-:class:`CandidateScorer` so that the serial :class:`EvolutionController` and
-the island-model controller in :mod:`repro.parallel.islands` share one
-scoring path.  Cache misses evaluate either on worker processes
+Cache misses evaluate either on worker processes
 (:class:`repro.parallel.pool.EvaluationPool`) or — serially — as one
 :class:`repro.engine.fleet.FleetEngine` batch over a shared execution
 context and data pass; both run the single protocol implementation of
 :mod:`repro.engine.protocol` on the engine named by
-:attr:`EvolutionConfig.engine`.
+:attr:`EvolutionConfig.engine`, so a pool never changes a result.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..backtest.engine import BacktestEngine
-from ..config import POPULATION_SIZE, TOURNAMENT_SIZE, make_rng
+from ..config import POPULATION_SIZE, TOURNAMENT_SIZE
 from ..errors import EvolutionError
 from ..obs import TELEMETRY
 from .cache import CacheStats, FingerprintCache
 from .correlation import CorrelationFilter
 from .fitness import INVALID_FITNESS, FitnessReport
 from .interpreter import AlphaEvaluator
-from .mutation import Mutator
 from .program import AlphaProgram
 
 __all__ = ["EvolutionConfig", "Candidate", "TrajectoryPoint", "EvolutionResult",
-           "CandidateScorer", "ScoreBatchHandle", "EvolutionController"]
+           "CandidateScorer", "ScoreBatchHandle"]
 
 #: Island-controller scheduling strategies (see
 #: :meth:`repro.parallel.islands.IslandEvolutionController`).
@@ -66,11 +68,12 @@ class EvolutionConfig:
     (``max_seconds``, the paper uses 60 hours per round); the search stops at
     whichever limit is hit first.
 
-    ``num_workers`` and ``num_islands`` configure the parallel search
-    subsystem (:mod:`repro.parallel`): with either above one,
-    :meth:`repro.core.mining.MiningSession.search` runs the island-model
-    controller, fanning candidate evaluation out to ``num_workers``
-    processes.  Both default to one, which selects the serial controller.
+    ``num_islands`` is the number of populations the search evolves side
+    by side (one is the paper's regularised evolution), exchanging their
+    best candidates along a ring (:mod:`repro.parallel.islands`).
+    ``num_workers`` above one fans candidate evaluation out to
+    that many processes (:mod:`repro.parallel`).  Results depend on the
+    islands, never on the worker count.
     """
 
     population_size: int = POPULATION_SIZE
@@ -83,7 +86,6 @@ class EvolutionConfig:
     #: ``"compiled"``).  Results are bitwise identical across engines.  The
     #: CLI exposes it as ``--engine``.
     engine: str | None = None
-    log_every: int = 0
     num_workers: int = 1
     num_islands: int = 1
     #: Island-controller scheduling strategy: ``"barrier"`` (score, then
@@ -158,7 +160,7 @@ class TrajectoryPoint:
 
 @dataclass
 class EvolutionResult:
-    """Outcome of one evolutionary run."""
+    """Outcome of one evolutionary run, with island-level diagnostics."""
 
     best_program: AlphaProgram
     best_report: FitnessReport
@@ -167,6 +169,9 @@ class EvolutionResult:
     cache_stats: CacheStats
     candidates_generated: int
     elapsed_seconds: float
+    num_islands: int
+    migrations: int
+    island_best_fitness: list[float]
 
     @property
     def searched_alphas(self) -> int:
@@ -219,10 +224,10 @@ class ScoreBatchHandle:
 class CandidateScorer:
     """The shared prune → cache → evaluate → cutoff scoring pipeline.
 
-    Both the serial :class:`EvolutionController` and the island-model
-    controller (:mod:`repro.parallel.islands`) funnel every candidate through
-    one scorer, so pruning, fingerprint caching, correlation cutoffs and the
-    searched-alpha accounting behave identically in both search modes.
+    The search controller (:mod:`repro.parallel.islands`) funnels every
+    candidate of every island through one scorer, so pruning, fingerprint
+    caching, correlation cutoffs and the searched-alpha accounting are
+    shared across islands and identical with or without a pool.
 
     Parameters
     ----------
@@ -427,153 +432,4 @@ class CandidateScorer:
                 f"correlation {max_corr:.3f} with an accepted alpha exceeds "
                 f"the {self.correlation_filter.cutoff:.0%} cutoff"
             ),
-        )
-
-
-class EvolutionController:
-    """Runs regularised evolution for one alpha-mining round."""
-
-    def __init__(
-        self,
-        evaluator: AlphaEvaluator,
-        mutator: Mutator,
-        config: EvolutionConfig | None = None,
-        correlation_filter: CorrelationFilter | None = None,
-        backtest_engine: BacktestEngine | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> None:
-        self.evaluator = evaluator
-        self.mutator = mutator
-        self.config = config or EvolutionConfig()
-        self.correlation_filter = correlation_filter
-        self.backtest_engine = backtest_engine
-        self.rng = make_rng(seed)
-        self.scorer = CandidateScorer(
-            evaluator,
-            correlation_filter=correlation_filter,
-            backtest_engine=backtest_engine,
-            use_pruning=self.config.use_pruning,
-        )
-        self._start_time = 0.0
-        self._best_ever: Candidate | None = None
-        self._trajectory: list[TrajectoryPoint] = []
-
-    # ------------------------------------------------------------------
-    @property
-    def cache(self) -> FingerprintCache:
-        """The scorer's fingerprint cache (reset at the start of each run)."""
-        return self.scorer.cache
-
-    def score(self, program: AlphaProgram) -> FitnessReport:
-        """Score one candidate through pruning, cache, evaluation and cutoff."""
-        return self.scorer.score(program)
-
-    # ------------------------------------------------------------------
-    def _budget_exhausted(self) -> bool:
-        config = self.config
-        if config.max_candidates is not None and \
-                self.scorer.candidates_generated >= config.max_candidates:
-            return True
-        if config.max_seconds is not None and \
-                time.perf_counter() - self._start_time >= config.max_seconds:
-            return True
-        return False
-
-    def _register(self, candidate: Candidate) -> None:
-        if self._best_ever is None or candidate.fitness > self._best_ever.fitness:
-            self._best_ever = candidate
-        self._trajectory.append(
-            TrajectoryPoint(
-                candidates=self.scorer.candidates_generated,
-                evaluations=self.cache.stats.evaluated,
-                best_fitness=self._best_ever.fitness,
-                elapsed_seconds=time.perf_counter() - self._start_time,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    def run(self, initial_program: AlphaProgram) -> EvolutionResult:
-        """Evolve ``initial_program`` until the budget is exhausted.
-
-        ``run`` is reusable: every call starts from a fresh fingerprint cache
-        and candidate counter, so back-to-back runs never reuse stale cached
-        fitness reports (the mutator and tournament RNGs do advance across
-        calls, as independent restarts should).
-        """
-        with TELEMETRY.span("search.run"):
-            result = self._run(initial_program)
-        if TELEMETRY.enabled:
-            stats = result.cache_stats
-            if stats.searched:
-                TELEMETRY.gauge("search.cache_hit_rate").set(
-                    stats.skipped / stats.searched
-                )
-            if result.elapsed_seconds > 0:
-                TELEMETRY.gauge("search.candidates_per_second").set(
-                    result.candidates_generated / result.elapsed_seconds
-                )
-        return result
-
-    def _run(self, initial_program: AlphaProgram) -> EvolutionResult:
-        config = self.config
-        self._start_time = time.perf_counter()
-        self.scorer.reset()
-        self._best_ever = None
-        self._trajectory = []
-
-        population: deque[Candidate] = deque()
-        parent_program = initial_program
-        parent = Candidate(
-            program=parent_program,
-            report=self.score(parent_program),
-            born_at=self.scorer.candidates_generated,
-        )
-        population.append(parent)
-        self._register(parent)
-
-        # ----- populate P0 by mutating the initial parent (Section 3 step 1)
-        while len(population) < config.population_size and not self._budget_exhausted():
-            child_program = self.mutator.mutate(parent_program)
-            child = Candidate(
-                program=child_program,
-                report=self.score(child_program),
-                born_at=self.scorer.candidates_generated,
-            )
-            population.append(child)
-            self._register(child)
-
-        # ----- main tournament loop (Section 3 steps 3-4)
-        while not self._budget_exhausted():
-            indices = self.rng.choice(
-                len(population),
-                size=min(config.tournament_size, len(population)),
-                replace=False,
-            )
-            tournament = [population[int(i)] for i in indices]
-            parent = max(tournament, key=lambda candidate: candidate.fitness)
-            child_program = self.mutator.mutate(parent.program)
-            child = Candidate(
-                program=child_program,
-                report=self.score(child_program),
-                born_at=self.scorer.candidates_generated,
-            )
-            population.append(child)
-            population.popleft()
-            self._register(child)
-
-        best_in_population = max(population, key=lambda candidate: candidate.fitness)
-        # The paper selects the best alpha of the final population; if every
-        # surviving member is invalid (tiny budgets), fall back to the best
-        # candidate seen over the whole run.
-        best = best_in_population
-        if best.fitness <= INVALID_FITNESS and self._best_ever is not None:
-            best = self._best_ever
-        return EvolutionResult(
-            best_program=best.program,
-            best_report=best.report,
-            best_in_population=best_in_population,
-            trajectory=self._trajectory,
-            cache_stats=self.cache.stats,
-            candidates_generated=self.scorer.candidates_generated,
-            elapsed_seconds=time.perf_counter() - self._start_time,
         )

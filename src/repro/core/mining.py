@@ -16,6 +16,7 @@ cutoffs and reports the paper's metrics for the evolved alpha.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,9 +31,9 @@ from ..config import (
 from ..data.dataset import TaskSet
 from ..errors import EvolutionError
 from .correlation import CorrelationFilter
-from .evolution import EvolutionConfig, EvolutionController, EvolutionResult
+from .evolution import EvolutionConfig, EvolutionResult
 from .interpreter import AlphaEvaluator
-from .mutation import MutationConfig, Mutator
+from .mutation import MutationConfig
 from .ops import Dimensions
 from .program import AlphaProgram
 from .pruning import prune_program
@@ -175,14 +176,17 @@ class MiningSession:
             Optional overrides of the session-level configuration (used by
             the pruning ablation of Table 6).
 
-        With ``num_islands`` or ``num_workers`` above one in the effective
-        configuration — or a session ``checkpoint_dir``, which requires the
-        checkpointable controller — the search runs on the island-model
-        controller of :mod:`repro.parallel` (fanning evaluation out to a
-        worker pool when ``num_workers > 1``).  With a ``checkpoint_dir``
+        The search runs on the island controller of :mod:`repro.parallel`
+        with ``num_islands`` populations; with ``num_workers > 1`` a worker
+        pool evaluates its candidates.  With a session ``checkpoint_dir``
         the search state is checkpointed to ``<dir>/<name>.ckpt`` and an
-        existing checkpoint of that name is resumed automatically.
+        existing checkpoint of that name is resumed automatically.  Neither
+        the pool nor the checkpoint changes the mined program.
         """
+        # Imported lazily: repro.parallel depends on repro.core submodules.
+        from ..parallel.islands import IslandEvolutionController
+        from ..parallel.pool import EvaluationPool
+
         config = evolution_config or self.evolution_config
         if use_pruning is not None:
             config = replace(config, use_pruning=use_pruning)
@@ -196,25 +200,37 @@ class MiningSession:
         mutation_seed = int(self.rng.integers(0, 2**31 - 1))
         controller_seed = int(self.rng.integers(0, 2**31 - 1))
         correlation_filter = self._correlation_filter(enforce_cutoff)
-        # The serial controller cannot checkpoint; a configured checkpoint
-        # directory therefore also selects the island controller (with a
-        # single island it runs plain regularised evolution).
-        if config.num_islands > 1 or config.num_workers > 1 \
-                or self.checkpoint_dir is not None:
-            evolution = self._run_island_search(
-                initial_program, name, config, evaluator,
-                correlation_filter, evaluator_seed, mutation_seed, controller_seed,
+        checkpoint_path = None
+        if self.checkpoint_dir is not None:
+            checkpoint_path = os.path.join(self.checkpoint_dir, f"{name}.ckpt")
+        pool = None
+        if config.num_workers > 1:
+            pool = EvaluationPool(
+                self.taskset,
+                num_workers=config.num_workers,
+                evaluator_seed=evaluator_seed,
+                max_train_steps=self.max_train_steps,
+                long_k=self.long_k,
+                short_k=self.short_k,
+                # The cutoff needs validation portfolio returns; without
+                # references the workers skip that backtest entirely.
+                compute_valid_returns=correlation_filter is not None,
+                engine=config.execution_engine,
             )
-        else:
-            controller = EvolutionController(
+        with pool if pool is not None else nullcontext():
+            evolution = IslandEvolutionController(
                 evaluator=evaluator,
-                mutator=Mutator(self.dims, config=self.mutation_config, seed=mutation_seed),
+                dims=self.dims,
                 config=config,
+                mutation_config=self.mutation_config,
                 correlation_filter=correlation_filter,
                 backtest_engine=self.engine,
                 seed=controller_seed,
-            )
-            evolution = controller.run(initial_program)
+                mutation_seed=mutation_seed,
+                pool=pool,
+                checkpoint_path=checkpoint_path,
+                checkpoint_interval=self.checkpoint_interval,
+            ).run(initial_program)
         evolved = evolution.best_program.copy(name=name)
         mined = self._assess(name, evolved, evaluator, evolution=evolution)
         mined.extras["searched_alphas"] = float(evolution.searched_alphas)
@@ -224,59 +240,6 @@ class MiningSession:
         mined.extras["num_islands"] = float(config.num_islands)
         mined.extras["num_workers"] = float(config.num_workers)
         return mined
-
-    def _run_island_search(
-        self,
-        initial_program: AlphaProgram,
-        name: str,
-        config: EvolutionConfig,
-        evaluator: AlphaEvaluator,
-        correlation_filter: CorrelationFilter | None,
-        evaluator_seed: int,
-        mutation_seed: int,
-        controller_seed: int,
-    ) -> EvolutionResult:
-        """Run one search on the parallel island controller."""
-        # Imported lazily: repro.parallel depends on repro.core submodules.
-        from ..parallel.islands import IslandConfig, IslandEvolutionController
-        from ..parallel.pool import EvaluationPool
-
-        checkpoint_path = None
-        if self.checkpoint_dir is not None:
-            checkpoint_path = os.path.join(self.checkpoint_dir, f"{name}.ckpt")
-        pool = None
-        try:
-            if config.num_workers > 1:
-                pool = EvaluationPool(
-                    self.taskset,
-                    num_workers=config.num_workers,
-                    evaluator_seed=evaluator_seed,
-                    max_train_steps=self.max_train_steps,
-                    long_k=self.long_k,
-                    short_k=self.short_k,
-                    # The cutoff needs validation portfolio returns; without
-                    # references the workers skip that backtest entirely.
-                    compute_valid_returns=correlation_filter is not None,
-                    engine=config.execution_engine,
-                )
-            controller = IslandEvolutionController(
-                evaluator=evaluator,
-                dims=self.dims,
-                config=config,
-                island_config=IslandConfig(num_islands=config.num_islands),
-                mutation_config=self.mutation_config,
-                correlation_filter=correlation_filter,
-                backtest_engine=self.engine,
-                seed=controller_seed,
-                mutation_seed=mutation_seed,
-                pool=pool,
-                checkpoint_path=checkpoint_path,
-                checkpoint_interval=self.checkpoint_interval,
-            )
-            return controller.run(initial_program)
-        finally:
-            if pool is not None:
-                pool.close()
 
     # ------------------------------------------------------------------
     def accept(self, alpha: MinedAlpha) -> None:

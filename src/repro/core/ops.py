@@ -23,6 +23,7 @@ scalars ``(K,)``, vectors ``(K, w)``, matrices ``(K, f, w)``.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -101,7 +102,10 @@ class ExecutionContext:
     from a shared stream — so that the values an operation produces do not
     depend on how many other stochastic operations ran before it.  This keeps
     pruning semantics-preserving (a pruned program predicts exactly what the
-    original predicted), which the fingerprint cache relies on.
+    original predicted), which the fingerprint cache relies on.  The
+    derivation is a SHA-256 digest, not the salted built-in ``hash()``, so
+    every process — pool workers under any start method included — draws
+    the same values.
     """
 
     num_tasks: int
@@ -114,11 +118,12 @@ class ExecutionContext:
 
     def init_rng(self, params: dict) -> np.random.Generator:
         """A deterministic RNG for an initialiser operator with ``params``."""
-        key = (self.base_seed,) + tuple(sorted(
+        key = (int(self.base_seed),) + tuple(sorted(
             (name, round(float(value), 9)) for name, value in params.items()
             if isinstance(value, (int, float))
         ))
-        return np.random.default_rng(abs(hash(key)) % (2**63))
+        digest = hashlib.sha256(repr(key).encode("utf-8")).digest()
+        return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
     def group_index(self, level: str) -> np.ndarray:
         """Dense group index per task for ``level`` in {'sector', 'industry'}."""

@@ -84,8 +84,9 @@ class ExperimentConfig:
     #: Parallel-search subsystem (:mod:`repro.parallel`): number of
     #: evaluation worker processes and of evolution islands per search, and
     #: an optional directory for search checkpoints (one file per search
-    #: name; an existing checkpoint is resumed automatically).  The defaults
-    #: select the serial controller, which every table was calibrated on.
+    #: name; an existing checkpoint is resumed automatically).  The mined
+    #: tables depend on ``num_islands`` (one island, the default, is plain
+    #: regularised evolution) but not on the worker count or the checkpoint.
     num_workers: int = 1
     num_islands: int = 1
     #: Island-controller scheduling strategy (``"barrier"`` / ``"overlap"``;

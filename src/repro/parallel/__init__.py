@@ -9,15 +9,18 @@ search rounds; this package reproduces that architecture on one machine:
 * :mod:`repro.parallel.pool`       — a process pool that evaluates
   signature-grouped candidate batches concurrently over the shared panel,
   restarting workers and requeueing lost batches after crashes;
-* :mod:`repro.parallel.islands`    — an island-model controller running
-  several regularised-evolution populations with ring migration, with an
-  optional overlap scheduler that hides migration behind worker dispatch;
+* :mod:`repro.parallel.islands`    — the search controller every mining
+  search runs on: one or more regularised-evolution populations with ring
+  migration, and an optional overlap scheduler that hides migration behind
+  worker dispatch;
 * :mod:`repro.parallel.checkpoint` — atomic checkpoint/resume of the full
   search state, so long runs survive restarts.
 
 The subsystem plugs into :class:`repro.core.mining.MiningSession` through
 ``EvolutionConfig(num_workers=..., num_islands=..., scheduler=...)`` and the
 CLI flags ``--workers`` / ``--islands`` / ``--scheduler`` / ``--checkpoint``.
+Only ``num_islands`` and ``scheduler`` shape a search; the worker count and
+the checkpoint never change what it mines.
 """
 
 from .checkpoint import (
@@ -27,12 +30,7 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .islands import (
-    Island,
-    IslandConfig,
-    IslandEvolutionController,
-    IslandEvolutionResult,
-)
+from .islands import Island, IslandEvolutionController
 from .pool import EvaluationPool, PendingEvaluations, PoolEvaluation, PoolSpec
 from .shm import (
     SEGMENT_PREFIX,
@@ -47,9 +45,7 @@ __all__ = [
     "CheckpointManager",
     "EvaluationPool",
     "Island",
-    "IslandConfig",
     "IslandEvolutionController",
-    "IslandEvolutionResult",
     "PendingEvaluations",
     "PoolEvaluation",
     "PoolSpec",

@@ -39,8 +39,10 @@ __all__ = [
     "CheckpointManager",
 ]
 
-#: Bumped whenever the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Bumped whenever the checkpoint layout or the meaning of its cached
+#: fitness reports changes incompatibly (version 2: initialiser draws no
+#: longer depend on the process's string-hash salt).
+CHECKPOINT_VERSION = 2
 
 
 @dataclass

@@ -1,29 +1,29 @@
-"""Island-model evolutionary search with periodic best-candidate migration.
+"""The search controller: regularised evolution on one or more islands.
 
-Instead of one aging population, the search runs ``M`` independent
-regularised-evolution populations ("islands"), each with its own tournament
-RNG and mutator stream.  Every main-loop step each island proposes one child
+Every :meth:`repro.core.mining.MiningSession.search` runs here.  The search
+evolves ``M`` regularised-evolution populations ("islands"), each with its
+own tournament RNG and mutator stream; ``M = 1`` is the paper's single
+aging population.  Every main-loop step each island proposes one child
 (tournament → mutate), and the ``M`` proposals are scored as one batch
 through the shared :class:`~repro.core.evolution.CandidateScorer` — which is
 what lets a :class:`~repro.parallel.pool.EvaluationPool` evaluate them
-concurrently.  Every ``migration_interval`` steps the islands exchange their
-best candidates along a ring (island ``i`` receives from island ``i-1``),
-replacing their worst members, so good genetic material spreads without
+concurrently.  Every :data:`MIGRATION_INTERVAL` steps each island offers its
+best candidate along a ring (island ``i`` receives from island ``i-1``),
+replacing the receiver's worst member, so good genetic material spreads without
 collapsing the scenario diversity that independent populations provide.
 
 The controller mirrors the paper's distributed search loop: a fleet of
 evaluation workers, several concurrent populations, and checkpoints so a
-60-hour round survives restarts (:mod:`repro.parallel.checkpoint`).  Budgets
-and results are expressed exactly as in the serial
-:class:`~repro.core.evolution.EvolutionController`, so the two controllers
-are drop-in interchangeable for :class:`~repro.core.mining.MiningSession`.
+60-hour round survives restarts (:mod:`repro.parallel.checkpoint`).  A
+search's result depends on its seeds and ``num_islands``, never on whether
+a pool evaluates it or a checkpoint records it.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,33 +42,15 @@ from ..core.interpreter import AlphaEvaluator
 from ..core.mutation import MutationConfig, Mutator
 from ..core.ops import Dimensions
 from ..core.program import AlphaProgram, ComponentLimits
-from ..errors import CheckpointError, EvolutionError
+from ..errors import CheckpointError
+from ..obs import TELEMETRY
 from .checkpoint import CHECKPOINT_VERSION, CheckpointManager, SearchCheckpoint
 from .pool import EvaluationPool
 
-__all__ = ["IslandConfig", "Island", "IslandEvolutionResult", "IslandEvolutionController"]
+__all__ = ["MIGRATION_INTERVAL", "Island", "IslandEvolutionController"]
 
-
-@dataclass(frozen=True)
-class IslandConfig:
-    """Topology parameters of the island model.
-
-    ``migration_interval`` counts main-loop steps (one step = one child per
-    island); ``migration_size`` is how many of the donor island's best
-    candidates are offered to its ring neighbour at each migration.
-    """
-
-    num_islands: int = 4
-    migration_interval: int = 25
-    migration_size: int = 1
-
-    def __post_init__(self) -> None:
-        if self.num_islands < 1:
-            raise EvolutionError("num_islands must be at least 1")
-        if self.migration_interval < 1:
-            raise EvolutionError("migration_interval must be at least 1")
-        if self.migration_size < 1:
-            raise EvolutionError("migration_size must be at least 1")
+#: Main-loop steps (one child per island) between two ring migrations.
+MIGRATION_INTERVAL = 25
 
 
 @dataclass
@@ -86,17 +68,9 @@ class Island:
         return max(self.population, key=lambda candidate: candidate.fitness)
 
 
-@dataclass
-class IslandEvolutionResult(EvolutionResult):
-    """An :class:`EvolutionResult` plus island-level diagnostics."""
-
-    num_islands: int = 1
-    migrations: int = 0
-    island_best_fitness: list[float] = field(default_factory=list)
-
-
 class IslandEvolutionController:
-    """Runs ``M`` regularised-evolution islands over one shared scorer.
+    """The search controller: ``M`` regularised-evolution islands over one
+    shared scorer (``M = 1`` is plain regularised evolution).
 
     Parameters
     ----------
@@ -108,11 +82,10 @@ class IslandEvolutionController:
     config:
         The usual evolutionary hyper-parameters; ``population_size`` and the
         tournament apply per island, the budget is global across islands.
-        ``config.scheduler`` picks the main-loop strategy: ``"barrier"``
-        (score → migrate strictly in turn) or ``"overlap"`` (migration runs
-        while the pool evaluates; see :meth:`_main_phase_overlap`).
-    island_config:
-        Topology; defaults to ``IslandConfig(num_islands=config.num_islands)``.
+        ``num_islands`` sets the topology.  ``config.scheduler`` picks the main-loop strategy:
+        ``"barrier"`` (score → migrate strictly in turn) or ``"overlap"``
+        (migration runs while the pool evaluates; see
+        :meth:`_main_phase_overlap`).
     seed / mutation_seed:
         ``seed`` drives the per-island tournament RNGs, ``mutation_seed``
         (defaulting to the same stream) the per-island mutators.
@@ -131,7 +104,6 @@ class IslandEvolutionController:
         evaluator: AlphaEvaluator,
         dims: Dimensions,
         config: EvolutionConfig | None = None,
-        island_config: IslandConfig | None = None,
         mutation_config: MutationConfig | None = None,
         address_space: AddressSpace = DEFAULT_ADDRESS_SPACE,
         limits: ComponentLimits | None = None,
@@ -147,9 +119,6 @@ class IslandEvolutionController:
         self.dims = dims
         self.config = config or EvolutionConfig()
         self.scheduler = self.config.scheduler
-        self.island_config = island_config or IslandConfig(
-            num_islands=self.config.num_islands
-        )
         self.mutation_config = mutation_config or MutationConfig()
         self.address_space = address_space
         self.limits = limits
@@ -189,7 +158,7 @@ class IslandEvolutionController:
     # ------------------------------------------------------------------
     def run(
         self, initial_program: AlphaProgram, resume: bool | None = None
-    ) -> IslandEvolutionResult:
+    ) -> EvolutionResult:
         """Evolve ``initial_program`` on all islands until the budget runs out.
 
         ``resume=None`` (the default) resumes automatically when a
@@ -197,8 +166,29 @@ class IslandEvolutionController:
         requires one; ``resume=False`` always starts fresh.  A resumed run
         continues bit-for-bit where the checkpointed one stopped, so a
         killed search finishes with the same best program as an
-        uninterrupted run under the same seed and worker count.
+        uninterrupted run under the same seed.
+
+        ``run`` is reusable: a fresh start resets the fingerprint cache and
+        candidate counter, so back-to-back runs never reuse stale cached
+        fitness reports (the seed streams advance across calls, as
+        independent restarts should).
         """
+        with TELEMETRY.span("search.run"):
+            result = self._run(initial_program, resume)
+        if TELEMETRY.enabled:
+            stats = result.cache_stats
+            if stats.searched:
+                TELEMETRY.gauge("search.cache_hit_rate").set(
+                    stats.skipped / stats.searched
+                )
+            if result.elapsed_seconds > 0:
+                TELEMETRY.gauge("search.candidates_per_second").set(
+                    result.candidates_generated / result.elapsed_seconds
+                )
+        return result
+
+    def _run(self, initial_program: AlphaProgram,
+             resume: bool | None) -> EvolutionResult:
         if resume is None:
             resume = self.checkpoint is not None and self.checkpoint.exists()
         self._start_time = time.perf_counter()
@@ -227,7 +217,7 @@ class IslandEvolutionController:
         self._best_ever = None
         self._trajectory = []
         self._elapsed_offset = 0.0
-        num_islands = self.island_config.num_islands
+        num_islands = self.config.num_islands
         mutator_seeds = self._mutation_rng.integers(0, 2**63 - 1, size=num_islands)
         rng_seeds = self.rng.integers(0, 2**63 - 1, size=num_islands)
         self.islands = [
@@ -245,8 +235,7 @@ class IslandEvolutionController:
             )
             for index in range(num_islands)
         ]
-        # The initial parent is scored once and shared by every island, just
-        # as the serial controller scores it once.
+        # The initial parent is scored once and shared by every island.
         root = Candidate(
             program=initial_program,
             report=self.scorer.score(initial_program),
@@ -261,9 +250,7 @@ class IslandEvolutionController:
             "population_size": self.config.population_size,
             "tournament_size": self.config.tournament_size,
             "use_pruning": self.config.use_pruning,
-            "num_islands": self.island_config.num_islands,
-            "migration_interval": self.island_config.migration_interval,
-            "migration_size": self.island_config.migration_size,
+            "num_islands": self.config.num_islands,
             # The overlap scheduler applies migrations one step later, so
             # two schedulers walk different search paths from the first
             # migration on; resuming across them would silently diverge.
@@ -444,8 +431,7 @@ class IslandEvolutionController:
             reports = self.scorer.score_batch(proposals)
             self._insert(active, proposals, reports)
             self._step += 1
-            if len(self.islands) > 1 and \
-                    self._step % self.island_config.migration_interval == 0:
+            if len(self.islands) > 1 and self._step % MIGRATION_INTERVAL == 0:
                 self._migrate()
             self._maybe_checkpoint()
 
@@ -472,7 +458,7 @@ class IslandEvolutionController:
         out is dropped, as harmless as the one due on the very last barrier
         step.
         """
-        interval = self.island_config.migration_interval
+        interval = MIGRATION_INTERVAL
         pending = self._migrations < self._step // interval
         while not self._budget_exhausted():
             active = self._active_islands()
@@ -491,44 +477,34 @@ class IslandEvolutionController:
     def _migrate(self) -> None:
         """Ring migration: island ``i`` receives island ``i-1``'s best.
 
-        A migrant replaces the receiving island's worst member, and only if
-        it is fitter and not already present, so population sizes are
+        The migrant replaces the receiving island's worst member, and only
+        if it is fitter and not already present, so population sizes are
         invariant and clones do not pile up.
         """
-        size = self.island_config.migration_size
-        offers = []
-        for island in self.islands:
-            ranked = sorted(
-                island.population,
-                key=lambda candidate: candidate.fitness,
-                reverse=True,
-            )
-            offers.append(ranked[:size])
+        offers = [island.best for island in self.islands]
         for index, island in enumerate(self.islands):
-            migrants = offers[(index - 1) % len(self.islands)]
-            members = list(island.population)
-            for migrant in migrants:
-                if any(member.program == migrant.program for member in members):
-                    continue
-                worst = min(
-                    range(len(members)), key=lambda j: members[j].fitness
-                )
-                if migrant.fitness <= members[worst].fitness:
-                    continue
-                members[worst] = migrant
-            island.population = deque(members)
+            migrant = offers[index - 1]
+            population = island.population
+            if any(member.program == migrant.program for member in population):
+                continue
+            worst = min(range(len(population)), key=lambda j: population[j].fitness)
+            if migrant.fitness > population[worst].fitness:
+                population[worst] = migrant
         self._migrations += 1
 
     # ------------------------------------------------------------------
-    def _result(self) -> IslandEvolutionResult:
+    def _result(self) -> EvolutionResult:
         candidates = [
             candidate for island in self.islands for candidate in island.population
         ]
         best_in_population = max(candidates, key=lambda candidate: candidate.fitness)
+        # The paper selects the best alpha of the final population; if every
+        # surviving member is invalid (tiny budgets), fall back to the best
+        # candidate seen over the whole run.
         best = best_in_population
         if best.fitness <= INVALID_FITNESS and self._best_ever is not None:
             best = self._best_ever
-        return IslandEvolutionResult(
+        return EvolutionResult(
             best_program=best.program,
             best_report=best.report,
             best_in_population=best_in_population,

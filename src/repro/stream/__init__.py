@@ -7,7 +7,7 @@ history, the incremental-evaluation-under-updates shape of serving systems.
 The day-at-a-time unit underneath is the engine layer's
 :class:`~repro.engine.incremental.IncrementalExecutor`, which advances the
 lanes of one compiled tape one day per ``step`` and persists their rolling
-state as per-lane :class:`~repro.compile.executor.TapeState`\ s.
+state as one :class:`~repro.compile.executor.TapeState` per lane.
 
 * :mod:`repro.stream.server`      — :class:`AlphaServer` registers the
   top-K mined programs and evaluates each new day's bar across all of them

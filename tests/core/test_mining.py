@@ -1,5 +1,11 @@
 """Tests for the multi-round weakly-correlated mining session."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +13,33 @@ from repro.core import (
     EvolutionConfig,
     MiningSession,
     domain_expert_alpha,
+    get_initialization,
     prune_program,
 )
 from repro.errors import EvolutionError
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: One NN-initialised search; prints the mined program and its fitness bits.
+NN_SEARCH_SCRIPT = textwrap.dedent("""
+    from repro.core import Dimensions, EvolutionConfig, MiningSession, get_initialization
+    from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset
+
+    market = SyntheticMarket(MarketConfig(num_stocks=16, num_days=130), seed=5)
+    taskset = build_taskset(market.generate(),
+                            split=Split(train=50, valid=15, test=15))
+    dims = Dimensions(taskset.num_features, taskset.window)
+    session = MiningSession(
+        taskset,
+        evolution_config=EvolutionConfig(population_size=6, tournament_size=3,
+                                         max_candidates=30),
+        long_k=4, short_k=4, max_train_steps=10, seed=3,
+    )
+    mined = session.search(get_initialization("NN", dims), name="alpha_AE_NN_0",
+                           enforce_cutoff=False)
+    print(mined.program.to_json(indent=None))
+    print(mined.evolution.best_report.fitness.hex())
+""")
 
 
 @pytest.fixture()
@@ -100,8 +130,8 @@ class TestSearch:
         )
         mined = session.search(domain_expert_alpha(dims), name="alpha_AE_D_0_N",
                                enforce_cutoff=False, use_pruning=False)
-        # Were num_islands dropped by the rebuild, the serial controller
-        # would run and report num_islands == 1.
+        # Were num_islands dropped by the rebuild, the search would run one
+        # island and report num_islands == 1.
         assert mined.extras["num_islands"] == 2
         assert mined.extras["searched_alphas"] == 40
         assert mined.extras["evaluated_alphas"] == mined.extras["searched_alphas"]
@@ -144,3 +174,48 @@ class TestSearch:
                                 enforce_cutoff=True)
         assert first.extras["num_islands"] == 3
         assert not np.isnan(second.correlation_with_accepted)
+
+
+class TestProcessIndependence:
+    """What a search mines depends on its seeds and islands only."""
+
+    def test_same_result_under_any_hash_seed(self):
+        """The NN initialisation's draws must not follow the string-hash
+        salt, which differs between processes."""
+        outputs = []
+        for hash_seed in ("1", "2"):
+            child = subprocess.run(
+                [sys.executable, "-c", NN_SEARCH_SCRIPT],
+                capture_output=True, text=True, timeout=120, cwd=REPO_ROOT,
+                env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                         PYTHONHASHSEED=hash_seed),
+            )
+            assert child.returncode == 0, child.stderr
+            outputs.append(child.stdout)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("num_workers, checkpoint",
+                             [(1, True), (2, False)], ids=["checkpoint", "pool"])
+    def test_checkpoint_and_pool_do_not_change_the_mined_program(
+        self, small_taskset, dims, tmp_path, num_workers, checkpoint
+    ):
+        def mine(num_workers=1, checkpoint_dir=None):
+            session = MiningSession(
+                small_taskset,
+                evolution_config=EvolutionConfig(
+                    population_size=8, tournament_size=3, max_candidates=40,
+                    num_workers=num_workers,
+                ),
+                long_k=5, short_k=5, max_train_steps=20, seed=11,
+                checkpoint_dir=checkpoint_dir,
+            )
+            return session.search(get_initialization("NN", dims),
+                                  name="alpha_AE_NN_0", enforce_cutoff=False)
+
+        plain = mine()
+        varied = mine(num_workers,
+                      checkpoint_dir=str(tmp_path) if checkpoint else None)
+        assert varied.program == plain.program
+        assert varied.evolution.best_report.fitness.hex() == \
+            plain.evolution.best_report.fitness.hex()
+        assert varied.evolution.cache_stats == plain.evolution.cache_stats

@@ -7,6 +7,7 @@ import logging
 
 import pytest
 
+from repro.core import EvolutionConfig, MiningSession, domain_expert_alpha
 from repro.obs import (
     TELEMETRY,
     Tracer,
@@ -131,6 +132,42 @@ class TestTelemetrySession:
 
     def test_get_telemetry_returns_the_singleton(self):
         assert get_telemetry() is TELEMETRY
+
+
+def span_names(nodes: list[dict]) -> list[str]:
+    """Every span name in a :meth:`Tracer.tree`, depth first."""
+    names = []
+    for node in nodes:
+        names.append(node["name"])
+        names += span_names(node.get("children", []))
+    return names
+
+
+class TestSearchSpans:
+    """Every search records one ``search.run`` span, whatever runs it."""
+
+    @pytest.mark.parametrize(
+        "num_islands, num_workers, checkpoint",
+        [(1, 1, False), (2, 2, False), (1, 1, True)],
+        ids=["one-island", "pooled", "checkpoint"],
+    )
+    def test_one_span_per_search(self, small_taskset, dims, tmp_path,
+                                 num_islands, num_workers, checkpoint):
+        session = MiningSession(
+            small_taskset,
+            evolution_config=EvolutionConfig(
+                population_size=6, tournament_size=3, max_candidates=20,
+                num_islands=num_islands, num_workers=num_workers,
+            ),
+            long_k=5, short_k=5, max_train_steps=10, seed=3,
+            checkpoint_dir=str(tmp_path) if checkpoint else None,
+        )
+        with telemetry_session():
+            session.search(domain_expert_alpha(dims), name="alpha_AE_D_0",
+                           enforce_cutoff=False)
+        names = span_names(TELEMETRY.tracer.tree())
+        assert names.count("search.run") == 1
+        assert "search.cache_hit_rate" in TELEMETRY.snapshot()
 
 
 class TestLogEvent:

@@ -11,12 +11,18 @@ from repro.errors import CheckpointError
 from repro.parallel import (
     CHECKPOINT_VERSION,
     CheckpointManager,
-    IslandConfig,
     IslandEvolutionController,
     SearchCheckpoint,
+    islands,
     load_checkpoint,
     save_checkpoint,
 )
+
+
+@pytest.fixture(autouse=True)
+def short_migration_interval(monkeypatch):
+    """Migrate every 5 steps, so resumed state includes migrations."""
+    monkeypatch.setattr(islands, "MIGRATION_INTERVAL", 5)
 
 
 def make_controller(taskset, dims, *, max_candidates=60, population_size=8,
@@ -32,8 +38,8 @@ def make_controller(taskset, dims, *, max_candidates=60, population_size=8,
             population_size=population_size,
             tournament_size=3,
             max_candidates=max_candidates,
+            num_islands=num_islands,
         ),
-        island_config=IslandConfig(num_islands=num_islands, migration_interval=5),
         seed=seed,
         mutation_seed=seed + 1,
         checkpoint_path=checkpoint_path,
@@ -79,9 +85,13 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
-    def test_load_rejects_version_mismatch(self, tmp_path):
+    # Version 1 cached fitness scores drawn with the hash-salted
+    # initialiser RNG; mixing them into a version-2 search would diverge.
+    @pytest.mark.parametrize("version", [1, CHECKPOINT_VERSION + 1],
+                             ids=["v1", "future"])
+    def test_load_rejects_version_mismatch(self, tmp_path, version):
         checkpoint = SearchCheckpoint(
-            version=CHECKPOINT_VERSION + 1,
+            version=version,
             candidates_generated=0, step=0, migrations=0, elapsed_seconds=0.0,
             cache=None, islands=[], best_ever=None, trajectory=[],
             initial_key="key",

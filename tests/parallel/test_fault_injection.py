@@ -17,8 +17,8 @@ from repro.errors import ParallelError
 from repro.parallel import (
     CheckpointManager,
     EvaluationPool,
-    IslandConfig,
     IslandEvolutionController,
+    islands,
     shared_segment_names,
 )
 from test_shared_memory import _fuzz_batch, assert_reports_equal
@@ -90,8 +90,8 @@ def make_pooled_controller(taskset, dims, pool, *, checkpoint_path=None,
             tournament_size=3,
             max_candidates=max_candidates,
             scheduler=scheduler,
+            num_islands=2,
         ),
-        island_config=IslandConfig(num_islands=2, migration_interval=4),
         seed=seed,
         mutation_seed=seed + 1,
         pool=pool,
@@ -106,6 +106,11 @@ def pool_for(taskset):
 
 
 class TestKillAndResumeWithFaults:
+    @pytest.fixture(autouse=True)
+    def short_migration_interval(self, monkeypatch):
+        """Migrate every 4 steps, so the overlap scheduler migrates."""
+        monkeypatch.setattr(islands, "MIGRATION_INTERVAL", 4)
+
     def test_killed_pooled_search_resumes_bitwise_identical(
         self, small_taskset, dims, tmp_path, monkeypatch
     ):

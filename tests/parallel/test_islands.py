@@ -9,18 +9,21 @@ from repro.core import (
     AlphaEvaluator,
     Candidate,
     EvolutionConfig,
-    EvolutionController,
     FitnessReport,
     Mutator,
     domain_expert_alpha,
 )
-from repro.errors import EvolutionError
-from repro.parallel import EvaluationPool, Island, IslandConfig, IslandEvolutionController
+from repro.parallel import EvaluationPool, Island, IslandEvolutionController, islands
+
+
+@pytest.fixture(autouse=True)
+def short_migration_interval(monkeypatch):
+    """Migrate every 5 steps, so these short searches migrate at all."""
+    monkeypatch.setattr(islands, "MIGRATION_INTERVAL", 5)
 
 
 def make_controller(taskset, dims, *, max_candidates=60, num_islands=3,
-                    population_size=8, migration_interval=5, pool=None,
-                    seed=5, **kwargs):
+                    population_size=8, pool=None, seed=5, **kwargs):
     evaluator = AlphaEvaluator(taskset, seed=0, max_train_steps=20)
     return IslandEvolutionController(
         evaluator=evaluator,
@@ -29,9 +32,7 @@ def make_controller(taskset, dims, *, max_candidates=60, num_islands=3,
             population_size=population_size,
             tournament_size=3,
             max_candidates=max_candidates,
-        ),
-        island_config=IslandConfig(
-            num_islands=num_islands, migration_interval=migration_interval
+            num_islands=num_islands,
         ),
         seed=seed,
         mutation_seed=seed + 1,
@@ -47,16 +48,6 @@ def fake_candidate(program, fitness):
     return Candidate(program=program, report=report, born_at=0)
 
 
-class TestIslandConfig:
-    def test_validation(self):
-        with pytest.raises(EvolutionError):
-            IslandConfig(num_islands=0)
-        with pytest.raises(EvolutionError):
-            IslandConfig(migration_interval=0)
-        with pytest.raises(EvolutionError):
-            IslandConfig(migration_size=0)
-
-
 class TestIslandEvolution:
     def test_respects_candidate_budget_exactly(self, small_taskset, dims):
         controller = make_controller(small_taskset, dims, max_candidates=50)
@@ -65,9 +56,9 @@ class TestIslandEvolution:
         assert result.searched_alphas == 50
         assert result.num_islands == 3
 
-    def test_population_sizes_invariant(self, small_taskset, dims):
-        controller = make_controller(small_taskset, dims, max_candidates=60,
-                                     migration_interval=2)
+    def test_population_sizes_invariant(self, small_taskset, dims, monkeypatch):
+        monkeypatch.setattr(islands, "MIGRATION_INTERVAL", 2)
+        controller = make_controller(small_taskset, dims, max_candidates=60)
         result = controller.run(domain_expert_alpha(dims))
         assert result.migrations > 0
         for island in controller.islands:
@@ -108,9 +99,11 @@ class TestIslandEvolution:
         assert first.candidates_generated == second.candidates_generated == 30
         assert second.cache_stats.searched == 30
 
-    def test_single_island_needs_no_migration(self, small_taskset, dims):
+    def test_single_island_needs_no_migration(self, small_taskset, dims,
+                                              monkeypatch):
+        monkeypatch.setattr(islands, "MIGRATION_INTERVAL", 1)
         controller = make_controller(small_taskset, dims, num_islands=1,
-                                     max_candidates=30, migration_interval=1)
+                                     max_candidates=30)
         result = controller.run(domain_expert_alpha(dims))
         assert result.migrations == 0
         assert result.num_islands == 1
@@ -181,22 +174,3 @@ class TestMigration:
         controller._migrate()
         for index, island in enumerate(controller.islands):
             assert [c.program for c in island.population] == before[index]
-
-
-class TestSerialBaselineComparison:
-    def test_matches_serial_controller_shape(self, small_taskset, dims):
-        """Island results expose the exact EvolutionResult interface."""
-        island = make_controller(small_taskset, dims, max_candidates=30)
-        serial = EvolutionController(
-            evaluator=AlphaEvaluator(small_taskset, seed=0, max_train_steps=20),
-            mutator=Mutator(dims, seed=3),
-            config=EvolutionConfig(population_size=8, tournament_size=3,
-                                   max_candidates=30),
-            seed=3,
-        )
-        island_result = island.run(domain_expert_alpha(dims))
-        serial_result = serial.run(domain_expert_alpha(dims))
-        for attribute in ("best_program", "best_report", "trajectory",
-                          "cache_stats", "candidates_generated", "searched_alphas"):
-            assert hasattr(island_result, attribute)
-            assert hasattr(serial_result, attribute)

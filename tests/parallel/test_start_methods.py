@@ -1,5 +1,5 @@
-"""The shared panel's lifecycle under the ``spawn`` and ``forkserver`` start
-methods.
+"""A pool under the ``fork``, ``spawn`` and ``forkserver`` start methods: the
+shared panel's lifecycle and bitwise parity with serial scoring.
 
 On POSIX, CPython hands ``spawn`` and ``forkserver`` children the parent's
 ``resource_tracker`` (``multiprocessing/popen_spawn_posix.py``,
@@ -8,12 +8,17 @@ register the panel segment with one tracker, whose registry is a set.  A
 worker that withdrew its attach-side registration withdrew the publisher's:
 the tracker then printed ``KeyError: '/repro-panel-…'`` when the publisher
 unlinked the segment, and nothing was left to unlink the segment of a
-killed publisher.  Each test runs a pool in a fresh interpreter, because
-the tracker reports on the stderr of the process tree that started it.
+killed publisher.  Each start method runs one pool in a fresh interpreter,
+because the tracker reports on the stderr of the process tree that started
+it.
 
-Only the segment's lifecycle is checked here, not the evaluations.
+``spawn`` and ``forkserver`` workers also start with their own string-hash
+salt, so an NN-family batch, whose initialiser draws are seeded per
+operation, scores bitwise equal to serial only if those seeds do not depend
+on the process.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,11 +31,13 @@ from repro.parallel import shared_segment_names
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Publishes a panel, evaluates one batch on a 1-worker pool started with
-#: ``argv[1]``, prints the segment name and closes the pool.
+#: Publishes a panel, scores an NN-family batch on a 1-worker pool started
+#: with ``argv[1]`` and serially, closes the pool, and prints one JSON line:
+#: the segment name and the fitness bits of both scorings.
 SCRIPT = textwrap.dedent("""
+    import json
     import sys
-    from repro.core import Dimensions, get_initialization
+    from repro.core import AlphaEvaluator, Dimensions, Mutator, get_initialization
     from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset
     from repro.parallel import EvaluationPool
 
@@ -38,25 +45,51 @@ SCRIPT = textwrap.dedent("""
     taskset = build_taskset(market.generate(),
                             split=Split(train=30, valid=10, test=10))
     dims = Dimensions(taskset.num_features, taskset.window)
-    pool = EvaluationPool(taskset, num_workers=1, max_train_steps=5,
-                          start_method=sys.argv[1])
-    pool.evaluate([get_initialization("D", dims, seed=1)])
-    print(pool.spec.panel.name, flush=True)
+    mutator = Mutator(dims, seed=2)
+    batch = [get_initialization("NN", dims)]
+    while len(batch) < 4:
+        batch.append(mutator.mutate(batch[-1]))
+    pool = EvaluationPool(taskset, num_workers=1, evaluator_seed=0,
+                          max_train_steps=5, start_method=sys.argv[1])
+    pooled = pool.evaluate(batch)
+    name = pool.spec.panel.name
     pool.close()
+    serial = AlphaEvaluator(taskset, seed=0, max_train_steps=5)
+    expected = [serial.evaluate(program).report for program in batch]
+
+    def bits(report):
+        return [report.fitness.hex(), report.daily_ic_valid.tobytes().hex()]
+
+    print(json.dumps({"segment": name,
+                      "pooled": [bits(report) for report in pooled],
+                      "serial": [bits(report) for report in expected]}))
 """)
 
 
-@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
-def test_pool_segment_is_unlinked_once(start_method):
+@pytest.fixture(scope="module", params=["fork", "spawn", "forkserver"])
+def child(request):
+    """One run of :data:`SCRIPT` per start method."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    # Workers must not share a pinned salt with the parent: parity has to
+    # hold when every process hashes strings differently.
+    env.pop("PYTHONHASHSEED", None)
+    return subprocess.run(
+        [sys.executable, "-c", SCRIPT, request.param],
+        capture_output=True, text=True, timeout=120, cwd=REPO_ROOT, env=env,
+    )
+
+
+def test_pool_segment_is_unlinked_once(child):
     """The publisher's close unlinks the segment, and its tracker still
     holds the registration to withdraw: no ``KeyError`` on stderr."""
-    child = subprocess.run(
-        [sys.executable, "-c", SCRIPT, start_method],
-        capture_output=True, text=True, timeout=120, cwd=REPO_ROOT,
-        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
-    )
     assert child.returncode == 0, child.stderr
-    name = child.stdout.strip()
+    name = json.loads(child.stdout)["segment"]
     assert name.startswith("repro-panel-")
     assert "KeyError" not in child.stderr, child.stderr
     assert name not in shared_segment_names()
+
+
+def test_pool_scores_nn_batch_bitwise_equal_to_serial(child):
+    assert child.returncode == 0, child.stderr
+    scored = json.loads(child.stdout)
+    assert scored["pooled"] == scored["serial"]
