@@ -17,10 +17,8 @@ gate** across four paths:
   loop of building and running a fresh evaluator per program;
 * **cross-program mega-batching** — a fleet-size scaling curve over mining
   generation snapshots (:func:`common.build_generation`): at each fleet
-  size P the per-program loop, the stacked fleet (signature groups
-  executing as one ``(P, ...)`` tape) and the stacked fleet with
-  **program-axis chunking** (matrix-heavy kernels split into
-  cache-resident P-chunks) are timed; the largest point is the
+  size P the per-program loop and the stacked fleet (signature groups
+  executing as one ``(P, ...)`` tape) are timed; the largest point is the
   ``programs_per_second_stacked`` headline and must clear a >= 3x stacked
   speedup at >= 100 unique programs post-dedup;
 * **static-predict time batching** — for programs whose whole ``Predict()``
@@ -145,16 +143,13 @@ def bench_fleet(taskset, programs, repeats: int = 3) -> dict:
 
 
 def bench_stacked_scaling(taskset, sizes=(8, 32, 128, 200),
-                          repeats: int = 2, program_chunk: int = 32) -> dict:
+                          repeats: int = 2) -> dict:
     """Fleet-size scaling of the stacked executor over generation snapshots.
 
-    At each size P a fresh mining-generation fleet is built and three paths
-    are timed end to end: the per-program loop (fresh evaluator per member),
-    the ``FleetEngine`` (signature groups executing as ``(P, ...)`` tapes)
-    and the fleet with an explicit ``program_chunk`` — the
-    program axis of matrix-heavy kernels split into cache-resident chunks
-    (before/after for the chunking knob; bitwise-identical output).  The
-    largest point is the headline.
+    At each size P a fresh mining-generation fleet is built and two paths
+    are timed end to end: the per-program loop (fresh evaluator per member)
+    and the ``FleetEngine`` (signature groups executing as ``(P, ...)``
+    tapes).  The largest point is the headline.
     """
     dims = Dimensions(taskset.num_features, taskset.window)
     curve = []
@@ -168,39 +163,23 @@ def bench_stacked_scaling(taskset, sizes=(8, 32, 128, 200),
                 make_evaluator(taskset).evaluate(program)
             loop_best = min(loop_best, time.perf_counter() - start)
 
-        timings = {}
-        unique = stack_groups = 0
-        # Chunk 0 disables program-axis chunking, so the second run is the
-        # explicit before/after of the knob.
-        for chunk in (0, program_chunk):
-            best = float("inf")
-            for _ in range(repeats):
-                fleet = FleetEngine(make_evaluator(taskset),
-                                    program_chunk=chunk)
-                for program in programs:
-                    fleet.add(program)
-                start = time.perf_counter()
-                fleet.evaluate()
-                best = min(best, time.perf_counter() - start)
-            timings[chunk] = best
-            if not chunk:
-                unique = fleet.num_unique
-                stack_groups = fleet.stack_groups
-        unchunked = timings[0]
-        chunked = timings[program_chunk]
+        stacked_best = float("inf")
+        for _ in range(repeats):
+            fleet = FleetEngine(make_evaluator(taskset))
+            for program in programs:
+                fleet.add(program)
+            start = time.perf_counter()
+            fleet.evaluate()
+            stacked_best = min(stacked_best, time.perf_counter() - start)
         curve.append({
             "num_programs": size,
-            "unique_programs": unique,
-            "stack_groups": stack_groups,
-            "program_chunk": program_chunk,
+            "unique_programs": fleet.num_unique,
+            "stack_groups": fleet.stack_groups,
             "per_program_loop_seconds": round(loop_best, 4),
-            "stacked_fleet_seconds": round(unchunked, 4),
-            "stacked_chunked_seconds": round(chunked, 4),
+            "stacked_fleet_seconds": round(stacked_best, 4),
             "programs_per_second_loop": round(size / loop_best, 2),
-            "programs_per_second_stacked": round(size / unchunked, 2),
-            "programs_per_second_stacked_chunked": round(size / chunked, 2),
-            "stacked_speedup_vs_loop": round(loop_best / unchunked, 2),
-            "chunked_speedup_vs_stacked": round(unchunked / chunked, 2),
+            "programs_per_second_stacked": round(size / stacked_best, 2),
+            "stacked_speedup_vs_loop": round(loop_best / stacked_best, 2),
         })
     headline = curve[-1]
     return {

@@ -412,7 +412,7 @@ def run_serve_command(argv: list[str]) -> int:
     from contextlib import nullcontext
 
     from .core import AlphaProgram
-    from .errors import StreamError
+    from .errors import ProgramError, StreamError
     from .experiments.recorder import ExperimentResult
     from .obs import save_run_record, telemetry_session
     from .stream import run_serve
@@ -428,7 +428,11 @@ def run_serve_command(argv: list[str]) -> int:
             if not path.exists():
                 print(f"error: no such program file: {path}", file=sys.stderr)
                 return 2
-            programs.append(AlphaProgram.from_json(path.read_text()))
+            try:
+                programs.append(AlphaProgram.from_json(path.read_text()))
+            except ProgramError as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                return 2
         # Saved artifacts from separate runs often embed the same program
         # name; serving names must be unique, so repeats get a suffix.
         names, seen = [], {}

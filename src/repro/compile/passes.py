@@ -3,12 +3,15 @@
 Four classic passes, specialised to the alpha language:
 
 * **constant folding** — scalar operations whose inputs are all known
-  constants are folded into ``s_const``.  Only operators whose elementwise
-  result is exactly reproducible from a scalar computation (IEEE basic
+  constants are folded into ``s_const``.  Only operators whose registry
+  entry declares it (:attr:`~repro.core.ops.OpSpec.fold`: IEEE basic
   arithmetic, min/max, abs/sign/heaviside and the protected divide) are
-  folded, so a folded program is numerically indistinguishable from the
-  original; transcendentals are deliberately excluded because their
-  vectorised and scalar code paths are not guaranteed to round identically.
+  folded, by calling the registry operator itself — sanitize included — on
+  one-element arrays of the constants.  Their elementwise result does not
+  depend on the array length, so a folded program is numerically
+  indistinguishable from the original; transcendentals are deliberately
+  excluded because their code paths are not guaranteed to round
+  identically at every length.
 * **commutative canonicalisation** — the operands of commutative operators
   are sorted by a structural value key, so ``add(s2, s3)`` and
   ``add(s3, s2)`` become the same instruction.  Execution never uses the
@@ -85,57 +88,32 @@ class DataflowInfo:
 # Constant folding
 # ---------------------------------------------------------------------------
 
-_EPS = 1e-9
-
-
-def _sanitize_scalar(value: np.float64) -> float:
-    """The scalar view of :func:`repro.core.ops.sanitize` (bit-identical)."""
-    return float(sanitize(np.float64(value)))
-
-
-def _fold_divide(a: np.float64, b: np.float64) -> np.float64:
-    return a / (np.float64(1.0) if np.abs(b) < _EPS else b)
-
-
-#: Scalar operators whose elementwise result is bit-for-bit reproducible
-#: from a scalar computation (see the module docstring).
-_FOLDABLE = {
-    "s_add": lambda a, b: a + b,
-    "s_sub": lambda a, b: a - b,
-    "s_mul": lambda a, b: a * b,
-    "s_div": _fold_divide,
-    "s_min": lambda a, b: np.minimum(a, b),
-    "s_max": lambda a, b: np.maximum(a, b),
-    "s_abs": lambda a: np.abs(a),
-    "s_sign": lambda a: np.sign(a),
-    "s_heaviside": lambda a: np.heaviside(a, 1.0),
-}
-
-
 def fold_constants(ir: IRProgram) -> tuple[IRProgram, PassStats]:
     """Fold scalar-constant chains into ``s_const`` instructions."""
     ir = ir.copy()
     folded = 0
-    constants: dict[int, np.float64] = {}
+    #: SSA value → its sanitized constant, as a one-element array.
+    constants: dict[int, np.ndarray] = {}
     for name in COMPONENTS:
         component = ir.components[name]
         for index, instr in enumerate(component.instructions):
             if instr.op == "s_const":
-                constants[instr.result] = np.float64(
-                    _sanitize_scalar(np.float64(instr.param_dict["constant"]))
+                constants[instr.result] = sanitize(
+                    np.array([float(instr.param_dict["constant"])])
                 )
                 continue
-            fold = _FOLDABLE.get(instr.op)
-            if fold is None or any(vid not in constants for vid in instr.inputs):
+            spec = instr.spec
+            if not spec.fold or any(vid not in constants for vid in instr.inputs):
                 continue
             with np.errstate(all="ignore"):
-                raw = fold(*(constants[vid] for vid in instr.inputs))
-            value = _sanitize_scalar(raw)
-            constants[instr.result] = np.float64(value)
+                constants[instr.result] = spec(
+                    None, tuple(constants[vid] for vid in instr.inputs),
+                    instr.param_dict,
+                )
             component.instructions[index] = IRInstruction(
                 op="s_const",
                 inputs=(),
-                params=(("constant", value),),
+                params=(("constant", float(constants[instr.result][0])),),
                 result=instr.result,
                 output=instr.output,
             )

@@ -12,13 +12,15 @@ offline fleets and serving all run this one runner:
 
 * **pre-resolved dispatch** — every instruction becomes one or more kernel
   calls with their function, input arrays, preallocated output buffer and
-  sanitize steps resolved at bind time.  An instruction whose parameters
+  sanitize steps resolved at bind time from its operator's registry entry
+  (:class:`~repro.core.ops.OpSpec`).  An instruction whose parameters
   agree across the lanes and whose operator has a leading-axis kernel
   (:data:`repro.compile.executor.KERNELS`) runs as one NumPy call for the
-  whole group, through the kernel's ``out=`` form where it has one; an
-  extraction operator with per-lane indices runs as one advanced-indexing
-  gather; anything else calls the operator once per lane on that lane's
-  views.  At one lane, that is exactly the per-program call;
+  whole group, through the operator's ``out=`` form where it has one; an
+  operator with a gather form (the extractions) and per-lane indices runs
+  as one advanced-indexing gather; anything else calls the operator once
+  per lane on that lane's views.  At one lane, that is exactly the
+  per-program call;
 * **allocation-free execution** — each SSA value owns one buffer and each
   live operand one state array; a result lands in its buffer through the
   ``out=`` form or the clip ufunc, so a call allocates at most its
@@ -45,8 +47,8 @@ offline fleets and serving all run this one runner:
 Bitwise parity with the interpreter is a hard contract (the fingerprint
 cache and the search both rely on it): the registry's kernels equal the
 per-slice registry call bit for bit under any leading axes (see
-:mod:`repro.compile.executor`), which is what a lane axis — or, on the
-fused path, a lane axis plus a day axis — needs.  Each instruction's
+:mod:`repro.core.ops`), which is what a lane axis — or, on the fused
+path, a lane axis plus a day axis — needs.  Each instruction's
 sanitize steps are resolved at bind from its operator's registry contract
 (:func:`~repro.compile.executor._sanitize_steps`); a binding keeps that
 elision only while every value in it came from its own tape, so
@@ -81,12 +83,6 @@ __all__ = ["StackedAlpha", "stack_signature"]
 #: chunks the day axis so a ``(P, C, K, f, w)`` matrix buffer stays around
 #: 32 MB however large the fleet grows.
 _MAX_CHUNK_ELEMENTS = 1 << 22
-
-#: Stacked-mode operators worth chunking over the program axis: the
-#: matrix-heavy contractions whose per-lane working set is large enough
-#: that a monolithic ``(P, ...)`` call spills cache.  Batch elements are
-#: contracted independently, so any leading-axis split is bitwise-neutral.
-_PROGRAM_CHUNK_OPS = frozenset({"matmul", "matvec", "v_dot"})
 
 
 def stack_signature(compiled: CompiledProgram) -> str:
@@ -159,28 +155,27 @@ class _Call:
 class _StackedEntry:
     """One instruction of the tape, its execution strategy resolved at bind.
 
-    ``mode`` is ``"stacked"`` (one leading-axis kernel call per program
-    chunk ``lanes``), ``"gather"`` (an extraction operator with per-lane
-    indices: one advanced-indexing call) or ``"loop"`` (the operator once
-    per lane).  ``calls`` are the day loop's :class:`_Call`\\ s;
-    ``clip`` / ``scan`` the sanitize steps the result still owes.
+    ``mode`` is ``"stacked"`` (one leading-axis kernel call for every
+    lane), ``"gather"`` (per-lane indices: one advanced-indexing call) or
+    ``"loop"`` (the operator once per lane).  ``kernel`` is the operator's
+    admitted leading-axis kernel or ``None``; ``calls`` are the day loop's
+    :class:`_Call`\\ s; ``clip`` / ``scan`` the sanitize steps the result
+    still owes.
     """
 
-    __slots__ = ("mode", "kernel", "spec_func", "inputs", "input_ids",
-                 "output", "output_id", "member_params", "lanes", "calls",
-                 "clip", "scan")
+    __slots__ = ("mode", "kernel", "spec", "inputs", "input_ids", "output",
+                 "output_id", "member_params", "calls", "clip", "scan")
 
     def __init__(self, mode, kernel, instr, inputs, output, member_params,
-                 lanes, calls) -> None:
+                 calls) -> None:
         self.mode = mode
         self.kernel = kernel
-        self.spec_func = instr.spec.func
+        self.spec = instr.spec
         self.inputs = inputs
         self.input_ids = instr.inputs
         self.output = output
         self.output_id = instr.result
         self.member_params = member_params
-        self.lanes = lanes
         self.calls = calls
 
     def set_steps(self, clip: bool, scan: bool) -> None:
@@ -188,27 +183,6 @@ class _StackedEntry:
         for call in self.calls:
             call.clip, call.scan = clip, False
         self.calls[-1].scan = scan
-
-
-def _make_gather(op: str, member_params, ctx):
-    """One advanced-indexing call for an extraction op with per-lane
-    indices, as an operator function, or ``None``."""
-    P = len(member_params)
-    pidx = np.arange(P)
-    if op == "get_scalar":
-        rows = np.array([p["row"] % ctx.num_features for p in member_params])
-        cols = np.array([p["col"] % ctx.window for p in member_params])
-        kidx = np.arange(ctx.num_tasks)
-        return lambda ctx, inputs, params: inputs[0][
-            pidx[:, None], kidx[None, :], rows[:, None], cols[:, None]
-        ]
-    if op == "get_row":
-        rows = np.array([p["row"] % ctx.num_features for p in member_params])
-        return lambda ctx, inputs, params: inputs[0][pidx, :, rows, :]
-    if op == "get_column":
-        cols = np.array([p["col"] % ctx.window for p in member_params])
-        return lambda ctx, inputs, params: inputs[0][pidx, :, :, cols]
-    return None
 
 
 class StackedAlpha:
@@ -231,18 +205,9 @@ class StackedAlpha:
         The evaluation context (task count, dimensions, relation indices and
         base seed) every lane binds to — the same object the interpreter
         would hand to every operator.
-    program_chunk:
-        Program-axis chunk size for the matrix-heavy stacked contractions
-        (:data:`_PROGRAM_CHUNK_OPS`): ``None`` derives a cache-resident
-        size from the context's per-lane working set, ``0`` disables
-        chunking, a positive int forces that many lanes per kernel call.
-        Contractions treat batch elements independently, so chunking never
-        changes a bit of any result — only how many lanes each NumPy call
-        touches at once.
     """
 
-    def __init__(self, compiled_group, ctx,
-                 program_chunk: int | None = None) -> None:
+    def __init__(self, compiled_group, ctx) -> None:
         compiled_group = list(compiled_group)
         if not compiled_group:
             raise ExecutionError("cannot stack an empty program group")
@@ -260,14 +225,6 @@ class StackedAlpha:
         self.num_programs = P = len(compiled_group)
         #: NumPy kernel calls issued so far (telemetry counter feed).
         self.kernel_calls = 0
-        if program_chunk is None:
-            # Auto: keep one chunk's matrix operands around the same
-            # budget the fused path uses for its day chunks.
-            per_lane = ctx.num_tasks * ctx.num_features * ctx.window
-            program_chunk = max(1, _MAX_CHUNK_ELEMENTS // max(per_lane, 1))
-        #: Lanes per kernel call for :data:`_PROGRAM_CHUNK_OPS` entries
-        #: (``0`` = monolithic).
-        self.program_chunk = int(program_chunk)
 
         shapes = {
             OperandType.SCALAR: (P, ctx.num_tasks),
@@ -385,42 +342,30 @@ class StackedAlpha:
 
     # ------------------------------------------------------------------
     def _bind_entry(self, instr, inputs, output, member_params):
-        P = self.num_programs
+        spec = instr.spec
         params0 = member_params[0]
         same_params = all(p == params0 for p in member_params[1:])
         kernel = KERNELS.get(instr.op)
-        lanes = (slice(None),)
-        gather = None if same_params else _make_gather(
-            instr.op, member_params, self.ctx
-        )
-        if same_params and kernel is not None and kernel.out is not None:
+        # One lane gains nothing from a leading-axis kernel without an out=
+        # form: it takes the per-lane call, the operator's own function.
+        if same_params and kernel is not None and (
+            spec.out is not None or self.num_programs > 1
+        ):
             mode = "stacked"
-            calls = [_Call(None, inputs, None, output, output, kernel.out)]
-        elif same_params and kernel is not None and P > 1:
-            # One lane gains nothing from the leading-axis kernel: it takes
-            # the per-lane call below, the operator's own function.
-            mode = "stacked"
-            chunk = self.program_chunk
-            if instr.op in _PROGRAM_CHUNK_OPS and 0 < chunk < P:
-                lanes = tuple(slice(lane0, lane0 + chunk)
-                              for lane0 in range(0, P, chunk))
-            calls = [
-                _Call(kernel.func, tuple(array[part] for array in inputs),
-                      params0, output[part], output)
-                for part in lanes
-            ]
-        elif gather is not None:
+            calls = [_Call(kernel, inputs, params0, output, output, spec.out)]
+        elif not same_params and spec.gather is not None:
             mode = "gather"
-            calls = [_Call(gather, inputs, None, output, output)]
+            calls = [_Call(spec.gather(self.ctx, member_params), inputs, None,
+                           output, output)]
         else:
             mode = "loop"
             calls = [
-                _Call(instr.spec.func, tuple(array[lane] for array in inputs),
+                _Call(spec.func, tuple(array[lane] for array in inputs),
                       params, output[lane], output)
                 for lane, params in enumerate(member_params)
             ]
         entry = _StackedEntry(mode, kernel, instr, inputs, output,
-                              member_params, lanes, calls)
+                              member_params, calls)
         entry.set_steps(*_sanitize_steps(
             instr.op, inputs, (self._state[INPUT_MATRIX], self._state[LABEL])
         ))
@@ -723,26 +668,21 @@ class StackedAlpha:
     def _run_batched(self, entry, inputs, output, batched) -> int:
         """Run one day-axis entry over ``(P, C, …)`` inputs into ``output``;
         returns its kernel calls."""
-        ctx, kernel = self.ctx, entry.kernel
+        ctx, kernel, out_form = self.ctx, entry.kernel, entry.spec.out
         if entry.mode == "stacked":
-            if kernel.out is not None:
-                kernel.out(inputs, output)
+            if out_form is not None:
+                out_form(inputs, output)
                 _sanitize_into(output, output, entry.clip, entry.scan)
             else:
-                for part in entry.lanes:
-                    _sanitize_into(
-                        output[part],
-                        kernel.func(ctx, tuple(array[part] for array in inputs),
-                                    entry.member_params[0]),
-                        entry.clip, entry.scan,
-                    )
-            return len(entry.lanes)
+                _sanitize_into(output, kernel(ctx, inputs, entry.member_params[0]),
+                               entry.clip, entry.scan)
+            return 1
         if kernel is not None:
             # Per-lane parameters, but the operator batches over the day
             # axis: one day-batched call per lane, clipped straight into the
             # lane (the elementwise NaN scan hoists to one pass).
             for lane, params in enumerate(entry.member_params):
-                _sanitize_into(output[lane], kernel.func(
+                _sanitize_into(output[lane], kernel(
                     ctx, tuple(array[lane] for array in inputs), params
                 ), entry.clip, False)
             _sanitize_into(output, output, False, entry.scan)
@@ -751,7 +691,7 @@ class StackedAlpha:
         for lane, params in enumerate(entry.member_params):
             lane_inputs = tuple(array[lane] for array in inputs)
             for day in range(output.shape[1]):
-                output[lane, day] = entry.spec_func(ctx, tuple(
+                output[lane, day] = entry.spec.func(ctx, tuple(
                     array[day] if flag else array[0]
                     for array, flag in zip(lane_inputs, day_flags)
                 ), params)

@@ -13,12 +13,43 @@ The allowable OPs (Section 2) consist of:
   or over the tasks in the same sector/industry, which is how relational
   domain knowledge is injected without structural assumptions.
 
-Every operator is registered as an :class:`OpSpec` describing its input and
-output operand types, the components it may appear in, and the constant
-parameters it carries (e.g. the row/column index of an extraction, the axis
-of a reduction, the bounds of a uniform initialiser).  The vectorised
-execution functions receive arrays with a leading task dimension ``K``:
-scalars ``(K,)``, vectors ``(K, w)``, matrices ``(K, f, w)``.
+Every operator is registered once, as an :class:`OpSpec`, and that entry is
+the only place its facts are stated: its input and output operand types,
+the components it may appear in, the constant parameters it carries (the
+row/column index of an extraction, the axis of a reduction, the bounds of a
+uniform initialiser), its function, and how the compiled tape and the
+optimiser may run it.  The interpreter (the oracle), constant folding
+(:mod:`repro.compile.passes`) and the compiled tape
+(:mod:`repro.compile.stacked`) all read it from here.
+
+The functions receive arrays with a leading task dimension ``K``: scalars
+``(K,)``, vectors ``(K, w)``, matrices ``(K, f, w)``.  They index from the
+trailing axes, so each also runs over any number of further leading axes —
+the tape's program (lane) axis and its day axis.  An entry records:
+
+* the **leading-axis kernel** (:attr:`OpSpec.kernel`): the operator over any
+  leading axes in front of its per-program shapes, equal to the operator on
+  every leading-axis slice bit for bit.  Elementwise IEEE arithmetic is
+  shape-independent, and a reduction, contraction or rank accumulates each
+  trailing-axis run in the same per-element order whatever axes lead it.
+  It is the operator's own function, except for ``rank`` and
+  ``relation_rank``, whose per-slice oracles sort one 1-D array at a time.
+  ``s_const``, the two initialisers and the grouped relation means have
+  none, and the tape runs them once per lane (and per day).  The
+  transcendentals' kernels join the tape only after an import-time probe
+  (:mod:`repro.compile.executor`) reproduces the per-slice bytes on the
+  running platform;
+* the **out= form** of single-ufunc operators and the einsum outer product,
+  which writes the kernel's result into a preallocated buffer (a ufunc or
+  einsum computes each element identically with or without ``out=``);
+* the **sanitize contract**.  Every result is sanitized (:func:`sanitize`).
+  Given sanitized inputs, a :data:`FINITE_CLOSED` operator cannot produce
+  NaN, so its NaN scan is a no-op; a :data:`RANGE_CLOSED` operator's result
+  is already finite and within the bounds, so its clip is a no-op too;
+* whether it **constant-folds**: the scalar operators whose result the fold
+  pass may compute once, by calling the operator on one-element arrays;
+* the **gather** of the extraction operators: one advanced-indexing call
+  that takes each lane's own ``row`` / ``col`` in a stacked group.
 """
 
 from __future__ import annotations
@@ -35,11 +66,14 @@ from .memory import OperandType
 
 __all__ = [
     "CLIP_VALUE",
+    "FINITE_CLOSED",
+    "RANGE_CLOSED",
     "OpKind",
     "Dimensions",
     "ExecutionContext",
     "OpSpec",
     "OP_REGISTRY",
+    "check_params",
     "get_op",
     "list_ops",
     "sample_params",
@@ -50,6 +84,13 @@ __all__ = [
 #: behaved candidate alpha cannot overflow and poison the whole evaluation.
 CLIP_VALUE = 1e6
 
+#: Sanitize contract: given sanitized inputs the result is finite, so the
+#: NaN scan after the clip cannot fire.
+FINITE_CLOSED = "finite-closed"
+#: Sanitize contract: given sanitized inputs the result is finite and within
+#: ``±CLIP_VALUE``, so neither the clip nor the NaN scan changes a bit.
+RANGE_CLOSED = "range-closed"
+
 
 def sanitize(values: np.ndarray) -> np.ndarray:
     """Replace non-finite entries and clip to ``[-CLIP_VALUE, CLIP_VALUE]``.
@@ -59,12 +100,11 @@ def sanitize(values: np.ndarray) -> np.ndarray:
     then zeroes — but in one output allocation and three passes instead of
     ``nan_to_num``'s copy plus three finiteness scans.
 
-    This is the oracle: the interpreter (through :meth:`OpSpec.__call__`)
-    and constant folding call it after every operator.  The compiled tapes
-    apply the same elementwise steps in place, into each entry's
-    preallocated buffer, and skip a step only where the operator's
-    sanitize contract proves it a no-op (see
-    :mod:`repro.compile.executor`).
+    This is the oracle: the interpreter and constant folding (through
+    :meth:`OpSpec.__call__`) call it after every operator.  The compiled
+    tape applies the same elementwise steps in place, into each
+    instruction's preallocated buffer, and skips a step only where the
+    operator's sanitize contract proves it a no-op.
     """
     out = np.clip(np.asarray(values), -CLIP_VALUE, CLIP_VALUE)
     if not isinstance(out, np.ndarray):
@@ -136,10 +176,13 @@ class ExecutionContext:
 
 OpFunc = Callable[[ExecutionContext, tuple[np.ndarray, ...], dict], np.ndarray]
 
+#: :attr:`OpSpec.kernel`'s default: the operator's own function.
+_OWN_FUNCTION = object()
+
 
 @dataclass(frozen=True)
 class OpSpec:
-    """Description of a single operator."""
+    """Everything known about one operator (see the module docs)."""
 
     name: str
     kind: OpKind
@@ -155,6 +198,24 @@ class OpSpec:
     #: compile pipeline (:mod:`repro.compile.passes`) — sorts the operands of
     #: commutative operators so mirror-image programs share one fingerprint.
     commutative: bool = False
+    #: The leading-axis kernel, called like ``func``: ``func`` itself unless
+    #: given, ``None`` for an operator the tape runs slice by slice.
+    kernel: OpFunc | None = _OWN_FUNCTION
+    #: ``out(inputs, out)``: the kernel writing into a buffer, or ``None``.
+    out: Callable[[tuple, np.ndarray], object] | None = None
+    #: :data:`FINITE_CLOSED`, :data:`RANGE_CLOSED` or ``None``.
+    contract: str | None = None
+    #: Whether constant folding computes it once from constant inputs.
+    fold: bool = False
+    #: Whether the kernel waits for the import-time transcendental probe.
+    probe: bool = False
+    #: ``gather(ctx, member_params)``: the operator over a ``(P, …)`` lane
+    #: axis with lane ``p`` taking ``member_params[p]``, or ``None``.
+    gather: Callable[[ExecutionContext, tuple[dict, ...]], OpFunc] | None = None
+
+    def __post_init__(self) -> None:
+        if self.kernel is _OWN_FUNCTION:
+            object.__setattr__(self, "kernel", self.func)
 
     @property
     def arity(self) -> int:
@@ -211,8 +272,11 @@ def list_ops(
 
 
 # ---------------------------------------------------------------------------
-# Parameter sampling (used by mutation and random-program generation)
+# Parameters: how mutation samples them and what a loaded program may hold
 # ---------------------------------------------------------------------------
+
+_LEVELS = ("sector", "industry")
+
 
 def sample_params(spec: OpSpec, dims: Dimensions, rng: np.random.Generator) -> dict:
     """Sample a full parameter dictionary for ``spec``."""
@@ -234,8 +298,45 @@ def _sample_param(name: str, dims: Dimensions, rng: np.random.Generator):
     if name in ("low", "high"):
         return float(np.round(rng.uniform(-1.0, 1.0), 6))
     if name == "level":
-        return str(rng.choice(["sector", "industry"]))
+        return str(rng.choice(_LEVELS))
     raise OperatorError(f"no sampler for operator parameter {name!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, float)
+
+
+#: Each parameter's domain, which holds every value :func:`_sample_param`
+#: draws.  An extraction index wraps around its axis, so any integer is one.
+_PARAM_DOMAINS = {
+    "row": _is_integer,
+    "col": _is_integer,
+    "axis": lambda value: _is_integer(value) and value in (0, 1),
+    "constant": _is_number,
+    "low": _is_number,
+    "high": _is_number,
+    "level": lambda value: value in _LEVELS,
+}
+
+
+def check_params(spec: OpSpec, params: dict) -> None:
+    """Raise :class:`OperatorError` unless ``params`` are exactly ``spec``'s
+    parameters, each inside its domain."""
+    if set(params) != set(spec.param_names):
+        raise OperatorError(
+            f"operator {spec.name} takes parameters {sorted(spec.param_names)}, "
+            f"got {sorted(params)}"
+        )
+    for name in spec.param_names:
+        if not _PARAM_DOMAINS[name](params[name]):
+            raise OperatorError(
+                f"operator {spec.name}: {name}={params[name]!r} is outside "
+                "the parameter's domain"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +346,13 @@ def _sample_param(name: str, dims: Dimensions, rng: np.random.Generator):
 _EPS = 1e-9
 
 
-def _protected_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+def _protected_divide(numerator, denominator, out=None):
     safe = np.where(np.abs(denominator) < _EPS, 1.0, denominator)
-    return numerator / safe
+    return np.divide(numerator, safe, out=out)
+
+
+def _heaviside(values, out=None):
+    return np.heaviside(values, 1.0, out=out)
 
 
 def _cross_sectional_rank(values: np.ndarray) -> np.ndarray:
@@ -274,6 +379,52 @@ def _grouped_rank(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return out
 
 
+def _leading_axis_rank(values: np.ndarray) -> np.ndarray:
+    """Tie-averaged cross-sectional rank over the last axis, any leading axes.
+
+    Vectorised form of :func:`_cross_sectional_rank`: ranks are a
+    permutation of ``arange(n)`` and tie runs average *consecutive*
+    integers, so every intermediate is an exactly representable integer (or
+    half-integer) and the result is bit-for-bit the 1-D implementation's.
+    NaNs sort last and tie with each other, as ``np.unique`` collapses them.
+    """
+    n = values.shape[-1]
+    if n == 1:
+        return np.zeros_like(values)
+    order = np.argsort(values, axis=-1, kind="stable")
+    sorted_values = np.take_along_axis(values, order, -1)
+    positions = np.arange(n, dtype=np.float64)
+    is_run_start = np.ones(sorted_values.shape, dtype=bool)
+    head, tail = sorted_values[..., 1:], sorted_values[..., :-1]
+    is_run_start[..., 1:] = (head != tail) & ~(np.isnan(head) & np.isnan(tail))
+    # Each sorted slot's rank is the average of its tie run's positions =
+    # (run start + run end) / 2.  Run starts forward-fill; run ends are the
+    # next run's start minus one (sentinel n past the last slot).
+    starts = np.where(is_run_start, positions, 0.0)
+    np.maximum.accumulate(starts, axis=-1, out=starts)
+    next_start = np.where(is_run_start, positions, np.inf)
+    next_start = np.minimum.accumulate(
+        next_start[..., ::-1], axis=-1
+    )[..., ::-1]
+    ends = np.empty_like(sorted_values)
+    ends[..., :-1] = np.minimum(next_start[..., 1:], float(n)) - 1.0
+    ends[..., -1] = float(n - 1)
+    ranks = np.empty_like(sorted_values)
+    np.put_along_axis(ranks, order, (starts + ends) * 0.5, -1)
+    return ranks / (n - 1)
+
+
+def _leading_axis_grouped_rank(ctx, inputs, params):
+    # _grouped_rank with each group's rank taken over the last axis.
+    values = inputs[0]
+    groups = ctx.group_index(params["level"])
+    out = np.empty_like(values)
+    for group in np.unique(groups):
+        members = groups == group
+        out[..., members] = _leading_axis_rank(values[..., members])
+    return out
+
+
 def _grouped_mean(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
     num_groups = int(groups.max()) + 1
     sums = np.bincount(groups, weights=values, minlength=num_groups)
@@ -286,8 +437,20 @@ def _grouped_demean(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return values - _grouped_mean(values, groups)
 
 
+def _extraction_gather(ctx, member_params):
+    """An ExtractionOp over a ``(P, K, f, w)`` input in one advanced-indexing
+    call, lane ``p`` taking ``member_params[p]``'s ``row`` / ``col``."""
+    lanes = np.arange(len(member_params))
+    rows, cols = (
+        np.array([params[name] % size for params in member_params])
+        if name in member_params[0] else slice(None)
+        for name, size in (("row", ctx.num_features), ("col", ctx.window))
+    )
+    return lambda ctx, inputs, params: inputs[0][lanes, :, rows, cols]
+
+
 # ---------------------------------------------------------------------------
-# Scalar operators
+# Registration helpers
 # ---------------------------------------------------------------------------
 
 _S = OperandType.SCALAR
@@ -299,80 +462,105 @@ def _unary(fn):
     return lambda ctx, inputs, params: fn(inputs[0])
 
 
-def _binary(fn):
-    return lambda ctx, inputs, params: fn(inputs[0], inputs[1])
+def _elementwise(name: str, input_types, ufunc, contract: str, **facts) -> None:
+    """Register a one-ufunc arithmetic operator with its ``out=`` form."""
+    _register(OpSpec(
+        name, OpKind.ARITHMETIC, input_types, input_types[0],
+        lambda ctx, inputs, params: ufunc(*inputs),
+        out=lambda inputs, out: ufunc(*inputs, out=out),
+        contract=contract, **facts,
+    ))
 
 
-_register(OpSpec("s_add", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.add), symbol="+",
-                  commutative=True))
-_register(OpSpec("s_sub", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.subtract), symbol="-"))
-_register(OpSpec("s_mul", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.multiply), symbol="*",
-                  commutative=True))
-_register(OpSpec("s_div", OpKind.ARITHMETIC, (_S, _S), _S, _binary(_protected_divide), symbol="/"))
-_register(OpSpec("s_min", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.minimum),
-                  commutative=True))
-_register(OpSpec("s_max", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.maximum),
-                  commutative=True))
-_register(OpSpec("s_abs", OpKind.ARITHMETIC, (_S,), _S, _unary(np.abs)))
-_register(OpSpec("s_sign", OpKind.ARITHMETIC, (_S,), _S, _unary(np.sign)))
-_register(OpSpec("s_sin", OpKind.ARITHMETIC, (_S,), _S, _unary(np.sin)))
-_register(OpSpec("s_cos", OpKind.ARITHMETIC, (_S,), _S, _unary(np.cos)))
-_register(OpSpec("s_tan", OpKind.ARITHMETIC, (_S,), _S, _unary(np.tan)))
-_register(OpSpec(
-    "s_arcsin", OpKind.ARITHMETIC, (_S,), _S,
-    _unary(lambda x: np.arcsin(np.clip(x, -1.0, 1.0))),
-))
-_register(OpSpec(
-    "s_arccos", OpKind.ARITHMETIC, (_S,), _S,
-    _unary(lambda x: np.arccos(np.clip(x, -1.0, 1.0))),
-))
-_register(OpSpec("s_arctan", OpKind.ARITHMETIC, (_S,), _S, _unary(np.arctan)))
-_register(OpSpec(
-    "s_exp", OpKind.ARITHMETIC, (_S,), _S, _unary(lambda x: np.exp(np.clip(x, -50.0, 50.0))),
-))
-_register(OpSpec(
-    "s_log", OpKind.ARITHMETIC, (_S,), _S,
-    _unary(lambda x: np.log(np.maximum(np.abs(x), _EPS))),
-))
-_register(OpSpec(
-    "s_heaviside", OpKind.ARITHMETIC, (_S,), _S, _unary(lambda x: np.heaviside(x, 1.0)),
-))
+def _transcendental(name: str, fn) -> None:
+    _register(OpSpec(name, OpKind.ARITHMETIC, (_S,), _S, _unary(fn), probe=True))
+
+
+def _initialiser(name: str, output_type, shape) -> None:
+    """Register a uniform initialiser filling ``shape(ctx)`` from its params."""
+    _register(OpSpec(
+        name, OpKind.INIT, (), output_type,
+        lambda ctx, inputs, params: ctx.init_rng(params).uniform(
+            min(params["low"], params["high"]),
+            max(params["low"], params["high"]) + _EPS,
+            size=shape(ctx),
+        ),
+        param_names=("low", "high"),
+        kernel=None,
+    ))
+
+
+# ---------------------------------------------------------------------------
+# Scalar operators
+# ---------------------------------------------------------------------------
+
+# Sums, products and guarded quotients (|q| <= CLIP_VALUE / _EPS) of finite
+# values stay finite; extrema, |x|, signs and the 0/1 heaviside stay inside
+# the input range.  Only the scalar forms fold: constants are scalars.
+_elementwise("s_add", (_S, _S), np.add, FINITE_CLOSED, fold=True, symbol="+",
+             commutative=True)
+_elementwise("s_sub", (_S, _S), np.subtract, FINITE_CLOSED, fold=True, symbol="-")
+_elementwise("s_mul", (_S, _S), np.multiply, FINITE_CLOSED, fold=True, symbol="*",
+             commutative=True)
+_elementwise("s_div", (_S, _S), _protected_divide, FINITE_CLOSED, fold=True,
+             symbol="/")
+_elementwise("s_min", (_S, _S), np.minimum, RANGE_CLOSED, fold=True,
+             commutative=True)
+_elementwise("s_max", (_S, _S), np.maximum, RANGE_CLOSED, fold=True,
+             commutative=True)
+_elementwise("s_abs", (_S,), np.abs, RANGE_CLOSED, fold=True)
+_elementwise("s_sign", (_S,), np.sign, RANGE_CLOSED, fold=True)
+# A transcendental's SIMD kernel *could* take a different code path for a
+# different array length, so none folds and each kernel is probed.
+_transcendental("s_sin", np.sin)
+_transcendental("s_cos", np.cos)
+_transcendental("s_tan", np.tan)
+_transcendental("s_arcsin", lambda x: np.arcsin(np.clip(x, -1.0, 1.0)))
+_transcendental("s_arccos", lambda x: np.arccos(np.clip(x, -1.0, 1.0)))
+_transcendental("s_arctan", np.arctan)
+_transcendental("s_exp", lambda x: np.exp(np.clip(x, -50.0, 50.0)))
+_transcendental("s_log", lambda x: np.log(np.maximum(np.abs(x), _EPS)))
+_elementwise("s_heaviside", (_S,), _heaviside, RANGE_CLOSED, fold=True)
 _register(OpSpec(
     "s_const", OpKind.INIT, (), _S,
     lambda ctx, inputs, params: np.full(ctx.num_tasks, params["constant"]),
     param_names=("constant",),
+    kernel=None,
 ))
 
 # ---------------------------------------------------------------------------
 # Vector operators
 # ---------------------------------------------------------------------------
 
-_register(OpSpec("v_add", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.add), symbol="+",
-                  commutative=True))
-_register(OpSpec("v_sub", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.subtract), symbol="-"))
-_register(OpSpec("v_mul", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.multiply), symbol="*",
-                  commutative=True))
-_register(OpSpec("v_div", OpKind.ARITHMETIC, (_V, _V), _V, _binary(_protected_divide), symbol="/"))
-_register(OpSpec("v_min", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.minimum),
-                  commutative=True))
-_register(OpSpec("v_max", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.maximum),
-                  commutative=True))
-_register(OpSpec("v_abs", OpKind.ARITHMETIC, (_V,), _V, _unary(np.abs)))
+_elementwise("v_add", (_V, _V), np.add, FINITE_CLOSED, symbol="+", commutative=True)
+_elementwise("v_sub", (_V, _V), np.subtract, FINITE_CLOSED, symbol="-")
+_elementwise("v_mul", (_V, _V), np.multiply, FINITE_CLOSED, symbol="*",
+             commutative=True)
+_elementwise("v_div", (_V, _V), _protected_divide, FINITE_CLOSED, symbol="/")
+_elementwise("v_min", (_V, _V), np.minimum, RANGE_CLOSED, commutative=True)
+_elementwise("v_max", (_V, _V), np.maximum, RANGE_CLOSED, commutative=True)
+_elementwise("v_abs", (_V,), np.abs, RANGE_CLOSED)
+_elementwise("v_heaviside", (_V,), _heaviside, RANGE_CLOSED)
 _register(OpSpec(
-    "v_heaviside", OpKind.ARITHMETIC, (_V,), _V, _unary(lambda x: np.heaviside(x, 1.0)),
-))
-_register(OpSpec(
+    # One rounding per element, as a plain broadcast multiply.
     "v_scale", OpKind.ARITHMETIC, (_S, _V), _V,
-    lambda ctx, inputs, params: inputs[0][:, None] * inputs[1],
+    lambda ctx, inputs, params: inputs[0][..., None] * inputs[1],
+    out=lambda inputs, out: np.multiply(inputs[0][..., None], inputs[1], out=out),
+    contract=FINITE_CLOSED,
 ))
 _register(OpSpec(
     "v_dot", OpKind.ARITHMETIC, (_V, _V), _S,
-    lambda ctx, inputs, params: np.einsum("kw,kw->k", inputs[0], inputs[1]),
+    lambda ctx, inputs, params: np.einsum("...w,...w->...", inputs[0], inputs[1]),
     commutative=True,
 ))
 _register(OpSpec(
+    # einsum accumulates each product onto +0.0, so a -0.0 product comes out
+    # +0.0 where a plain multiply keeps -0.0.
     "v_outer", OpKind.ARITHMETIC, (_V, _V), _M,
-    lambda ctx, inputs, params: np.einsum("kf,kw->kfw", inputs[0], inputs[1]),
+    lambda ctx, inputs, params: np.einsum("...f,...w->...fw", inputs[0], inputs[1]),
+    out=lambda inputs, out: np.einsum("...f,...w->...fw", inputs[0], inputs[1],
+                                      out=out),
+    contract=FINITE_CLOSED,
 ))
 _register(OpSpec(
     "v_norm", OpKind.ARITHMETIC, (_V,), _S,
@@ -393,44 +581,37 @@ _register(OpSpec(
 _register(OpSpec(
     "ts_rank", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: (
-        (inputs[0] < inputs[0][:, -1:]).sum(axis=-1) / max(inputs[0].shape[-1] - 1, 1)
+        (inputs[0] < inputs[0][..., -1:]).sum(axis=-1)
+        / max(inputs[0].shape[-1] - 1, 1)
     ),
+    contract=RANGE_CLOSED,
 ))
 _register(OpSpec(
     "v_broadcast", OpKind.ARITHMETIC, (_S,), _V,
-    lambda ctx, inputs, params: np.repeat(inputs[0][:, None], ctx.window, axis=1),
+    lambda ctx, inputs, params: np.repeat(inputs[0][..., None], ctx.window, axis=-1),
+    contract=RANGE_CLOSED,
 ))
-_register(OpSpec(
-    "vector_uniform", OpKind.INIT, (), _V,
-    lambda ctx, inputs, params: ctx.init_rng(params).uniform(
-        min(params["low"], params["high"]),
-        max(params["low"], params["high"]) + _EPS,
-        size=(ctx.num_tasks, ctx.window),
-    ),
-    param_names=("low", "high"),
-))
+_initialiser("vector_uniform", _V, lambda ctx: (ctx.num_tasks, ctx.window))
 
 # ---------------------------------------------------------------------------
 # Matrix operators
 # ---------------------------------------------------------------------------
 
-_register(OpSpec("m_add", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.add), symbol="+",
-                  commutative=True))
-_register(OpSpec("m_sub", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.subtract), symbol="-"))
-_register(OpSpec("m_mul", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.multiply), symbol="*",
-                  commutative=True))
-_register(OpSpec("m_div", OpKind.ARITHMETIC, (_M, _M), _M, _binary(_protected_divide), symbol="/"))
-_register(OpSpec("m_min", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.minimum),
-                  commutative=True))
-_register(OpSpec("m_max", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.maximum),
-                  commutative=True))
-_register(OpSpec("m_abs", OpKind.ARITHMETIC, (_M,), _M, _unary(np.abs)))
-_register(OpSpec(
-    "m_heaviside", OpKind.ARITHMETIC, (_M,), _M, _unary(lambda x: np.heaviside(x, 1.0)),
-))
+_elementwise("m_add", (_M, _M), np.add, FINITE_CLOSED, symbol="+", commutative=True)
+_elementwise("m_sub", (_M, _M), np.subtract, FINITE_CLOSED, symbol="-")
+_elementwise("m_mul", (_M, _M), np.multiply, FINITE_CLOSED, symbol="*",
+             commutative=True)
+_elementwise("m_div", (_M, _M), _protected_divide, FINITE_CLOSED, symbol="/")
+_elementwise("m_min", (_M, _M), np.minimum, RANGE_CLOSED, commutative=True)
+_elementwise("m_max", (_M, _M), np.maximum, RANGE_CLOSED, commutative=True)
+_elementwise("m_abs", (_M,), np.abs, RANGE_CLOSED)
+_elementwise("m_heaviside", (_M,), _heaviside, RANGE_CLOSED)
 _register(OpSpec(
     "m_scale", OpKind.ARITHMETIC, (_S, _M), _M,
-    lambda ctx, inputs, params: inputs[0][:, None, None] * inputs[1],
+    lambda ctx, inputs, params: inputs[0][..., None, None] * inputs[1],
+    out=lambda inputs, out: np.multiply(inputs[0][..., None, None], inputs[1],
+                                        out=out),
+    contract=FINITE_CLOSED,
 ))
 _register(OpSpec(
     "matmul", OpKind.ARITHMETIC, (_M, _M), _M,
@@ -438,11 +619,12 @@ _register(OpSpec(
 ))
 _register(OpSpec(
     "matvec", OpKind.ARITHMETIC, (_M, _V), _V,
-    lambda ctx, inputs, params: np.einsum("kfw,kw->kf", inputs[0], inputs[1]),
+    lambda ctx, inputs, params: np.einsum("...fw,...w->...f", inputs[0], inputs[1]),
 ))
 _register(OpSpec(
     "transpose", OpKind.ARITHMETIC, (_M,), _M,
     lambda ctx, inputs, params: np.swapaxes(inputs[0], -1, -2),
+    contract=RANGE_CLOSED,
 ))
 _register(OpSpec(
     "m_norm", OpKind.ARITHMETIC, (_M,), _S,
@@ -450,7 +632,7 @@ _register(OpSpec(
 ))
 _register(OpSpec(
     "m_norm_axis", OpKind.ARITHMETIC, (_M,), _V,
-    lambda ctx, inputs, params: np.linalg.norm(inputs[0], axis=-2 + params["axis"] * 1),
+    lambda ctx, inputs, params: np.linalg.norm(inputs[0], axis=params["axis"] - 2),
     param_names=("axis",),
 ))
 _register(OpSpec(
@@ -463,32 +645,26 @@ _register(OpSpec(
 ))
 _register(OpSpec(
     "m_mean_axis", OpKind.ARITHMETIC, (_M,), _V,
-    lambda ctx, inputs, params: inputs[0].mean(axis=-2 + params["axis"] * 1),
+    lambda ctx, inputs, params: inputs[0].mean(axis=params["axis"] - 2),
     param_names=("axis",),
 ))
 _register(OpSpec(
     "m_std_axis", OpKind.ARITHMETIC, (_M,), _V,
-    lambda ctx, inputs, params: inputs[0].std(axis=-2 + params["axis"] * 1),
+    lambda ctx, inputs, params: inputs[0].std(axis=params["axis"] - 2),
     param_names=("axis",),
 ))
 _register(OpSpec(
     "m_broadcast", OpKind.ARITHMETIC, (_V,), _M,
     lambda ctx, inputs, params: (
-        np.repeat(inputs[0][:, None, :], ctx.num_features, axis=1)
+        np.repeat(inputs[0][..., None, :], ctx.num_features, axis=-2)
         if params["axis"] == 0
-        else np.repeat(inputs[0][:, :, None], ctx.window, axis=2)
+        else np.repeat(inputs[0][..., :, None], ctx.window, axis=-1)
     ),
     param_names=("axis",),
+    contract=RANGE_CLOSED,
 ))
-_register(OpSpec(
-    "matrix_uniform", OpKind.INIT, (), _M,
-    lambda ctx, inputs, params: ctx.init_rng(params).uniform(
-        min(params["low"], params["high"]),
-        max(params["low"], params["high"]) + _EPS,
-        size=(ctx.num_tasks, ctx.num_features, ctx.window),
-    ),
-    param_names=("low", "high"),
-))
+_initialiser("matrix_uniform", _M,
+             lambda ctx: (ctx.num_tasks, ctx.num_features, ctx.window))
 
 # ---------------------------------------------------------------------------
 # ExtractionOps (Section 4.1)
@@ -496,35 +672,48 @@ _register(OpSpec(
 
 _register(OpSpec(
     "get_scalar", OpKind.EXTRACTION, (_M,), _S,
-    lambda ctx, inputs, params: inputs[0][:, params["row"] % ctx.num_features,
-                                          params["col"] % ctx.window],
+    lambda ctx, inputs, params: inputs[0][
+        ..., params["row"] % ctx.num_features, params["col"] % ctx.window
+    ],
     param_names=("row", "col"),
+    contract=RANGE_CLOSED,
+    gather=_extraction_gather,
 ))
 _register(OpSpec(
     "get_row", OpKind.EXTRACTION, (_M,), _V,
-    lambda ctx, inputs, params: inputs[0][:, params["row"] % ctx.num_features, :],
+    lambda ctx, inputs, params: inputs[0][..., params["row"] % ctx.num_features, :],
     param_names=("row",),
+    contract=RANGE_CLOSED,
+    gather=_extraction_gather,
 ))
 _register(OpSpec(
     "get_column", OpKind.EXTRACTION, (_M,), _V,
-    lambda ctx, inputs, params: inputs[0][:, :, params["col"] % ctx.window],
+    lambda ctx, inputs, params: inputs[0][..., params["col"] % ctx.window],
     param_names=("col",),
+    contract=RANGE_CLOSED,
+    gather=_extraction_gather,
 ))
 
 # ---------------------------------------------------------------------------
 # RelationOps (Section 4.1)
 # ---------------------------------------------------------------------------
 
+_RELATION_COMPONENTS = frozenset({"predict", "update"})
+
 _register(OpSpec(
     "rank", OpKind.RELATION, (_S,), _S,
     lambda ctx, inputs, params: _cross_sectional_rank(inputs[0]),
-    components=frozenset({"predict", "update"}),
+    components=_RELATION_COMPONENTS,
+    kernel=lambda ctx, inputs, params: _leading_axis_rank(inputs[0]),
+    contract=RANGE_CLOSED,
 ))
 _register(OpSpec(
     "relation_rank", OpKind.RELATION, (_S,), _S,
     lambda ctx, inputs, params: _grouped_rank(inputs[0], ctx.group_index(params["level"])),
     param_names=("level",),
-    components=frozenset({"predict", "update"}),
+    components=_RELATION_COMPONENTS,
+    kernel=_leading_axis_grouped_rank,
+    contract=RANGE_CLOSED,
 ))
 _register(OpSpec(
     "relation_demean", OpKind.RELATION, (_S,), _S,
@@ -532,7 +721,8 @@ _register(OpSpec(
         inputs[0], ctx.group_index(params["level"])
     ),
     param_names=("level",),
-    components=frozenset({"predict", "update"}),
+    components=_RELATION_COMPONENTS,
+    kernel=None,
 ))
 _register(OpSpec(
     # The complement of RelationDemeanOp: the mean of the input operand over
@@ -543,5 +733,6 @@ _register(OpSpec(
     "relation_mean", OpKind.RELATION, (_S,), _S,
     lambda ctx, inputs, params: _grouped_mean(inputs[0], ctx.group_index(params["level"])),
     param_names=("level",),
-    components=frozenset({"predict", "update"}),
+    components=_RELATION_COMPONENTS,
+    kernel=None,
 ))

@@ -29,7 +29,7 @@ from ..config import (
 )
 from ..errors import ProgramError
 from .memory import Operand, OperandType
-from .ops import OpSpec, get_op
+from .ops import OpSpec, check_params, get_op
 
 __all__ = ["COMPONENTS", "ComponentLimits", "Operation", "AlphaProgram"]
 
@@ -130,13 +130,22 @@ class Operation:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Operation":
-        """Inverse of :meth:`to_dict`."""
-        return cls.make(
+        """Inverse of :meth:`to_dict`.
+
+        Checks each parameter against its domain
+        (:func:`~repro.core.ops.check_params`): a loaded value the mutator
+        could never have drawn, such as a reduction ``axis`` of 3, raises
+        :class:`ProgramError` here instead of executing differently on
+        different paths.
+        """
+        operation = cls.make(
             op=payload["op"],
             inputs=tuple(Operand.parse(name) for name in payload["inputs"]),
             output=Operand.parse(payload["output"]),
             params=payload.get("params") or {},
         )
+        check_params(operation.spec, operation.param_dict)
+        return operation
 
 
 def _canonical_operation(operation: Operation) -> Operation:

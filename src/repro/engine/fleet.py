@@ -147,19 +147,11 @@ class FleetEngine:
         The scorer disables this: its cache layer already decides which
         candidates share an evaluation, and the pruning-disabled ablation
         must not dedup behind its back.
-    program_chunk:
-        Program-axis chunking for matrix-heavy stacked kernels, passed
-        through to :class:`~repro.compile.stacked.StackedAlpha`: ``None``
-        derives a cache-resident chunk automatically, ``0`` disables
-        chunking, a positive int forces that chunk size.  Bitwise-neutral
-        either way.
     """
 
     def __init__(self, evaluator, engine: str | None = None,
-                 dedup: bool = True,
-                 program_chunk: int | None = None) -> None:
+                 dedup: bool = True) -> None:
         self.evaluator = evaluator
-        self.program_chunk = program_chunk
         self.engine_name = resolve_engine(
             engine if engine is not None else getattr(evaluator, "engine", None)
         )
@@ -352,8 +344,7 @@ class FleetEngine:
                 sum(len(group) for group in stacked_groups)
             )
         return [
-            (group, StackedAlpha([compiled[key] for key in group], ctx,
-                                 program_chunk=self.program_chunk))
+            (group, StackedAlpha([compiled[key] for key in group], ctx))
             for group in groups
         ]
 

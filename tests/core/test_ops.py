@@ -23,7 +23,43 @@ def make_context(num_tasks=6, num_features=4, window=4, seed=0):
     )
 
 
+#: Every operator and its parameter names, in registry order.
+PINNED_REGISTRY = (
+    ("s_add", ()), ("s_sub", ()), ("s_mul", ()), ("s_div", ()),
+    ("s_min", ()), ("s_max", ()), ("s_abs", ()), ("s_sign", ()),
+    ("s_sin", ()), ("s_cos", ()), ("s_tan", ()), ("s_arcsin", ()),
+    ("s_arccos", ()), ("s_arctan", ()), ("s_exp", ()), ("s_log", ()),
+    ("s_heaviside", ()), ("s_const", ("constant",)),
+    ("v_add", ()), ("v_sub", ()), ("v_mul", ()), ("v_div", ()),
+    ("v_min", ()), ("v_max", ()), ("v_abs", ()), ("v_heaviside", ()),
+    ("v_scale", ()), ("v_dot", ()), ("v_outer", ()), ("v_norm", ()),
+    ("v_mean", ()), ("v_std", ()), ("v_sum", ()), ("ts_rank", ()),
+    ("v_broadcast", ()), ("vector_uniform", ("low", "high")),
+    ("m_add", ()), ("m_sub", ()), ("m_mul", ()), ("m_div", ()),
+    ("m_min", ()), ("m_max", ()), ("m_abs", ()), ("m_heaviside", ()),
+    ("m_scale", ()), ("matmul", ()), ("matvec", ()), ("transpose", ()),
+    ("m_norm", ()), ("m_norm_axis", ("axis",)), ("m_mean", ()), ("m_std", ()),
+    ("m_mean_axis", ("axis",)), ("m_std_axis", ("axis",)),
+    ("m_broadcast", ("axis",)), ("matrix_uniform", ("low", "high")),
+    ("get_scalar", ("row", "col")), ("get_row", ("row",)),
+    ("get_column", ("col",)),
+    ("rank", ()), ("relation_rank", ("level",)), ("relation_demean", ("level",)),
+    ("relation_mean", ("level",)),
+)
+
+
 class TestRegistry:
+    def test_registry_order_is_pinned(self):
+        assert tuple(
+            (name, spec.param_names) for name, spec in OP_REGISTRY.items()
+        ) == PINNED_REGISTRY, (
+            "OP_REGISTRY order or an operator's param_names changed.  The "
+            "mutator samples an operator by its position in the registry and "
+            "draws parameters in param_names order, so this changes every "
+            "mined result; keep the order, or re-baseline the mined digests "
+            "on purpose and update this pin."
+        )
+
     def test_known_operators_present(self):
         for name in ("s_add", "s_div", "v_dot", "matmul", "transpose", "get_scalar",
                      "rank", "relation_rank", "relation_demean", "relation_mean",

@@ -1,20 +1,31 @@
 """Tests for alpha-program representation, validation and serialisation."""
 
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.config import AddressSpace
 from repro.core import (
+    OP_REGISTRY,
     AlphaProgram,
     ComponentLimits,
     Dimensions,
     INPUT_MATRIX,
+    Mutator,
     Operand,
     Operation,
     PREDICTION,
     domain_expert_alpha,
+    get_initialization,
     neural_network_alpha,
+    sample_params,
 )
 from repro.errors import ProgramError
+
+GOLDEN_PROGRAMS = (Path(__file__).resolve().parent.parent / "stream" / "golden"
+                   / "tape_state_programs.json")
 
 
 def simple_program():
@@ -63,6 +74,61 @@ class TestOperation:
         operation = Operation.make("get_scalar", (INPUT_MATRIX,), Operand.scalar(2),
                                    {"row": 1, "col": 2})
         assert Operation.from_dict(operation.to_dict()) == operation
+
+    @pytest.mark.parametrize("op, params", [
+        ("m_std_axis", {"axis": 3}),
+        ("m_mean_axis", {"axis": 2}),
+        ("m_norm_axis", {"axis": -1}),
+        ("m_broadcast", {"axis": True}),
+        ("m_std_axis", {"axis": 0.0}),
+        ("relation_rank", {"level": "country"}),
+        ("relation_mean", {"level": 1}),
+        ("get_row", {"row": 1.5}),
+        ("get_column", {"col": "2"}),
+        ("get_scalar", {"row": 0, "col": None}),
+        ("s_const", {"constant": "1.0"}),
+        ("s_const", {"constant": True}),
+        ("vector_uniform", {"low": -1.0, "high": [1.0]}),
+        ("get_row", {"row": 0, "col": 0}),
+        ("s_abs", {"axis": 0}),
+    ])
+    def test_loading_rejects_parameters_outside_their_domain(self, op, params):
+        spec = OP_REGISTRY[op]
+        payload = {
+            "op": op,
+            "inputs": [f"{t.prefix}{index + 1}"
+                       for index, t in enumerate(spec.input_types)],
+            "output": f"{spec.output_type.prefix}3",
+            "params": params,
+        }
+        with pytest.raises(ProgramError, match=op):
+            Operation.from_dict(payload)
+
+    def test_loading_accepts_every_domain_value(self):
+        for op, params in [("m_std_axis", {"axis": 0}), ("m_std_axis", {"axis": 1}),
+                           ("relation_rank", {"level": "sector"}),
+                           ("relation_rank", {"level": "industry"}),
+                           ("get_scalar", {"row": -3, "col": 40}),
+                           ("s_const", {"constant": 2}),
+                           ("vector_uniform", {"low": 1, "high": -0.5})]:
+            spec = OP_REGISTRY[op]
+            operation = Operation.make(
+                op, tuple(Operand(t, 1) for t in spec.input_types),
+                Operand(spec.output_type, 3), params,
+            )
+            assert Operation.from_dict(operation.to_dict()) == operation
+
+    def test_every_sampled_parameter_loads(self):
+        rng = np.random.default_rng(7)
+        for dims in (Dimensions(13, 13), Dimensions(5, 7), Dimensions(1, 1)):
+            for spec in OP_REGISTRY.values():
+                for _ in range(20):
+                    operation = Operation.make(
+                        spec.name, tuple(Operand(t, 1) for t in spec.input_types),
+                        Operand(spec.output_type, 3),
+                        sample_params(spec, dims, rng),
+                    )
+                    assert Operation.from_dict(operation.to_dict()) == operation
 
     def test_operations_hashable(self):
         a = Operation.make("s_abs", (Operand.scalar(2),), Operand.scalar(3))
@@ -159,3 +225,14 @@ class TestBuiltinAlphas:
         for program in (domain_expert_alpha(Dimensions(13, 13)),
                         neural_network_alpha(Dimensions(13, 13))):
             assert AlphaProgram.from_json(program.to_json()) == program
+
+    def test_mutated_programs_and_committed_programs_load(self):
+        dims = Dimensions(13, 13)
+        mutator = Mutator(dims, seed=3)
+        for code in ("D", "NN", "NOOP", "R"):
+            program = get_initialization(code, dims, seed=5)
+            for _ in range(40):
+                program = mutator.mutate(program)
+                assert AlphaProgram.from_json(program.to_json()) == program
+        for payload in json.loads(GOLDEN_PROGRAMS.read_text()):
+            AlphaProgram.from_dict(payload).validate()

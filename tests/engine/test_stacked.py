@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.compile import StackedAlpha, compile_program, stack_signature
-from repro.compile.executor import _leading_axis_rank
+from repro.core.ops import _leading_axis_rank
 from repro.config import make_rng
 from repro.core import AlphaEvaluator, get_initialization
 from repro.core.evolution import CandidateScorer

@@ -1,37 +1,44 @@
-"""The leading-axis kernel registry and the stacked kernels built on it.
+"""The operator registry's tape capabilities and the stacked kernels.
 
-Contracts of :data:`repro.compile.executor.KERNELS`, the one kernel table
-of the compiled tape, in the style of an operator-registry test suite:
+Contracts of every :data:`~repro.core.ops.OP_REGISTRY` entry that declares
+a capability (:class:`~repro.core.ops.OpSpec`), in the style of an
+operator-registry test suite:
 
-* registry metadata — every entry names an ``OP_REGISTRY`` operator and
-  consumes exactly its arity;
+* registry metadata — the capabilities an entry declares are consistent
+  with each other, every kernel consumes exactly its operator's arity, and
+  :data:`repro.compile.executor.KERNELS` is the registry's kernels with the
+  transcendental probe applied;
 * per-entry behaviour — each leading-axis kernel equals the per-slice
   registry call bit for bit on 2-D and 3-D fixtures (sanitized, tie-heavy
-  and raw), each ``out=`` form equals its registry function, and each
-  sanitize contract holds on sanitized inputs;
+  and raw), each ``out=`` form equals its registry function, each sanitize
+  contract holds on sanitized inputs, each folding operator's folded
+  constant equals the registry call on a K-vector of the constants, and
+  each gather equals the per-lane calls;
 * the transcendental operators admitted by the import-time probe run
   **stacked** — one ``(P, …)`` kernel call — and stay bitwise identical to
   per-program execution in *every* run order of the group;
-* program-axis chunking of the matrix-heavy contractions (``matmul`` /
-  ``matvec`` / ``v_dot``) is a pure scheduling change: forced, disabled
-  and auto-derived chunk sizes all produce byte-identical results on both
-  the day-loop and the fused inference paths.
+* the fused inference path split into several day chunks equals one pass
+  and each lane's own tape.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from repro.compile import StackedAlpha, compile_program, stack_signature
+from repro.compile import (
+    StackedAlpha,
+    compile_program,
+    fold_constants,
+    lower_program,
+    stack_signature,
+)
 from repro.compile.executor import (
-    FINITE_CLOSED,
     KERNELS,
-    RANGE_CLOSED,
-    _TRANSCENDENTAL_CANDIDATES,
     _probe_fixture,
     _probe_transcendentals,
     _sanitize_steps,
 )
-from repro.compile.stacked import _PROGRAM_CHUNK_OPS
 from repro.config import make_rng
 from repro.core import (
     AlphaProgram,
@@ -39,14 +46,16 @@ from repro.core import (
     Operand,
     Operation,
     PREDICTION,
-    get_initialization,
 )
 from repro.core.memory import OperandType
 from repro.core.ops import (
     CLIP_VALUE,
+    FINITE_CLOSED,
     OP_REGISTRY,
+    RANGE_CLOSED,
     Dimensions,
     ExecutionContext,
+    OpKind,
     get_op,
     sample_params,
     sanitize,
@@ -60,7 +69,7 @@ M1, M2 = Operand.matrix(1), Operand.matrix(2)
 
 
 def transcendental_alpha(dims, rng, name):
-    """A static alpha routing one input through every probe candidate."""
+    """A static alpha routing one input through every probed operator."""
     return AlphaProgram(
         setup=[],
         predict=[
@@ -111,8 +120,8 @@ def family(maker, dims, count=3, seed=5):
     return programs
 
 
-def build_fleet(evaluator, programs, **kwargs):
-    fleet = FleetEngine(evaluator, **kwargs)
+def build_fleet(evaluator, programs):
+    fleet = FleetEngine(evaluator)
     for program in programs:
         fleet.add(program)
     return fleet
@@ -132,10 +141,13 @@ def assert_matches_solo(fleet_runs, solo, programs):
 
 
 class TestTranscendentalStacking:
-    def test_probe_admits_every_candidate_here(self):
+    def test_probe_admits_every_probed_operator_here(self):
         # The probe is deterministic per platform; on the supported NumPy
-        # builds every transcendental candidate stacks bit-exactly.
-        assert set(_TRANSCENDENTAL_CANDIDATES) <= set(KERNELS)
+        # builds every probed operator stacks bit-exactly.
+        probed = {name for name, spec in OP_REGISTRY.items() if spec.probe}
+        assert probed == {"s_sin", "s_cos", "s_tan", "s_arcsin", "s_arccos",
+                          "s_arctan", "s_exp", "s_log"}
+        assert probed <= set(KERNELS)
 
     def test_probe_admits_only_from_its_candidates(self):
         # The probe is a filter, never an extender: its verdict is always a
@@ -177,96 +189,32 @@ class TestTranscendentalStacking:
             assert np.asarray(streamed[key]).tobytes() == batch.tobytes()
 
 
-class TestProgramChunking:
-    def chunk_family(self, dims, mutator=None):
-        """matmul lanes on the fused path + matvec/v_dot on the day loop."""
-        nn = get_initialization("NN", dims, seed=3)
-        rng = make_rng(11)
-        jitter = []
-        for index in range(2):
-            child = nn.copy(name=f"nn_{index}")
-            for operations in (child.setup, child.predict, child.update):
-                for i, operation in enumerate(operations):
-                    if operation.spec.param_names:
-                        operations[i] = Operation.make(
-                            operation.spec.name, operation.inputs,
-                            operation.output,
-                            sample_params(operation.spec, dims, rng),
-                        )
-            jitter.append(child)
-        return family(matmul_alpha, dims) + [nn.copy(name="nn_base")] + jitter
-
-    def test_chunk_ops_cover_the_matrix_contractions(self):
-        assert _PROGRAM_CHUNK_OPS == {"matmul", "matvec", "v_dot"}
-
-    def test_auto_chunk_derivation(self, evaluator, dims):
-        group = [compile_program(p) for p in family(matmul_alpha, dims)]
-        auto = StackedAlpha(group, evaluator.make_context())
-        assert auto.program_chunk >= 1
-        disabled = StackedAlpha(group, evaluator.make_context(),
-                                program_chunk=0)
-        assert disabled.program_chunk == 0
-        forced = StackedAlpha(group, evaluator.make_context(),
-                              program_chunk=2)
-        assert forced.program_chunk == 2
-
-    def test_forced_chunk_matches_unchunked_bitwise(self, evaluator, dims):
-        programs = self.chunk_family(dims)
-        solo = solo_runs(evaluator, programs)
-        chunked = build_fleet(evaluator, programs, program_chunk=2)
-        monolithic = build_fleet(evaluator, programs, program_chunk=0)
-        assert chunked.stack_groups >= 2
-        left = chunked.run(splits=SPLITS)
-        right = monolithic.run(splits=SPLITS)
-        assert_matches_solo(left, solo, programs)
-        assert_matches_solo(right, solo, programs)
-
-    def test_program_chunks_inside_day_chunks(
+class TestDayChunking:
+    def test_day_chunks_match_one_pass_and_solo_lanes(
         self, evaluator, dims, monkeypatch
     ):
-        # A day-chunk budget of a few days forces the fused path through
-        # several day chunks, each running program-chunked matmul lanes.
+        # A day-chunk budget of four days forces the fused path through
+        # several day chunks of stacked matmul lanes.
         import repro.compile.stacked as stacked
 
         group = [compile_program(p) for p in family(matmul_alpha, dims)]
         features = evaluator.taskset.split_features("valid")
+
+        def fused(members):
+            executor = StackedAlpha(members, evaluator.make_context())
+            assert executor.supports_fused_inference
+            executor.run_setup()
+            return executor.run_inference_batch(features)
+
+        one_pass = fused(group)
+        solo = [fused([compiled]) for compiled in group]
         per_day = len(group) * int(np.prod(features.shape[1:]))
         monkeypatch.setattr(stacked, "_MAX_CHUNK_ELEMENTS", 4 * per_day)
-        runs = []
-        for chunk in (1, 0):
-            executor = StackedAlpha(group, evaluator.make_context(),
-                                    program_chunk=chunk)
-            executor.run_setup()
-            runs.append(executor.run_inference_batch(features))
-        assert runs[0].tobytes() == runs[1].tobytes()
-        for lane, compiled in enumerate(group):
-            solo = StackedAlpha([compiled], evaluator.make_context())
-            solo.run_setup()
-            expected = solo.run_inference_batch(features)
-            assert runs[0][:, lane].tobytes() == expected[:, 0].tobytes()
-
-    def test_chunked_serving_matches_unchunked_bitwise(
-        self, small_taskset, evaluator, dims
-    ):
-        programs = self.chunk_family(dims)
-        features = small_taskset.split_features("valid")[:8]
-        labels = small_taskset.split_labels("valid")[:8]
-        streams = []
-        for chunk in (2, 0):
-            fleet = build_fleet(evaluator, programs, program_chunk=chunk)
-            fleet.warm_start()
-            streamed = {}
-            for day in range(features.shape[0]):
-                for key, prediction in fleet.step_bar(features[day]).items():
-                    streamed.setdefault(key, []).append(prediction)
-                fleet.reveal(labels[day])
-            streams.append({
-                key: np.asarray(days) for key, days in streamed.items()
-            })
-        chunked, monolithic = streams
-        assert chunked.keys() == monolithic.keys()
-        for key in chunked:
-            assert chunked[key].tobytes() == monolithic[key].tobytes()
+        assert features.shape[0] > 4
+        chunked = fused(group)
+        assert chunked.tobytes() == one_pass.tobytes()
+        for lane, expected in enumerate(solo):
+            assert chunked[:, lane].tobytes() == expected[:, 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +237,26 @@ BASE_SHAPES = {
 #: One leading axis (the program or the day axis) and two (both).
 LEADS = ((4,), (3, 2))
 RAW_SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, CLIP_VALUE])
+#: Constants the fold check combines: ±0, the clip bounds, the protected
+#: divide's threshold and just under it, denormals and ordinary values.
+FOLD_VALUES = (
+    0.0, -0.0, CLIP_VALUE, -CLIP_VALUE, 1e-9, -1e-9, 1e-10, -1e-10,
+    5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 0.5, -3.75, 123456.789,
+)
+
+
+def declaring(capability):
+    """Names of the registry entries for which ``capability(spec)`` holds."""
+    return sorted(name for name, spec in OP_REGISTRY.items()
+                  if capability(spec))
+
+
+KERNEL_OPS = declaring(lambda spec: spec.kernel is not None)
+OUT_OPS = declaring(lambda spec: spec.out is not None)
+RANGE_CLOSED_OPS = declaring(lambda spec: spec.contract == RANGE_CLOSED)
+FINITE_CLOSED_OPS = declaring(lambda spec: spec.contract == FINITE_CLOSED)
+FOLD_OPS = declaring(lambda spec: spec.fold)
+GATHER_OPS = declaring(lambda spec: spec.gather is not None)
 
 
 def fixture(shape, kind, rng):
@@ -338,18 +306,47 @@ def per_slice(name, inputs, params, lead, unled=None):
     return out
 
 
-class TestKernelRegistryMetadata:
-    def test_every_entry_names_a_registered_operator(self):
-        for name, kernel in KERNELS.items():
-            assert name in OP_REGISTRY
-            assert kernel.op == name
+class TestRegistryCapabilities:
+    @pytest.mark.parametrize("name", sorted(OP_REGISTRY))
+    def test_declared_capabilities_are_consistent(self, name):
+        spec = OP_REGISTRY[name]
+        assert spec.contract in (None, FINITE_CLOSED, RANGE_CLOSED)
+        if spec.out is not None:
+            # an out= form writes the kernel's result: an unprobed kernel
+            # with a proven contract
+            assert spec.kernel is not None and not spec.probe
+            assert spec.contract is not None
+        if spec.probe:
+            assert spec.kernel is spec.func
+            assert spec.contract is None and not spec.fold
+        if spec.fold:
+            # constants are scalars, and folding needs length-independence
+            assert spec.output_type is OperandType.SCALAR
+            assert all(t is OperandType.SCALAR for t in spec.input_types)
+            assert spec.out is not None and not spec.param_names
+        if spec.gather is not None:
+            assert spec.kind is OpKind.EXTRACTION
+            assert spec.kernel is not None
 
-    def test_contracts_are_known(self):
-        for kernel in KERNELS.values():
-            assert kernel.contract in (None, FINITE_CLOSED, RANGE_CLOSED)
-            if kernel.out is not None:
-                # every out= form is one of the finite-closed ufuncs
-                assert kernel.contract is not None
+    def test_kernel_is_the_operators_own_function_but_for_the_ranks(self):
+        assert declaring(lambda spec: spec.kernel is None) == [
+            "matrix_uniform", "relation_demean", "relation_mean", "s_const",
+            "vector_uniform",
+        ]
+        assert declaring(
+            lambda spec: spec.kernel is not None and spec.kernel is not spec.func
+        ) == ["rank", "relation_rank"]
+        assert GATHER_OPS == ["get_column", "get_row", "get_scalar"]
+        assert FOLD_OPS == ["s_abs", "s_add", "s_div", "s_heaviside", "s_max",
+                            "s_min", "s_mul", "s_sign", "s_sub"]
+
+    def test_kernels_view_is_the_registry_with_the_probe_applied(self):
+        for name in KERNEL_OPS:
+            spec = OP_REGISTRY[name]
+            if not spec.probe:
+                assert KERNELS[name] is spec.kernel
+        for name, kernel in KERNELS.items():
+            assert kernel is OP_REGISTRY[name].kernel
 
     def test_registry_covers_every_kernel_family(self):
         # elementwise, broadcasting products, selections, reductions,
@@ -358,17 +355,17 @@ class TestKernelRegistryMetadata:
                      "m_std_axis", "matmul", "v_dot", "matvec", "rank"):
             assert name in KERNELS
 
-    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("name", KERNEL_OPS)
     def test_kernel_consumes_the_operator_arity(self, name):
         spec = get_op(name)
         rng = make_rng(1)
         inputs = registry_inputs(name, (2,), "sanitized", rng)
         params = param_sets(name)[0]
         assert len(inputs) == spec.arity
-        result = KERNELS[name].func(REGISTRY_CTX, inputs, params)
+        result = spec.kernel(REGISTRY_CTX, inputs, params)
         assert result.shape == (2,) + BASE_SHAPES[spec.output_type]
-        with pytest.raises(IndexError):
-            KERNELS[name].func(REGISTRY_CTX, inputs[:-1], params)
+        with pytest.raises((IndexError, TypeError)):
+            spec.kernel(REGISTRY_CTX, inputs[:-1], params)
 
     def test_sanitize_steps_follow_the_contract(self):
         raw, clean = np.zeros(K), np.zeros(K)
@@ -379,53 +376,48 @@ class TestKernelRegistryMetadata:
         assert _sanitize_steps("relation_mean", (clean,), (raw,)) == (True, True)
 
 
-class TestKernelRegistryBehaviour:
+class TestRegistryBehaviour:
     @pytest.mark.parametrize("kind", ["sanitized", "ties", "raw"])
-    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("name", KERNEL_OPS)
     def test_kernel_equals_per_slice_registry_call(self, name, kind):
         rng = make_rng(2)
+        kernel = get_op(name).kernel
         arity = get_op(name).arity
         with np.errstate(all="ignore"):
             for lead in LEADS:
                 for unled in (None,) + tuple(range(arity) if arity > 1 else ()):
                     inputs = registry_inputs(name, lead, kind, rng, unled)
                     for params in param_sets(name):
-                        got = KERNELS[name].func(REGISTRY_CTX, inputs, params)
+                        got = kernel(REGISTRY_CTX, inputs, params)
                         want = per_slice(name, inputs, params, lead, unled)
                         assert np.asarray(got, float).tobytes() == want.tobytes(), (
                             f"{name} {lead} unled={unled} {params}"
                         )
 
     @pytest.mark.parametrize("kind", ["sanitized", "raw"])
-    @pytest.mark.parametrize(
-        "name", sorted(n for n, k in KERNELS.items() if k.out is not None)
-    )
+    @pytest.mark.parametrize("name", OUT_OPS)
     def test_out_form_equals_registry_function(self, name, kind):
         rng = make_rng(3)
         spec = get_op(name)
-        kernel = KERNELS[name]
         with np.errstate(all="ignore"):
             for lead in ((),) + LEADS:
                 inputs = registry_inputs(name, lead, kind, rng)
-                want = (spec.func if not lead else kernel.func)(
+                want = (spec.func if not lead else spec.kernel)(
                     REGISTRY_CTX, inputs, {}
                 )
                 out = np.full(lead + BASE_SHAPES[spec.output_type], 7.0)
-                kernel.out(inputs, out)
+                spec.out(inputs, out)
                 assert out.tobytes() == np.asarray(want, float).tobytes()
 
     @pytest.mark.parametrize("kind", ["sanitized", "ties"])
-    @pytest.mark.parametrize(
-        "name",
-        sorted(n for n, k in KERNELS.items() if k.contract == RANGE_CLOSED),
-    )
+    @pytest.mark.parametrize("name", RANGE_CLOSED_OPS)
     def test_range_closed_stays_within_the_clip(self, name, kind):
         rng = make_rng(4)
         for lead in LEADS:
             inputs = registry_inputs(name, lead, kind, rng)
             for params in param_sets(name):
                 result = np.asarray(
-                    KERNELS[name].func(REGISTRY_CTX, inputs, params), float
+                    get_op(name).kernel(REGISTRY_CTX, inputs, params), float
                 )
                 assert not np.isnan(result).any()
                 assert (np.abs(result) <= CLIP_VALUE).all()
@@ -433,10 +425,7 @@ class TestKernelRegistryBehaviour:
                 assert sanitize(result).tobytes() == result.tobytes()
 
     @pytest.mark.parametrize("kind", ["sanitized", "ties"])
-    @pytest.mark.parametrize(
-        "name",
-        sorted(n for n, k in KERNELS.items() if k.contract == FINITE_CLOSED),
-    )
+    @pytest.mark.parametrize("name", FINITE_CLOSED_OPS)
     def test_finite_closed_produces_no_nan(self, name, kind):
         rng = make_rng(5)
         for lead in LEADS:
@@ -445,5 +434,41 @@ class TestKernelRegistryBehaviour:
             if name.endswith("_div"):
                 inputs[1].reshape(-1)[:4] = (1e-9, -1e-9, 5e-324, -0.0)
             with np.errstate(over="raise", invalid="raise"):
-                result = KERNELS[name].func(REGISTRY_CTX, inputs, {})
+                result = get_op(name).kernel(REGISTRY_CTX, inputs, {})
             assert np.isfinite(result).all()
+
+    @pytest.mark.parametrize("name", FOLD_OPS)
+    def test_folded_constant_equals_registry_call_on_a_k_vector(self, name):
+        spec = get_op(name)
+        operands = (S3, S4)[:spec.arity]
+        for values in itertools.product(FOLD_VALUES, repeat=spec.arity):
+            program = AlphaProgram(setup=[], predict=[
+                *(Operation.make("s_const", (), operand, {"constant": value})
+                  for operand, value in zip(operands, values)),
+                Operation.make(name, operands, S5),
+                Operation.make("s_add", (S5, S5), PREDICTION),
+            ], update=[])
+            ir, _ = fold_constants(lower_program(program))
+            folded = ir.component("predict").instructions[spec.arity]
+            assert folded.op == "s_const"
+            with np.errstate(all="ignore"):
+                want = spec(REGISTRY_CTX, tuple(np.full(K, value)
+                                                for value in values), {})
+            got = np.full(K, folded.param_dict["constant"])
+            assert got.tobytes() == want.tobytes(), f"{name}{values}"
+
+    @pytest.mark.parametrize("kind", ["sanitized", "raw"])
+    @pytest.mark.parametrize("name", GATHER_OPS)
+    def test_gather_equals_per_lane_calls(self, name, kind):
+        spec = get_op(name)
+        # sampled indices plus ones that wrap around from either end
+        wrapping = {key: value for key, value in (("row", -1), ("col", W + 2))
+                    if key in spec.param_names}
+        lanes = tuple(param_sets(name)) + (wrapping,)
+        inputs = (fixture((len(lanes), K, F, W), kind, make_rng(6)),)
+        got = spec.gather(REGISTRY_CTX, lanes)(REGISTRY_CTX, inputs, None)
+        want = np.stack([
+            spec.func(REGISTRY_CTX, (inputs[0][lane],), params)
+            for lane, params in enumerate(lanes)
+        ])
+        assert got.tobytes() == want.tobytes()

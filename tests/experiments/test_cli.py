@@ -241,6 +241,22 @@ class TestServe:
         assert exit_code == 2
         assert "no such program file" in capsys.readouterr().err
 
+    def test_serve_rejects_an_out_of_domain_parameter(self, capsys, tmp_path):
+        # A reduction axis the mutator never draws used to reach the tape
+        # and fail there (or, at K == f == w, predict differently on the
+        # interpreter and the tape); loading now refuses it.
+        payload = domain_expert_alpha(Dimensions(13, 13)).to_dict()
+        payload["predict"].insert(0, {
+            "op": "m_std_axis", "inputs": ["m0"], "output": "v1",
+            "params": {"axis": 3},
+        })
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        exit_code = main(["serve", "--scale", "smoke", "--program", str(path)])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "m_std_axis" in err and "axis=3" in err
+
     def test_serve_uniquifies_duplicate_program_names(self, capsys, tmp_path):
         """Two artifacts embedding the same name serve under distinct names."""
         program = domain_expert_alpha(Dimensions(13, 13))
