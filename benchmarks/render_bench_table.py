@@ -62,25 +62,12 @@ def _render_compile(payload: dict) -> list[Row]:
 
 
 def _render_parallel(payload: dict) -> list[Row]:
-    workers = payload.get("workers", {})
-    serial = payload["serial_baseline"]["candidates_per_second"]
-    if not workers or not serial:
-        return []
-    if "skipped_speedup_note" in payload:
-        return [(
-            "evaluation pool vs serial",
-            "n/a",
-            f"`bench_parallel.py` on {payload['cpu_count']} CPU(s): "
-            "speedup headline skipped (single core), bitwise parity held",
-        )]
-    count, best = max(
-        workers.items(), key=lambda item: item[1]["candidates_per_second"]
-    )
     return [(
-        f"evaluation pool, {count} workers vs serial",
-        f"{best['candidates_per_second'] / serial:.2f}x",
+        f"evaluation pool, {payload['speedup_workers']} workers vs serial "
+        "stacked batch",
+        f"{payload['speedup_vs_serial']}x",
         f"`bench_parallel.py` on {payload['cpu_count']} CPU(s), "
-        "bitwise parity",
+        f"{payload['num_programs']} programs, bitwise parity",
     )]
 
 

@@ -43,8 +43,10 @@ def main() -> None:
         # num_workers > 1 evaluates each per-step candidate batch on a
         # process pool without changing any result.  Checkpoints land in
         # checkpoint_dir/<search name>.ckpt, and a rerun of the same search
-        # name resumes from them automatically.
-        session = MiningSession(
+        # name resumes from them automatically.  The session owns its worker
+        # pool: every search reuses it, and leaving the with block shuts it
+        # down.
+        with MiningSession(
             taskset,
             evolution_config=EvolutionConfig(
                 population_size=20,
@@ -59,9 +61,10 @@ def main() -> None:
             seed=7,
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=100,
-        )
-        print(f"\nIsland search: 4 islands, {workers} evaluation worker(s)")
-        mined = session.search(seed_alpha, name="alpha_AE_P_0", enforce_cutoff=False)
+        ) as session:
+            print(f"\nIsland search: 4 islands, {workers} evaluation worker(s)")
+            mined = session.search(seed_alpha, name="alpha_AE_P_0",
+                                   enforce_cutoff=False)
         evolution = mined.evolution
         print(f"  searched alphas:    {int(mined.extras['searched_alphas'])}")
         print(f"  actually evaluated: {int(mined.extras['evaluated_alphas'])}")
@@ -80,7 +83,7 @@ def main() -> None:
         # already exhausted, so it returns the same best program without
         # re-evaluating anything; after a mid-run kill it would continue
         # searching from the last checkpoint instead.
-        restarted = MiningSession(
+        with MiningSession(
             taskset,
             evolution_config=session.evolution_config,
             long_k=10,
@@ -89,8 +92,9 @@ def main() -> None:
             seed=7,
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=100,
-        )
-        resumed = restarted.search(seed_alpha, name="alpha_AE_P_0", enforce_cutoff=False)
+        ) as restarted:
+            resumed = restarted.search(seed_alpha, name="alpha_AE_P_0",
+                                       enforce_cutoff=False)
         print("\nRestarted process resumes to the identical alpha:",
               resumed.program == mined.program)
 

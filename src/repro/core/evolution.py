@@ -66,7 +66,10 @@ class EvolutionConfig:
     (``max_candidates``, counting pruned/cached/evaluated candidates alike —
     the paper's "searched alphas") and/or a wall-clock limit in seconds
     (``max_seconds``, the paper uses 60 hours per round); the search stops at
-    whichever limit is hit first.
+    whichever limit is hit first.  The candidate budget is exact.  The
+    clock is read before the population fill, which is scored as one
+    batch, and between main-loop steps, so a search may overrun
+    ``max_seconds`` by the fill or by one step.
 
     ``num_islands`` is the number of populations the search evolves side
     by side (one is the paper's regularised evolution), exchanging their
@@ -237,15 +240,14 @@ class CandidateScorer:
         When a filter with references is present, a valid candidate whose
         validation portfolio returns correlate above the cutoff with any
         reference is invalidated.  The engine computes those returns in the
-        serial path; a pool must be constructed with
-        ``compute_valid_returns=True`` so its workers return them instead.
+        serial path; with a pool, each dispatch asks the workers for them.
     use_pruning:
         Disables the prune-before-evaluate fingerprint cache (Table 6's
         ``*_N`` ablation) when False.
     pool:
         Optional :class:`repro.parallel.pool.EvaluationPool`; cache misses in
-        a batch are then evaluated by worker processes instead of
-        ``evaluator``.
+        a batch are then evaluated by worker processes, each dispatch under
+        ``evaluator``'s seed, so pooled and serial reports agree bit for bit.
     canonical_fingerprint:
         Whether the cache fingerprints the canonicalised IR (the default) or
         uses the historical render-based key; see
@@ -265,12 +267,6 @@ class CandidateScorer:
             raise EvolutionError(
                 "a backtest engine is required when a correlation filter is used"
             )
-        if correlation_filter is not None and pool is not None \
-                and not pool.compute_valid_returns:
-            raise EvolutionError(
-                "the evaluation pool must be built with compute_valid_returns=True "
-                "when a correlation filter is used"
-            )
         self.evaluator = evaluator
         self.correlation_filter = correlation_filter
         self.backtest_engine = backtest_engine
@@ -280,6 +276,13 @@ class CandidateScorer:
         self.cache = FingerprintCache(enabled=use_pruning,
                                       canonical=canonical_fingerprint)
         self.candidates_generated = 0
+
+    @property
+    def _cutoff_active(self) -> bool:
+        """Whether the correlation cutoff has references to check against
+        (and evaluations must therefore yield validation returns)."""
+        return (self.correlation_filter is not None
+                and self.correlation_filter.num_references > 0)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -348,7 +351,9 @@ class CandidateScorer:
         dispatch = None
         if pending and self.pool is not None:
             dispatch = self.pool.submit_detailed(
-                [item.program for item in pending]
+                [item.program for item in pending],
+                evaluator_seed=self.evaluator.seed,
+                valid_returns=self._cutoff_active,
             )
         return ScoreBatchHandle(self, reports, pending, dispatch, batch_started)
 
@@ -388,10 +393,7 @@ class CandidateScorer:
         # Imported lazily: repro.engine builds on repro.core submodules.
         from ..engine import evaluate_program_batch
 
-        cutoff_active = (
-            self.correlation_filter is not None
-            and self.correlation_filter.num_references > 0
-        )
+        cutoff_active = self._cutoff_active
         # The whole batch of cache misses evaluates as one fleet over a
         # shared context and data pass.  Deduplication stays off: the cache
         # layer above already decided which candidates share an evaluation,
@@ -415,10 +417,7 @@ class CandidateScorer:
         self, report: FitnessReport, valid_returns: np.ndarray | None
     ) -> FitnessReport:
         """Invalidate a valid report that violates the correlation cutoff."""
-        if not report.is_valid or self.correlation_filter is None \
-                or not self.correlation_filter.num_references:
-            return report
-        if valid_returns is None:
+        if not report.is_valid or not self._cutoff_active or valid_returns is None:
             return report
         max_corr = self.correlation_filter.max_correlation(valid_returns)
         if max_corr <= self.correlation_filter.cutoff:

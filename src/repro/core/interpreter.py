@@ -119,6 +119,10 @@ class AlphaEvaluator:
 
         self.taskset = taskset
         self.address_space = address_space
+        #: The integer seed this evaluator was built from (``None`` for a
+        #: generator or fresh entropy); an evaluation-pool dispatch names
+        #: it, so the workers rebuild an equal evaluator.
+        self.seed = int(seed) if isinstance(seed, (int, np.integer)) else None
         self._seed_rng = make_rng(seed)
         self._base_seed = int(self._seed_rng.integers(0, 2**63 - 1))
         self.max_train_steps = max_train_steps

@@ -16,7 +16,6 @@ cutoffs and reports the paper's metrics for the evolved alpha.
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,7 +65,15 @@ class MinedAlpha:
 
 
 class MiningSession:
-    """Stateful weakly-correlated alpha mining over one task set."""
+    """Stateful weakly-correlated alpha mining over one task set.
+
+    The session owns at most one
+    :class:`~repro.parallel.pool.EvaluationPool`.  Its first search with
+    ``num_workers > 1`` starts the pool, later searches reuse it, and a
+    search that needs another worker count or engine replaces it.
+    :meth:`close` shuts it down; the session is a context manager that
+    closes on exit, and a search after :meth:`close` starts a new pool.
+    """
 
     def __init__(
         self,
@@ -98,6 +105,42 @@ class MiningSession:
         #: the mined set A: alphas accepted so far, with their validation
         #: portfolio returns (the reference series for the cutoff).
         self.accepted: list[MinedAlpha] = []
+        self._pool = None
+
+    # ------------------------------------------------------------------
+    def _pool_for(self, config: EvolutionConfig):
+        """The pool a search under ``config`` evaluates on (``None`` for
+        one worker): the session's own, started or replaced on demand."""
+        # Imported lazily: repro.parallel depends on repro.core submodules.
+        from ..parallel.pool import EvaluationPool
+
+        if config.num_workers == 1:
+            return None
+        pool = self._pool
+        if pool is None or pool.num_workers != config.num_workers \
+                or pool.spec.engine != config.execution_engine:
+            self.close()
+            self._pool = EvaluationPool(
+                self.taskset,
+                num_workers=config.num_workers,
+                max_train_steps=self.max_train_steps,
+                long_k=self.long_k,
+                short_k=self.short_k,
+                engine=config.execution_engine,
+            )
+        return self._pool
+
+    def close(self) -> None:
+        """Shut the session's evaluation pool down (idempotent)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
+
+    def __enter__(self) -> "MiningSession":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def _correlation_filter(self, enforce_cutoff: bool) -> CorrelationFilter | None:
@@ -177,23 +220,22 @@ class MiningSession:
             the pruning ablation of Table 6).
 
         The search runs on the island controller of :mod:`repro.parallel`
-        with ``num_islands`` populations; with ``num_workers > 1`` a worker
-        pool evaluates its candidates.  With a session ``checkpoint_dir``
+        with ``num_islands`` populations; with ``num_workers > 1`` the
+        session's worker pool evaluates its candidates.  With a session
+        ``checkpoint_dir``
         the search state is checkpointed to ``<dir>/<name>.ckpt`` and an
         existing checkpoint of that name is resumed automatically.  Neither
         the pool nor the checkpoint changes the mined program.
         """
         # Imported lazily: repro.parallel depends on repro.core submodules.
         from ..parallel.islands import IslandEvolutionController
-        from ..parallel.pool import EvaluationPool
 
         config = evolution_config or self.evolution_config
         if use_pruning is not None:
             config = replace(config, use_pruning=use_pruning)
-        evaluator_seed = int(self.rng.integers(0, 2**31 - 1))
         evaluator = AlphaEvaluator(
             self.taskset,
-            seed=evaluator_seed,
+            seed=int(self.rng.integers(0, 2**31 - 1)),
             max_train_steps=self.max_train_steps,
             engine=config.execution_engine,
         )
@@ -203,34 +245,19 @@ class MiningSession:
         checkpoint_path = None
         if self.checkpoint_dir is not None:
             checkpoint_path = os.path.join(self.checkpoint_dir, f"{name}.ckpt")
-        pool = None
-        if config.num_workers > 1:
-            pool = EvaluationPool(
-                self.taskset,
-                num_workers=config.num_workers,
-                evaluator_seed=evaluator_seed,
-                max_train_steps=self.max_train_steps,
-                long_k=self.long_k,
-                short_k=self.short_k,
-                # The cutoff needs validation portfolio returns; without
-                # references the workers skip that backtest entirely.
-                compute_valid_returns=correlation_filter is not None,
-                engine=config.execution_engine,
-            )
-        with pool if pool is not None else nullcontext():
-            evolution = IslandEvolutionController(
-                evaluator=evaluator,
-                dims=self.dims,
-                config=config,
-                mutation_config=self.mutation_config,
-                correlation_filter=correlation_filter,
-                backtest_engine=self.engine,
-                seed=controller_seed,
-                mutation_seed=mutation_seed,
-                pool=pool,
-                checkpoint_path=checkpoint_path,
-                checkpoint_interval=self.checkpoint_interval,
-            ).run(initial_program)
+        evolution = IslandEvolutionController(
+            evaluator=evaluator,
+            dims=self.dims,
+            config=config,
+            mutation_config=self.mutation_config,
+            correlation_filter=correlation_filter,
+            backtest_engine=self.engine,
+            seed=controller_seed,
+            mutation_seed=mutation_seed,
+            pool=self._pool_for(config),
+            checkpoint_path=checkpoint_path,
+            checkpoint_interval=self.checkpoint_interval,
+        ).run(initial_program)
         evolved = evolution.best_program.copy(name=name)
         mined = self._assess(name, evolved, evaluator, evolution=evolution)
         mined.extras["searched_alphas"] = float(evolution.searched_alphas)

@@ -324,15 +324,20 @@ class FleetEngine:
             groups.setdefault(stack_signature(artefact), []).append(key)
         return compiled, list(groups.values())
 
-    def _bind_groups(self, ctx) -> list[tuple[list[str], object]]:
-        """One backend per signature group bound to ``ctx`` — per key under
-        the interpreter — with the group's keys in lane order."""
+    def _bind_groups(self, ctx):
+        """Yield one backend per signature group bound to ``ctx`` — per key
+        under the interpreter — with the group's keys in lane order.
+
+        Each group's tape is bound only when the caller asks for it, so an
+        offline :meth:`run` holds one group's tape at a time.
+        """
         if self.engine_name != "compiled":
-            return [
-                ([key], make_backend(program, ctx, engine=self.engine_name,
-                                     address_space=self.evaluator.address_space))
-                for key, program in self._programs.items()
-            ]
+            for key, program in self._programs.items():
+                yield [key], make_backend(
+                    program, ctx, engine=self.engine_name,
+                    address_space=self.evaluator.address_space,
+                )
+            return
         compiled, groups = self._signature_groups()
         stacked_groups = [group for group in groups if len(group) >= 2]
         self._stack_group_count = len(stacked_groups)
@@ -343,10 +348,8 @@ class FleetEngine:
             TELEMETRY.counter("engine.fleet.stacked_programs").inc(
                 sum(len(group) for group in stacked_groups)
             )
-        return [
-            (group, StackedAlpha([compiled[key] for key in group], ctx))
-            for group in groups
-        ]
+        for group in groups:
+            yield group, StackedAlpha([compiled[key] for key in group], ctx)
 
     # ------------------------------------------------------------------
     # Offline: one-shot batch evaluation over a shared data pass
@@ -392,6 +395,8 @@ class FleetEngine:
                     split: np.ascontiguousarray(panel[:, lane])
                     for split, panel in panels.items()
                 }
+            # Free this group's tape before the next group binds its own.
+            del backend
         return {member.name: by_key[member.key] for member in self.members}
 
     def evaluate(

@@ -82,7 +82,9 @@ class MiningStudy:
     Per round, one evolutionary search is launched per initialisation (with
     the accumulated correlation cutoffs); the alpha with the highest Sharpe
     ratio is accepted into ``A``.  In the last round the accepted alphas are
-    used as initialisations (the ``B0..B3`` rows of Tables 2/3).
+    used as initialisations (the ``B0..B3`` rows of Tables 2/3).  All
+    searches share the session's evaluation pool, which :meth:`run` closes
+    before it returns.
     """
 
     def __init__(
@@ -137,19 +139,26 @@ class MiningStudy:
         """Execute the full multi-round protocol and return one record per round."""
         num_rounds = num_rounds or self.config.num_rounds
         self.rounds = []
-        for round_index in range(num_rounds):
-            results: dict[str, MinedAlpha] = {}
-            for code, program in self._round_initializations(round_index, num_rounds).items():
-                name = f"alpha_AE_{code}_{round_index}"
-                results[code] = self.session.search(
-                    program,
-                    name=name,
-                    enforce_cutoff=bool(self.session.accepted),
-                )
-            best_code = max(results, key=lambda code: results[code].sharpe)
-            record = RoundRecord(round_index=round_index, results=results, best_code=best_code)
-            self.session.accept(record.best)
-            self.rounds.append(record)
+        try:
+            for round_index in range(num_rounds):
+                results: dict[str, MinedAlpha] = {}
+                initializations = self._round_initializations(round_index, num_rounds)
+                for code, program in initializations.items():
+                    name = f"alpha_AE_{code}_{round_index}"
+                    results[code] = self.session.search(
+                        program,
+                        name=name,
+                        enforce_cutoff=bool(self.session.accepted),
+                    )
+                best_code = max(results, key=lambda code: results[code].sharpe)
+                record = RoundRecord(round_index=round_index, results=results,
+                                     best_code=best_code)
+                self.session.accept(record.best)
+                self.rounds.append(record)
+        finally:
+            # Reap the pool's workers here, not at some later garbage
+            # collection: their CPU time belongs to this run.
+            self.session.close()
         return self.rounds
 
     # ------------------------------------------------------------------
@@ -320,7 +329,8 @@ class GeneticStudy:
 def run_table1(config: ExperimentConfig = LAPTOP) -> ExperimentResult:
     """Table 1: mining a weakly correlated alpha against an existing expert alpha."""
     taskset = make_taskset(config)
-    session = MiningSession(
+    dims = Dimensions(taskset.num_features, taskset.window)
+    with MiningSession(
         taskset,
         evolution_config=config.evolution_config(),
         correlation_cutoff=config.correlation_cutoff,
@@ -329,19 +339,18 @@ def run_table1(config: ExperimentConfig = LAPTOP) -> ExperimentResult:
         max_train_steps=config.max_train_steps,
         seed=config.search_seed,
         checkpoint_dir=config.checkpoint_dir,
-    )
-    dims = Dimensions(taskset.num_features, taskset.window)
-
-    expert = session.evaluate_alpha(get_initialization("D", dims), name="alpha_D_0")
-    # AlphaEvolve and the GP baseline get the same wall-clock budget per
-    # round, as in the paper (60 hours there, a few seconds at laptop scale).
-    time_budgeted = config.evolution_config(
-        max_candidates=10**9, max_seconds=config.round_time_budget_seconds
-    )
-    evolved = session.search(
-        get_initialization("D", dims), name="alpha_AE_D_0", enforce_cutoff=False,
-        evolution_config=time_budgeted,
-    )
+    ) as session:
+        expert = session.evaluate_alpha(get_initialization("D", dims), name="alpha_D_0")
+        # AlphaEvolve and the GP baseline get the same wall-clock budget per
+        # round, as in the paper (60 hours there, a few seconds at laptop
+        # scale).
+        time_budgeted = config.evolution_config(
+            max_candidates=10**9, max_seconds=config.round_time_budget_seconds
+        )
+        evolved = session.search(
+            get_initialization("D", dims), name="alpha_AE_D_0", enforce_cutoff=False,
+            evolution_config=time_budgeted,
+        )
 
     genetic_study = GeneticStudy(config, taskset=taskset, use_time_budget=True)
     genetic_round = genetic_study._run_round(0, None, seed=config.search_seed + 100)
@@ -448,7 +457,8 @@ def run_table4(config: ExperimentConfig = LAPTOP,
 def run_table5(config: ExperimentConfig = LAPTOP) -> ExperimentResult:
     """Table 5: AlphaEvolve alphas vs. Rank_LSTM and RSR (mean ± std over seeds)."""
     taskset = make_taskset(config)
-    session = MiningSession(
+    dims = Dimensions(taskset.num_features, taskset.window)
+    with MiningSession(
         taskset,
         evolution_config=config.evolution_config(),
         correlation_cutoff=config.correlation_cutoff,
@@ -457,15 +467,13 @@ def run_table5(config: ExperimentConfig = LAPTOP) -> ExperimentResult:
         max_train_steps=config.max_train_steps,
         seed=config.search_seed,
         checkpoint_dir=config.checkpoint_dir,
-    )
-    dims = Dimensions(taskset.num_features, taskset.window)
+    ) as session:
+        evolved_d = session.search(get_initialization("D", dims), name="alpha_AE_D_0",
+                                   enforce_cutoff=False)
+        session.accept(evolved_d)
+        evolved_nn = session.search(get_initialization("NN", dims),
+                                    name="alpha_AE_NN_1", enforce_cutoff=True)
     engine = session.engine
-
-    evolved_d = session.search(get_initialization("D", dims), name="alpha_AE_D_0",
-                               enforce_cutoff=False)
-    session.accept(evolved_d)
-    evolved_nn = session.search(get_initialization("NN", dims), name="alpha_AE_NN_1",
-                                enforce_cutoff=True)
 
     # Grid search for Rank_LSTM on the validation IC, then 5-seed reporting.
     grid = grid_search_rank_lstm(
@@ -554,7 +562,7 @@ def run_table6(config: ExperimentConfig = LAPTOP,
     rows: list[dict] = []
     for index, code in enumerate(initializations):
         for use_pruning in (True, False):
-            session = MiningSession(
+            with MiningSession(
                 taskset,
                 evolution_config=EvolutionConfig(
                     population_size=config.population_size,
@@ -572,14 +580,14 @@ def run_table6(config: ExperimentConfig = LAPTOP,
                 max_train_steps=config.max_train_steps,
                 seed=config.search_seed + index,
                 checkpoint_dir=config.checkpoint_dir,
-            )
-            suffix = "" if use_pruning else "_N"
-            name = f"alpha_AE_{code}_{index}{suffix}"
-            mined = session.search(
-                get_initialization(code, dims, seed=config.search_seed + index),
-                name=name,
-                enforce_cutoff=False,
-            )
+            ) as session:
+                suffix = "" if use_pruning else "_N"
+                name = f"alpha_AE_{code}_{index}{suffix}"
+                mined = session.search(
+                    get_initialization(code, dims, seed=config.search_seed + index),
+                    name=name,
+                    enforce_cutoff=False,
+                )
             rows.append(
                 {
                     "alpha": name,

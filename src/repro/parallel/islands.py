@@ -3,11 +3,13 @@
 Every :meth:`repro.core.mining.MiningSession.search` runs here.  The search
 evolves ``M`` regularised-evolution populations ("islands"), each with its
 own tournament RNG and mutator stream; ``M = 1`` is the paper's single
-aging population.  Every main-loop step each island proposes one child
-(tournament → mutate), and the ``M`` proposals are scored as one batch
-through the shared :class:`~repro.core.evolution.CandidateScorer` — which is
-what lets a :class:`~repro.parallel.pool.EvaluationPool` evaluate them
-concurrently.  Every :data:`MIGRATION_INTERVAL` steps each island offers its
+aging population.  The populations are first filled with mutations of the
+initial program, all islands' fill scored as one batch.  Every main-loop
+step each island then proposes one child (tournament → mutate), and the
+``M`` proposals are scored as one batch through the shared
+:class:`~repro.core.evolution.CandidateScorer` — which is what lets a
+:class:`~repro.parallel.pool.EvaluationPool` evaluate them concurrently.
+Every :data:`MIGRATION_INTERVAL` steps each island offers its
 best candidate along a ring (island ``i`` receives from island ``i-1``),
 replacing the receiver's worst member, so good genetic material spreads without
 collapsing the scenario diversity that independent populations provide.
@@ -75,8 +77,9 @@ class IslandEvolutionController:
     Parameters
     ----------
     evaluator:
-        Scores cache misses when no ``pool`` is given; its seed should match
-        the pool's ``evaluator_seed`` so serial and pooled runs agree.
+        Scores cache misses when no ``pool`` is given; with a pool, every
+        dispatch names this evaluator's seed, so serial and pooled runs
+        agree.
     dims:
         Problem dimensions used to build the per-island mutators.
     config:
@@ -325,7 +328,7 @@ class IslandEvolutionController:
             self._best_ever = candidate
         self._trajectory.append(
             TrajectoryPoint(
-                candidates=self.scorer.candidates_generated,
+                candidates=candidate.born_at,
                 evaluations=self.scorer.cache.stats.evaluated,
                 best_fitness=self._best_ever.fitness,
                 elapsed_seconds=self._elapsed(),
@@ -358,26 +361,45 @@ class IslandEvolutionController:
     # Search phases
     # ------------------------------------------------------------------
     def _seed_phase(self, initial_program: AlphaProgram) -> None:
-        """Fill every island's population by mutating the initial parent."""
+        """Fill every island's population by mutating the initial parent.
+
+        The fill is drawn in round-robin steps — one child per island that
+        still needs one, cut to the candidate budget — and scored as one
+        batch, so a pool sees the whole fill at once.  Every fill child
+        mutates the same parent on its island's own mutator stream and
+        none depends on another's fitness, so the programs, reports and
+        cache statistics equal those of scoring the fill step by step;
+        each child's ``born_at`` (and trajectory ``candidates``) is the
+        candidate count at the end of its round-robin step.  The time
+        budget is checked once, before the fill.
+        """
+        if self._budget_exhausted():
+            return
         target = self.config.population_size
-        while not self._budget_exhausted():
-            needy = [isl for isl in self.islands if len(isl.population) < target]
-            if not needy:
-                break
-            remaining = self._remaining_candidates()
+        remaining = self._remaining_candidates()
+        sizes = [len(island.population) for island in self.islands]
+        counted = self.scorer.candidates_generated
+        fill: list[tuple[Island, int]] = []
+        while remaining is None or remaining > 0:
+            needy = [index for index, size in enumerate(sizes) if size < target]
             if remaining is not None:
                 needy = needy[:remaining]
-            programs = [island.mutator.mutate(initial_program) for island in needy]
-            reports = self.scorer.score_batch(programs)
-            for island, program, report in zip(needy, programs, reports):
-                child = Candidate(
-                    program=program,
-                    report=report,
-                    born_at=self.scorer.candidates_generated,
-                )
-                island.population.append(child)
-                self._register(child)
-            self._maybe_checkpoint()
+                remaining -= len(needy)
+            if not needy:
+                break
+            counted += len(needy)
+            for index in needy:
+                sizes[index] += 1
+                fill.append((self.islands[index], counted))
+        if not fill:
+            return
+        programs = [island.mutator.mutate(initial_program) for island, _ in fill]
+        reports = self.scorer.score_batch(programs)
+        for (island, born_at), program, report in zip(fill, programs, reports):
+            child = Candidate(program=program, report=report, born_at=born_at)
+            island.population.append(child)
+            self._register(child)
+        self._maybe_checkpoint()
 
     def _propose(self, active: list[Island]) -> list[AlphaProgram]:
         """Draw one tournament → mutate proposal per active island."""

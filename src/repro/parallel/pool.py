@@ -34,11 +34,21 @@ the context-manager exit) shuts the executor down and unlinks the shared
 segment even when a batch raised; the store's own atexit/signal/crash
 guards cover the paths that never reach ``close``.
 
-Determinism: every worker builds its evaluator from the same
-``evaluator_seed``, and evaluation derives its RNG from that seed per call,
-so a program's fitness report is bitwise identical no matter which worker
-(or how many retries) produced it — and identical to a serial
-``AlphaEvaluator`` built from the same seed.
+**Lifetime.**  A pool outlives any one search: a
+:class:`~repro.core.mining.MiningSession` builds one on its first pooled
+search and every later search reuses it.  What differs between those
+searches travels with each dispatch instead of with the pool: the
+evaluator seed, and whether the workers also return validation
+portfolio-return series (a search's first round runs without the
+correlation cutoff, later rounds with it).
+
+Determinism: every dispatch names the evaluator seed its programs are
+scored under; a worker rebuilds its ``AlphaEvaluator`` whenever a batch
+names a seed other than the last one, and evaluation derives its RNG from
+that seed per call.  So a program's fitness report is bitwise identical no
+matter which worker (or how many retries, or which earlier dispatches)
+produced it — and identical to a serial ``AlphaEvaluator`` built from the
+same seed.
 
 Telemetry (behind :data:`repro.obs.TELEMETRY`): ``pool.shm_bytes`` (gauge,
 bytes of shared panel currently published), ``pool.batches_retried`` and
@@ -85,13 +95,11 @@ class PoolSpec:
     taxonomy: object
     split: object
     tickers: tuple[str, ...]
-    evaluator_seed: int = 0
     max_train_steps: int | None = None
     use_update: bool = True
     evaluate_test: bool = True
     long_k: int = LONG_POSITIONS
     short_k: int = SHORT_POSITIONS
-    compute_valid_returns: bool = False
     #: Execution-engine name each worker's evaluator runs candidates on
     #: (see :data:`repro.engine.ENGINES`; bitwise identical across
     #: engines).
@@ -103,9 +111,9 @@ class PoolEvaluation:
     """One worker-evaluated candidate.
 
     ``valid_returns`` carries the validation long-short portfolio-return
-    series when the pool was built with ``compute_valid_returns=True`` and
-    the report is valid; the parent process needs it to apply the
-    correlation cutoff without re-running the program.
+    series when the dispatch asked for it (``valid_returns=True``) and the
+    report is valid; the parent process needs it to apply the correlation
+    cutoff without re-running the program.
     """
 
     report: FitnessReport
@@ -114,7 +122,9 @@ class PoolEvaluation:
 
 @dataclass
 class _WorkBatch:
-    """One worker dispatch: programs of a single stack-signature group.
+    """One worker dispatch: programs of a single stack-signature group,
+    the evaluator seed they are scored under and whether their validation
+    portfolio returns come back.
 
     ``fault`` is a test-only hook (``"sigkill"`` / ``"raise"``) injected by
     the fault tests; it is never set on a retry resubmission, so an
@@ -122,23 +132,24 @@ class _WorkBatch:
     """
 
     programs: list[AlphaProgram]
+    evaluator_seed: int
+    valid_returns: bool = False
     fault: str | None = None
 
 
 @dataclass
 class _WorkerState:
-    """Per-process evaluation stack, built once by the pool initializer."""
+    """Per-process evaluation stack, built once by the pool initializer;
+    the evaluator follows the seed each batch names."""
 
-    evaluator: object
-    engine: BacktestEngine | None
+    spec: PoolSpec
+    taskset: TaskSet
+    engine: BacktestEngine
     store: SharedPanelStore
+    evaluator: object = None
 
     @classmethod
     def from_spec(cls, spec: PoolSpec) -> "_WorkerState":
-        # Imported lazily: repro.parallel sits below the engine layer, and
-        # the interpreter facade imports the engine package itself.
-        from ..core.interpreter import AlphaEvaluator
-
         store = SharedPanelStore.attach(spec.panel)
         taskset = TaskSet(
             features=store.features,
@@ -148,18 +159,26 @@ class _WorkerState:
             split=spec.split,
             tickers=spec.tickers,
         )
-        evaluator = AlphaEvaluator(
-            taskset,
-            seed=spec.evaluator_seed,
-            max_train_steps=spec.max_train_steps,
-            use_update=spec.use_update,
-            evaluate_test=spec.evaluate_test,
-            engine=spec.engine,
-        )
-        engine = None
-        if spec.compute_valid_returns:
-            engine = BacktestEngine(taskset, long_k=spec.long_k, short_k=spec.short_k)
-        return cls(evaluator=evaluator, engine=engine, store=store)
+        engine = BacktestEngine(taskset, long_k=spec.long_k, short_k=spec.short_k)
+        return cls(spec=spec, taskset=taskset, engine=engine, store=store)
+
+    def evaluator_for(self, seed: int):
+        """The worker's evaluator under ``seed``, rebuilt when it changes."""
+        if self.evaluator is None or self.evaluator.seed != seed:
+            # Imported lazily: repro.parallel sits below the engine layer,
+            # and the interpreter facade imports the engine package itself.
+            from ..core.interpreter import AlphaEvaluator
+
+            spec = self.spec
+            self.evaluator = AlphaEvaluator(
+                self.taskset,
+                seed=seed,
+                max_train_steps=spec.max_train_steps,
+                use_update=spec.use_update,
+                evaluate_test=spec.evaluate_test,
+                engine=spec.engine,
+            )
+        return self.evaluator
 
 
 _WORKER: _WorkerState | None = None
@@ -189,11 +208,13 @@ def _evaluate_batch(batch: _WorkBatch) -> list[PoolEvaluation]:
     # Imported lazily: repro.engine builds on repro.core submodules.
     from ..engine import evaluate_program_batch
 
-    results = evaluate_program_batch(state.evaluator, batch.programs)
+    results = evaluate_program_batch(
+        state.evaluator_for(batch.evaluator_seed), batch.programs
+    )
     evaluations: list[PoolEvaluation] = []
     for result in results:
         valid_returns = None
-        if state.engine is not None and result.is_valid:
+        if batch.valid_returns and result.is_valid:
             valid_returns = state.engine.portfolio_returns(
                 result.predictions["valid"], split="valid"
             )
@@ -217,8 +238,7 @@ class _Chunk:
     """One in-flight dispatch unit and where its results land."""
 
     indices: list[int]
-    programs: list[AlphaProgram]
-    fault: str | None = None
+    batch: _WorkBatch
     retries: int = 0
     future: object = None
     evaluations: list[PoolEvaluation] | None = None
@@ -260,13 +280,15 @@ class EvaluationPool:
         is published to shared memory once, here.
     num_workers:
         Number of worker processes; defaults to the machine's CPU count.
-    evaluator_seed / max_train_steps / use_update / evaluate_test:
+    max_train_steps / use_update / evaluate_test:
         Forwarded to each worker's :class:`AlphaEvaluator`; use the same
         values as the serial evaluator to get bitwise-identical reports.
-    long_k / short_k / compute_valid_returns:
-        With ``compute_valid_returns=True`` workers also return the
-        validation long-short portfolio-return series of every valid
-        candidate (needed by the correlation cutoff).
+        The evaluator seed is not a pool setting: every dispatch names it
+        (``evaluator_seed=``), so one pool serves searches under any seeds.
+    long_k / short_k:
+        Position counts of the validation long-short portfolio whose
+        return series a dispatch with ``valid_returns=True`` gets back for
+        every valid candidate (needed by the correlation cutoff).
     engine:
         Execution-engine name the workers run candidates on (see
         :data:`repro.engine.ENGINES`); bitwise identical across engines.
@@ -290,13 +312,11 @@ class EvaluationPool:
         taskset: TaskSet,
         num_workers: int | None = None,
         *,
-        evaluator_seed: int = 0,
         max_train_steps: int | None = None,
         use_update: bool = True,
         evaluate_test: bool = True,
         long_k: int = LONG_POSITIONS,
         short_k: int = SHORT_POSITIONS,
-        compute_valid_returns: bool = False,
         engine: str | None = None,
         batch_size: int = 8,
         max_batch_retries: int = 2,
@@ -321,13 +341,11 @@ class EvaluationPool:
             taxonomy=taskset.taxonomy,
             split=taskset.split,
             tickers=taskset.tickers,
-            evaluator_seed=evaluator_seed,
             max_train_steps=max_train_steps,
             use_update=use_update,
             evaluate_test=evaluate_test,
             long_k=long_k,
             short_k=short_k,
-            compute_valid_returns=compute_valid_returns,
             engine=resolve_engine(engine),
         )
         self.num_workers = num_workers
@@ -356,11 +374,6 @@ class EvaluationPool:
 
     # ------------------------------------------------------------------
     @property
-    def compute_valid_returns(self) -> bool:
-        """Whether workers return validation portfolio-return series."""
-        return self.spec.compute_valid_returns
-
-    @property
     def shm_bytes(self) -> int:
         """Bytes of shared panel this pool published."""
         return self._store.nbytes
@@ -373,46 +386,63 @@ class EvaluationPool:
     # ------------------------------------------------------------------
     # Dispatch / collect
     # ------------------------------------------------------------------
-    def _plan_chunks(self, programs: list[AlphaProgram]) -> list[_Chunk]:
+    def _plan_chunks(self, programs: list[AlphaProgram], evaluator_seed: int,
+                     valid_returns: bool) -> list[_Chunk]:
         """Cut ``programs`` into signature-grouped, size-bounded chunks.
 
         Grouping first (by stacked-tape signature) makes every chunk a
         single stacked execution worker-side; the chunk size is additionally
         capped so a small batch (e.g. one proposal per island) still
-        spreads across all workers.
+        spreads across all workers.  With chunks of one program the
+        grouping cannot matter, so the parent skips the compile it needs.
         """
         # Imported lazily: repro.engine builds on repro.core submodules.
         from ..engine import stack_partition
 
-        groups = stack_partition(programs, engine=self.spec.engine)
         chunk_size = min(
             self.batch_size,
             max(1, (len(programs) + self.num_workers - 1) // self.num_workers),
         )
+        if chunk_size == 1:
+            groups = [list(range(len(programs)))]
+        else:
+            groups = stack_partition(programs, engine=self.spec.engine)
         chunks: list[_Chunk] = []
         for group in groups:
             for start in range(0, len(group), chunk_size):
                 indices = group[start:start + chunk_size]
-                chunks.append(_Chunk(
-                    indices=indices,
+                chunks.append(_Chunk(indices=indices, batch=_WorkBatch(
                     programs=[programs[i] for i in indices],
-                ))
+                    evaluator_seed=evaluator_seed,
+                    valid_returns=valid_returns,
+                )))
         return chunks
 
-    def submit_detailed(self, programs: list[AlphaProgram]) -> PendingEvaluations:
+    def submit_detailed(self, programs: list[AlphaProgram], *,
+                        evaluator_seed: int,
+                        valid_returns: bool = False) -> PendingEvaluations:
         """Dispatch ``programs`` to the workers without blocking.
 
-        Returns a :class:`PendingEvaluations` whose ``result()`` yields the
+        The workers score them under an evaluator built from
+        ``evaluator_seed`` (the integer seed a serial ``AlphaEvaluator``
+        would be built with) and, with ``valid_returns=True``, also return
+        each valid program's validation portfolio-return series.  Returns a
+        :class:`PendingEvaluations` whose ``result()`` yields the
         evaluations in input order; the caller may do useful work between
         the two (the islands overlap scheduler does ring migration).
         """
         if self._closed:
             raise ParallelError("the evaluation pool has been closed")
+        if not isinstance(evaluator_seed, (int, np.integer)):
+            raise ConfigurationError(
+                "a pool dispatch needs the integer seed its evaluator is "
+                f"rebuilt from, got {evaluator_seed!r}"
+            )
         programs = list(programs)
         started = time.perf_counter() if TELEMETRY.enabled else 0.0
-        chunks = self._plan_chunks(programs)
+        chunks = self._plan_chunks(programs, int(evaluator_seed), valid_returns)
         if chunks and self._inject_fault_once is not None:
-            chunks[0].fault = self._inject_fault_once
+            chunks[0].batch.fault = self._inject_fault_once
             self._inject_fault_once = None
         for chunk in chunks:
             self._submit(chunk)
@@ -427,9 +457,7 @@ class EvaluationPool:
         :meth:`_collect` requeues it like any other lost chunk.
         """
         try:
-            chunk.future = self._executor.submit(
-                _evaluate_batch, _WorkBatch(chunk.programs, fault=chunk.fault)
-            )
+            chunk.future = self._executor.submit(_evaluate_batch, chunk.batch)
         except BrokenExecutor:
             chunk.future = None
 
@@ -482,7 +510,7 @@ class EvaluationPool:
             chunk.retries += 1
             if chunk.retries > self.max_batch_retries:
                 raise ParallelError(
-                    f"a worker batch of {len(chunk.programs)} program(s) "
+                    f"a worker batch of {len(chunk.batch.programs)} program(s) "
                     f"crashed the pool {chunk.retries} times "
                     f"(max_batch_retries={self.max_batch_retries}); "
                     "giving up"
@@ -496,22 +524,34 @@ class EvaluationPool:
             TELEMETRY.counter("pool.batches_retried").inc(len(lost))
         for chunk in lost:
             # Injected faults are not re-armed: the retry must succeed.
-            chunk.fault = None
+            chunk.batch.fault = None
             self._submit(chunk)
 
     # ------------------------------------------------------------------
-    def evaluate_detailed(self, programs: list[AlphaProgram]) -> list[PoolEvaluation]:
-        """Evaluate ``programs`` across the workers, preserving input order."""
+    def evaluate_detailed(self, programs: list[AlphaProgram], *,
+                          evaluator_seed: int,
+                          valid_returns: bool = False) -> list[PoolEvaluation]:
+        """Evaluate ``programs`` across the workers, preserving input order
+        (the arguments are :meth:`submit_detailed`'s)."""
         programs = list(programs)
         if not programs:
             if self._closed:
                 raise ParallelError("the evaluation pool has been closed")
             return []
-        return self.submit_detailed(programs).result()
+        return self.submit_detailed(
+            programs, evaluator_seed=evaluator_seed, valid_returns=valid_returns
+        ).result()
 
-    def evaluate(self, programs: list[AlphaProgram]) -> list[FitnessReport]:
-        """Evaluate ``programs`` and return just their fitness reports."""
-        return [evaluation.report for evaluation in self.evaluate_detailed(programs)]
+    def evaluate(self, programs: list[AlphaProgram], *,
+                 evaluator_seed: int) -> list[FitnessReport]:
+        """Evaluate ``programs`` under ``evaluator_seed`` and return just
+        their fitness reports."""
+        return [
+            evaluation.report
+            for evaluation in self.evaluate_detailed(
+                programs, evaluator_seed=evaluator_seed
+            )
+        ]
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -483,17 +483,16 @@ def run_serve(config, programs: list[AlphaProgram] | None = None,
     taskset = make_taskset(config)
     mined_names: list[str] | None = names
     if programs is None:
-        with TELEMETRY.span("serve.mine", top_k=config.serve_top_k):
-            session = MiningSession(
-                taskset,
-                evolution_config=config.evolution_config(),
-                correlation_cutoff=config.correlation_cutoff,
-                long_k=config.long_positions,
-                short_k=config.short_positions,
-                max_train_steps=config.max_train_steps,
-                seed=config.search_seed,
-                checkpoint_dir=config.checkpoint_dir,
-            )
+        with TELEMETRY.span("serve.mine", top_k=config.serve_top_k), MiningSession(
+            taskset,
+            evolution_config=config.evolution_config(),
+            correlation_cutoff=config.correlation_cutoff,
+            long_k=config.long_positions,
+            short_k=config.short_positions,
+            max_train_steps=config.max_train_steps,
+            seed=config.search_seed,
+            checkpoint_dir=config.checkpoint_dir,
+        ) as session:
             dims = Dimensions(taskset.num_features, taskset.window)
             codes = [
                 mining_codes[i % len(mining_codes)]

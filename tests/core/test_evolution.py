@@ -110,11 +110,12 @@ class TestRegularisedEvolution:
 
     def test_time_budget_stops_search(self, small_taskset, dims, monkeypatch):
         # A fake clock that advances 0.125 s per read.  The run reads it at
-        # the start, after each scored candidate and at each budget check
-        # (the population fill checks once more after it is full), so the
-        # check on the 18th read sees 2.125 s and stops the search at 8
-        # candidates, however fast the host is; the 19th read is the
-        # reported elapsed time.
+        # the start, after each scored candidate and at each budget check.
+        # The population fill is one batch behind one check, so the root
+        # and the 3 fill children take reads 2-6; each main-loop step then
+        # reads twice.  The check on the 17th read sees 2.0 s and stops the
+        # search at 9 candidates, however fast the host is; the 18th read
+        # is the reported elapsed time.
         reads = []
 
         def clock():
@@ -131,9 +132,9 @@ class TestRegularisedEvolution:
             seed=1,
         )
         result = controller.run(domain_expert_alpha(dims))
-        assert result.candidates_generated == 8
-        assert len(reads) == 19
-        assert result.elapsed_seconds == 2.25
+        assert result.candidates_generated == 9
+        assert len(reads) == 18
+        assert result.elapsed_seconds == 2.125
 
     def test_correlation_filter_invalidates_clones(self, small_taskset, dims):
         """With the initial alpha itself registered as a reference, candidates

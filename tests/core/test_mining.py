@@ -1,9 +1,11 @@
 """Tests for the multi-round weakly-correlated mining session."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +176,47 @@ class TestSearch:
                                 enforce_cutoff=True)
         assert first.extras["num_islands"] == 3
         assert not np.isnan(second.correlation_with_accepted)
+
+
+class TestSessionPool:
+    def test_searches_share_one_pool_until_the_config_changes(self, small_taskset,
+                                                              dims):
+        config = EvolutionConfig(population_size=6, tournament_size=3,
+                                 max_candidates=20, num_workers=2)
+        with MiningSession(small_taskset, evolution_config=config, long_k=5,
+                           short_k=5, max_train_steps=10, seed=3) as session:
+            def search(name, **overrides):
+                session.search(domain_expert_alpha(dims), name=name,
+                               enforce_cutoff=False,
+                               evolution_config=replace(config, **overrides))
+                return session._pool
+
+            first = search("a")
+            assert search("b") is first
+            # Another worker count or engine replaces the pool.
+            second = search("c", num_workers=3)
+            assert second is not first and first._closed
+            third = search("d", num_workers=3, engine="interpreter")
+            assert third is not second and second._closed
+            # A serial search needs no pool and leaves the session's alone.
+            assert search("e", num_workers=1) is third
+        assert session._pool is None and third._closed
+        assert multiprocessing.active_children() == []
+        session.close()  # idempotent
+
+    def test_a_search_after_close_starts_a_new_pool(self, small_taskset, dims):
+        config = EvolutionConfig(population_size=6, tournament_size=3,
+                                 max_candidates=20, num_workers=2)
+        session = MiningSession(small_taskset, evolution_config=config,
+                                long_k=5, short_k=5, max_train_steps=10, seed=3)
+        session.search(domain_expert_alpha(dims), name="a", enforce_cutoff=False)
+        session.close()
+        assert multiprocessing.active_children() == []
+        mined = session.search(domain_expert_alpha(dims), name="b",
+                               enforce_cutoff=False)
+        assert mined.extras["searched_alphas"] == 20
+        session.close()
+        assert multiprocessing.active_children() == []
 
 
 class TestProcessIndependence:

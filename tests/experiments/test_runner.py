@@ -6,11 +6,14 @@ than the magnitude of the results (that is what ``benchmarks/`` and
 EXPERIMENTS.md are for).
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.experiments import (
     GeneticStudy,
+    MiningStudy,
     SMOKE,
     run_figure6,
     run_table1,
@@ -20,6 +23,7 @@ from repro.experiments import (
     run_table6,
 )
 from repro.experiments.runner import run_study
+from repro.parallel import EvaluationPool, shared_segment_names
 
 TINY = SMOKE.scaled(
     name="tiny",
@@ -42,6 +46,54 @@ TINY = SMOKE.scaled(
 @pytest.fixture(scope="module")
 def tiny_study():
     return run_study(TINY, initializations=("D", "R"))
+
+
+class TestStudyPool:
+    def test_two_workers_share_one_pool_and_mine_the_serial_bits(
+        self, small_taskset, monkeypatch
+    ):
+        """A round without the cutoff (D, NN) and a last round with it: one
+        pool serves every search, the study reaps it before ``run``
+        returns, and the mined programs, fitness bits and cache counts are
+        the 1-worker study's."""
+        before = shared_segment_names()
+        serial = MiningStudy(TINY, taskset=small_taskset,
+                             initializations=("D", "NN"))
+        serial.run()
+        pools, dispatches = [], []
+        init = EvaluationPool.__init__
+        submit = EvaluationPool.submit_detailed
+
+        def counting_init(pool, *args, **kwargs):
+            pools.append(pool)
+            init(pool, *args, **kwargs)
+
+        def recording_submit(pool, programs, **kwargs):
+            dispatches.append((kwargs.get("evaluator_seed"),
+                               kwargs.get("valid_returns")))
+            return submit(pool, programs, **kwargs)
+
+        monkeypatch.setattr(EvaluationPool, "__init__", counting_init)
+        monkeypatch.setattr(EvaluationPool, "submit_detailed", recording_submit)
+        pooled = MiningStudy(TINY.scaled(num_workers=2), taskset=small_taskset,
+                             initializations=("D", "NN"))
+        pooled.run()
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        assert shared_segment_names() == before
+        # Three searches under three evaluator seeds; round 0 dispatches
+        # without validation returns, the last round with them.
+        assert len({seed for seed, _ in dispatches}) == 3
+        assert {valid_returns for _, valid_returns in dispatches} == {False, True}
+        for want, got in zip(serial.rounds, pooled.rounds):
+            assert got.best_code == want.best_code
+            assert got.results.keys() == want.results.keys()
+            for code, mined in want.results.items():
+                other = got.results[code]
+                assert other.program == mined.program
+                assert other.evolution.best_report.fitness.hex() == \
+                    mined.evolution.best_report.fitness.hex()
+                assert other.evolution.cache_stats == mined.evolution.cache_stats
 
 
 class TestMiningStudy:

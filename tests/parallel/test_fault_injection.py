@@ -34,15 +34,15 @@ def no_leaked_segments():
 class TestWorkerCrash:
     def test_sigkilled_batch_is_retried_bitwise_identical(self, small_taskset, dims):
         batch = _fuzz_batch(dims, seed=13)
-        with EvaluationPool(small_taskset, num_workers=2, evaluator_seed=0,
+        with EvaluationPool(small_taskset, num_workers=2,
                             max_train_steps=15, batch_size=3) as pool:
-            clean = pool.evaluate_detailed(batch)
+            clean = pool.evaluate_detailed(batch, evaluator_seed=0)
             pool._inject_fault_once = "sigkill"
-            retried = pool.evaluate_detailed(batch)
+            retried = pool.evaluate_detailed(batch, evaluator_seed=0)
             assert pool.worker_restarts == 1
             assert pool.batches_retried >= 1
             # The pool stays usable after the rebuild.
-            again = pool.evaluate_detailed(batch[:2])
+            again = pool.evaluate_detailed(batch[:2], evaluator_seed=0)
         for left, right in zip(clean, retried):
             assert_reports_equal(left.report, right.report)
         for left, right in zip(clean[:2], again):
@@ -50,11 +50,11 @@ class TestWorkerCrash:
 
     def test_retry_budget_exhaustion_raises(self, small_taskset, dims):
         batch = _fuzz_batch(dims, seed=17)[:3]
-        with EvaluationPool(small_taskset, num_workers=1, evaluator_seed=0,
+        with EvaluationPool(small_taskset, num_workers=1,
                             max_train_steps=15, max_batch_retries=0) as pool:
             pool._inject_fault_once = "sigkill"
             with pytest.raises(ParallelError, match="giving up"):
-                pool.evaluate_detailed(batch)
+                pool.evaluate_detailed(batch, evaluator_seed=0)
 
     def test_worker_exception_inside_with_block_does_not_leak(
         self, small_taskset, dims
@@ -63,18 +63,18 @@ class TestWorkerCrash:
         segment behind when the ``with`` block unwound."""
         batch = _fuzz_batch(dims, seed=19)[:3]
         with pytest.raises(ParallelError, match="injected"):
-            with EvaluationPool(small_taskset, num_workers=2, evaluator_seed=0,
+            with EvaluationPool(small_taskset, num_workers=2,
                                 max_train_steps=15) as pool:
                 pool._inject_fault_once = "raise"
-                pool.evaluate_detailed(batch)
+                pool.evaluate_detailed(batch, evaluator_seed=0)
         assert shared_segment_names() == []
 
     def test_close_after_crash_unlinks(self, small_taskset, dims):
-        pool = EvaluationPool(small_taskset, num_workers=1, evaluator_seed=0,
+        pool = EvaluationPool(small_taskset, num_workers=1,
                               max_train_steps=15, max_batch_retries=0)
         pool._inject_fault_once = "sigkill"
         with pytest.raises(ParallelError):
-            pool.evaluate_detailed(_fuzz_batch(dims, seed=23)[:2])
+            pool.evaluate_detailed(_fuzz_batch(dims, seed=23)[:2], evaluator_seed=0)
         pool.close()
         assert shared_segment_names() == []
 
@@ -101,7 +101,7 @@ def make_pooled_controller(taskset, dims, pool, *, checkpoint_path=None,
 
 
 def pool_for(taskset):
-    return EvaluationPool(taskset, num_workers=2, evaluator_seed=0,
+    return EvaluationPool(taskset, num_workers=2,
                           max_train_steps=15)
 
 

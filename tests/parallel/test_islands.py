@@ -81,7 +81,7 @@ class TestIslandEvolution:
 
     def test_pool_does_not_change_results(self, small_taskset, dims):
         serial = make_controller(small_taskset, dims).run(domain_expert_alpha(dims))
-        with EvaluationPool(small_taskset, num_workers=2, evaluator_seed=0,
+        with EvaluationPool(small_taskset, num_workers=2,
                             max_train_steps=20) as pool:
             pooled = make_controller(small_taskset, dims, pool=pool).run(
                 domain_expert_alpha(dims)
@@ -107,6 +107,49 @@ class TestIslandEvolution:
         result = controller.run(domain_expert_alpha(dims))
         assert result.migrations == 0
         assert result.num_islands == 1
+
+
+class TestPopulationFill:
+    @pytest.mark.parametrize("max_candidates", [29, 27])
+    def test_fill_is_one_dispatch_with_step_loop_counts(self, small_taskset,
+                                                        dims, max_candidates):
+        """Four islands of 8: the root, then the fill (7 round-robin steps
+        of 4 children, cut to the budget) reaches the pool as one dispatch,
+        and every child keeps the candidate count of its step."""
+        with EvaluationPool(small_taskset, num_workers=2,
+                            max_train_steps=20) as pool:
+            dispatched = []
+            submit = pool.submit_detailed
+
+            def recording_submit(programs, **kwargs):
+                dispatched.append(len(programs))
+                return submit(programs, **kwargs)
+
+            pool.submit_detailed = recording_submit
+            controller = make_controller(
+                small_taskset, dims, num_islands=4, population_size=8,
+                max_candidates=max_candidates, pool=pool,
+            )
+            result = controller.run(domain_expert_alpha(dims))
+        # The root, then the whole fill.
+        assert len(dispatched) == 2
+        assert dispatched[1] > 4
+        # What the round-robin step loop records: a step's children are
+        # born at the candidate count at the end of that step.
+        born = [[1] for _ in range(4)]
+        trajectory = [1]
+        count = 1
+        while count < max_candidates:
+            needy = [index for index in range(4) if len(born[index]) < 8]
+            needy = needy[:max_candidates - count]
+            count += len(needy)
+            for index in needy:
+                born[index].append(count)
+            trajectory += [count] * len(needy)
+        assert [[candidate.born_at for candidate in island.population]
+                for island in controller.islands] == born
+        assert [point.candidates for point in result.trajectory] == trajectory
+        assert result.candidates_generated == max_candidates
 
 
 class TestMigration:

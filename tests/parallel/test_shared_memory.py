@@ -208,7 +208,7 @@ class TestFuzzedPoolParity:
                            engine=serial_engine)
         )
         expected = serial.score_batch(batch)
-        with EvaluationPool(small_taskset, num_workers=2, evaluator_seed=0,
+        with EvaluationPool(small_taskset, num_workers=2,
                             max_train_steps=15, engine=engine,
                             batch_size=3) as pool:
             pooled = CandidateScorer(
@@ -228,7 +228,7 @@ class TestFuzzedPoolParity:
             AlphaEvaluator(nan_taskset, seed=0, max_train_steps=15)
         )
         expected = serial.score_batch(batch)
-        with EvaluationPool(nan_taskset, num_workers=2, evaluator_seed=0,
+        with EvaluationPool(nan_taskset, num_workers=2,
                             max_train_steps=15, batch_size=4) as pool:
             pooled = CandidateScorer(
                 AlphaEvaluator(nan_taskset, seed=0, max_train_steps=15),
@@ -240,9 +240,9 @@ class TestFuzzedPoolParity:
 
     def test_duplicate_only_batch(self, small_taskset, dims):
         program = get_initialization("D", dims, seed=3)
-        with EvaluationPool(small_taskset, num_workers=2, evaluator_seed=0,
+        with EvaluationPool(small_taskset, num_workers=2,
                             max_train_steps=15, batch_size=2) as pool:
-            evaluations = pool.evaluate_detailed([program] * 5)
+            evaluations = pool.evaluate_detailed([program] * 5, evaluator_seed=0)
         first = evaluations[0].report
         for evaluation in evaluations[1:]:
             assert_reports_equal(evaluation.report, first)
@@ -253,7 +253,7 @@ class TestFuzzedPoolParity:
             AlphaEvaluator(small_taskset, seed=0, max_train_steps=15)
         )
         expected = sync.score_batch(batch)
-        with EvaluationPool(small_taskset, num_workers=2, evaluator_seed=0,
+        with EvaluationPool(small_taskset, num_workers=2,
                             max_train_steps=15) as pool:
             scorer = CandidateScorer(
                 AlphaEvaluator(small_taskset, seed=0, max_train_steps=15),

@@ -49,9 +49,9 @@ SCRIPT = textwrap.dedent("""
     batch = [get_initialization("NN", dims)]
     while len(batch) < 4:
         batch.append(mutator.mutate(batch[-1]))
-    pool = EvaluationPool(taskset, num_workers=1, evaluator_seed=0,
+    pool = EvaluationPool(taskset, num_workers=1,
                           max_train_steps=5, start_method=sys.argv[1])
-    pooled = pool.evaluate(batch)
+    pooled = pool.evaluate(batch, evaluator_seed=0)
     name = pool.spec.panel.name
     pool.close()
     serial = AlphaEvaluator(taskset, seed=0, max_train_steps=5)
