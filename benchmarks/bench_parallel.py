@@ -57,7 +57,7 @@ from repro.parallel import EvaluationPool, shared_segment_names
 
 #: Evaluator settings shared by the serial side and every pool, so all
 #: timings cover identical work and the parity check is meaningful.
-EVALUATOR_KWARGS = {"max_train_steps": LAPTOP.max_train_steps, "evaluate_test": False}
+EVALUATOR_KWARGS = {"max_train_steps": LAPTOP.max_train_steps}
 EVALUATOR_SEED = 0
 
 

@@ -31,6 +31,7 @@ from repro.core import (
     Operand,
     Operation,
     PREDICTION,
+    mean_ic,
     prune_program,
 )
 from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset, load_csv_directory
@@ -96,7 +97,9 @@ def main() -> None:
     print("\nParameter-updating ablation (validation IC):")
     print(f"  with Update():    {with_update.ic_valid:8.4f}")
     print(f"  without Update(): {without_update.ic_valid:8.4f}")
-    print("\nTest IC with Update():", f"{with_update.ic_test:8.4f}")
+    # Fitness reads only the validation split; run() also infers the test days.
+    test_ic = mean_ic(evaluator.run(alpha)["test"], taskset.split_labels("test"))
+    print("\nTest IC with Update():", f"{test_ic:8.4f}")
 
 
 if __name__ == "__main__":

@@ -135,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run each search as this many evolution islands with migration (default: 1)",
     )
     parser.add_argument(
-        "--scheduler", choices=["barrier", "overlap"], default=None,
-        help="island main-loop scheduling: barrier (default) or overlap, "
-             "which hides ring migration behind pool evaluation "
-             "(migrants land one step later)",
-    )
-    parser.add_argument(
         "--checkpoint", default=None, metavar="DIR",
         help="checkpoint every search into DIR and resume from existing checkpoints",
     )
@@ -176,8 +170,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["num_workers"] = args.workers
     if args.islands is not None:
         overrides["num_islands"] = args.islands
-    if args.scheduler is not None:
-        overrides["scheduler"] = args.scheduler
     if args.checkpoint is not None:
         overrides["checkpoint_dir"] = args.checkpoint
     if args.engine is not None:

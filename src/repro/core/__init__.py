@@ -3,12 +3,10 @@
 from .cache import CacheStats, FingerprintCache, fingerprint
 from .correlation import CorrelationFilter
 from .evolution import (
-    SCHEDULERS,
     Candidate,
     CandidateScorer,
     EvolutionConfig,
     EvolutionResult,
-    ScoreBatchHandle,
     TrajectoryPoint,
 )
 from .fitness import FitnessReport, INVALID_FITNESS, daily_ic, mean_ic
@@ -53,8 +51,6 @@ __all__ = [
     "EvolutionConfig",
     "EvolutionResult",
     "ExecutionContext",
-    "SCHEDULERS",
-    "ScoreBatchHandle",
     "FingerprintCache",
     "FitnessReport",
     "INITIALIZATION_NAMES",

@@ -51,11 +51,7 @@ from .interpreter import AlphaEvaluator
 from .program import AlphaProgram
 
 __all__ = ["EvolutionConfig", "Candidate", "TrajectoryPoint", "EvolutionResult",
-           "CandidateScorer", "ScoreBatchHandle"]
-
-#: Island-controller scheduling strategies (see
-#: :meth:`repro.parallel.islands.IslandEvolutionController`).
-SCHEDULERS = ("barrier", "overlap")
+           "CandidateScorer"]
 
 
 @dataclass(frozen=True)
@@ -91,11 +87,6 @@ class EvolutionConfig:
     engine: str | None = None
     num_workers: int = 1
     num_islands: int = 1
-    #: Island-controller scheduling strategy: ``"barrier"`` (score, then
-    #: migrate, strictly in turn) or ``"overlap"`` (ring migration runs
-    #: while the evaluation pool is busy scoring; migrants land one step
-    #: later).  The CLI exposes it as ``--scheduler``.
-    scheduler: str = "barrier"
 
     @property
     def execution_engine(self) -> str:
@@ -130,11 +121,6 @@ class EvolutionConfig:
             raise EvolutionError("num_workers must be at least 1")
         if self.num_islands < 1:
             raise EvolutionError("num_islands must be at least 1")
-        if self.scheduler not in SCHEDULERS:
-            raise EvolutionError(
-                f"unknown scheduler {self.scheduler!r}; choose from "
-                + ", ".join(SCHEDULERS)
-            )
 
 
 @dataclass
@@ -189,39 +175,6 @@ class _PendingEvaluation:
     key: str | None
     program: AlphaProgram
     slots: list[int]
-
-
-class ScoreBatchHandle:
-    """An in-flight :meth:`CandidateScorer.score_batch_async` call.
-
-    The scorer has already done all bookkeeping that must happen in
-    proposal order (pruning, fingerprint-cache lookups, the searched-alpha
-    counter) and — when a pool is attached — dispatched the cache misses to
-    the workers.  :meth:`result` collects the evaluations, applies the
-    correlation cutoff, records the cache entries and returns the reports;
-    until then the caller is free to do unrelated work (the islands overlap
-    scheduler performs ring migration here).  Reports are bitwise identical
-    to a plain :meth:`~CandidateScorer.score_batch` call.
-    """
-
-    def __init__(self, scorer: "CandidateScorer", reports: list,
-                 pending: list[_PendingEvaluation], dispatch,
-                 started: float) -> None:
-        self._scorer = scorer
-        self._reports = reports
-        self._pending = pending
-        self._dispatch = dispatch
-        self._started = started
-        self._done = False
-
-    def result(self) -> list[FitnessReport]:
-        """Collect the evaluations and finalise the batch (idempotent)."""
-        if not self._done:
-            self._done = True
-            self._scorer._finish_batch(
-                self._reports, self._pending, self._dispatch, self._started
-            )
-        return self._reports
 
 
 class CandidateScorer:
@@ -308,20 +261,8 @@ class CandidateScorer:
         a program whose pruned fingerprint already appeared earlier in the
         batch reuses that evaluation (and counts as a fingerprint hit), so
         serial and batched scoring produce identical reports and cache
-        statistics.
-        """
-        return self.score_batch_async(programs).result()
-
-    def score_batch_async(self, programs: list[AlphaProgram]) -> ScoreBatchHandle:
-        """Start scoring a batch; collect the reports on ``.result()``.
-
-        All order-sensitive bookkeeping — pruning, fingerprint-cache
-        lookups, the searched-alpha counter — happens here, synchronously,
-        so interleaving other work before ``result()`` cannot change any
-        outcome.  With a pool attached the cache misses are already on the
-        workers when this returns; the caller overlaps useful work with
-        their wall clock (the islands overlap scheduler migrates here).
-        Serial scorers defer evaluation to ``result()`` instead.
+        statistics.  The cache misses go to the pool when one is attached,
+        else they evaluate in-process as one fleet batch.
         """
         batch_started = time.perf_counter() if TELEMETRY.enabled else 0.0
         reports: list[FitnessReport | None] = [None] * len(programs)
@@ -348,20 +289,12 @@ class CandidateScorer:
                 pending_by_key[key] = len(pending)
             pending.append(_PendingEvaluation(key=key, program=to_run, slots=[index]))
 
-        dispatch = None
         if pending and self.pool is not None:
-            dispatch = self.pool.submit_detailed(
+            outcomes = self.pool.evaluate_detailed(
                 [item.program for item in pending],
                 evaluator_seed=self.evaluator.seed,
                 valid_returns=self._cutoff_active,
             )
-        return ScoreBatchHandle(self, reports, pending, dispatch, batch_started)
-
-    def _finish_batch(self, reports: list, pending: list[_PendingEvaluation],
-                      dispatch, started: float) -> None:
-        """Collect evaluations, apply the cutoff, record cache entries."""
-        if dispatch is not None:
-            outcomes = dispatch.result()
             pairs = [(outcome.report, outcome.valid_returns)
                      for outcome in outcomes]
         else:
@@ -375,8 +308,9 @@ class CandidateScorer:
             TELEMETRY.counter("search.candidates").inc(len(reports))
             TELEMETRY.counter("search.evaluations").inc(len(pending))
             TELEMETRY.histogram("search.score_batch_seconds").observe(
-                time.perf_counter() - started
+                time.perf_counter() - batch_started
             )
+        return reports
 
     # ------------------------------------------------------------------
     def _evaluate_serial(

@@ -30,7 +30,7 @@ import numpy as np
 from ..config import AddressSpace, DEFAULT_ADDRESS_SPACE, make_rng
 from ..data.dataset import TaskSet
 from ..errors import ExecutionError
-from .fitness import FitnessReport, INVALID_FITNESS, daily_ic, mean_ic
+from .fitness import FitnessReport, INVALID_FITNESS, daily_ic
 from .ops import ExecutionContext
 from .program import AlphaProgram
 
@@ -44,7 +44,6 @@ class EvaluationResult:
     program: AlphaProgram
     fitness: float
     ic_valid: float
-    ic_test: float
     predictions: dict[str, np.ndarray]
     daily_ic_valid: np.ndarray = field(default_factory=lambda: np.empty(0))
     is_valid: bool = True
@@ -84,8 +83,6 @@ class AlphaEvaluator:
         When False the ``Update()`` component is skipped entirely — this is
         the ``*_P`` ablation of Table 4 (alpha without the parameter-updating
         function).
-    evaluate_test:
-        Whether :meth:`evaluate` also produces test-split predictions.
     engine:
         Execution-engine name from :data:`repro.engine.ENGINES`
         (``"interpreter"`` / ``"compiled"``, the default).  Results are
@@ -105,7 +102,6 @@ class AlphaEvaluator:
         seed: int | np.random.Generator | None = 0,
         max_train_steps: int | None = None,
         use_update: bool = True,
-        evaluate_test: bool = True,
         engine: str | None = None,
         time_batched: bool = True,
     ) -> None:
@@ -127,7 +123,6 @@ class AlphaEvaluator:
         self._base_seed = int(self._seed_rng.integers(0, 2**63 - 1))
         self.max_train_steps = max_train_steps
         self.use_update = use_update
-        self.evaluate_test = evaluate_test
         self.engine = resolve_engine(engine)
         self.time_batched = bool(time_batched)
         self._sector_index = taskset.taxonomy.group_index("sector")
@@ -242,7 +237,6 @@ class AlphaEvaluator:
                 program=program,
                 fitness=INVALID_FITNESS,
                 ic_valid=float("nan"),
-                ic_test=float("nan"),
                 predictions=predictions,
                 is_valid=False,
                 reason="degenerate predictions on the validation split",
@@ -250,14 +244,10 @@ class AlphaEvaluator:
 
         ic_series = daily_ic(valid_preds, valid_labels)
         ic_valid = float(ic_series.mean())
-        ic_test = float("nan")
-        if "test" in predictions:
-            ic_test = mean_ic(predictions["test"], self.taskset.split_labels("test"))
         return EvaluationResult(
             program=program,
             fitness=ic_valid,
             ic_valid=ic_valid,
-            ic_test=ic_test,
             predictions=predictions,
             daily_ic_valid=ic_series,
             is_valid=True,
@@ -275,7 +265,9 @@ class AlphaEvaluator:
         caller (the mutator never produces them); numerical degeneracies such
         as constant predictions yield an invalid :class:`EvaluationResult`
         with the sentinel fitness instead.
+
+        Only the validation split runs: fitness reads nothing else.  For a
+        program's test-split predictions call :meth:`run`.
         """
-        splits: tuple[str, ...] = ("valid", "test") if self.evaluate_test else ("valid",)
-        predictions = self.run(program, splits=splits, use_update=use_update)
+        predictions = self.run(program, splits=("valid",), use_update=use_update)
         return self.score(program, predictions)

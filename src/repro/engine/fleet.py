@@ -406,15 +406,13 @@ class FleetEngine:
     ) -> dict[str, "EvaluationResult"]:  # noqa: F821 - documented type
         """Score every member; name → :class:`~repro.core.interpreter.EvaluationResult`.
 
-        The splits and the scoring are the evaluator's own
-        (:meth:`~repro.core.interpreter.AlphaEvaluator.score`), so a fleet
-        evaluation of ``[p]`` equals ``evaluator.evaluate(p)`` bit for bit.
+        Like the evaluator's own :meth:`~repro.core.interpreter.AlphaEvaluator.evaluate`,
+        only the validation split runs and the evaluator scores it, so a
+        fleet evaluation of ``[p]`` equals ``evaluator.evaluate(p)`` bit for
+        bit.
         """
         evaluator = self.evaluator
-        splits: tuple[str, ...] = (
-            ("valid", "test") if evaluator.evaluate_test else ("valid",)
-        )
-        runs = self.run(splits=splits, use_update=use_update,
+        runs = self.run(splits=("valid",), use_update=use_update,
                         time_batched=time_batched)
         # Each result is attributed to the program registered under that
         # name, not the deduplicated representative it executed through.

@@ -89,9 +89,11 @@ class ExperimentConfig:
     #: regularised evolution) but not on the worker count or the checkpoint.
     num_workers: int = 1
     num_islands: int = 1
-    #: Island-controller scheduling strategy (``"barrier"`` / ``"overlap"``;
-    #: see :class:`repro.core.evolution.EvolutionConfig`).  The CLI exposes
-    #: it as ``--scheduler``.
+    #: Retired: every search runs the one barrier main loop, so only
+    #: ``"barrier"`` is accepted.  The field remains because the benchmark
+    #: harness (``perfbench/workloads.py``) still passes
+    #: ``scheduler="barrier"`` to :meth:`scaled`, which rejects unknown
+    #: fields.
     scheduler: str = "barrier"
     checkpoint_dir: str | None = None
     #: Execution-engine name (see :data:`repro.engine.ENGINES`; ``None`` is
@@ -133,13 +135,10 @@ class ExperimentConfig:
             raise ConfigurationError("num_workers must be at least 1")
         if self.num_islands < 1:
             raise ConfigurationError("num_islands must be at least 1")
-        # Imported lazily: repro.experiments builds on repro.core.
-        from ..core.evolution import SCHEDULERS
-
-        if self.scheduler not in SCHEDULERS:
+        if self.scheduler != "barrier":
             raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r}; choose from "
-                + ", ".join(SCHEDULERS)
+                f"unknown scheduler {self.scheduler!r}; every search runs "
+                "the one barrier main loop"
             )
         if self.serve_top_k < 1:
             raise ConfigurationError("serve_top_k must be at least 1")
@@ -212,7 +211,6 @@ class ExperimentConfig:
             engine=self.engine,
             num_workers=self.num_workers,
             num_islands=self.num_islands,
-            scheduler=self.scheduler,
         )
 
     def scaled(self, **overrides) -> "ExperimentConfig":

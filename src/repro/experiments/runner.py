@@ -16,13 +16,12 @@ The heavy lifting is shared by two protocol classes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..backtest.engine import BacktestEngine
 from ..core.correlation import CorrelationFilter
-from ..core.evolution import EvolutionConfig
 from ..core.initializations import get_initialization
 from ..core.mining import MinedAlpha, MiningSession
 from ..core.ops import Dimensions
@@ -562,18 +561,16 @@ def run_table6(config: ExperimentConfig = LAPTOP,
     rows: list[dict] = []
     for index, code in enumerate(initializations):
         for use_pruning in (True, False):
-            with MiningSession(
-                taskset,
-                evolution_config=EvolutionConfig(
-                    population_size=config.population_size,
-                    tournament_size=config.tournament_size,
-                    max_candidates=None,
+            evolution_config = replace(
+                config.evolution_config(
                     max_seconds=config.pruning_time_budget_seconds,
                     use_pruning=use_pruning,
-                    num_workers=config.num_workers,
-                    num_islands=config.num_islands,
-                    scheduler=config.scheduler,
                 ),
+                max_candidates=None,
+            )
+            with MiningSession(
+                taskset,
+                evolution_config=evolution_config,
                 correlation_cutoff=config.correlation_cutoff,
                 long_k=config.long_positions,
                 short_k=config.short_positions,

@@ -10,17 +10,17 @@ search rounds; this package reproduces that architecture on one machine:
   signature-grouped candidate batches concurrently over the shared panel,
   restarting workers and requeueing lost batches after crashes;
 * :mod:`repro.parallel.islands`    — the search controller every mining
-  search runs on: one or more regularised-evolution populations with ring
-  migration, and an optional overlap scheduler that hides migration behind
-  worker dispatch;
+  search runs on: one or more regularised-evolution populations, one main
+  loop that scores each step's proposals, ages the populations and
+  migrates along a ring;
 * :mod:`repro.parallel.checkpoint` — atomic checkpoint/resume of the full
   search state, so long runs survive restarts.
 
 The subsystem plugs into :class:`repro.core.mining.MiningSession` through
-``EvolutionConfig(num_workers=..., num_islands=..., scheduler=...)`` and the
-CLI flags ``--workers`` / ``--islands`` / ``--scheduler`` / ``--checkpoint``.
-Only ``num_islands`` and ``scheduler`` shape a search; the worker count and
-the checkpoint never change what it mines.
+``EvolutionConfig(num_workers=..., num_islands=...)`` and the CLI flags
+``--workers`` / ``--islands`` / ``--checkpoint``.  Only ``num_islands``
+shapes a search; the worker count and the checkpoint never change what it
+mines.
 """
 
 from .checkpoint import (

@@ -41,8 +41,9 @@ __all__ = [
 
 #: Bumped whenever the checkpoint layout or the meaning of its cached
 #: fitness reports changes incompatibly (version 2: initialiser draws no
-#: longer depend on the process's string-hash salt).
-CHECKPOINT_VERSION = 2
+#: longer depend on the process's string-hash salt; version 3: the
+#: configuration echo no longer names a main-loop scheduler).
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

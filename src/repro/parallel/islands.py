@@ -85,10 +85,7 @@ class IslandEvolutionController:
     config:
         The usual evolutionary hyper-parameters; ``population_size`` and the
         tournament apply per island, the budget is global across islands.
-        ``num_islands`` sets the topology.  ``config.scheduler`` picks the main-loop strategy:
-        ``"barrier"`` (score → migrate strictly in turn) or ``"overlap"``
-        (migration runs while the pool evaluates; see
-        :meth:`_main_phase_overlap`).
+        ``num_islands`` sets the topology.
     seed / mutation_seed:
         ``seed`` drives the per-island tournament RNGs, ``mutation_seed``
         (defaulting to the same stream) the per-island mutators.
@@ -121,7 +118,6 @@ class IslandEvolutionController:
         self.evaluator = evaluator
         self.dims = dims
         self.config = config or EvolutionConfig()
-        self.scheduler = self.config.scheduler
         self.mutation_config = mutation_config or MutationConfig()
         self.address_space = address_space
         self.limits = limits
@@ -254,10 +250,6 @@ class IslandEvolutionController:
             "tournament_size": self.config.tournament_size,
             "use_pruning": self.config.use_pruning,
             "num_islands": self.config.num_islands,
-            # The overlap scheduler applies migrations one step later, so
-            # two schedulers walk different search paths from the first
-            # migration on; resuming across them would silently diverge.
-            "scheduler": self.scheduler,
             "seed": self._seed_echo,
             "mutation_seed": self._mutation_seed_echo,
             "evaluator_base_seed": self.evaluator.base_seed,
@@ -273,13 +265,7 @@ class IslandEvolutionController:
         }
 
     def _restore(self, state: SearchCheckpoint, initial_program: AlphaProgram) -> None:
-        # Accept the historical (non-canonical) key too, so checkpoints taken
-        # before structural_key canonicalised commutative operands resume.
-        accepted_keys = {
-            initial_program.structural_key(),
-            initial_program.structural_key(canonical=False),
-        }
-        if state.initial_key not in accepted_keys:
+        if state.initial_key != initial_program.structural_key():
             raise CheckpointError(
                 "checkpoint was taken for a different initial program; "
                 "resume with the same initial alpha or start fresh"
@@ -440,13 +426,8 @@ class IslandEvolutionController:
         return active
 
     def _main_phase(self) -> None:
-        """Tournament → mutate → batch-score → age, one child per island."""
-        if self.scheduler == "overlap":
-            self._main_phase_overlap()
-        else:
-            self._main_phase_barrier()
-
-    def _main_phase_barrier(self) -> None:
+        """Tournament → mutate → batch-score → age, one child per island,
+        with a ring migration every :data:`MIGRATION_INTERVAL` steps."""
         while not self._budget_exhausted():
             active = self._active_islands()
             proposals = self._propose(active)
@@ -455,45 +436,6 @@ class IslandEvolutionController:
             self._step += 1
             if len(self.islands) > 1 and self._step % MIGRATION_INTERVAL == 0:
                 self._migrate()
-            self._maybe_checkpoint()
-
-    def _main_phase_overlap(self) -> None:
-        """Like the barrier loop, but migration hides behind evaluation.
-
-        Each step dispatches the proposal batch asynchronously
-        (:meth:`~repro.core.evolution.CandidateScorer.score_batch_async`)
-        and performs any due ring migration *between* the dispatch and the
-        collect, so with an evaluation pool attached the migration cost
-        disappears behind the workers' wall clock.  The proposals of step
-        ``t+1`` are therefore drawn before the migration due at step ``t``
-        is applied: migrants enter tournaments one step later than under
-        the barrier scheduler, a deliberate (and deterministic) semantic
-        difference — which is why the scheduler is part of the search's
-        checkpoint configuration echo.  Checkpoints still happen only at
-        the step boundary, after the collect, so kill-and-resume stays
-        bit-for-bit.
-
-        ``pending`` is recomputed from checkpointed state on entry (a
-        migration is pending exactly when fewer migrations ran than steps
-        completed per interval), so resumed runs continue exactly where the
-        schedule left off.  A migration still pending when the budget runs
-        out is dropped, as harmless as the one due on the very last barrier
-        step.
-        """
-        interval = MIGRATION_INTERVAL
-        pending = self._migrations < self._step // interval
-        while not self._budget_exhausted():
-            active = self._active_islands()
-            proposals = self._propose(active)
-            handle = self.scorer.score_batch_async(proposals)
-            if pending and len(self.islands) > 1:
-                self._migrate()
-            pending = False
-            reports = handle.result()
-            self._insert(active, proposals, reports)
-            self._step += 1
-            if len(self.islands) > 1 and self._step % interval == 0:
-                pending = True
             self._maybe_checkpoint()
 
     def _migrate(self) -> None:
@@ -507,7 +449,10 @@ class IslandEvolutionController:
         for index, island in enumerate(self.islands):
             migrant = offers[index - 1]
             population = island.population
-            if any(member.program == migrant.program for member in population):
+            # Program equality is structural-key equality; key the migrant
+            # once instead of once per member.
+            key = migrant.program.structural_key()
+            if any(member.program.structural_key() == key for member in population):
                 continue
             worst = min(range(len(population)), key=lambda j: population[j].fitness)
             if migrant.fitness > population[worst].fitness:

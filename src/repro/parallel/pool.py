@@ -97,7 +97,6 @@ class PoolSpec:
     tickers: tuple[str, ...]
     max_train_steps: int | None = None
     use_update: bool = True
-    evaluate_test: bool = True
     long_k: int = LONG_POSITIONS
     short_k: int = SHORT_POSITIONS
     #: Execution-engine name each worker's evaluator runs candidates on
@@ -175,7 +174,6 @@ class _WorkerState:
                 seed=seed,
                 max_train_steps=spec.max_train_steps,
                 use_update=spec.use_update,
-                evaluate_test=spec.evaluate_test,
                 engine=spec.engine,
             )
         return self.evaluator
@@ -247,10 +245,9 @@ class _Chunk:
 class PendingEvaluations:
     """A dispatched batch whose results are collected on :meth:`result`.
 
-    Returned by :meth:`EvaluationPool.submit_detailed`; the overlap
-    scheduler of :mod:`repro.parallel.islands` performs ring migration and
-    checkpoint bookkeeping between the dispatch and the collect, hiding
-    that work behind the workers' wall clock.
+    Returned by :meth:`EvaluationPool.submit_detailed`.  The split is the
+    pool's dispatch/wait boundary: :meth:`EvaluationPool.evaluate_detailed`
+    submits, then waits here at once.
     """
 
     def __init__(self, pool: "EvaluationPool", chunks: list[_Chunk],
@@ -280,7 +277,7 @@ class EvaluationPool:
         is published to shared memory once, here.
     num_workers:
         Number of worker processes; defaults to the machine's CPU count.
-    max_train_steps / use_update / evaluate_test:
+    max_train_steps / use_update:
         Forwarded to each worker's :class:`AlphaEvaluator`; use the same
         values as the serial evaluator to get bitwise-identical reports.
         The evaluator seed is not a pool setting: every dispatch names it
@@ -314,7 +311,6 @@ class EvaluationPool:
         *,
         max_train_steps: int | None = None,
         use_update: bool = True,
-        evaluate_test: bool = True,
         long_k: int = LONG_POSITIONS,
         short_k: int = SHORT_POSITIONS,
         engine: str | None = None,
@@ -343,7 +339,6 @@ class EvaluationPool:
             tickers=taskset.tickers,
             max_train_steps=max_train_steps,
             use_update=use_update,
-            evaluate_test=evaluate_test,
             long_k=long_k,
             short_k=short_k,
             engine=resolve_engine(engine),
@@ -428,8 +423,7 @@ class EvaluationPool:
         would be built with) and, with ``valid_returns=True``, also return
         each valid program's validation portfolio-return series.  Returns a
         :class:`PendingEvaluations` whose ``result()`` yields the
-        evaluations in input order; the caller may do useful work between
-        the two (the islands overlap scheduler does ring migration).
+        evaluations in input order.
         """
         if self._closed:
             raise ParallelError("the evaluation pool has been closed")

@@ -124,8 +124,7 @@ class TestSearchHitRate:
         handed its scorer, in order."""
         dims = Dimensions(taskset.num_features, taskset.window)
         controller = IslandEvolutionController(
-            evaluator=AlphaEvaluator(taskset, seed=0, max_train_steps=5,
-                                     evaluate_test=False),
+            evaluator=AlphaEvaluator(taskset, seed=0, max_train_steps=5),
             dims=dims,
             config=EvolutionConfig(population_size=12, tournament_size=4,
                                    max_candidates=budget),
@@ -134,13 +133,13 @@ class TestSearchHitRate:
         scorer = controller.scorer
         scorer.canonical_fingerprint = canonical
         stream = []
-        score_batch_async = scorer.score_batch_async
+        score_batch = scorer.score_batch
 
         def recording(programs):
             stream.extend(programs)
-            return score_batch_async(programs)
+            return score_batch(programs)
 
-        scorer.score_batch_async = recording
+        scorer.score_batch = recording
         result = controller.run(domain_expert_alpha(dims))
         return result.cache_stats, stream
 
@@ -169,8 +168,7 @@ class TestSearchHitRate:
 
         def score(canonical):
             scorer = CandidateScorer(
-                AlphaEvaluator(tiny_taskset, seed=0, max_train_steps=5,
-                               evaluate_test=False),
+                AlphaEvaluator(tiny_taskset, seed=0, max_train_steps=5),
                 canonical_fingerprint=canonical,
             )
             return scorer.score_batch(candidates), scorer.cache.stats

@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.core.fitness import INVALID_FITNESS
 from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset
+from repro.engine import FleetEngine
 from repro.errors import ExecutionError
 
 
@@ -138,7 +139,6 @@ class TestEvaluate:
         assert result.is_valid
         assert result.ic_valid > 0.0
         assert result.fitness == result.ic_valid
-        assert not np.isnan(result.ic_test)
 
     def test_degenerate_alpha_flagged_invalid(self, evaluator):
         program = AlphaProgram(
@@ -157,9 +157,21 @@ class TestEvaluate:
         assert report.fitness == result.fitness
         assert report.is_valid == result.is_valid
 
-    def test_evaluate_without_test_split(self, small_taskset):
-        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=30,
-                                   evaluate_test=False)
-        result = evaluator.evaluate(domain_expert_alpha(Dimensions(13, 13)))
-        assert np.isnan(result.ic_test)
-        assert "test" not in result.predictions
+    def test_evaluate_runs_only_the_validation_split(self, small_taskset):
+        """Fitness reads only the validation split, so neither evaluation
+        path infers the test days."""
+        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=30)
+        program = domain_expert_alpha(Dimensions(13, 13))
+        result = evaluator.evaluate(program)
+        assert set(result.predictions) == {"valid"}
+        fleet = FleetEngine(evaluator)
+        fleet.add(program)
+        (fleet_result,) = fleet.evaluate().values()
+        assert set(fleet_result.predictions) == {"valid"}
+        np.testing.assert_array_equal(fleet_result.predictions["valid"],
+                                      result.predictions["valid"])
+        # run() still infers every requested split, validation bit for bit
+        # as evaluate() saw it.
+        both = evaluator.run(program)
+        assert set(both) == {"valid", "test"}
+        np.testing.assert_array_equal(both["valid"], result.predictions["valid"])

@@ -77,6 +77,14 @@ class TestResolveConfig:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--no-compile"])
 
+    def test_scheduler_flag_is_gone(self, capsys):
+        """Every search runs the one barrier main loop; the CLI rejects the
+        retired switch as a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table3", "--scale", "smoke", "--scheduler", "overlap"])
+        assert excinfo.value.code == 2
+        assert "--scheduler" in capsys.readouterr().err
+
     def test_engine_flag_selects_engine(self):
         args = build_parser().parse_args(["table1", "--engine", "interpreter"])
         config = resolve_config(args)

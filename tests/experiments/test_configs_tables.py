@@ -39,6 +39,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(num_stocks=5)
 
+    def test_scheduler_accepts_only_barrier(self):
+        """Every search runs the one barrier main loop; the field remains
+        only for callers that still pass ``scheduler="barrier"``."""
+        assert LAPTOP.scaled(scheduler="barrier") == LAPTOP
+        with pytest.raises(ConfigurationError, match="scheduler"):
+            ExperimentConfig(scheduler="overlap")
+
     def test_evolution_config_overrides(self):
         config = LAPTOP.evolution_config(max_candidates=42, use_pruning=False)
         assert config.max_candidates == 42

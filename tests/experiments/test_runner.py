@@ -11,6 +11,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.core import AlphaEvaluator
 from repro.experiments import (
     GeneticStudy,
     MiningStudy,
@@ -167,6 +168,23 @@ class TestTableRunners:
         assert with_pruning["searched"] > 0
         assert without_pruning["alpha"].endswith("_N")
         assert with_pruning["searched"] >= without_pruning["searched"]
+
+    def test_table6_honours_the_engine(self, monkeypatch):
+        """Table 6 builds its searches from ``evolution_config()``, like
+        every other table, so ``--engine interpreter`` reaches every
+        evaluator it builds."""
+        engines = []
+        original = AlphaEvaluator.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            engines.append(self.engine)
+
+        monkeypatch.setattr(AlphaEvaluator, "__init__", recording)
+        config = TINY.scaled(engine="interpreter", pruning_time_budget_seconds=0.2)
+        run_table6(config, initializations=("D",))
+        assert len(engines) == 2
+        assert set(engines) == {"interpreter"}
 
     def test_figure6_trajectories(self, tiny_study):
         result = run_figure6(TINY, study=tiny_study)

@@ -247,23 +247,19 @@ class TestFuzzedPoolParity:
         for evaluation in evaluations[1:]:
             assert_reports_equal(evaluation.report, first)
 
-    def test_async_score_batch_matches_sync(self, small_taskset, dims):
+    def test_pooled_score_batch_matches_serial(self, small_taskset, dims):
         batch = _fuzz_batch(dims, seed=47)
-        sync = CandidateScorer(
+        serial = CandidateScorer(
             AlphaEvaluator(small_taskset, seed=0, max_train_steps=15)
         )
-        expected = sync.score_batch(batch)
+        expected = serial.score_batch(batch)
         with EvaluationPool(small_taskset, num_workers=2,
                             max_train_steps=15) as pool:
-            scorer = CandidateScorer(
+            pooled = CandidateScorer(
                 AlphaEvaluator(small_taskset, seed=0, max_train_steps=15),
                 pool=pool,
             )
-            handle = scorer.score_batch_async(batch)
-            # Unrelated work may interleave here (the overlap scheduler
-            # migrates); it must not perturb any report bit.
-            got = handle.result()
-            assert handle.result() is got  # idempotent
+            got = pooled.score_batch(batch)
         for left, right in zip(got, expected):
             assert_reports_equal(left, right)
-        assert sync.cache.stats.as_dict() == scorer.cache.stats.as_dict()
+        assert serial.cache.stats.as_dict() == pooled.cache.stats.as_dict()
