@@ -18,7 +18,8 @@ gate** across four paths:
 * **cross-program mega-batching** — a fleet-size scaling curve over mining
   generation snapshots (:func:`common.build_generation`): at each fleet
   size P the per-program loop and the stacked fleet (signature groups
-  executing as one ``(P, ...)`` tape) are timed; the largest point is the
+  executing as one ``(P, ...)`` tape) are timed, best of 5 repeats with
+  each path's median, min and max beside it; the largest point is the
   ``programs_per_second_stacked`` headline and must clear a >= 3x stacked
   speedup at >= 100 unique programs post-dedup;
 * **static-predict time batching** — for programs whose whole ``Predict()``
@@ -44,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -142,41 +144,52 @@ def bench_fleet(taskset, programs, repeats: int = 3) -> dict:
     }
 
 
+def spread(seconds: list[float]) -> dict:
+    """Median, min and max of one path's repeat timings."""
+    return {"median": round(statistics.median(seconds), 4),
+            "min": round(min(seconds), 4), "max": round(max(seconds), 4)}
+
+
 def bench_stacked_scaling(taskset, sizes=(8, 32, 128, 200),
-                          repeats: int = 2) -> dict:
+                          repeats: int = 5) -> dict:
     """Fleet-size scaling of the stacked executor over generation snapshots.
 
     At each size P a fresh mining-generation fleet is built and two paths
     are timed end to end: the per-program loop (fresh evaluator per member)
     and the ``FleetEngine`` (signature groups executing as ``(P, ...)``
-    tapes).  The largest point is the headline.
+    tapes).  Each point keeps the best of ``repeats`` runs per path, with
+    their median, min and max beside it.  The largest point is the
+    headline.
     """
     dims = Dimensions(taskset.num_features, taskset.window)
     curve = []
     for size in sizes:
         programs = build_generation(dims, size)
 
-        loop_best = float("inf")
+        loop_seconds = []
         for _ in range(repeats):
             start = time.perf_counter()
             for program in programs:
                 make_evaluator(taskset).evaluate(program)
-            loop_best = min(loop_best, time.perf_counter() - start)
+            loop_seconds.append(time.perf_counter() - start)
 
-        stacked_best = float("inf")
+        stacked_seconds = []
         for _ in range(repeats):
             fleet = FleetEngine(make_evaluator(taskset))
             for program in programs:
                 fleet.add(program)
             start = time.perf_counter()
             fleet.evaluate()
-            stacked_best = min(stacked_best, time.perf_counter() - start)
+            stacked_seconds.append(time.perf_counter() - start)
+        loop_best, stacked_best = min(loop_seconds), min(stacked_seconds)
         curve.append({
             "num_programs": size,
             "unique_programs": fleet.num_unique,
             "stack_groups": fleet.stack_groups,
             "per_program_loop_seconds": round(loop_best, 4),
             "stacked_fleet_seconds": round(stacked_best, 4),
+            "per_program_loop_spread_seconds": spread(loop_seconds),
+            "stacked_fleet_spread_seconds": spread(stacked_seconds),
             "programs_per_second_loop": round(size / loop_best, 2),
             "programs_per_second_stacked": round(size / stacked_best, 2),
             "stacked_speedup_vs_loop": round(loop_best / stacked_best, 2),

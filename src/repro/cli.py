@@ -421,10 +421,12 @@ def run_serve_command(argv: list[str]) -> int:
                 print(f"error: no such program file: {path}", file=sys.stderr)
                 return 2
             try:
-                programs.append(AlphaProgram.from_json(path.read_text()))
+                program = AlphaProgram.from_json(path.read_text())
+                program.validate()
             except ProgramError as exc:
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 return 2
+            programs.append(program)
         # Saved artifacts from separate runs often embed the same program
         # name; serving names must be unique, so repeats get a suffix.
         names, seen = [], {}

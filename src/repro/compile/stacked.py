@@ -32,11 +32,18 @@ offline fleets and serving all run this one runner:
   nor an operand it also writes, the inference stage runs over a leading
   *day* axis instead of a Python loop over days, chunked so a
   ``(P, C, K, f, w)`` buffer stays bounded however large the group;
+* **one input bar** — ``m0`` is an input, not lane state: the tape holds
+  one ``(K, f, w)`` bar that :meth:`StackedAlpha.set_input` writes once
+  and every lane reads through one read-only stride-0 view.  No program
+  writes ``m0`` (:meth:`~repro.core.program.AlphaProgram.validate`), and
+  every protocol path calls ``set_input`` before ``run_predict``, so
+  ``m0`` cannot be observed at a restore or resume point;
 * **copy-on-write snapshots** — :meth:`StackedAlpha.snapshot` /
   :meth:`StackedAlpha.restore` save and rewind the operand state for
-  delta-replay serving.  While serving only ``m0``, ``s0`` and the carried
-  operands ``Predict()`` writes back change, so a snapshot copies those
-  and shares every frozen array with the previous snapshot;
+  delta-replay serving.  While serving only the bar, ``s0`` and the
+  carried operands ``Predict()`` writes back change, so a snapshot copies
+  the bar once per tape and ``s0`` and those write-backs per lane, and
+  shares every frozen array with the previous snapshot;
 * **suspend/resume** — a lane leaves as a
   :class:`~repro.compile.executor.TapeState` carrying that program's own
   tape key and per-program operand shapes, so it resumes into a lane of
@@ -191,9 +198,9 @@ class StackedAlpha:
     Satisfies the :class:`~repro.engine.backends.ExecutionEngine` per-day
     vocabulary with every array carrying the leading lane axis:
     :attr:`prediction` is ``(P, K)``, :meth:`run_inference_batch` returns
-    ``(D, P, K)``, and :meth:`set_input` / :meth:`set_label` broadcast one
-    shared bar across the lanes — so the engine-layer protocol drives a
-    group exactly as it drives one program.
+    ``(D, P, K)``, and :meth:`set_input` / :meth:`set_label` hand one
+    shared bar to every lane — so the engine-layer protocol drives a group
+    exactly as it drives one program.
 
     Parameters
     ----------
@@ -235,10 +242,15 @@ class StackedAlpha:
         ir = template.ir
         carried = template.dataflow.carried
 
+        #: The input bar: one ``(K, f, w)`` buffer :meth:`set_input` writes
+        #: once, which every lane reads through one read-only stride-0 view.
+        self._bar = np.zeros(shapes[OperandType.MATRIX][1:])
         #: Operand state arrays: the loop-carried memory between components
         #: and days.  Allocated for every operand the program observes plus
-        #: the three reserved addresses.
-        self._state: dict[Operand, np.ndarray] = {}
+        #: the three reserved addresses; ``m0`` is the bar's view.
+        self._state: dict[Operand, np.ndarray] = {
+            INPUT_MATRIX: np.broadcast_to(self._bar, shapes[OperandType.MATRIX]),
+        }
 
         def state_array(operand: Operand) -> np.ndarray:
             array = self._state.get(operand)
@@ -326,16 +338,18 @@ class StackedAlpha:
         )
         self._prediction_on_day_axis = self._prediction_id in day_ids
 
-        # Snapshot layout.  A snapshot holds one read-only array per state
-        # array, in bind order; the per-day ones are copied each time, the
-        # frozen ones shared with the previous snapshot (see snapshot()).
+        # Snapshot layout.  A snapshot holds the bar, then one read-only
+        # array per lane state array, in bind order; the per-day ones are
+        # copied each time, the frozen ones shared with the previous
+        # snapshot (see snapshot()).
         state = self._state
-        per_day = {id(state[INPUT_MATRIX]), id(state[LABEL])}
+        per_day = {id(state[LABEL])}
         per_day.update(id(target) for target, _ in self._copies["predict"])
-        self._arrays = tuple(state.values())
-        #: Operand names in bind order, for the TapeState conversions.
+        self._arrays = tuple(state.values())[1:]
+        #: Operand names in bind order (``m0`` first), for the TapeState
+        #: conversions.
         self._names = tuple(operand.name for operand in state)
-        self._lane_shapes = tuple(array.shape[1:] for array in self._arrays)
+        self._lane_shapes = tuple(array.shape[1:] for array in state.values())
         self._per_day = tuple(id(array) in per_day for array in self._arrays)
         #: The snapshot whose frozen arrays equal the live ones, or ``None``.
         self._cow_base: tuple | None = None
@@ -417,8 +431,8 @@ class StackedAlpha:
 
     # ------------------------------------------------------------------
     def set_input(self, features: np.ndarray) -> None:
-        """Broadcast one day's shared ``(K, f, w)`` bar into every lane."""
-        self._state[INPUT_MATRIX][...] = features
+        """Write one day's shared ``(K, f, w)`` bar, once for every lane."""
+        self._bar[...] = features
 
     def set_label(self, labels: np.ndarray) -> None:
         """Broadcast one day's realised ``(K,)`` labels into every lane."""
@@ -473,7 +487,8 @@ class StackedAlpha:
     # Copy-on-write snapshots and the suspend / resume tape protocol
     # ------------------------------------------------------------------
     def snapshot(self) -> tuple:
-        """A read-only copy-on-write snapshot of the operand state.
+        """A read-only copy-on-write snapshot of the operand state: the
+        ``(K, f, w)`` bar, then each lane state array in bind order.
 
         ``run_setup``, ``run_update``, :meth:`resume` and :meth:`adopt`
         drop the reuse base, so the next snapshot copies everything;
@@ -481,13 +496,14 @@ class StackedAlpha:
         """
         base = self._cow_base
         if base is None:
-            snap = tuple(_read_only(array.copy()) for array in self._arrays)
+            lanes = tuple(_read_only(array.copy()) for array in self._arrays)
         else:
-            snap = tuple(
+            lanes = tuple(
                 _read_only(array.copy()) if per_day else kept
                 for array, per_day, kept in zip(self._arrays, self._per_day,
-                                                base)
+                                                base[1:])
             )
+        snap = (_read_only(self._bar.copy()),) + lanes
         self._cow_base = snap
         return snap
 
@@ -498,21 +514,23 @@ class StackedAlpha:
         live and its prologue buffers have not changed.  A snapshot holds
         only values this tape produced, so the sanitize elision stays.
         """
-        for array, saved in zip(self._arrays, snap):
+        self._bar[...] = snap[0]
+        for array, saved in zip(self._arrays, snap[1:]):
             array[...] = saved
         self._cow_base = snap
 
     def tape_state(self, snap: tuple, lane: int) -> TapeState:
-        """Lane ``lane`` of a :meth:`snapshot` as a :class:`TapeState`."""
+        """Lane ``lane`` of a :meth:`snapshot` as a :class:`TapeState`;
+        its ``m0`` is the snapshot's one bar, the same for every lane."""
         ctx = self.ctx
         return TapeState(
             version=TAPE_STATE_VERSION,
             tape_key=self.tape_keys[lane],
             base_seed=ctx.base_seed,
             shape=(ctx.num_tasks, ctx.num_features, ctx.window),
-            operands={
-                name: array[lane] for name, array in zip(self._names, snap)
-            },
+            operands=dict(zip(self._names, (snap[0],) + tuple(
+                array[lane] for array in snap[1:]
+            ))),
         )
 
     def suspend(self) -> tuple[TapeState, ...]:
@@ -593,10 +611,14 @@ class StackedAlpha:
         the static prologue (pure, so bit-for-bit reproducible), then
         writes the operand state; the next ``run_predict`` /
         ``run_update`` continues exactly where the suspended tape stopped.
+        The bar is the first state's ``m0``: every protocol path calls
+        ``set_input`` before ``run_predict``, so no lane can observe it,
+        while ``s0`` stays each lane's own.
         """
         states = self._check_states(states)
         self._run_tape(self._static_tape)
-        for array, name in zip(self._arrays, self._names):
+        self._bar[...] = states[0].operands[INPUT_MATRIX.name]
+        for array, name in zip(self._arrays, self._names[1:]):
             for lane, state in enumerate(states):
                 array[lane] = state.operands[name]
         self._admit_outside_state()
@@ -604,14 +626,16 @@ class StackedAlpha:
     def adopt(self, states) -> tuple:
         """Validate persisted per-lane :class:`TapeState`\\ s (as
         :meth:`resume` does) and stack them into one :meth:`snapshot` for
-        :meth:`restore`."""
+        :meth:`restore`, whose bar is the first state's ``m0`` (see
+        :meth:`resume`)."""
         states = self._check_states(states)
         self._admit_outside_state()
-        return tuple(
+        bar = np.array(states[0].operands[INPUT_MATRIX.name], dtype=np.float64)
+        return (_read_only(bar),) + tuple(
             _read_only(np.stack(
                 [state.operands[name] for state in states], dtype=np.float64
             ))
-            for name in self._names
+            for name in self._names[1:]
         )
 
     # ------------------------------------------------------------------

@@ -28,7 +28,7 @@ from ..config import (
     MIN_OPS_PER_COMPONENT,
 )
 from ..errors import ProgramError
-from .memory import Operand, OperandType
+from .memory import INPUT_MATRIX, LABEL, Operand, OperandType
 from .ops import OpSpec, check_params, get_op
 
 __all__ = ["COMPONENTS", "ComponentLimits", "Operation", "AlphaProgram"]
@@ -209,8 +209,10 @@ class AlphaProgram:
         """Raise :class:`ProgramError` if the program violates the constraints.
 
         Checks operand addresses against the address space, component
-        operation-count limits, and that operators are allowed in the
-        component they appear in.
+        operation-count limits, that operators are allowed in the
+        component they appear in, and that no operation writes the protocol
+        inputs ``m0`` (the day's features) or ``s0`` (its label): only the
+        day loop writes those.
         """
         limits = limits or ComponentLimits()
         bounds = {
@@ -235,6 +237,11 @@ class AlphaProgram:
                             f"operand {operand.name} exceeds the address space "
                             f"({bounds[operand.type]} {operand.type.value}s)"
                         )
+                if operation.output in (INPUT_MATRIX, LABEL):
+                    raise ProgramError(
+                        f"{component}() writes {operation.output.name}, a "
+                        f"protocol input only the day loop may write"
+                    )
 
     # ------------------------------------------------------------------
     def render(self) -> str:

@@ -202,6 +202,21 @@ class TestAlphaProgram:
         with pytest.raises(ProgramError):
             program.validate()
 
+    @pytest.mark.parametrize("component", ["setup", "predict", "update"])
+    @pytest.mark.parametrize("operation", [
+        Operation.make("m_scale", (Operand.scalar(2), INPUT_MATRIX),
+                       INPUT_MATRIX),
+        Operation.make("s_const", (), Operand.scalar(0), {"constant": 7.0}),
+    ], ids=["m0", "s0"])
+    def test_validation_rejects_writes_to_protocol_inputs(
+        self, component, operation
+    ):
+        program = simple_program()
+        program.component(component).insert(0, operation)
+        name = operation.output.name
+        with pytest.raises(ProgramError, match=rf"{component}\(\) writes {name}"):
+            program.validate()
+
     def test_component_limits_max_for(self):
         limits = ComponentLimits()
         assert limits.max_for("setup") == 21

@@ -4,15 +4,59 @@ import numpy as np
 import pytest
 
 from repro.compile import StackedAlpha, compile_program
-from repro.core import AlphaEvaluator, get_initialization
+from repro.core import (
+    INPUT_MATRIX,
+    LABEL,
+    PREDICTION,
+    AlphaEvaluator,
+    AlphaProgram,
+    Operand,
+    Operation,
+    get_initialization,
+)
 from repro.engine import (
     ENGINES,
     ExecutionEngine,
+    FleetEngine,
     InterpreterBackend,
     make_backend,
     resolve_engine,
 )
-from repro.errors import EngineError
+from repro.errors import EngineError, ProgramError
+
+S2, S3, S4 = (Operand.scalar(index) for index in (2, 3, 4))
+
+
+def writes_input_matrix():
+    """``Predict()`` rescales ``m0`` in place and ``Update()`` reads it back
+    into a parameter ``Predict()`` uses: the interpreter carries the write,
+    a tape whose ``m0`` is only the day's bar cannot."""
+    return AlphaProgram(
+        setup=[Operation.make("s_const", (), S4, {"constant": 0.5})],
+        predict=[
+            Operation.make("m_scale", (S4, INPUT_MATRIX), INPUT_MATRIX),
+            Operation.make("get_scalar", (INPUT_MATRIX,), S2,
+                           {"row": 0, "col": 0}),
+            Operation.make("s_add", (S2, S3), PREDICTION),
+        ],
+        update=[Operation.make("m_mean", (INPUT_MATRIX,), S3)],
+        name="writes_m0",
+    )
+
+
+def writes_label():
+    """``Setup()`` writes ``s0`` and ``Predict()`` reads it before any
+    label is revealed."""
+    return AlphaProgram(
+        setup=[Operation.make("s_const", (), LABEL, {"constant": 7.0})],
+        predict=[
+            Operation.make("get_scalar", (INPUT_MATRIX,), S2,
+                           {"row": 0, "col": 0}),
+            Operation.make("s_add", (S2, LABEL), PREDICTION),
+        ],
+        update=[Operation.make("s_abs", (S2,), S3)],
+        name="writes_s0",
+    )
 
 
 @pytest.fixture()
@@ -99,6 +143,26 @@ class TestStepEquivalence:
         assert left.shape == (small_taskset.split.valid,
                               small_taskset.num_tasks)
         assert left.tobytes() == right.tobytes()
+
+
+@pytest.mark.parametrize("build,where", [
+    (writes_input_matrix, r"predict\(\) writes m0"),
+    (writes_label, r"setup\(\) writes s0"),
+], ids=["m0", "s0"])
+class TestProtocolInputs:
+    """Only the day loop writes ``m0`` and ``s0``: a program that writes
+    either is refused before it reaches any engine."""
+
+    def test_every_engine_refuses(self, evaluator, build, where):
+        for engine in ENGINES:
+            with pytest.raises(ProgramError, match=where):
+                make_backend(build(), evaluator.make_context(), engine)
+
+    def test_fleet_refuses_at_registration(self, evaluator, build, where):
+        fleet = FleetEngine(evaluator)
+        with pytest.raises(ProgramError, match=where):
+            fleet.add(build())
+        assert fleet.num_members == 0
 
 
 class TestCapabilities:

@@ -1,14 +1,19 @@
 """Copy-on-write tape snapshots: sharing, read-only arrays and restore.
 
 The compiled tape snapshots its operand state as a tuple of read-only
-arrays in bind order (:meth:`repro.compile.stacked.StackedAlpha.snapshot`).
-While serving, only ``m0``, ``s0`` and the carried operands ``Predict()``
-writes back change, so a snapshot copies those and reuses the previous
-snapshot's array for every other one.  These tests pin that contract on a
-one-lane and a two-lane tape: what is shared and what is copied, when the
-reuse base is dropped, and that ``restore`` puts back exactly what
-``snapshot`` took.
+arrays (:meth:`repro.compile.stacked.StackedAlpha.snapshot`): the one
+``(K, f, w)`` input bar ``m0`` every lane reads, then the lane state in
+bind order.  While serving, only the bar, ``s0`` and the carried operands
+``Predict()`` writes back change, so a snapshot copies those and reuses the
+previous snapshot's array for every other one.  These tests pin that
+contract on a one-lane and a two-lane tape: what is shared and what is
+copied, when the reuse base is dropped, and that ``restore`` puts back
+exactly what ``snapshot`` took.  ``TestInputBar`` pins the input contract
+on a four-lane group: the bar is held and copied once, and ``m0`` cannot
+be observed at a resume point while ``s0`` stays each lane's own.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +50,30 @@ def cow_program(constant=0.5, row=0, name="cow"):
         ],
         update=[Operation.make("s_add", (S5, LABEL), S5)],
         name=name,
+    )
+
+
+def label_program(row=0, name="label"):
+    """``Predict()`` reads the last revealed label ``s0``."""
+    return AlphaProgram(
+        setup=[],
+        predict=[
+            Operation.make("get_scalar", (INPUT_MATRIX,), S4,
+                           {"row": row, "col": 0}),
+            Operation.make("s_add", (S4, LABEL), PREDICTION),
+        ],
+        update=[],
+        name=name,
+    )
+
+
+def group(taskset, build, lanes):
+    """A ``lanes``-lane tape of ``build(row=lane)``, one row per lane."""
+    ctx = AlphaEvaluator(taskset, seed=0).make_context()
+    return StackedAlpha(
+        [compile_program(build(row=lane, name=f"lane_{lane}"))
+         for lane in range(lanes)],
+        ctx,
     )
 
 
@@ -182,3 +211,80 @@ class TestRestore:
         assert same_bytes(adopted, snap)
         assert all(not array.flags.writeable for array in adopted)
         assert not any(np.shares_memory(a, b) for a, b in zip(adopted, snap))
+
+
+class TestInputBar:
+    def test_a_snapshot_holds_the_bar_once(self, small_taskset):
+        snaps = {}
+        for lanes in (1, 4):
+            tape = group(small_taskset, cow_program, lanes)
+            train(tape, small_taskset)
+            serve(tape, small_taskset, range(3))
+            snaps[lanes] = by_name(tape, tape.snapshot())
+        bar = small_taskset.split_features("valid")[2]
+        assert snaps[4]["m0"].shape == bar.shape
+        assert snaps[4]["m0"].tobytes() == bar.tobytes()
+        # Snapshot bytes grow with the lane count only through lane state.
+        lane_bytes = sum(array.nbytes for name, array in snaps[1].items()
+                         if name != "m0")
+        total = {lanes: sum(array.nbytes for array in snap.values())
+                 for lanes, snap in snaps.items()}
+        assert total[4] - total[1] == 3 * lane_bytes
+
+    def test_every_lane_state_holds_the_bar_and_adopt_round_trips(
+        self, small_taskset
+    ):
+        tape = group(small_taskset, cow_program, 4)
+        train(tape, small_taskset)
+        serve(tape, small_taskset, range(3))
+        snap = tape.snapshot()
+        bar = small_taskset.split_features("valid")[2]
+        states = lane_states(tape, snap)
+        for state in states:
+            assert state.operands["m0"].tobytes() == bar.tobytes()
+        live = serve(tape, small_taskset, range(3, 6))
+        tape.restore(tape.adopt(states))
+        assert same_bytes(tape.snapshot(), snap)
+        assert serve(tape, small_taskset, range(3, 6)).tobytes() == \
+            live.tobytes()
+
+    @pytest.mark.parametrize("how", ["resume", "adopt"])
+    def test_m0_is_not_observable_at_a_resume_point(
+        self, small_taskset, how
+    ):
+        """Lanes whose states carry different ``m0``s predict like the
+        uninterrupted run: ``set_input`` writes the bar before any read."""
+        tape = group(small_taskset, cow_program, 4)
+        train(tape, small_taskset)
+        serve(tape, small_taskset, range(3))
+        states = list(tape.suspend())
+        live = serve(tape, small_taskset, range(3, 6))
+        blank = np.full_like(states[2].operands["m0"], np.nan)
+        states[2] = replace(states[2],
+                            operands={**states[2].operands, "m0": blank})
+        if how == "resume":
+            tape = group(small_taskset, cow_program, 4)
+            tape.resume(states)
+        else:
+            tape.restore(tape.adopt(states))
+        assert serve(tape, small_taskset, range(3, 6)).tobytes() == \
+            live.tobytes()
+
+    def test_each_lane_predicts_from_its_own_label(self, small_taskset):
+        tape = group(small_taskset, label_program, 4)
+        tape.run_setup()
+        serve(tape, small_taskset, range(3))
+        states = list(tape.suspend())
+        live = serve(tape, small_taskset, range(3, 4))
+        doctored = small_taskset.split_labels("valid")[0] * 2.0
+        states[1] = replace(states[1],
+                            operands={**states[1].operands, "s0": doctored})
+        resumed = group(small_taskset, label_program, 4)
+        resumed.resume(states)
+        served = serve(resumed, small_taskset, range(3, 4))
+        assert served[:, 1].tobytes() != live[:, 1].tobytes()
+        for lane, state in enumerate(states):
+            alone = StackedAlpha([resumed.group[lane]], resumed.ctx)
+            alone.resume([state])
+            assert served[:, lane].tobytes() == \
+                serve(alone, small_taskset, range(3, 4))[:, 0].tobytes()

@@ -210,6 +210,39 @@ class TestStackedParity:
                 assert left[key].tobytes() == right[key].tobytes()
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_hostile_bars_match_one_lane_tapes_and_interpreter(
+        self, hostile_taskset, dims, mutator, salt
+    ):
+        """Bars a third hostile (NaN, ±inf, denormals, -0.0, ±CLIP_VALUE)
+        reach every lane through the one shared bar: each lane serves what
+        its one-lane tape and the interpreter serve."""
+        programs = make_generation(dims, mutator)
+        evaluator = AlphaEvaluator(hostile_taskset, seed=0, max_train_steps=40)
+        features = salt(hostile_taskset.split_features("valid")[:6], 3,
+                        np.random.default_rng(7))
+        labels = hostile_taskset.split_labels("valid")[:6]
+
+        def served(fleet):
+            fleet.warm_start()
+            days = []
+            for day in range(features.shape[0]):
+                days.append(fleet.step_bar(features[day]))
+                fleet.reveal(labels[day])
+            return {key: np.array([day[key] for day in days])
+                    for key in days[0]}
+
+        stacked = build_fleet(evaluator, programs)
+        assert stacked.stack_groups >= 2
+        grouped = served(stacked)
+        for program in programs:
+            key = stacked.key_of(program.name)
+            for engine in ("compiled", "interpreter"):
+                alone = served(build_fleet(evaluator, [program], engine=engine))
+                assert grouped[key].tobytes() == alone[key].tobytes(), (
+                    program.name, engine)
+
+
 class TestStackedKernels:
     def test_stacked_rank_matches_registry_on_ties(self):
         rank = get_op("rank").func

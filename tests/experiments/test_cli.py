@@ -265,6 +265,21 @@ class TestServe:
         err = capsys.readouterr().err
         assert "m_std_axis" in err and "axis=3" in err
 
+    def test_serve_rejects_a_write_to_the_input_matrix(self, capsys, tmp_path):
+        # The tape holds m0 as the day's bar; a program writing it would
+        # serve predictions the interpreter does not make.
+        payload = domain_expert_alpha(Dimensions(13, 13)).to_dict()
+        payload["predict"].insert(0, {
+            "op": "m_scale", "inputs": ["s2", "m0"], "output": "m0",
+            "params": {},
+        })
+        path = tmp_path / "writes_m0.json"
+        path.write_text(json.dumps(payload))
+        exit_code = main(["serve", "--scale", "smoke", "--program", str(path)])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: predict() writes m0" in err
+
     def test_serve_uniquifies_duplicate_program_names(self, capsys, tmp_path):
         """Two artifacts embedding the same name serve under distinct names."""
         program = domain_expert_alpha(Dimensions(13, 13))
