@@ -15,12 +15,16 @@ two bitwise contracts:
   repair policy produces the bitwise-identical panel (repair is a no-op on
   clean inputs);
 * **repair determinism** — loading a corrupted directory twice under the
-  ``robust`` policy produces bitwise-identical repaired panels.
+  ``robust`` policy produces bitwise-identical repaired panels;
+* **shared windows** — a built task set's ``(N, K, f, w)`` features own no
+  buffer and span only their ``(N + w - 1, K, f)`` panel rows, so each
+  panel value is stored once, not ``w`` times.
 
 Recorded: synthetic generation and task-set build time, CSV export and
 cold/warm file-load time (the warm path hits the content-signature cache),
-the repaired (dirty → ``robust``) load time, weekly resample time, and the
-cache speedup as the headline number.  Results land in
+the repaired (dirty → ``robust``) load time, weekly resample time, the task
+set's feature bytes (owned, spanned, and the size the windows would take
+materialised), and the cache speedup as the headline number.  Results land in
 ``benchmarks/results/BENCH_data.json`` (source of truth, with a root-level
 copy — see ``benchmarks/README.md``).
 
@@ -28,8 +32,8 @@ Run with::
 
     python benchmarks/bench_data.py [--stocks K] [--days T] [--smoke]
 
-``--smoke`` shrinks the panel but keeps both parity gates — CI uses it as
-the data-layer parity check (non-zero exit on any violation).
+``--smoke`` shrinks the panel but keeps every gate — CI uses it as the
+data-layer parity and byte check (non-zero exit on any violation).
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+from numpy.lib.array_utils import byte_bounds
 
 from common import write_bench_json
 from repro.data import (
@@ -67,6 +73,17 @@ def timed(fn):
     return value, time.perf_counter() - started
 
 
+def feature_bytes(features) -> dict:
+    """Bytes a task set's feature tensor owns, spans, and would take as a
+    materialised ``(N, K, f, w)`` copy."""
+    low, high = byte_bounds(features)
+    return {
+        "owned": features.nbytes if features.flags.owndata else 0,
+        "spanned": high - low,
+        "materialised": features.size * features.itemsize,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--stocks", type=int, default=80)
@@ -81,7 +98,10 @@ def main(argv: list[str] | None = None) -> int:
     backend = SyntheticBackend(config, seed=SEED)
 
     panel, generate_seconds = timed(backend.load_panel)
-    _, taskset_seconds = timed(lambda: backend.build_taskset())
+    taskset, taskset_seconds = timed(lambda: backend.build_taskset())
+    taskset_bytes = feature_bytes(taskset.features)
+    windows_shared = (taskset_bytes["owned"] == 0 and taskset_bytes["spanned"]
+                      < taskset_bytes["materialised"])
     direct = SyntheticMarket(config, seed=SEED).generate()
     synthetic_parity = panels_bitwise_equal(panel, direct)
 
@@ -131,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         "synthetic": {
             "generate_seconds": round(generate_seconds, 4),
             "taskset_seconds": round(taskset_seconds, 4),
+            "taskset_feature_bytes": taskset_bytes,
         },
         "file": {
             "export_seconds": round(export_seconds, 4),
@@ -147,18 +168,20 @@ def main(argv: list[str] | None = None) -> int:
             "roundtrip_bitwise": roundtrip_parity,
             "clean_repair_identity": clean_identity,
             "repair_determinism": repair_determinism,
+            "windows_shared": windows_shared,
         },
         "speedup": round(cache_speedup, 1),
     }
 
     ok = (synthetic_parity and roundtrip_parity and clean_identity
-          and repair_determinism)
+          and repair_determinism and windows_shared)
     if args.smoke:
         print("data-parity smoke check "
               f"{'passed' if ok else 'FAILED'}: synthetic={synthetic_parity}, "
               f"roundtrip={roundtrip_parity}, "
               f"clean_repair_identity={clean_identity}, "
-              f"repair_determinism={repair_determinism}")
+              f"repair_determinism={repair_determinism}, "
+              f"windows_shared={windows_shared} ({taskset_bytes})")
     else:
         path = write_bench_json("data", payload)
         print(f"synthetic generate {generate_seconds:.3f}s, "
@@ -169,10 +192,14 @@ def main(argv: list[str] | None = None) -> int:
               f"(cache speedup {cache_speedup:.0f}x)")
         print(f"repaired load (dirty -> robust) {repaired_seconds:.3f}s")
         print(f"weekly resample {weekly_seconds:.3f}s -> {weekly.num_days} bars")
+        print(f"task set features: owned {taskset_bytes['owned']} B, spanned "
+              f"{taskset_bytes['spanned']} B, materialised "
+              f"{taskset_bytes['materialised']} B")
         print(f"parity: synthetic={synthetic_parity}, "
               f"roundtrip={roundtrip_parity}, "
               f"clean_repair_identity={clean_identity}, "
-              f"repair_determinism={repair_determinism}")
+              f"repair_determinism={repair_determinism}, "
+              f"windows_shared={windows_shared}")
         print(f"wrote {path}")
     return 0 if ok else 1
 

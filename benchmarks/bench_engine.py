@@ -14,7 +14,8 @@ gate** across four paths:
 * **fleet evaluation throughput** — evaluating an N-program fleet (with the
   duplicate rate a real mined fleet has) through one ``FleetEngine`` — one
   shared context, one data pass, canonical dedup — versus the per-program
-  loop of building and running a fresh evaluator per program;
+  loop of building and running a fresh evaluator per program, best of 7
+  repeats with each path's median, min and max beside it;
 * **cross-program mega-batching** — a fleet-size scaling curve over mining
   generation snapshots (:func:`common.build_generation`): at each fleet
   size P the per-program loop and the stacked fleet (signature groups
@@ -110,8 +111,13 @@ def check_parity(taskset, programs) -> tuple[bool, int, int]:
     return parity, num_static, stacked_fleet.stack_groups
 
 
-def bench_fleet(taskset, programs, repeats: int = 3) -> dict:
-    """Fleet evaluation through the engine vs the per-program loop."""
+def bench_fleet(taskset, programs, repeats: int = 7) -> dict:
+    """Fleet evaluation through the engine vs the per-program loop.
+
+    Each path takes about 0.1 s, so one timing swings with the host: the
+    best of ``repeats`` runs is the headline, with each path's median, min
+    and max beside it.
+    """
     per_program = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -138,6 +144,8 @@ def bench_fleet(taskset, programs, repeats: int = 3) -> dict:
         "unique_programs": unique,
         "per_program_loop_seconds": round(loop_best, 4),
         "fleet_engine_seconds": round(fleet_best, 4),
+        "per_program_loop_spread_seconds": spread(per_program),
+        "fleet_engine_spread_seconds": spread(fleet_seconds),
         "programs_per_second_loop": round(len(programs) / loop_best, 2),
         "programs_per_second_fleet": round(len(programs) / fleet_best, 2),
         "speedup": round(loop_best / fleet_best, 2),

@@ -23,7 +23,10 @@ The run also enforces the subsystem's correctness contracts:
 * **parity gate** — the pool's fitness reports must be bitwise identical to
   the serial reports for every program and every worker count;
 * **leak gate** — no ``repro-panel-*`` segment may remain in ``/dev/shm``
-  after the pools close.
+  after the pools close;
+* **span gate** — each pool's shared segment holds at most the bytes the
+  task set's features span (its panel rows, not its windows), the labels
+  and the header.
 
 Results are written to ``benchmarks/results/BENCH_parallel.json`` (the
 source of truth, with a copy at the repository root — see
@@ -48,6 +51,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+
+from numpy.lib.array_utils import byte_bounds
 
 from common import build_programs, reports_identical, write_bench_json
 from repro.core import AlphaEvaluator, Dimensions
@@ -91,11 +96,17 @@ def run_benchmark(num_programs: int = 400,
 
     workers_payload: dict[str, dict] = {}
     bitwise_identical = True
-    shm_bytes = 0
+    within_span = True
+    shm_bytes = shm_budget = 0
+    low, high = byte_bounds(taskset.features)
     for num_workers in worker_counts:
         with EvaluationPool(taskset, num_workers=num_workers,
                             **EVALUATOR_KWARGS) as pool:
             shm_bytes = pool.shm_bytes
+            # Span + labels + header (the labels start 64-byte aligned).
+            shm_budget = (high - low + taskset.labels.nbytes
+                          + pool.spec.panel.features_offset + 64)
+            within_span &= shm_bytes <= shm_budget
             # Prime the pool so worker start-up cost is not billed to the
             # steady-state throughput measurement.
             pool.evaluate(programs[:num_workers], evaluator_seed=EVALUATOR_SEED)
@@ -126,6 +137,9 @@ def run_benchmark(num_programs: int = 400,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "shared_panel_bytes": shm_bytes,
+        "shared_panel_budget_bytes": shm_budget,
+        "materialised_feature_bytes": taskset.features.size
+        * taskset.features.itemsize,
         "stack_signature_groups": len(stack_groups),
         "serial_baseline": {
             "path": "evaluate_program_batch (stacked fleet, in process)",
@@ -139,6 +153,7 @@ def run_benchmark(num_programs: int = 400,
         "speedup_workers": int(best),
         "bitwise_identical_to_serial": bitwise_identical,
         "no_leaked_segments": shared_segment_names() == leaked_before,
+        "shared_panel_within_span": within_span,
     }
 
 
@@ -151,6 +166,10 @@ def check_gates(payload: dict) -> int:
     if not payload["no_leaked_segments"]:
         print("ERROR: leaked repro-panel-* segments in /dev/shm", file=sys.stderr)
         status = 1
+    if not payload["shared_panel_within_span"]:
+        print("ERROR: the shared segment holds more than the span of the "
+              "features, the labels and the header", file=sys.stderr)
+        status = 1
     return status
 
 
@@ -161,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
                         help="worker counts to benchmark")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI parity/leak gate: a small fixed budget on "
+                        help="CI parity/leak/span gate: a small fixed budget on "
                              "forced 1- and 2-worker pools; exits non-zero "
                              "on any gate failure and writes no JSON")
     args = parser.parse_args(argv)

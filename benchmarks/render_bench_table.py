@@ -61,13 +61,22 @@ def _render_compile(payload: dict) -> list[Row]:
     ]
 
 
+def _megabytes(count: int) -> str:
+    return f"{count / 1e6:.1f} MB"
+
+
 def _render_parallel(payload: dict) -> list[Row]:
+    shared = ""
+    if "materialised_feature_bytes" in payload:
+        shared = (f", {_megabytes(payload['shared_panel_bytes'])} shared "
+                  f"segment for {_megabytes(payload['materialised_feature_bytes'])}"
+                  " of windows")
     return [(
         f"evaluation pool, {payload['speedup_workers']} workers vs serial "
         "stacked batch",
         f"{payload['speedup_vs_serial']}x",
         f"`bench_parallel.py` on {payload['cpu_count']} CPU(s), "
-        f"{payload['num_programs']} programs, bitwise parity",
+        f"{payload['num_programs']} programs, bitwise parity{shared}",
     )]
 
 
@@ -124,12 +133,18 @@ def _render_engine(payload: dict) -> list[Row]:
 
 
 def _render_data(payload: dict) -> list[Row]:
+    spanned = ""
+    feature_bytes = payload["synthetic"].get("taskset_feature_bytes")
+    if feature_bytes:
+        spanned = (f"; task-set features span "
+                   f"{_megabytes(feature_bytes['spanned'])} of "
+                   f"{_megabytes(feature_bytes['materialised'])} of windows")
     return [(
         "file-backend panel cache (warm vs cold CSV load)",
         f"{payload['speedup']}x",
         f"`bench_data.py`, {payload['num_stocks']} stocks x "
         f"{payload['num_days']} days, synthetic + CSV round-trip "
-        "bitwise parity",
+        f"bitwise parity{spanned}",
     )]
 
 

@@ -642,9 +642,10 @@ class StackedAlpha:
     def run_inference_batch(self, features: np.ndarray) -> np.ndarray:
         """Run the inference stage of every lane in batched tape passes.
 
-        ``features`` is the shared ``(D, K, f, w)`` split; the return value
-        holds the ``(D, P, K)`` predictions, bit-for-bit equal to looping
-        ``set_input`` / ``run_predict`` over the days.  Only valid when
+        ``features`` is the shared ``(D, K, f, w)`` split, in any memory
+        order; the return value holds the ``(D, P, K)`` predictions,
+        bit-for-bit equal to looping ``set_input`` / ``run_predict`` over
+        the days.  Only valid when
         :attr:`supports_fused_inference` is True.
         """
         if not self.supports_fused_inference:
@@ -669,7 +670,9 @@ class StackedAlpha:
         chunk = max(1, _MAX_CHUNK_ELEMENTS // max(per_day, 1))
         calls = 0
         for day0 in range(0, num_days, chunk):
-            days = features[day0:day0 + chunk]
+            # Kernels reduce in memory order: a C-ordered chunk keeps their
+            # bits equal to the day loop's (a no-op on gathered bars).
+            days = np.ascontiguousarray(features[day0:day0 + chunk])
             # Stride-0 view: the shared bar chunk is never materialised P
             # times.
             batched = {self._input_matrix_id: np.broadcast_to(

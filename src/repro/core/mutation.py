@@ -89,7 +89,16 @@ class Mutator:
     # Random building blocks
     # ------------------------------------------------------------------
     def _allowed_ops(self, component: str) -> list[OpSpec]:
-        specs = list_ops(component=component)
+        # An operator whose output type has no writable address cannot be
+        # placed: in a one-matrix space the only matrix is the input m0.
+        space = self.address_space
+        writable = {
+            OperandType.SCALAR: space.num_scalars - 1,  # all but the label s0
+            OperandType.VECTOR: space.num_vectors,
+            OperandType.MATRIX: space.num_matrices - 1,  # all but m0
+        }
+        specs = [spec for spec in list_ops(component=component)
+                 if writable[spec.output_type] > 0]
         if not self.config.allow_relation_ops:
             specs = [s for s in specs if s.kind is not OpKind.RELATION]
         if not self.config.allow_extraction_ops:
@@ -132,8 +141,9 @@ class Mutator:
             if candidate == LABEL or candidate == INPUT_MATRIX:
                 continue
             return candidate
-        # Degenerate address spaces (e.g. a single matrix slot) fall through
-        # to the prediction/label-safe default.
+        # Sixteen reserved draws in a row (likely only in a tiny address
+        # space) fall through to a writable default: the mutator never
+        # draws an output type without a writable address.
         return PREDICTION if operand_type is OperandType.SCALAR else Operand(operand_type, size - 1)
 
     def random_operation(self, component: str) -> Operation:

@@ -7,12 +7,19 @@ regression task per stock — where each sample pairs an input feature matrix
 are split chronologically into training, validation and test sets
 (Section 2, Section 5.1).
 
-:class:`TaskSet` stores the samples of all tasks in dense arrays so that the
-vectorised interpreter can evaluate an alpha for every stock at a time step
-in a single numpy call:
+:class:`TaskSet` exposes the samples of all tasks as arrays indexed by day
+and stock, so that the vectorised interpreter can evaluate an alpha for
+every stock at a time step in a single numpy call:
 
 * ``features``: shape ``(N, K, f, w)`` — feature matrix per day and stock
 * ``labels``:   shape ``(N, K)``       — next-day returns
+
+Consecutive days share ``w - 1`` of their ``w`` window columns, so
+:func:`build_taskset` stores each normalised panel value once: its
+``features`` is a read-only window view of the ``(N + w - 1, K, f)`` panel
+rows, not an ``(N, K, f, w)`` copy.  NumPy reductions sum in memory order,
+so the protocol never hands that view to a kernel.  It reads C-contiguous
+bars that :meth:`TaskSet.gather` copies once per task set and reuses.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..config import WINDOW
 from ..errors import DataError
@@ -69,9 +77,14 @@ class Split:
         return cls(train=train, valid=valid, test=test)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskSet:
-    """Dense sample arrays for all stock-prediction tasks plus metadata."""
+    """Sample arrays for all stock-prediction tasks plus metadata.
+
+    ``features`` may be any ``(N, K, f, w)`` array, a window view included.
+    A task set is immutable: build a changed one with
+    :func:`dataclasses.replace`, which starts with no gathered bars.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -81,8 +94,13 @@ class TaskSet:
     tickers: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
+        object.__setattr__(self, "features",
+                           np.asarray(self.features, dtype=np.float64))
+        # Scoring reduces over the labels, so they are held C-ordered.
+        object.__setattr__(self, "labels",
+                           np.ascontiguousarray(self.labels, dtype=np.float64))
+        #: (split, day subsample) → the bars :meth:`gather` copied.
+        object.__setattr__(self, "_gathered", {})
         if self.features.ndim != 4:
             raise DataError(
                 f"features must be (N, K, f, w), got shape {self.features.shape}"
@@ -153,6 +171,38 @@ class TaskSet:
         """Dates of the given split."""
         return self.dates[self._split_slice(name)]
 
+    def gather(self, name: str, day_indices: np.ndarray | None = None,
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only C-contiguous ``(n, K, f, w)`` bars and ``(n, K)`` labels
+        of a split, or of its days at ``day_indices`` in that order.
+
+        The copy is made on the first call and every later call with the
+        same days returns it, so evaluations reuse their bars instead of
+        copying them.  The protocol's kernels read these bars, never
+        ``features`` itself: a reduction over a non-C-ordered array can
+        differ in its last bits.
+        """
+        rows = self.split_features(name)
+        if day_indices is not None:
+            day_indices = np.asarray(day_indices, dtype=np.int64)
+            if np.array_equal(day_indices, np.arange(rows.shape[0])):
+                day_indices = None
+        key = (name, None if day_indices is None else day_indices.tobytes())
+        if key not in self._gathered:
+            labels = self.split_labels(name)
+            if day_indices is None:
+                bars = np.ascontiguousarray(rows)
+            else:
+                # Day by day: np.take would first copy every window of the
+                # split into one C-ordered temporary.
+                bars = np.empty((day_indices.size,) + rows.shape[1:])
+                for row, day in enumerate(day_indices):
+                    bars[row] = rows[day]
+                labels = labels[day_indices]
+            bars.flags.writeable = labels.flags.writeable = False
+            self._gathered[key] = (bars, labels)
+        return self._gathered[key]
+
     def subset_tasks(self, indices: np.ndarray) -> "TaskSet":
         """Return a TaskSet restricted to the tasks in ``indices``."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -195,8 +245,9 @@ def build_taskset(
     1. filter the universe (insufficient samples / too-low prices);
     2. compute the 13 feature types per day;
     3. normalise each feature type by its per-stock maximum;
-    4. slice ``window``-day feature matrices and pair them with next-day
-       returns as labels;
+    4. view the normalised rows as ``window``-day feature matrices (a
+       read-only window view, so each value is stored once, not
+       ``window`` times) and pair them with next-day returns as labels;
     5. split chronologically into train/validation/test.
 
     Parameters
@@ -255,22 +306,16 @@ def build_taskset(
         fit_days = None
     normalized = feature_panel.normalized(fit_days=fit_days)
 
-    K = panel.num_stocks
-    F = normalized.num_features
-    features = np.empty((num_used, K, F, window), dtype=np.float64)
-    labels = np.empty((num_used, K), dtype=np.float64)
-    dates = np.empty(num_used, dtype=panel.dates.dtype)
-
-    for i, day in enumerate(range(first_used, last_day + 1)):
-        window_values = normalized.values[day - window + 1: day + 1]  # (w, K, F)
-        features[i] = np.transpose(window_values, (1, 2, 0))  # (K, F, w)
-        labels[i] = raw_returns[day + 1]
-        dates[i] = panel.dates[day]
-
+    # features[i, k, f, j] = rows[i + j, k, f]: the sample of day
+    # first_used + i reads the window of days [day - window + 1, day].
+    rows = np.ascontiguousarray(
+        normalized.values[first_used - window + 1: last_day + 1]
+    )
+    features = sliding_window_view(rows, window, axis=0)
     return TaskSet(
         features=features,
-        labels=labels,
-        dates=dates,
+        labels=raw_returns[first_used + 1: last_day + 2],
+        dates=panel.dates[first_used: last_day + 1].copy(),
         taxonomy=panel.taxonomy,
         split=split,
         tickers=panel.tickers,

@@ -15,11 +15,12 @@ arriving bar across its registered alphas.  Both used to own their fan-out;
   read-only during execution (initialiser operators derive their RNGs from
   their own parameters), so the whole fleet binds to a single context
   object instead of building one per program;
-* **one shared data pass** — the split feature/label panels and the
-  training-day subsample are resolved once per fleet call, not once per
-  program, and every member runs under the single protocol implementation
-  of :mod:`repro.engine.protocol` (including its static-predict
-  time-batched fast path);
+* **one shared data pass** — the training-day subsample is resolved once
+  per fleet call, every group reads the task set's gathered bars
+  (:meth:`~repro.data.dataset.TaskSet.gather`, copied once per task set,
+  not once per program), and every member runs under the single
+  protocol implementation of :mod:`repro.engine.protocol` (including its
+  static-predict time-batched fast path);
 * **cross-program mega-batching** — after dedup, the surviving unique
   programs are grouped by :func:`~repro.compile.stacked.stack_signature`
   (same opcode sequence and SSA wiring; parameter values free to differ)
@@ -449,8 +450,8 @@ class FleetEngine:
     def warm_start(self, use_update: bool | None = None) -> None:
         """Set up and train every unique backend over the training split.
 
-        Replays exactly the evaluator's training stage — same feature
-        tensors, same ``max_train_steps`` day subsample, same label-reveal
+        Replays exactly the evaluator's training stage — same gathered
+        bars, same ``max_train_steps`` day subsample, same label-reveal
         ordering (via the shared
         :func:`repro.engine.protocol.training_pass`) — once per signature
         group, every lane advancing in lock-step through the same day loop.
@@ -462,14 +463,12 @@ class FleetEngine:
         evaluator = self.evaluator
         use_update = evaluator.use_update if use_update is None else use_update
         self._ensure_executors()
-        features = self.taskset.split_features("train")
-        labels = self.taskset.split_labels("train")
-        day_indices = evaluator.train_day_indices()
+        # The visited training days, gathered once per task set.
+        features, labels = self.taskset.gather(
+            "train", evaluator.train_day_indices()
+        )
         for _, executor in self._units:
-            executor.warm_start(
-                features, labels, day_indices=day_indices,
-                use_update=use_update,
-            )
+            executor.warm_start(features, labels, use_update=use_update)
         self._drain_stacked_kernel_calls()
         self._warmed = True
 

@@ -209,36 +209,36 @@ def run_protocol(
     :meth:`~repro.engine.fleet.FleetEngine.run`: returns split name →
     ``(num_days_in_split, P, K)`` predictions of the backend's P lanes for
     every requested split (``"train"`` rows of unvisited subsampled days
-    are zero, as they always were).
+    are zero, as they always were).  The backend reads the task set's
+    gathered bars (:meth:`~repro.data.dataset.TaskSet.gather`): the visited
+    training days and each inference split, copied once per task set.
     """
     backend.run_setup()
-    train_features = taskset.split_features("train")
-    train_labels = taskset.split_labels("train")
+    train_features, train_labels = taskset.gather("train", day_indices)
     want_train = "train" in splits
-    train_predictions = (
-        np.zeros((train_features.shape[0],) + np.shape(backend.prediction))
-        if want_train else None
+    shape = np.shape(backend.prediction)
+    visited_predictions = (
+        np.zeros((train_features.shape[0],) + shape) if want_train else None
     )
     training_pass(
         backend,
         train_features,
         train_labels,
-        day_indices=day_indices,
         use_update=use_update,
-        predictions_out=train_predictions,
+        predictions_out=visited_predictions,
         time_batched=time_batched,
     )
 
     predictions: dict[str, np.ndarray] = {}
     if want_train:
+        train_predictions = np.zeros((taskset.split.train,) + shape)
+        visited = slice(None) if day_indices is None else day_indices
+        train_predictions[visited] = visited_predictions
         predictions["train"] = train_predictions
     for split in INFERENCE_SPLITS:
         if split not in splits:
             continue
         predictions[split] = inference_pass(
-            backend,
-            taskset.split_features(split),
-            taskset.split_labels(split),
-            time_batched=time_batched,
+            backend, *taskset.gather(split), time_batched=time_batched,
         )
     return predictions

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..backtest.engine import BacktestEngine
+from ..config import make_rng
 from ..core.correlation import CorrelationFilter
 from ..core.initializations import get_initialization
 from ..core.mining import MinedAlpha, MiningSession
@@ -559,34 +560,35 @@ def run_table6(config: ExperimentConfig = LAPTOP,
     taskset = make_taskset(config)
     dims = Dimensions(taskset.num_features, taskset.window)
     rows: list[dict] = []
-    for index, code in enumerate(initializations):
-        for use_pruning in (True, False):
-            evolution_config = replace(
-                config.evolution_config(
-                    max_seconds=config.pruning_time_budget_seconds,
-                    use_pruning=use_pruning,
-                ),
-                max_candidates=None,
-            )
-            with MiningSession(
-                taskset,
-                evolution_config=evolution_config,
-                correlation_cutoff=config.correlation_cutoff,
-                long_k=config.long_positions,
-                short_k=config.short_positions,
-                max_train_steps=config.max_train_steps,
-                seed=config.search_seed + index,
-                checkpoint_dir=config.checkpoint_dir,
-            ) as session:
+    # One session, hence one worker pool, serves every search; each search
+    # draws its seeds from a generator of its own, as a fresh session would.
+    with MiningSession(
+        taskset,
+        correlation_cutoff=config.correlation_cutoff,
+        long_k=config.long_positions,
+        short_k=config.short_positions,
+        max_train_steps=config.max_train_steps,
+        checkpoint_dir=config.checkpoint_dir,
+    ) as session:
+        for index, code in enumerate(initializations):
+            for use_pruning in (True, False):
+                evolution_config = replace(
+                    config.evolution_config(
+                        max_seconds=config.pruning_time_budget_seconds,
+                        use_pruning=use_pruning,
+                    ),
+                    max_candidates=None,
+                )
+                session.rng = make_rng(config.search_seed + index)
                 suffix = "" if use_pruning else "_N"
                 name = f"alpha_AE_{code}_{index}{suffix}"
                 mined = session.search(
                     get_initialization(code, dims, seed=config.search_seed + index),
                     name=name,
                     enforce_cutoff=False,
+                    evolution_config=evolution_config,
                 )
-            rows.append(
-                {
+                rows.append({
                     "alpha": name,
                     "sharpe": mined.sharpe,
                     "ic": mined.ic,
@@ -594,8 +596,7 @@ def run_table6(config: ExperimentConfig = LAPTOP,
                     "searched": int(mined.extras["searched_alphas"]),
                     "evaluated": int(mined.extras["evaluated_alphas"]),
                     "pruning": use_pruning,
-                }
-            )
+                })
     columns = _TABLE_COLUMNS + [("searched", "Number of searched alphas")]
     rendered = render_table(rows, columns, title="Table 6: efficiency of the pruning technique")
     return ExperimentResult("table6", rows, rendered, metadata={"config": config.name})

@@ -10,7 +10,10 @@ that shape on one machine with a :class:`concurrent.futures.ProcessPoolExecutor`
   (``multiprocessing.shared_memory``); each worker's initializer attaches
   read-only NumPy views and rebuilds its :class:`~repro.data.dataset.TaskSet`
   around them.  Physical memory holds one copy of the panel however many
-  workers (or executor restarts) the pool sees, and the per-worker
+  workers (or executor restarts) the pool sees; for a window-view task set
+  that copy is the panel rows the windows span, not the windows.  Each
+  worker's task set gathers the bars its evaluations read once
+  (:meth:`~repro.data.dataset.TaskSet.gather`), and the per-worker
   :class:`PoolSpec` shrinks to a handle plus scalars.  A content-signature
   echo in the store header guards against attaching to a stale store
   (:class:`~repro.errors.SharedPanelMismatchError`).

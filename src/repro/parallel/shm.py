@@ -11,20 +11,30 @@ initializer, so however many workers (or restarts) the pool sees, physical
 memory holds a single copy of the data and nothing panel-sized ever crosses
 the pickle IPC channel.
 
+The feature tensor is published as the bytes it spans, with its shape and
+strides, not as ``N * K * f * w`` values: a task set's window view spans
+its ``(N + w - 1, K, f)`` panel rows, so the block holds each panel value
+once, and a worker rebuilds the same read-only ``(N, K, f, w)`` view over
+it.  A plain C-ordered array spans exactly its own bytes, so one path
+serves both.
+
 Layout of the block::
 
     [0:8]   little-endian uint64: header length L
-    [8:8+L] JSON header: version, content signature, shapes, dtypes, offsets
-    [features_offset : ...]  the feature tensor bytes (64-byte aligned)
+    [8:8+L] JSON header: version, content signature, shapes, strides,
+            dtypes, offsets
+    [features_offset : ...]  the bytes the feature tensor spans
+                             (64-byte aligned)
     [labels_offset   : ...]  the label matrix bytes  (64-byte aligned)
 
-**Content-signature echo.**  The publisher hashes the panel bytes (SHA-256
-over shapes, dtypes and raw data) and writes the digest both into the block
-header and into the :class:`SharedPanelHandle` it hands to workers.  An
-attaching worker compares the two: a handle pointing at a stale or recycled
-store — a name reused after an unlink, a store republished with different
-data — fails loudly with :class:`~repro.errors.SharedPanelMismatchError`
-instead of computing on wrong data.
+**Content-signature echo.**  The publisher hashes the published bytes
+(SHA-256 over shapes, strides, dtypes and raw data) and writes the digest
+both into the block header and into the :class:`SharedPanelHandle` it
+hands to workers.  An attaching worker compares the two: a handle
+pointing at a stale or recycled store — a name reused after an unlink, a
+store republished with different data — fails loudly with
+:class:`~repro.errors.SharedPanelMismatchError` instead of computing on
+wrong data.
 
 **Cleanup.**  Owners unlink on every exit path:
 
@@ -56,6 +66,8 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ParallelError, SharedPanelMismatchError
 
@@ -66,25 +78,46 @@ __all__ = [
     "shared_segment_names",
 ]
 
-_LAYOUT_VERSION = 1
+_LAYOUT_VERSION = 2
 _ALIGNMENT = 64
 #: Every store name carries this prefix, so tests (and operators) can scan
 #: ``/dev/shm`` for leaked segments without false positives.
 SEGMENT_PREFIX = "repro-panel-"
 
 
+def _publishable(array) -> np.ndarray:
+    """``array`` as published: itself, or a C-ordered copy when a stride is
+    negative or not a whole number of items (its span would not start at
+    its first element, or would not be a run of items)."""
+    array = np.asarray(array)
+    if any(stride < 0 or stride % array.itemsize for stride in array.strides):
+        return np.ascontiguousarray(array)
+    return array
+
+
+def _span(array: np.ndarray) -> np.ndarray:
+    """The memory ``array`` spans, from its first to its last byte, as a
+    flat read-only array of its dtype (a view, never a copy)."""
+    low, high = byte_bounds(array)
+    return as_strided(array, shape=((high - low) // array.itemsize,),
+                      strides=(array.itemsize,), writeable=False)
+
+
 def panel_signature(features: np.ndarray, labels: np.ndarray) -> str:
     """SHA-256 content signature of a feature/label panel pair.
 
-    Covers shapes, dtypes and raw bytes, so two panels share a signature
-    exactly when attaching to either produces bitwise-identical data.
+    Covers shapes, strides, dtypes and the bytes each array spans, so two
+    panels share a signature exactly when attaching to either rebuilds the
+    same arrays over the same bytes.  A window view is hashed over its
+    panel rows: its windows are never materialised.
     """
     digest = hashlib.sha256()
     for array in (features, labels):
-        array = np.ascontiguousarray(array)
+        array = _publishable(array)
         digest.update(str(array.shape).encode())
+        digest.update(str(array.strides).encode())
         digest.update(str(array.dtype).encode())
-        digest.update(array.data)
+        digest.update(_span(array))
     return digest.hexdigest()
 
 
@@ -100,6 +133,8 @@ class SharedPanelHandle:
     signature: str
     features_shape: tuple[int, ...]
     labels_shape: tuple[int, ...]
+    features_strides: tuple[int, ...]
+    labels_strides: tuple[int, ...]
     features_dtype: str
     labels_dtype: str
     features_offset: int
@@ -192,10 +227,12 @@ class SharedPanelStore:
         self._owner_pid = os.getpid() if owner else None
         self._closed = False
         self.features = self._view(
-            handle.features_shape, handle.features_dtype, handle.features_offset
+            handle.features_shape, handle.features_strides,
+            handle.features_dtype, handle.features_offset,
         )
         self.labels = self._view(
-            handle.labels_shape, handle.labels_dtype, handle.labels_offset
+            handle.labels_shape, handle.labels_strides,
+            handle.labels_dtype, handle.labels_offset,
         )
         if owner:
             _LIVE_OWNERS.add(self)
@@ -208,18 +245,20 @@ class SharedPanelStore:
         else:
             self._finalizer = None
 
-    def _view(self, shape, dtype, offset) -> np.ndarray:
-        array = np.ndarray(shape, dtype=np.dtype(dtype),
-                           buffer=self._shm.buf, offset=offset)
+    def _view(self, shape, strides, dtype, offset) -> np.ndarray:
+        array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._shm.buf,
+                           offset=offset, strides=strides)
         array.flags.writeable = False
         return array
 
     # ------------------------------------------------------------------
     @classmethod
     def publish(cls, features: np.ndarray, labels: np.ndarray) -> "SharedPanelStore":
-        """Copy the panel into a fresh shared segment and own it."""
-        features = np.ascontiguousarray(features)
-        labels = np.ascontiguousarray(labels)
+        """Copy the bytes the panel spans into a fresh shared segment and
+        own it; the attached arrays keep the published shapes and strides."""
+        features = _publishable(features)
+        labels = _publishable(labels)
+        spans = (_span(features), _span(labels))
         signature = panel_signature(features, labels)
         name = f"{SEGMENT_PREFIX}{os.getpid()}-{uuid.uuid4().hex[:12]}"
         # The header length depends only on field values whose rendered
@@ -230,18 +269,22 @@ class SharedPanelStore:
             "signature": signature,
             "features_shape": list(features.shape),
             "labels_shape": list(labels.shape),
+            "features_strides": list(features.strides),
+            "labels_strides": list(labels.strides),
             "features_dtype": str(features.dtype),
             "labels_dtype": str(labels.dtype),
         }
         header_blob = json.dumps(header, sort_keys=True).encode()
         features_offset = _align(8 + len(header_blob))
-        labels_offset = _align(features_offset + features.nbytes)
-        nbytes = labels_offset + labels.nbytes
+        labels_offset = _align(features_offset + spans[0].nbytes)
+        nbytes = labels_offset + spans[1].nbytes
         handle = SharedPanelHandle(
             name=name,
             signature=signature,
             features_shape=tuple(features.shape),
             labels_shape=tuple(labels.shape),
+            features_strides=tuple(features.strides),
+            labels_strides=tuple(labels.strides),
             features_dtype=str(features.dtype),
             labels_dtype=str(labels.dtype),
             features_offset=features_offset,
@@ -259,12 +302,10 @@ class SharedPanelStore:
         store = cls(shm, handle, owner=True)
         # Publish through writable staging views, then the constructor's
         # read-only views are the only way back in.
-        staging = np.ndarray(features.shape, features.dtype,
-                             buffer=shm.buf, offset=features_offset)
-        staging[...] = features
-        staging = np.ndarray(labels.shape, labels.dtype,
-                             buffer=shm.buf, offset=labels_offset)
-        staging[...] = labels
+        for span, offset in zip(spans, (features_offset, labels_offset)):
+            staging = np.ndarray(span.shape, span.dtype,
+                                 buffer=shm.buf, offset=offset)
+            staging[...] = span
         return store
 
     @classmethod
@@ -315,11 +356,14 @@ class SharedPanelStore:
             echoed = (
                 tuple(header.get("features_shape", ())),
                 tuple(header.get("labels_shape", ())),
+                tuple(header.get("features_strides", ())),
+                tuple(header.get("labels_strides", ())),
                 header.get("features_dtype"),
                 header.get("labels_dtype"),
             )
             expected = (
                 handle.features_shape, handle.labels_shape,
+                handle.features_strides, handle.labels_strides,
                 handle.features_dtype, handle.labels_dtype,
             )
             if echoed != expected:

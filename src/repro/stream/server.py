@@ -294,7 +294,7 @@ class AlphaServer:
         """Set up and train every unique executor over the training split.
 
         Replays exactly the offline evaluator's training stage — same
-        feature tensors, same ``max_train_steps`` day subsample, same
+        gathered bars, same ``max_train_steps`` day subsample, same
         label-reveal ordering — once per unique executor, through the
         shared :func:`repro.engine.protocol.training_pass`.
         """
@@ -314,24 +314,28 @@ class AlphaServer:
         """Evaluate one arriving day across the whole fleet.
 
         ``features`` is the day's ``(K, f, w)`` feature tensor, shared by
-        every alpha.  Returns name → ``(K,)`` prediction; deduplicated names
+        every alpha, in any memory layout (a row of a task set's window
+        view, say).  Returns name → ``(K,)`` prediction; deduplicated names
         reference the same array.  Call :meth:`reveal` with the realised
         labels before the next bar.
         """
         if not self._warmed:
             raise StreamError("server must be warm-started (or resumed) "
                               "before serving bars")
+        # Store the bar first and step every tape from that contiguous row:
+        # a strided client bar is gathered once, not once per tape.  The
+        # row joins the history only once the step succeeded.
+        history = _append_row(self._history_features, self._num_bars,
+                              features)
         start = time.perf_counter()
-        by_key = self.fleet.step_bar(features)
+        by_key = self.fleet.step_bar(history[self._num_bars])
         elapsed = time.perf_counter() - start
+        self._history_features = history
         self._bar_latency.observe(elapsed)
         if TELEMETRY.enabled:
             TELEMETRY.counter("serve.bars").inc()
             TELEMETRY.histogram("serve.bar_latency_ms").observe(elapsed * 1e3)
         self.days_served += 1
-        self._history_features = _append_row(
-            self._history_features, self._num_bars, features
-        )
         self._num_bars += 1
         return {
             registration.name: by_key[registration.key]

@@ -36,11 +36,18 @@ HOSTILE_VALUES = np.array([
 
 
 def salt(array: np.ndarray, share: int, rng) -> np.ndarray:
-    """A copy of ``array`` with one entry in ``share`` hostile."""
-    salted = np.array(array)
+    """A C-ordered copy of ``array`` with one entry in ``share`` hostile.
+
+    The copy must be C-ordered: ``np.array`` keeps a window view's stride
+    order, and ``reshape(-1)`` of such a copy is another copy, so the salt
+    would never reach the returned array.
+    """
+    salted = np.array(array, order="C")
     flat = salted.reshape(-1)
     picks = rng.choice(flat.size, size=flat.size // share, replace=False)
-    flat[picks] = HOSTILE_VALUES[np.arange(picks.size) % HOSTILE_VALUES.size]
+    values = HOSTILE_VALUES[np.arange(picks.size) % HOSTILE_VALUES.size]
+    flat[picks] = values
+    assert np.array_equal(salted.reshape(-1)[picks], values, equal_nan=True)
     return salted
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import AddressSpace
 from repro.core import (
     ComponentLimits,
     INPUT_MATRIX,
@@ -11,7 +12,7 @@ from repro.core import (
     OperandType,
     domain_expert_alpha,
 )
-from repro.core.ops import OpKind
+from repro.core.ops import OpKind, list_ops
 from repro.errors import EvolutionError
 
 
@@ -72,6 +73,27 @@ class TestRandomGeneration:
         a = Mutator(dims, seed=11).random_program()
         b = Mutator(dims, seed=11).random_program()
         assert a == b
+
+    def test_one_matrix_space_draws_and_mutates_valid_programs(self, dims):
+        """With ``m0`` the only matrix, no operator may write a matrix: every
+        draw and every mutation validates."""
+        space = AddressSpace(num_matrices=1)
+        mutator = Mutator(dims, address_space=space, seed=3)
+        for component in ("setup", "predict", "update"):
+            assert all(spec.output_type is not OperandType.MATRIX
+                       for spec in mutator._ops_by_component[component])
+        for _ in range(200):
+            program = mutator.random_program()
+            program.validate(space)
+            mutator.mutate(program).validate(space)
+
+    def test_default_space_keeps_every_operator(self, dims):
+        """The filter drops nothing from the default address space, so its
+        draws (and every mined digest) stay as they were."""
+        mutator = Mutator(dims, seed=3)
+        for component in ("setup", "predict", "update"):
+            assert mutator._ops_by_component[component] == \
+                list_ops(component=component)
 
 
 class TestMutate:

@@ -186,6 +186,36 @@ class TestTableRunners:
         assert len(engines) == 2
         assert set(engines) == {"interpreter"}
 
+    def test_table6_starts_one_pool(self, monkeypatch):
+        """With workers, every Table 6 search evaluates on one pool (one
+        start-up, no leaked segment or worker), and each search keeps the
+        seeds a session of its own would draw.  The searches are
+        time-budgeted, so this compares counts, not bits."""
+        before = shared_segment_names()
+        pools, seeds = [], []
+        init = EvaluationPool.__init__
+        evaluator_init = AlphaEvaluator.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            pools.append(pool)
+            init(pool, *args, **kwargs)
+
+        def recording(self, *args, **kwargs):
+            evaluator_init(self, *args, **kwargs)
+            seeds.append(self.seed)
+
+        monkeypatch.setattr(EvaluationPool, "__init__", counting_init)
+        monkeypatch.setattr(AlphaEvaluator, "__init__", recording)
+        config = TINY.scaled(num_workers=2, pruning_time_budget_seconds=0.3)
+        result = run_table6(config, initializations=("D", "R"))
+        assert len(result.rows) == 4
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        assert shared_segment_names() == before
+        first_draw = [int(np.random.default_rng(config.search_seed + index)
+                          .integers(0, 2**31 - 1)) for index in (0, 1)]
+        assert seeds == [first_draw[0]] * 2 + [first_draw[1]] * 2
+
     def test_figure6_trajectories(self, tiny_study):
         result = run_figure6(TINY, study=tiny_study)
         assert set(result.metadata["series"]) == {

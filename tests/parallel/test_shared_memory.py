@@ -19,9 +19,11 @@ import time
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from repro.core import AlphaEvaluator, CandidateScorer, Mutator, get_initialization
 from repro.data import TaskSet
+from repro.engine import evaluate_program_batch
 from repro.errors import SharedPanelMismatchError
 from repro.parallel import (
     EvaluationPool,
@@ -162,14 +164,20 @@ class TestSharedPanelStore:
 
 
 def _nan_taskset(taskset: TaskSet) -> TaskSet:
-    """A copy of ``taskset`` with NaNs salted through features and labels."""
-    features = np.array(taskset.features)
-    labels = np.array(taskset.labels)
+    """A copy of ``taskset`` with NaNs salted through features and labels.
+
+    The copies are C-ordered, so ``reshape(-1)`` writes through to them (a
+    copy of a window view in its own stride order would drop the NaNs).
+    """
+    features = np.array(taskset.features, order="C")
+    labels = np.array(taskset.labels, order="C")
     rng = np.random.default_rng(99)
     flat = features.reshape(-1)
     flat[rng.choice(flat.size, size=max(1, flat.size // 200), replace=False)] = np.nan
     lab = labels.reshape(-1)
     lab[rng.choice(lab.size, size=max(1, lab.size // 100), replace=False)] = np.nan
+    assert np.isnan(features).sum() >= max(1, flat.size // 200)
+    assert np.isnan(labels).sum() >= max(1, lab.size // 100)
     return TaskSet(
         features=features, labels=labels, dates=taskset.dates,
         taxonomy=taskset.taxonomy, split=taskset.split, tickers=taskset.tickers,
@@ -191,6 +199,55 @@ def _fuzz_batch(dims, seed: int, count: int = 8) -> list:
     for index in rng.integers(0, len(bag), size=3):
         bag.append(bag[int(index)])
     return bag
+
+
+def _span_bytes(array) -> int:
+    low, high = byte_bounds(array)
+    return high - low
+
+
+class TestPublishedSpan:
+    """The store publishes the bytes the features span, not the windows."""
+
+    def test_attach_rebuilds_the_view_over_its_panel_rows(self, small_taskset):
+        features = small_taskset.features
+        with SharedPanelStore.publish(features, small_taskset.labels) as store:
+            attached = SharedPanelStore.attach(store.handle)
+            try:
+                assert attached.features.strides == features.strides
+                assert attached.features.tobytes() == features.tobytes()
+                assert attached.labels.tobytes() == small_taskset.labels.tobytes()
+            finally:
+                attached.close()
+            assert store.nbytes <= (_span_bytes(features)
+                                    + small_taskset.labels.nbytes
+                                    + store.handle.features_offset + 64)
+            assert store.nbytes < features.size * features.itemsize / 10
+
+    def test_signature_covers_the_geometry(self, small_taskset):
+        features, labels = small_taskset.features, small_taskset.labels
+        plain = np.ascontiguousarray(features)
+        assert panel_signature(features, labels) != panel_signature(plain, labels)
+        assert panel_signature(plain, labels) == \
+            panel_signature(plain.copy(), labels)
+
+    @pytest.mark.parametrize("layout", ["view", "plain"])
+    def test_pool_publishes_the_span_and_matches_serial(self, small_taskset,
+                                                         dims, layout):
+        taskset = small_taskset if layout == "view" else dataclasses.replace(
+            small_taskset, features=np.ascontiguousarray(small_taskset.features)
+        )
+        batch = _fuzz_batch(dims, seed=5)
+        expected = evaluate_program_batch(
+            AlphaEvaluator(taskset, seed=0, max_train_steps=15), batch
+        )
+        with EvaluationPool(taskset, num_workers=1, max_train_steps=15) as pool:
+            budget = (_span_bytes(taskset.features) + taskset.labels.nbytes
+                      + pool.spec.panel.features_offset + 64)
+            assert pool.shm_bytes <= budget
+            got = pool.evaluate(batch, evaluator_seed=0)
+        for left, right in zip(got, expected):
+            assert_reports_equal(left, right.report)
 
 
 class TestFuzzedPoolParity:

@@ -152,6 +152,43 @@ class TestServing:
         assert stats["alpha_days_per_second"] > 0
 
 
+class TestClientBarLayout:
+    def test_strided_bars_serve_and_correct_like_contiguous_ones(
+        self, small_taskset, fleet
+    ):
+        """A row of the task set's window view is a strided bar: the server
+        stores it once and serves it, and a strided correction, bit for
+        bit like their C-ordered copies."""
+        features = small_taskset.split_features("valid")
+        labels = small_taskset.split_labels("valid")
+        assert not features[0].flags.c_contiguous
+        strided = make_server(small_taskset, fleet)
+        contiguous = make_server(small_taskset, fleet)
+        for day in range(12):
+            got = strided.on_bar(features[day])
+            want = contiguous.on_bar(np.ascontiguousarray(features[day]))
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes()
+            strided.reveal(labels[day])
+            contiguous.reveal(labels[day])
+        patch = np.asfortranarray(features[3] * 1.01)
+        got = strided.correct_bar(3, features=patch)
+        want = contiguous.correct_bar(3, features=np.ascontiguousarray(patch))
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes()
+        state = strided.suspend()
+        assert state.history[0].tobytes() == contiguous.suspend().history[0].tobytes()
+
+    def test_a_rejected_bar_leaves_no_history(self, small_taskset, fleet):
+        server = make_server(small_taskset, fleet)
+        with pytest.raises(ValueError):
+            server.on_bar(np.zeros((2, 2)))
+        bar = small_taskset.split_features("valid")[0]
+        server.on_bar(bar)
+        server.reveal(small_taskset.split_labels("valid")[0])
+        assert server.suspend().history[0].shape == (1,) + bar.shape
+
+
 class TestSuspendResume:
     def stream_days(self, server, taskset, start, stop, sink=None):
         features = taskset.split_features("valid")
