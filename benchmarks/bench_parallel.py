@@ -7,8 +7,10 @@ records candidates/second for each side:
 * **serial** — :func:`repro.engine.evaluate_program_batch` in this process:
   the signature-grouped stacked fleet the serial scorer runs;
 * **pool** — an :class:`repro.parallel.pool.EvaluationPool` at several
-  worker counts, whose workers run that same entry point over zero-copy
-  shared panels (``shm_bytes``) on signature-grouped chunks.
+  worker counts, dispatched under the serial side's evaluator: each
+  dispatch is cut into one contiguous chunk per worker, and every worker
+  runs the same fleet on its chunk over zero-copy shared panels
+  (``shm_bytes``).
 
 The headline ``speedup_vs_serial`` is the best pool's throughput over the
 serial side's, on the laptop-scale market the mining workloads use.  The
@@ -26,7 +28,11 @@ The run also enforces the subsystem's correctness contracts:
   after the pools close;
 * **span gate** — each pool's shared segment holds at most the bytes the
   task set's features span (its panel rows, not its windows), the labels
-  and the header.
+  and the header;
+* **count gates** — the parent compiles no program during a pooled
+  evaluation (``parent_compile_calls``), and a dispatch makes at most one
+  chunk per worker (``chunks_per_dispatch``, read off the
+  ``pool.batches`` telemetry counter of one untimed dispatch).
 
 Results are written to ``benchmarks/results/BENCH_parallel.json`` (the
 source of truth, with a copy at the repository root — see
@@ -41,6 +47,7 @@ Run with::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -54,16 +61,16 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from numpy.lib.array_utils import byte_bounds
 
+import repro.compile.compiler
+import repro.engine.backends
+import repro.engine.fleet
 from common import build_programs, reports_identical, write_bench_json
+from repro.compile import compile_program
 from repro.core import AlphaEvaluator, Dimensions
 from repro.engine import evaluate_program_batch, stack_partition
 from repro.experiments.configs import LAPTOP, make_taskset
+from repro.obs import TELEMETRY, telemetry_session
 from repro.parallel import EvaluationPool, shared_segment_names
-
-#: Evaluator settings shared by the serial side and every pool, so all
-#: timings cover identical work and the parity check is meaningful.
-EVALUATOR_KWARGS = {"max_train_steps": LAPTOP.max_train_steps}
-EVALUATOR_SEED = 0
 
 
 def best_time(run, repeats: int) -> tuple[float, object]:
@@ -76,6 +83,29 @@ def best_time(run, repeats: int) -> tuple[float, object]:
     return best, result
 
 
+@contextlib.contextmanager
+def counting_parent_compiles():
+    """Count the ``compile_program`` calls this process makes in the block
+    (every module that binds the name; forked workers count nothing)."""
+    parent, calls, originals = os.getpid(), [], []
+    for module in (repro.compile, repro.compile.compiler,
+                   repro.engine.backends, repro.engine.fleet):
+        original = module.compile_program
+        originals.append((module, original))
+
+        def counting(program, _original=original):
+            if os.getpid() == parent:
+                calls.append(program)
+            return _original(program)
+
+        module.compile_program = counting
+    try:
+        yield calls
+    finally:
+        for module, original in originals:
+            module.compile_program = original
+
+
 def run_benchmark(num_programs: int = 400,
                   worker_counts: tuple[int, ...] = (1, 2, 4),
                   repeats: int = 3) -> dict:
@@ -84,24 +114,26 @@ def run_benchmark(num_programs: int = 400,
     taskset = make_taskset(LAPTOP, use_cache=False)
     dims = Dimensions(taskset.num_features, taskset.window)
     programs = build_programs(dims, num_programs)
-    stack_groups = stack_partition(programs)
+    stack_groups = stack_partition([compile_program(p) for p in programs])
 
-    serial_evaluator = AlphaEvaluator(taskset, seed=EVALUATOR_SEED, **EVALUATOR_KWARGS)
+    evaluator = AlphaEvaluator(taskset, seed=0,
+                               max_train_steps=LAPTOP.max_train_steps)
     serial_seconds, serial_results = best_time(
-        lambda: evaluate_program_batch(serial_evaluator, programs), repeats
+        lambda: evaluate_program_batch(evaluator, programs), repeats
     )
     serial_reports = [result.report for result in serial_results]
     serial_rate = len(programs) / serial_seconds
     print(f"serial: {serial_seconds:.2f}s ({serial_rate:.2f} candidates/s)")
 
     workers_payload: dict[str, dict] = {}
+    parent_compile_calls = 0
+    chunks_per_dispatch: dict[str, int] = {}
     bitwise_identical = True
     within_span = True
     shm_bytes = shm_budget = 0
     low, high = byte_bounds(taskset.features)
     for num_workers in worker_counts:
-        with EvaluationPool(taskset, num_workers=num_workers,
-                            **EVALUATOR_KWARGS) as pool:
+        with EvaluationPool(taskset, num_workers=num_workers) as pool:
             shm_bytes = pool.shm_bytes
             # Span + labels + header (the labels start 64-byte aligned).
             shm_budget = (high - low + taskset.labels.nbytes
@@ -109,13 +141,22 @@ def run_benchmark(num_programs: int = 400,
             within_span &= shm_bytes <= shm_budget
             # Prime the pool so worker start-up cost is not billed to the
             # steady-state throughput measurement.
-            pool.evaluate(programs[:num_workers], evaluator_seed=EVALUATOR_SEED)
-            seconds, reports = best_time(
-                lambda: pool.evaluate(programs, evaluator_seed=EVALUATOR_SEED),
-                repeats,
-            )
+            pool.evaluate(programs[:num_workers], evaluator=evaluator)
+            with counting_parent_compiles() as compiles:
+                seconds, reports = best_time(
+                    lambda: pool.evaluate(programs, evaluator=evaluator),
+                    repeats,
+                )
+                # One untimed dispatch with telemetry on counts its chunks.
+                with telemetry_session():
+                    checked = pool.evaluate(programs, evaluator=evaluator)
+                    chunks = TELEMETRY.counter("pool.batches").value
+            parent_compile_calls += len(compiles)
+            chunks_per_dispatch[str(num_workers)] = chunks
         bitwise_identical &= all(
-            reports_identical(got, want) for got, want in zip(reports, serial_reports)
+            reports_identical(got, want)
+            for pooled in (reports, checked)
+            for got, want in zip(pooled, serial_reports)
         )
         rate = len(programs) / seconds
         workers_payload[str(num_workers)] = {
@@ -147,6 +188,8 @@ def run_benchmark(num_programs: int = 400,
             "candidates_per_second": round(serial_rate, 3),
         },
         "workers": workers_payload,
+        "parent_compile_calls": parent_compile_calls,
+        "chunks_per_dispatch": chunks_per_dispatch,
         "speedup_vs_serial": round(
             workers_payload[best]["candidates_per_second"] / serial_rate, 3
         ),
@@ -170,6 +213,15 @@ def check_gates(payload: dict) -> int:
         print("ERROR: the shared segment holds more than the span of the "
               "features, the labels and the header", file=sys.stderr)
         status = 1
+    if payload["parent_compile_calls"]:
+        print(f"ERROR: the parent compiled {payload['parent_compile_calls']} "
+              "program(s) during pooled evaluations", file=sys.stderr)
+        status = 1
+    chunks = payload["chunks_per_dispatch"]
+    if any(count > int(workers) for workers, count in chunks.items()):
+        print(f"ERROR: a dispatch made more chunks than the pool has workers "
+              f"({chunks})", file=sys.stderr)
+        status = 1
     return status
 
 
@@ -180,9 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
                         help="worker counts to benchmark")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI parity/leak/span gate: a small fixed budget on "
-                             "forced 1- and 2-worker pools; exits non-zero "
-                             "on any gate failure and writes no JSON")
+                        help="CI parity/leak/span/count gate: a small fixed "
+                             "budget on forced 1- and 2-worker pools; exits "
+                             "non-zero on any gate failure and writes no JSON")
     args = parser.parse_args(argv)
 
     if args.smoke:

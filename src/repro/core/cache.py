@@ -25,30 +25,24 @@ from .pruning import PruneResult, prune_program
 __all__ = ["CacheStats", "FingerprintCache", "fingerprint"]
 
 
-def fingerprint(program: AlphaProgram, canonical: bool = True) -> str:
+def fingerprint(program: AlphaProgram) -> str:
     """Hash the canonical string of a (pruned) program.
 
-    With ``canonical=True`` (the default) the key is the canonicalised-IR
-    rendering from :func:`repro.compile.canonical_key`: commutative operands
-    are sorted, scalar constants folded, duplicated subexpressions merged and
-    values named by position, so trivially equivalent programs — e.g.
+    The key is the canonicalised-IR rendering from
+    :func:`repro.compile.canonical_key`: commutative operands are sorted,
+    scalar constants folded, duplicated subexpressions merged and values
+    named by position, so trivially equivalent programs — e.g.
     ``add(s2, s3)`` vs ``add(s3, s2)`` — share one fingerprint and never
-    consume duplicate evaluations.  ``canonical=False`` reproduces the
-    historical render-based fingerprint (kept for A/B comparisons and the
-    hit-rate regression test).
+    consume duplicate evaluations.
 
     Cost: the canonical pipeline is ~0.3 ms per candidate on laptop-class
     hardware versus ~8 ms for one evaluation on the smoke task set, so every
     extra cache hit it produces repays its overhead ~25x.
     """
-    if canonical:
-        # Imported lazily: repro.compile depends on repro.core submodules.
-        from ..compile import canonical_key
+    # Imported lazily: repro.compile depends on repro.core submodules.
+    from ..compile import canonical_key
 
-        key = canonical_key(program)
-    else:
-        key = program.structural_key(canonical=False)
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_key(program).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -92,15 +86,9 @@ class FingerprintCache:
         go to the evaluator.  This is the ``*_N`` ablation of Table 6 (the
         baseline then fingerprints by predictions, i.e. only after paying the
         evaluation cost, so nothing is saved).
-    canonical:
-        Whether fingerprints are computed on the canonicalised IR (the
-        default; see :func:`fingerprint`) or with the historical render-based
-        key.  Canonical fingerprints strictly increase the hit rate: every
-        render-identical pair is also canonical-identical.
     """
 
     enabled: bool = True
-    canonical: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: dict[str, FitnessReport] = field(default_factory=dict)
 
@@ -125,7 +113,7 @@ class FingerprintCache:
         if result.is_redundant:
             self.stats.redundant_alphas += 1
             return result, None, FitnessReport.invalid("redundant alpha (pruned)")
-        key = fingerprint(result.program, canonical=self.canonical)
+        key = fingerprint(result.program)
         cached = self._entries.get(key)
         if cached is not None:
             self.stats.fingerprint_hits += 1

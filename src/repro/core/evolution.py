@@ -25,12 +25,11 @@ receives the invalid sentinel fitness and effectively drops out of
 tournament selection, exactly like the paper's "candidate alphas are
 eliminated if they are correlated with a given set of alphas".
 
-Cache misses evaluate either on worker processes
-(:class:`repro.parallel.pool.EvaluationPool`) or — serially — as one
+Cache misses evaluate through one function, :func:`evaluate_misses`: one
 :class:`repro.engine.fleet.FleetEngine` batch over a shared execution
-context and data pass; both run the single protocol implementation of
-:mod:`repro.engine.protocol` on the engine named by
-:attr:`EvolutionConfig.engine`, so a pool never changes a result.
+context and data pass, run in-process or, cut into chunks, on the workers
+of a :class:`repro.parallel.pool.EvaluationPool`.  Every dispatch ships
+the scorer's own evaluator settings, so a pool never changes a result.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .interpreter import AlphaEvaluator
 from .program import AlphaProgram
 
 __all__ = ["EvolutionConfig", "Candidate", "TrajectoryPoint", "EvolutionResult",
-           "CandidateScorer"]
+           "CandidateScorer", "evaluate_misses"]
 
 
 @dataclass(frozen=True)
@@ -188,23 +187,21 @@ class CandidateScorer:
     Parameters
     ----------
     evaluator:
-        Evaluates cache misses when no ``pool`` is supplied.
+        Evaluates every cache miss, in-process or, with a ``pool``, on the
+        workers: each dispatch ships this evaluator's settings.
     correlation_filter / backtest_engine:
         When a filter with references is present, a valid candidate whose
         validation portfolio returns correlate above the cutoff with any
-        reference is invalidated.  The engine computes those returns in the
-        serial path; with a pool, each dispatch asks the workers for them.
+        reference is invalidated.  The engine computes those returns, in
+        this process or, with a pool, on the worker that scored the
+        candidate; a filter therefore needs an engine.
     use_pruning:
         Disables the prune-before-evaluate fingerprint cache (Table 6's
         ``*_N`` ablation) when False.
     pool:
-        Optional :class:`repro.parallel.pool.EvaluationPool`; cache misses in
-        a batch are then evaluated by worker processes, each dispatch under
-        ``evaluator``'s seed, so pooled and serial reports agree bit for bit.
-    canonical_fingerprint:
-        Whether the cache fingerprints the canonicalised IR (the default) or
-        uses the historical render-based key; see
-        :class:`~repro.core.cache.FingerprintCache`.
+        Optional :class:`repro.parallel.pool.EvaluationPool` over
+        ``evaluator``'s task set; the cache misses of a batch are then
+        evaluated by worker processes, bit for bit as they are serially.
     """
 
     def __init__(
@@ -214,9 +211,8 @@ class CandidateScorer:
         backtest_engine: BacktestEngine | None = None,
         use_pruning: bool = True,
         pool=None,
-        canonical_fingerprint: bool = True,
     ) -> None:
-        if correlation_filter is not None and backtest_engine is None and pool is None:
+        if correlation_filter is not None and backtest_engine is None:
             raise EvolutionError(
                 "a backtest engine is required when a correlation filter is used"
             )
@@ -225,9 +221,7 @@ class CandidateScorer:
         self.backtest_engine = backtest_engine
         self.use_pruning = use_pruning
         self.pool = pool
-        self.canonical_fingerprint = canonical_fingerprint
-        self.cache = FingerprintCache(enabled=use_pruning,
-                                      canonical=canonical_fingerprint)
+        self.cache = FingerprintCache(enabled=use_pruning)
         self.candidates_generated = 0
 
     @property
@@ -245,8 +239,7 @@ class CandidateScorer:
         not share stale fingerprints (cached reports embed correlation-cutoff
         decisions that may no longer hold).
         """
-        self.cache = FingerprintCache(enabled=self.use_pruning,
-                                      canonical=self.canonical_fingerprint)
+        self.cache = FingerprintCache(enabled=self.use_pruning)
         self.candidates_generated = 0
 
     # ------------------------------------------------------------------
@@ -289,16 +282,16 @@ class CandidateScorer:
                 pending_by_key[key] = len(pending)
             pending.append(_PendingEvaluation(key=key, program=to_run, slots=[index]))
 
-        if pending and self.pool is not None:
-            outcomes = self.pool.evaluate_detailed(
-                [item.program for item in pending],
-                evaluator_seed=self.evaluator.seed,
-                valid_returns=self._cutoff_active,
-            )
+        misses = [item.program for item in pending]
+        # Validation returns are only needed while the cutoff has references.
+        backtest_engine = self.backtest_engine if self._cutoff_active else None
+        if misses and self.pool is not None:
             pairs = [(outcome.report, outcome.valid_returns)
-                     for outcome in outcomes]
+                     for outcome in self.pool.evaluate_detailed(
+                         misses, evaluator=self.evaluator,
+                         backtest_engine=backtest_engine)]
         else:
-            pairs = self._evaluate_serial(pending)
+            pairs = evaluate_misses(self.evaluator, misses, backtest_engine)
         for item, (report, valid_returns) in zip(pending, pairs):
             report = self._apply_cutoff(report, valid_returns)
             self.cache.record(item.key, report)
@@ -313,40 +306,6 @@ class CandidateScorer:
         return reports
 
     # ------------------------------------------------------------------
-    def _evaluate_serial(
-        self, pending: list[_PendingEvaluation]
-    ) -> list[tuple[FitnessReport, np.ndarray | None]]:
-        """Evaluate cache misses in-process, as one fleet batch.
-
-        Returns ``(report, valid_returns)`` pairs where ``valid_returns`` is
-        the validation portfolio-return series needed by the correlation
-        cutoff (``None`` when no cutoff is active or the report is invalid).
-        """
-        if not pending:
-            return []
-        # Imported lazily: repro.engine builds on repro.core submodules.
-        from ..engine import evaluate_program_batch
-
-        cutoff_active = self._cutoff_active
-        # The whole batch of cache misses evaluates as one fleet over a
-        # shared context and data pass.  Deduplication stays off: the cache
-        # layer above already decided which candidates share an evaluation,
-        # and the pruning-disabled ablation must not dedup behind its back.
-        # This is the same entry point the pool workers run, which is what
-        # keeps pooled and serial scoring bitwise identical.
-        evaluated = evaluate_program_batch(
-            self.evaluator, [item.program for item in pending]
-        )
-        results = []
-        for result in evaluated:
-            valid_returns = None
-            if cutoff_active and result.is_valid:
-                valid_returns = self.backtest_engine.portfolio_returns(
-                    result.predictions["valid"], split="valid"
-                )
-            results.append((result.report, valid_returns))
-        return results
-
     def _apply_cutoff(
         self, report: FitnessReport, valid_returns: np.ndarray | None
     ) -> FitnessReport:
@@ -366,3 +325,38 @@ class CandidateScorer:
                 f"the {self.correlation_filter.cutoff:.0%} cutoff"
             ),
         )
+
+
+def evaluate_misses(
+    evaluator: AlphaEvaluator,
+    programs: list[AlphaProgram],
+    backtest_engine: BacktestEngine | None = None,
+) -> list[tuple[FitnessReport, np.ndarray | None]]:
+    """Evaluate cache misses as one fleet batch, in input order.
+
+    The search's one miss evaluation: :class:`CandidateScorer` calls it
+    in-process, and every :class:`repro.parallel.pool.EvaluationPool`
+    worker calls it on its chunk of a dispatch, so pooled and serial
+    reports are bitwise identical by construction.  Returns ``(report,
+    valid_returns)`` pairs; ``valid_returns`` is the validation
+    portfolio-return series the correlation cutoff reads, computed by
+    ``backtest_engine`` for every valid report (``None`` without an engine
+    or for an invalid report).
+    """
+    if not programs:
+        return []
+    # Imported lazily: repro.engine builds on repro.core submodules.
+    from ..engine import evaluate_program_batch
+
+    # The fleet stacks programs by signature and never deduplicates: the
+    # cache above already decided which candidates share an evaluation,
+    # and the pruning-disabled ablation must not dedup behind its back.
+    pairs = []
+    for result in evaluate_program_batch(evaluator, programs):
+        valid_returns = None
+        if backtest_engine is not None and result.is_valid:
+            valid_returns = backtest_engine.portfolio_returns(
+                result.predictions["valid"], split="valid"
+            )
+        pairs.append((result.report, valid_returns))
+    return pairs

@@ -116,8 +116,7 @@ class AlphaEvaluator:
         self.taskset = taskset
         self.address_space = address_space
         #: The integer seed this evaluator was built from (``None`` for a
-        #: generator or fresh entropy); an evaluation-pool dispatch names
-        #: it, so the workers rebuild an equal evaluator.
+        #: generator or fresh entropy, which no other process can rebuild).
         self.seed = int(seed) if isinstance(seed, (int, np.integer)) else None
         self._seed_rng = make_rng(seed)
         self._base_seed = int(self._seed_rng.integers(0, 2**63 - 1))
@@ -138,6 +137,24 @@ class AlphaEvaluator:
         resume under a different evaluator.
         """
         return self._base_seed
+
+    @property
+    def settings(self) -> dict:
+        """The constructor arguments besides the task set, as a new dict.
+
+        ``AlphaEvaluator(taskset, **evaluator.settings)`` builds an equal
+        evaluator over ``taskset`` when ``seed`` is not ``None``.  An
+        evaluation-pool dispatch ships them, so every worker scores under
+        the dispatching scorer's own evaluator.
+        """
+        return {
+            "address_space": self.address_space,
+            "seed": self.seed,
+            "max_train_steps": self.max_train_steps,
+            "use_update": self.use_update,
+            "engine": self.engine,
+            "time_batched": self.time_batched,
+        }
 
     # ------------------------------------------------------------------
     def make_context(self) -> ExecutionContext:

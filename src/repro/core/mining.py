@@ -69,10 +69,11 @@ class MiningSession:
 
     The session owns at most one
     :class:`~repro.parallel.pool.EvaluationPool`.  Its first search with
-    ``num_workers > 1`` starts the pool, later searches reuse it, and a
-    search that needs another worker count or engine replaces it.
-    :meth:`close` shuts it down; the session is a context manager that
-    closes on exit, and a search after :meth:`close` starts a new pool.
+    ``num_workers > 1`` starts the pool, later searches reuse it under any
+    seed, engine or cutoff (each dispatch names its evaluator), and a
+    search that needs another worker count replaces it.  :meth:`close`
+    shuts it down; the session is a context manager that closes on exit,
+    and a search after :meth:`close` starts a new pool.
     """
 
     def __init__(
@@ -95,8 +96,6 @@ class MiningSession:
         self.max_train_steps = max_train_steps
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_interval = checkpoint_interval
-        self.long_k = long_k
-        self.short_k = short_k
         self.rng = make_rng(seed)
         self.engine = BacktestEngine(taskset, long_k=long_k, short_k=short_k)
         self.dims = Dimensions(
@@ -116,18 +115,10 @@ class MiningSession:
 
         if config.num_workers == 1:
             return None
-        pool = self._pool
-        if pool is None or pool.num_workers != config.num_workers \
-                or pool.spec.engine != config.execution_engine:
+        if self._pool is None or self._pool.num_workers != config.num_workers:
             self.close()
-            self._pool = EvaluationPool(
-                self.taskset,
-                num_workers=config.num_workers,
-                max_train_steps=self.max_train_steps,
-                long_k=self.long_k,
-                short_k=self.short_k,
-                engine=config.execution_engine,
-            )
+            self._pool = EvaluationPool(self.taskset,
+                                        num_workers=config.num_workers)
         return self._pool
 
     def close(self) -> None:

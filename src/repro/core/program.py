@@ -289,14 +289,12 @@ class AlphaProgram:
         return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
-    def structural_key(self, canonical: bool = True) -> str:
+    def structural_key(self) -> str:
         """Canonical string of all operations (used for exact-duplicate checks).
 
-        With ``canonical=True`` (the default) the operands of commutative
-        operators are sorted, so mirror-image programs (``add(s2, s3)`` vs
-        ``add(s3, s2)``) share one key and stop consuming duplicate
-        evaluations.  ``canonical=False`` preserves the written operand order
-        (the historical behaviour, kept for fingerprint A/B comparisons).
+        The operands of commutative operators are sorted, so mirror-image
+        programs (``add(s2, s3)`` vs ``add(s3, s2)``) share one key and
+        stop consuming duplicate evaluations.
 
         This is *not* the search fingerprint — the fingerprint in
         :mod:`repro.core.cache` is computed on the canonicalised IR of the
@@ -306,8 +304,7 @@ class AlphaProgram:
         parts = []
         for component, operations in self.components().items():
             rendered = ";".join(
-                (_canonical_operation(op) if canonical else op).render()
-                for op in operations
+                _canonical_operation(op).render() for op in operations
             )
             parts.append(f"{component}:{rendered}")
         return "|".join(parts)

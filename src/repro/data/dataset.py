@@ -203,20 +203,6 @@ class TaskSet:
             self._gathered[key] = (bars, labels)
         return self._gathered[key]
 
-    def subset_tasks(self, indices: np.ndarray) -> "TaskSet":
-        """Return a TaskSet restricted to the tasks in ``indices``."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            raise DataError("cannot subset to an empty task set")
-        return TaskSet(
-            features=self.features[:, indices],
-            labels=self.labels[:, indices],
-            dates=self.dates,
-            taxonomy=self.taxonomy.subset(indices),
-            split=self.split,
-            tickers=tuple(self.tickers[i] for i in indices) if self.tickers else (),
-        )
-
     def describe(self) -> dict[str, int]:
         """Summary dictionary used by logs and examples."""
         return {

@@ -74,26 +74,25 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Signature-grouped batch entry points (the worker-pool dispatch surface)
+# Signature grouping and the batch entry point
 # ----------------------------------------------------------------------
-def stack_partition(programs, engine: str | None = "compiled") -> list[list[int]]:
-    """Partition ``programs`` into stack-signature groups of indices.
+def stack_partition(compiled) -> list[list[int]]:
+    """Partition compiled programs into stack-signature groups of indices.
 
-    The dispatch planner of the shared-memory worker pool: programs whose
-    compiled tapes share a :func:`~repro.compile.stacked.stack_signature`
-    land in one group (first-appearance order), so a batch cut from a
-    single group executes worker-side as **one**
-    :class:`~repro.compile.stacked.StackedAlpha` tape instead of a
-    per-candidate loop.  Under the interpreter engine there is no tape to
-    stack and every program lands in one group.
+    Programs whose tapes share a
+    :func:`~repro.compile.stacked.stack_signature` land in one group
+    (groups and their members in first-appearance order), and each group
+    executes as **one** :class:`~repro.compile.stacked.StackedAlpha` tape
+    instead of a per-program loop.  This is the grouping every fleet runs,
+    so a worker's chunk of a pool dispatch stacks exactly as a serial
+    batch of the same programs does.
     """
-    programs = list(programs)
-    if resolve_engine(engine) != "compiled" or len(programs) < 2:
-        return [list(range(len(programs)))] if programs else []
+    compiled = list(compiled)
+    if len(compiled) < 2:
+        return [[index] for index in range(len(compiled))]
     groups: dict[str, list[int]] = {}
-    for index, program in enumerate(programs):
-        signature = stack_signature(compile_program(program))
-        groups.setdefault(signature, []).append(index)
+    for index, artefact in enumerate(compiled):
+        groups.setdefault(stack_signature(artefact), []).append(index)
     return list(groups.values())
 
 
@@ -101,12 +100,10 @@ def evaluate_program_batch(evaluator, programs):
     """Evaluate ``programs`` as one fleet over a shared context/data pass.
 
     Returns one :class:`~repro.core.interpreter.EvaluationResult` per
-    program, in input order.  Deduplication stays off — callers (the
-    scorer's cache, the pool's dispatch planner) already decided which
-    programs to run — while each signature group executes as a single
-    tape.  This is the one evaluation entry point shared by the serial
-    scorer and the pool workers, which is what keeps pooled results
-    bitwise identical to serial ones.
+    program, in input order.  Deduplication stays off — the caller (the
+    search's :func:`~repro.core.evolution.evaluate_misses`, in-process or
+    on a pool worker) already decided which programs to run — while each
+    signature group executes as a single tape.
     """
     fleet = FleetEngine(evaluator, dedup=False)
     for index, program in enumerate(programs):
@@ -256,7 +253,7 @@ class FleetEngine:
             return 0
         if self._stack_group_count is None:
             self._stack_group_count = sum(
-                1 for group in self._signature_groups()[1] if len(group) >= 2
+                1 for keys, _ in self._signature_groups() if len(keys) >= 2
             )
         return self._stack_group_count
 
@@ -308,22 +305,17 @@ class FleetEngine:
     # Signature groups: one backend per group
     # ------------------------------------------------------------------
     def _signature_groups(self):
-        """Compile every unique program and group keys by tape signature.
+        """Compile every unique program and group them by tape signature.
 
-        Returns ``(compiled, groups)``: key → CompiledProgram, plus the key
-        groups in registration order (group order follows first
-        appearance).  Only meaningful under the compiled engine.
+        Returns ``(keys, compiled)`` pairs, one per group, in registration
+        order (:func:`stack_partition`).  Only meaningful under the
+        compiled engine.
         """
-        compiled = {
-            key: compile_program(program)
-            for key, program in self._programs.items()
-        }
-        if len(compiled) < 2:
-            return compiled, [[key] for key in compiled]
-        groups: dict[str, list[str]] = {}
-        for key, artefact in compiled.items():
-            groups.setdefault(stack_signature(artefact), []).append(key)
-        return compiled, list(groups.values())
+        keys = list(self._programs)
+        compiled = [compile_program(self._programs[key]) for key in keys]
+        return [([keys[index] for index in group],
+                 [compiled[index] for index in group])
+                for group in stack_partition(compiled)]
 
     def _bind_groups(self, ctx):
         """Yield one backend per signature group bound to ``ctx`` — per key
@@ -339,18 +331,18 @@ class FleetEngine:
                     address_space=self.evaluator.address_space,
                 )
             return
-        compiled, groups = self._signature_groups()
-        stacked_groups = [group for group in groups if len(group) >= 2]
+        groups = self._signature_groups()
+        stacked_groups = [keys for keys, _ in groups if len(keys) >= 2]
         self._stack_group_count = len(stacked_groups)
         if TELEMETRY.enabled and stacked_groups:
             TELEMETRY.counter("engine.fleet.stack_groups").inc(
                 len(stacked_groups)
             )
             TELEMETRY.counter("engine.fleet.stacked_programs").inc(
-                sum(len(group) for group in stacked_groups)
+                sum(len(keys) for keys in stacked_groups)
             )
-        for group in groups:
-            yield group, StackedAlpha([compiled[key] for key in group], ctx)
+        for keys, compiled in groups:
+            yield keys, StackedAlpha(compiled, ctx)
 
     # ------------------------------------------------------------------
     # Offline: one-shot batch evaluation over a shared data pass

@@ -7,8 +7,9 @@ search rounds; this package reproduces that architecture on one machine:
   (``multiprocessing.shared_memory``) with content-signature attach guards
   and unlink-on-every-exit-path cleanup;
 * :mod:`repro.parallel.pool`       — a process pool that evaluates
-  signature-grouped candidate batches concurrently over the shared panel,
-  restarting workers and requeueing lost batches after crashes;
+  chunks of candidate batches concurrently over the shared panel, under
+  the evaluator each dispatch names, restarting workers and requeueing
+  lost batches after crashes;
 * :mod:`repro.parallel.islands`    — the search controller every mining
   search runs on: one or more regularised-evolution populations, one main
   loop that scores each step's proposals, ages the populations and

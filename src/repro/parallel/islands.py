@@ -77,9 +77,9 @@ class IslandEvolutionController:
     Parameters
     ----------
     evaluator:
-        Scores cache misses when no ``pool`` is given; with a pool, every
-        dispatch names this evaluator's seed, so serial and pooled runs
-        agree.
+        Scores every cache miss, in-process or on the ``pool``'s workers:
+        each dispatch ships this evaluator's settings, so serial and pooled
+        runs agree.
     dims:
         Problem dimensions used to build the per-island mutators.
     config:
@@ -90,7 +90,8 @@ class IslandEvolutionController:
         ``seed`` drives the per-island tournament RNGs, ``mutation_seed``
         (defaulting to the same stream) the per-island mutators.
     pool:
-        Optional :class:`EvaluationPool`; per-step proposal batches are then
+        Optional :class:`EvaluationPool` over ``evaluator``'s task set; the
+        population fill and the per-step proposal batches are then
         evaluated by worker processes.  Results are identical with or
         without a pool (and for any worker count).
     checkpoint_path / checkpoint_interval:

@@ -2,8 +2,10 @@
 
 The paper's search is distributed: candidate alphas are scored on a fleet of
 evaluation workers for 60-hour rounds.  :class:`EvaluationPool` reproduces
-that shape on one machine with a :class:`concurrent.futures.ProcessPoolExecutor`
-— around two structural moves that make the fan-out actually cheap:
+that shape on one machine with a :class:`concurrent.futures.ProcessPoolExecutor`.
+The pool is a transport: it holds the published panel and the workers, and
+every dispatch names the evaluator (and backtest engine) its programs are
+scored under.
 
 * **Zero-copy shared panels.**  The task-set feature/label arrays are
   published once into a :class:`~repro.parallel.shm.SharedPanelStore`
@@ -14,18 +16,17 @@ that shape on one machine with a :class:`concurrent.futures.ProcessPoolExecutor`
   that copy is the panel rows the windows span, not the windows.  Each
   worker's task set gathers the bars its evaluations read once
   (:meth:`~repro.data.dataset.TaskSet.gather`), and the per-worker
-  :class:`PoolSpec` shrinks to a handle plus scalars.  A content-signature
-  echo in the store header guards against attaching to a stale store
-  (:class:`~repro.errors.SharedPanelMismatchError`).
-* **Stacked batch dispatch.**  ``evaluate_detailed`` partitions each batch
-  by :func:`~repro.compile.stacked.stack_signature`
-  (:func:`repro.engine.stack_partition`) before chunking, so a worker
-  dispatch carries programs of **one** signature group and executes them as
-  a single :class:`~repro.compile.stacked.StackedAlpha` tape
-  (:func:`repro.engine.evaluate_program_batch`) — one batched kernel call
-  per instruction per day instead of a per-candidate loop.  Per-candidate
-  IPC is just the (tiny) :class:`~repro.core.program.AlphaProgram` payload
-  out and a :class:`PoolEvaluation` back.
+  :class:`PoolSpec` is the panel handle plus the task set's sidecar.  A
+  content-signature echo in the store header guards against attaching to
+  a stale store (:class:`~repro.errors.SharedPanelMismatchError`).
+* **Chunked dispatch, stacked evaluation.**  Each dispatch is cut into at
+  most ``num_workers`` contiguous chunks; the parent compiles nothing.  Every chunk runs through
+  :func:`repro.core.evolution.evaluate_misses`, the miss evaluation the
+  serial scorer runs, whose fleet groups the chunk by stack signature and
+  executes each group as one :class:`~repro.compile.stacked.StackedAlpha`
+  tape.  Per-candidate IPC is the (tiny)
+  :class:`~repro.core.program.AlphaProgram` payload out and a
+  :class:`PoolEvaluation` back.
 
 **Robustness.**  A worker that dies mid-batch (OOM-killed, segfault) breaks
 the executor; the pool detects it, rebuilds the executor — workers re-attach
@@ -39,23 +40,25 @@ guards cover the paths that never reach ``close``.
 
 **Lifetime.**  A pool outlives any one search: a
 :class:`~repro.core.mining.MiningSession` builds one on its first pooled
-search and every later search reuses it.  What differs between those
-searches travels with each dispatch instead of with the pool: the
-evaluator seed, and whether the workers also return validation
-portfolio-return series (a search's first round runs without the
-correlation cutoff, later rounds with it).
+search and every later search reuses it, whatever its seed, engine or
+cutoff, until a search asks for another worker count.  Everything that
+differs between those searches travels with each dispatch.
 
-Determinism: every dispatch names the evaluator seed its programs are
-scored under; a worker rebuilds its ``AlphaEvaluator`` whenever a batch
-names a seed other than the last one, and evaluation derives its RNG from
-that seed per call.  So a program's fitness report is bitwise identical no
-matter which worker (or how many retries, or which earlier dispatches)
-produced it — and identical to a serial ``AlphaEvaluator`` built from the
-same seed.
+**Determinism.**  A dispatch ships its evaluator's constructor arguments
+(:attr:`~repro.core.interpreter.AlphaEvaluator.settings`) and, when it
+names a backtest engine, that engine's book sizes.  A worker rebuilds its
+evaluator whenever a batch names other settings, and its backtest engine
+whenever a batch names other books; evaluation derives its RNG from the
+evaluator's seed per call.  So a program's fitness report is bitwise
+identical no matter which worker (or how many retries, or which earlier
+dispatches) produced it — and identical to the dispatching evaluator's own.
+A dispatch whose evaluator or backtest engine is over another task set,
+or whose evaluator was built from a generator seed, raises
+:class:`~repro.errors.ConfigurationError`.
 
 Telemetry (behind :data:`repro.obs.TELEMETRY`): ``pool.shm_bytes`` (gauge,
 bytes of shared panel currently published), ``pool.batches_retried`` and
-``pool.worker_restarts`` (counters), next to the existing ``pool.batches`` /
+``pool.worker_restarts`` (counters), next to ``pool.batches`` (chunks) /
 ``pool.programs`` / ``pool.dispatch_seconds``.
 """
 
@@ -71,8 +74,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backtest.engine import BacktestEngine
-from ..config import LONG_POSITIONS, SHORT_POSITIONS
+from ..core.evolution import evaluate_misses
 from ..core.fitness import FitnessReport
+from ..core.interpreter import AlphaEvaluator
 from ..core.program import AlphaProgram
 from ..data.dataset import TaskSet
 from ..errors import ConfigurationError, ParallelError
@@ -84,7 +88,7 @@ __all__ = ["PoolSpec", "PoolEvaluation", "EvaluationPool", "PendingEvaluations"]
 
 @dataclass(frozen=True)
 class PoolSpec:
-    """Everything a worker needs to rebuild the evaluation stack.
+    """What a worker needs to rebuild the pool's task set.
 
     Shipped to each worker once at executor (re)start.  The panel itself
     never rides in the spec: ``panel`` is a
@@ -98,14 +102,6 @@ class PoolSpec:
     taxonomy: object
     split: object
     tickers: tuple[str, ...]
-    max_train_steps: int | None = None
-    use_update: bool = True
-    long_k: int = LONG_POSITIONS
-    short_k: int = SHORT_POSITIONS
-    #: Execution-engine name each worker's evaluator runs candidates on
-    #: (see :data:`repro.engine.ENGINES`; bitwise identical across
-    #: engines).
-    engine: str = "compiled"
 
 
 @dataclass
@@ -113,9 +109,9 @@ class PoolEvaluation:
     """One worker-evaluated candidate.
 
     ``valid_returns`` carries the validation long-short portfolio-return
-    series when the dispatch asked for it (``valid_returns=True``) and the
-    report is valid; the parent process needs it to apply the correlation
-    cutoff without re-running the program.
+    series when the dispatch named a backtest engine and the report is
+    valid; the parent process needs it to apply the correlation cutoff
+    without re-running the program.
     """
 
     report: FitnessReport
@@ -124,9 +120,10 @@ class PoolEvaluation:
 
 @dataclass
 class _WorkBatch:
-    """One worker dispatch: programs of a single stack-signature group,
-    the evaluator seed they are scored under and whether their validation
-    portfolio returns come back.
+    """One worker dispatch: a contiguous chunk of the programs, the
+    settings of the evaluator they are scored under and the book sizes of
+    the backtest engine whose validation returns come back (``None``: no
+    returns).
 
     ``fault`` is a test-only hook (``"sigkill"`` / ``"raise"``) injected by
     the fault tests; it is never set on a retry resubmission, so an
@@ -134,21 +131,20 @@ class _WorkBatch:
     """
 
     programs: list[AlphaProgram]
-    evaluator_seed: int
-    valid_returns: bool = False
+    evaluator: dict
+    books: tuple[int, int] | None = None
     fault: str | None = None
 
 
 @dataclass
 class _WorkerState:
     """Per-process evaluation stack, built once by the pool initializer;
-    the evaluator follows the seed each batch names."""
+    the evaluator and backtest engine follow what each batch names."""
 
-    spec: PoolSpec
     taskset: TaskSet
-    engine: BacktestEngine
     store: SharedPanelStore
-    evaluator: object = None
+    evaluator: AlphaEvaluator | None = None
+    engine: BacktestEngine | None = None
 
     @classmethod
     def from_spec(cls, spec: PoolSpec) -> "_WorkerState":
@@ -161,28 +157,31 @@ class _WorkerState:
             split=spec.split,
             tickers=spec.tickers,
         )
-        engine = BacktestEngine(taskset, long_k=spec.long_k, short_k=spec.short_k)
-        return cls(spec=spec, taskset=taskset, engine=engine, store=store)
+        return cls(taskset=taskset, store=store)
 
-    def evaluator_for(self, seed: int):
-        """The worker's evaluator under ``seed``, rebuilt when it changes."""
-        if self.evaluator is None or self.evaluator.seed != seed:
-            # Imported lazily: repro.parallel sits below the engine layer,
-            # and the interpreter facade imports the engine package itself.
-            from ..core.interpreter import AlphaEvaluator
-
-            spec = self.spec
-            self.evaluator = AlphaEvaluator(
-                self.taskset,
-                seed=seed,
-                max_train_steps=spec.max_train_steps,
-                use_update=spec.use_update,
-                engine=spec.engine,
-            )
+    def evaluator_for(self, settings: dict) -> AlphaEvaluator:
+        """The worker's evaluator under ``settings``, rebuilt when they
+        change."""
+        if self.evaluator is None or self.evaluator.settings != settings:
+            self.evaluator = AlphaEvaluator(self.taskset, **settings)
         return self.evaluator
+
+    def engine_for(self, books: tuple[int, int] | None) -> BacktestEngine | None:
+        """The worker's backtest engine with ``books`` (``None`` for no
+        engine), rebuilt when they change."""
+        if books is None:
+            return None
+        if self.engine is None or _books(self.engine) != books:
+            self.engine = BacktestEngine(self.taskset, *books)
+        return self.engine
 
 
 _WORKER: _WorkerState | None = None
+
+
+def _books(engine: BacktestEngine) -> tuple[int, int]:
+    """The (long, short) book sizes of ``engine``'s portfolio."""
+    return engine.portfolio.long_k, engine.portfolio.short_k
 
 
 def _init_worker(spec: PoolSpec) -> None:
@@ -192,13 +191,8 @@ def _init_worker(spec: PoolSpec) -> None:
 
 
 def _evaluate_batch(batch: _WorkBatch) -> list[PoolEvaluation]:
-    """Evaluate one signature-grouped batch inside a worker process.
-
-    The whole batch runs as one fleet over the worker's shared-view task
-    set — a single :class:`~repro.compile.stacked.StackedAlpha` tape when
-    the programs stack — via :func:`repro.engine.evaluate_program_batch`,
-    the same entry point the serial scorer evaluates through.
-    """
+    """Evaluate one chunk inside a worker process, through the miss
+    evaluation the serial scorer runs."""
     state = _WORKER
     if state is None:  # pragma: no cover - initializer always runs first
         raise ParallelError("evaluation worker was not initialised")
@@ -206,22 +200,10 @@ def _evaluate_batch(batch: _WorkBatch) -> list[PoolEvaluation]:
         os.kill(os.getpid(), _signal.SIGKILL)
     if batch.fault == "raise":
         raise ParallelError("injected worker fault (test hook)")
-    # Imported lazily: repro.engine builds on repro.core submodules.
-    from ..engine import evaluate_program_batch
-
-    results = evaluate_program_batch(
-        state.evaluator_for(batch.evaluator_seed), batch.programs
-    )
-    evaluations: list[PoolEvaluation] = []
-    for result in results:
-        valid_returns = None
-        if batch.valid_returns and result.is_valid:
-            valid_returns = state.engine.portfolio_returns(
-                result.predictions["valid"], split="valid"
-            )
-        evaluations.append(PoolEvaluation(report=result.report,
-                                          valid_returns=valid_returns))
-    return evaluations
+    pairs = evaluate_misses(state.evaluator_for(batch.evaluator),
+                            batch.programs, state.engine_for(batch.books))
+    return [PoolEvaluation(report=report, valid_returns=valid_returns)
+            for report, valid_returns in pairs]
 
 
 def _pool_context(start_method: str | None) -> multiprocessing.context.BaseContext:
@@ -236,9 +218,8 @@ def _pool_context(start_method: str | None) -> multiprocessing.context.BaseConte
 
 @dataclass
 class _Chunk:
-    """One in-flight dispatch unit and where its results land."""
+    """One in-flight dispatch unit and its results."""
 
-    indices: list[int]
     batch: _WorkBatch
     retries: int = 0
     future: object = None
@@ -277,25 +258,11 @@ class EvaluationPool:
     ----------
     taskset:
         The task set candidates are evaluated on; its feature/label panel
-        is published to shared memory once, here.
+        is published to shared memory once, here.  Every dispatch's
+        evaluator (and backtest engine) must be over this task set.
     num_workers:
         Number of worker processes; defaults to the machine's CPU count.
-    max_train_steps / use_update:
-        Forwarded to each worker's :class:`AlphaEvaluator`; use the same
-        values as the serial evaluator to get bitwise-identical reports.
-        The evaluator seed is not a pool setting: every dispatch names it
-        (``evaluator_seed=``), so one pool serves searches under any seeds.
-    long_k / short_k:
-        Position counts of the validation long-short portfolio whose
-        return series a dispatch with ``valid_returns=True`` gets back for
-        every valid candidate (needed by the correlation cutoff).
-    engine:
-        Execution-engine name the workers run candidates on (see
-        :data:`repro.engine.ENGINES`); bitwise identical across engines.
-    batch_size:
-        Programs per worker dispatch.  Batching amortises the per-task
-        overhead and widens the stacked tapes; results always come back in
-        input order.
+        A dispatch is cut into at most this many chunks.
     max_batch_retries:
         How many times a batch lost to a worker crash is requeued before
         the pool gives up with a :class:`~repro.errors.ParallelError`.
@@ -303,8 +270,11 @@ class EvaluationPool:
         Optional multiprocessing start method override (default: ``fork``
         where available, the platform default elsewhere).
 
-    The pool is a context manager; :meth:`close` shuts the workers down and
-    unlinks the shared panel — even when a batch raised inside the block.
+    The pool holds no evaluation settings: every dispatch names the
+    :class:`~repro.core.interpreter.AlphaEvaluator` its programs are scored
+    under, so its reports equal that evaluator's bit for bit.  The pool is
+    a context manager; :meth:`close` shuts the workers down and unlinks the
+    shared panel — even when a batch raised inside the block.
     """
 
     def __init__(
@@ -312,42 +282,26 @@ class EvaluationPool:
         taskset: TaskSet,
         num_workers: int | None = None,
         *,
-        max_train_steps: int | None = None,
-        use_update: bool = True,
-        long_k: int = LONG_POSITIONS,
-        short_k: int = SHORT_POSITIONS,
-        engine: str | None = None,
-        batch_size: int = 8,
         max_batch_retries: int = 2,
         start_method: str | None = None,
     ) -> None:
-        # Imported lazily: repro.parallel sits below the engine layer.
-        from ..engine import resolve_engine
-
         if num_workers is None:
             num_workers = os.cpu_count() or 1
         if num_workers < 1:
             raise ConfigurationError("num_workers must be at least 1")
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be at least 1")
         if max_batch_retries < 0:
             raise ConfigurationError("max_batch_retries cannot be negative")
         self._mp_context = _pool_context(start_method)
         self._store = SharedPanelStore.publish(taskset.features, taskset.labels)
+        self.taskset = taskset
         self.spec = PoolSpec(
             panel=self._store.handle,
             dates=taskset.dates,
             taxonomy=taskset.taxonomy,
             split=taskset.split,
             tickers=taskset.tickers,
-            max_train_steps=max_train_steps,
-            use_update=use_update,
-            long_k=long_k,
-            short_k=short_k,
-            engine=resolve_engine(engine),
         )
         self.num_workers = num_workers
-        self.batch_size = batch_size
         self.max_batch_retries = max_batch_retries
         #: Lost batches requeued after worker crashes (lifetime total).
         self.batches_retried = 0
@@ -384,60 +338,55 @@ class EvaluationPool:
     # ------------------------------------------------------------------
     # Dispatch / collect
     # ------------------------------------------------------------------
-    def _plan_chunks(self, programs: list[AlphaProgram], evaluator_seed: int,
-                     valid_returns: bool) -> list[_Chunk]:
-        """Cut ``programs`` into signature-grouped, size-bounded chunks.
-
-        Grouping first (by stacked-tape signature) makes every chunk a
-        single stacked execution worker-side; the chunk size is additionally
-        capped so a small batch (e.g. one proposal per island) still
-        spreads across all workers.  With chunks of one program the
-        grouping cannot matter, so the parent skips the compile it needs.
-        """
-        # Imported lazily: repro.engine builds on repro.core submodules.
-        from ..engine import stack_partition
-
-        chunk_size = min(
-            self.batch_size,
-            max(1, (len(programs) + self.num_workers - 1) // self.num_workers),
-        )
-        if chunk_size == 1:
-            groups = [list(range(len(programs)))]
-        else:
-            groups = stack_partition(programs, engine=self.spec.engine)
-        chunks: list[_Chunk] = []
-        for group in groups:
-            for start in range(0, len(group), chunk_size):
-                indices = group[start:start + chunk_size]
-                chunks.append(_Chunk(indices=indices, batch=_WorkBatch(
-                    programs=[programs[i] for i in indices],
-                    evaluator_seed=evaluator_seed,
-                    valid_returns=valid_returns,
-                )))
-        return chunks
+    def _over_taskset(self, what: str, owner) -> None:
+        """Refuse a dispatch whose ``owner`` reads another task set."""
+        if owner.taskset is not self.taskset:
+            raise ConfigurationError(
+                f"a pool dispatch's {what} must be over the task set the "
+                "pool published, not another one"
+            )
 
     def submit_detailed(self, programs: list[AlphaProgram], *,
-                        evaluator_seed: int,
-                        valid_returns: bool = False) -> PendingEvaluations:
+                        evaluator: AlphaEvaluator,
+                        backtest_engine: BacktestEngine | None = None,
+                        ) -> PendingEvaluations:
         """Dispatch ``programs`` to the workers without blocking.
 
-        The workers score them under an evaluator built from
-        ``evaluator_seed`` (the integer seed a serial ``AlphaEvaluator``
-        would be built with) and, with ``valid_returns=True``, also return
-        each valid program's validation portfolio-return series.  Returns a
+        The workers score them under an evaluator rebuilt from
+        ``evaluator``'s settings and, given a ``backtest_engine``, also
+        return each valid program's validation portfolio-return series
+        under that engine's books.  Both must be over the pool's task set,
+        and ``evaluator`` must be built from an integer seed.  The programs
+        are cut into at most ``num_workers`` contiguous chunks.  Returns a
         :class:`PendingEvaluations` whose ``result()`` yields the
         evaluations in input order.
         """
         if self._closed:
             raise ParallelError("the evaluation pool has been closed")
-        if not isinstance(evaluator_seed, (int, np.integer)):
+        self._over_taskset("evaluator", evaluator)
+        settings = evaluator.settings
+        if settings["seed"] is None:
             raise ConfigurationError(
-                "a pool dispatch needs the integer seed its evaluator is "
-                f"rebuilt from, got {evaluator_seed!r}"
+                "a pool dispatch needs an evaluator built from an integer "
+                "seed: the workers rebuild it from that seed, and a "
+                "generator or fresh entropy cannot be rebuilt"
             )
+        books = None
+        if backtest_engine is not None:
+            self._over_taskset("backtest engine", backtest_engine)
+            books = _books(backtest_engine)
         programs = list(programs)
         started = time.perf_counter() if TELEMETRY.enabled else 0.0
-        chunks = self._plan_chunks(programs, int(evaluator_seed), valid_returns)
+        count = min(len(programs), self.num_workers)
+        chunks = [
+            _Chunk(batch=_WorkBatch(
+                programs=programs[len(programs) * index // count:
+                                  len(programs) * (index + 1) // count],
+                evaluator=settings,
+                books=books,
+            ))
+            for index in range(count)
+        ]
         if chunks and self._inject_fault_once is not None:
             chunks[0].batch.fault = self._inject_fault_once
             self._inject_fault_once = None
@@ -480,10 +429,8 @@ class EvaluationPool:
                         break
                 if broken:
                     self._requeue_lost(chunks)
-        evaluations: list[PoolEvaluation] = [None] * num_programs
-        for chunk in chunks:
-            for index, evaluation in zip(chunk.indices, chunk.evaluations):
-                evaluations[index] = evaluation
+        evaluations = [evaluation for chunk in chunks
+                       for evaluation in chunk.evaluations]
         if TELEMETRY.enabled:
             TELEMETRY.counter("pool.batches").inc(len(chunks))
             TELEMETRY.counter("pool.programs").inc(num_programs)
@@ -526,28 +473,22 @@ class EvaluationPool:
 
     # ------------------------------------------------------------------
     def evaluate_detailed(self, programs: list[AlphaProgram], *,
-                          evaluator_seed: int,
-                          valid_returns: bool = False) -> list[PoolEvaluation]:
+                          evaluator: AlphaEvaluator,
+                          backtest_engine: BacktestEngine | None = None,
+                          ) -> list[PoolEvaluation]:
         """Evaluate ``programs`` across the workers, preserving input order
         (the arguments are :meth:`submit_detailed`'s)."""
-        programs = list(programs)
-        if not programs:
-            if self._closed:
-                raise ParallelError("the evaluation pool has been closed")
-            return []
         return self.submit_detailed(
-            programs, evaluator_seed=evaluator_seed, valid_returns=valid_returns
+            programs, evaluator=evaluator, backtest_engine=backtest_engine
         ).result()
 
     def evaluate(self, programs: list[AlphaProgram], *,
-                 evaluator_seed: int) -> list[FitnessReport]:
-        """Evaluate ``programs`` under ``evaluator_seed`` and return just
-        their fitness reports."""
+                 evaluator: AlphaEvaluator) -> list[FitnessReport]:
+        """Evaluate ``programs`` under ``evaluator`` and return just their
+        fitness reports."""
         return [
             evaluation.report
-            for evaluation in self.evaluate_detailed(
-                programs, evaluator_seed=evaluator_seed
-            )
+            for evaluation in self.evaluate_detailed(programs, evaluator=evaluator)
         ]
 
     # ------------------------------------------------------------------

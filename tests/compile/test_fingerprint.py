@@ -1,4 +1,12 @@
-"""Canonical-fingerprint tests: mirror collisions and search hit rate."""
+"""Canonical-fingerprint tests: mirror collisions and search hit rate.
+
+The canonical key is checked against the written-order key (each
+operation rendered as written, commutative operands unsorted), which the
+tests compute themselves: the canonical key must merge every pair the
+written-order key merges, and mirror pairs merge only under it.
+"""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,6 +32,15 @@ from repro.parallel import IslandEvolutionController
 S2, S3 = Operand.scalar(2), Operand.scalar(3)
 
 
+def written_order_key(program):
+    """The key of ``program`` with every operation rendered as written."""
+    text = "|".join(
+        f"{component}:" + ";".join(op.render() for op in operations)
+        for component, operations in program.components().items()
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def mirrored_pair():
     """Two programs identical up to commutative operand order."""
     def build(first, second):
@@ -46,15 +63,13 @@ class TestMirroredPrograms:
     def test_structural_key_canonicalizes(self):
         left, right = mirrored_pair()
         assert left.structural_key() == right.structural_key()
-        assert left.structural_key(canonical=False) != \
-            right.structural_key(canonical=False)
+        assert written_order_key(left) != written_order_key(right)
         assert left == right
 
     def test_canonical_fingerprint_collides(self):
         left, right = mirrored_pair()
         assert fingerprint(left) == fingerprint(right)
-        assert fingerprint(left, canonical=False) != \
-            fingerprint(right, canonical=False)
+        assert written_order_key(left) != written_order_key(right)
 
     def test_mirrored_pair_shares_cache_entry(self):
         """Regression: mirrors must stop consuming duplicate evaluations."""
@@ -68,16 +83,6 @@ class TestMirroredPrograms:
         _, _, hit = cache.prepare(right)
         assert hit is not None and hit.fitness == 0.25
         assert cache.stats.fingerprint_hits == 1
-
-    def test_legacy_cache_misses_mirror(self):
-        left, right = mirrored_pair()
-        cache = FingerprintCache(canonical=False)
-        _, key, _ = cache.prepare(left)
-        from repro.core.fitness import FitnessReport
-        cache.record(key, FitnessReport(fitness=0.25, ic_valid=0.25,
-                                        daily_ic_valid=np.empty(0), is_valid=True))
-        _, _, hit = cache.prepare(right)
-        assert hit is None
 
     def test_scorer_evaluates_mirror_once(self, small_taskset):
         left, right = mirrored_pair()
@@ -113,13 +118,25 @@ def mirror(program):
     return None
 
 
+def keys_by_canonical_key(programs):
+    """Canonical fingerprint → the written-order keys of the pruned,
+    non-redundant ``programs`` that fall under it."""
+    keys = {}
+    for program in programs:
+        pruned = prune_program(program)
+        if not pruned.is_redundant:
+            keys.setdefault(fingerprint(pruned.program), set()).add(
+                written_order_key(pruned.program))
+    return keys
+
+
 class TestSearchHitRate:
     """Acceptance: canonical fingerprints raise the cache hit rate of a
-    seeded evolutionary search versus the historical fingerprint, by one hit
-    per historical key they merge.
+    seeded evolutionary search over written-order keys, by one hit per
+    written-order key they merge.
     """
 
-    def run_search(self, taskset, canonical, seed=13, budget=400):
+    def run_search(self, taskset, seed=13, budget=400):
         """Cache stats of a seeded one-island search, and every program it
         handed its scorer, in order."""
         dims = Dimensions(taskset.num_features, taskset.window)
@@ -131,7 +148,6 @@ class TestSearchHitRate:
             seed=seed,
         )
         scorer = controller.scorer
-        scorer.canonical_fingerprint = canonical
         stream = []
         score_batch = scorer.score_batch
 
@@ -146,49 +162,48 @@ class TestSearchHitRate:
     def test_canonical_strictly_increases_hit_rate(self, tiny_taskset):
         """A search's candidate stream plus a mirror of each candidate that
         has one: canonical keys merge every mirror pair, so they gain
-        exactly one hit per historical key they merge, whatever the seed."""
-        _, stream = self.run_search(tiny_taskset, canonical=True)
+        exactly one hit per written-order key they merge, whatever the
+        seed."""
+        _, stream = self.run_search(tiny_taskset)
         # A search may propose no candidate with a commutative operation to
         # mirror; one known pair keeps the gain strict for every seed.
         originals = stream + [mirrored_pair()[0]]
         pairs = [(index, image) for index, image in enumerate(map(mirror, originals))
                  if image is not None]
         candidates = originals + [image for _, image in pairs]
-        legacy_keys_of = {}
-        for program in candidates:
-            pruned = prune_program(program)
-            if not pruned.is_redundant:
-                legacy_keys_of.setdefault(fingerprint(pruned.program), set()).add(
-                    fingerprint(pruned.program, canonical=False))
-        # every historical key falls into exactly one canonical key
-        legacy_keys = set().union(*legacy_keys_of.values())
-        assert sum(map(len, legacy_keys_of.values())) == len(legacy_keys)
-        merged = len(legacy_keys) - len(legacy_keys_of)
+        written_keys_of = keys_by_canonical_key(candidates)
+        # every written-order key falls into exactly one canonical key
+        written_keys = set().union(*written_keys_of.values())
+        assert sum(map(len, written_keys_of.values())) == len(written_keys)
+        merged = len(written_keys) - len(written_keys_of)
         assert merged > 0
 
-        def score(canonical):
-            scorer = CandidateScorer(
-                AlphaEvaluator(tiny_taskset, seed=0, max_train_steps=5),
-                canonical_fingerprint=canonical,
-            )
-            return scorer.score_batch(candidates), scorer.cache.stats
-
-        _, legacy = score(canonical=False)
-        reports, canonical = score(canonical=True)
-        assert canonical.searched == legacy.searched == len(candidates)
-        assert canonical.fingerprint_hits - legacy.fingerprint_hits == merged
-        assert legacy.evaluated - canonical.evaluated == merged
-        assert canonical.fingerprint_hits / canonical.searched > \
-            legacy.fingerprint_hits / legacy.searched
+        scorer = CandidateScorer(
+            AlphaEvaluator(tiny_taskset, seed=0, max_train_steps=5))
+        reports = scorer.score_batch(candidates)
+        canonical = scorer.cache.stats
+        # Written-order keys would evaluate each of their keys once and
+        # hit on every other non-redundant candidate.
+        written_evaluated = len(written_keys)
+        written_hits = len(candidates) - canonical.redundant_alphas - written_evaluated
+        assert canonical.searched == len(candidates)
+        assert canonical.evaluated == len(written_keys_of)
+        assert canonical.fingerprint_hits - written_hits == merged
+        assert written_evaluated - canonical.evaluated == merged
         # each mirror reuses its original's canonical cache entry
         for offset, (index, _) in enumerate(pairs):
             assert reports[len(originals) + offset].fitness == reports[index].fitness
 
     def test_hit_rate_never_decreases_across_seeds(self, tiny_taskset):
-        """Canonical keys only merge render-identical keys further."""
+        """In every seeded search, the cache's hits are exactly what its
+        canonical keys predict, and each canonical key covers one or more
+        written-order keys: written-order keys could only hit less."""
         for seed in (1, 5, 13):
-            legacy, _ = self.run_search(tiny_taskset, canonical=False,
-                                        seed=seed, budget=150)
-            canonical, _ = self.run_search(tiny_taskset, canonical=True,
-                                           seed=seed, budget=150)
-            assert canonical.fingerprint_hits >= legacy.fingerprint_hits
+            stats, stream = self.run_search(tiny_taskset, seed=seed, budget=150)
+            written_keys_of = keys_by_canonical_key(stream)
+            written_keys = set().union(*written_keys_of.values())
+            assert sum(map(len, written_keys_of.values())) == len(written_keys)
+            non_redundant = stats.searched - stats.redundant_alphas
+            assert stats.evaluated == len(written_keys_of)
+            assert stats.fingerprint_hits == non_redundant - len(written_keys_of)
+            assert non_redundant - len(written_keys) <= stats.fingerprint_hits

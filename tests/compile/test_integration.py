@@ -70,11 +70,9 @@ class TestPoolParity:
         serial = AlphaEvaluator(taskset, seed=0, max_train_steps=10,
                                 engine="interpreter")
         expected = [serial.evaluate(program).report for program in programs]
-        with EvaluationPool(
-            taskset, num_workers=2, max_train_steps=10,
-            engine="compiled",
-        ) as pool:
-            got = pool.evaluate(programs, evaluator_seed=0)
+        with EvaluationPool(taskset, num_workers=2) as pool:
+            got = pool.evaluate(programs, evaluator=AlphaEvaluator(
+                taskset, seed=0, max_train_steps=10, engine="compiled"))
         for left, right in zip(expected, got):
             same = (left.fitness == right.fitness) or (
                 np.isnan(left.fitness) and np.isnan(right.fitness)

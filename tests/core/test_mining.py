@@ -193,14 +193,14 @@ class TestSessionPool:
 
             first = search("a")
             assert search("b") is first
-            # Another worker count or engine replaces the pool.
-            second = search("c", num_workers=3)
+            # The pool follows each dispatch's evaluator, so another
+            # engine keeps it; another worker count replaces it.
+            assert search("c", engine="interpreter") is first
+            second = search("d", num_workers=3)
             assert second is not first and first._closed
-            third = search("d", num_workers=3, engine="interpreter")
-            assert third is not second and second._closed
             # A serial search needs no pool and leaves the session's alone.
-            assert search("e", num_workers=1) is third
-        assert session._pool is None and third._closed
+            assert search("e", num_workers=1) is second
+        assert session._pool is None and second._closed
         assert multiprocessing.active_children() == []
         session.close()  # idempotent
 

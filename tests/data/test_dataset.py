@@ -105,16 +105,6 @@ class TestBuildTaskset:
     def test_warmup_excludes_early_days(self, small_taskset, small_panel):
         assert int(small_taskset.dates[0]) >= WARMUP_DAYS
 
-    def test_subset_tasks(self, small_taskset):
-        subset = small_taskset.subset_tasks(np.array([0, 2, 4]))
-        assert subset.num_tasks == 3
-        np.testing.assert_allclose(subset.labels[:, 1], small_taskset.labels[:, 2])
-        assert subset.taxonomy.num_stocks == 3
-
-    def test_subset_tasks_empty_rejected(self, small_taskset):
-        with pytest.raises(DataError):
-            small_taskset.subset_tasks(np.array([], dtype=int))
-
     def test_describe_contents(self, small_taskset):
         info = small_taskset.describe()
         assert info["num_tasks"] == small_taskset.num_tasks

@@ -70,8 +70,8 @@ class TestStudyPool:
             init(pool, *args, **kwargs)
 
         def recording_submit(pool, programs, **kwargs):
-            dispatches.append((kwargs.get("evaluator_seed"),
-                               kwargs.get("valid_returns")))
+            dispatches.append((kwargs["evaluator"].seed,
+                               kwargs.get("backtest_engine") is not None))
             return submit(pool, programs, **kwargs)
 
         monkeypatch.setattr(EvaluationPool, "__init__", counting_init)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import AlphaEvaluator, EvolutionConfig, domain_expert_alpha
 from repro.errors import ParallelError
+from repro.obs import TELEMETRY, telemetry_session
 from repro.parallel import (
     CheckpointManager,
     EvaluationPool,
@@ -34,15 +35,19 @@ def no_leaked_segments():
 class TestWorkerCrash:
     def test_sigkilled_batch_is_retried_bitwise_identical(self, small_taskset, dims):
         batch = _fuzz_batch(dims, seed=13)
-        with EvaluationPool(small_taskset, num_workers=2,
-                            max_train_steps=15, batch_size=3) as pool:
-            clean = pool.evaluate_detailed(batch, evaluator_seed=0)
+        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=15)
+        # Two workers cut the batch into two chunks: one is killed, the
+        # other may finish or be lost with the executor.
+        with EvaluationPool(small_taskset, num_workers=2) as pool:
+            with telemetry_session():
+                clean = pool.evaluate_detailed(batch, evaluator=evaluator)
+                assert TELEMETRY.counter("pool.batches").value == 2
             pool._inject_fault_once = "sigkill"
-            retried = pool.evaluate_detailed(batch, evaluator_seed=0)
+            retried = pool.evaluate_detailed(batch, evaluator=evaluator)
             assert pool.worker_restarts == 1
             assert pool.batches_retried >= 1
             # The pool stays usable after the rebuild.
-            again = pool.evaluate_detailed(batch[:2], evaluator_seed=0)
+            again = pool.evaluate_detailed(batch[:2], evaluator=evaluator)
         for left, right in zip(clean, retried):
             assert_reports_equal(left.report, right.report)
         for left, right in zip(clean[:2], again):
@@ -50,11 +55,12 @@ class TestWorkerCrash:
 
     def test_retry_budget_exhaustion_raises(self, small_taskset, dims):
         batch = _fuzz_batch(dims, seed=17)[:3]
+        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=15)
         with EvaluationPool(small_taskset, num_workers=1,
-                            max_train_steps=15, max_batch_retries=0) as pool:
+                            max_batch_retries=0) as pool:
             pool._inject_fault_once = "sigkill"
             with pytest.raises(ParallelError, match="giving up"):
-                pool.evaluate_detailed(batch, evaluator_seed=0)
+                pool.evaluate_detailed(batch, evaluator=evaluator)
 
     def test_worker_exception_inside_with_block_does_not_leak(
         self, small_taskset, dims
@@ -62,19 +68,20 @@ class TestWorkerCrash:
         """Regression: a batch that raises used to leave the pool's shared
         segment behind when the ``with`` block unwound."""
         batch = _fuzz_batch(dims, seed=19)[:3]
+        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=15)
         with pytest.raises(ParallelError, match="injected"):
-            with EvaluationPool(small_taskset, num_workers=2,
-                                max_train_steps=15) as pool:
+            with EvaluationPool(small_taskset, num_workers=2) as pool:
                 pool._inject_fault_once = "raise"
-                pool.evaluate_detailed(batch, evaluator_seed=0)
+                pool.evaluate_detailed(batch, evaluator=evaluator)
         assert shared_segment_names() == []
 
     def test_close_after_crash_unlinks(self, small_taskset, dims):
-        pool = EvaluationPool(small_taskset, num_workers=1,
-                              max_train_steps=15, max_batch_retries=0)
+        pool = EvaluationPool(small_taskset, num_workers=1, max_batch_retries=0)
         pool._inject_fault_once = "sigkill"
+        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=15)
         with pytest.raises(ParallelError):
-            pool.evaluate_detailed(_fuzz_batch(dims, seed=23)[:2], evaluator_seed=0)
+            pool.evaluate_detailed(_fuzz_batch(dims, seed=23)[:2],
+                                   evaluator=evaluator)
         pool.close()
         assert shared_segment_names() == []
 
@@ -100,8 +107,7 @@ def make_pooled_controller(taskset, dims, pool, *, checkpoint_path=None,
 
 
 def pool_for(taskset):
-    return EvaluationPool(taskset, num_workers=2,
-                          max_train_steps=15)
+    return EvaluationPool(taskset, num_workers=2)
 
 
 class TestKillAndResumeWithFaults:

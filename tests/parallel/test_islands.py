@@ -82,8 +82,7 @@ class TestIslandEvolution:
 
     def test_pool_does_not_change_results(self, small_taskset, dims):
         serial = make_controller(small_taskset, dims).run(domain_expert_alpha(dims))
-        with EvaluationPool(small_taskset, num_workers=2,
-                            max_train_steps=20) as pool:
+        with EvaluationPool(small_taskset, num_workers=2) as pool:
             pooled = make_controller(small_taskset, dims, pool=pool).run(
                 domain_expert_alpha(dims)
             )
@@ -117,8 +116,7 @@ class TestPopulationFill:
         """Four islands of 8: the root, then the fill (7 round-robin steps
         of 4 children, cut to the budget) reaches the pool as one dispatch,
         and every child keeps the candidate count of its step."""
-        with EvaluationPool(small_taskset, num_workers=2,
-                            max_train_steps=20) as pool:
+        with EvaluationPool(small_taskset, num_workers=2) as pool:
             dispatched = []
             submit = pool.submit_detailed
 

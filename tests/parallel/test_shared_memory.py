@@ -125,8 +125,7 @@ class TestSharedPanelStore:
     def test_worker_state_rejects_mismatched_spec(self, small_taskset):
         """A doctored PoolSpec must fail loudly with the named error, not
         compute on wrong data."""
-        with EvaluationPool(small_taskset, num_workers=1,
-                            max_train_steps=20) as pool:
+        with EvaluationPool(small_taskset, num_workers=1) as pool:
             bad_panel = dataclasses.replace(pool.spec.panel, signature="f" * 64)
             bad_spec = dataclasses.replace(pool.spec, panel=bad_panel)
             with pytest.raises(SharedPanelMismatchError):
@@ -238,14 +237,13 @@ class TestPublishedSpan:
             small_taskset, features=np.ascontiguousarray(small_taskset.features)
         )
         batch = _fuzz_batch(dims, seed=5)
-        expected = evaluate_program_batch(
-            AlphaEvaluator(taskset, seed=0, max_train_steps=15), batch
-        )
-        with EvaluationPool(taskset, num_workers=1, max_train_steps=15) as pool:
+        evaluator = AlphaEvaluator(taskset, seed=0, max_train_steps=15)
+        expected = evaluate_program_batch(evaluator, batch)
+        with EvaluationPool(taskset, num_workers=1) as pool:
             budget = (_span_bytes(taskset.features) + taskset.labels.nbytes
                       + pool.spec.panel.features_offset + 64)
             assert pool.shm_bytes <= budget
-            got = pool.evaluate(batch, evaluator_seed=0)
+            got = pool.evaluate(batch, evaluator=evaluator)
         for left, right in zip(got, expected):
             assert_reports_equal(left, right.report)
 
@@ -265,9 +263,7 @@ class TestFuzzedPoolParity:
                            engine=serial_engine)
         )
         expected = serial.score_batch(batch)
-        with EvaluationPool(small_taskset, num_workers=2,
-                            max_train_steps=15, engine=engine,
-                            batch_size=3) as pool:
+        with EvaluationPool(small_taskset, num_workers=2) as pool:
             pooled = CandidateScorer(
                 AlphaEvaluator(small_taskset, seed=0, max_train_steps=15,
                                engine=engine),
@@ -285,8 +281,7 @@ class TestFuzzedPoolParity:
             AlphaEvaluator(nan_taskset, seed=0, max_train_steps=15)
         )
         expected = serial.score_batch(batch)
-        with EvaluationPool(nan_taskset, num_workers=2,
-                            max_train_steps=15, batch_size=4) as pool:
+        with EvaluationPool(nan_taskset, num_workers=2) as pool:
             pooled = CandidateScorer(
                 AlphaEvaluator(nan_taskset, seed=0, max_train_steps=15),
                 pool=pool,
@@ -297,9 +292,10 @@ class TestFuzzedPoolParity:
 
     def test_duplicate_only_batch(self, small_taskset, dims):
         program = get_initialization("D", dims, seed=3)
-        with EvaluationPool(small_taskset, num_workers=2,
-                            max_train_steps=15, batch_size=2) as pool:
-            evaluations = pool.evaluate_detailed([program] * 5, evaluator_seed=0)
+        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=15)
+        with EvaluationPool(small_taskset, num_workers=2) as pool:
+            evaluations = pool.evaluate_detailed([program] * 5,
+                                                 evaluator=evaluator)
         first = evaluations[0].report
         for evaluation in evaluations[1:]:
             assert_reports_equal(evaluation.report, first)
@@ -310,8 +306,7 @@ class TestFuzzedPoolParity:
             AlphaEvaluator(small_taskset, seed=0, max_train_steps=15)
         )
         expected = serial.score_batch(batch)
-        with EvaluationPool(small_taskset, num_workers=2,
-                            max_train_steps=15) as pool:
+        with EvaluationPool(small_taskset, num_workers=2) as pool:
             pooled = CandidateScorer(
                 AlphaEvaluator(small_taskset, seed=0, max_train_steps=15),
                 pool=pool,

@@ -49,12 +49,11 @@ SCRIPT = textwrap.dedent("""
     batch = [get_initialization("NN", dims)]
     while len(batch) < 4:
         batch.append(mutator.mutate(batch[-1]))
-    pool = EvaluationPool(taskset, num_workers=1,
-                          max_train_steps=5, start_method=sys.argv[1])
-    pooled = pool.evaluate(batch, evaluator_seed=0)
+    serial = AlphaEvaluator(taskset, seed=0, max_train_steps=5)
+    pool = EvaluationPool(taskset, num_workers=1, start_method=sys.argv[1])
+    pooled = pool.evaluate(batch, evaluator=serial)
     name = pool.spec.panel.name
     pool.close()
-    serial = AlphaEvaluator(taskset, seed=0, max_train_steps=5)
     expected = [serial.evaluate(program).report for program in batch]
 
     def bits(report):
