@@ -46,7 +46,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -54,7 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from common import build_generation, build_programs, write_bench_json
+from common import build_generation, build_programs, spread, write_bench_json
 from repro.core import AlphaEvaluator, Dimensions
 from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset
 from repro.engine import FleetEngine, run_protocol
@@ -150,12 +149,6 @@ def bench_fleet(taskset, programs, repeats: int = 7) -> dict:
         "programs_per_second_fleet": round(len(programs) / fleet_best, 2),
         "speedup": round(loop_best / fleet_best, 2),
     }
-
-
-def spread(seconds: list[float]) -> dict:
-    """Median, min and max of one path's repeat timings."""
-    return {"median": round(statistics.median(seconds), 4),
-            "min": round(min(seconds), 4), "max": round(max(seconds), 4)}
 
 
 def bench_stacked_scaling(taskset, sizes=(8, 32, 128, 200),

@@ -9,20 +9,28 @@ benchmark turns both into gates:
   time-batched compiled, :class:`~repro.engine.fleet.FleetEngine`): every
   benchmarked program's valid/test panels are compared byte for byte with
   telemetry off vs on (non-zero exit on any divergence);
-* **disabled overhead < 5%** — the instrumented hot paths cost one boolean
-  test per stage while telemetry is off.  There is no un-instrumented
-  build to compare against, so the overhead is *defined* operationally:
-  disabled and enabled timing samples of the compiled full-evaluation
-  workload are interleaved (so machine drift hits both alike) and
+* **no recording while disabled** — the instrumented hot paths cost one
+  boolean test per stage while telemetry is off, so the four-path
+  workload must make *zero* calls to ``TELEMETRY.counter`` / ``gauge`` /
+  ``histogram`` / ``span`` with telemetry off (counted by wrapping the
+  four methods; non-zero exit otherwise).  The same workload with
+  telemetry on must make some, or the count proves nothing.
 
-      disabled_overhead_pct = (min(disabled) / min(all samples) - 1) * 100
+The disabled-path overhead is *reported*, not gated: a wall-clock bound
+on a shared runner failed on unchanged code (5.56%, 10.96% and 5.19%
+against a 5% bound), while the call count checks the same property
+deterministically.  There is no un-instrumented build to compare
+against, so the overhead is defined operationally: disabled and enabled
+timing samples of the compiled full-evaluation workload are interleaved
+(so machine drift hits both alike) and
 
-  Minima are the standard noise-floor estimator (scheduling jitter only
-  ever adds time), and since an enabled run does strictly more work,
-  ``min(all samples)`` is the tightest available proxy for the
-  un-instrumented baseline; the gate is ``< 5``.  ``enabled_overhead_pct``
-  (same definition over the enabled samples) is reported for context but
-  not gated — it includes the real cost of recording.
+    disabled_overhead_pct = (min(disabled) / min(all samples) - 1) * 100
+
+Minima are the standard noise-floor estimator (scheduling jitter only
+ever adds time), and since an enabled run does strictly more work,
+``min(all samples)`` is the tightest available proxy for the
+un-instrumented baseline.  ``enabled_overhead_pct`` (same definition over
+the enabled samples) includes the real cost of recording.
 
 Results are written to ``benchmarks/results/BENCH_obs.json`` (source of
 truth, with a root-level copy — see ``benchmarks/README.md``).
@@ -33,12 +41,13 @@ Run with::
                                    [--repeats R] [--smoke]
 
 ``--smoke`` shrinks the workload but keeps both gates — CI runs it as the
-telemetry-parity/overhead gate.
+telemetry parity and disabled-recording gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import sys
@@ -48,7 +57,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from common import build_programs, write_bench_json
+from common import build_programs, spread, write_bench_json
 from repro.core import AlphaEvaluator, Dimensions
 from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset
 from repro.engine import FleetEngine
@@ -56,6 +65,8 @@ from repro.obs import TELEMETRY, telemetry_session
 
 EVALUATOR_SEED = 0
 SPLITS = ("valid", "test")
+#: The ``TELEMETRY`` methods every recording goes through.
+INSTRUMENT_METHODS = ("counter", "gauge", "histogram", "span")
 
 
 def build_taskset_for(num_stocks: int):
@@ -103,11 +114,37 @@ def _panels_all_paths(taskset, programs) -> dict[str, bytes]:
     return panels
 
 
-def check_parity(taskset, programs) -> bool:
-    """The observational-parity gate: telemetry on/off, bitwise identical."""
+@contextlib.contextmanager
+def counting_instrument_calls():
+    """Count the calls of ``TELEMETRY``'s instrument methods in the block
+    (wrappers shadow the four methods on the instance, then go)."""
+    calls = dict.fromkeys(INSTRUMENT_METHODS, 0)
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in INSTRUMENT_METHODS:
+        setattr(TELEMETRY, name, counting(name, getattr(TELEMETRY, name)))
+    try:
+        yield calls
+    finally:
+        for name in INSTRUMENT_METHODS:
+            delattr(TELEMETRY, name)
+
+
+def check_parity(taskset, programs) -> tuple[bool, dict]:
+    """The observational-parity gate: telemetry on/off, bitwise identical.
+
+    Also returns the instrument calls each side made, the input of the
+    disabled-recording gate.
+    """
     TELEMETRY.disable()
-    disabled = _panels_all_paths(taskset, programs)
-    with telemetry_session():
+    with counting_instrument_calls() as disabled_calls:
+        disabled = _panels_all_paths(taskset, programs)
+    with telemetry_session(), counting_instrument_calls() as enabled_calls:
         enabled = _panels_all_paths(taskset, programs)
     parity = True
     for key, reference in disabled.items():
@@ -115,7 +152,7 @@ def check_parity(taskset, programs) -> bool:
             print(f"PARITY VIOLATION: {key} changed with telemetry enabled",
                   file=sys.stderr)
             parity = False
-    return parity
+    return parity, {"disabled": disabled_calls, "enabled": enabled_calls}
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +197,8 @@ def bench_overhead(taskset, programs, repeats: int = 7,
         "enabled_seconds": [round(s, 4) for s in enabled],
         "median_disabled_seconds": round(statistics.median(disabled), 4),
         "median_enabled_seconds": round(statistics.median(enabled), 4),
+        "disabled_spread_seconds": spread(disabled),
+        "enabled_spread_seconds": spread(enabled),
         "best_seconds": round(best, 4),
         "disabled_overhead_pct": round(
             (min(disabled) / best - 1.0) * 100.0, 2
@@ -176,7 +215,7 @@ def run_benchmark(num_programs: int = 18, num_stocks: int = 40,
     dims = Dimensions(taskset.num_features, taskset.window)
     programs = build_programs(dims, num_programs, max_mutations=6, rename=True)
 
-    parity = check_parity(taskset, programs)
+    parity, instrument_calls = check_parity(taskset, programs)
     overhead = bench_overhead(taskset, programs, repeats=repeats)
 
     return {
@@ -186,6 +225,7 @@ def run_benchmark(num_programs: int = 18, num_stocks: int = 40,
         "num_stocks": taskset.num_tasks,
         "train_days": taskset.split.train,
         "parity_telemetry_on_off": bool(parity),
+        "instrument_calls": instrument_calls,
         "overhead": overhead,
     }
 
@@ -200,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="interleaved disabled/enabled timing repeats")
     parser.add_argument("--smoke", action="store_true",
                         help="small workload; used as the CI telemetry "
-                             "parity/overhead gate")
+                             "parity and disabled-recording gate")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -217,16 +257,22 @@ def main(argv: list[str] | None = None) -> int:
         print("ERROR: enabling telemetry changed prediction bits",
               file=sys.stderr)
         return 1
-    overhead = payload["overhead"]["disabled_overhead_pct"]
-    if overhead >= 5.0:
-        print(f"ERROR: disabled-telemetry overhead {overhead}% >= 5% "
-              "(hot-path guards are supposed to cost one boolean test)",
+    calls = payload["instrument_calls"]
+    if any(calls["disabled"].values()):
+        print(f"ERROR: instrument calls with telemetry off {calls['disabled']} "
+              "(hot-path recording must sit behind TELEMETRY.enabled)",
               file=sys.stderr)
         return 1
+    if not any(calls["enabled"].values()):
+        print("ERROR: no instrument calls counted with telemetry on; the "
+              "count cannot show a missing guard", file=sys.stderr)
+        return 1
+    overhead = payload["overhead"]["disabled_overhead_pct"]
     if args.smoke:
         print("\ntelemetry smoke check passed "
               f"({payload['num_programs']} programs, 4 execution paths "
-              f"bitwise identical on/off, disabled overhead {overhead}%)")
+              "bitwise identical on/off, 0 instrument calls with telemetry "
+              f"off; disabled overhead {overhead}%, not gated)")
     return 0
 
 

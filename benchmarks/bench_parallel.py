@@ -14,11 +14,15 @@ records candidates/second for each side:
 
 The headline ``speedup_vs_serial`` is the best pool's throughput over the
 serial side's, on the laptop-scale market the mining workloads use.  The
-default work takes the serial side more than a second on a 2-CPU host, so
-dispatch overheads cannot hide in timer noise; each side reports its best
-of three timings, and pool start-up is primed outside the timing.
-``cpu_count`` is recorded: with one CPU every worker count time-slices the
-same core, so the pool cannot beat serial there.
+default work takes the serial side about a second on a 2-CPU host, so
+dispatch overheads cannot hide in timer noise.  One timing still swings
+by tens of percent on a shared host, so at every worker count serial and
+pooled runs alternate for ``repeats`` rounds (drift hits both sides
+alike), each path records the median, min and max of its timings, and
+every ratio is taken between medians: a worker count's speedup against
+the serial runs interleaved with it.  Pool start-up is primed outside the
+timing.  ``cpu_count`` is recorded: with one CPU every worker count
+time-slices the same core, so the pool cannot beat serial there.
 
 The run also enforces the subsystem's correctness contracts:
 
@@ -51,6 +55,7 @@ import contextlib
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -64,7 +69,7 @@ from numpy.lib.array_utils import byte_bounds
 import repro.compile.compiler
 import repro.engine.backends
 import repro.engine.fleet
-from common import build_programs, reports_identical, write_bench_json
+from common import build_programs, reports_identical, spread, write_bench_json
 from repro.compile import compile_program
 from repro.core import AlphaEvaluator, Dimensions
 from repro.engine import evaluate_program_batch, stack_partition
@@ -73,14 +78,11 @@ from repro.obs import TELEMETRY, telemetry_session
 from repro.parallel import EvaluationPool, shared_segment_names
 
 
-def best_time(run, repeats: int) -> tuple[float, object]:
-    """The fastest of ``repeats`` calls of ``run`` and its last result."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def timed(run) -> tuple[float, object]:
+    """The wall-clock seconds of one call of ``run`` and its result."""
+    start = time.perf_counter()
+    result = run()
+    return time.perf_counter() - start, result
 
 
 @contextlib.contextmanager
@@ -108,8 +110,9 @@ def counting_parent_compiles():
 
 def run_benchmark(num_programs: int = 400,
                   worker_counts: tuple[int, ...] = (1, 2, 4),
-                  repeats: int = 3) -> dict:
-    """Time the fixed program list serially and at every worker count."""
+                  repeats: int = 5) -> dict:
+    """Time the fixed program list serially and at every worker count,
+    alternating the two for ``repeats`` rounds per worker count."""
     leaked_before = shared_segment_names()
     taskset = make_taskset(LAPTOP, use_cache=False)
     dims = Dimensions(taskset.num_features, taskset.window)
@@ -118,13 +121,15 @@ def run_benchmark(num_programs: int = 400,
 
     evaluator = AlphaEvaluator(taskset, seed=0,
                                max_train_steps=LAPTOP.max_train_steps)
-    serial_seconds, serial_results = best_time(
-        lambda: evaluate_program_batch(evaluator, programs), repeats
-    )
-    serial_reports = [result.report for result in serial_results]
-    serial_rate = len(programs) / serial_seconds
-    print(f"serial: {serial_seconds:.2f}s ({serial_rate:.2f} candidates/s)")
 
+    def serial():
+        return evaluate_program_batch(evaluator, programs)
+
+    # One untimed serial pass: the parity reference, and a warm start for
+    # the timed serial runs.
+    serial_reports = [result.report for result in serial()]
+
+    serial_seconds: list[float] = []
     workers_payload: dict[str, dict] = {}
     parent_compile_calls = 0
     chunks_per_dispatch: dict[str, int] = {}
@@ -142,12 +147,24 @@ def run_benchmark(num_programs: int = 400,
             # Prime the pool so worker start-up cost is not billed to the
             # steady-state throughput measurement.
             pool.evaluate(programs[:num_workers], evaluator=evaluator)
-            with counting_parent_compiles() as compiles:
-                seconds, reports = best_time(
-                    lambda: pool.evaluate(programs, evaluator=evaluator),
-                    repeats,
+            paired_serial: list[float] = []
+            pooled: list[float] = []
+            for _ in range(repeats):
+                # The serial side compiles in this process, so it runs
+                # outside the parent-compile count.
+                paired_serial.append(timed(serial)[0])
+                with counting_parent_compiles() as compiles:
+                    seconds, reports = timed(
+                        lambda: pool.evaluate(programs, evaluator=evaluator)
+                    )
+                pooled.append(seconds)
+                parent_compile_calls += len(compiles)
+                bitwise_identical &= all(
+                    reports_identical(got, want)
+                    for got, want in zip(reports, serial_reports)
                 )
-                # One untimed dispatch with telemetry on counts its chunks.
+            # One untimed dispatch with telemetry on counts its chunks.
+            with counting_parent_compiles() as compiles:
                 with telemetry_session():
                     checked = pool.evaluate(programs, evaluator=evaluator)
                     chunks = TELEMETRY.counter("pool.batches").value
@@ -155,19 +172,29 @@ def run_benchmark(num_programs: int = 400,
             chunks_per_dispatch[str(num_workers)] = chunks
         bitwise_identical &= all(
             reports_identical(got, want)
-            for pooled in (reports, checked)
-            for got, want in zip(pooled, serial_reports)
+            for got, want in zip(checked, serial_reports)
         )
-        rate = len(programs) / seconds
+        serial_seconds += paired_serial
+        median = statistics.median(pooled)
+        rate = len(programs) / median
         workers_payload[str(num_workers)] = {
-            "seconds": round(seconds, 4),
+            "seconds": round(median, 4),
             "candidates_per_second": round(rate, 3),
+            "spread_seconds": spread(pooled),
+            "interleaved_serial_spread_seconds": spread(paired_serial),
+            "speedup_vs_serial": round(
+                statistics.median(paired_serial) / median, 3
+            ),
         }
-        print(f"workers={num_workers}: {seconds:.2f}s ({rate:.2f} candidates/s)")
+        print(f"workers={num_workers}: median {median:.2f}s "
+              f"({rate:.2f} candidates/s), serial median "
+              f"{statistics.median(paired_serial):.2f}s")
 
+    serial_median = statistics.median(serial_seconds)
+    serial_rate = len(programs) / serial_median
     best = max(
         workers_payload,
-        key=lambda count: workers_payload[count]["candidates_per_second"],
+        key=lambda count: workers_payload[count]["speedup_vs_serial"],
     )
     return {
         "benchmark": "pooled vs serial candidate evaluation",
@@ -184,15 +211,14 @@ def run_benchmark(num_programs: int = 400,
         "stack_signature_groups": len(stack_groups),
         "serial_baseline": {
             "path": "evaluate_program_batch (stacked fleet, in process)",
-            "seconds": round(serial_seconds, 4),
+            "seconds": round(serial_median, 4),
             "candidates_per_second": round(serial_rate, 3),
+            "spread_seconds": spread(serial_seconds),
         },
         "workers": workers_payload,
         "parent_compile_calls": parent_compile_calls,
         "chunks_per_dispatch": chunks_per_dispatch,
-        "speedup_vs_serial": round(
-            workers_payload[best]["candidates_per_second"] / serial_rate, 3
-        ),
+        "speedup_vs_serial": workers_payload[best]["speedup_vs_serial"],
         "speedup_workers": int(best),
         "bitwise_identical_to_serial": bitwise_identical,
         "no_leaked_segments": shared_segment_names() == leaked_before,

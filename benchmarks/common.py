@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ __all__ = [
     "build_programs",
     "report",
     "reports_identical",
+    "spread",
     "telemetry_block",
     "write_bench_json",
 ]
@@ -138,6 +140,12 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Repository root; ``BENCH_*.json`` copies land here for discoverability.
 REPO_ROOT = RESULTS_DIR.parent.parent
+
+
+def spread(seconds: list[float]) -> dict:
+    """Median, min and max of one path's timings."""
+    return {"median": round(statistics.median(seconds), 4),
+            "min": round(min(seconds), 4), "max": round(max(seconds), 4)}
 
 
 def telemetry_block() -> dict:

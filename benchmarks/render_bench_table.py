@@ -153,11 +153,14 @@ def _render_obs(payload: dict) -> list[Row]:
     if "disabled_overhead_pct" not in overhead:
         return []
     return [(
-        "telemetry overhead (disabled / enabled) on compiled full evaluation",
+        "telemetry overhead (disabled / enabled, reported, not gated) on "
+        "compiled full evaluation",
         f"{overhead['disabled_overhead_pct']}% / "
         f"{overhead['enabled_overhead_pct']}%",
         f"`bench_obs.py`, {payload['num_programs']} programs, "
-        "on/off bitwise parity across 4 execution paths",
+        "on/off bitwise parity across 4 execution paths, "
+        f"{sum(payload['instrument_calls']['disabled'].values())} "
+        "instrument calls with telemetry off",
     )]
 
 

@@ -12,8 +12,7 @@ Two pipelines share the IR and the passes:
   elimination, then render.  The rendering names values by position instead
   of by operand address, so programs that differ only in operand order of
   commutative operations, in duplicated subexpressions, in folded constants
-  or in intermediate register naming all share one key — strictly more
-  collisions (never fewer) than the historical render-based fingerprint.
+  or in intermediate register naming all share one key.
 """
 
 from __future__ import annotations

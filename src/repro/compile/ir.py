@@ -45,11 +45,6 @@ class IRValue:
     #: for instruction results.
     operand: Operand | None = None
 
-    @property
-    def is_input(self) -> bool:
-        """Whether this value is a component input (entry operand content)."""
-        return self.operand is not None
-
 
 @dataclass(frozen=True)
 class IRInstruction:
@@ -87,10 +82,6 @@ class IRComponent:
     #: Operand → final value id for every operand written by the component.
     exports: dict[Operand, int] = field(default_factory=dict)
 
-    def written_operands(self) -> set[Operand]:
-        """Operands this component writes (the export keys)."""
-        return set(self.exports)
-
 
 @dataclass
 class IRProgram:
@@ -110,13 +101,14 @@ class IRProgram:
         return self.components[name]
 
     # ------------------------------------------------------------------
-    def render(self) -> str:
+    def render(self, mask_params: bool = False) -> str:
         """Human-readable SSA listing (also the canonical-key substrate).
 
         Instruction results are numbered per component in listing order and
         component inputs are shown by operand name, so the rendering is
         independent of the intermediate operand addresses the original
-        program happened to use.
+        program happened to use.  ``mask_params`` prints every parameter
+        value as ``*`` (the stack signature's view).
         """
         lines: list[str] = []
         for name in COMPONENTS:
@@ -134,7 +126,8 @@ class IRProgram:
                 names[instr.result] = f"%{index}"
                 args = ", ".join(names.get(vid, f"?{vid}") for vid in instr.inputs)
                 rendered_params = "; " + ", ".join(
-                    f"{key}={value!r}" for key, value in sorted(instr.params)
+                    f"{key}={'*' if mask_params else repr(value)}"
+                    for key, value in sorted(instr.params)
                 ) if instr.params else ""
                 lines.append(f"  %{index} = {instr.op}({args}{rendered_params})")
             if component.exports:
@@ -146,11 +139,6 @@ class IRProgram:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    def replace_instruction(self, component: str, index: int,
-                            instruction: IRInstruction) -> None:
-        """Swap one instruction in place (used by the optimiser passes)."""
-        self.components[component].instructions[index] = instruction
-
     def copy(self) -> "IRProgram":
         """A structural copy (instructions are immutable, containers are not)."""
         return IRProgram(

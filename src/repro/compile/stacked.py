@@ -71,7 +71,6 @@ import numpy as np
 
 from ..core.memory import INPUT_MATRIX, LABEL, Operand, OperandType, PREDICTION
 from ..core.ops import CLIP_VALUE
-from ..core.program import COMPONENTS
 from ..errors import ExecutionError
 from .compiler import CompiledProgram
 from .executor import (
@@ -103,33 +102,7 @@ def stack_signature(compiled: CompiledProgram) -> str:
     and static-predict eligibility are pure functions of this structure, so
     they always agree within a group.
     """
-    ir = compiled.ir
-    lines: list[str] = []
-    for name in COMPONENTS:
-        component = ir.components[name]
-        lines.append(f"{name}:")
-        names: dict[int, str] = {
-            vid: operand.name for operand, vid in component.inputs.items()
-        }
-        if component.inputs:
-            declared = ", ".join(
-                operand.name for operand in sorted(component.inputs)
-            )
-            lines.append(f"  in {declared}")
-        for index, instr in enumerate(component.instructions):
-            names[instr.result] = f"%{index}"
-            args = ", ".join(names.get(vid, f"?{vid}") for vid in instr.inputs)
-            masked = "; " + ", ".join(
-                f"{key}=*" for key, _ in sorted(instr.params)
-            ) if instr.params else ""
-            lines.append(f"  %{index} = {instr.op}({args}{masked})")
-        if component.exports:
-            exported = ", ".join(
-                f"{operand.name}={names.get(vid, f'?{vid}')}"
-                for operand, vid in sorted(component.exports.items())
-            )
-            lines.append(f"  out {exported}")
-    return "\n".join(lines)
+    return compiled.ir.render(mask_params=True)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -92,14 +92,6 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``count`` independent child generators."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
 @dataclass(frozen=True)
 class AddressSpace:
     """Sizes of the scalar / vector / matrix operand address spaces.

@@ -6,8 +6,7 @@ a fitness — and delegates all *execution* to the unified engine layer
 (:mod:`repro.engine`):
 
 * the train/inference label-reveal protocol is implemented exactly once, in
-  :mod:`repro.engine.protocol` (this module historically held two copies of
-  that day-loop; both are gone);
+  :mod:`repro.engine.protocol`;
 * the execution backend is selected by name — ``"interpreter"`` for the
   reference per-operation loop, ``"compiled"`` for the flat-tape pipeline
   of :mod:`repro.compile` — via :func:`repro.engine.make_backend`;
@@ -63,6 +62,10 @@ class EvaluationResult:
 
 class AlphaEvaluator:
     """Executes and scores alpha programs on a :class:`TaskSet`.
+
+    The evaluator is the one owner of its evaluation settings: the fleets,
+    servers, serving executors and pool workers built from it read them
+    (:attr:`settings`, :meth:`make_backend`) and no call overrides them.
 
     Parameters
     ----------
@@ -207,7 +210,6 @@ class AlphaEvaluator:
         self,
         program: AlphaProgram,
         splits: tuple[str, ...] = ("valid", "test"),
-        use_update: bool | None = None,
     ) -> dict[str, np.ndarray]:
         """Train the alpha and return its predictions on the requested splits.
 
@@ -220,7 +222,6 @@ class AlphaEvaluator:
         # Imported lazily: repro.engine builds on repro.core submodules.
         from ..engine import run_protocol
 
-        use_update = self.use_update if use_update is None else use_update
         # Validation happens inside the backend constructor (every backend
         # validates against this evaluator's address space).
         panels = run_protocol(
@@ -228,7 +229,7 @@ class AlphaEvaluator:
             self.taskset,
             splits=splits,
             day_indices=self.train_day_indices(),
-            use_update=use_update,
+            use_update=self.use_update,
             time_batched=self.time_batched,
         )
         return {split: panel[:, 0] for split, panel in panels.items()}
@@ -270,11 +271,7 @@ class AlphaEvaluator:
             is_valid=True,
         )
 
-    def evaluate(
-        self,
-        program: AlphaProgram,
-        use_update: bool | None = None,
-    ) -> EvaluationResult:
+    def evaluate(self, program: AlphaProgram) -> EvaluationResult:
         """Train and score ``program``; never raises on numerical failures.
 
         Structural failures (invalid operands, disallowed operators) do raise
@@ -286,5 +283,5 @@ class AlphaEvaluator:
         Only the validation split runs: fitness reads nothing else.  For a
         program's test-split predictions call :meth:`run`.
         """
-        predictions = self.run(program, splits=("valid",), use_update=use_update)
+        predictions = self.run(program, splits=("valid",))
         return self.score(program, predictions)

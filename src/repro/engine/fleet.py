@@ -56,7 +56,7 @@ from ..core.program import AlphaProgram
 from ..core.pruning import prune_program
 from ..errors import StreamError
 from ..obs import TELEMETRY
-from .backends import make_backend, resolve_engine
+from .backends import make_backend
 from .incremental import IncrementalExecutor
 from .protocol import run_protocol
 # Not called here: kept so the outside-in tracer of perfbench/tracing.py,
@@ -134,12 +134,12 @@ class FleetEngine:
     Parameters
     ----------
     evaluator:
-        The paired :class:`~repro.core.interpreter.AlphaEvaluator`: source
-        of the task set, the execution contexts, the training-day subsample
-        and the scoring — which is what keeps fleet results bitwise
-        identical to per-program evaluation.
-    engine:
-        Backend selection for every member (defaults to the evaluator's).
+        The paired :class:`~repro.core.interpreter.AlphaEvaluator` and the
+        one owner of the fleet's evaluation settings: the task set, the
+        execution contexts, the engine, the training-day subsample,
+        ``use_update``, ``time_batched`` and the scoring all come from it,
+        which is what keeps fleet results bitwise identical to
+        per-program evaluation.
     dedup:
         Whether members are canonically fingerprinted and deduplicated.
         The scorer disables this: its cache layer already decides which
@@ -147,12 +147,8 @@ class FleetEngine:
         must not dedup behind its back.
     """
 
-    def __init__(self, evaluator, engine: str | None = None,
-                 dedup: bool = True) -> None:
+    def __init__(self, evaluator, dedup: bool = True) -> None:
         self.evaluator = evaluator
-        self.engine_name = resolve_engine(
-            engine if engine is not None else getattr(evaluator, "engine", None)
-        )
         self.dedup = bool(dedup)
         self.members: list[FleetMember] = []
         self._by_name: dict[str, str] = {}
@@ -171,38 +167,6 @@ class FleetEngine:
         self._warmed = False
         self._stack_group_count: int | None = None
         self._reported_kernel_calls = 0
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_backend(
-        cls,
-        backend,
-        programs=(),
-        split=None,
-        seed: int | None = 0,
-        max_train_steps: int | None = None,
-        engine: str | None = None,
-        dedup: bool = True,
-    ) -> "FleetEngine":
-        """Build a fleet straight from a :class:`~repro.data.DataBackend`.
-
-        Loads the backend's panel, builds the task set (optionally under an
-        explicit ``split``) and the paired evaluator, and registers
-        ``programs`` — the shortest path from *any* data source (synthetic,
-        file-backed, resampled) to a runnable fleet.  Execution contexts
-        are therefore built from the backend's data, never hand-assembled.
-        """
-        # Imported lazily: repro.core.interpreter imports this package.
-        from ..core.interpreter import AlphaEvaluator
-
-        taskset = backend.build_taskset(split=split)
-        evaluator = AlphaEvaluator(
-            taskset, seed=seed, max_train_steps=max_train_steps, engine=engine
-        )
-        fleet = cls(evaluator, engine=engine, dedup=dedup)
-        for program in programs:
-            fleet.add(program)
-        return fleet
 
     # ------------------------------------------------------------------
     @property
@@ -249,7 +213,7 @@ class FleetEngine:
         the registered programs, so it is valid before and after
         warm-start.
         """
-        if self.engine_name != "compiled" or not self._programs:
+        if self.evaluator.engine != "compiled" or not self._programs:
             return 0
         if self._stack_group_count is None:
             self._stack_group_count = sum(
@@ -324,10 +288,10 @@ class FleetEngine:
         Each group's tape is bound only when the caller asks for it, so an
         offline :meth:`run` holds one group's tape at a time.
         """
-        if self.engine_name != "compiled":
+        if self.evaluator.engine != "compiled":
             for key, program in self._programs.items():
                 yield [key], make_backend(
-                    program, ctx, engine=self.engine_name,
+                    program, ctx, engine=self.evaluator.engine,
                     address_space=self.evaluator.address_space,
                 )
             return
@@ -348,10 +312,7 @@ class FleetEngine:
     # Offline: one-shot batch evaluation over a shared data pass
     # ------------------------------------------------------------------
     def run(
-        self,
-        splits: tuple[str, ...] = ("valid", "test"),
-        use_update: bool | None = None,
-        time_batched: bool | None = None,
+        self, splits: tuple[str, ...] = ("valid", "test"),
     ) -> dict[str, dict[str, np.ndarray]]:
         """Run the full protocol for every member; name → split → ``(D, K)``.
 
@@ -360,13 +321,10 @@ class FleetEngine:
         independent of any serving state), its ``(D, P, K)`` panels are
         scattered back to the member keys, and deduplicated names
         reference the representative's prediction panels — bitwise
-        identical to the per-program path.  ``use_update`` and
-        ``time_batched`` default to the paired evaluator's settings.
+        identical to the paired evaluator's
+        :meth:`~repro.core.interpreter.AlphaEvaluator.run`.
         """
         evaluator = self.evaluator
-        use_update = evaluator.use_update if use_update is None else use_update
-        if time_batched is None:
-            time_batched = getattr(evaluator, "time_batched", True)
         ctx = evaluator.make_context()
         day_indices = evaluator.train_day_indices()
         by_key: dict[str, dict[str, np.ndarray]] = {}
@@ -376,8 +334,8 @@ class FleetEngine:
                 self.taskset,
                 splits=splits,
                 day_indices=day_indices,
-                use_update=use_update,
-                time_batched=time_batched,
+                use_update=evaluator.use_update,
+                time_batched=evaluator.time_batched,
             )
             if TELEMETRY.enabled and len(keys) >= 2:
                 TELEMETRY.counter("engine.fleet.stacked_kernel_calls").inc(
@@ -392,11 +350,7 @@ class FleetEngine:
             del backend
         return {member.name: by_key[member.key] for member in self.members}
 
-    def evaluate(
-        self,
-        use_update: bool | None = None,
-        time_batched: bool | None = None,
-    ) -> dict[str, "EvaluationResult"]:  # noqa: F821 - documented type
+    def evaluate(self) -> dict[str, "EvaluationResult"]:  # noqa: F821 - documented type
         """Score every member; name → :class:`~repro.core.interpreter.EvaluationResult`.
 
         Like the evaluator's own :meth:`~repro.core.interpreter.AlphaEvaluator.evaluate`,
@@ -405,8 +359,7 @@ class FleetEngine:
         bit.
         """
         evaluator = self.evaluator
-        runs = self.run(splits=("valid",), use_update=use_update,
-                        time_batched=time_batched)
+        runs = self.run(splits=("valid",))
         # Each result is attributed to the program registered under that
         # name, not the deduplicated representative it executed through.
         return {
@@ -423,7 +376,7 @@ class FleetEngine:
         if self._ctx is None:
             self._ctx = self.evaluator.make_context()
         for keys, backend in self._bind_groups(self._ctx):
-            executor = IncrementalExecutor(backend=backend)
+            executor = IncrementalExecutor(backend)
             self._units.append((keys, executor))
             self._executors.update(dict.fromkeys(keys, executor))
 
@@ -439,12 +392,12 @@ class FleetEngine:
         if delta:
             TELEMETRY.counter("engine.fleet.stacked_kernel_calls").inc(delta)
 
-    def warm_start(self, use_update: bool | None = None) -> None:
+    def warm_start(self) -> None:
         """Set up and train every unique backend over the training split.
 
         Replays exactly the evaluator's training stage — same gathered
-        bars, same ``max_train_steps`` day subsample, same label-reveal
-        ordering (via the shared
+        bars, same ``max_train_steps`` day subsample, same ``use_update``,
+        same label-reveal ordering (via the shared
         :func:`repro.engine.protocol.training_pass`) — once per signature
         group, every lane advancing in lock-step through the same day loop.
         """
@@ -453,14 +406,14 @@ class FleetEngine:
         if not self._programs:
             raise StreamError("no members registered; nothing to warm-start")
         evaluator = self.evaluator
-        use_update = evaluator.use_update if use_update is None else use_update
         self._ensure_executors()
         # The visited training days, gathered once per task set.
         features, labels = self.taskset.gather(
             "train", evaluator.train_day_indices()
         )
         for _, executor in self._units:
-            executor.warm_start(features, labels, use_update=use_update)
+            executor.warm_start(features, labels,
+                                use_update=evaluator.use_update)
         self._drain_stacked_kernel_calls()
         self._warmed = True
 

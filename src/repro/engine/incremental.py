@@ -41,11 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import AddressSpace, DEFAULT_ADDRESS_SPACE
-from ..core.ops import ExecutionContext
-from ..core.program import AlphaProgram
 from ..errors import StreamError
-from .backends import ExecutionEngine, make_backend
+from .backends import ExecutionEngine
 from .protocol import training_pass
 from .replay import (
     CorrectionResult, SnapshotRing, replay_correction, snapshot_depth_for,
@@ -59,44 +56,18 @@ class IncrementalExecutor:
 
     Parameters
     ----------
-    program:
-        The alpha to serve on a one-lane backend built here (unused when
-        ``backend`` is given).
-    ctx:
-        The evaluation context to bind that backend to.  For parity with an
-        offline :class:`~repro.core.interpreter.AlphaEvaluator`, build it
-        with :meth:`~repro.core.interpreter.AlphaEvaluator.make_context` of
-        an evaluator constructed with the same seed.
-    address_space:
-        Operand address-space sizes used for program validation.
-    engine:
-        Backend selection (see :data:`repro.engine.ENGINES`).  Suspend,
-        resume and snapshot-based corrections need a backend with a tape
-        protocol (the compiled one).
     backend:
-        A pre-built backend of any lane count to drive instead — how
-        :class:`~repro.engine.fleet.FleetEngine` serves a signature group
-        on one tape over a shared
-        :class:`~repro.core.ops.ExecutionContext`.
+        The backend to drive, of any lane count:
+        :meth:`~repro.core.interpreter.AlphaEvaluator.make_backend` builds
+        one program's (bitwise identical to that evaluator's offline path),
+        and :class:`~repro.engine.fleet.FleetEngine` passes a signature
+        group's tape over its shared
+        :class:`~repro.core.ops.ExecutionContext`.  Suspend, resume and
+        snapshot-based corrections need a backend with a tape protocol
+        (the compiled one).
     """
 
-    def __init__(
-        self,
-        program: AlphaProgram | None = None,
-        ctx: ExecutionContext | None = None,
-        address_space: AddressSpace = DEFAULT_ADDRESS_SPACE,
-        engine: str = "compiled",
-        backend: ExecutionEngine | None = None,
-    ) -> None:
-        if backend is None:
-            if program is None or ctx is None:
-                raise StreamError(
-                    "a program and an execution context are required to "
-                    "build the backend"
-                )
-            backend = make_backend(
-                program, ctx, engine=engine, address_space=address_space
-            )
+    def __init__(self, backend: ExecutionEngine) -> None:
         self.executor = backend
         #: Inference days served since the warm start.
         self.days_served = 0

@@ -80,6 +80,8 @@ class _NullSpan:
     """The shared no-op context manager returned while tracing is off."""
 
     __slots__ = ()
+    #: An untraced region records no time.
+    seconds = 0.0
 
     def __enter__(self) -> "_NullSpan":
         return self

@@ -173,17 +173,22 @@ class IslandEvolutionController:
         fitness reports (the seed streams advance across calls, as
         independent restarts should).
         """
-        with TELEMETRY.span("search.run"):
+        with TELEMETRY.span("search.run") as span:
             result = self._run(initial_program, resume)
         if TELEMETRY.enabled:
-            stats = result.cache_stats
-            if stats.searched:
+            # Run-level gauges over every search of the telemetry session,
+            # from counters that accumulate across searches.
+            run_seconds = TELEMETRY.histogram("search.run_seconds")
+            run_seconds.observe(span.seconds)
+            candidates = TELEMETRY.counter("search.candidates").value
+            if candidates:
+                evaluations = TELEMETRY.counter("search.evaluations").value
                 TELEMETRY.gauge("search.cache_hit_rate").set(
-                    stats.skipped / stats.searched
+                    1.0 - evaluations / candidates
                 )
-            if result.elapsed_seconds > 0:
+            if run_seconds.total > 0:
                 TELEMETRY.gauge("search.candidates_per_second").set(
-                    result.candidates_generated / result.elapsed_seconds
+                    candidates / run_seconds.total
                 )
         return result
 

@@ -43,7 +43,7 @@ from .driver import (
     ServedAlphaRow,
     run_serve,
 )
-from .server import AlphaServer, CorrectionRecord, Registration, ServerState
+from .server import AlphaServer, CorrectionRecord, ServerState
 from .state import load_state, save_state
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "BarCorrection",
     "CorrectionRecord",
     "OnlineBacktestDriver",
-    "Registration",
     "ServeReport",
     "ServedAlphaRow",
     "ServerState",

@@ -165,8 +165,9 @@ class OnlineBacktestDriver:
     programs / names:
         The fleet to serve; ``names`` defaults to each program's own name.
     seed / max_train_steps / use_update:
-        Evaluator settings, shared by the server and the offline reference
-        path so the parity assertion is meaningful.
+        Settings of the server's evaluator (:meth:`build_server`).  Every
+        offline reference reads them back from that evaluator, so the
+        parity assertion compares like with like.
     long_k / short_k:
         Long-short book sizes for the backtest.
     """
@@ -307,27 +308,18 @@ class OnlineBacktestDriver:
                 "days_served": record.days_served,
             })
         # Offline reference over the *corrected* history: a fresh evaluator
-        # on the patched task set, forced onto the server's base seed so the
-        # comparison is meaningful even for Generator/None driver seeds.
+        # on the patched task set under the server's evaluator settings,
+        # forced onto the server's base seed so the comparison is
+        # meaningful even for Generator/None driver seeds.
         patched = dataclasses.replace(
             taskset, features=features, labels=labels
         )
-        reference = AlphaEvaluator(
-            patched,
-            seed=self.seed,
-            max_train_steps=self.max_train_steps,
-            use_update=self.use_update,
-            engine="compiled",
-        )
+        reference = AlphaEvaluator(patched, **server.evaluator.settings)
         reference._base_seed = server.base_seed
         batch_by_key: dict[str, dict[str, np.ndarray]] = {}
-        key_by_name = {
-            registration.name: registration.key
-            for registration in server.registrations
-        }
         violations: list[str] = []
         for program, name in zip(self.programs, self.names):
-            key = key_by_name[name]
+            key = server.fleet.key_of(name)
             batch = batch_by_key.get(key)
             if batch is None:
                 batch = reference.run(program, splits=_STREAM_SPLITS)

@@ -41,8 +41,11 @@ server retains the full served-bar history as the replay source of truth;
 corrections patch it in place, are logged
 (:class:`CorrectionRecord`), and survive suspend/resume.
 
-The class keeps its historical public signature; registration, warm-start
-and fan-out now delegate to the engine layer.
+Each serving fact has one owner: the server's evaluator holds the task
+set and the evaluation settings (seed, ``max_train_steps``,
+``use_update``) and the fleet holds the registrations; the server keeps
+what serving adds — the served-bar history and day count, the correction
+log and the bar latencies.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from ..engine.fleet import FleetEngine, FleetMember
 from ..errors import StreamError
 from ..obs import TELEMETRY, Histogram
 
-__all__ = ["CorrectionRecord", "Registration", "ServerState", "AlphaServer"]
+__all__ = ["CorrectionRecord", "ServerState", "AlphaServer"]
 
 #: Bumped whenever the server-state layout changes incompatibly.
 #: v2: served-bar history, the correction log and the delta-replay
@@ -106,16 +109,6 @@ def _append_row(buffer: np.ndarray | None, length: int,
         buffer = grown
     buffer[length] = row
     return buffer
-
-
-@dataclass(frozen=True)
-class Registration(FleetMember):
-    """One registered alpha name and where its predictions come from.
-
-    The server's public name for the engine layer's
-    :class:`~repro.engine.fleet.FleetMember` (same fields: ``name``, the
-    canonical-IR ``key``, ``deduplicated``, ``redundant``).
-    """
 
 
 @dataclass(frozen=True)
@@ -175,11 +168,10 @@ class AlphaServer:
         The task set whose feature pipeline and training history back the
         fleet; serving parity is defined against an
         :class:`~repro.core.interpreter.AlphaEvaluator` over this task set.
-    seed:
-        Evaluator seed; a server and an offline evaluator built with equal
-        seeds (and settings) produce bitwise-identical predictions.
-    max_train_steps / use_update:
-        Training-stage knobs, mirrored from the evaluator.
+    seed / max_train_steps / use_update:
+        Settings of the server's compiled-engine :attr:`evaluator`, the one
+        copy every serving path reads; a server and an offline evaluator
+        built with equal settings produce bitwise-identical predictions.
     """
 
     def __init__(
@@ -189,10 +181,9 @@ class AlphaServer:
         max_train_steps: int | None = None,
         use_update: bool = True,
     ) -> None:
-        self.taskset = taskset
-        self.use_update = use_update
-        #: The paired offline evaluator: source of the execution contexts,
-        #: the training-day subsample and the parity reference.
+        #: The paired offline evaluator: owner of the evaluation settings,
+        #: source of the execution contexts, the training-day subsample and
+        #: the parity reference.
         self.evaluator = AlphaEvaluator(
             taskset,
             seed=seed,
@@ -202,9 +193,9 @@ class AlphaServer:
         )
         self._data_key = taskset_fingerprint(taskset)
         #: The engine-layer fleet behind registration, warm-start and
-        #: per-bar fan-out (one shared context, canonical dedup).
+        #: per-bar fan-out (one shared context, canonical dedup), and the
+        #: one copy of the registrations.
         self.fleet = FleetEngine(self.evaluator)
-        self.registrations: list[Registration] = []
         self.days_served = 0
         #: Served-bar history — the delta-replay source of truth.  Stored in
         #: contiguous buffers grown geometrically (``(capacity, K, f, w)`` /
@@ -225,38 +216,26 @@ class AlphaServer:
         )
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_backend(
-        cls,
-        backend,
-        split=None,
-        seed: int | np.random.Generator | None = 0,
-        max_train_steps: int | None = None,
-        use_update: bool = True,
-    ) -> "AlphaServer":
-        """Build a server straight from a :class:`~repro.data.DataBackend`.
+    @property
+    def taskset(self) -> TaskSet:
+        """The task set the fleet serves (the evaluator's)."""
+        return self.evaluator.taskset
 
-        Loads the backend's panel and builds the task set the server warms
-        over — so a serving process can warm-start from the synthetic
-        simulator, a directory of OHLCV files, or a resampled view of
-        either, without touching the construction code.
-        """
-        taskset = backend.build_taskset(split=split)
-        return cls(
-            taskset, seed=seed, max_train_steps=max_train_steps,
-            use_update=use_update,
-        )
-
-    # ------------------------------------------------------------------
     @property
     def base_seed(self) -> int:
         """The derived seed shared with the paired offline evaluator."""
         return self.evaluator.base_seed
 
     @property
+    def registrations(self) -> list[FleetMember]:
+        """The fleet's members (name, canonical-IR ``key``,
+        ``deduplicated``, ``redundant``), in registration order."""
+        return self.fleet.members
+
+    @property
     def num_registered(self) -> int:
         """Number of registered alpha names."""
-        return len(self.registrations)
+        return self.fleet.num_members
 
     @property
     def num_unique(self) -> int:
@@ -266,14 +245,15 @@ class AlphaServer:
     @property
     def names(self) -> list[str]:
         """Registered alpha names, in registration order."""
-        return [registration.name for registration in self.registrations]
+        return self.fleet.names
 
     @property
     def _warmed(self) -> bool:
         return self.fleet.is_warm
 
     # ------------------------------------------------------------------
-    def register(self, program: AlphaProgram, name: str | None = None) -> Registration:
+    def register(self, program: AlphaProgram,
+                 name: str | None = None) -> FleetMember:
         """Add ``program`` to the served fleet under ``name``.
 
         Programs whose canonical-IR fingerprint matches an already
@@ -284,10 +264,7 @@ class AlphaServer:
         if self._warmed:
             raise StreamError("cannot register alphas on a warm server; "
                               "register the whole fleet first")
-        member = self.fleet.add(program, name=name)
-        registration = Registration(**vars(member))
-        self.registrations.append(registration)
-        return registration
+        return self.fleet.add(program, name=name)
 
     # ------------------------------------------------------------------
     def warm_start(self) -> None:
@@ -307,7 +284,7 @@ class AlphaServer:
             registered=self.num_registered,
             unique=self.num_unique,
         ):
-            self.fleet.warm_start(use_update=self.use_update)
+            self.fleet.warm_start()
 
     # ------------------------------------------------------------------
     def on_bar(self, features: np.ndarray) -> dict[str, np.ndarray]:

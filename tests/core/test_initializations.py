@@ -58,11 +58,12 @@ class TestBehaviour:
 
     def test_neural_network_alpha_trains(self, small_taskset, dims):
         """The NN alpha's SGD update must actually move the prediction."""
-        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=60)
-        trained = evaluator.run(neural_network_alpha(dims), splits=("valid",),
-                                use_update=True)["valid"]
-        frozen = evaluator.run(neural_network_alpha(dims), splits=("valid",),
-                               use_update=False)["valid"]
+        trained = AlphaEvaluator(
+            small_taskset, seed=0, max_train_steps=60
+        ).run(neural_network_alpha(dims), splits=("valid",))["valid"]
+        frozen = AlphaEvaluator(
+            small_taskset, seed=0, max_train_steps=60, use_update=False
+        ).run(neural_network_alpha(dims), splits=("valid",))["valid"]
         assert not np.allclose(trained, frozen)
 
     def test_neural_network_alpha_produces_finite_predictions(self, small_taskset, dims):

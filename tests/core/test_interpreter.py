@@ -118,15 +118,18 @@ class TestTrainingAndParameters:
         np.testing.assert_allclose(predictions[-1], expected, rtol=1e-9)
 
     def test_use_update_false_freezes_parameters(self, small_taskset):
-        evaluator = AlphaEvaluator(small_taskset, seed=0)
-        frozen = evaluator.run(label_memory_alpha(), splits=("valid",), use_update=False)
+        evaluator = AlphaEvaluator(small_taskset, seed=0, use_update=False)
+        frozen = evaluator.run(label_memory_alpha(), splits=("valid",))
         # Without Update() the accumulator never moves: predictions stay zero.
         np.testing.assert_allclose(frozen["valid"], 0.0)
 
     def test_ablation_changes_ic_for_parameter_alpha(self, small_taskset):
-        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=60)
-        with_update = evaluator.evaluate(label_memory_alpha(), use_update=True)
-        without_update = evaluator.evaluate(label_memory_alpha(), use_update=False)
+        with_update = AlphaEvaluator(
+            small_taskset, seed=0, max_train_steps=60
+        ).evaluate(label_memory_alpha())
+        without_update = AlphaEvaluator(
+            small_taskset, seed=0, max_train_steps=60, use_update=False
+        ).evaluate(label_memory_alpha())
         assert with_update.is_valid
         # Freezing the parameter makes the prediction constant and invalid.
         assert not without_update.is_valid

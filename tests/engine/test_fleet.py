@@ -8,6 +8,24 @@ from repro.engine import FleetEngine
 from repro.errors import StreamError
 
 
+#: Evaluator settings a fleet must follow, offline and online: it has none
+#: of its own.
+EVALUATOR_SETTINGS = {
+    "default": {},
+    "interpreter": {"engine": "interpreter"},
+    "day-loop": {"time_batched": False},
+    "no-update": {"use_update": False},
+}
+
+
+@pytest.fixture(params=EVALUATOR_SETTINGS.values(),
+                ids=EVALUATOR_SETTINGS.keys())
+def any_evaluator(request, small_taskset):
+    """An evaluator under each setting in :data:`EVALUATOR_SETTINGS`."""
+    return AlphaEvaluator(small_taskset, seed=0, max_train_steps=40,
+                          **request.param)
+
+
 @pytest.fixture()
 def programs(dims, mutator):
     bases = [get_initialization(code, dims, seed=3) for code in ("D", "NN", "R")]
@@ -54,13 +72,14 @@ class TestMembership:
 
 
 class TestOfflineEvaluation:
-    def test_run_matches_per_program_evaluator_bitwise(self, evaluator, programs):
-        fleet = FleetEngine(evaluator)
+    def test_run_matches_per_program_evaluator_bitwise(self, any_evaluator,
+                                                       programs):
+        fleet = FleetEngine(any_evaluator)
         for program in programs:
             fleet.add(program)
         runs = fleet.run(splits=("valid", "test"))
         for program in programs:
-            expected = evaluator.run(program, splits=("valid", "test"))
+            expected = any_evaluator.run(program, splits=("valid", "test"))
             for split in ("valid", "test"):
                 assert runs[program.name][split].tobytes() == \
                     expected[split].tobytes()
@@ -137,8 +156,9 @@ class TestOfflineEvaluation:
         assert first[name]["valid"].tobytes() == second[name]["valid"].tobytes()
 
     @pytest.mark.parametrize("engine", ["compiled", "interpreter"])
-    def test_empty_fleet_runs_nothing(self, evaluator, engine):
-        fleet = FleetEngine(evaluator, engine=engine)
+    def test_empty_fleet_runs_nothing(self, small_taskset, engine):
+        fleet = FleetEngine(AlphaEvaluator(small_taskset, seed=0,
+                                           max_train_steps=40, engine=engine))
         assert fleet.run() == {}
         assert fleet.stack_groups == 0
 
@@ -152,9 +172,9 @@ class TestServing:
         return fleet
 
     def test_step_bar_matches_offline_inference(
-        self, small_taskset, evaluator, programs
+        self, small_taskset, any_evaluator, programs
     ):
-        fleet = self.warm_fleet(evaluator, programs)
+        fleet = self.warm_fleet(any_evaluator, programs)
         features = small_taskset.split_features("valid")
         labels = small_taskset.split_labels("valid")
         streamed = {key: [] for key in fleet.executors}
@@ -163,7 +183,7 @@ class TestServing:
                 streamed[key].append(prediction)
             fleet.reveal(labels[day])
         for program in programs:
-            batch = evaluator.run(program, splits=("valid",))["valid"]
+            batch = any_evaluator.run(program, splits=("valid",))["valid"]
             key = fleet.key_of(program.name)
             assert np.asarray(streamed[key]).tobytes() == batch.tobytes()
 
@@ -214,42 +234,3 @@ class TestServing:
             for key, prediction in stepped.items():
                 assert prediction.tobytes() == expected[day][key].tobytes()
             resumed.reveal(labels[day])
-
-
-class TestFromBackend:
-    """Fleets built straight from a data backend (contexts from backends)."""
-
-    def test_from_backend_matches_hand_built_fleet(self, programs):
-        from repro.data import MarketConfig, Split, SyntheticBackend
-
-        backend = SyntheticBackend(
-            MarketConfig(num_stocks=30, num_days=220), seed=123
-        )
-        split = Split(train=110, valid=30, test=30)
-        fleet = FleetEngine.from_backend(
-            backend, programs=programs, split=split, seed=0, max_train_steps=40
-        )
-        assert fleet.num_members == len(programs)
-
-        hand_built = FleetEngine(
-            AlphaEvaluator(backend.build_taskset(split=split), seed=0,
-                           max_train_steps=40)
-        )
-        for program in programs:
-            hand_built.add(program)
-        left = fleet.run(splits=("valid",))
-        right = hand_built.run(splits=("valid",))
-        for program in programs:
-            assert left[program.name]["valid"].tobytes() == \
-                right[program.name]["valid"].tobytes()
-
-    def test_from_backend_accepts_resampled_source(self, programs):
-        from repro.data import MarketConfig, ResampledBackend, SyntheticBackend
-
-        weekly = ResampledBackend(
-            SyntheticBackend(MarketConfig(num_stocks=20, num_days=420), seed=7),
-            "weekly",
-        )
-        fleet = FleetEngine.from_backend(weekly, programs=programs[:1], seed=0)
-        runs = fleet.run(splits=("valid",))
-        assert runs[programs[0].name]["valid"].shape[1] == fleet.taskset.num_tasks

@@ -154,8 +154,8 @@ class TestFourWayParity:
         )
         batched = make_evaluator(small_taskset, use_update=False)
         for program in fuzzed[:6]:
-            reference = interpreter.run(program, splits=SPLITS, use_update=False)
-            fast = batched.run(program, splits=SPLITS, use_update=False)
+            reference = interpreter.run(program, splits=SPLITS)
+            fast = batched.run(program, splits=SPLITS)
             for split in SPLITS:
                 assert fast[split].tobytes() == reference[split].tobytes()
 
@@ -179,13 +179,13 @@ class TestSuspendResumeThroughEngine:
         for program in programs:
             batch = evaluator.run(program, splits=("valid",))["valid"]
 
-            first = IncrementalExecutor(program, evaluator.make_context())
+            first = IncrementalExecutor(evaluator.make_backend(program))
             first.warm_start(train_features, train_labels,
                              day_indices=day_indices)
             before = self.stream(first, features, labels, 0, cut)
             state = first.suspend()
 
-            resumed = IncrementalExecutor(program, evaluator.make_context())
+            resumed = IncrementalExecutor(evaluator.make_backend(program))
             resumed.resume(state, days_served=first.days_served)
             assert resumed.days_served == cut
             after = self.stream(resumed, features, labels, cut,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AlphaEvaluator,
     AlphaProgram,
     INPUT_MATRIX,
     Operand,
@@ -59,11 +60,15 @@ def fuzz_programs(dims, mutator, count=6):
     return programs
 
 
-def warm_executor(evaluator, program, engine="compiled"):
+def interpreter_of(evaluator):
+    """``evaluator``'s settings on the reference interpreter."""
+    return AlphaEvaluator(evaluator.taskset,
+                          **{**evaluator.settings, "engine": "interpreter"})
+
+
+def warm_executor(evaluator, program):
     taskset = evaluator.taskset
-    executor = IncrementalExecutor(
-        program, evaluator.make_context(), engine=engine
-    )
+    executor = IncrementalExecutor(evaluator.make_backend(program))
     executor.warm_start(
         taskset.split_features("train"),
         taskset.split_labels("train"),
@@ -142,11 +147,10 @@ class TestSnapshotRing:
 
 
 class TestCorrectionParity:
-    def correct_and_compare(self, evaluator, program, correction_day,
-                            engine="compiled"):
+    def correct_and_compare(self, evaluator, program, correction_day):
         """Delta-correct one served bar and compare to a full replay."""
         features, labels = served_history(evaluator)
-        executor = warm_executor(evaluator, program, engine=engine)
+        executor = warm_executor(evaluator, program)
         serve(executor, features, labels, 0, SERVE_DAYS)
 
         corrected = np.array(features, copy=True)
@@ -160,7 +164,7 @@ class TestCorrectionParity:
             SERVE_DAYS - correction_day, 1, evaluator.taskset.num_tasks
         )
 
-        reference = warm_executor(evaluator, program, engine=engine)
+        reference = warm_executor(evaluator, program)
         full = serve(reference, corrected, labels, 0, SERVE_DAYS)
         assert (result.predictions.tobytes()
                 == full[correction_day:].tobytes()), (
@@ -240,15 +244,14 @@ class TestCorrectionParity:
         # The interpreter has no tape protocol: corrections must come out of
         # the bounded-lookback spin-up alone, still bitwise-exact.
         result = self.correct_and_compare(
-            evaluator, get_initialization("NN", dims, seed=3),
-            correction_day=5, engine="interpreter",
+            interpreter_of(evaluator), get_initialization("NN", dims, seed=3),
+            correction_day=5,
         )
         assert result.mode == "spinup"
 
     def test_interpreter_unbounded_correction_raises(self, evaluator):
         features, labels = served_history(evaluator)
-        executor = warm_executor(evaluator, recurrent_alpha(),
-                                 engine="interpreter")
+        executor = warm_executor(interpreter_of(evaluator), recurrent_alpha())
         serve(executor, features, labels, 0, SERVE_DAYS)
         with pytest.raises(StreamError, match="unbounded"):
             executor.correct(3, features[:SERVE_DAYS], labels[:SERVE_DAYS])
@@ -281,7 +284,7 @@ class TestCorrectionParity:
 class TestCorrectionGuards:
     def test_correct_before_warm_raises(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        executor = IncrementalExecutor(program, evaluator.make_context())
+        executor = IncrementalExecutor(evaluator.make_backend(program))
         features, labels = served_history(evaluator)
         with pytest.raises(StreamError, match="warm"):
             executor.correct(0, features[:1], labels[:1])
@@ -326,7 +329,7 @@ class TestReplayStateRoundTrip:
         state = live.suspend()
         payload = live.replay_state()
 
-        resumed = IncrementalExecutor(program, evaluator.make_context())
+        resumed = IncrementalExecutor(evaluator.make_backend(program))
         resumed.resume(state, days_served=SERVE_DAYS)
         resumed.restore_replay_state(payload)
 
@@ -354,7 +357,7 @@ class TestReplayStateRoundTrip:
         live = warm_executor(evaluator, program)
         serve(live, features, labels, 0, SERVE_DAYS)
 
-        resumed = IncrementalExecutor(program, evaluator.make_context())
+        resumed = IncrementalExecutor(evaluator.make_backend(program))
         resumed.resume(live.suspend(), days_served=SERVE_DAYS)
         # Without the persisted ring, the resume anchor (day 12) is the only
         # snapshot — nothing covers an earlier day of an unbounded program.

@@ -65,11 +65,17 @@ def generation(dims, mutator):
     return make_generation(dims, mutator)
 
 
-def build_fleet(evaluator, programs, **kwargs):
-    fleet = FleetEngine(evaluator, **kwargs)
+def build_fleet(evaluator, programs):
+    fleet = FleetEngine(evaluator)
     for program in programs:
         fleet.add(program)
     return fleet
+
+
+def on_engine(evaluator, engine):
+    """``evaluator``'s settings on execution engine ``engine``."""
+    return AlphaEvaluator(evaluator.taskset,
+                          **{**evaluator.settings, "engine": engine})
 
 
 class TestStackSignature:
@@ -146,7 +152,8 @@ class TestStackedParity:
     ):
         programs = make_generation(dims, mutator, jitter_seed=jitter_seed)
         stacked = build_fleet(evaluator, programs)
-        interpreted = build_fleet(evaluator, programs, engine="interpreter")
+        interpreted = build_fleet(on_engine(evaluator, "interpreter"),
+                                  programs)
         assert stacked.stack_groups >= 1 and interpreted.stack_groups == 0
         left = stacked.run(splits=("valid",))
         right = interpreted.run(splits=("valid",))
@@ -197,7 +204,7 @@ class TestStackedParity:
         labels = small_taskset.split_labels("valid")[:4]
         outputs = []
         for engine in ("compiled", "interpreter"):
-            fleet = build_fleet(evaluator, generation, engine=engine)
+            fleet = build_fleet(on_engine(evaluator, engine), generation)
             fleet.warm_start()
             days = []
             for day in range(features.shape[0]):
@@ -238,7 +245,8 @@ class TestStackedParity:
         for program in programs:
             key = stacked.key_of(program.name)
             for engine in ("compiled", "interpreter"):
-                alone = served(build_fleet(evaluator, [program], engine=engine))
+                alone = served(build_fleet(on_engine(evaluator, engine),
+                                           [program]))
                 assert grouped[key].tobytes() == alone[key].tobytes(), (
                     program.name, engine)
 

@@ -7,7 +7,12 @@ import logging
 
 import pytest
 
-from repro.core import EvolutionConfig, MiningSession, domain_expert_alpha
+from repro.core import (
+    EvolutionConfig,
+    MiningSession,
+    domain_expert_alpha,
+    get_initialization,
+)
 from repro.obs import (
     TELEMETRY,
     Tracer,
@@ -168,6 +173,39 @@ class TestSearchSpans:
         names = span_names(TELEMETRY.tracer.tree())
         assert names.count("search.run") == 1
         assert "search.cache_hit_rate" in TELEMETRY.snapshot()
+
+
+class TestSearchGauges:
+    """The search gauges describe the whole telemetry session, not
+    whichever search finished last."""
+
+    def test_gauges_are_run_level_over_several_searches(self, small_taskset,
+                                                        dims):
+        session = MiningSession(small_taskset, long_k=5, short_k=5,
+                                max_train_steps=10, seed=3)
+        results = []
+        with telemetry_session():
+            for code, candidates in (("D", 30), ("NN", 90)):
+                config = EvolutionConfig(population_size=6, tournament_size=3,
+                                         max_candidates=candidates)
+                mined = session.search(get_initialization(code, dims, seed=3),
+                                       name=f"alpha_AE_{code}_0",
+                                       enforce_cutoff=False,
+                                       evolution_config=config)
+                results.append(mined.evolution)
+            snapshot = TELEMETRY.snapshot()
+        candidates = snapshot["search.candidates"]["value"]
+        evaluations = snapshot["search.evaluations"]["value"]
+        assert candidates == sum(r.candidates_generated for r in results)
+        hit_rate = snapshot["search.cache_hit_rate"]["value"]
+        assert hit_rate == 1.0 - evaluations / candidates
+        # The last search alone hit the cache at another rate.
+        last = results[-1].cache_stats
+        assert hit_rate != last.skipped / last.searched
+        run_seconds = snapshot["search.run_seconds"]
+        assert run_seconds["count"] == 2
+        assert snapshot["search.candidates_per_second"]["value"] == \
+            candidates / run_seconds["total"]
 
 
 class TestLogEvent:

@@ -7,7 +7,7 @@ from repro.backtest.engine import BacktestEngine
 from repro.core import AlphaEvaluator, get_initialization
 from repro.errors import StreamError
 from repro.experiments import SMOKE
-from repro.stream import OnlineBacktestDriver, run_serve
+from repro.stream import BarCorrection, OnlineBacktestDriver, run_serve
 
 
 @pytest.fixture()
@@ -72,6 +72,37 @@ class TestDriver:
         assert report.parity
         assert server.days_served == days_before  # nothing was re-streamed
         assert report.stats["days_served"] == days_before
+
+    def test_serves_without_update_like_its_evaluator(self, small_taskset,
+                                                      dims):
+        """Under ``use_update=False`` the streamed panels, and the corrected
+        ones, equal the no-update evaluator's offline run bit for bit."""
+        programs = [get_initialization("D", dims, seed=3),
+                    get_initialization("NN", dims, seed=3)]
+        driver = OnlineBacktestDriver(
+            small_taskset, programs, names=["alpha_D", "alpha_NN"],
+            seed=0, max_train_steps=40, use_update=False, long_k=5, short_k=5,
+        )
+        report = driver.run()
+        assert report.parity
+        frozen = AlphaEvaluator(small_taskset, seed=0, max_train_steps=40,
+                                use_update=False)
+        trained = AlphaEvaluator(small_taskset, seed=0, max_train_steps=40)
+        for name, program in zip(driver.names, programs):
+            expected = frozen.run(program, splits=("valid", "test"))
+            for split in ("valid", "test"):
+                assert report.predictions[name][split].tobytes() == \
+                    expected[split].tobytes()
+        nn = trained.run(programs[1], splits=("valid",))["valid"]
+        assert report.predictions["alpha_NN"]["valid"].tobytes() != nn.tobytes()
+
+        server = driver.build_server()
+        served = driver.stream(server)
+        corrected = driver.apply_corrections(server, served, [
+            BarCorrection(day=3, feature_scale=1.01),
+            BarCorrection(day=12, label_scale=0.98),
+        ])
+        assert corrected["parity"], corrected["violations"]
 
     def test_rejects_empty_fleet(self, small_taskset):
         with pytest.raises(StreamError, match="no programs"):

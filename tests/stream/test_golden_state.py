@@ -38,7 +38,7 @@ def programs():
 def executor_for(evaluator, programs) -> IncrementalExecutor:
     backend = StackedAlpha([compile_program(program) for program in programs],
                            evaluator.make_context())
-    return IncrementalExecutor(backend=backend)
+    return IncrementalExecutor(backend)
 
 
 def serve(executor, taskset, start, stop) -> np.ndarray:

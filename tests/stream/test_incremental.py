@@ -37,7 +37,7 @@ def batch_predictions(evaluator, program):
 def incremental_predictions(evaluator, program):
     """Stream the valid+test splits day by day through one lane."""
     taskset = evaluator.taskset
-    alpha = IncrementalExecutor(program, evaluator.make_context())
+    alpha = IncrementalExecutor(evaluator.make_backend(program))
     alpha.warm_start(
         taskset.split_features("train"),
         taskset.split_labels("train"),
@@ -86,7 +86,7 @@ class TestSuspendResume:
         features = taskset.split_features("valid")
         labels = taskset.split_labels("valid")
 
-        alpha = IncrementalExecutor(program, evaluator.make_context())
+        alpha = IncrementalExecutor(evaluator.make_backend(program))
         alpha.warm_start(
             taskset.split_features("train"),
             taskset.split_labels("train"),
@@ -99,7 +99,7 @@ class TestSuspendResume:
 
         path = tmp_path / "alpha.state"
         save_state(str(path), alpha.suspend())
-        resumed = IncrementalExecutor(program, evaluator.make_context())
+        resumed = IncrementalExecutor(evaluator.make_backend(program))
         resumed.resume(load_state(str(path)), days_served=alpha.days_served)
 
         for day in range(restart_day, features.shape[0]):
@@ -126,13 +126,13 @@ class TestSuspendResume:
     def test_resume_rejects_other_program(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
         other = get_initialization("NN", dims, seed=3)
-        alpha = IncrementalExecutor(program, evaluator.make_context())
+        alpha = IncrementalExecutor(evaluator.make_backend(program))
         alpha.warm_start(
             evaluator.taskset.split_features("train"),
             evaluator.taskset.split_labels("train"),
         )
         state = alpha.suspend()
-        stranger = IncrementalExecutor(other, evaluator.make_context())
+        stranger = IncrementalExecutor(evaluator.make_backend(other))
         with pytest.raises(ExecutionError, match="different compiled program"):
             stranger.resume(state)
 
@@ -140,13 +140,13 @@ class TestSuspendResume:
         from dataclasses import replace
 
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalExecutor(program, evaluator.make_context())
+        alpha = IncrementalExecutor(evaluator.make_backend(program))
         alpha.warm_start(
             evaluator.taskset.split_features("train"),
             evaluator.taskset.split_labels("train"),
         )
         (state,) = alpha.suspend()
-        fresh = IncrementalExecutor(program, evaluator.make_context())
+        fresh = IncrementalExecutor(evaluator.make_backend(program))
         with pytest.raises(ExecutionError, match="version"):
             fresh.resume([replace(state, version=99)])
 
@@ -154,12 +154,12 @@ class TestSuspendResume:
         program = get_initialization("D", dims, seed=3)
         one = AlphaEvaluator(small_taskset, seed=0, max_train_steps=40)
         two = AlphaEvaluator(small_taskset, seed=1, max_train_steps=40)
-        alpha = IncrementalExecutor(program, one.make_context())
+        alpha = IncrementalExecutor(one.make_backend(program))
         alpha.warm_start(
             small_taskset.split_features("train"),
             small_taskset.split_labels("train"),
         )
-        stranger = IncrementalExecutor(program, two.make_context())
+        stranger = IncrementalExecutor(two.make_backend(program))
         with pytest.raises(ExecutionError, match="base seed"):
             stranger.resume(alpha.suspend())
 
@@ -167,14 +167,14 @@ class TestSuspendResume:
 class TestProtocolErrors:
     def test_step_requires_warm_start(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalExecutor(program, evaluator.make_context())
+        alpha = IncrementalExecutor(evaluator.make_backend(program))
         features = evaluator.taskset.split_features("valid")
         with pytest.raises(StreamError, match="warm-started"):
             alpha.step(features[0])
 
     def test_step_without_reveal_rejected(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalExecutor(program, evaluator.make_context())
+        alpha = IncrementalExecutor(evaluator.make_backend(program))
         taskset = evaluator.taskset
         alpha.warm_start(
             taskset.split_features("train"), taskset.split_labels("train")
@@ -186,7 +186,7 @@ class TestProtocolErrors:
 
     def test_reveal_without_step_rejected(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalExecutor(program, evaluator.make_context())
+        alpha = IncrementalExecutor(evaluator.make_backend(program))
         taskset = evaluator.taskset
         alpha.warm_start(
             taskset.split_features("train"), taskset.split_labels("train")
@@ -196,7 +196,7 @@ class TestProtocolErrors:
 
     def test_double_warm_start_rejected(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalExecutor(program, evaluator.make_context())
+        alpha = IncrementalExecutor(evaluator.make_backend(program))
         taskset = evaluator.taskset
         alpha.warm_start(
             taskset.split_features("train"), taskset.split_labels("train")
@@ -208,7 +208,7 @@ class TestProtocolErrors:
 
     def test_suspend_between_step_and_reveal_rejected(self, evaluator, dims):
         program = get_initialization("D", dims, seed=3)
-        alpha = IncrementalExecutor(program, evaluator.make_context())
+        alpha = IncrementalExecutor(evaluator.make_backend(program))
         taskset = evaluator.taskset
         alpha.warm_start(
             taskset.split_features("train"), taskset.split_labels("train")

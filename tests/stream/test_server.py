@@ -45,8 +45,10 @@ def fleet(dims):
     ]
 
 
-def make_server(taskset, programs, warm=True, seed=0, names=None):
-    server = AlphaServer(taskset, seed=seed, max_train_steps=40)
+def make_server(taskset, programs, warm=True, seed=0, names=None,
+                use_update=True):
+    server = AlphaServer(taskset, seed=seed, max_train_steps=40,
+                         use_update=use_update)
     for index, program in enumerate(programs):
         server.register(
             program, name=names[index] if names else f"alpha_{index}"
@@ -97,6 +99,15 @@ class TestRegistration:
         ).registrations[0]
         assert registration.redundant
 
+    def test_registrations_are_the_fleets_members(self, small_taskset, fleet):
+        server = make_server(small_taskset, fleet, warm=False)
+        member = server.register(fleet[0], name="twin")
+        assert member is server.fleet.members[-1]
+        assert member.deduplicated
+        assert server.registrations is server.fleet.members
+        assert server.names == ["alpha_0", "alpha_1", "twin"]
+        assert server.num_registered == 3
+
     def test_warm_start_requires_registrations(self, small_taskset):
         with pytest.raises(StreamError, match="no alphas registered"):
             AlphaServer(small_taskset).warm_start()
@@ -116,9 +127,14 @@ class TestServing:
         assert predictions["alpha_2"] is predictions["alpha_0"]
         assert predictions["alpha_1"] is not predictions["alpha_0"]
 
-    def test_matches_offline_evaluator_bitwise(self, small_taskset, fleet):
-        server = make_server(small_taskset, fleet)
-        offline = AlphaEvaluator(small_taskset, seed=0, max_train_steps=40)
+    @pytest.mark.parametrize("use_update", [True, False])
+    def test_matches_offline_evaluator_bitwise(self, small_taskset, fleet,
+                                               use_update):
+        """``use_update=False`` (Table 4's *_P ablation) reaches the served
+        bits too: they equal the no-update evaluator's offline run."""
+        server = make_server(small_taskset, fleet, use_update=use_update)
+        offline = AlphaEvaluator(small_taskset, seed=0, max_train_steps=40,
+                                 use_update=use_update)
         num_tasks = small_taskset.num_tasks
         served = {name: [] for name in server.names}
         for split in ("valid", "test"):
@@ -263,46 +279,3 @@ class TestSuspendResume:
         server = make_server(small_taskset, fleet, warm=False)
         with pytest.raises(StreamError, match="never warmed"):
             server.suspend()
-
-
-class TestFromBackend:
-    """Servers warm-started straight from a data backend."""
-
-    def test_from_backend_parity_with_taskset_server(self, fleet):
-        from repro.data import MarketConfig, Split, SyntheticBackend
-
-        backend = SyntheticBackend(
-            MarketConfig(num_stocks=30, num_days=220), seed=123
-        )
-        split = Split(train=110, valid=30, test=30)
-        server = AlphaServer.from_backend(
-            backend, split=split, seed=0, max_train_steps=40
-        )
-        for index, program in enumerate(fleet):
-            server.register(program, name=f"alpha_{index}")
-        server.warm_start()
-
-        reference = make_server(backend.build_taskset(split=split), fleet)
-        features = server.taskset.split_features("valid")
-        labels = server.taskset.split_labels("valid")
-        for day in range(3):
-            served = server.on_bar(features[day])
-            expected = reference.on_bar(features[day])
-            for name in served:
-                assert served[name].tobytes() == expected[name].tobytes()
-            server.reveal(labels[day])
-            reference.reveal(labels[day])
-
-    def test_from_backend_file_source(self, small_panel, tmp_path, fleet):
-        from repro.data import FileBackend, Split, export_panel_csv
-
-        export_panel_csv(small_panel, tmp_path)
-        backend = FileBackend(tmp_path, sector_map=tmp_path / "sectors.txt")
-        server = AlphaServer.from_backend(
-            backend, split=Split(train=110, valid=30, test=30), seed=0,
-            max_train_steps=40,
-        )
-        server.register(fleet[0], name="alpha_file")
-        server.warm_start()
-        prediction = server.on_bar(server.taskset.split_features("valid")[0])
-        assert prediction["alpha_file"].shape == (server.taskset.num_tasks,)
