@@ -12,7 +12,16 @@ dispatch, static hoisting and fused batched inference) — and records:
   between a run producing the valid+test splits and a run producing none
   (training always executes), which is the stage the fused batch targets;
 * a hard **parity check**: every prediction array must be bit-for-bit
-  identical between the two paths (the whole design contract).
+  identical between the two paths (the whole design contract);
+* a **key count gate** on the fingerprint: a fixed seeded corpus of
+  mutation-chain programs (:data:`KEY_CORPUS_SIZE`, walked from the D, NOOP,
+  R and NN initialisations) is grouped by canonical key and by bitwise
+  validation predictions.  A key that holds two prediction classes is a
+  false merge, which the fingerprint cache and the serving fleet's dedup
+  would turn into wrong scores and wrong served predictions, and fails the
+  run.  The number of keys, of prediction classes and of duplicates the key
+  still leaves unmerged (keys minus classes) are recorded: counts and bits
+  only, no timing.
 
 Results are written to ``benchmarks/results/BENCH_compile.json`` (the
 source of truth, with a copy at the repository root — see
@@ -42,15 +51,65 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 
+import hashlib
+
 from common import build_programs, reports_identical, write_bench_json
 from repro.compile import compile_program
-from repro.core import AlphaEvaluator, Dimensions
+from repro.core import AlphaEvaluator, Dimensions, Mutator, get_initialization
+from repro.core.cache import fingerprint
+from repro.core.initializations import INITIALIZATION_NAMES
+from repro.core.pruning import prune_program
 from repro.experiments.configs import SMOKE, make_taskset
 
 #: Shared evaluator settings so both paths time identical work.
 EVALUATOR_KWARGS = {"max_train_steps": SMOKE.max_train_steps}
 EVALUATOR_SEED = 0
 SPLITS = ("valid", "test")
+
+
+#: Programs in the key count gate's corpus, and the seed that walks it.
+KEY_CORPUS_SIZE = 400
+KEY_CORPUS_SEED = 5
+
+
+def build_key_corpus(dims: Dimensions, count: int = KEY_CORPUS_SIZE,
+                     seed: int = KEY_CORPUS_SEED) -> list:
+    """``count`` non-redundant programs from four mutation trees.
+
+    Each tree starts at one initialisation and grows by mutating a parent
+    drawn from its earlier programs, as a search's population does: children
+    that change only dead code, or arithmetic on zeros, are the duplicates a
+    fingerprint should catch.
+    """
+    mutator = Mutator(dims, seed=seed)
+    programs = []
+    for code in INITIALIZATION_NAMES:
+        tree = [get_initialization(code, dims, seed=seed)]
+        while len(tree) <= count // len(INITIALIZATION_NAMES):
+            parent = tree[int(mutator.rng.integers(len(tree)))]
+            child = mutator.mutate(parent)
+            if not prune_program(child).is_redundant:
+                tree.append(child)
+        programs += tree[1:]
+    return programs
+
+
+def key_classes(evaluator: AlphaEvaluator, programs: list) -> dict:
+    """Group ``programs`` by fingerprint and by validation-prediction bits."""
+    classes_by_key: dict[str, set[str]] = {}
+    for program in programs:
+        key = fingerprint(prune_program(program).program)
+        valid = evaluator.run(program, splits=("valid",))["valid"]
+        bits = hashlib.sha256(valid.tobytes()).hexdigest()
+        classes_by_key.setdefault(key, set()).add(bits)
+    classes = set().union(*classes_by_key.values())
+    return {
+        "programs": len(programs),
+        "keys": len(classes_by_key),
+        "prediction_classes": len(classes),
+        "unmerged_duplicates": len(classes_by_key) - len(classes),
+        "false_merges": sum(len(bits) - 1 for bits in classes_by_key.values()),
+    }
 
 
 def time_runs(evaluator, programs, splits, repeats: int) -> float:
@@ -90,6 +149,9 @@ def run_benchmark(num_programs: int = 32, repeats: int = 3) -> dict:
             interpreter.evaluate(program).report, compiled.evaluate(program).report
         )
 
+    # ----- the key count gate: equal keys must mean equal predictions ------
+    key_gate = key_classes(compiled, build_key_corpus(dims))
+
     # ----- timing ----------------------------------------------------------
     interp_full = time_runs(interpreter, programs, SPLITS, repeats)
     compiled_full = time_runs(compiled, programs, SPLITS, repeats)
@@ -125,6 +187,7 @@ def run_benchmark(num_programs: int = 32, repeats: int = 3) -> dict:
         "full_speedup": round(interp_full / compiled_full, 3),
         "inference_speedup": round(interp_inference / compiled_inference, 3),
         "bitwise_identical_to_interpreter": parity,
+        "key_gate": key_gate,
     }
     return payload
 
@@ -153,10 +216,18 @@ def main(argv: list[str] | None = None) -> int:
         print("ERROR: compiled execution differs from the interpreter",
               file=sys.stderr)
         return 1
+    gate = payload["key_gate"]
+    if gate["false_merges"]:
+        print(f"ERROR: {gate['false_merges']} fingerprint key(s) hold programs "
+              "whose validation predictions differ", file=sys.stderr)
+        return 1
     if args.smoke:
         print("\ncompile-parity smoke check passed "
               f"({payload['num_programs']} programs, "
-              f"{payload['fused_eligible_programs']} fused-eligible)")
+              f"{payload['fused_eligible_programs']} fused-eligible; "
+              f"{gate['programs']} corpus programs in {gate['keys']} keys and "
+              f"{gate['prediction_classes']} prediction classes, no key with "
+              "two classes)")
     return 0
 
 

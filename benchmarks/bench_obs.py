@@ -16,21 +16,20 @@ benchmark turns both into gates:
   four methods; non-zero exit otherwise).  The same workload with
   telemetry on must make some, or the count proves nothing.
 
-The disabled-path overhead is *reported*, not gated: a wall-clock bound
-on a shared runner failed on unchanged code (5.56%, 10.96% and 5.19%
-against a 5% bound), while the call count checks the same property
-deterministically.  There is no un-instrumented build to compare
-against, so the overhead is defined operationally: disabled and enabled
-timing samples of the compiled full-evaluation workload are interleaved
-(so machine drift hits both alike) and
+The overhead is *reported*, not gated: a wall-clock bound on a shared
+runner failed on unchanged code (5.56%, 10.96% and 5.19% against a 5%
+bound), while the call count checks the same property deterministically.
+Each round times the compiled full-evaluation workload once with
+telemetry off and once with it on, back to back and in alternating order,
+so the two samples of a round see the same machine; the round's paired
+ratio ``enabled / disabled`` is recorded, and the headline is
 
-    disabled_overhead_pct = (min(disabled) / min(all samples) - 1) * 100
+    enabled_overhead_pct = (median(enabled / disabled) - 1) * 100
 
-Minima are the standard noise-floor estimator (scheduling jitter only
-ever adds time), and since an enabled run does strictly more work,
-``min(all samples)`` is the tightest available proxy for the
-un-instrumented baseline.  ``enabled_overhead_pct`` (same definition over
-the enabled samples) includes the real cost of recording.
+with the ratios' first and third quartiles beside it.  A ratio of two
+samples taken side by side cancels the drift between rounds that made the
+old minimum-based figures swing (0.0% and 6.97% for the disabled path in
+two runs of one tree); the quartiles say how far one run can be trusted.
 
 Results are written to ``benchmarks/results/BENCH_obs.json`` (source of
 truth, with a root-level copy — see ``benchmarks/README.md``).
@@ -159,9 +158,15 @@ def check_parity(taskset, programs) -> tuple[bool, dict]:
 # overhead: interleaved disabled/enabled timings of the compiled workload
 # ---------------------------------------------------------------------------
 
+def quartiles(values: list[float]) -> dict:
+    """Median and first/third quartiles of ``values``."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
 def bench_overhead(taskset, programs, repeats: int = 7,
                    inner: int = 3) -> dict:
-    """Interleaved disabled/enabled timings (see the module docstring).
+    """Paired disabled/enabled timings (see the module docstring).
 
     Each timed sample runs the workload ``inner`` times so one sample is
     long enough (hundreds of ms) for scheduling jitter not to dominate.
@@ -175,36 +180,36 @@ def bench_overhead(taskset, programs, repeats: int = 7,
 
     run_workload()  # warm caches outside the timed region
 
-    disabled: list[float] = []
-    enabled: list[float] = []
-    for _ in range(repeats):
+    def timed(enable: bool) -> float:
+        session = telemetry_session() if enable else contextlib.nullcontext()
         TELEMETRY.disable()
-        start = time.perf_counter()
-        run_workload()
-        disabled.append(time.perf_counter() - start)
-
-        with telemetry_session():
+        with session:
             start = time.perf_counter()
             run_workload()
-            enabled.append(time.perf_counter() - start)
+            return time.perf_counter() - start
 
-    best = min(disabled + enabled)
+    disabled: list[float] = []
+    enabled: list[float] = []
+    for round_index in range(repeats):
+        if round_index % 2:
+            enabled.append(timed(True))
+            disabled.append(timed(False))
+        else:
+            disabled.append(timed(False))
+            enabled.append(timed(True))
+    ratios = [on / off for on, off in zip(enabled, disabled)]
     return {
         "repeats": repeats,
         "inner_iterations": inner,
         "num_programs": len(programs),
         "disabled_seconds": [round(s, 4) for s in disabled],
         "enabled_seconds": [round(s, 4) for s in enabled],
-        "median_disabled_seconds": round(statistics.median(disabled), 4),
-        "median_enabled_seconds": round(statistics.median(enabled), 4),
         "disabled_spread_seconds": spread(disabled),
         "enabled_spread_seconds": spread(enabled),
-        "best_seconds": round(best, 4),
-        "disabled_overhead_pct": round(
-            (min(disabled) / best - 1.0) * 100.0, 2
-        ),
+        "enabled_over_disabled": [round(r, 4) for r in ratios],
+        "enabled_over_disabled_quartiles": quartiles(ratios),
         "enabled_overhead_pct": round(
-            (min(enabled) / best - 1.0) * 100.0, 2
+            (statistics.median(ratios) - 1.0) * 100.0, 2
         ),
     }
 
@@ -267,12 +272,13 @@ def main(argv: list[str] | None = None) -> int:
         print("ERROR: no instrument calls counted with telemetry on; the "
               "count cannot show a missing guard", file=sys.stderr)
         return 1
-    overhead = payload["overhead"]["disabled_overhead_pct"]
+    overhead = payload["overhead"]["enabled_overhead_pct"]
     if args.smoke:
         print("\ntelemetry smoke check passed "
               f"({payload['num_programs']} programs, 4 execution paths "
               "bitwise identical on/off, 0 instrument calls with telemetry "
-              f"off; disabled overhead {overhead}%, not gated)")
+              f"off; enabled/disabled overhead {overhead}% (median of paired "
+              "rounds), not gated)")
     return 0
 
 

@@ -58,7 +58,20 @@ def _render_compile(payload: dict) -> list[Row]:
             f"{payload['compiled']['full_candidates_per_second']} "
             "candidates/s compiled",
         ),
-    ]
+    ] + _render_key_gate(payload.get("key_gate"))
+
+
+def _render_key_gate(gate: dict | None) -> list[Row]:
+    if gate is None:
+        return []
+    return [(
+        "fingerprint keys vs validation-prediction classes (mutation-tree "
+        "corpus)",
+        f"{gate['keys']} / {gate['prediction_classes']}",
+        f"`bench_compile.py`, {gate['programs']} programs, "
+        f"{gate['false_merges']} keys with two prediction classes (gated), "
+        f"{gate['unmerged_duplicates']} duplicates left unmerged",
+    )]
 
 
 def _megabytes(count: int) -> str:
@@ -150,14 +163,16 @@ def _render_data(payload: dict) -> list[Row]:
 
 def _render_obs(payload: dict) -> list[Row]:
     overhead = payload.get("overhead", {})
-    if "disabled_overhead_pct" not in overhead:
+    if "enabled_over_disabled_quartiles" not in overhead:
         return []
+    ratios = overhead["enabled_over_disabled_quartiles"]
     return [(
-        "telemetry overhead (disabled / enabled, reported, not gated) on "
-        "compiled full evaluation",
-        f"{overhead['disabled_overhead_pct']}% / "
+        "telemetry overhead (enabled / disabled, median of paired rounds, "
+        "reported, not gated) on compiled full evaluation",
         f"{overhead['enabled_overhead_pct']}%",
         f"`bench_obs.py`, {payload['num_programs']} programs, "
+        f"{overhead['repeats']} rounds, ratio q1-q3 "
+        f"{ratios['q1']}-{ratios['q3']}, "
         "on/off bitwise parity across 4 execution paths, "
         f"{sum(payload['instrument_calls']['disabled'].values())} "
         "instrument calls with telemetry off",

@@ -2,9 +2,10 @@
 
 The pipeline generalises the paper's Section 4.2 dataflow view of an alpha
 into a small query-engine-style compiler: programs are lowered into an SSA
-IR (:mod:`.ir`), optimised by a pass pipeline (:mod:`.passes` — constant
-folding, commutative canonicalisation, common-subexpression elimination and
-a dead-code elimination that reuses the backward-liveness pruning), and
+IR (:mod:`.ir`), optimised by a pass pipeline (:mod:`.passes` — zero
+constancy and constant folding for the fingerprint, commutative
+canonicalisation, common-subexpression elimination and a dead-code
+elimination that reuses the backward-liveness pruning), and
 executed by one flat tape (:mod:`.stacked`) with pre-resolved dispatch,
 preallocated slots, a fused batched inference stage and one lane per
 program, on the kernel registry of :mod:`.executor`.
@@ -34,11 +35,14 @@ from .stacked import StackedAlpha, stack_signature
 from .passes import (
     DataflowInfo,
     PassStats,
+    ZeroFacts,
     analyze_dataflow,
+    analyze_zeros,
     canonicalize_commutative,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
+    propagate_zeros,
 )
 
 __all__ = [
@@ -53,8 +57,10 @@ __all__ = [
     "StackedAlpha",
     "TAPE_STATE_VERSION",
     "TapeState",
+    "ZeroFacts",
     "analyze_dataflow",
     "analyze_lookback",
+    "analyze_zeros",
     "canonical_ir",
     "canonical_key",
     "canonicalize_commutative",
@@ -64,6 +70,7 @@ __all__ = [
     "eliminate_dead_code",
     "fold_constants",
     "lower_program",
+    "propagate_zeros",
     "stack_signature",
     "tape_key_for",
 ]

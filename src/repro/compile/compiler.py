@@ -8,18 +8,27 @@ Two pipelines share the IR and the passes:
   performed literally, which is what makes the compiled tape
   (:class:`~repro.compile.stacked.StackedAlpha`) bitwise identical.
 * **fingerprinting** (:func:`canonical_ir` / :func:`canonical_key`) — lower,
-  constant folding, commutative canonicalisation, canonical CSE, dead-code
-  elimination, then render.  The rendering names values by position instead
-  of by operand address, so programs that differ only in operand order of
-  commutative operations, in duplicated subexpressions, in folded constants
-  or in intermediate register naming all share one key.
+  zero constancy, constant folding, dead-code elimination, commutative
+  canonicalisation, canonical CSE, then render.  The rendering names values by
+  position instead of by operand address, so programs that differ only in
+  operand order of commutative operations, in duplicated subexpressions, in
+  folded constants, in intermediate register naming or in arithmetic on
+  zero-initialised memory (``v4 = v11 + v8`` in ``Setup()``, a read of a
+  never-written ``s7``, ``s_tan`` of a zero) all share one key.  The key is
+  a proof, not a heuristic: the fingerprint cache reuses a key's fitness and
+  :class:`~repro.engine.fleet.FleetEngine` serves a key from one backend, so
+  programs with equal keys must predict bit for bit alike.  The zero
+  constancy pass (:func:`~repro.compile.passes.propagate_zeros`) reads the
+  constant transfer each operator declares on its
+  :class:`~repro.core.ops.OpSpec` and proves a zero only where the transfer
+  does; the execution pipeline never runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.memory import LABEL
+from ..core.memory import INPUT_MATRIX, LABEL
 from ..core.program import AlphaProgram
 from ..core.pruning import prune_program
 from ..obs import TELEMETRY
@@ -28,10 +37,12 @@ from .lookback import LookbackInfo, analyze_lookback
 from .passes import (
     DataflowInfo,
     PassStats,
+    analyze_zeros,
     canonicalize_commutative,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
+    propagate_zeros,
 )
 
 __all__ = [
@@ -131,12 +142,17 @@ def canonical_ir(program: AlphaProgram) -> tuple[IRProgram, list[PassStats]]:
     """Compile ``program`` through the fingerprint (canonicalisation) pipeline."""
     ir = lower_program(program)
     stats: list[PassStats] = []
-    for run_pass in (fold_constants, canonicalize_commutative,
-                     eliminate_common_subexpressions):
+    for run_pass in (propagate_zeros, fold_constants):
         ir, pass_stats = run_pass(ir)
         stats.append(pass_stats)
+    # Dead code goes before the structural passes: the rewired zeros and
+    # folded constants leave dead producers, and neither the commutative
+    # sort nor CSE (which only removes duplicates) should see them.
     ir, dse_stats, _ = eliminate_dead_code(ir)
     stats.append(dse_stats)
+    for run_pass in (canonicalize_commutative, eliminate_common_subexpressions):
+        ir, pass_stats = run_pass(ir)
+        stats.append(pass_stats)
     return ir, stats
 
 
@@ -148,8 +164,9 @@ def canonical_key(program: AlphaProgram) -> str:
 def describe_compilation(program: AlphaProgram) -> str:
     """A human-readable report for the ``repro inspect`` CLI command.
 
-    Shows the program next to its pruned form, the canonicalised IR and the
-    per-pass statistics of both pipelines.
+    Shows the program next to its pruned form, the canonicalised IR, the
+    operands the zero-constancy pass proved zero and the per-pass statistics
+    (rewrites included) of both pipelines.
     """
     lines: list[str] = []
     lines.append(f"# program: {program.name}")
@@ -191,6 +208,17 @@ def describe_compilation(program: AlphaProgram) -> str:
     ir, stats_list = canonical_ir(program)
     lines.append("")
     lines.append("## canonical IR (fingerprint pipeline)")
+    lowered = lower_program(program)
+    zeros = analyze_zeros(lowered)
+    never_written = sorted(
+        {operand for component in lowered.components.values()
+         for operand in component.inputs}
+        - set(zeros.operands) - {INPUT_MATRIX, LABEL}
+    )
+    lines.append("proven zero: " + zeros.describe())
+    if never_written:
+        lines.append("never written (+0): "
+                     + ", ".join(operand.name for operand in never_written))
     for stats in stats_list:
         lines.append(f"pass {stats.describe()}")
     lines.append(ir.render())

@@ -1,7 +1,26 @@
 """Optimiser passes over the alpha IR.
 
-Four classic passes, specialised to the alpha language:
+Five passes, specialised to the alpha language:
 
+* **zero constancy** (fingerprint pipeline only) — an optimistic fixpoint
+  over ``Setup()`` / ``Predict()`` / ``Update()`` that proves values zero.
+  Memory is +0.0 when ``Setup()`` starts (``m0`` and ``s0`` included); in
+  ``Predict()`` / ``Update()`` the day loop's ``m0`` and ``s0`` are raw
+  (NaN and ±inf included) and every other operand holds a sanitized result.
+  Each instruction's fact comes from its operator's declared constant
+  transfer (:attr:`~repro.core.ops.OpSpec.zeros`) over the lattice +0, -0,
+  zero of unknown sign, unknown; an operand is always +0 while every write
+  to it, in every component, is proven +0, and ``Predict()``'s entry facts
+  join ``Setup()``'s exit with ``Predict()``'s and ``Update()``'s.  The
+  rewrite then reads one canonical zero per type and sign in place of every
+  proven +0 or -0 value (``s_const``, broadcast to a vector and a matrix),
+  reads ``x`` in place of a declared pass-through such as ``x - (+0)``, and
+  drops writes that cannot change an operand (a +0 written into an operand
+  that holds +0 at every entry to the component: always-+0 operands, and
+  any +0 written by ``Setup()``).  A zero of unknown sign is never
+  replaced, and a zero written into an operand that can hold something
+  else on entry stays a real instruction, so equal keys still mean
+  bitwise-equal predictions;
 * **constant folding** — scalar operations whose inputs are all known
   constants are folded into ``s_const``.  Only operators whose registry
   entry declares it (:attr:`~repro.core.ops.OpSpec.fold`: IEEE basic
@@ -34,20 +53,22 @@ Four classic passes, specialised to the alpha language:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.memory import INPUT_MATRIX, Operand, PREDICTION
-from ..core.ops import sanitize
+from ..core.memory import INPUT_MATRIX, LABEL, Operand, OperandType, PREDICTION
+from ..core.ops import MINUS_ZERO, PLUS_ZERO, sanitize
 from ..core.program import COMPONENTS
 from ..core.pruning import liveness_fixpoint
-from .ir import IRInstruction, IRProgram, substitute_inputs
+from .ir import IRInstruction, IRProgram, IRValue, substitute_inputs
 
 __all__ = [
     "PassStats",
     "DataflowInfo",
+    "ZeroFacts",
+    "analyze_zeros",
+    "propagate_zeros",
     "fold_constants",
     "canonicalize_commutative",
     "eliminate_common_subexpressions",
@@ -82,6 +103,199 @@ class DataflowInfo:
     live_in: dict[str, set[Operand]]
     #: True when the prediction does not depend on the input matrix.
     is_redundant: bool
+
+
+# ---------------------------------------------------------------------------
+# Zero constancy
+# ---------------------------------------------------------------------------
+
+#: The operands the day loop writes: raw in ``Predict()`` / ``Update()``.
+_RAW_OPERANDS = (INPUT_MATRIX, LABEL)
+#: Rendered zero facts, for the ``repro inspect`` report.
+_FACT_NAMES = {PLUS_ZERO: "+0", MINUS_ZERO: "-0", PLUS_ZERO | MINUS_ZERO: "±0"}
+
+
+@dataclass
+class ZeroFacts:
+    """What the zero-constancy fixpoint proved about one program."""
+
+    #: SSA value id → zero fact (see :data:`~repro.core.ops.PLUS_ZERO`),
+    #: ``None`` for an unknown value.
+    values: dict[int, int | None]
+    #: Component name → written operand → zero fact at every entry to the
+    #: component, ``None`` when unknown.  ``Predict()``'s entry joins every
+    #: state the day loop reaches.
+    entries: dict[str, dict[Operand, int | None]]
+
+    @property
+    def operands(self) -> dict[Operand, int | None]:
+        """Written operand → zero fact over every state of the day loop."""
+        return self.entries["predict"]
+
+    @property
+    def always_plus_zero(self) -> set[Operand]:
+        """Written operands whose every write is proven +0."""
+        return {operand for operand, fact in self.operands.items()
+                if fact == PLUS_ZERO}
+
+    def describe(self) -> str:
+        """The operands proven zero, for the ``repro inspect`` report."""
+        proven = [f"{operand.name}={_FACT_NAMES[fact]}"
+                  for operand, fact in sorted(self.operands.items())
+                  if fact is not None]
+        return ", ".join(proven) if proven else "none"
+
+
+def _join(a: int | None, b: int | None) -> int | None:
+    return None if a is None or b is None else a | b
+
+
+def analyze_zeros(ir: IRProgram) -> ZeroFacts:
+    """Prove values zero by an optimistic fixpoint over the day loop.
+
+    ``Setup()`` runs once on all-+0 memory; ``Predict()`` then starts from
+    the join of ``Setup()``'s exit and the exits of ``Predict()`` and
+    ``Update()`` (training days alternate the two, inference days repeat
+    ``Predict()``), and ``Update()`` from ``Predict()``'s exit.  Written
+    operands start at their ``Setup()`` exit facts and only rise, so the
+    loop ends after at most three rises per operand.
+    """
+    written = list(dict.fromkeys(
+        operand for name in COMPONENTS for operand in ir.components[name].exports
+    ))
+    slots = {operand: slot for slot, operand in enumerate(written)}
+    # Per component, once: (value, slot, fact when unwritten) per input,
+    # (result, transfer, inputs, params) per instruction, (slot, value) per
+    # export.  The fixpoint then runs on lists indexed by slot.
+    plans = {}
+    for name in COMPONENTS:
+        component = ir.components[name]
+        raw = name != "setup"
+        plans[name] = (
+            [(vid, slots.get(operand),
+              None if raw and operand in _RAW_OPERANDS else PLUS_ZERO)
+             for operand, vid in component.inputs.items()],
+            [(instr.result, instr.spec.zeros, instr.inputs, dict(instr.params))
+             for instr in component.instructions],
+            [(slots[operand], vid) for operand, vid in component.exports.items()],
+        )
+    facts: dict[int, int | None] = {}
+
+    def run(name: str, entry: list) -> list:
+        inputs, steps, exports = plans[name]
+        for vid, slot, unwritten in inputs:
+            facts[vid] = unwritten if slot is None else entry[slot]
+        for result, transfer, arguments, params in steps:
+            facts[result] = None if transfer is None else transfer(
+                tuple(facts[vid] for vid in arguments), params
+            )
+        exit_facts = list(entry)
+        for slot, vid in exports:
+            exit_facts[slot] = facts[vid]
+        return exit_facts
+
+    fresh = [PLUS_ZERO] * len(written)
+    setup_exit = run("setup", fresh)
+    entry = setup_exit
+    while True:
+        predict_exit = run("predict", entry)
+        update_exit = run("update", predict_exit)
+        joined = [_join(_join(a, b), c)
+                  for a, b, c in zip(setup_exit, predict_exit, update_exit)]
+        if joined == entry:
+            entries = {"setup": fresh, "predict": entry, "update": predict_exit}
+            return ZeroFacts(values=facts, entries={
+                name: dict(zip(written, facts_at_entry))
+                for name, facts_at_entry in entries.items()
+            })
+        entry = joined
+
+
+def propagate_zeros(ir: IRProgram) -> tuple[IRProgram, PassStats]:
+    """Rewrite the IR by the facts of :func:`analyze_zeros` (key only).
+
+    Readers of a value proven +0 or -0 read the component's canonical zero
+    of that type and sign instead (``s_const(constant=±0.0)``, and its
+    ``v_broadcast`` / ``m_broadcast(axis=0)``, prepended to the component;
+    their ``output`` names the type's first address, which no pass reads).
+    Readers of a declared pass-through (:attr:`~repro.core.ops.OpSpec.
+    passthrough`) of a sanitized input read that input.  A component's write
+    of a proven zero exports the canonical zero, unless the operand holds
+    that same zero at every entry to the component: then the write cannot
+    change the operand's state and is dropped (an operand that is always +0
+    loses every write, and every read of it reads the canonical +0).  The
+    execution pipeline never runs this pass, so the tape still computes
+    what the interpreter computes.
+    """
+    zeros = analyze_zeros(ir)
+    if all(fact is None for fact in zeros.values.values()):
+        # Nothing proven zero: no canonical zero, pass-through or drop.
+        return ir, PassStats(name="zeros")
+    ir = ir.copy()
+    next_id = max(ir.values, default=-1) + 1
+    rewired = dropped = 0
+    for name in COMPONENTS:
+        component = ir.components[name]
+        prologue: list[IRInstruction] = []
+        canonical: dict[tuple[OperandType, int], int] = {}
+
+        def zero_of(type_: OperandType, fact: int) -> int:
+            nonlocal next_id
+            vid = canonical.get((type_, fact))
+            if vid is not None:
+                return vid
+            if type_ is OperandType.SCALAR:
+                op, inputs = "s_const", ()
+                params = (("constant", 0.0 if fact == PLUS_ZERO else -0.0),)
+            elif type_ is OperandType.VECTOR:
+                op, inputs, params = "v_broadcast", (zero_of(OperandType.SCALAR, fact),), ()
+            else:
+                op, inputs = "m_broadcast", (zero_of(OperandType.VECTOR, fact),)
+                params = (("axis", 0),)
+            vid = canonical[(type_, fact)] = next_id
+            next_id += 1
+            ir.values[vid] = IRValue(id=vid, type=type_)
+            prologue.append(IRInstruction(op=op, inputs=inputs, params=params,
+                                          result=vid, output=Operand(type_, 0)))
+            return vid
+
+        raw = set() if name == "setup" else {
+            component.inputs[operand] for operand in _RAW_OPERANDS
+            if operand in component.inputs
+        }
+        mapping: dict[int, int] = {}
+        for operand, vid in component.inputs.items():
+            fact = zeros.values[vid]
+            if fact == PLUS_ZERO or fact == MINUS_ZERO:
+                mapping[vid] = zero_of(operand.type, fact)
+        body: list[IRInstruction] = []
+        for instr in component.instructions:
+            rewritten = substitute_inputs(instr, mapping)
+            body.append(rewritten)
+            fact = zeros.values[instr.result]
+            if fact == PLUS_ZERO or fact == MINUS_ZERO:
+                mapping[instr.result] = zero_of(ir.values[instr.result].type, fact)
+                continue
+            for kept, other_facts in instr.spec.passthrough:
+                other = zeros.values[instr.inputs[1 - kept]]
+                source = rewritten.inputs[kept]
+                if other is not None and other | other_facts == other_facts \
+                        and source not in raw:
+                    mapping[instr.result] = source
+                    break
+        exports: dict[Operand, int] = {}
+        for operand, vid in component.exports.items():
+            fact = zeros.values[vid]
+            if fact != PLUS_ZERO and fact != MINUS_ZERO:
+                exports[operand] = vid
+            elif zeros.entries[name][operand] == fact:
+                dropped += 1
+            else:
+                exports[operand] = mapping[vid]
+        component.instructions = prologue + body
+        component.exports = exports
+        rewired += len(mapping)
+    return ir, PassStats(name="zeros", removed=dropped, rewritten=rewired)
 
 
 # ---------------------------------------------------------------------------
@@ -125,35 +339,38 @@ def fold_constants(ir: IRProgram) -> tuple[IRProgram, PassStats]:
 # Structural value keys (canonicalisation + CSE)
 # ---------------------------------------------------------------------------
 
-def _hash_key(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def _params_key(instr: IRInstruction) -> str:
+    # repr, not the values: 0.0 == -0.0 and 1 == 1.0 compare (and hash) equal.
+    return repr(sorted(instr.params))
 
 
-def _instruction_key(instr: IRInstruction, keys: dict[int, str],
-                     sort_commutative: bool) -> str:
-    input_keys = [keys[vid] for vid in instr.inputs]
-    if sort_commutative and instr.spec.commutative:
-        input_keys = sorted(input_keys)
-    payload = f"{instr.op}|{sorted(instr.params)!r}|{'|'.join(input_keys)}"
-    return _hash_key(payload)
+def _value_keys(ir: IRProgram) -> dict[int, tuple]:
+    """A structural sort key per SSA value.
 
-
-def _value_keys(ir: IRProgram, sort_commutative: bool) -> dict[int, str]:
-    """A structural key per SSA value (hashed, so keys stay bounded)."""
-    keys: dict[int, str] = {}
+    A component input is keyed by its operand name and an instruction result
+    by the first-seen number of its structure (operator, parameters and
+    input keys, commutative inputs sorted), so equal structures get equal
+    keys and the keys of mirror-image programs agree.
+    """
+    keys: dict[int, tuple] = {}
+    structures: dict[tuple, int] = {}
     for name in COMPONENTS:
         component = ir.components[name]
         for operand, vid in component.inputs.items():
-            keys[vid] = f"in:{operand.name}"
+            keys[vid] = (0, operand.name)
         for instr in component.instructions:
-            keys[instr.result] = _instruction_key(instr, keys, sort_commutative)
+            input_keys = [keys[vid] for vid in instr.inputs]
+            if instr.spec.commutative:
+                input_keys.sort()
+            structure = (instr.op, _params_key(instr), tuple(input_keys))
+            keys[instr.result] = (1, structures.setdefault(structure, len(structures)))
     return keys
 
 
 def canonicalize_commutative(ir: IRProgram) -> tuple[IRProgram, PassStats]:
     """Sort the operands of commutative instructions by structural key."""
     ir = ir.copy()
-    keys = _value_keys(ir, sort_commutative=True)
+    keys = _value_keys(ir)
     reordered = 0
     for name in COMPONENTS:
         component = ir.components[name]
@@ -180,15 +397,13 @@ def eliminate_common_subexpressions(ir: IRProgram) -> tuple[IRProgram, PassStats
     for name in COMPONENTS:
         component = ir.components[name]
         mapping: dict[int, int] = {}
-        available: dict[str, int] = {}
-        keys: dict[int, str] = {}
-        for operand, vid in component.inputs.items():
-            keys[vid] = f"in:{operand.name}"
+        # Inputs are already rewired to the surviving values, so an
+        # instruction's value ids identify its structure.
+        available: dict[tuple, int] = {}
         kept: list[IRInstruction] = []
         for instr in component.instructions:
             instr = substitute_inputs(instr, mapping)
-            key = _instruction_key(instr, keys, sort_commutative=False)
-            keys[instr.result] = key
+            key = (instr.op, _params_key(instr), instr.inputs)
             survivor = available.get(key)
             if survivor is not None:
                 mapping[instr.result] = survivor

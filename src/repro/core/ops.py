@@ -49,7 +49,15 @@ the tape's program (lane) axis and its day axis.  An entry records:
 * whether it **constant-folds**: the scalar operators whose result the fold
   pass may compute once, by calling the operator on one-element arrays;
 * the **gather** of the extraction operators: one advanced-indexing call
-  that takes each lane's own ``row`` / ``col`` in a stacked group.
+  that takes each lane's own ``row`` / ``col`` in a stacked group;
+* the **constant transfer** (:attr:`OpSpec.zeros`): which zero the result
+  is when some inputs are proven zeros (:data:`PLUS_ZERO`,
+  :data:`MINUS_ZERO` or :data:`SIGNED_ZERO`), and the exact **pass-through**
+  identities (:attr:`OpSpec.passthrough`), such as ``x - (+0) = x``.  The
+  fingerprint's zero-constancy pass (:mod:`repro.compile.passes`) reads
+  both; the registry contract test checks them bit for bit.  Only IEEE
+  sign rules and C99 Annex F special values (``sin(±0) = ±0``) are
+  declared, never a probed or rounded constant.
 """
 
 from __future__ import annotations
@@ -67,7 +75,10 @@ from .memory import OperandType
 __all__ = [
     "CLIP_VALUE",
     "FINITE_CLOSED",
+    "MINUS_ZERO",
+    "PLUS_ZERO",
     "RANGE_CLOSED",
+    "SIGNED_ZERO",
     "OpKind",
     "Dimensions",
     "ExecutionContext",
@@ -90,6 +101,13 @@ FINITE_CLOSED = "finite-closed"
 #: Sanitize contract: given sanitized inputs the result is finite and within
 #: ``±CLIP_VALUE``, so neither the clip nor the NaN scan changes a bit.
 RANGE_CLOSED = "range-closed"
+
+#: Zero facts: bit masks of the signs a proven-zero array may hold.  Every
+#: element is +0.0, every element is -0.0, or every element is one of the
+#: two (a zero of unknown sign).  ``None`` is an unknown value.
+PLUS_ZERO = 1
+MINUS_ZERO = 2
+SIGNED_ZERO = PLUS_ZERO | MINUS_ZERO
 
 
 def sanitize(values: np.ndarray) -> np.ndarray:
@@ -192,8 +210,10 @@ class OpSpec:
     param_names: tuple[str, ...] = ()
     components: frozenset = frozenset({"setup", "predict", "update"})
     symbol: str | None = None
-    #: Whether swapping the two inputs leaves the result unchanged (e.g.
-    #: ``a + b == b + a``).  Canonicalisation — in
+    #: Whether swapping the two inputs leaves the result unchanged bit for
+    #: bit (e.g. ``a + b == b + a``; not ``min``/``max``, which return their
+    #: second input when the two are equal, so ``min(+0, -0)`` is ``-0``).
+    #: Canonicalisation — in
     #: :meth:`repro.core.program.AlphaProgram.structural_key` and in the
     #: compile pipeline (:mod:`repro.compile.passes`) — sorts the operands of
     #: commutative operators so mirror-image programs share one fingerprint.
@@ -212,6 +232,15 @@ class OpSpec:
     #: ``gather(ctx, member_params)``: the operator over a ``(P, …)`` lane
     #: axis with lane ``p`` taking ``member_params[p]``, or ``None``.
     gather: Callable[[ExecutionContext, tuple[dict, ...]], OpFunc] | None = None
+    #: ``zeros(facts, params)``: the result's zero fact given each input's
+    #: (``PLUS_ZERO`` / ``MINUS_ZERO`` / ``SIGNED_ZERO`` / ``None``), or
+    #: ``None`` when no input fact makes the result a proven zero.  Unknown
+    #: inputs may hold any value, raw NaN and ±inf included.
+    zeros: Callable[[tuple, dict], int | None] | None = None
+    #: ``(kept, fact)`` pairs: the result is input ``kept`` bit for bit when
+    #: the other input's zero fact lies within ``fact`` and input ``kept``
+    #: is sanitized.
+    passthrough: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kernel is _OWN_FUNCTION:
@@ -450,6 +479,91 @@ def _extraction_gather(ctx, member_params):
 
 
 # ---------------------------------------------------------------------------
+# Constant transfers (OpSpec.zeros)
+# ---------------------------------------------------------------------------
+
+def _zeros_odd(facts, params):
+    # f(±0) = ±0 with the sign kept: selections, copies, sin/tan/arcsin/arctan.
+    return facts[0]
+
+
+def _zeros_absorbing(facts, params):
+    # Any zero input makes the result +0: |±0|, sums of squares, and the
+    # einsum contractions, which accumulate every product onto +0.0 (a NaN
+    # product sanitizes to +0.0 as well).
+    return PLUS_ZERO if any(fact is not None for fact in facts) else None
+
+
+def _zeros_product(facts, params):
+    # ±0 times a finite value is a zero with the xor of the signs; times NaN
+    # or ±inf it is NaN, which sanitizes to +0.
+    if all(fact is None for fact in facts):
+        return None
+    if any(fact is None for fact in facts):
+        return SIGNED_ZERO
+    a, b = facts
+    plus = (a & b & PLUS_ZERO) or (a & b & MINUS_ZERO)
+    minus = (a & PLUS_ZERO and b & MINUS_ZERO) or (a & MINUS_ZERO and b & PLUS_ZERO)
+    return (PLUS_ZERO if plus else 0) | (MINUS_ZERO if minus else 0)
+
+
+def _zeros_sum(facts, params):
+    # IEEE: -0 + -0 = -0, and every other sum of zeros is +0.
+    a, b = facts
+    if a is None or b is None:
+        return None
+    return ((a | b) & PLUS_ZERO) | (a & b & MINUS_ZERO)
+
+
+def _negated(fact):
+    return None if fact is None else ((fact & PLUS_ZERO) << 1) | ((fact & MINUS_ZERO) >> 1)
+
+
+def _zeros_difference(facts, params):
+    # a - b is a + (-b) bit for bit.
+    return _zeros_sum((facts[0], _negated(facts[1])), params)
+
+
+def _zeros_quotient(facts, params):
+    # The protected divide maps a zero denominator to 1.0, so a / ±0 = a; a
+    # zero over anything else is a signed zero (or NaN, sanitized to +0).
+    numerator, denominator = facts
+    if denominator is not None:
+        return numerator
+    return None if numerator is None else SIGNED_ZERO
+
+
+def _zeros_extremum(facts, params):
+    # min/max of two zeros returns one of them, which one depending on order.
+    a, b = facts
+    return None if a is None or b is None else a | b
+
+
+def _zeros_reduction(facts, params):
+    # Sums and means of +0 are +0; how a sum of -0 starts is NumPy's choice.
+    fact = facts[0]
+    return None if fact is None else (PLUS_ZERO if fact == PLUS_ZERO else SIGNED_ZERO)
+
+
+def _zeros_matmul(facts, params):
+    # A BLAS product sums ±0 terms in an order of its own.
+    return SIGNED_ZERO if any(fact is not None for fact in facts) else None
+
+
+def _zeros_constant(facts, params):
+    constant = float(params["constant"])
+    if constant != 0.0:
+        return None
+    return MINUS_ZERO if np.signbit(constant) else PLUS_ZERO
+
+
+#: Pass-through identities of the two-input arithmetic families.
+_ADD_PASSTHROUGH = ((0, MINUS_ZERO), (1, MINUS_ZERO))
+_SUB_PASSTHROUGH = ((0, PLUS_ZERO),)
+_DIV_PASSTHROUGH = ((0, SIGNED_ZERO),)
+
+
+# ---------------------------------------------------------------------------
 # Registration helpers
 # ---------------------------------------------------------------------------
 
@@ -472,8 +586,9 @@ def _elementwise(name: str, input_types, ufunc, contract: str, **facts) -> None:
     ))
 
 
-def _transcendental(name: str, fn) -> None:
-    _register(OpSpec(name, OpKind.ARITHMETIC, (_S,), _S, _unary(fn), probe=True))
+def _transcendental(name: str, fn, **facts) -> None:
+    _register(OpSpec(name, OpKind.ARITHMETIC, (_S,), _S, _unary(fn), probe=True,
+                     **facts))
 
 
 def _initialiser(name: str, output_type, shape) -> None:
@@ -498,26 +613,29 @@ def _initialiser(name: str, output_type, shape) -> None:
 # values stay finite; extrema, |x|, signs and the 0/1 heaviside stay inside
 # the input range.  Only the scalar forms fold: constants are scalars.
 _elementwise("s_add", (_S, _S), np.add, FINITE_CLOSED, fold=True, symbol="+",
-             commutative=True)
-_elementwise("s_sub", (_S, _S), np.subtract, FINITE_CLOSED, fold=True, symbol="-")
+             commutative=True, zeros=_zeros_sum, passthrough=_ADD_PASSTHROUGH)
+_elementwise("s_sub", (_S, _S), np.subtract, FINITE_CLOSED, fold=True, symbol="-",
+             zeros=_zeros_difference, passthrough=_SUB_PASSTHROUGH)
 _elementwise("s_mul", (_S, _S), np.multiply, FINITE_CLOSED, fold=True, symbol="*",
-             commutative=True)
+             commutative=True, zeros=_zeros_product)
 _elementwise("s_div", (_S, _S), _protected_divide, FINITE_CLOSED, fold=True,
-             symbol="/")
+             symbol="/", zeros=_zeros_quotient, passthrough=_DIV_PASSTHROUGH)
 _elementwise("s_min", (_S, _S), np.minimum, RANGE_CLOSED, fold=True,
-             commutative=True)
+             zeros=_zeros_extremum)
 _elementwise("s_max", (_S, _S), np.maximum, RANGE_CLOSED, fold=True,
-             commutative=True)
-_elementwise("s_abs", (_S,), np.abs, RANGE_CLOSED, fold=True)
-_elementwise("s_sign", (_S,), np.sign, RANGE_CLOSED, fold=True)
+             zeros=_zeros_extremum)
+_elementwise("s_abs", (_S,), np.abs, RANGE_CLOSED, fold=True, zeros=_zeros_absorbing)
+_elementwise("s_sign", (_S,), np.sign, RANGE_CLOSED, fold=True, zeros=_zeros_absorbing)
 # A transcendental's SIMD kernel *could* take a different code path for a
 # different array length, so none folds and each kernel is probed.
-_transcendental("s_sin", np.sin)
+# C99 Annex F: sin, tan, arcsin and arctan return a zero argument unchanged.
+_transcendental("s_sin", np.sin, zeros=_zeros_odd)
 _transcendental("s_cos", np.cos)
-_transcendental("s_tan", np.tan)
-_transcendental("s_arcsin", lambda x: np.arcsin(np.clip(x, -1.0, 1.0)))
+_transcendental("s_tan", np.tan, zeros=_zeros_odd)
+_transcendental("s_arcsin", lambda x: np.arcsin(np.clip(x, -1.0, 1.0)),
+                zeros=_zeros_odd)
 _transcendental("s_arccos", lambda x: np.arccos(np.clip(x, -1.0, 1.0)))
-_transcendental("s_arctan", np.arctan)
+_transcendental("s_arctan", np.arctan, zeros=_zeros_odd)
 _transcendental("s_exp", lambda x: np.exp(np.clip(x, -50.0, 50.0)))
 _transcendental("s_log", lambda x: np.log(np.maximum(np.abs(x), _EPS)))
 _elementwise("s_heaviside", (_S,), _heaviside, RANGE_CLOSED, fold=True)
@@ -526,20 +644,24 @@ _register(OpSpec(
     lambda ctx, inputs, params: np.full(ctx.num_tasks, params["constant"]),
     param_names=("constant",),
     kernel=None,
+    zeros=_zeros_constant,
 ))
 
 # ---------------------------------------------------------------------------
 # Vector operators
 # ---------------------------------------------------------------------------
 
-_elementwise("v_add", (_V, _V), np.add, FINITE_CLOSED, symbol="+", commutative=True)
-_elementwise("v_sub", (_V, _V), np.subtract, FINITE_CLOSED, symbol="-")
+_elementwise("v_add", (_V, _V), np.add, FINITE_CLOSED, symbol="+", commutative=True,
+             zeros=_zeros_sum, passthrough=_ADD_PASSTHROUGH)
+_elementwise("v_sub", (_V, _V), np.subtract, FINITE_CLOSED, symbol="-",
+             zeros=_zeros_difference, passthrough=_SUB_PASSTHROUGH)
 _elementwise("v_mul", (_V, _V), np.multiply, FINITE_CLOSED, symbol="*",
-             commutative=True)
-_elementwise("v_div", (_V, _V), _protected_divide, FINITE_CLOSED, symbol="/")
-_elementwise("v_min", (_V, _V), np.minimum, RANGE_CLOSED, commutative=True)
-_elementwise("v_max", (_V, _V), np.maximum, RANGE_CLOSED, commutative=True)
-_elementwise("v_abs", (_V,), np.abs, RANGE_CLOSED)
+             commutative=True, zeros=_zeros_product)
+_elementwise("v_div", (_V, _V), _protected_divide, FINITE_CLOSED, symbol="/",
+             zeros=_zeros_quotient, passthrough=_DIV_PASSTHROUGH)
+_elementwise("v_min", (_V, _V), np.minimum, RANGE_CLOSED, zeros=_zeros_extremum)
+_elementwise("v_max", (_V, _V), np.maximum, RANGE_CLOSED, zeros=_zeros_extremum)
+_elementwise("v_abs", (_V,), np.abs, RANGE_CLOSED, zeros=_zeros_absorbing)
 _elementwise("v_heaviside", (_V,), _heaviside, RANGE_CLOSED)
 _register(OpSpec(
     # One rounding per element, as a plain broadcast multiply.
@@ -547,11 +669,13 @@ _register(OpSpec(
     lambda ctx, inputs, params: inputs[0][..., None] * inputs[1],
     out=lambda inputs, out: np.multiply(inputs[0][..., None], inputs[1], out=out),
     contract=FINITE_CLOSED,
+    zeros=_zeros_product,
 ))
 _register(OpSpec(
     "v_dot", OpKind.ARITHMETIC, (_V, _V), _S,
     lambda ctx, inputs, params: np.einsum("...w,...w->...", inputs[0], inputs[1]),
     commutative=True,
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     # einsum accumulates each product onto +0.0, so a -0.0 product comes out
@@ -561,22 +685,27 @@ _register(OpSpec(
     out=lambda inputs, out: np.einsum("...f,...w->...fw", inputs[0], inputs[1],
                                       out=out),
     contract=FINITE_CLOSED,
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     "v_norm", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: np.linalg.norm(inputs[0], axis=-1),
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     "v_mean", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: inputs[0].mean(axis=-1),
+    zeros=_zeros_reduction,
 ))
 _register(OpSpec(
     "v_std", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: inputs[0].std(axis=-1),
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     "v_sum", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: inputs[0].sum(axis=-1),
+    zeros=_zeros_reduction,
 ))
 _register(OpSpec(
     "ts_rank", OpKind.ARITHMETIC, (_V,), _S,
@@ -585,11 +714,13 @@ _register(OpSpec(
         / max(inputs[0].shape[-1] - 1, 1)
     ),
     contract=RANGE_CLOSED,
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     "v_broadcast", OpKind.ARITHMETIC, (_S,), _V,
     lambda ctx, inputs, params: np.repeat(inputs[0][..., None], ctx.window, axis=-1),
     contract=RANGE_CLOSED,
+    zeros=_zeros_odd,
 ))
 _initialiser("vector_uniform", _V, lambda ctx: (ctx.num_tasks, ctx.window))
 
@@ -597,14 +728,17 @@ _initialiser("vector_uniform", _V, lambda ctx: (ctx.num_tasks, ctx.window))
 # Matrix operators
 # ---------------------------------------------------------------------------
 
-_elementwise("m_add", (_M, _M), np.add, FINITE_CLOSED, symbol="+", commutative=True)
-_elementwise("m_sub", (_M, _M), np.subtract, FINITE_CLOSED, symbol="-")
+_elementwise("m_add", (_M, _M), np.add, FINITE_CLOSED, symbol="+", commutative=True,
+             zeros=_zeros_sum, passthrough=_ADD_PASSTHROUGH)
+_elementwise("m_sub", (_M, _M), np.subtract, FINITE_CLOSED, symbol="-",
+             zeros=_zeros_difference, passthrough=_SUB_PASSTHROUGH)
 _elementwise("m_mul", (_M, _M), np.multiply, FINITE_CLOSED, symbol="*",
-             commutative=True)
-_elementwise("m_div", (_M, _M), _protected_divide, FINITE_CLOSED, symbol="/")
-_elementwise("m_min", (_M, _M), np.minimum, RANGE_CLOSED, commutative=True)
-_elementwise("m_max", (_M, _M), np.maximum, RANGE_CLOSED, commutative=True)
-_elementwise("m_abs", (_M,), np.abs, RANGE_CLOSED)
+             commutative=True, zeros=_zeros_product)
+_elementwise("m_div", (_M, _M), _protected_divide, FINITE_CLOSED, symbol="/",
+             zeros=_zeros_quotient, passthrough=_DIV_PASSTHROUGH)
+_elementwise("m_min", (_M, _M), np.minimum, RANGE_CLOSED, zeros=_zeros_extremum)
+_elementwise("m_max", (_M, _M), np.maximum, RANGE_CLOSED, zeros=_zeros_extremum)
+_elementwise("m_abs", (_M,), np.abs, RANGE_CLOSED, zeros=_zeros_absorbing)
 _elementwise("m_heaviside", (_M,), _heaviside, RANGE_CLOSED)
 _register(OpSpec(
     "m_scale", OpKind.ARITHMETIC, (_S, _M), _M,
@@ -612,46 +746,56 @@ _register(OpSpec(
     out=lambda inputs, out: np.multiply(inputs[0][..., None, None], inputs[1],
                                         out=out),
     contract=FINITE_CLOSED,
+    zeros=_zeros_product,
 ))
 _register(OpSpec(
     "matmul", OpKind.ARITHMETIC, (_M, _M), _M,
     lambda ctx, inputs, params: np.matmul(inputs[0], inputs[1]),
+    zeros=_zeros_matmul,
 ))
 _register(OpSpec(
     "matvec", OpKind.ARITHMETIC, (_M, _V), _V,
     lambda ctx, inputs, params: np.einsum("...fw,...w->...f", inputs[0], inputs[1]),
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     "transpose", OpKind.ARITHMETIC, (_M,), _M,
     lambda ctx, inputs, params: np.swapaxes(inputs[0], -1, -2),
     contract=RANGE_CLOSED,
+    zeros=_zeros_odd,
 ))
 _register(OpSpec(
     "m_norm", OpKind.ARITHMETIC, (_M,), _S,
     lambda ctx, inputs, params: np.linalg.norm(inputs[0], axis=(-2, -1)),
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     "m_norm_axis", OpKind.ARITHMETIC, (_M,), _V,
     lambda ctx, inputs, params: np.linalg.norm(inputs[0], axis=params["axis"] - 2),
     param_names=("axis",),
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     "m_mean", OpKind.ARITHMETIC, (_M,), _S,
     lambda ctx, inputs, params: inputs[0].mean(axis=(-2, -1)),
+    zeros=_zeros_reduction,
 ))
 _register(OpSpec(
     "m_std", OpKind.ARITHMETIC, (_M,), _S,
     lambda ctx, inputs, params: inputs[0].std(axis=(-2, -1)),
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     "m_mean_axis", OpKind.ARITHMETIC, (_M,), _V,
     lambda ctx, inputs, params: inputs[0].mean(axis=params["axis"] - 2),
     param_names=("axis",),
+    zeros=_zeros_reduction,
 ))
 _register(OpSpec(
     "m_std_axis", OpKind.ARITHMETIC, (_M,), _V,
     lambda ctx, inputs, params: inputs[0].std(axis=params["axis"] - 2),
     param_names=("axis",),
+    zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
     "m_broadcast", OpKind.ARITHMETIC, (_V,), _M,
@@ -662,6 +806,7 @@ _register(OpSpec(
     ),
     param_names=("axis",),
     contract=RANGE_CLOSED,
+    zeros=_zeros_odd,
 ))
 _initialiser("matrix_uniform", _M,
              lambda ctx: (ctx.num_tasks, ctx.num_features, ctx.window))
@@ -678,6 +823,7 @@ _register(OpSpec(
     param_names=("row", "col"),
     contract=RANGE_CLOSED,
     gather=_extraction_gather,
+    zeros=_zeros_odd,
 ))
 _register(OpSpec(
     "get_row", OpKind.EXTRACTION, (_M,), _V,
@@ -685,6 +831,7 @@ _register(OpSpec(
     param_names=("row",),
     contract=RANGE_CLOSED,
     gather=_extraction_gather,
+    zeros=_zeros_odd,
 ))
 _register(OpSpec(
     "get_column", OpKind.EXTRACTION, (_M,), _V,
@@ -692,6 +839,7 @@ _register(OpSpec(
     param_names=("col",),
     contract=RANGE_CLOSED,
     gather=_extraction_gather,
+    zeros=_zeros_odd,
 ))
 
 # ---------------------------------------------------------------------------
@@ -723,6 +871,8 @@ _register(OpSpec(
     param_names=("level",),
     components=_RELATION_COMPONENTS,
     kernel=None,
+    # The group means of zeros are +0 (bincount sums onto +0), and x - (+0) = x.
+    zeros=_zeros_odd,
 ))
 _register(OpSpec(
     # The complement of RelationDemeanOp: the mean of the input operand over
@@ -735,4 +885,5 @@ _register(OpSpec(
     param_names=("level",),
     components=_RELATION_COMPONENTS,
     kernel=None,
+    zeros=_zeros_absorbing,
 ))

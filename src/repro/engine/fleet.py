@@ -7,10 +7,10 @@ arriving bar across its registered alphas.  Both used to own their fan-out;
 
 * **canonical deduplication** — members are fingerprinted on their pruned
   canonical IR (the same prune → :func:`repro.core.cache.fingerprint` flow
-  the search cache uses), so trivially equivalent programs — mirrored
-  commutative operands, renamed registers, duplicated subexpressions —
-  share one backend and are executed once, however many names point at
-  them;
+  the search cache uses), so equivalent programs — mirrored commutative
+  operands, renamed registers, duplicated subexpressions, arithmetic on
+  zero-initialised memory — share one backend and are executed once,
+  however many names point at them (equal keys predict bit for bit alike);
 * **one shared** :class:`~repro.core.ops.ExecutionContext` — contexts are
   read-only during execution (initialiser operators derive their RNGs from
   their own parameters), so the whole fleet binds to a single context

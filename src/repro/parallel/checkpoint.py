@@ -42,8 +42,11 @@ __all__ = [
 #: Bumped whenever the checkpoint layout or the meaning of its cached
 #: fitness reports changes incompatibly (version 2: initialiser draws no
 #: longer depend on the process's string-hash salt; version 3: the
-#: configuration echo no longer names a main-loop scheduler).
-CHECKPOINT_VERSION = 3
+#: configuration echo no longer names a main-loop scheduler; version 4: the
+#: cached reports are keyed by fingerprints that see through arithmetic on
+#: zero-initialised memory, so a version-3 cache would resume with other
+#: hit counts than an uninterrupted search).
+CHECKPOINT_VERSION = 4
 
 
 @dataclass

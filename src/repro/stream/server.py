@@ -14,9 +14,10 @@ them in one pass.  Three kinds of work are shared across the fleet:
 * **duplicate programs** — the fleet fingerprints each program on its
   canonical IR (the same prune → :func:`repro.core.cache.fingerprint` flow
   the search's :class:`~repro.core.cache.FingerprintCache` uses), so mined
-  alphas that are trivially equivalent — mirrored commutative operands,
-  renamed registers, duplicated subexpressions — share a single incremental
-  executor and are evaluated once per day, however many names point at them.
+  alphas that are equivalent — mirrored commutative operands, renamed
+  registers, duplicated subexpressions, arithmetic on zero-initialised
+  memory — share a single incremental executor and are evaluated once per
+  day, however many names point at them.
 
 The server is the *same code path* as the offline backtest: every executor
 context comes from
@@ -68,8 +69,10 @@ __all__ = ["CorrectionRecord", "ServerState", "AlphaServer"]
 
 #: Bumped whenever the server-state layout changes incompatibly.
 #: v2: served-bar history, the correction log and the delta-replay
-#: snapshot payloads ride along with the tapes.
-SERVER_STATE_VERSION = 2
+#: snapshot payloads ride along with the tapes.  v3: registrations, tapes
+#: and replay payloads are keyed by fingerprints that see through
+#: arithmetic on zero-initialised memory.
+SERVER_STATE_VERSION = 3
 
 #: Reservoir size of the per-bar latency histogram: large enough that every
 #: bar of a laptop-scale serve (and the bench suite) is kept exactly, yet a

@@ -1,6 +1,7 @@
 """Tests for the IR optimiser passes and the canonical fingerprint key."""
 
 import numpy as np
+from hypothesis import given, settings
 
 from repro.compile import (
     analyze_dataflow,
@@ -22,9 +23,10 @@ from repro.core import (
     domain_expert_alpha,
     neural_network_alpha,
     prune_program,
-    random_alpha,
 )
 from repro.core.ops import CLIP_VALUE
+
+from strategies import programs
 
 S2, S3, S4, S5 = (Operand.scalar(i) for i in (2, 3, 4, 5))
 
@@ -175,16 +177,16 @@ class TestCSE:
 
 
 class TestDeadCodeElimination:
-    def test_matches_program_pruning(self, dims):
+    @settings(max_examples=40)
+    @given(program=programs())
+    def test_matches_program_pruning(self, program):
         """DSE keeps exactly the operations backward-liveness pruning keeps."""
-        for seed in range(8):
-            program = random_alpha(dims, seed=seed)
-            ir, stats, info = eliminate_dead_code(lower_program(program))
-            pruned = prune_program(program)
-            assert ir.num_instructions == pruned.kept_operations or pruned.is_redundant
-            if not pruned.is_redundant:
-                assert stats.removed == pruned.removed_operations
-            assert info.is_redundant == pruned.is_redundant
+        ir, stats, info = eliminate_dead_code(lower_program(program))
+        pruned = prune_program(program)
+        assert ir.num_instructions == pruned.kept_operations or pruned.is_redundant
+        if not pruned.is_redundant:
+            assert stats.removed == pruned.removed_operations
+        assert info.is_redundant == pruned.is_redundant
 
     def test_redundant_program_flagged(self):
         program = predict_only(
@@ -249,10 +251,10 @@ class TestCanonicalKey:
 
         assert canonical_key(carried(S2)) != canonical_key(carried(S3))
 
-    def test_canonical_pipeline_idempotent_on_key(self, dims):
-        for seed in range(4):
-            program = random_alpha(dims, seed=seed)
-            assert canonical_key(program) == canonical_key(program)
+    @settings(max_examples=40)
+    @given(program=programs())
+    def test_canonical_pipeline_idempotent_on_key(self, program):
+        assert canonical_key(program) == canonical_key(program)
 
 
 class TestCompiledProgram:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import AlphaEvaluator, Dimensions, Mutator
 from repro.core.ops import CLIP_VALUE
@@ -14,6 +15,13 @@ from repro.data import (
     TaskSet,
     build_taskset,
 )
+
+#: Every Hypothesis test draws the same examples on every run: a property
+#: test is a deterministic gate, and a shrunk counterexample becomes a
+#: regression test instead of a flaky failure.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -88,8 +88,9 @@ class TestCheckpointFiles:
     # Version 1 cached fitness scores drawn with the hash-salted
     # initialiser RNG; mixing them into a later search would diverge.
     # Version 2 echoed a main-loop scheduler that no longer exists.
-    @pytest.mark.parametrize("version", [1, 2, CHECKPOINT_VERSION + 1],
-                             ids=["v1", "v2", "future"])
+    # Version 3 keyed its cache by fingerprints blind to zero arithmetic.
+    @pytest.mark.parametrize("version", [1, 2, 3, CHECKPOINT_VERSION + 1],
+                             ids=["v1", "v2", "v3", "future"])
     def test_load_rejects_version_mismatch(self, tmp_path, version):
         checkpoint = SearchCheckpoint(
             version=version,

@@ -535,10 +535,24 @@ class TestSuspendResumeCorrections:
         with pytest.raises(ExecutionError, match=match):
             make_server(small_taskset, mixed_fleet, warm=False).resume(state)
 
+    def test_resume_refuses_a_v2_state_by_version(self, small_taskset, fleet):
+        # A v2 state keys its registrations by fingerprints that were blind
+        # to arithmetic on zero-initialised memory: refused by its version,
+        # not by a misleading registration-table mismatch.
+        import dataclasses
+
+        features, labels = valid_history(small_taskset)
+        live = make_server(small_taskset, fleet)
+        serve_days(live, features, labels, 0, 2)
+        state = dataclasses.replace(live.suspend(), version=2)
+        with pytest.raises(StreamError, match="server state has version 2, "
+                           f"this build reads version {SERVER_STATE_VERSION}"):
+            make_server(small_taskset, fleet, warm=False).resume(state)
+
     def test_resume_of_pre_history_state_rejects_corrections(
         self, small_taskset, fleet
     ):
-        # A v2 state can legitimately carry no history (nothing served yet);
+        # A state can legitimately carry no history (nothing served yet);
         # a server resumed from it must refuse corrections, not serve junk.
         import dataclasses
 
