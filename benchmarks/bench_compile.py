@@ -21,7 +21,18 @@ dispatch, static hoisting and fused batched inference) — and records:
   would turn into wrong scores and wrong served predictions, and fails the
   run.  The number of keys, of prediction classes and of duplicates the key
   still leaves unmerged (keys minus classes) are recorded: counts and bits
-  only, no timing.
+  only, no timing;
+* a **memo count gate** on the search's fingerprint cache: the same corpus
+  goes through one :class:`~repro.core.cache.FingerprintCache` twice.  A
+  memoised key that differs from a direct :func:`fingerprint`, or a
+  canonical-IR pipeline run beyond one per distinct pruned program, fails
+  the run; the pipeline runs and the distinct pruned programs are recorded.
+
+The timed paths are interleaved: each round runs all four (interpreter and
+compiled, with and without the inference splits), the order reversing every
+other round, and each path records the median, min and max of its rounds.
+The inference stage of a round is its full time minus its training-only
+time, and every speedup is a ratio of medians.
 
 Results are written to ``benchmarks/results/BENCH_compile.json`` (the
 source of truth, with a copy at the repository root — see
@@ -33,16 +44,19 @@ Run with::
 
     python benchmarks/bench_compile.py [--programs N] [--repeats R] [--smoke]
 
-``--smoke`` shrinks the program list and skips nothing else — CI uses it as
-a fast compile-parity gate (non-zero exit on any parity violation).
+``--smoke`` shrinks the program list and times one round, and skips nothing
+else — CI uses it as a fast gate (non-zero exit on any parity violation, false
+merge or memo miscount) and it writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -51,12 +65,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 
-import hashlib
-
-from common import build_programs, reports_identical, write_bench_json
+from common import build_programs, reports_identical, spread, write_bench_json
 from repro.compile import compile_program
 from repro.core import AlphaEvaluator, Dimensions, Mutator, get_initialization
-from repro.core.cache import fingerprint
+from repro.core import cache as cache_module
+from repro.core.cache import FingerprintCache, fingerprint
 from repro.core.initializations import INITIALIZATION_NAMES
 from repro.core.pruning import prune_program
 from repro.experiments.configs import SMOKE, make_taskset
@@ -112,18 +125,59 @@ def key_classes(evaluator: AlphaEvaluator, programs: list) -> dict:
     }
 
 
-def time_runs(evaluator, programs, splits, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock for running every program."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for program in programs:
-            evaluator.run(program, splits=splits)
-        best = min(best, time.perf_counter() - start)
-    return best
+def memo_counts(programs: list) -> dict:
+    """Feed ``programs`` through one fingerprint cache twice.
+
+    Counts the canonical-IR pipeline runs behind the cache by wrapping
+    ``repro.core.cache.fingerprint``, and checks every key it returns
+    against a direct :func:`fingerprint` of the pruned program.
+    """
+    runs = 0
+
+    def counting_fingerprint(program):
+        nonlocal runs
+        runs += 1
+        return fingerprint(program)
+
+    cache = FingerprintCache()
+    distinct = set()
+    mismatches = 0
+    cache_module.fingerprint = counting_fingerprint
+    try:
+        for _ in range(2):
+            for program in programs:  # none is redundant
+                result, key, _ = cache.prepare(program)
+                distinct.add(result.program.exact_key())
+                mismatches += key != fingerprint(result.program)
+    finally:
+        cache_module.fingerprint = fingerprint
+    return {
+        "lookups": 2 * len(programs),
+        "distinct_pruned_programs": len(distinct),
+        "pipeline_runs": runs,
+        "key_mismatches": mismatches,
+    }
 
 
-def run_benchmark(num_programs: int = 32, repeats: int = 3) -> dict:
+def time_interleaved(paths: dict, programs, repeats: int) -> dict:
+    """Seconds per round of each ``name -> (evaluator, splits)`` path.
+
+    Every round runs each path once over all programs; the order reverses
+    every other round, so no path always runs first.
+    """
+    seconds: dict[str, list[float]] = {name: [] for name in paths}
+    for round_index in range(repeats):
+        order = list(paths) if round_index % 2 == 0 else list(paths)[::-1]
+        for name in order:
+            evaluator, splits = paths[name]
+            start = time.perf_counter()
+            for program in programs:
+                evaluator.run(program, splits=splits)
+            seconds[name].append(time.perf_counter() - start)
+    return seconds
+
+
+def run_benchmark(num_programs: int = 32, repeats: int = 15) -> dict:
     taskset = make_taskset(SMOKE, use_cache=False)
     dims = Dimensions(taskset.num_features, taskset.window)
     programs = build_programs(dims, num_programs)
@@ -150,19 +204,41 @@ def run_benchmark(num_programs: int = 32, repeats: int = 3) -> dict:
         )
 
     # ----- the key count gate: equal keys must mean equal predictions ------
-    key_gate = key_classes(compiled, build_key_corpus(dims))
+    corpus = build_key_corpus(dims)
+    key_gate = key_classes(compiled, corpus)
+    memo_gate = memo_counts(corpus)
 
     # ----- timing ----------------------------------------------------------
-    interp_full = time_runs(interpreter, programs, SPLITS, repeats)
-    compiled_full = time_runs(compiled, programs, SPLITS, repeats)
     # Training always runs; a no-split run isolates the inference stage.
-    interp_train = time_runs(interpreter, programs, (), repeats)
-    compiled_train = time_runs(compiled, programs, (), repeats)
-    interp_inference = max(interp_full - interp_train, 1e-9)
-    compiled_inference = max(compiled_full - compiled_train, 1e-9)
+    seconds = time_interleaved({
+        "interpreter_full": (interpreter, SPLITS),
+        "compiled_full": (compiled, SPLITS),
+        "interpreter_train": (interpreter, ()),
+        "compiled_train": (compiled, ()),
+    }, programs, repeats)
 
-    def throughput(seconds: float) -> float:
-        return round(len(programs) / seconds, 3)
+    for engine in ("interpreter", "compiled"):
+        seconds[f"{engine}_inference"] = [
+            max(full - train, 1e-9) for full, train
+            in zip(seconds[f"{engine}_full"], seconds[f"{engine}_train"])
+        ]
+    median = {path: statistics.median(runs) for path, runs in seconds.items()}
+
+    def summary(engine: str) -> dict:
+        stages = {}
+        for stage in ("full", "inference"):
+            path = f"{engine}_{stage}"
+            stages.update({
+                f"{stage}_seconds": round(median[path], 4),
+                f"{stage}_candidates_per_second": round(
+                    len(programs) / median[path], 3),
+                f"{stage}_spread_seconds": spread(seconds[path]),
+            })
+        return stages
+
+    def speedup(stage: str) -> float:
+        return round(median[f"interpreter_{stage}"]
+                     / median[f"compiled_{stage}"], 3)
 
     payload = {
         "benchmark": "compiled-tape execution vs interpreter",
@@ -172,22 +248,13 @@ def run_benchmark(num_programs: int = 32, repeats: int = 3) -> dict:
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
-        "interpreter": {
-            "full_seconds": round(interp_full, 4),
-            "full_candidates_per_second": throughput(interp_full),
-            "inference_seconds": round(interp_inference, 4),
-            "inference_candidates_per_second": throughput(interp_inference),
-        },
-        "compiled": {
-            "full_seconds": round(compiled_full, 4),
-            "full_candidates_per_second": throughput(compiled_full),
-            "inference_seconds": round(compiled_inference, 4),
-            "inference_candidates_per_second": throughput(compiled_inference),
-        },
-        "full_speedup": round(interp_full / compiled_full, 3),
-        "inference_speedup": round(interp_inference / compiled_inference, 3),
+        "interpreter": summary("interpreter"),
+        "compiled": summary("compiled"),
+        "full_speedup": speedup("full"),
+        "inference_speedup": speedup("inference"),
         "bitwise_identical_to_interpreter": parity,
         "key_gate": key_gate,
+        "memo_gate": memo_gate,
     }
     return payload
 
@@ -196,8 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--programs", type=int, default=32,
                         help="number of candidate alphas in the fixed budget")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repetitions (best is reported)")
+    parser.add_argument("--repeats", type=int, default=15,
+                        help="interleaved timing rounds (medians are reported)")
     parser.add_argument("--smoke", action="store_true",
                         help="small program list; used as the CI parity gate")
     args = parser.parse_args(argv)
@@ -221,13 +288,27 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ERROR: {gate['false_merges']} fingerprint key(s) hold programs "
               "whose validation predictions differ", file=sys.stderr)
         return 1
+    memo = payload["memo_gate"]
+    if memo["key_mismatches"]:
+        print(f"ERROR: {memo['key_mismatches']} memoised fingerprint(s) differ "
+              "from a direct fingerprint", file=sys.stderr)
+        return 1
+    if memo["pipeline_runs"] > memo["distinct_pruned_programs"]:
+        print(f"ERROR: the fingerprint cache ran the pipeline "
+              f"{memo['pipeline_runs']} times for "
+              f"{memo['distinct_pruned_programs']} distinct pruned programs",
+              file=sys.stderr)
+        return 1
     if args.smoke:
         print("\ncompile-parity smoke check passed "
               f"({payload['num_programs']} programs, "
               f"{payload['fused_eligible_programs']} fused-eligible; "
               f"{gate['programs']} corpus programs in {gate['keys']} keys and "
               f"{gate['prediction_classes']} prediction classes, no key with "
-              "two classes)")
+              f"two classes; {memo['lookups']} cache lookups ran the pipeline "
+              f"{memo['pipeline_runs']} times for "
+              f"{memo['distinct_pruned_programs']} distinct pruned programs, "
+              "every key equal to a direct fingerprint)")
     return 0
 
 

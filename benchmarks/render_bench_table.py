@@ -44,21 +44,25 @@ def discover() -> dict[str, dict]:
 # ---------------------------------------------------------------------------
 
 def _render_compile(payload: dict) -> list[Row]:
+    rounds = f", median of {payload['repeats']} interleaved rounds"
+    stage = payload["compiled"]["inference_spread_seconds"]
     return [
         (
             "compiled tape vs interpreter (inference stage)",
             f"{payload['inference_speedup']}x",
             f"`bench_compile.py`, {payload['num_programs']} programs, "
-            "bitwise parity",
+            f"bitwise parity{rounds} (compiled stage {stage['min']}-"
+            f"{stage['max']} s)",
         ),
         (
             "compiled tape vs interpreter (full evaluation)",
             f"{payload['full_speedup']}x",
             f"`bench_compile.py`, "
             f"{payload['compiled']['full_candidates_per_second']} "
-            "candidates/s compiled",
+            f"candidates/s compiled{rounds}",
         ),
-    ] + _render_key_gate(payload.get("key_gate"))
+    ] + _render_key_gate(payload.get("key_gate")) + \
+        _render_memo_gate(payload.get("memo_gate"))
 
 
 def _render_key_gate(gate: dict | None) -> list[Row]:
@@ -71,6 +75,20 @@ def _render_key_gate(gate: dict | None) -> list[Row]:
         f"`bench_compile.py`, {gate['programs']} programs, "
         f"{gate['false_merges']} keys with two prediction classes (gated), "
         f"{gate['unmerged_duplicates']} duplicates left unmerged",
+    )]
+
+
+def _render_memo_gate(gate: dict | None) -> list[Row]:
+    if gate is None:
+        return []
+    return [(
+        "fingerprint pipeline runs vs cache lookups (key corpus fed twice "
+        "through one cache)",
+        f"{gate['pipeline_runs']} / {gate['lookups']}",
+        f"`bench_compile.py`, one run per distinct pruned program "
+        f"({gate['distinct_pruned_programs']}, gated), "
+        f"{gate['key_mismatches']} keys differing from a direct fingerprint "
+        "(gated)",
     )]
 
 

@@ -38,10 +38,15 @@ def fingerprint(program: AlphaProgram) -> str:
     duplicate evaluations.  Equal keys mean bit-for-bit equal predictions,
     which is what lets a hit reuse the stored report.
 
-    Cost: in a traced run of the perfbench ``mine`` workload (seed 11, a
-    2-CPU x86-64 host) the pipeline took 0.22 ms per key (6,013 keys)
-    against 4.1 ms per evaluation, so one avoided evaluation repays about
-    19 keys.
+    Cost: a search keys each distinct pruned program once
+    (:class:`FingerprintCache` looks repeats up).  In two traced runs of
+    the perfbench ``mine`` workload (seed 11, a 2-CPU x86-64 host) that
+    was 1,494 keys for 6,013 non-redundant candidates, 0.50-0.64 s in
+    all against 1.20-1.57 s when every such candidate was keyed, or
+    0.33-0.43 ms per key against 4.0-5.4 ms per evaluation.  A first
+    sighting costs more than a repeat did (0.31 against 0.17 ms in
+    process: a repeat ran on warm data), so the lookups save about 60% of
+    the key time, not 75%.
     """
     # Imported lazily: repro.compile depends on repro.core submodules.
     from ..compile import canonical_key
@@ -83,6 +88,15 @@ class CacheStats:
 class FingerprintCache:
     """Cache of fitness reports keyed by pruned-program fingerprints.
 
+    A search prunes many candidates back to a program it has already keyed
+    (a mutation that lands in dead code prunes back to its parent), so
+    the cache also memoises each pruned program's fingerprint under its
+    exact identity (:meth:`~repro.core.program.AlphaProgram.exact_key`):
+    the canonical-IR pipeline runs once per distinct pruned program, and
+    every later sighting costs a lookup.  The memo is derived state: it
+    is never pickled (a checkpointed cache resumes with an empty one and
+    re-keys on demand, to the same keys), and :meth:`clear` drops it.
+
     Parameters
     ----------
     enabled:
@@ -95,9 +109,25 @@ class FingerprintCache:
     enabled: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: dict[str, FitnessReport] = field(default_factory=dict)
+    _keys: dict[tuple, str] = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_keys"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._keys = {}
+
+    @property
+    def keyed(self) -> int:
+        """Distinct pruned programs keyed so far: one pipeline run each."""
+        return len(self._keys)
 
     # ------------------------------------------------------------------
     def prepare(self, program: AlphaProgram) -> tuple[PruneResult | None, str | None,
@@ -117,7 +147,10 @@ class FingerprintCache:
         if result.is_redundant:
             self.stats.redundant_alphas += 1
             return result, None, FitnessReport.invalid("redundant alpha (pruned)")
-        key = fingerprint(result.program)
+        identity = result.program.exact_key()
+        key = self._keys.get(identity)
+        if key is None:
+            key = self._keys[identity] = fingerprint(result.program)
         cached = self._entries.get(key)
         if cached is not None:
             self.stats.fingerprint_hits += 1
@@ -131,5 +164,6 @@ class FingerprintCache:
             self._entries[key] = report
 
     def clear(self) -> None:
-        """Drop all cached entries (the statistics are kept)."""
+        """Drop all cached entries and memoised keys (the statistics are kept)."""
         self._entries.clear()
+        self._keys.clear()

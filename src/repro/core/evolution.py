@@ -258,6 +258,7 @@ class CandidateScorer:
         else they evaluate in-process as one fleet batch.
         """
         batch_started = time.perf_counter() if TELEMETRY.enabled else 0.0
+        keyed_before = self.cache.keyed
         reports: list[FitnessReport | None] = [None] * len(programs)
         pending: list[_PendingEvaluation] = []
         pending_by_key: dict[str, int] = {}
@@ -300,6 +301,9 @@ class CandidateScorer:
         if TELEMETRY.enabled:
             TELEMETRY.counter("search.candidates").inc(len(reports))
             TELEMETRY.counter("search.evaluations").inc(len(pending))
+            TELEMETRY.counter("search.fingerprints").inc(
+                self.cache.keyed - keyed_before
+            )
             TELEMETRY.histogram("search.score_batch_seconds").observe(
                 time.perf_counter() - batch_started
             )

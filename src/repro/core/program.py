@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..config import (
     AddressSpace,
@@ -118,6 +119,28 @@ class Operation:
             args += [f"{key}={value}" for key, value in sorted(params.items())]
             expr = f"{self.op}({', '.join(args)})"
         return f"{self.output.name} = {expr}"
+
+    @cached_property
+    def exact_key(self) -> str:
+        """Exact identity: operands in written order, parameters by ``repr``.
+
+        Unlike equality, it tells ``-0.0`` from ``0.0``, ``1`` from ``1.0``
+        and ``np.float64(0.5)`` from ``0.5`` (initialisers seed by signed
+        values, and the canonical key renders parameters by ``repr``), and
+        it does not sort commutative operands.  Computed once per
+        instance; it takes no part in ``==`` or ``hash`` and is never
+        pickled (see :meth:`__getstate__`).
+        """
+        inputs = ",".join(operand.name for operand in self.inputs)
+        return f"{self.output.name}={self.op}({inputs}){self.params!r}"
+
+    def __getstate__(self) -> dict:
+        # Pickles (pool dispatches, checkpoints) carry the fields only.
+        state = self.__dict__
+        if "exact_key" in state:
+            state = {name: value for name, value in state.items()
+                     if name != "exact_key"}
+        return state
 
     def to_dict(self) -> dict:
         """JSON-serialisable representation."""
@@ -308,6 +331,18 @@ class AlphaProgram:
             )
             parts.append(f"{component}:{rendered}")
         return "|".join(parts)
+
+    def exact_key(self) -> tuple[tuple[str, ...], ...]:
+        """Each component's :attr:`Operation.exact_key` tuple, in order.
+
+        Two programs share it only if they are written identically, so
+        anything computed from the operations alone — the fingerprint
+        cache memoises its keys on it — can be looked up instead of
+        recomputed.
+        """
+        return (tuple([operation.exact_key for operation in self.setup]),
+                tuple([operation.exact_key for operation in self.predict]),
+                tuple([operation.exact_key for operation in self.update]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlphaProgram):

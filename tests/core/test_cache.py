@@ -1,18 +1,28 @@
 """Tests for the pruning + fingerprint cache."""
 
+import pickle
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
 
 from repro.core import (
     AlphaProgram,
+    CandidateScorer,
     FingerprintCache,
+    INPUT_MATRIX,
+    Mutator,
     Operand,
     Operation,
     PREDICTION,
     domain_expert_alpha,
     fingerprint,
+    get_initialization,
     prune_program,
 )
+from repro.core import cache as cache_module
 from repro.core.fitness import FitnessReport
+from strategies import mutation_chains
 
 
 def expert(dims):
@@ -118,3 +128,180 @@ class TestFingerprintCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.evaluated == 1
+
+
+    def test_clear_drops_memoised_keys(self, dims):
+        cache = FingerprintCache()
+        cache.prepare(expert(dims))
+        assert cache.keyed == 1
+        cache.clear()
+        assert cache.keyed == 0
+
+
+# ---------------------------------------------------------------------------
+# The per-search fingerprint memo: a lookup never changes a key
+# ---------------------------------------------------------------------------
+
+S2, S3 = Operand.scalar(2), Operand.scalar(3)
+
+
+def scaled_by_constant(constant):
+    """``s1 = m0[0, 12] * s2`` with ``s2 = s_const(constant)`` in Setup."""
+    return AlphaProgram(
+        setup=[Operation.make("s_const", (), S2, {"constant": constant})],
+        predict=[
+            Operation.make("get_scalar", (INPUT_MATRIX,), S3, {"row": 0, "col": 12}),
+            Operation.make("s_mul", (S3, S2), PREDICTION),
+        ],
+    )
+
+
+def uniform_weighted(low):
+    """The mean of ``m0`` weighted by a ``matrix_uniform(low, 1.0)`` draw."""
+    weights, weighted = Operand.matrix(1), Operand.matrix(2)
+    return AlphaProgram(
+        setup=[Operation.make("matrix_uniform", (), weights,
+                              {"low": low, "high": 1.0})],
+        predict=[
+            Operation.make("m_mul", (INPUT_MATRIX, weights), weighted),
+            Operation.make("m_mean", (weighted,), PREDICTION),
+        ],
+    )
+
+
+def mirrored(op, first, second):
+    """``s1 = op(first, second)`` over two scalars read from ``m0``."""
+    return AlphaProgram(predict=[
+        Operation.make("get_scalar", (INPUT_MATRIX,), S2, {"row": 0, "col": 12}),
+        Operation.make("get_scalar", (INPUT_MATRIX,), S3, {"row": 2, "col": 12}),
+        Operation.make(op, (first, second), PREDICTION),
+    ])
+
+
+def direct_key(program):
+    """The fingerprint computed without the memo."""
+    return fingerprint(prune_program(program).program)
+
+
+#: Pairs whose operations compare (and hash) equal, yet whose canonical keys
+#: differ: a memo keyed on ``Operation`` equality would hand the second the
+#: first one's key.  ``init_rng`` seeds ``-0.0`` and ``+0.0`` bounds apart.
+EQUAL_OPERATIONS_OTHER_KEYS = {
+    "s_const -0.0 vs +0.0": (scaled_by_constant(-0.0), scaled_by_constant(0.0)),
+    "matrix_uniform low -0.0 vs +0.0": (uniform_weighted(-0.0),
+                                        uniform_weighted(0.0)),
+    "s_const 1 vs 1.0": (scaled_by_constant(1), scaled_by_constant(1.0)),
+    "s_const np.float64 vs float": (scaled_by_constant(np.float64(0.5)),
+                                    scaled_by_constant(0.5)),
+}
+
+
+class TestFingerprintMemo:
+    @pytest.mark.parametrize("first, second",
+                             EQUAL_OPERATIONS_OTHER_KEYS.values(),
+                             ids=EQUAL_OPERATIONS_OTHER_KEYS)
+    def test_equal_operations_keep_their_own_keys(self, first, second):
+        assert first.setup[0] == second.setup[0]
+        assert hash(first.setup[0]) == hash(second.setup[0])
+        assert first.setup[0].exact_key != second.setup[0].exact_key
+        assert direct_key(first) != direct_key(second)
+        cache = FingerprintCache()
+        for program in (first, second, first, second):
+            assert cache.prepare(program)[1] == direct_key(program)
+        assert cache.keyed == 2
+
+    def test_mirrored_min_keeps_two_keys(self):
+        first, second = mirrored("s_min", S2, S3), mirrored("s_min", S3, S2)
+        assert direct_key(first) != direct_key(second)
+        cache = FingerprintCache()
+        for program in (first, second, second, first):
+            assert cache.prepare(program)[1] == direct_key(program)
+        assert cache.keyed == 2
+
+    def test_mirrored_commutative_operands_share_one_key(self):
+        """The exact key does not sort operands; the pipeline does."""
+        first, second = mirrored("s_add", S2, S3), mirrored("s_add", S3, S2)
+        assert first.exact_key() != second.exact_key()
+        cache = FingerprintCache()
+        keys = {cache.prepare(program)[1] for program in (first, second, first)}
+        assert keys == {direct_key(first)} == {direct_key(second)}
+        assert cache.keyed == 2
+
+    @settings(max_examples=60)
+    @given(chain=mutation_chains(max_length=30))
+    def test_memoised_keys_equal_direct_keys(self, chain):
+        """On first sight and on every repeat, ``prepare`` returns the key
+        of the pruned program, and repeats run no pipeline."""
+        cache = FingerprintCache()
+        distinct = set()
+        for _ in range(2):
+            for program in chain:
+                result, key, _ = cache.prepare(program)
+                if result.is_redundant:
+                    assert key is None
+                    continue
+                assert key == fingerprint(result.program)
+                distinct.add(result.program.exact_key())
+            assert cache.keyed == len(distinct)
+
+
+def repeating_stream(dims, count=48):
+    """Candidates whose pruned programs repeat: the four initialisations,
+    then mutants of earlier non-redundant candidates (many change only
+    dead code), and the whole stream again in reverse."""
+    mutator = Mutator(dims, seed=7)
+    stream = [get_initialization(code, dims, seed=3)
+              for code in ("D", "NOOP", "R", "NN")]
+    parents = [program for program in stream
+               if not prune_program(program).is_redundant]
+    while len(stream) < count:
+        child = mutator.mutate(parents[int(mutator.rng.integers(len(parents)))])
+        stream.append(child)
+        if not prune_program(child).is_redundant:
+            parents.append(child)
+    return stream + stream[::-1]
+
+
+class TestMemoCounts:
+    @staticmethod
+    def score(evaluator, stream):
+        """Score the stream's first half as one batch, the rest one by one."""
+        scorer = CandidateScorer(evaluator)
+        half = len(stream) // 2
+        reports = scorer.score_batch(stream[:half])
+        reports += [scorer.score(program) for program in stream[half:]]
+        return scorer, reports
+
+    def test_pipeline_runs_once_per_distinct_pruned_program(
+            self, evaluator, dims, monkeypatch):
+        stream = repeating_stream(dims)
+        pruned = [prune_program(program) for program in stream]
+        distinct = {result.program.exact_key() for result in pruned
+                    if not result.is_redundant}
+        keyable = sum(not result.is_redundant for result in pruned)
+        assert len(distinct) < keyable  # the stream does repeat
+
+        keyed = []
+        real_fingerprint = cache_module.fingerprint
+
+        def counting_fingerprint(program):
+            keyed.append(program.exact_key())
+            return real_fingerprint(program)
+
+        monkeypatch.setattr(cache_module, "fingerprint", counting_fingerprint)
+        scorer, reports = self.score(evaluator, stream)
+        assert len(keyed) == len(set(keyed)) == len(distinct)
+        assert scorer.cache.keyed == len(distinct)
+
+        # The reference keys every candidate: no exact key ever repeats.
+        keyed.clear()
+        monkeypatch.setattr(AlphaProgram, "exact_key", lambda self: object())
+        direct, direct_reports = self.score(evaluator, stream)
+        assert len(keyed) == keyable
+        assert scorer.cache.stats == direct.cache.stats
+        assert len(scorer.cache) == len(direct.cache)
+        assert [pickle.dumps(report) for report in reports] == \
+            [pickle.dumps(report) for report in direct_reports]
+
+        scorer.reset()
+        assert scorer.cache.keyed == 0

@@ -208,6 +208,48 @@ class TestSearchGauges:
             candidates / run_seconds["total"]
 
 
+class TestSearchFingerprints:
+    """``search.fingerprints`` counts the canonical-IR pipeline runs: one
+    per distinct pruned program of each search, not one per candidate."""
+
+    def test_counts_each_pipeline_run(self, small_taskset, dims, monkeypatch):
+        from repro.core import cache as cache_module
+
+        runs = []
+        real_fingerprint = cache_module.fingerprint
+
+        def counting_fingerprint(program):
+            runs.append(program.exact_key())
+            return real_fingerprint(program)
+
+        monkeypatch.setattr(cache_module, "fingerprint", counting_fingerprint)
+        session = MiningSession(small_taskset, long_k=5, short_k=5,
+                                max_train_steps=10, seed=3)
+        config = EvolutionConfig(population_size=6, tournament_size=3,
+                                 max_candidates=60)
+        with telemetry_session():
+            mined = [
+                session.search(get_initialization(code, dims, seed=3),
+                               name=f"alpha_AE_{code}_0", enforce_cutoff=False,
+                               evolution_config=config)
+                for code in ("D", "NN")
+            ]
+            snapshot = TELEMETRY.snapshot()
+        fingerprints = snapshot["search.fingerprints"]
+        assert fingerprints["type"] == "counter"
+        assert fingerprints["value"] == len(runs)
+        keyed = sum(result.evolution.cache_stats.searched
+                    - result.evolution.cache_stats.redundant_alphas
+                    for result in mined)
+        assert len(runs) < keyed  # repeats were looked up, not re-keyed
+
+        runs.clear()
+        session.search(domain_expert_alpha(dims), name="alpha_AE_D_1",
+                       enforce_cutoff=False, evolution_config=config)
+        assert runs  # telemetry off: keys are computed but not counted
+        assert TELEMETRY.snapshot()["search.fingerprints"] == fingerprints
+
+
 class TestLogEvent:
     def test_emits_only_while_enabled(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro.obs"):

@@ -1,12 +1,20 @@
 """Tests for search checkpointing and kill/resume determinism."""
 
+import contextlib
 import os
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core import AlphaEvaluator, EvolutionConfig, domain_expert_alpha
+from repro.core import (
+    AlphaEvaluator,
+    EvolutionConfig,
+    FingerprintCache,
+    domain_expert_alpha,
+    get_initialization,
+)
+from repro.core.fitness import FitnessReport
 from repro.errors import CheckpointError
 from repro.parallel import (
     CHECKPOINT_VERSION,
@@ -116,6 +124,25 @@ class TestCheckpointFiles:
         assert manager.exists()
 
 
+def kill_after_third_save(taskset, dims, initial, path, monkeypatch):
+    """Run a checkpointed search and kill it right after its third save."""
+    killed = make_controller(taskset, dims, checkpoint_path=path)
+    saves = {"count": 0}
+    original_save = CheckpointManager.save
+
+    def save_then_die(self, checkpoint):
+        original_save(self, checkpoint)
+        saves["count"] += 1
+        if saves["count"] >= 3:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(CheckpointManager, "save", save_then_die)
+    with pytest.raises(KeyboardInterrupt):
+        killed.run(initial)
+    monkeypatch.setattr(CheckpointManager, "save", original_save)
+    assert os.path.exists(path)
+
+
 class TestKillAndResume:
     def test_killed_search_resumes_to_identical_result(
         self, small_taskset, dims, tmp_path, monkeypatch
@@ -126,21 +153,7 @@ class TestKillAndResume:
         uninterrupted = make_controller(small_taskset, dims).run(initial)
 
         path = str(tmp_path / "search.ckpt")
-        killed = make_controller(small_taskset, dims, checkpoint_path=path)
-        saves = {"count": 0}
-        original_save = CheckpointManager.save
-
-        def save_then_die(self, checkpoint):
-            original_save(self, checkpoint)
-            saves["count"] += 1
-            if saves["count"] >= 3:
-                raise KeyboardInterrupt
-
-        monkeypatch.setattr(CheckpointManager, "save", save_then_die)
-        with pytest.raises(KeyboardInterrupt):
-            killed.run(initial)
-        monkeypatch.setattr(CheckpointManager, "save", original_save)
-        assert os.path.exists(path)
+        kill_after_third_save(small_taskset, dims, initial, path, monkeypatch)
 
         resumed = make_controller(small_taskset, dims, checkpoint_path=path).run(
             initial, resume=True
@@ -222,8 +235,6 @@ class TestKillAndResume:
 
     def test_resume_rejects_different_initial_program(self, small_taskset, dims,
                                                       tmp_path):
-        from repro.core import get_initialization
-
         path = str(tmp_path / "search.ckpt")
         make_controller(small_taskset, dims, max_candidates=30,
                         checkpoint_path=path).run(domain_expert_alpha(dims))
@@ -231,3 +242,92 @@ class TestKillAndResume:
                                      checkpoint_path=path)
         with pytest.raises(CheckpointError):
             controller.run(get_initialization("NN", dims), resume=True)
+
+
+def without_memo(cache: FingerprintCache) -> FingerprintCache:
+    """A cache holding only the three fields the code before the memo had."""
+    bare = object.__new__(FingerprintCache)
+    vars(bare).update(enabled=cache.enabled, stats=cache.stats,
+                      _entries=cache._entries)
+    return bare
+
+
+@contextlib.contextmanager
+def parent_pickling(monkeypatch):
+    """Pickle caches as the code before the memo did: the default
+    ``object.__getstate__``, which pickles the instance ``__dict__``."""
+    with monkeypatch.context() as patch:
+        patch.delattr(FingerprintCache, "__getstate__")
+        yield
+
+
+class TestDerivedStateIsNotCheckpointed:
+    """The fingerprint memo and each operation's cached exact key are
+    derived state: checkpoints and pool dispatches never carry them, so
+    ``CHECKPOINT_VERSION`` stays 4 and the parent's checkpoints load."""
+
+    def test_pickles_carry_no_memo_or_exact_key(self, dims, monkeypatch):
+        cache = FingerprintCache()
+        program = domain_expert_alpha(dims)
+        _, key, _ = cache.prepare(program)
+        cache.record(key, FitnessReport.invalid("stored"))
+        program.exact_key()
+        assert cache.keyed == 1
+        assert all("exact_key" in vars(operation) for operation in program.predict)
+
+        assert set(cache.__getstate__()) == {"enabled", "stats", "_entries"}
+        with parent_pickling(monkeypatch):
+            written_by_parent = pickle.dumps(without_memo(cache))
+        assert pickle.dumps(cache) == written_by_parent
+        assert pickle.dumps(program) == pickle.dumps(domain_expert_alpha(dims))
+        loaded = pickle.loads(pickle.dumps(program))
+        assert not any("exact_key" in vars(operation)
+                       for operation in loaded.predict)
+        assert loaded.exact_key() == program.exact_key()
+
+    def test_a_parent_layout_cache_loads_and_keys_alike(self, dims, monkeypatch):
+        cache = FingerprintCache()
+        programs = [get_initialization(code, dims, seed=3) for code in ("D", "NN")]
+        for program in programs:
+            _, key, _ = cache.prepare(program)
+            cache.record(key, FitnessReport.invalid(f"stored {key}"))
+
+        with parent_pickling(monkeypatch):
+            written_by_parent = pickle.dumps(without_memo(cache))
+        loaded = pickle.loads(written_by_parent)
+        assert isinstance(loaded, FingerprintCache)
+        assert loaded.keyed == 0
+        assert loaded.stats == cache.stats
+        for program in programs:
+            _, key, report = loaded.prepare(program)
+            assert key == cache.prepare(program)[1]
+            assert report.reason == f"stored {key}"
+        assert loaded.keyed == cache.keyed
+        assert loaded.stats == cache.stats
+
+    def test_search_resumed_from_a_parent_layout_checkpoint_is_identical(
+        self, small_taskset, dims, tmp_path, monkeypatch
+    ):
+        initial = domain_expert_alpha(dims)
+        uninterrupted = make_controller(small_taskset, dims).run(initial)
+
+        path = str(tmp_path / "search.ckpt")
+        kill_after_third_save(small_taskset, dims, initial, path, monkeypatch)
+        state = load_checkpoint(path)
+        assert state.cache.keyed == 0
+        state.cache = without_memo(state.cache)
+        with parent_pickling(monkeypatch):
+            save_checkpoint(path, state)
+
+        resumed = make_controller(small_taskset, dims, checkpoint_path=path).run(
+            initial, resume=True
+        )
+        assert resumed.candidates_generated == uninterrupted.candidates_generated
+        assert resumed.best_program.to_json() == uninterrupted.best_program.to_json()
+        assert pickle.dumps(resumed.best_report) == \
+            pickle.dumps(uninterrupted.best_report)
+        assert resumed.cache_stats == uninterrupted.cache_stats
+        assert [(point.candidates, point.evaluations, point.best_fitness)
+                for point in resumed.trajectory] == \
+            [(point.candidates, point.evaluations, point.best_fitness)
+             for point in uninterrupted.trajectory]
