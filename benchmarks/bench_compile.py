@@ -8,15 +8,19 @@ interpreter loop) and once on ``AlphaEvaluator(engine="compiled")`` (the
 dispatch, static hoisting and fused batched inference) — and records:
 
 * full-evaluation throughput (train + inference) for both paths;
-* **inference-stage** throughput for both paths, measured as the difference
-  between a run producing the valid+test splits and a run producing none
-  (training always executes), which is the stage the fused batch targets;
+* **inference-stage** throughput for both paths: the valid and test
+  :func:`~repro.engine.protocol.inference_pass` calls timed on their own,
+  after one untimed training pass per program, which is the stage the
+  fused batch targets;
 * a hard **parity check**: every prediction array must be bit-for-bit
   identical between the two paths (the whole design contract);
 * a **key count gate** on the fingerprint: a fixed seeded corpus of
   mutation-chain programs (:data:`KEY_CORPUS_SIZE`, walked from the D, NOOP,
-  R and NN initialisations) is grouped by canonical key and by bitwise
-  validation predictions.  A key that holds two prediction classes is a
+  R and NN initialisations) is grouped by canonical key and by the
+  interpreter's bitwise validation predictions.  The interpreter, not the
+  tape, is the oracle here: the tape executes the zero-propagated IR the
+  key is computed from, so a wrong zero transfer would corrupt the key and
+  the tape's bits together.  A key that holds two prediction classes is a
   false merge, which the fingerprint cache and the serving fleet's dedup
   would turn into wrong scores and wrong served predictions, and fails the
   run.  The number of keys, of prediction classes and of duplicates the key
@@ -29,10 +33,9 @@ dispatch, static hoisting and fused batched inference) — and records:
   the run; the pipeline runs and the distinct pruned programs are recorded.
 
 The timed paths are interleaved: each round runs all four (interpreter and
-compiled, with and without the inference splits), the order reversing every
+compiled, full evaluation and inference stage), the order reversing every
 other round, and each path records the median, min and max of its rounds.
-The inference stage of a round is its full time minus its training-only
-time, and every speedup is a ratio of medians.
+Every speedup is a ratio of medians.
 
 Results are written to ``benchmarks/results/BENCH_compile.json`` (the
 source of truth, with a copy at the repository root — see
@@ -72,6 +75,7 @@ from repro.core import cache as cache_module
 from repro.core.cache import FingerprintCache, fingerprint
 from repro.core.initializations import INITIALIZATION_NAMES
 from repro.core.pruning import prune_program
+from repro.engine.protocol import inference_pass, training_pass
 from repro.experiments.configs import SMOKE, make_taskset
 
 #: Shared evaluator settings so both paths time identical work.
@@ -108,7 +112,8 @@ def build_key_corpus(dims: Dimensions, count: int = KEY_CORPUS_SIZE,
 
 
 def key_classes(evaluator: AlphaEvaluator, programs: list) -> dict:
-    """Group ``programs`` by fingerprint and by validation-prediction bits."""
+    """Group ``programs`` by fingerprint and by ``evaluator``'s
+    validation-prediction bits."""
     classes_by_key: dict[str, set[str]] = {}
     for program in programs:
         key = fingerprint(prune_program(program).program)
@@ -159,8 +164,40 @@ def memo_counts(programs: list) -> dict:
     }
 
 
+def full_seconds(evaluator: AlphaEvaluator, programs: list) -> float:
+    """Seconds to train every program and infer both splits."""
+    start = time.perf_counter()
+    for program in programs:
+        evaluator.run(program, splits=SPLITS)
+    return time.perf_counter() - start
+
+
+def inference_seconds(evaluator: AlphaEvaluator, programs: list) -> float:
+    """Seconds in the valid and test inference passes alone.
+
+    Each program is set up and trained once, untimed, as
+    :meth:`AlphaEvaluator.run` does; only the inference passes that follow
+    on the trained backend are timed.
+    """
+    taskset = evaluator.taskset
+    train = taskset.gather("train", evaluator.train_day_indices())
+    splits = [taskset.gather(split) for split in SPLITS]
+    total = 0.0
+    for program in programs:
+        backend = evaluator.make_backend(program)
+        backend.run_setup()
+        training_pass(backend, *train, use_update=evaluator.use_update,
+                      time_batched=evaluator.time_batched)
+        start = time.perf_counter()
+        for features, labels in splits:
+            inference_pass(backend, features, labels,
+                           time_batched=evaluator.time_batched)
+        total += time.perf_counter() - start
+    return total
+
+
 def time_interleaved(paths: dict, programs, repeats: int) -> dict:
-    """Seconds per round of each ``name -> (evaluator, splits)`` path.
+    """Seconds per round of each ``name -> (timer, evaluator)`` path.
 
     Every round runs each path once over all programs; the order reverses
     every other round, so no path always runs first.
@@ -169,11 +206,8 @@ def time_interleaved(paths: dict, programs, repeats: int) -> dict:
     for round_index in range(repeats):
         order = list(paths) if round_index % 2 == 0 else list(paths)[::-1]
         for name in order:
-            evaluator, splits = paths[name]
-            start = time.perf_counter()
-            for program in programs:
-                evaluator.run(program, splits=splits)
-            seconds[name].append(time.perf_counter() - start)
+            timer, evaluator = paths[name]
+            seconds[name].append(timer(evaluator, programs))
     return seconds
 
 
@@ -205,23 +239,16 @@ def run_benchmark(num_programs: int = 32, repeats: int = 15) -> dict:
 
     # ----- the key count gate: equal keys must mean equal predictions ------
     corpus = build_key_corpus(dims)
-    key_gate = key_classes(compiled, corpus)
+    key_gate = key_classes(interpreter, corpus)
     memo_gate = memo_counts(corpus)
 
     # ----- timing ----------------------------------------------------------
-    # Training always runs; a no-split run isolates the inference stage.
     seconds = time_interleaved({
-        "interpreter_full": (interpreter, SPLITS),
-        "compiled_full": (compiled, SPLITS),
-        "interpreter_train": (interpreter, ()),
-        "compiled_train": (compiled, ()),
+        "interpreter_full": (full_seconds, interpreter),
+        "compiled_full": (full_seconds, compiled),
+        "interpreter_inference": (inference_seconds, interpreter),
+        "compiled_inference": (inference_seconds, compiled),
     }, programs, repeats)
-
-    for engine in ("interpreter", "compiled"):
-        seconds[f"{engine}_inference"] = [
-            max(full - train, 1e-9) for full, train
-            in zip(seconds[f"{engine}_full"], seconds[f"{engine}_train"])
-        ]
     median = {path: statistics.median(runs) for path, runs in seconds.items()}
 
     def summary(engine: str) -> dict:
@@ -304,9 +331,9 @@ def main(argv: list[str] | None = None) -> int:
               f"({payload['num_programs']} programs, "
               f"{payload['fused_eligible_programs']} fused-eligible; "
               f"{gate['programs']} corpus programs in {gate['keys']} keys and "
-              f"{gate['prediction_classes']} prediction classes, no key with "
-              f"two classes; {memo['lookups']} cache lookups ran the pipeline "
-              f"{memo['pipeline_runs']} times for "
+              f"{gate['prediction_classes']} interpreter prediction classes, "
+              f"no key with two classes; {memo['lookups']} cache lookups ran "
+              f"the pipeline {memo['pipeline_runs']} times for "
               f"{memo['distinct_pruned_programs']} distinct pruned programs, "
               "every key equal to a direct fingerprint)")
     return 0

@@ -69,8 +69,8 @@ def _render_key_gate(gate: dict | None) -> list[Row]:
     if gate is None:
         return []
     return [(
-        "fingerprint keys vs validation-prediction classes (mutation-tree "
-        "corpus)",
+        "fingerprint keys vs interpreter validation-prediction classes "
+        "(mutation-tree corpus)",
         f"{gate['keys']} / {gate['prediction_classes']}",
         f"`bench_compile.py`, {gate['programs']} programs, "
         f"{gate['false_merges']} keys with two prediction classes (gated), "

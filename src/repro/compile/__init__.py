@@ -2,18 +2,18 @@
 
 The pipeline generalises the paper's Section 4.2 dataflow view of an alpha
 into a small query-engine-style compiler: programs are lowered into an SSA
-IR (:mod:`.ir`), optimised by a pass pipeline (:mod:`.passes` — zero
-constancy and constant folding for the fingerprint, commutative
-canonicalisation, common-subexpression elimination and a dead-code
-elimination that reuses the backward-liveness pruning), and
-executed by one flat tape (:mod:`.stacked`) with pre-resolved dispatch,
-preallocated slots, a fused batched inference stage and one lane per
-program, on the kernel registry of :mod:`.executor`.
+IR (:mod:`.ir`), optimised by one pass sequence (:mod:`.passes` — zero
+constancy, constant folding and a dead-code elimination that reuses the
+backward-liveness pruning), and executed by one flat tape (:mod:`.stacked`)
+with pre-resolved dispatch, preallocated slots, a fused batched inference
+stage and one lane per program, on the kernel registry of :mod:`.executor`.
+The tape adds common-subexpression elimination to that sequence; the
+fingerprint adds commutative canonicalisation and CSE.
 
 Entry points:
 
-* :func:`compile_program` + :class:`StackedAlpha` — the execution pipeline
-  (bitwise identical to the interpreter; a one-lane tape is what
+* :func:`compile_program` + :class:`StackedAlpha` — the tape (bitwise
+  identical to the interpreter; a one-lane tape is what
   :class:`repro.core.interpreter.AlphaEvaluator` runs under the default
   ``"compiled"`` engine, a P-lane one a signature group of a fleet);
 * :func:`canonical_key` — the canonicalised-IR fingerprint substrate used by

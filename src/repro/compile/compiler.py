@@ -1,27 +1,31 @@
 """The alpha compilation pipeline: lower → optimise → (bind and) execute.
 
-Two pipelines share the IR and the passes:
+One pass sequence serves the tape and the fingerprint (:func:`_optimise`):
+lower, zero constancy, constant folding and dead-code elimination, which
+also yields the :class:`~repro.compile.passes.DataflowInfo`.  Every rewrite
+in it is exact: the zero constancy pass
+(:func:`~repro.compile.passes.propagate_zeros`) reads the constant transfer
+each operator declares on its :class:`~repro.core.ops.OpSpec` and proves a
+zero only where the transfer does, and folding calls the registry operator
+itself, so the optimised IR predicts bit for bit what the written program
+predicts.  On top of it:
 
-* **execution** (:func:`compile_program`) — lower, exact-match CSE, dead-code
-  elimination.  Operand order is never touched, so every value the tape
-  computes is the result of a computation the interpreter would have
-  performed literally, which is what makes the compiled tape
-  (:class:`~repro.compile.stacked.StackedAlpha`) bitwise identical.
-* **fingerprinting** (:func:`canonical_ir` / :func:`canonical_key`) — lower,
-  zero constancy, constant folding, dead-code elimination, commutative
-  canonicalisation, canonical CSE, then render.  The rendering names values by
-  position instead of by operand address, so programs that differ only in
-  operand order of commutative operations, in duplicated subexpressions, in
-  folded constants, in intermediate register naming or in arithmetic on
-  zero-initialised memory (``v4 = v11 + v8`` in ``Setup()``, a read of a
-  never-written ``s7``, ``s_tan`` of a zero) all share one key.  The key is
-  a proof, not a heuristic: the fingerprint cache reuses a key's fitness and
-  :class:`~repro.engine.fleet.FleetEngine` serves a key from one backend, so
-  programs with equal keys must predict bit for bit alike.  The zero
-  constancy pass (:func:`~repro.compile.passes.propagate_zeros`) reads the
-  constant transfer each operator declares on its
-  :class:`~repro.core.ops.OpSpec` and proves a zero only where the transfer
-  does; the execution pipeline never runs it.
+* **the tape** (:func:`compile_program`) adds exact-match CSE.  Operand
+  order is never touched, so every value the tape computes equals one the
+  interpreter computes, which is what makes the compiled tape
+  (:class:`~repro.compile.stacked.StackedAlpha`) bitwise identical;
+* **the key** (:func:`canonical_ir` / :func:`canonical_key`) adds
+  commutative canonicalisation and canonical CSE, then renders.  The
+  rendering names values by position instead of by operand address, so
+  programs that differ only in operand order of commutative operations, in
+  duplicated subexpressions, in folded constants, in intermediate register
+  naming or in arithmetic on zero-initialised memory (``v4 = v11 + v8`` in
+  ``Setup()``, a read of a never-written ``s7``, ``s_tan`` of a zero) all
+  share one key.  The key is a proof, not a heuristic: the fingerprint
+  cache reuses a key's fitness and :class:`~repro.engine.fleet.FleetEngine`
+  serves a key from one backend, so programs with equal keys must predict
+  bit for bit alike.  The commutative sort stays out of the tape: swapping
+  ``min``/``max`` operands can flip a zero's sign.
 """
 
 from __future__ import annotations
@@ -109,14 +113,26 @@ def _static_predict_eligible(ir: IRProgram, dataflow: DataflowInfo,
     return not (live_in & set(ir.components["update"].exports))
 
 
-def compile_program(program: AlphaProgram) -> CompiledProgram:
-    """Compile ``program`` through the execution pipeline."""
-    ir = lower_program(program)
-    stats: list[PassStats] = []
-    ir, cse_stats = eliminate_common_subexpressions(ir)
-    stats.append(cse_stats)
+def _optimise(
+    ir: IRProgram,
+) -> tuple[IRProgram, list[PassStats], DataflowInfo]:
+    """The passes the tape and the key share: zeros, fold, then dead code
+    (the rewired zeros and folded constants leave dead producers)."""
+    stats = []
+    for run_pass in (propagate_zeros, fold_constants):
+        ir, pass_stats = run_pass(ir)
+        stats.append(pass_stats)
     ir, dse_stats, dataflow = eliminate_dead_code(ir)
-    stats.append(dse_stats)
+    return ir, [*stats, dse_stats], dataflow
+
+
+def _tape(program: AlphaProgram, ir: IRProgram, stats: list[PassStats],
+          dataflow: DataflowInfo) -> CompiledProgram:
+    """The optimised IR plus order-preserving CSE, which merges only
+    instructions with equal inputs and so keeps ``dataflow``'s carried set
+    and live-ins."""
+    ir, cse_stats = eliminate_common_subexpressions(ir)
+    stats = [*stats, cse_stats]
     if TELEMETRY.enabled:
         TELEMETRY.counter("compile.programs").inc()
         for pass_stats in stats:
@@ -138,22 +154,23 @@ def compile_program(program: AlphaProgram) -> CompiledProgram:
     )
 
 
+def _canonicalise(ir: IRProgram) -> tuple[IRProgram, list[PassStats]]:
+    """The key's two passes on top of the optimised IR."""
+    ir, sort_stats = canonicalize_commutative(ir)
+    ir, cse_stats = eliminate_common_subexpressions(ir)
+    return ir, [sort_stats, cse_stats]
+
+
+def compile_program(program: AlphaProgram) -> CompiledProgram:
+    """Compile ``program`` for the tape."""
+    return _tape(program, *_optimise(lower_program(program)))
+
+
 def canonical_ir(program: AlphaProgram) -> tuple[IRProgram, list[PassStats]]:
-    """Compile ``program`` through the fingerprint (canonicalisation) pipeline."""
-    ir = lower_program(program)
-    stats: list[PassStats] = []
-    for run_pass in (propagate_zeros, fold_constants):
-        ir, pass_stats = run_pass(ir)
-        stats.append(pass_stats)
-    # Dead code goes before the structural passes: the rewired zeros and
-    # folded constants leave dead producers, and neither the commutative
-    # sort nor CSE (which only removes duplicates) should see them.
-    ir, dse_stats, _ = eliminate_dead_code(ir)
-    stats.append(dse_stats)
-    for run_pass in (canonicalize_commutative, eliminate_common_subexpressions):
-        ir, pass_stats = run_pass(ir)
-        stats.append(pass_stats)
-    return ir, stats
+    """The IR the fingerprint renders, with every pass's statistics."""
+    ir, stats, _ = _optimise(lower_program(program))
+    ir, key_stats = _canonicalise(ir)
+    return ir, stats + key_stats
 
 
 def canonical_key(program: AlphaProgram) -> str:
@@ -164,33 +181,38 @@ def canonical_key(program: AlphaProgram) -> str:
 def describe_compilation(program: AlphaProgram) -> str:
     """A human-readable report for the ``repro inspect`` CLI command.
 
-    Shows the program next to its pruned form, the canonicalised IR, the
-    operands the zero-constancy pass proved zero and the per-pass statistics
-    (rewrites included) of both pipelines.
+    Shows the program next to its pruned form, the operands the
+    zero-constancy pass proved zero, and the tape and the canonicalised IR
+    with the statistics (rewrites included) of every pass that made them.
     """
-    lines: list[str] = []
-    lines.append(f"# program: {program.name}")
-    lines.append(f"operations: {program.num_operations}")
-    lines.append("")
-    lines.append("## original")
-    lines.append(program.render())
-
     prune_result = prune_program(program)
-    lines.append("")
-    lines.append("## pruned (Section 4.2 backward liveness)")
-    lines.append(
+    lines = [
+        f"# program: {program.name}", f"operations: {program.num_operations}",
+        "", "## original", program.render(),
+        "", "## pruned (Section 4.2 backward liveness)",
         f"removed {prune_result.removed_operations} of "
         f"{prune_result.total_operations} operations"
         + ("; REDUNDANT (prediction independent of m0)"
-           if prune_result.is_redundant else "")
-    )
-    lines.append(prune_result.program.render())
+           if prune_result.is_redundant else ""),
+        prune_result.program.render(),
+    ]
 
-    compiled = compile_program(program)
-    lines.append("")
-    lines.append("## compiled (execution pipeline)")
-    for stats in compiled.pass_stats:
-        lines.append(f"pass {stats.describe()}")
+    lowered = lower_program(program)
+    zeros = analyze_zeros(lowered)
+    never_written = sorted(
+        {operand for component in lowered.components.values()
+         for operand in component.inputs}
+        - set(zeros.operands) - {INPUT_MATRIX, LABEL}
+    )
+    ir, stats, dataflow = _optimise(lowered)
+    compiled = _tape(program, ir, stats, dataflow)
+    lines += ["", "## compiled tape (zeros, fold, dse + cse)",
+              "proven zero: " + zeros.describe()]
+    if never_written:
+        lines.append("never written (+0): "
+                     + ", ".join(operand.name for operand in never_written))
+    lines += [f"pass {pass_stats.describe()}"
+              for pass_stats in compiled.pass_stats]
     lines.append(
         "fused batched inference: "
         + ("yes" if compiled.fused_inference else "no (predict reads its own "
@@ -201,25 +223,11 @@ def describe_compilation(program: AlphaProgram) -> str:
         + ("yes" if compiled.static_predict else "no (predict depends on "
            "loop-carried state)")
     )
-    if compiled.lookback is not None:
-        lines.append("delta-replay lookback: " + compiled.lookback.describe())
+    lines.append("delta-replay lookback: " + compiled.lookback.describe())
     lines.append(compiled.ir.render())
 
-    ir, stats_list = canonical_ir(program)
-    lines.append("")
-    lines.append("## canonical IR (fingerprint pipeline)")
-    lowered = lower_program(program)
-    zeros = analyze_zeros(lowered)
-    never_written = sorted(
-        {operand for component in lowered.components.values()
-         for operand in component.inputs}
-        - set(zeros.operands) - {INPUT_MATRIX, LABEL}
-    )
-    lines.append("proven zero: " + zeros.describe())
-    if never_written:
-        lines.append("never written (+0): "
-                     + ", ".join(operand.name for operand in never_written))
-    for stats in stats_list:
-        lines.append(f"pass {stats.describe()}")
-    lines.append(ir.render())
+    key_ir, key_stats = _canonicalise(ir)
+    lines += ["", "## canonical IR (zeros, fold, dse + canonicalize, cse)"]
+    lines += [f"pass {pass_stats.describe()}" for pass_stats in key_stats]
+    lines.append(key_ir.render())
     return "\n".join(lines)

@@ -56,7 +56,7 @@ TAPE_STATE_VERSION = 1
 
 
 def tape_key_for(ir) -> str:
-    """The tape identity key: a hash of the execution-pipeline IR.
+    """The tape identity key: a hash of the IR the tape executes.
 
     One program's key whatever group its lane sits in, so a
     :class:`TapeState` suspended from any lane resumes into any other lane
@@ -164,7 +164,7 @@ class TapeState:
     operand arrays (the static prologue is a pure function of the bound
     context and is recomputed on resume), so a snapshot of those arrays plus
     the identity of the tape that produced them is a complete, serialisable
-    suspension point.  ``tape_key`` hashes the execution-pipeline IR and
+    suspension point.  ``tape_key`` hashes the IR the tape executes and
     ``base_seed``/``shape`` echo the bound context;
     :meth:`StackedAlpha.resume <repro.compile.stacked.StackedAlpha.resume>`
     refuses a state taken from a different program or binding instead of

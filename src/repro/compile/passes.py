@@ -2,8 +2,8 @@
 
 Five passes, specialised to the alpha language:
 
-* **zero constancy** (fingerprint pipeline only) — an optimistic fixpoint
-  over ``Setup()`` / ``Predict()`` / ``Update()`` that proves values zero.
+* **zero constancy** — an optimistic fixpoint over ``Setup()`` /
+  ``Predict()`` / ``Update()`` that proves values zero.
   Memory is +0.0 when ``Setup()`` starts (``m0`` and ``s0`` included); in
   ``Predict()`` / ``Update()`` the day loop's ``m0`` and ``s0`` are raw
   (NaN and ±inf included) and every other operand holds a sanitized result.
@@ -101,8 +101,6 @@ class DataflowInfo:
     carried: set[Operand]
     #: Component name → operands whose entry value the component reads.
     live_in: dict[str, set[Operand]]
-    #: True when the prediction does not depend on the input matrix.
-    is_redundant: bool
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +210,7 @@ def analyze_zeros(ir: IRProgram) -> ZeroFacts:
 
 
 def propagate_zeros(ir: IRProgram) -> tuple[IRProgram, PassStats]:
-    """Rewrite the IR by the facts of :func:`analyze_zeros` (key only).
+    """Rewrite the IR by the facts of :func:`analyze_zeros`.
 
     Readers of a value proven +0 or -0 read the component's canonical zero
     of that type and sign instead (``s_const(constant=±0.0)``, and its
@@ -223,9 +221,9 @@ def propagate_zeros(ir: IRProgram) -> tuple[IRProgram, PassStats]:
     of a proven zero exports the canonical zero, unless the operand holds
     that same zero at every entry to the component: then the write cannot
     change the operand's state and is dropped (an operand that is always +0
-    loses every write, and every read of it reads the canonical +0).  The
-    execution pipeline never runs this pass, so the tape still computes
-    what the interpreter computes.
+    loses every write, and every read of it reads the canonical +0).  Each
+    rewrite is exact, so the tape, which executes the rewritten IR,
+    predicts bit for bit what the interpreter predicts.
     """
     zeros = analyze_zeros(ir)
     if all(fact is None for fact in zeros.values.values()):
@@ -389,8 +387,8 @@ def eliminate_common_subexpressions(ir: IRProgram) -> tuple[IRProgram, PassStats
 
     Matching is per component and respects the current operand order (run
     :func:`canonicalize_commutative` first to also merge mirrored operands —
-    the execution pipeline deliberately does not, so that a reused value is
-    always the result of a literally identical computation).
+    the tape deliberately does not, so that a reused value is always the
+    result of a literally identical computation).
     """
     ir = ir.copy()
     removed = 0
@@ -456,20 +454,7 @@ def analyze_dataflow(ir: IRProgram) -> DataflowInfo:
         return needed, live_in
 
     needed, carried = liveness_fixpoint(run_component)
-
-    writes_prediction = PREDICTION in ir.components["predict"].exports
-    uses_input_matrix = any(
-        ir.values[vid].operand == INPUT_MATRIX
-        for name in COMPONENTS
-        for index in needed[name]
-        for vid in ir.components[name].instructions[index].inputs
-    )
-    return DataflowInfo(
-        needed=needed,
-        carried=carried,
-        live_in=live_in_map,
-        is_redundant=not (writes_prediction and uses_input_matrix),
-    )
+    return DataflowInfo(needed=needed, carried=carried, live_in=live_in_map)
 
 
 def eliminate_dead_code(

@@ -54,10 +54,11 @@ the tape's program (lane) axis and its day axis.  An entry records:
   is when some inputs are proven zeros (:data:`PLUS_ZERO`,
   :data:`MINUS_ZERO` or :data:`SIGNED_ZERO`), and the exact **pass-through**
   identities (:attr:`OpSpec.passthrough`), such as ``x - (+0) = x``.  The
-  fingerprint's zero-constancy pass (:mod:`repro.compile.passes`) reads
-  both; the registry contract test checks them bit for bit.  Only IEEE
-  sign rules and C99 Annex F special values (``sin(±0) = ±0``) are
-  declared, never a probed or rounded constant.
+  zero-constancy pass (:mod:`repro.compile.passes`), which the compiled
+  tape and the fingerprint share, reads both; the registry contract test
+  checks them bit for bit.  Only IEEE sign rules and C99 Annex F special
+  values (``sin(±0) = ±0``) are declared, never a probed or rounded
+  constant.
 """
 
 from __future__ import annotations

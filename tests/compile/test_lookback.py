@@ -19,7 +19,7 @@ from repro.core import (
     noop_alpha,
 )
 
-S3, S4, S5 = (Operand.scalar(i) for i in (3, 4, 5))
+S2, S3, S4, S5 = (Operand.scalar(i) for i in (2, 3, 4, 5))
 
 
 def lookback_of(program):
@@ -128,6 +128,22 @@ class TestCompilerIntegration:
         compiled = compile_program(neural_network_alpha(dims))
         assert compiled.lookback is not None
         assert compiled.lookback.max_lookback == 1
+
+    def test_tape_analyses_read_the_zero_propagated_ir(self):
+        # s4 is never written, so s3 = s3 + s4 keeps s3 at +0 on every day:
+        # the written program looks self-recurrent, but the tape drops the
+        # write, and Predict() reads nothing it writes back.
+        program = predict_only(
+            Operation.make("s_add", (S3, S4), S3),
+            Operation.make("get_scalar", (INPUT_MATRIX,), S2,
+                           {"row": 0, "col": 0}),
+            Operation.make("s_add", (S2, S3), PREDICTION),
+        )
+        assert lookback_of(program).max_lookback is None
+        compiled = compile_program(program)
+        assert compiled.lookback.max_lookback == 0
+        assert compiled.fused_inference
+        assert compiled.static_predict
 
     def test_describe_compilation_reports_lookback(self, dims):
         report = describe_compilation(domain_expert_alpha(dims))

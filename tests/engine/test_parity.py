@@ -56,8 +56,9 @@ def make_evaluator(taskset, **kwargs):
 def assert_all_paths_agree(taskset, programs):
     """Every execution path equals the interpreter on ``programs``.
 
-    Returns how many programs took the static-predict fast path and how
-    many stack groups the fleet formed.
+    Returns how many programs took the static-predict fast path, how many
+    stack groups the fleet formed and how many programs have a tape the
+    zero-constancy pass rewrote.
     """
     interpreter = make_evaluator(taskset, engine="interpreter")
     compiled_loop = make_evaluator(
@@ -71,8 +72,11 @@ def assert_all_paths_agree(taskset, programs):
         fleet.add(program)
     fleet_runs = fleet.run(splits=SPLITS)
 
-    batched_static = 0
+    batched_static = rewritten = 0
     for program in programs:
+        zeros = compile_program(program).pass_stats[0]
+        assert zeros.name == "zeros"
+        rewritten += bool(zeros.removed or zeros.rewritten)
         reference = interpreter.run(program, splits=SPLITS)
         loop = compiled_loop.run(program, splits=SPLITS)
         batched = compiled_batched.run(program, splits=SPLITS)
@@ -90,7 +94,7 @@ def assert_all_paths_agree(taskset, programs):
             assert fleet_runs[program.name][split].tobytes() == expected, (
                 f"{program.name}: fleet evaluation diverged on {split}"
             )
-    return batched_static, fleet.stack_groups
+    return batched_static, fleet.stack_groups, rewritten
 
 
 def raw_input_family(rows=(0, 0, 3)):
@@ -126,16 +130,23 @@ def raw_input_family(rows=(0, 0, 3)):
 
 class TestFourWayParity:
     def test_all_paths_agree_bitwise(self, small_taskset, fuzzed):
-        batched_static, _ = assert_all_paths_agree(small_taskset, fuzzed)
+        batched_static, _, rewritten = assert_all_paths_agree(
+            small_taskset, fuzzed
+        )
         # the fuzz bag must actually exercise the static-predict fast path
+        # and tapes the zero-constancy pass rewrote
         assert batched_static > 0
+        assert rewritten > 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_paths_agree_bitwise_on_hostile_panel(
         self, hostile_taskset, fuzzed
     ):
-        batched_static, _ = assert_all_paths_agree(hostile_taskset, fuzzed)
+        batched_static, _, rewritten = assert_all_paths_agree(
+            hostile_taskset, fuzzed
+        )
         assert batched_static > 0
+        assert rewritten > 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_raw_m0_reads_sanitize_on_hostile_panel(self, hostile_taskset):
@@ -144,7 +155,7 @@ class TestFourWayParity:
         for row in (0, 3):
             read = hostile_taskset.features[:, :, row, :]
             assert np.isnan(read).any() and np.isinf(read).any()
-        _, stack_groups = assert_all_paths_agree(hostile_taskset, programs)
+        _, stack_groups, _ = assert_all_paths_agree(hostile_taskset, programs)
         assert stack_groups == 1
 
     def test_use_update_ablation_agrees(self, small_taskset, fuzzed):

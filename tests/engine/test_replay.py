@@ -31,7 +31,7 @@ from repro.errors import StreamError
 SERVE_DAYS = 12
 TAIL_DAYS = 3
 
-S3, S4 = Operand.scalar(3), Operand.scalar(4)
+S2, S3, S4 = Operand.scalar(2), Operand.scalar(3), Operand.scalar(4)
 
 
 def recurrent_alpha():
@@ -46,6 +46,23 @@ def recurrent_alpha():
         ],
         update=[],
         name="recurrent",
+    )
+
+
+def zero_recurrent_alpha():
+    """Self-recurrent as written, but ``s4`` is never written, so
+    ``s3 = s3 + s4`` keeps ``s3`` at +0: the tape drops the write and its
+    lookback is 0."""
+    return AlphaProgram(
+        setup=[],
+        predict=[
+            Operation.make("s_add", (S3, S4), S3),
+            Operation.make("get_scalar", (INPUT_MATRIX,), S2,
+                           {"row": 0, "col": 0}),
+            Operation.make("s_add", (S2, S3), PREDICTION),
+        ],
+        update=[],
+        name="zero_recurrent",
     )
 
 
@@ -201,6 +218,25 @@ class TestCorrectionParity:
             correction_day=SERVE_DAYS - 4,
         )
         assert result.mode == "snapshot"
+
+    def test_zero_recurrence_spins_up_past_the_ring(self, evaluator):
+        """A correction older than the ring spins up, bit for bit.
+
+        The tape executes the zero-propagated IR, whose lookback is 0: the
+        ring keeps one snapshot, and a correction five days older replays
+        from the live state instead of restoring the warm anchor.
+        """
+        program = zero_recurrent_alpha()
+        day = SERVE_DAYS - 5
+        result = self.correct_and_compare(evaluator, program,
+                                          correction_day=day)
+        assert (result.mode, result.start_day) == ("spinup", day)
+        features, labels = served_history(evaluator)
+        corrected = np.array(features, copy=True)
+        corrected[day] = corrected[day] * 1.01
+        oracle = serve(warm_executor(interpreter_of(evaluator), program),
+                       corrected, labels, 0, SERVE_DAYS)
+        assert result.predictions.tobytes() == oracle[day:].tobytes()
 
     def test_deep_correction_leaves_an_exact_ring(self, evaluator):
         """A replay longer than the ring pushes only the days it keeps.

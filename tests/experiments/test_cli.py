@@ -143,8 +143,8 @@ class TestInspect:
         captured = capsys.readouterr().out
         assert "## original" in captured
         assert "## pruned" in captured
-        assert "## compiled (execution pipeline)" in captured
-        assert "## canonical IR (fingerprint pipeline)" in captured
+        assert "## compiled tape (zeros, fold, dse + cse)" in captured
+        assert "## canonical IR (zeros, fold, dse + canonicalize, cse)" in captured
         # per-pass statistics for every optimiser pass
         for name in ("fold", "canonicalize", "cse", "dse"):
             assert f"pass {name}:" in captured
