@@ -16,20 +16,23 @@ dispatch, static hoisting and fused batched inference) — and records:
   identical between the two paths (the whole design contract);
 * a **key count gate** on the fingerprint: a fixed seeded corpus of
   mutation-chain programs (:data:`KEY_CORPUS_SIZE`, walked from the D, NOOP,
-  R and NN initialisations) is grouped by canonical key and by the
+  R and NN initialisations) is grouped by fingerprint and by the
   interpreter's bitwise validation predictions.  The interpreter, not the
-  tape, is the oracle here: the tape executes the zero-propagated IR the
-  key is computed from, so a wrong zero transfer would corrupt the key and
-  the tape's bits together.  A key that holds two prediction classes is a
+  tape, is the oracle here: the fingerprint is the key of the very IR the
+  tape executes, so a wrong zero transfer would corrupt the key and the
+  tape's bits together.  A key that holds two prediction classes is a
   false merge, which the fingerprint cache and the serving fleet's dedup
   would turn into wrong scores and wrong served predictions, and fails the
-  run.  The number of keys, of prediction classes and of duplicates the key
-  still leaves unmerged (keys minus classes) are recorded: counts and bits
-  only, no timing;
+  run; so does a corpus program whose fingerprint is not its tape's key
+  (:func:`~repro.compile.executor.tape_key_for` of its compiled pruned
+  program), which would break the one identity the cache and the fleet
+  share.  The number of keys, of prediction classes, of duplicates the key
+  still leaves unmerged (keys minus classes) and of tape-key mismatches are
+  recorded: counts and bits only, no timing;
 * a **memo count gate** on the search's fingerprint cache: the same corpus
   goes through one :class:`~repro.core.cache.FingerprintCache` twice.  A
   memoised key that differs from a direct :func:`fingerprint`, or a
-  canonical-IR pipeline run beyond one per distinct pruned program, fails
+  compile-pipeline run beyond one per distinct pruned program, fails
   the run; the pipeline runs and the distinct pruned programs are recorded.
 
 The timed paths are interleaved: each round runs all four (interpreter and
@@ -49,7 +52,8 @@ Run with::
 
 ``--smoke`` shrinks the program list and times one round, and skips nothing
 else — CI uses it as a fast gate (non-zero exit on any parity violation, false
-merge or memo miscount) and it writes nothing.
+merge, fingerprint that is not its tape key, or memo miscount) and it writes
+nothing.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 
 from common import build_programs, reports_identical, spread, write_bench_json
-from repro.compile import compile_program
+from repro.compile import compile_program, tape_key_for
 from repro.core import AlphaEvaluator, Dimensions, Mutator, get_initialization
 from repro.core import cache as cache_module
 from repro.core.cache import FingerprintCache, fingerprint
@@ -113,10 +117,14 @@ def build_key_corpus(dims: Dimensions, count: int = KEY_CORPUS_SIZE,
 
 def key_classes(evaluator: AlphaEvaluator, programs: list) -> dict:
     """Group ``programs`` by fingerprint and by ``evaluator``'s
-    validation-prediction bits."""
+    validation-prediction bits, and count the fingerprints that are not
+    their pruned program's tape key."""
     classes_by_key: dict[str, set[str]] = {}
+    tape_key_mismatches = 0
     for program in programs:
-        key = fingerprint(prune_program(program).program)
+        pruned = prune_program(program).program
+        key = fingerprint(pruned)
+        tape_key_mismatches += key != tape_key_for(compile_program(pruned).ir)
         valid = evaluator.run(program, splits=("valid",))["valid"]
         bits = hashlib.sha256(valid.tobytes()).hexdigest()
         classes_by_key.setdefault(key, set()).add(bits)
@@ -127,13 +135,14 @@ def key_classes(evaluator: AlphaEvaluator, programs: list) -> dict:
         "prediction_classes": len(classes),
         "unmerged_duplicates": len(classes_by_key) - len(classes),
         "false_merges": sum(len(bits) - 1 for bits in classes_by_key.values()),
+        "tape_key_mismatches": tape_key_mismatches,
     }
 
 
 def memo_counts(programs: list) -> dict:
     """Feed ``programs`` through one fingerprint cache twice.
 
-    Counts the canonical-IR pipeline runs behind the cache by wrapping
+    Counts the compile-pipeline runs behind the cache by wrapping
     ``repro.core.cache.fingerprint``, and checks every key it returns
     against a direct :func:`fingerprint` of the pruned program.
     """
@@ -315,6 +324,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ERROR: {gate['false_merges']} fingerprint key(s) hold programs "
               "whose validation predictions differ", file=sys.stderr)
         return 1
+    if gate["tape_key_mismatches"]:
+        print(f"ERROR: {gate['tape_key_mismatches']} corpus program(s) whose "
+              "fingerprint is not the key of their pruned program's tape",
+              file=sys.stderr)
+        return 1
     memo = payload["memo_gate"]
     if memo["key_mismatches"]:
         print(f"ERROR: {memo['key_mismatches']} memoised fingerprint(s) differ "
@@ -332,7 +346,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{payload['fused_eligible_programs']} fused-eligible; "
               f"{gate['programs']} corpus programs in {gate['keys']} keys and "
               f"{gate['prediction_classes']} interpreter prediction classes, "
-              f"no key with two classes; {memo['lookups']} cache lookups ran "
+              "no key with two classes, every key its pruned program's tape "
+              f"key; {memo['lookups']} cache lookups ran "
               f"the pipeline {memo['pipeline_runs']} times for "
               f"{memo['distinct_pruned_programs']} distinct pruned programs, "
               "every key equal to a direct fingerprint)")

@@ -74,7 +74,9 @@ def _render_key_gate(gate: dict | None) -> list[Row]:
         f"{gate['keys']} / {gate['prediction_classes']}",
         f"`bench_compile.py`, {gate['programs']} programs, "
         f"{gate['false_merges']} keys with two prediction classes (gated), "
-        f"{gate['unmerged_duplicates']} duplicates left unmerged",
+        f"{gate['unmerged_duplicates']} duplicates left unmerged, "
+        f"{gate['tape_key_mismatches']} fingerprints that are not their "
+        "tape's key (gated)",
     )]
 
 

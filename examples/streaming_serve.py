@@ -5,7 +5,7 @@ This drives the full online pipeline end-to-end on a synthetic market:
 
 1. simulate a market and build the per-stock prediction tasks;
 2. evolve two alphas from different initialisations (a tiny budget);
-3. register them — plus a duplicate, to show canonical-IR deduplication —
+3. register them — plus a duplicate, to show fingerprint deduplication —
    on an :class:`repro.stream.server.AlphaServer` and warm-start it over
    the training history;
 4. stream the validation days through the server one bar at a time,
@@ -60,9 +60,9 @@ def main() -> None:
         server = AlphaServer(taskset, seed=0, max_train_steps=50)
         for name, program in fleet:
             server.register(program, name=name)
-        # A duplicate registration: same program, new name.  The canonical-IR
-        # fingerprint routes it to the existing executor, so it costs nothing
-        # per bar.
+        # A duplicate registration: same program, new name.  Its fingerprint
+        # (the tape key) routes it to the existing executor, so it costs
+        # nothing per bar.
         server.register(fleet[0][1], name="alpha_mirror")
         if warm:
             server.warm_start()

@@ -19,8 +19,8 @@ later without re-running the search.
 
 ``inspect`` takes a program serialised with
 :meth:`repro.core.AlphaProgram.to_json` and renders it next to its pruned
-form, its compiled/canonical IR and the per-pass optimiser statistics
-(:mod:`repro.compile`).
+form, its fingerprint, its compiled tape IR and the per-pass optimiser
+statistics (:mod:`repro.compile`).
 
 ``serve`` mines a top-K fleet of weakly correlated alphas (or loads saved
 programs with ``--program``) and streams the validation/test days through

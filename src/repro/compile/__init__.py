@@ -7,8 +7,9 @@ constancy, constant folding and a dead-code elimination that reuses the
 backward-liveness pruning), and executed by one flat tape (:mod:`.stacked`)
 with pre-resolved dispatch, preallocated slots, a fused batched inference
 stage and one lane per program, on the kernel registry of :mod:`.executor`.
-The tape adds common-subexpression elimination to that sequence; the
-fingerprint adds commutative canonicalisation and CSE.
+The sequence ends in an order-preserving common-subexpression
+elimination, and its IR is the only one: the tape executes it and the
+fingerprint hashes it.
 
 Entry points:
 
@@ -16,17 +17,17 @@ Entry points:
   identical to the interpreter; a one-lane tape is what
   :class:`repro.core.interpreter.AlphaEvaluator` runs under the default
   ``"compiled"`` engine, a P-lane one a signature group of a fleet);
-* :func:`canonical_key` — the canonicalised-IR fingerprint substrate used by
-  :class:`repro.core.cache.FingerprintCache`;
+* :func:`tape_ir` + :func:`tape_key_for` — the IR the tape executes and
+  its key, which :func:`repro.core.cache.fingerprint` is for a pruned
+  program;
 * :func:`describe_compilation` — the ``repro inspect`` report.
 """
 
 from .compiler import (
     CompiledProgram,
-    canonical_ir,
-    canonical_key,
     compile_program,
     describe_compilation,
+    tape_ir,
 )
 from .executor import TAPE_STATE_VERSION, TapeState, tape_key_for
 from .ir import IRComponent, IRInstruction, IRProgram, IRValue, lower_program
@@ -38,7 +39,6 @@ from .passes import (
     ZeroFacts,
     analyze_dataflow,
     analyze_zeros,
-    canonicalize_commutative,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
@@ -61,9 +61,6 @@ __all__ = [
     "analyze_dataflow",
     "analyze_lookback",
     "analyze_zeros",
-    "canonical_ir",
-    "canonical_key",
-    "canonicalize_commutative",
     "compile_program",
     "describe_compilation",
     "eliminate_common_subexpressions",
@@ -72,5 +69,6 @@ __all__ = [
     "lower_program",
     "propagate_zeros",
     "stack_signature",
+    "tape_ir",
     "tape_key_for",
 ]

@@ -1,37 +1,39 @@
 """The alpha compilation pipeline: lower → optimise → (bind and) execute.
 
-One pass sequence serves the tape and the fingerprint (:func:`_optimise`):
-lower, zero constancy, constant folding and dead-code elimination, which
-also yields the :class:`~repro.compile.passes.DataflowInfo`.  Every rewrite
-in it is exact: the zero constancy pass
+One pass sequence (:func:`tape_ir`) makes the one IR: lower, zero
+constancy, constant folding, dead-code elimination (which also yields the
+:class:`~repro.compile.passes.DataflowInfo`) and order-preserving CSE.
+Every rewrite in it is exact: the zero constancy pass
 (:func:`~repro.compile.passes.propagate_zeros`) reads the constant transfer
 each operator declares on its :class:`~repro.core.ops.OpSpec` and proves a
-zero only where the transfer does, and folding calls the registry operator
-itself, so the optimised IR predicts bit for bit what the written program
-predicts.  On top of it:
+zero only where the transfer does, folding calls the registry operator
+itself, and CSE merges only instructions with equal inputs, never
+reordering operands.  So every value the IR computes equals one the
+interpreter computes, and the compiled tape
+(:class:`~repro.compile.stacked.StackedAlpha`) is bitwise identical.
 
-* **the tape** (:func:`compile_program`) adds exact-match CSE.  Operand
-  order is never touched, so every value the tape computes equals one the
-  interpreter computes, which is what makes the compiled tape
-  (:class:`~repro.compile.stacked.StackedAlpha`) bitwise identical;
-* **the key** (:func:`canonical_ir` / :func:`canonical_key`) adds
-  commutative canonicalisation and canonical CSE, then renders.  The
-  rendering names values by position instead of by operand address, so
-  programs that differ only in operand order of commutative operations, in
+That IR has two readers:
+
+* **the tape** (:func:`compile_program`) adds the analyses binding needs:
+  fused inference, static-predict batching and the delta-replay lookback;
+* **the fingerprint** (:func:`repro.core.cache.fingerprint`) hashes it with
+  :func:`~repro.compile.executor.tape_key_for`, so a pruned program's
+  fingerprint is its tape's key.  The rendering names values by position
+  instead of by operand address, so programs that differ only in
   duplicated subexpressions, in folded constants, in intermediate register
   naming or in arithmetic on zero-initialised memory (``v4 = v11 + v8`` in
-  ``Setup()``, a read of a never-written ``s7``, ``s_tan`` of a zero) all
-  share one key.  The key is a proof, not a heuristic: the fingerprint
-  cache reuses a key's fitness and :class:`~repro.engine.fleet.FleetEngine`
-  serves a key from one backend, so programs with equal keys must predict
-  bit for bit alike.  The commutative sort stays out of the tape: swapping
-  ``min``/``max`` operands can flip a zero's sign.
+  ``Setup()``, a read of a never-written ``s7``, ``s_tan`` of a zero)
+  share one key, and programs with equal keys run the same tape: they
+  predict bit for bit alike, which is what lets the fingerprint cache
+  reuse a key's fitness and :class:`~repro.engine.fleet.FleetEngine`
+  serve a key from one backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.cache import fingerprint
 from ..core.memory import INPUT_MATRIX, LABEL
 from ..core.program import AlphaProgram
 from ..core.pruning import prune_program
@@ -42,7 +44,6 @@ from .passes import (
     DataflowInfo,
     PassStats,
     analyze_zeros,
-    canonicalize_commutative,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
@@ -52,9 +53,8 @@ from .passes import (
 __all__ = [
     "CompiledProgram",
     "compile_program",
-    "canonical_ir",
-    "canonical_key",
     "describe_compilation",
+    "tape_ir",
 ]
 
 
@@ -116,23 +116,28 @@ def _static_predict_eligible(ir: IRProgram, dataflow: DataflowInfo,
 def _optimise(
     ir: IRProgram,
 ) -> tuple[IRProgram, list[PassStats], DataflowInfo]:
-    """The passes the tape and the key share: zeros, fold, then dead code
-    (the rewired zeros and folded constants leave dead producers)."""
+    """The one pass sequence: zeros, fold, dead code (the rewired zeros and
+    folded constants leave dead producers), then order-preserving CSE,
+    which merges only instructions with equal inputs and so keeps the
+    dataflow's carried set and live-ins."""
     stats = []
     for run_pass in (propagate_zeros, fold_constants):
         ir, pass_stats = run_pass(ir)
         stats.append(pass_stats)
     ir, dse_stats, dataflow = eliminate_dead_code(ir)
-    return ir, [*stats, dse_stats], dataflow
-
-
-def _tape(program: AlphaProgram, ir: IRProgram, stats: list[PassStats],
-          dataflow: DataflowInfo) -> CompiledProgram:
-    """The optimised IR plus order-preserving CSE, which merges only
-    instructions with equal inputs and so keeps ``dataflow``'s carried set
-    and live-ins."""
     ir, cse_stats = eliminate_common_subexpressions(ir)
-    stats = [*stats, cse_stats]
+    return ir, [*stats, dse_stats, cse_stats], dataflow
+
+
+def tape_ir(program: AlphaProgram) -> IRProgram:
+    """The IR the tape executes for ``program``, without the tape's
+    analyses: what the fingerprint hashes."""
+    return _optimise(lower_program(program))[0]
+
+
+def compile_program(program: AlphaProgram) -> CompiledProgram:
+    """Compile ``program`` for the tape."""
+    ir, stats, dataflow = _optimise(lower_program(program))
     if TELEMETRY.enabled:
         TELEMETRY.counter("compile.programs").inc()
         for pass_stats in stats:
@@ -154,36 +159,13 @@ def _tape(program: AlphaProgram, ir: IRProgram, stats: list[PassStats],
     )
 
 
-def _canonicalise(ir: IRProgram) -> tuple[IRProgram, list[PassStats]]:
-    """The key's two passes on top of the optimised IR."""
-    ir, sort_stats = canonicalize_commutative(ir)
-    ir, cse_stats = eliminate_common_subexpressions(ir)
-    return ir, [sort_stats, cse_stats]
-
-
-def compile_program(program: AlphaProgram) -> CompiledProgram:
-    """Compile ``program`` for the tape."""
-    return _tape(program, *_optimise(lower_program(program)))
-
-
-def canonical_ir(program: AlphaProgram) -> tuple[IRProgram, list[PassStats]]:
-    """The IR the fingerprint renders, with every pass's statistics."""
-    ir, stats, _ = _optimise(lower_program(program))
-    ir, key_stats = _canonicalise(ir)
-    return ir, stats + key_stats
-
-
-def canonical_key(program: AlphaProgram) -> str:
-    """The canonical-IR string the fingerprint cache hashes."""
-    return canonical_ir(program)[0].render()
-
-
 def describe_compilation(program: AlphaProgram) -> str:
     """A human-readable report for the ``repro inspect`` CLI command.
 
-    Shows the program next to its pruned form, the operands the
-    zero-constancy pass proved zero, and the tape and the canonicalised IR
-    with the statistics (rewrites included) of every pass that made them.
+    Shows the program next to its pruned form, the pruned program's
+    fingerprint (the key the cache uses), the operands the zero-constancy
+    pass proved zero, and the tape with the statistics (rewrites included)
+    of every pass that made it.
     """
     prune_result = prune_program(program)
     lines = [
@@ -204,9 +186,10 @@ def describe_compilation(program: AlphaProgram) -> str:
          for operand in component.inputs}
         - set(zeros.operands) - {INPUT_MATRIX, LABEL}
     )
-    ir, stats, dataflow = _optimise(lowered)
-    compiled = _tape(program, ir, stats, dataflow)
-    lines += ["", "## compiled tape (zeros, fold, dse + cse)",
+    compiled = compile_program(program)
+    lines += ["", "## compiled tape (zeros, fold, dse, cse)",
+              "fingerprint (the pruned program's tape key): "
+              + fingerprint(prune_result.program),
               "proven zero: " + zeros.describe()]
     if never_written:
         lines.append("never written (+0): "
@@ -225,9 +208,4 @@ def describe_compilation(program: AlphaProgram) -> str:
     )
     lines.append("delta-replay lookback: " + compiled.lookback.describe())
     lines.append(compiled.ir.render())
-
-    key_ir, key_stats = _canonicalise(ir)
-    lines += ["", "## canonical IR (zeros, fold, dse + canonicalize, cse)"]
-    lines += [f"pass {pass_stats.describe()}" for pass_stats in key_stats]
-    lines.append(key_ir.render())
     return "\n".join(lines)

@@ -102,7 +102,7 @@ class IRProgram:
 
     # ------------------------------------------------------------------
     def render(self, mask_params: bool = False) -> str:
-        """Human-readable SSA listing (also the canonical-key substrate).
+        """Human-readable SSA listing (also what the tape key hashes).
 
         Instruction results are numbered per component in listing order and
         component inputs are shown by operand name, so the rendering is

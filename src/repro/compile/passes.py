@@ -1,6 +1,8 @@
 """Optimiser passes over the alpha IR.
 
-Five passes, specialised to the alpha language:
+Four passes, specialised to the alpha language, each exact: the tape
+executes their result and the fingerprint hashes it, so none may change a
+bit the interpreter computes.
 
 * **zero constancy** — an optimistic fixpoint over ``Setup()`` /
   ``Predict()`` / ``Update()`` that proves values zero.
@@ -31,15 +33,10 @@ Five passes, specialised to the alpha language:
   indistinguishable from the original; transcendentals are deliberately
   excluded because their code paths are not guaranteed to round
   identically at every length.
-* **commutative canonicalisation** — the operands of commutative operators
-  are sorted by a structural value key, so ``add(s2, s3)`` and
-  ``add(s3, s2)`` become the same instruction.  Execution never uses the
-  canonicalised order (reordering ``min``/``max`` operands can flip the sign
-  of a zero); it exists so that the *fingerprint* of mirror-image programs
-  collides.
 * **common-subexpression elimination** — within a component, an instruction
-  that recomputes an already-available value is removed and its readers are
-  rewired to the earlier value.  Every operator in the registry is a
+  that recomputes an already-available value (same operator, parameters
+  and inputs, in the same order) is removed and its readers are rewired to
+  the earlier value.  Every operator in the registry is a
   deterministic function of its inputs, parameters and the evaluation
   context (stochastic initialisers derive their RNG from their parameters),
   which is what makes this sound.
@@ -53,7 +50,7 @@ Five passes, specialised to the alpha language:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +67,6 @@ __all__ = [
     "analyze_zeros",
     "propagate_zeros",
     "fold_constants",
-    "canonicalize_commutative",
     "eliminate_common_subexpressions",
     "eliminate_dead_code",
     "analyze_dataflow",
@@ -334,7 +330,7 @@ def fold_constants(ir: IRProgram) -> tuple[IRProgram, PassStats]:
 
 
 # ---------------------------------------------------------------------------
-# Structural value keys (canonicalisation + CSE)
+# Common-subexpression elimination
 # ---------------------------------------------------------------------------
 
 def _params_key(instr: IRInstruction) -> str:
@@ -342,53 +338,12 @@ def _params_key(instr: IRInstruction) -> str:
     return repr(sorted(instr.params))
 
 
-def _value_keys(ir: IRProgram) -> dict[int, tuple]:
-    """A structural sort key per SSA value.
-
-    A component input is keyed by its operand name and an instruction result
-    by the first-seen number of its structure (operator, parameters and
-    input keys, commutative inputs sorted), so equal structures get equal
-    keys and the keys of mirror-image programs agree.
-    """
-    keys: dict[int, tuple] = {}
-    structures: dict[tuple, int] = {}
-    for name in COMPONENTS:
-        component = ir.components[name]
-        for operand, vid in component.inputs.items():
-            keys[vid] = (0, operand.name)
-        for instr in component.instructions:
-            input_keys = [keys[vid] for vid in instr.inputs]
-            if instr.spec.commutative:
-                input_keys.sort()
-            structure = (instr.op, _params_key(instr), tuple(input_keys))
-            keys[instr.result] = (1, structures.setdefault(structure, len(structures)))
-    return keys
-
-
-def canonicalize_commutative(ir: IRProgram) -> tuple[IRProgram, PassStats]:
-    """Sort the operands of commutative instructions by structural key."""
-    ir = ir.copy()
-    keys = _value_keys(ir)
-    reordered = 0
-    for name in COMPONENTS:
-        component = ir.components[name]
-        for index, instr in enumerate(component.instructions):
-            if not instr.spec.commutative or len(instr.inputs) != 2:
-                continue
-            ordered = tuple(sorted(instr.inputs, key=lambda vid: (keys[vid], vid)))
-            if ordered != instr.inputs:
-                component.instructions[index] = replace(instr, inputs=ordered)
-                reordered += 1
-    return ir, PassStats(name="canonicalize", rewritten=reordered)
-
-
 def eliminate_common_subexpressions(ir: IRProgram) -> tuple[IRProgram, PassStats]:
     """Remove instructions that recompute an already-available value.
 
-    Matching is per component and respects the current operand order (run
-    :func:`canonicalize_commutative` first to also merge mirrored operands —
-    the tape deliberately does not, so that a reused value is always the
-    result of a literally identical computation).
+    Matching is per component and respects operand order, so a reused
+    value is always the result of a literally identical computation
+    (swapping ``min``/``max`` operands can flip a zero's sign).
     """
     ir = ir.copy()
     removed = 0

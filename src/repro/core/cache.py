@@ -4,9 +4,10 @@ AutoML-Zero fingerprints a candidate by its predictions on a small sample set,
 which requires (partially) evaluating it.  The paper's optimisation instead
 fingerprints the candidate *without evaluation*: redundant operations are
 pruned first, the remaining operations are rendered into a canonical string,
-and that string is hashed.  If the fingerprint is already in the cache the
-stored fitness score is reused; otherwise the alpha is evaluated and the
-score is stored.
+and that string is hashed.  Here the string is the rendering of the IR the
+compiled tape executes, so the fingerprint is the pruned program's tape
+key.  If the fingerprint is already in the cache the stored fitness score
+is reused; otherwise the alpha is evaluated and the score is stored.
 
 The cache also counts how many candidates were handled without evaluation —
 redundant alphas and fingerprint hits — which is what Table 6 reports as the
@@ -15,7 +16,6 @@ benefit of the technique (number of searched alphas = pruned + evaluated).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .fitness import FitnessReport
@@ -28,15 +28,17 @@ __all__ = ["CacheStats", "FingerprintCache", "fingerprint"]
 def fingerprint(program: AlphaProgram) -> str:
     """Hash the canonical string of a (pruned) program.
 
-    The key is the canonicalised-IR rendering from
-    :func:`repro.compile.canonical_key`: values proven zero from
-    zero-initialised memory are replaced by canonical zeros, commutative
-    operands are sorted, scalar constants folded, duplicated subexpressions
+    The key is the program's tape key
+    (:func:`~repro.compile.executor.tape_key_for` of
+    :func:`~repro.compile.tape_ir`, the IR the compiled tape executes):
+    values proven zero from zero-initialised memory are replaced by
+    canonical zeros, scalar constants folded, duplicated subexpressions
     merged and values named by position, so equivalent programs — e.g.
-    ``add(s2, s3)`` vs ``add(s3, s2)``, or ``v4 = v11 + v8`` in ``Setup()``
-    vs a never-written ``v4`` — share one fingerprint and never consume
-    duplicate evaluations.  Equal keys mean bit-for-bit equal predictions,
-    which is what lets a hit reuse the stored report.
+    ``v4 = v11 + v8`` in ``Setup()`` vs a never-written ``v4``, or two
+    spellings that differ only in an intermediate register — share one
+    fingerprint and never consume duplicate evaluations.  Operand order is
+    kept as written.  Equal keys mean the same tape, so bit-for-bit equal
+    predictions, which is what lets a hit reuse the stored report.
 
     Cost: a search keys each distinct pruned program once
     (:class:`FingerprintCache` looks repeats up).  In two traced runs of
@@ -49,9 +51,9 @@ def fingerprint(program: AlphaProgram) -> str:
     the key time, not 75%.
     """
     # Imported lazily: repro.compile depends on repro.core submodules.
-    from ..compile import canonical_key
+    from ..compile import tape_ir, tape_key_for
 
-    return hashlib.sha256(canonical_key(program).encode("utf-8")).hexdigest()
+    return tape_key_for(tape_ir(program))
 
 
 @dataclass
@@ -92,7 +94,7 @@ class FingerprintCache:
     (a mutation that lands in dead code prunes back to its parent), so
     the cache also memoises each pruned program's fingerprint under its
     exact identity (:meth:`~repro.core.program.AlphaProgram.exact_key`):
-    the canonical-IR pipeline runs once per distinct pruned program, and
+    the compile pipeline runs once per distinct pruned program, and
     every later sighting costs a lookup.  The memo is derived state: it
     is never pickled (a checkpointed cache resumes with an empty one and
     re-keys on demand, to the same keys), and :meth:`clear` drops it.

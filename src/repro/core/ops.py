@@ -59,6 +59,10 @@ the tape's program (lane) axis and its day axis.  An entry records:
   checks them bit for bit.  Only IEEE sign rules and C99 Annex F special
   values (``sin(±0) = ±0``) are declared, never a probed or rounded
   constant.
+
+No entry declares a symmetry: the compile pipeline never reorders
+operands (swapping ``min``/``max`` operands can flip a zero's sign), so
+``s2 + s3`` and ``s3 + s2`` are two programs with two fingerprints.
 """
 
 from __future__ import annotations
@@ -211,14 +215,6 @@ class OpSpec:
     param_names: tuple[str, ...] = ()
     components: frozenset = frozenset({"setup", "predict", "update"})
     symbol: str | None = None
-    #: Whether swapping the two inputs leaves the result unchanged bit for
-    #: bit (e.g. ``a + b == b + a``; not ``min``/``max``, which return their
-    #: second input when the two are equal, so ``min(+0, -0)`` is ``-0``).
-    #: Canonicalisation — in
-    #: :meth:`repro.core.program.AlphaProgram.structural_key` and in the
-    #: compile pipeline (:mod:`repro.compile.passes`) — sorts the operands of
-    #: commutative operators so mirror-image programs share one fingerprint.
-    commutative: bool = False
     #: The leading-axis kernel, called like ``func``: ``func`` itself unless
     #: given, ``None`` for an operator the tape runs slice by slice.
     kernel: OpFunc | None = _OWN_FUNCTION
@@ -614,11 +610,11 @@ def _initialiser(name: str, output_type, shape) -> None:
 # values stay finite; extrema, |x|, signs and the 0/1 heaviside stay inside
 # the input range.  Only the scalar forms fold: constants are scalars.
 _elementwise("s_add", (_S, _S), np.add, FINITE_CLOSED, fold=True, symbol="+",
-             commutative=True, zeros=_zeros_sum, passthrough=_ADD_PASSTHROUGH)
+             zeros=_zeros_sum, passthrough=_ADD_PASSTHROUGH)
 _elementwise("s_sub", (_S, _S), np.subtract, FINITE_CLOSED, fold=True, symbol="-",
              zeros=_zeros_difference, passthrough=_SUB_PASSTHROUGH)
 _elementwise("s_mul", (_S, _S), np.multiply, FINITE_CLOSED, fold=True, symbol="*",
-             commutative=True, zeros=_zeros_product)
+             zeros=_zeros_product)
 _elementwise("s_div", (_S, _S), _protected_divide, FINITE_CLOSED, fold=True,
              symbol="/", zeros=_zeros_quotient, passthrough=_DIV_PASSTHROUGH)
 _elementwise("s_min", (_S, _S), np.minimum, RANGE_CLOSED, fold=True,
@@ -652,12 +648,12 @@ _register(OpSpec(
 # Vector operators
 # ---------------------------------------------------------------------------
 
-_elementwise("v_add", (_V, _V), np.add, FINITE_CLOSED, symbol="+", commutative=True,
+_elementwise("v_add", (_V, _V), np.add, FINITE_CLOSED, symbol="+",
              zeros=_zeros_sum, passthrough=_ADD_PASSTHROUGH)
 _elementwise("v_sub", (_V, _V), np.subtract, FINITE_CLOSED, symbol="-",
              zeros=_zeros_difference, passthrough=_SUB_PASSTHROUGH)
 _elementwise("v_mul", (_V, _V), np.multiply, FINITE_CLOSED, symbol="*",
-             commutative=True, zeros=_zeros_product)
+             zeros=_zeros_product)
 _elementwise("v_div", (_V, _V), _protected_divide, FINITE_CLOSED, symbol="/",
              zeros=_zeros_quotient, passthrough=_DIV_PASSTHROUGH)
 _elementwise("v_min", (_V, _V), np.minimum, RANGE_CLOSED, zeros=_zeros_extremum)
@@ -675,7 +671,6 @@ _register(OpSpec(
 _register(OpSpec(
     "v_dot", OpKind.ARITHMETIC, (_V, _V), _S,
     lambda ctx, inputs, params: np.einsum("...w,...w->...", inputs[0], inputs[1]),
-    commutative=True,
     zeros=_zeros_absorbing,
 ))
 _register(OpSpec(
@@ -729,12 +724,12 @@ _initialiser("vector_uniform", _V, lambda ctx: (ctx.num_tasks, ctx.window))
 # Matrix operators
 # ---------------------------------------------------------------------------
 
-_elementwise("m_add", (_M, _M), np.add, FINITE_CLOSED, symbol="+", commutative=True,
+_elementwise("m_add", (_M, _M), np.add, FINITE_CLOSED, symbol="+",
              zeros=_zeros_sum, passthrough=_ADD_PASSTHROUGH)
 _elementwise("m_sub", (_M, _M), np.subtract, FINITE_CLOSED, symbol="-",
              zeros=_zeros_difference, passthrough=_SUB_PASSTHROUGH)
 _elementwise("m_mul", (_M, _M), np.multiply, FINITE_CLOSED, symbol="*",
-             commutative=True, zeros=_zeros_product)
+             zeros=_zeros_product)
 _elementwise("m_div", (_M, _M), _protected_divide, FINITE_CLOSED, symbol="/",
              zeros=_zeros_quotient, passthrough=_DIV_PASSTHROUGH)
 _elementwise("m_min", (_M, _M), np.minimum, RANGE_CLOSED, zeros=_zeros_extremum)

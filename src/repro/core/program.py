@@ -11,7 +11,8 @@ operand(s) and an output operand, organised in three components:
 
 :class:`AlphaProgram` stores the three operation lists, validates them
 against the address space and the operator registry, and supports
-(de)serialisation, pretty-printing and structural hashing.
+(de)serialisation, pretty-printing and exact-identity equality and hashing
+(:meth:`AlphaProgram.exact_key`).
 """
 
 from __future__ import annotations
@@ -126,10 +127,9 @@ class Operation:
 
         Unlike equality, it tells ``-0.0`` from ``0.0``, ``1`` from ``1.0``
         and ``np.float64(0.5)`` from ``0.5`` (initialisers seed by signed
-        values, and the canonical key renders parameters by ``repr``), and
-        it does not sort commutative operands.  Computed once per
-        instance; it takes no part in ``==`` or ``hash`` and is never
-        pickled (see :meth:`__getstate__`).
+        values, and the fingerprint renders parameters by ``repr``).
+        Computed once per instance; it takes no part in the operation's
+        ``==`` or ``hash`` and is never pickled (see :meth:`__getstate__`).
         """
         inputs = ",".join(operand.name for operand in self.inputs)
         return f"{self.output.name}={self.op}({inputs}){self.params!r}"
@@ -169,24 +169,6 @@ class Operation:
         )
         check_params(operation.spec, operation.param_dict)
         return operation
-
-
-def _canonical_operation(operation: Operation) -> Operation:
-    """Return ``operation`` with commutative operands in sorted order.
-
-    Only the rendering/identity changes: execution always uses the written
-    operand order, so the numerical results are untouched.
-    """
-    if not operation.spec.commutative or len(operation.inputs) != 2:
-        return operation
-    if operation.inputs[0] <= operation.inputs[1]:
-        return operation
-    return Operation(
-        op=operation.op,
-        inputs=(operation.inputs[1], operation.inputs[0]),
-        output=operation.output,
-        params=operation.params,
-    )
 
 
 @dataclass
@@ -312,33 +294,14 @@ class AlphaProgram:
         return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
-    def structural_key(self) -> str:
-        """Canonical string of all operations (used for exact-duplicate checks).
-
-        The operands of commutative operators are sorted, so mirror-image
-        programs (``add(s2, s3)`` vs ``add(s3, s2)``) share one key and
-        stop consuming duplicate evaluations.
-
-        This is *not* the search fingerprint — the fingerprint in
-        :mod:`repro.core.cache` is computed on the canonicalised IR of the
-        *pruned* program so that alphas differing only in redundant
-        operations (or in operand naming of intermediates) collide.
-        """
-        parts = []
-        for component, operations in self.components().items():
-            rendered = ";".join(
-                _canonical_operation(op).render() for op in operations
-            )
-            parts.append(f"{component}:{rendered}")
-        return "|".join(parts)
-
     def exact_key(self) -> tuple[tuple[str, ...], ...]:
         """Each component's :attr:`Operation.exact_key` tuple, in order.
 
         Two programs share it only if they are written identically, so
         anything computed from the operations alone — the fingerprint
         cache memoises its keys on it — can be looked up instead of
-        recomputed.
+        recomputed.  Program equality and hashing read it too; the name
+        takes no part.
         """
         return (tuple([operation.exact_key for operation in self.setup]),
                 tuple([operation.exact_key for operation in self.predict]),
@@ -347,7 +310,7 @@ class AlphaProgram:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlphaProgram):
             return NotImplemented
-        return self.structural_key() == other.structural_key()
+        return self.exact_key() == other.exact_key()
 
     def __hash__(self) -> int:
-        return hash(self.structural_key())
+        return hash(self.exact_key())

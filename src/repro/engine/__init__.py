@@ -24,7 +24,7 @@ lives — once — and where every execution path in the repository plugs in:
   the fleet's ``correct`` fan-out;
 * :mod:`repro.engine.fleet`      — :class:`FleetEngine`, N programs over
   one shared :class:`~repro.core.ops.ExecutionContext` and data pass with
-  canonical deduplication and one backend per signature group (behind
+  deduplication by tape key and one backend per signature group (behind
   both the search's batch scorer and the streaming
   :class:`~repro.stream.server.AlphaServer`).
 

@@ -5,12 +5,13 @@ task set — the search scoring candidate batches, and the server fanning an
 arriving bar across its registered alphas.  Both used to own their fan-out;
 :class:`FleetEngine` is the one engine-layer implementation they now share:
 
-* **canonical deduplication** — members are fingerprinted on their pruned
-  canonical IR (the same prune → :func:`repro.core.cache.fingerprint` flow
-  the search cache uses), so equivalent programs — mirrored commutative
-  operands, renamed registers, duplicated subexpressions, arithmetic on
-  zero-initialised memory — share one backend and are executed once,
-  however many names point at them (equal keys predict bit for bit alike);
+* **deduplication by tape key** — members are fingerprinted on their
+  pruned program's tape IR (the same prune →
+  :func:`repro.core.cache.fingerprint` flow the search cache uses), so
+  programs that run the same tape — renamed registers, duplicated
+  subexpressions, arithmetic on zero-initialised memory — share one
+  backend and are executed once, however many names point at them (equal
+  keys run the same tape, so they predict bit for bit alike);
 * **one shared** :class:`~repro.core.ops.ExecutionContext` — contexts are
   read-only during execution (initialiser operators derive their RNGs from
   their own parameters), so the whole fleet binds to a single context
@@ -117,7 +118,7 @@ class FleetMember:
     """One registered fleet name and where its predictions come from."""
 
     name: str
-    #: Canonical-IR fingerprint of the (pruned) program — or a positional
+    #: Fingerprint (tape key) of the pruned program — or a positional
     #: key when the fleet was built with ``dedup=False``.
     key: str
     #: Whether this name shares a previously added member's backend.
@@ -141,7 +142,7 @@ class FleetEngine:
         which is what keeps fleet results bitwise identical to
         per-program evaluation.
     dedup:
-        Whether members are canonically fingerprinted and deduplicated.
+        Whether members are fingerprinted and deduplicated.
         The scorer disables this: its cache layer already decides which
         candidates share an evaluation, and the pruning-disabled ablation
         must not dedup behind its back.
@@ -225,7 +226,7 @@ class FleetEngine:
     def add(self, program: AlphaProgram, name: str | None = None) -> FleetMember:
         """Register ``program`` under ``name`` and return its membership.
 
-        With deduplication on, a program whose canonical-IR fingerprint
+        With deduplication on, a program whose fingerprint
         matches an already added one shares that backend
         (``deduplicated=True``): it executes once per day/evaluation and
         both names receive the same predictions.

@@ -45,8 +45,10 @@ __all__ = [
 #: configuration echo no longer names a main-loop scheduler; version 4: the
 #: cached reports are keyed by fingerprints that see through arithmetic on
 #: zero-initialised memory, so a version-3 cache would resume with other
-#: hit counts than an uninterrupted search).
-CHECKPOINT_VERSION = 4
+#: hit counts than an uninterrupted search; version 5: the fingerprint is
+#: the tape key, which keeps commutative operands in written order, and
+#: ``initial_key`` is the initial program's exact key).
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -70,7 +72,9 @@ class SearchCheckpoint:
     islands: list
     best_ever: object
     trajectory: list
-    initial_key: str
+    #: :meth:`~repro.core.program.AlphaProgram.exact_key` of the initial
+    #: program.
+    initial_key: tuple
     config_echo: dict = field(default_factory=dict)
 
 

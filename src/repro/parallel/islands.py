@@ -271,7 +271,7 @@ class IslandEvolutionController:
         }
 
     def _restore(self, state: SearchCheckpoint, initial_program: AlphaProgram) -> None:
-        if state.initial_key != initial_program.structural_key():
+        if state.initial_key != initial_program.exact_key():
             raise CheckpointError(
                 "checkpoint was taken for a different initial program; "
                 "resume with the same initial alpha or start fresh"
@@ -344,7 +344,7 @@ class IslandEvolutionController:
                 islands=self.islands,
                 best_ever=self._best_ever,
                 trajectory=list(self._trajectory),
-                initial_key=self._initial_program.structural_key(),
+                initial_key=self._initial_program.exact_key(),
                 config_echo=self._config_echo(),
             )
         )
@@ -455,10 +455,10 @@ class IslandEvolutionController:
         for index, island in enumerate(self.islands):
             migrant = offers[index - 1]
             population = island.population
-            # Program equality is structural-key equality; key the migrant
-            # once instead of once per member.
-            key = migrant.program.structural_key()
-            if any(member.program.structural_key() == key for member in population):
+            # Program equality is exact-key equality; key the migrant once
+            # instead of once per member.
+            key = migrant.program.exact_key()
+            if any(member.program.exact_key() == key for member in population):
                 continue
             worst = min(range(len(population)), key=lambda j: population[j].fitness)
             if migrant.fitness > population[worst].fitness:

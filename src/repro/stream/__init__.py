@@ -11,7 +11,7 @@ state as one :class:`~repro.compile.executor.TapeState` per lane.
 
 * :mod:`repro.stream.server`      — :class:`AlphaServer` registers the
   top-K mined programs and evaluates each new day's bar across all of them
-  in one pass, with shared feature tensors and canonical-IR fingerprint
+  in one pass, with shared feature tensors and fingerprint (tape-key)
   deduplication of equivalent programs;
 * :mod:`repro.stream.driver`      — :class:`OnlineBacktestDriver` feeds
   simulated market ticks through the server into the backtest engine,

@@ -511,7 +511,7 @@ def run_serve(config, programs: list[AlphaProgram] | None = None,
         short_k=config.short_positions,
     )
     start = time.perf_counter()
-    # The compile phase covers registration (canonical-IR dedup), tape
+    # The compile phase covers registration (tape-key dedup), tape
     # compilation and the warm-start training replay.
     phase_started = time.perf_counter()
     with TELEMETRY.span("serve.compile", fleet=len(programs)):

@@ -11,13 +11,13 @@ them in one pass.  Three kinds of work are shared across the fleet:
   per-alpha feature work exists;
 * **the day loop** — one ``on_bar`` call advances every alpha, so per-day
   overhead (timing, label reveal, bookkeeping) is paid once, not K times;
-* **duplicate programs** — the fleet fingerprints each program on its
-  canonical IR (the same prune → :func:`repro.core.cache.fingerprint` flow
+* **duplicate programs** — the fleet fingerprints each pruned program by
+  its tape key (the same prune → :func:`repro.core.cache.fingerprint` flow
   the search's :class:`~repro.core.cache.FingerprintCache` uses), so mined
-  alphas that are equivalent — mirrored commutative operands, renamed
-  registers, duplicated subexpressions, arithmetic on zero-initialised
-  memory — share a single incremental executor and are evaluated once per
-  day, however many names point at them.
+  alphas that run the same tape — renamed registers, duplicated
+  subexpressions, arithmetic on zero-initialised memory — share a single
+  incremental executor and are evaluated once per day, however many names
+  point at them.
 
 The server is the *same code path* as the offline backtest: every executor
 context comes from
@@ -71,8 +71,10 @@ __all__ = ["CorrectionRecord", "ServerState", "AlphaServer"]
 #: v2: served-bar history, the correction log and the delta-replay
 #: snapshot payloads ride along with the tapes.  v3: registrations, tapes
 #: and replay payloads are keyed by fingerprints that see through
-#: arithmetic on zero-initialised memory.
-SERVER_STATE_VERSION = 3
+#: arithmetic on zero-initialised memory.  v4: they are keyed by the
+#: pruned program's tape key, which keeps commutative operands in written
+#: order.
+SERVER_STATE_VERSION = 4
 
 #: Reservoir size of the per-bar latency histogram: large enough that every
 #: bar of a laptop-scale serve (and the bench suite) is kept exactly, yet a
@@ -148,16 +150,16 @@ class ServerState:
     #: data of the same shape must fail loudly, not serve stale state.
     data_key: str
     days_served: int
-    #: name → canonical fingerprint, in registration order.
+    #: name → fingerprint, in registration order.
     registrations: dict[str, str]
-    #: canonical fingerprint → suspended tape state.
+    #: fingerprint → suspended tape state.
     tapes: dict[str, TapeState]
     #: Served-bar history ``(features (D, K, f, w), labels (D, K))`` with
     #: all applied corrections patched in; ``None`` on pre-v2 states.
     history: tuple[np.ndarray, np.ndarray] | None = None
     #: Corrections applied before suspension, oldest first.
     corrections: tuple[CorrectionRecord, ...] = ()
-    #: canonical fingerprint → delta-replay payload (warm anchor + snapshot
+    #: fingerprint → delta-replay payload (warm anchor + snapshot
     #: ring entries; see ``FleetEngine.suspend_replay_states``).
     replay: dict[str, dict] | None = None
 
@@ -196,7 +198,7 @@ class AlphaServer:
         )
         self._data_key = taskset_fingerprint(taskset)
         #: The engine-layer fleet behind registration, warm-start and
-        #: per-bar fan-out (one shared context, canonical dedup), and the
+        #: per-bar fan-out (one shared context, tape-key dedup), and the
         #: one copy of the registrations.
         self.fleet = FleetEngine(self.evaluator)
         self.days_served = 0
@@ -231,7 +233,7 @@ class AlphaServer:
 
     @property
     def registrations(self) -> list[FleetMember]:
-        """The fleet's members (name, canonical-IR ``key``,
+        """The fleet's members (name, fingerprint ``key``,
         ``deduplicated``, ``redundant``), in registration order."""
         return self.fleet.members
 
@@ -259,7 +261,7 @@ class AlphaServer:
                  name: str | None = None) -> FleetMember:
         """Add ``program`` to the served fleet under ``name``.
 
-        Programs whose canonical-IR fingerprint matches an already
+        Programs whose fingerprint matches an already
         registered one share that executor (``deduplicated=True``): they are
         evaluated once per bar and their names receive the same prediction
         array.  Registration is only allowed before :meth:`warm_start`.

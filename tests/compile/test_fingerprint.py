@@ -1,25 +1,28 @@
-"""Canonical-fingerprint tests: mirror collisions and search hit rate.
+"""Fingerprint tests: the tape-key identity and the search hit rate.
 
-The canonical key is checked against the written-order key (each
-operation rendered as written, commutative operands unsorted), which the
-tests compute themselves: the canonical key must merge every pair the
-written-order key merges, and mirror pairs merge only under it.
+A pruned program's fingerprint is its tape's key.  The fingerprint is
+checked against the written-order key (each operation rendered as
+written), which the tests compute themselves: the fingerprint must merge
+every pair the written-order key merges, and pairs that differ only in the
+register of an intermediate value merge only under it.
 """
 
 import hashlib
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.compile import compile_program, tape_key_for
+from repro.config import DEFAULT_ADDRESS_SPACE
 from repro.core import (
     AlphaEvaluator,
     AlphaProgram,
     CandidateScorer,
     Dimensions,
     EvolutionConfig,
-    FingerprintCache,
     INPUT_MATRIX,
     Operand,
+    OperandType,
     Operation,
     PREDICTION,
     domain_expert_alpha,
@@ -29,7 +32,9 @@ from repro.core.pruning import prune_program
 from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset
 from repro.parallel import IslandEvolutionController
 
-S2, S3 = Operand.scalar(2), Operand.scalar(3)
+from strategies import programs
+
+S2, S3, S4 = Operand.scalar(2), Operand.scalar(3), Operand.scalar(4)
 
 
 def written_order_key(program):
@@ -41,58 +46,39 @@ def written_order_key(program):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def mirrored_pair():
-    """Two programs identical up to commutative operand order."""
-    def build(first, second):
+def renamed_pair():
+    """Two programs identical up to the register of one intermediate."""
+    def build(temp):
         return AlphaProgram(
             setup=[],
             predict=[
-                Operation.make("get_scalar", (INPUT_MATRIX,), S2,
+                Operation.make("get_scalar", (INPUT_MATRIX,), temp,
                                {"row": 0, "col": 2}),
                 Operation.make("get_scalar", (INPUT_MATRIX,), S3,
                                {"row": 1, "col": 2}),
-                Operation.make("s_add", (first, second), PREDICTION),
+                Operation.make("s_add", (temp, S3), PREDICTION),
             ],
             update=[],
         )
 
-    return build(S2, S3), build(S3, S2)
+    return build(S2), build(S4)
 
 
-class TestMirroredPrograms:
-    def test_structural_key_canonicalizes(self):
-        left, right = mirrored_pair()
-        assert left.structural_key() == right.structural_key()
-        assert written_order_key(left) != written_order_key(right)
-        assert left == right
+class TestTapeIdentity:
+    @settings(max_examples=60)
+    @given(program=programs())
+    def test_fingerprint_is_the_tape_key(self, program):
+        """Equal keys run the same tape: a pruned program's fingerprint is
+        the key of the tape it compiles to."""
+        pruned = prune_program(program).program
+        assert fingerprint(pruned) == tape_key_for(compile_program(pruned).ir)
 
-    def test_canonical_fingerprint_collides(self):
-        left, right = mirrored_pair()
+    def test_renamed_pair_shares_one_tape(self):
+        left, right = renamed_pair()
         assert fingerprint(left) == fingerprint(right)
         assert written_order_key(left) != written_order_key(right)
-
-    def test_mirrored_pair_shares_cache_entry(self):
-        """Regression: mirrors must stop consuming duplicate evaluations."""
-        left, right = mirrored_pair()
-        cache = FingerprintCache()
-        _, key, cached = cache.prepare(left)
-        assert cached is None
-        from repro.core.fitness import FitnessReport
-        cache.record(key, FitnessReport(fitness=0.25, ic_valid=0.25,
-                                        daily_ic_valid=np.empty(0), is_valid=True))
-        _, _, hit = cache.prepare(right)
-        assert hit is not None and hit.fitness == 0.25
-        assert cache.stats.fingerprint_hits == 1
-
-    def test_scorer_evaluates_mirror_once(self, small_taskset):
-        left, right = mirrored_pair()
-        scorer = CandidateScorer(
-            AlphaEvaluator(small_taskset, seed=0, max_train_steps=20)
-        )
-        reports = scorer.score_batch([left, right])
-        assert scorer.cache.stats.evaluated == 1
-        assert scorer.cache.stats.fingerprint_hits == 1
-        assert reports[0].fitness == reports[1].fitness
+        assert compile_program(left).ir.render() == \
+            compile_program(right).ir.render()
 
 
 @pytest.fixture(scope="module")
@@ -101,25 +87,53 @@ def tiny_taskset():
     return build_taskset(market.generate(), split=Split(train=60, valid=20, test=20))
 
 
-def mirror(program):
-    """``program`` pruned, with the operands of its first commutative
-    two-input operation swapped; ``None`` when it has none to swap."""
+#: Operand type → the addresses of the default address space.
+ADDRESSES = {
+    OperandType.SCALAR: DEFAULT_ADDRESS_SPACE.num_scalars,
+    OperandType.VECTOR: DEFAULT_ADDRESS_SPACE.num_vectors,
+    OperandType.MATRIX: DEFAULT_ADDRESS_SPACE.num_matrices,
+}
+
+
+def operands_of(operations):
+    return {operand for op in operations for operand in (*op.inputs, op.output)}
+
+
+def renamed(program):
+    """``program`` pruned, with one intermediate register renamed to an
+    address the program never uses; ``None`` when it has none to rename.
+
+    An intermediate is written by one component before that component
+    reads it and is mentioned by no other component, so no day reads its
+    old value: the rename changes the written program, not its tape.
+    """
     pruned = prune_program(program)
     if pruned.is_redundant:
         return None
-    components = {name: list(ops) for name, ops in pruned.program.components().items()}
-    for ops in components.values():
-        for index, op in enumerate(ops):
-            if op.spec.commutative and len(op.inputs) == 2 and \
-                    op.inputs[0] != op.inputs[1]:
-                ops[index] = Operation(op=op.op, inputs=op.inputs[::-1],
-                                       output=op.output, params=op.params)
-                return AlphaProgram(**components)
+    components = pruned.program.components()
+    used = operands_of(op for ops in components.values() for op in ops)
+    for name, ops in components.items():
+        elsewhere = operands_of(op for other, other_ops in components.items()
+                                if other != name for op in other_ops)
+        for op in ops:
+            temp = op.output
+            first = next(o for o in ops if temp in (*o.inputs, o.output))
+            free = [Operand(temp.type, index) for index in range(ADDRESSES[temp.type])
+                    if Operand(temp.type, index) not in used]
+            if temp == PREDICTION or temp in elsewhere or temp in first.inputs \
+                    or not free:
+                continue
+            swap = {temp: free[0]}
+            return AlphaProgram(**{**components, name: [
+                Operation(op=o.op, inputs=tuple(swap.get(x, x) for x in o.inputs),
+                          output=swap.get(o.output, o.output), params=o.params)
+                for o in ops
+            ]})
     return None
 
 
-def keys_by_canonical_key(programs):
-    """Canonical fingerprint → the written-order keys of the pruned,
+def keys_by_fingerprint(programs):
+    """Fingerprint → the written-order keys of the pruned,
     non-redundant ``programs`` that fall under it."""
     keys = {}
     for program in programs:
@@ -131,8 +145,8 @@ def keys_by_canonical_key(programs):
 
 
 class TestSearchHitRate:
-    """Acceptance: canonical fingerprints raise the cache hit rate of a
-    seeded evolutionary search over written-order keys, by one hit per
+    """Acceptance: fingerprints raise the cache hit rate of a seeded
+    evolutionary search over written-order keys, by one hit per
     written-order key they merge.
     """
 
@@ -160,18 +174,18 @@ class TestSearchHitRate:
         return result.cache_stats, stream
 
     def test_canonical_strictly_increases_hit_rate(self, tiny_taskset):
-        """A search's candidate stream plus a mirror of each candidate that
-        has one: canonical keys merge every mirror pair, so they gain
-        exactly one hit per written-order key they merge, whatever the
-        seed."""
+        """A search's candidate stream plus a copy of each candidate with
+        one intermediate register renamed: fingerprints merge every renamed
+        pair, so they gain exactly one hit per written-order key they
+        merge, whatever the seed."""
         _, stream = self.run_search(tiny_taskset)
-        # A search may propose no candidate with a commutative operation to
-        # mirror; one known pair keeps the gain strict for every seed.
-        originals = stream + [mirrored_pair()[0]]
-        pairs = [(index, image) for index, image in enumerate(map(mirror, originals))
+        # A search may propose no candidate with an intermediate to rename;
+        # one known pair keeps the gain strict for every seed.
+        originals = stream + [renamed_pair()[0]]
+        pairs = [(index, image) for index, image in enumerate(map(renamed, originals))
                  if image is not None]
         candidates = originals + [image for _, image in pairs]
-        written_keys_of = keys_by_canonical_key(candidates)
+        written_keys_of = keys_by_fingerprint(candidates)
         # every written-order key falls into exactly one canonical key
         written_keys = set().union(*written_keys_of.values())
         assert sum(map(len, written_keys_of.values())) == len(written_keys)
@@ -190,7 +204,7 @@ class TestSearchHitRate:
         assert canonical.evaluated == len(written_keys_of)
         assert canonical.fingerprint_hits - written_hits == merged
         assert written_evaluated - canonical.evaluated == merged
-        # each mirror reuses its original's canonical cache entry
+        # each renamed copy reuses its original's cache entry
         for offset, (index, _) in enumerate(pairs):
             assert reports[len(originals) + offset].fitness == reports[index].fitness
 
@@ -200,7 +214,7 @@ class TestSearchHitRate:
         written-order keys: written-order keys could only hit less."""
         for seed in (1, 5, 13):
             stats, stream = self.run_search(tiny_taskset, seed=seed, budget=150)
-            written_keys_of = keys_by_canonical_key(stream)
+            written_keys_of = keys_by_fingerprint(stream)
             written_keys = set().union(*written_keys_of.values())
             assert sum(map(len, written_keys_of.values())) == len(written_keys)
             non_redundant = stats.searched - stats.redundant_alphas

@@ -1,8 +1,9 @@
 """The fingerprint's zero-constancy pass: what it merges, what it must not.
 
-The canonical key is a proof: the fingerprint cache reuses a key's fitness
-and the serving fleet runs one backend per key, so two programs with equal
-keys must predict bit for bit alike on every path.  These tests pin
+The fingerprint is the pruned program's tape key, and a proof: the
+fingerprint cache reuses a key's fitness and the serving fleet runs one
+backend per key, so two programs with equal keys must predict bit for bit
+alike on every path.  These tests pin
 
 * the memory facts the pass assumes: every operand, ``m0`` and ``s0``
   included, is +0.0 when ``Setup()`` runs, on the interpreter, on the tape
@@ -23,7 +24,6 @@ from hypothesis import given, settings
 
 from repro.compile import (
     analyze_zeros,
-    canonical_key,
     lower_program,
     propagate_zeros,
 )
@@ -73,13 +73,13 @@ def oracles(small_taskset, hostile_taskset):
 
 
 def assert_same_key_and_bits(oracles, first, second):
-    assert canonical_key(first) == canonical_key(second)
+    assert fingerprint(first) == fingerprint(second)
     for oracle in oracles:
         assert predictions(oracle, first) == predictions(oracle, second)
 
 
 def assert_keys_differ(oracles, first, second):
-    assert canonical_key(first) != canonical_key(second)
+    assert fingerprint(first) != fingerprint(second)
     assert any(predictions(oracle, first) != predictions(oracle, second)
                for oracle in oracles)
 
@@ -125,7 +125,7 @@ def test_warm_start_runs_setup_on_fresh_memory(small_taskset):
 def test_setup_reads_are_proven_plus_zero():
     facts = analyze_zeros(lower_program(SETUP_READS_INPUTS))
     assert facts.operands[S2] == PLUS_ZERO and facts.operands[S3] == PLUS_ZERO
-    assert canonical_key(SETUP_READS_INPUTS) == canonical_key(program(
+    assert fingerprint(SETUP_READS_INPUTS) == fingerprint(program(
         predict=[op("s_const", (), PREDICTION, constant=0.0)],
         update=[op("s_abs", (S4,), S5)],
     ))
@@ -341,7 +341,7 @@ def test_plus_zero_is_not_an_additive_identity():
                  op("s_abs", (S2,), PREDICTION)],
         update=[op("s_abs", (S4,), S5)],
     )
-    assert canonical_key(plus) != canonical_key(direct)
+    assert fingerprint(plus) != fingerprint(direct)
 
 
 def test_min_max_operand_order_is_kept():
@@ -354,7 +354,7 @@ def test_min_max_operand_order_is_kept():
             update=[op("s_abs", (S4,), S5)],
         )
 
-    assert canonical_key(mins(S2, S3)) != canonical_key(mins(S3, S2))
+    assert fingerprint(mins(S2, S3)) != fingerprint(mins(S3, S2))
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class TestFingerprintCache:
 # The per-search fingerprint memo: a lookup never changes a key
 # ---------------------------------------------------------------------------
 
-S2, S3 = Operand.scalar(2), Operand.scalar(3)
+S2, S3, S4 = Operand.scalar(2), Operand.scalar(3), Operand.scalar(4)
 
 
 def scaled_by_constant(constant):
@@ -183,7 +183,7 @@ def direct_key(program):
     return fingerprint(prune_program(program).program)
 
 
-#: Pairs whose operations compare (and hash) equal, yet whose canonical keys
+#: Pairs whose operations compare (and hash) equal, yet whose fingerprints
 #: differ: a memo keyed on ``Operation`` equality would hand the second the
 #: first one's key.  ``init_rng`` seeds ``-0.0`` and ``+0.0`` bounds apart.
 EQUAL_OPERATIONS_OTHER_KEYS = {
@@ -218,9 +218,14 @@ class TestFingerprintMemo:
             assert cache.prepare(program)[1] == direct_key(program)
         assert cache.keyed == 2
 
-    def test_mirrored_commutative_operands_share_one_key(self):
-        """The exact key does not sort operands; the pipeline does."""
-        first, second = mirrored("s_add", S2, S3), mirrored("s_add", S3, S2)
+    def test_renamed_registers_share_one_key(self):
+        """The exact key sees a renamed intermediate; the pipeline does not."""
+        first = mirrored("s_add", S2, S3)
+        second = AlphaProgram(predict=[
+            Operation.make("get_scalar", (INPUT_MATRIX,), S4, {"row": 0, "col": 12}),
+            Operation.make("get_scalar", (INPUT_MATRIX,), S3, {"row": 2, "col": 12}),
+            Operation.make("s_add", (S4, S3), PREDICTION),
+        ])
         assert first.exact_key() != second.exact_key()
         cache = FingerprintCache()
         keys = {cache.prepare(program)[1] for program in (first, second, first)}

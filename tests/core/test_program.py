@@ -176,6 +176,19 @@ class TestAlphaProgram:
         other.predict.pop()
         assert other != simple_program()
 
+    def test_equality_reads_the_exact_key(self):
+        """Equal means written identically, operands in written order; the
+        name takes no part."""
+        program = simple_program()
+        renamed = program.copy(name="renamed")
+        assert renamed == program and hash(renamed) == hash(program)
+        mirrored = simple_program()
+        add = mirrored.predict[1]
+        mirrored.predict[1] = Operation(op=add.op, inputs=add.inputs[::-1],
+                                        output=add.output, params=add.params)
+        assert mirrored != program
+        assert mirrored.exact_key() != program.exact_key()
+
     def test_validation_passes_for_well_formed(self):
         simple_program().validate()
 

@@ -13,7 +13,7 @@ from repro.cli import (
     resolve_config,
     resolve_serve_config,
 )
-from repro.core import Dimensions, domain_expert_alpha
+from repro.core import Dimensions, domain_expert_alpha, fingerprint, prune_program
 from repro.experiments import LAPTOP, SMOKE
 
 
@@ -143,10 +143,14 @@ class TestInspect:
         captured = capsys.readouterr().out
         assert "## original" in captured
         assert "## pruned" in captured
-        assert "## compiled tape (zeros, fold, dse + cse)" in captured
-        assert "## canonical IR (zeros, fold, dse + canonicalize, cse)" in captured
+        # one IR: the tape's, whose key is the pruned program's fingerprint
+        assert "## compiled tape (zeros, fold, dse, cse)" in captured
+        assert captured.count("## ") == 3
+        pruned = prune_program(domain_expert_alpha(Dimensions(13, 13))).program
+        assert ("fingerprint (the pruned program's tape key): "
+                + fingerprint(pruned)) in captured
         # per-pass statistics for every optimiser pass
-        for name in ("fold", "canonicalize", "cse", "dse"):
+        for name in ("zeros", "fold", "dse", "cse"):
             assert f"pass {name}:" in captured
         assert "fused batched inference: yes" in captured
         # the expert alpha's two placeholder constants are pruned

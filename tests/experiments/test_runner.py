@@ -21,6 +21,7 @@ from repro.experiments import (
     run_table2,
     run_table3,
     run_table4,
+    run_table5,
     run_table6,
 )
 from repro.experiments.runner import run_study
@@ -159,6 +160,19 @@ class TestTableRunners:
         names = [row["alpha"] for row in result.rows]
         assert len(names) == 2 * TINY.num_rounds
         assert names[1] == f"{names[0]}_P"
+
+    def test_table5_compares_mined_alphas_with_neural_baselines(self):
+        result = run_table5(TINY)
+        names = [row["alpha"] for row in result.rows]
+        assert names == ["alpha_AE_D_0", "alpha_AE_NN_1", "Rank_LSTM", "RSR"]
+        assert "Table 5" in result.rendered
+        for row in result.rows:
+            assert np.isfinite(row["sharpe"]) and np.isfinite(row["ic"])
+        # the baselines report mean and spread over their seeds
+        for row in result.rows[2:]:
+            assert np.isfinite(row["sharpe_std"]) and np.isfinite(row["ic_std"])
+        assert set(result.metadata["grid_best"]) == {
+            "sequence_length", "hidden_size", "loss_alpha"}
 
     def test_table6_reports_searched_counts(self):
         result = run_table6(TINY, initializations=("D",))

@@ -11,6 +11,7 @@ from repro.core import (
     AlphaEvaluator,
     EvolutionConfig,
     FingerprintCache,
+    Operation,
     domain_expert_alpha,
     get_initialization,
 )
@@ -97,8 +98,9 @@ class TestCheckpointFiles:
     # initialiser RNG; mixing them into a later search would diverge.
     # Version 2 echoed a main-loop scheduler that no longer exists.
     # Version 3 keyed its cache by fingerprints blind to zero arithmetic.
-    @pytest.mark.parametrize("version", [1, 2, 3, CHECKPOINT_VERSION + 1],
-                             ids=["v1", "v2", "v3", "future"])
+    # Version 4 keyed it by fingerprints that sorted commutative operands.
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, CHECKPOINT_VERSION + 1],
+                             ids=["v1", "v2", "v3", "v4", "future"])
     def test_load_rejects_version_mismatch(self, tmp_path, version):
         checkpoint = SearchCheckpoint(
             version=version,
@@ -242,6 +244,24 @@ class TestKillAndResume:
                                      checkpoint_path=path)
         with pytest.raises(CheckpointError):
             controller.run(get_initialization("NN", dims), resume=True)
+
+    def test_resume_rejects_a_mirrored_initial_program(self, small_taskset, dims,
+                                                       tmp_path):
+        """The initial-program check reads the exact key: operands swapped
+        in a sum make another initial program, whose mutants differ."""
+        initial = domain_expert_alpha(dims)
+        divide = initial.predict[-1]
+        mirrored = initial.copy()
+        mirrored.predict[-1] = Operation.make(
+            "s_add", divide.inputs[::-1], divide.output)
+        initial.predict[-1] = Operation.make("s_add", divide.inputs, divide.output)
+        path = str(tmp_path / "search.ckpt")
+        make_controller(small_taskset, dims, max_candidates=30,
+                        checkpoint_path=path).run(initial)
+        controller = make_controller(small_taskset, dims, max_candidates=30,
+                                     checkpoint_path=path)
+        with pytest.raises(CheckpointError, match="different initial program"):
+            controller.run(mirrored, resume=True)
 
 
 def without_memo(cache: FingerprintCache) -> FingerprintCache:

@@ -218,22 +218,22 @@ class TestMigration:
             assert [c.program for c in island.population] == before[index]
 
     def test_keys_each_program_once(self, small_taskset, dims, monkeypatch):
-        """A migration renders each migrant's structural key once and each
+        """A migration reads each migrant's exact key once and each
         member's once: at most M·(N+1) keys for M islands of N members
-        when no migrant is already present (pairwise ``==`` renders 2·M·N)."""
+        when no migrant is already present (pairwise ``==`` reads 2·M·N)."""
         grid = [[0.9, 0.5, 0.1, 0.3], [0.4, 0.3, 0.2, 0.1], [0.8, 0.6, 0.05, 0.7]]
         controller = self._controller_with_fake_islands(small_taskset, dims, grid)
         offers = [island.best.program for island in controller.islands]
         for index, island in enumerate(controller.islands):
             assert offers[index - 1] not in [c.program for c in island.population]
         calls = {"count": 0}
-        structural_key = AlphaProgram.structural_key
+        exact_key = AlphaProgram.exact_key
 
         def counting(self, *args, **kwargs):
             calls["count"] += 1
-            return structural_key(self, *args, **kwargs)
+            return exact_key(self, *args, **kwargs)
 
-        monkeypatch.setattr(AlphaProgram, "structural_key", counting)
+        monkeypatch.setattr(AlphaProgram, "exact_key", counting)
         controller._migrate()
         num_islands, members = len(grid), len(grid[0])
         assert 0 < calls["count"] <= num_islands * (members + 1)

@@ -549,6 +549,20 @@ class TestSuspendResumeCorrections:
                            f"this build reads version {SERVER_STATE_VERSION}"):
             make_server(small_taskset, fleet, warm=False).resume(state)
 
+    def test_resume_refuses_a_v3_state_by_version(self, small_taskset, fleet):
+        # A v3 state keys its registrations by fingerprints that sorted
+        # commutative operands, not by tape keys: refused by its version,
+        # not by a misleading registration-table mismatch.
+        import dataclasses
+
+        features, labels = valid_history(small_taskset)
+        live = make_server(small_taskset, fleet)
+        serve_days(live, features, labels, 0, 2)
+        state = dataclasses.replace(live.suspend(), version=3)
+        with pytest.raises(StreamError, match="server state has version 3, "
+                           f"this build reads version {SERVER_STATE_VERSION}"):
+            make_server(small_taskset, fleet, warm=False).resume(state)
+
     def test_resume_of_pre_history_state_rejects_corrections(
         self, small_taskset, fleet
     ):

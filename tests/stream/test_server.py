@@ -20,23 +20,6 @@ def op(name, inputs, output, params=None):
     return Operation.make(name, inputs, output, params)
 
 
-def mirror_pair():
-    """Two programs that differ only in commutative operand order."""
-    s3, s4 = Operand.scalar(3), Operand.scalar(4)
-    base = [
-        op("get_scalar", (INPUT_MATRIX,), s3, {"row": 0, "col": 0}),
-        op("get_scalar", (INPUT_MATRIX,), s4, {"row": 1, "col": 1}),
-    ]
-    left = AlphaProgram(
-        predict=base + [op("s_add", (s3, s4), PREDICTION)], name="left"
-    )
-    right = AlphaProgram(
-        predict=[base[0], base[1], op("s_add", (s4, s3), PREDICTION)],
-        name="right",
-    )
-    return left, right
-
-
 @pytest.fixture()
 def fleet(dims):
     return [
@@ -69,9 +52,18 @@ class TestRegistration:
         assert server.num_unique == 1
         assert [r.deduplicated for r in server.registrations] == [False, True]
 
-    def test_commutative_mirror_shares_executor(self, small_taskset):
-        left, right = mirror_pair()
-        server = make_server(small_taskset, [left, right], warm=False)
+    def test_renamed_register_twin_shares_executor(self, small_taskset):
+        """Programs that differ only in an intermediate register run the
+        same tape, so they share its executor."""
+        def reading_into(temp):
+            return AlphaProgram(predict=[
+                op("get_scalar", (INPUT_MATRIX,), temp, {"row": 0, "col": 0}),
+                op("s_abs", (temp,), PREDICTION),
+            ], name=temp.name)
+
+        server = make_server(small_taskset, [reading_into(Operand.scalar(3)),
+                                             reading_into(Operand.scalar(7))],
+                             warm=False)
         assert server.num_unique == 1
         assert server.registrations[1].deduplicated
 
