@@ -1,8 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark: pooled candidate evaluation against serial evaluation.
+"""Benchmark: pooled search and pooled evaluation against serial runs.
 
-Scores one fixed list of candidate alphas (equal work on both sides) and
-records candidates/second for each side:
+**Search.**  One migrating 4-island search (from the NN initialisation,
+whose searches cost most of a mining study; laptop scale) runs
+in-process and on a 2-worker pool, where every island is one segment a
+worker advances between barriers.  The two must report
+the same bits: the mined program, every island's members and reports, the
+cache statistics and the trajectory.  The pooled parent must make no
+front-end call (``Mutator.mutate``, ``prune_program``, ``fingerprint``,
+``compile_program``), counted in its own process, and each barrier must
+cost one dispatch.  The full run times both searches in alternating
+rounds and records ``search.speedup`` as the ratio of their medians.
+
+**Program batches.**  Scores one fixed list of candidate alphas (equal
+work on both sides) and records candidates/second for each side:
 
 * **serial** — :func:`repro.engine.evaluate_program_batch` in this process:
   the signature-grouped stacked fleet the serial scorer runs;
@@ -26,6 +37,10 @@ time-slices the same core, so the pool cannot beat serial there.
 
 The run also enforces the subsystem's correctness contracts:
 
+* **search gates** — the pooled search equals the in-process one bit for
+  bit (``search.bitwise_identical``), its parent makes no front-end call
+  (``search.parent_front_end_calls``) and one dispatch per barrier
+  (``search.dispatches`` against the in-process ``search.barriers``);
 * **parity gate** — the pool's fitness reports must be bitwise identical to
   the serial reports for every program and every worker count;
 * **leak gate** — no ``repro-panel-*`` segment may remain in ``/dev/shm``
@@ -64,18 +79,33 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 
+import numpy as np
 from numpy.lib.array_utils import byte_bounds
 
 import repro.compile.compiler
+import repro.core.cache
+import repro.core.mutation
 import repro.engine.backends
 import repro.engine.fleet
 from common import build_programs, reports_identical, spread, write_bench_json
 from repro.compile import compile_program
-from repro.core import AlphaEvaluator, Dimensions
+from repro.core import AlphaEvaluator, Dimensions, EvolutionConfig, get_initialization
 from repro.engine import evaluate_program_batch, stack_partition
 from repro.experiments.configs import LAPTOP, make_taskset
 from repro.obs import TELEMETRY, telemetry_session
-from repro.parallel import EvaluationPool, shared_segment_names
+from repro.parallel import EvaluationPool, IslandEvolutionController, shared_segment_names
+
+#: Entry points of the search's front end, counted in the parent process:
+#: ``(owner, attribute)``, every binding a search reaches.
+FRONT_END = (
+    (repro.core.mutation.Mutator, "mutate"),
+    (repro.core.cache, "prune_program"),
+    (repro.core.cache, "fingerprint"),
+    (repro.compile, "compile_program"),
+    (repro.compile.compiler, "compile_program"),
+    (repro.engine.backends, "compile_program"),
+    (repro.engine.fleet, "compile_program"),
+)
 
 
 def timed(run) -> tuple[float, object]:
@@ -86,35 +116,140 @@ def timed(run) -> tuple[float, object]:
 
 
 @contextlib.contextmanager
-def counting_parent_compiles():
-    """Count the ``compile_program`` calls this process makes in the block
-    (every module that binds the name; forked workers count nothing)."""
+def counting_parent_calls(entry_points):
+    """Count the calls this process makes, in the block, of each
+    ``(owner, attribute)`` entry point (forked workers count nothing)."""
     parent, calls, originals = os.getpid(), [], []
-    for module in (repro.compile, repro.compile.compiler,
-                   repro.engine.backends, repro.engine.fleet):
-        original = module.compile_program
-        originals.append((module, original))
+    for owner, attribute in entry_points:
+        original = getattr(owner, attribute)
+        originals.append((owner, attribute, original))
 
-        def counting(program, _original=original):
+        def counting(*args, _original=original, _name=attribute, **kwargs):
             if os.getpid() == parent:
-                calls.append(program)
-            return _original(program)
+                calls.append(_name)
+            return _original(*args, **kwargs)
 
-        module.compile_program = counting
+        setattr(owner, attribute, counting)
     try:
         yield calls
     finally:
-        for module, original in originals:
-            module.compile_program = original
+        for owner, attribute, original in originals:
+            setattr(owner, attribute, original)
+
+
+def counting_parent_compiles():
+    """Count the ``compile_program`` calls this process makes in the block
+    (every module that binds the name)."""
+    return counting_parent_calls(
+        [entry for entry in FRONT_END if entry[1] == "compile_program"])
+
+
+def search_bits(controller, result) -> dict:
+    """Everything a search reports, as comparable bits."""
+    def report_bits(report):
+        return (report.fitness.hex(), float(report.ic_valid).hex(),
+                report.is_valid, report.reason,
+                np.asarray(report.daily_ic_valid).tobytes())
+
+    return {
+        "best": (result.best_program.to_json(), report_bits(result.best_report)),
+        "islands": [[(member.program.to_json(), report_bits(member.report),
+                      member.born_at) for member in island.population]
+                    for island in controller.islands],
+        "cache_stats": result.cache_stats.as_dict(),
+        "trajectory": [(point.candidates, point.evaluations,
+                        point.best_fitness.hex()) for point in result.trajectory],
+        "migrations": result.migrations,
+    }
+
+
+def run_search_benchmark(taskset, *, population_size: int, candidates: int,
+                         repeats: int) -> dict:
+    """One migrating 4-island search in-process and on a 2-worker pool:
+    the gates on one untimed pair, then ``repeats`` alternating timed
+    rounds (none for the smoke run)."""
+    dims = Dimensions(taskset.num_features, taskset.window)
+    initial = get_initialization("NN", dims)
+    config = EvolutionConfig(population_size=population_size,
+                             max_candidates=candidates, num_islands=4)
+
+    def controller(pool):
+        return IslandEvolutionController(
+            evaluator=AlphaEvaluator(taskset, seed=0,
+                                     max_train_steps=LAPTOP.max_train_steps),
+            dims=dims, config=config, seed=5, mutation_seed=6, pool=pool)
+
+    with EvaluationPool(taskset, num_workers=2) as pool:
+        serial = controller(None)
+        with telemetry_session():
+            serial_bits = search_bits(serial, serial.run(initial))
+            barriers = TELEMETRY.counter("search.segments").value
+        dispatches = []
+        submit = pool.submit_detailed
+
+        def recording(segments, **kwargs):
+            dispatches.append(len(segments))
+            return submit(segments, **kwargs)
+
+        pool.submit_detailed = recording
+        pooled = controller(pool)
+        with counting_parent_calls(FRONT_END) as calls:
+            with telemetry_session():
+                pooled_bits = search_bits(pooled, pooled.run(initial))
+                duplicates = TELEMETRY.counter(
+                    "search.duplicate_evaluations").value
+        del pool.submit_detailed
+
+        serial_seconds: list[float] = []
+        pooled_seconds: list[float] = []
+        for round_index in range(repeats):
+            sides = [(serial_seconds, None), (pooled_seconds, pool)]
+            if round_index % 2:
+                sides.reverse()
+            for seconds, side_pool in sides:
+                search = controller(side_pool)
+                seconds.append(timed(lambda: search.run(initial))[0])
+    payload = {
+        "islands": 4,
+        "workers": 2,
+        "population_size": population_size,
+        "candidates": candidates,
+        "migrations": serial_bits["migrations"],
+        "evaluations": serial_bits["cache_stats"]["evaluated"],
+        "duplicate_evaluations": duplicates,
+        "barriers": barriers,
+        "dispatches": len(dispatches),
+        "parent_front_end_calls": len(calls),
+        "bitwise_identical": pooled_bits == serial_bits,
+    }
+    if repeats:
+        payload.update({
+            "repeats": repeats,
+            "serial_spread_seconds": spread(serial_seconds),
+            "pooled_spread_seconds": spread(pooled_seconds),
+            "speedup": round(statistics.median(serial_seconds)
+                             / statistics.median(pooled_seconds), 3),
+        })
+        print(f"search: serial median {statistics.median(serial_seconds):.2f}s, "
+              f"2 workers {statistics.median(pooled_seconds):.2f}s "
+              f"({payload['speedup']}x)")
+    return payload
 
 
 def run_benchmark(num_programs: int = 400,
                   worker_counts: tuple[int, ...] = (1, 2, 4),
-                  repeats: int = 5) -> dict:
-    """Time the fixed program list serially and at every worker count,
-    alternating the two for ``repeats`` rounds per worker count."""
+                  repeats: int = 5, search_size: tuple[int, int] = (30, 450),
+                  search_repeats: int = 5) -> dict:
+    """Time the 4-island search in-process and on 2 workers for
+    ``search_repeats`` alternating rounds, then the fixed program list
+    serially and at every worker count, alternating the two for
+    ``repeats`` rounds per worker count; ``search_size`` is the search's
+    population size and candidate budget."""
     leaked_before = shared_segment_names()
     taskset = make_taskset(LAPTOP, use_cache=False)
+    population_size, candidates = search_size
+    search = run_search_benchmark(taskset, population_size=population_size,
+                                  candidates=candidates, repeats=search_repeats)
     dims = Dimensions(taskset.num_features, taskset.window)
     programs = build_programs(dims, num_programs)
     stack_groups = stack_partition([compile_program(p) for p in programs])
@@ -197,7 +332,8 @@ def run_benchmark(num_programs: int = 400,
         key=lambda count: workers_payload[count]["speedup_vs_serial"],
     )
     return {
-        "benchmark": "pooled vs serial candidate evaluation",
+        "benchmark": "pooled vs serial search and candidate evaluation",
+        "search": search,
         "scale": LAPTOP.name,
         "num_programs": len(programs),
         "repeats": repeats,
@@ -243,6 +379,21 @@ def check_gates(payload: dict) -> int:
         print(f"ERROR: the parent compiled {payload['parent_compile_calls']} "
               "program(s) during pooled evaluations", file=sys.stderr)
         status = 1
+    search = payload["search"]
+    if not search["bitwise_identical"]:
+        print("ERROR: the pooled search differs from the in-process search",
+              file=sys.stderr)
+        status = 1
+    if search["parent_front_end_calls"]:
+        print(f"ERROR: the pooled search's parent made "
+              f"{search['parent_front_end_calls']} front-end call(s)",
+              file=sys.stderr)
+        status = 1
+    if search["dispatches"] != search["barriers"] or not search["migrations"]:
+        print(f"ERROR: the pooled search made {search['dispatches']} "
+              f"dispatch(es) for {search['barriers']} barrier(s) and "
+              f"{search['migrations']} migration(s)", file=sys.stderr)
+        status = 1
     chunks = payload["chunks_per_dispatch"]
     if any(count > int(workers) for workers, count in chunks.items()):
         print(f"ERROR: a dispatch made more chunks than the pool has workers "
@@ -258,13 +409,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
                         help="worker counts to benchmark")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI parity/leak/span/count gate: a small fixed "
-                             "budget on forced 1- and 2-worker pools; exits "
-                             "non-zero on any gate failure and writes no JSON")
+                        help="CI parity/leak/span/count gate: a small "
+                             "migrating 4-island search in-process and on 2 "
+                             "workers, and a small fixed program budget on "
+                             "forced 1- and 2-worker pools; exits non-zero "
+                             "on any gate failure and writes no JSON")
     args = parser.parse_args(argv)
 
     if args.smoke:
-        payload = run_benchmark(num_programs=12, worker_counts=(1, 2), repeats=1)
+        payload = run_benchmark(num_programs=12, worker_counts=(1, 2),
+                                repeats=1, search_size=(10, 240),
+                                search_repeats=0)
         print(json.dumps(payload, indent=2, sort_keys=True))
         status = check_gates(payload)
         print("smoke gates:", "FAILED" if status else "passed")

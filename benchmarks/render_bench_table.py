@@ -104,13 +104,29 @@ def _render_parallel(payload: dict) -> list[Row]:
         shared = (f", {_megabytes(payload['shared_panel_bytes'])} shared "
                   f"segment for {_megabytes(payload['materialised_feature_bytes'])}"
                   " of windows")
-    return [(
+    rows = []
+    search = payload.get("search")
+    if search and "speedup" in search:
+        rows.append((
+            f"{search['islands']}-island search, {search['workers']} workers "
+            "vs in-process",
+            f"{search['speedup']}x",
+            f"`bench_parallel.py` on {payload['cpu_count']} CPU(s), "
+            f"{search['candidates']} candidates, {search['migrations']} "
+            f"migrations, median of {search['repeats']} interleaved rounds, "
+            f"bitwise parity, {search['evaluations']} evaluations + "
+            f"{search['duplicate_evaluations']} duplicates on the workers, "
+            f"{search['parent_front_end_calls']} parent front-end calls "
+            "(gated)",
+        ))
+    rows.append((
         f"evaluation pool, {payload['speedup_workers']} workers vs serial "
         "stacked batch",
         f"{payload['speedup_vs_serial']}x",
         f"`bench_parallel.py` on {payload['cpu_count']} CPU(s), "
         f"{payload['num_programs']} programs, bitwise parity{shared}",
-    )]
+    ))
+    return rows
 
 
 def _render_stream(payload: dict) -> list[Row]:

@@ -6,7 +6,7 @@ This walks through the parallel search subsystem (:mod:`repro.parallel`):
 1. simulate a market and build the per-stock prediction tasks;
 2. mine an alpha with an **island-model** search — several independent
    regularised-evolution populations exchanging their best candidates —
-   with candidate evaluation fanned out to a pool of worker processes;
+   with the islands advanced by a pool of worker processes;
 3. checkpoint the search state so a killed run resumes where it stopped;
 4. compare against a single-island search (plain regularised evolution)
    on the same budget: both explore the same number of candidates and
@@ -40,8 +40,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as checkpoint_dir:
         # -------------------------------------------------- parallel session
         # num_islands > 1 evolves several populations with ring migration;
-        # num_workers > 1 evaluates each per-step candidate batch on a
-        # process pool without changing any result.  Checkpoints land in
+        # num_workers > 1 has worker processes advance the islands between
+        # barriers without changing any result.  Checkpoints land in
         # checkpoint_dir/<search name>.ckpt, and a rerun of the same search
         # name resumes from them automatically.  The session owns its worker
         # pool: every search reuses it, and leaving the with block shuts it
@@ -62,7 +62,7 @@ def main() -> None:
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=100,
         ) as session:
-            print(f"\nIsland search: 4 islands, {workers} evaluation worker(s)")
+            print(f"\nIsland search: 4 islands, {workers} worker(s)")
             mined = session.search(seed_alpha, name="alpha_AE_P_0",
                                    enforce_cutoff=False)
         evolution = mined.evolution

@@ -128,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="evaluate candidates on this many worker processes (default: 1, serial)",
+        help="run each search's islands on this many worker processes, one "
+             "island segment per job (default: 1, in-process); workers beyond "
+             "--islands idle, and results do not depend on this",
     )
     parser.add_argument(
         "--islands", type=int, default=None,

@@ -95,9 +95,9 @@ class FingerprintCache:
     the cache also memoises each pruned program's fingerprint under its
     exact identity (:meth:`~repro.core.program.AlphaProgram.exact_key`):
     the compile pipeline runs once per distinct pruned program, and
-    every later sighting costs a lookup.  The memo is derived state: it
-    is never pickled (a checkpointed cache resumes with an empty one and
-    re-keys on demand, to the same keys), and :meth:`clear` drops it.
+    every later sighting costs a lookup; :meth:`clear` drops the memo.
+    A cache lives in the process of the scorer that owns it: checkpoints
+    and pool dispatches never carry one (:mod:`repro.parallel`).
 
     Parameters
     ----------
@@ -116,15 +116,6 @@ class FingerprintCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_keys"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._keys = {}
 
     @property
     def keyed(self) -> int:
@@ -164,6 +155,12 @@ class FingerprintCache:
         self.stats.evaluated += 1
         if self.enabled and key is not None:
             self._entries[key] = report
+
+    def seed(self, entries) -> None:
+        """Store ``(key, report)`` pairs scored elsewhere, uncounted."""
+        if self.enabled:
+            for key, report in entries:
+                self._entries.setdefault(key, report)
 
     def clear(self) -> None:
         """Drop all cached entries and memoised keys (the statistics are kept)."""

@@ -25,16 +25,16 @@ receives the invalid sentinel fitness and effectively drops out of
 tournament selection, exactly like the paper's "candidate alphas are
 eliminated if they are correlated with a given set of alphas".
 
-Cache misses evaluate through one function, :func:`evaluate_misses`: one
+A scorer is always in-process: a pooled search runs one per worker, for
+the island segments that worker advances (:mod:`repro.parallel.islands`).
+Cache misses evaluate through one
+function, :func:`evaluate_misses`: one
 :class:`repro.engine.fleet.FleetEngine` batch over a shared execution
-context and data pass, run in-process or, cut into chunks, on the workers
-of a :class:`repro.parallel.pool.EvaluationPool`.  Every dispatch ships
-the scorer's own evaluator settings, so a pool never changes a result.
+context and data pass.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +42,6 @@ import numpy as np
 from ..backtest.engine import BacktestEngine
 from ..config import POPULATION_SIZE, TOURNAMENT_SIZE
 from ..errors import EvolutionError
-from ..obs import TELEMETRY
 from .cache import CacheStats, FingerprintCache
 from .correlation import CorrelationFilter
 from .fitness import INVALID_FITNESS, FitnessReport
@@ -50,7 +49,7 @@ from .interpreter import AlphaEvaluator
 from .program import AlphaProgram
 
 __all__ = ["EvolutionConfig", "Candidate", "TrajectoryPoint", "EvolutionResult",
-           "CandidateScorer", "evaluate_misses"]
+           "Scored", "CandidateScorer", "evaluate_misses"]
 
 
 @dataclass(frozen=True)
@@ -62,16 +61,22 @@ class EvolutionConfig:
     the paper's "searched alphas") and/or a wall-clock limit in seconds
     (``max_seconds``, the paper uses 60 hours per round); the search stops at
     whichever limit is hit first.  The candidate budget is exact.  The
-    clock is read before the population fill, which is scored as one
-    batch, and between main-loop steps, so a search may overrun
-    ``max_seconds`` by the fill or by one step.
+    clock is read before the population fill, which is scored in one go
+    with the initial program, and between main-loop steps by whichever
+    process runs them, so a search may overrun ``max_seconds`` by the fill
+    or by one step.  In a pooled search each island's worker checks the
+    host's monotonic clock before each of that island's steps, so islands
+    advanced at different paces may end a timed search at different
+    steps.
 
     ``num_islands`` is the number of populations the search evolves side
     by side (one is the paper's regularised evolution), exchanging their
     best candidates along a ring (:mod:`repro.parallel.islands`).
-    ``num_workers`` above one fans candidate evaluation out to
-    that many processes (:mod:`repro.parallel`).  Results depend on the
-    islands, never on the worker count.
+    ``num_workers`` above one runs the islands on that many worker
+    processes, each island advanced from one barrier to the next by
+    whichever worker is free (:mod:`repro.parallel`); workers beyond
+    ``num_islands`` idle.
+    Results depend on the islands, never on the worker count.
     """
 
     population_size: int = POPULATION_SIZE
@@ -124,11 +129,17 @@ class EvolutionConfig:
 
 @dataclass
 class Candidate:
-    """A scored member of the population."""
+    """A scored member of the population.
+
+    ``key`` is the fingerprint of its pruned program (``None`` when it
+    pruned away or pruning is off): a worker seeds its cache with the keys
+    and reports of the populations it is shipped.
+    """
 
     program: AlphaProgram
     report: FitnessReport
     born_at: int
+    key: str | None = None
 
     @property
     def fitness(self) -> float:
@@ -167,6 +178,22 @@ class EvolutionResult:
         return self.cache_stats.searched
 
 
+@dataclass(frozen=True)
+class Scored:
+    """How :class:`CandidateScorer` handled one candidate.
+
+    ``outcome`` is ``"redundant"`` (pruning removed every operation),
+    ``"hit"`` (its fingerprint was cached or queued earlier) or
+    ``"evaluated"``; ``key`` is the fingerprint (``None`` when redundant or
+    with pruning off) and ``pruned_operations`` what pruning removed.
+    """
+
+    report: FitnessReport
+    key: str | None
+    pruned_operations: int
+    outcome: str
+
+
 @dataclass
 class _PendingEvaluation:
     """A cache miss awaiting evaluation, plus every batch slot it fills."""
@@ -177,31 +204,26 @@ class _PendingEvaluation:
 
 
 class CandidateScorer:
-    """The shared prune → cache → evaluate → cutoff scoring pipeline.
+    """The prune → cache → evaluate → cutoff scoring pipeline.
 
-    The search controller (:mod:`repro.parallel.islands`) funnels every
-    candidate of every island through one scorer, so pruning, fingerprint
-    caching, correlation cutoffs and the searched-alpha accounting are
-    shared across islands and identical with or without a pool.
+    A search scores its candidates in the process that advances their
+    islands (:mod:`repro.parallel.islands`): one scorer in-process, or one
+    per worker of a pooled search.  Its cache statistics are that
+    process's own; the search replays each candidate's :class:`Scored`
+    record in serial order to count its :class:`~repro.core.cache.CacheStats`.
 
     Parameters
     ----------
     evaluator:
-        Evaluates every cache miss, in-process or, with a ``pool``, on the
-        workers: each dispatch ships this evaluator's settings.
+        Evaluates every cache miss, in-process.
     correlation_filter / backtest_engine:
         When a filter with references is present, a valid candidate whose
         validation portfolio returns correlate above the cutoff with any
-        reference is invalidated.  The engine computes those returns, in
-        this process or, with a pool, on the worker that scored the
-        candidate; a filter therefore needs an engine.
+        reference is invalidated.  The engine computes those returns; a
+        filter therefore needs an engine.
     use_pruning:
         Disables the prune-before-evaluate fingerprint cache (Table 6's
         ``*_N`` ablation) when False.
-    pool:
-        Optional :class:`repro.parallel.pool.EvaluationPool` over
-        ``evaluator``'s task set; the cache misses of a batch are then
-        evaluated by worker processes, bit for bit as they are serially.
     """
 
     def __init__(
@@ -210,7 +232,6 @@ class CandidateScorer:
         correlation_filter: CorrelationFilter | None = None,
         backtest_engine: BacktestEngine | None = None,
         use_pruning: bool = True,
-        pool=None,
     ) -> None:
         if correlation_filter is not None and backtest_engine is None:
             raise EvolutionError(
@@ -220,7 +241,6 @@ class CandidateScorer:
         self.correlation_filter = correlation_filter
         self.backtest_engine = backtest_engine
         self.use_pruning = use_pruning
-        self.pool = pool
         self.cache = FingerprintCache(enabled=use_pruning)
         self.candidates_generated = 0
 
@@ -242,36 +262,52 @@ class CandidateScorer:
         self.cache = FingerprintCache(enabled=self.use_pruning)
         self.candidates_generated = 0
 
+    def seed(self, candidates) -> None:
+        """Cache the reports of already-scored ``candidates`` under their
+        keys, without counting them."""
+        self.cache.seed((candidate.key, candidate.report)
+                        for candidate in candidates if candidate.key is not None)
+
     # ------------------------------------------------------------------
     def score(self, program: AlphaProgram) -> FitnessReport:
         """Score one candidate through pruning, cache, evaluation and cutoff."""
         return self.score_batch([program])[0]
 
     def score_batch(self, programs: list[AlphaProgram]) -> list[FitnessReport]:
-        """Score a batch of candidates, dispatching cache misses together.
+        """The reports of :meth:`score_detailed`."""
+        return [scored.report for scored in self.score_detailed(programs)]
+
+    def score_detailed(self, programs: list[AlphaProgram]) -> list[Scored]:
+        """Score a batch of candidates, evaluating the cache misses together.
 
         Semantics match scoring the programs one by one with :meth:`score`:
         a program whose pruned fingerprint already appeared earlier in the
         batch reuses that evaluation (and counts as a fingerprint hit), so
         serial and batched scoring produce identical reports and cache
-        statistics.  The cache misses go to the pool when one is attached,
-        else they evaluate in-process as one fleet batch.
+        statistics.  The cache misses evaluate as one fleet batch.
         """
-        batch_started = time.perf_counter() if TELEMETRY.enabled else 0.0
-        keyed_before = self.cache.keyed
-        reports: list[FitnessReport | None] = [None] * len(programs)
+        count = len(programs)
+        reports: list[FitnessReport | None] = [None] * count
+        keys: list[str | None] = [None] * count
+        removed = [0] * count
+        outcomes = ["evaluated"] * count
         pending: list[_PendingEvaluation] = []
         pending_by_key: dict[str, int] = {}
         for index, program in enumerate(programs):
             self.candidates_generated += 1
             prune_result, key, cached = self.cache.prepare(program)
+            keys[index] = key
+            if prune_result is not None:
+                removed[index] = prune_result.removed_operations
             if cached is not None:
                 reports[index] = cached
+                outcomes[index] = "redundant" if key is None else "hit"
                 continue
             if key is not None and key in pending_by_key:
                 # An identical pruned program is already queued in this batch;
                 # scored one-by-one the later copy would hit the cache.
                 self.cache.stats.fingerprint_hits += 1
+                outcomes[index] = "hit"
                 pending[pending_by_key[key]].slots.append(index)
                 continue
             # With pruning enabled the evaluator runs the pruned program,
@@ -283,31 +319,16 @@ class CandidateScorer:
                 pending_by_key[key] = len(pending)
             pending.append(_PendingEvaluation(key=key, program=to_run, slots=[index]))
 
-        misses = [item.program for item in pending]
         # Validation returns are only needed while the cutoff has references.
         backtest_engine = self.backtest_engine if self._cutoff_active else None
-        if misses and self.pool is not None:
-            pairs = [(outcome.report, outcome.valid_returns)
-                     for outcome in self.pool.evaluate_detailed(
-                         misses, evaluator=self.evaluator,
-                         backtest_engine=backtest_engine)]
-        else:
-            pairs = evaluate_misses(self.evaluator, misses, backtest_engine)
+        pairs = evaluate_misses(self.evaluator, [item.program for item in pending],
+                                backtest_engine)
         for item, (report, valid_returns) in zip(pending, pairs):
             report = self._apply_cutoff(report, valid_returns)
             self.cache.record(item.key, report)
             for slot in item.slots:
                 reports[slot] = report
-        if TELEMETRY.enabled:
-            TELEMETRY.counter("search.candidates").inc(len(reports))
-            TELEMETRY.counter("search.evaluations").inc(len(pending))
-            TELEMETRY.counter("search.fingerprints").inc(
-                self.cache.keyed - keyed_before
-            )
-            TELEMETRY.histogram("search.score_batch_seconds").observe(
-                time.perf_counter() - batch_started
-            )
-        return reports
+        return [Scored(*fields) for fields in zip(reports, keys, removed, outcomes)]
 
     # ------------------------------------------------------------------
     def _apply_cutoff(
@@ -338,9 +359,9 @@ def evaluate_misses(
 ) -> list[tuple[FitnessReport, np.ndarray | None]]:
     """Evaluate cache misses as one fleet batch, in input order.
 
-    The search's one miss evaluation: :class:`CandidateScorer` calls it
-    in-process, and every :class:`repro.parallel.pool.EvaluationPool`
-    worker calls it on its chunk of a dispatch, so pooled and serial
+    The search's one miss evaluation: every :class:`CandidateScorer` calls
+    it, and so does every :class:`repro.parallel.pool.EvaluationPool`
+    worker on its chunk of a program-batch dispatch, so pooled and serial
     reports are bitwise identical by construction.  Returns ``(report,
     valid_returns)`` pairs; ``valid_returns`` is the validation
     portfolio-return series the correlation cutoff reads, computed by

@@ -47,9 +47,20 @@ class OperandType(str, Enum):
         return {"scalar": "s", "vector": "v", "matrix": "m"}[self.value]
 
 
+#: Each operand type's position in :class:`OperandType`, for hashing.
+_TYPE_ORDINAL = {kind: ordinal for ordinal, kind in enumerate(OperandType)}
+
+
 @dataclass(frozen=True, order=True)
 class Operand:
-    """An operand address such as ``s3``, ``v7`` or ``m0``."""
+    """An operand address such as ``s3``, ``v7`` or ``m0``.
+
+    The compile passes hash operands in sets and dicts about a million
+    times per mining study, so the hash is an int from the type's position
+    and the index, computed once per operand (and not salted by
+    ``PYTHONHASHSEED``).  It stays out of pickles, which hold ``type`` and
+    ``index`` only, as they always have.
+    """
 
     type: OperandType
     index: int
@@ -57,6 +68,19 @@ class Operand:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise OperandError(f"operand index must be non-negative, got {self.index}")
+        object.__setattr__(self, "_hash",
+                           self.index * len(_TYPE_ORDINAL) + _TYPE_ORDINAL[self.type])
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"type": self.type, "index": self.index}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "type", state["type"])
+        object.__setattr__(self, "index", state["index"])
+        self.__post_init__()
 
     @property
     def name(self) -> str:

@@ -212,8 +212,8 @@ class MiningSession:
 
         The search runs on the island controller of :mod:`repro.parallel`
         with ``num_islands`` populations; with ``num_workers > 1`` the
-        session's worker pool evaluates its candidates.  With a session
-        ``checkpoint_dir``
+        session's worker pool advances its islands, one segment per island
+        per barrier.  With a session ``checkpoint_dir``
         the search state is checkpointed to ``<dir>/<name>.ckpt`` and an
         existing checkpoint of that name is resumed automatically.  Neither
         the pool nor the checkpoint changes the mined program.

@@ -6,14 +6,14 @@ search rounds; this package reproduces that architecture on one machine:
 * :mod:`repro.parallel.shm`        — zero-copy shared feature/label panels
   (``multiprocessing.shared_memory``) with content-signature attach guards
   and unlink-on-every-exit-path cleanup;
-* :mod:`repro.parallel.pool`       — a process pool that evaluates
-  chunks of candidate batches concurrently over the shared panel, under
-  the evaluator each dispatch names, restarting workers and requeueing
-  lost batches after crashes;
+* :mod:`repro.parallel.pool`       — a process pool that runs jobs (search
+  segments, program-batch chunks) concurrently over the shared panel,
+  under the evaluator each dispatch names, restarting workers and
+  requeueing lost jobs after crashes;
 * :mod:`repro.parallel.islands`    — the search controller every mining
-  search runs on: one or more regularised-evolution populations, one main
-  loop that scores each step's proposals, ages the populations and
-  migrates along a ring;
+  search runs on: one or more regularised-evolution populations advanced
+  segment by segment between barriers (in-process, or one island per pool
+  job), the records replayed in serial order, and ring migration;
 * :mod:`repro.parallel.checkpoint` — atomic checkpoint/resume of the full
   search state, so long runs survive restarts.
 

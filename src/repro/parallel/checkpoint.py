@@ -2,22 +2,27 @@
 
 The paper runs 60-hour search rounds; at that scale a restart must not throw
 away days of work.  :func:`save_checkpoint` serialises the full search state
-— island populations, per-island RNG and mutator states, the fingerprint
-cache with its statistics, the best-so-far candidate and the trajectory —
-with :mod:`pickle`, atomically (write to a temporary file, then
-``os.replace``), so a crash mid-write never corrupts the previous
-checkpoint.
+— island populations (each candidate with its fingerprint), per-island RNG
+and mutator states, the search's key set with its cache statistics, the
+best-so-far candidate and the trajectory — with :mod:`pickle`, atomically
+(write to a temporary file, then ``os.replace``), so a crash mid-write
+never corrupts the previous checkpoint.  A checkpoint is taken at a
+barrier (:mod:`repro.parallel.islands`), where the parent holds every
+island: a due checkpoint is one of the points a pooled search joins its
+workers.
 
-The heavyweight, *reconstructible* objects — the task set, the evaluator and
-the worker pool — are deliberately not part of the checkpoint: the resuming
-process rebuilds them from its own configuration, which also means a
-checkpoint taken with one worker count can be resumed with another.
+The heavyweight, *reconstructible* objects — the task set, the evaluator,
+the scorers' report caches and the worker pool — are deliberately not
+part of the checkpoint: the resuming process rebuilds them from its own
+configuration and seeds each scorer's cache from the populations, which
+also means a checkpoint taken with one worker count can be resumed with
+another.
 
 Each save re-serialises the whole state, so checkpoint size and save time
-grow with the number of searched candidates (the fingerprint cache and the
+grow with the number of searched candidates (the key set and the
 trajectory dominate).  For very long runs, raise ``checkpoint_interval`` so
 the save cost stays small next to the evaluation work between saves; an
-incremental (append-only) cache log is the natural next step if that ever
+incremental (append-only) log is the natural next step if that ever
 becomes the bottleneck.
 """
 
@@ -47,8 +52,10 @@ __all__ = [
 #: zero-initialised memory, so a version-3 cache would resume with other
 #: hit counts than an uninterrupted search; version 5: the fingerprint is
 #: the tape key, which keeps commutative operands in written order, and
-#: ``initial_key`` is the initial program's exact key).
-CHECKPOINT_VERSION = 5
+#: ``initial_key`` is the initial program's exact key; version 6: the
+#: search's key set and cache statistics replace the report cache, and
+#: every candidate carries its fingerprint).
+CHECKPOINT_VERSION = 6
 
 
 @dataclass
@@ -56,7 +63,10 @@ class SearchCheckpoint:
     """Full state of an island-model search at one point in time.
 
     ``islands`` holds :class:`repro.parallel.islands.Island` objects —
-    populations, tournament RNGs and mutators included — and ``config_echo``
+    populations, tournament RNGs and mutators included.  ``keys`` is the
+    set of fingerprints the search has seen, which decides whether a
+    later candidate counts as a hit, and ``cache_stats`` the
+    :class:`~repro.core.cache.CacheStats` so far.  ``config_echo``
     records the search hyper-parameters the state depends on, so a resume
     under a different configuration fails loudly instead of silently
     diverging.  Budgets (``max_candidates`` / ``max_seconds``) are *not*
@@ -68,7 +78,8 @@ class SearchCheckpoint:
     step: int
     migrations: int
     elapsed_seconds: float
-    cache: object
+    keys: set
+    cache_stats: object
     islands: list
     best_ever: object
     trajectory: list

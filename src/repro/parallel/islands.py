@@ -4,25 +4,51 @@ Every :meth:`repro.core.mining.MiningSession.search` runs here.  The search
 evolves ``M`` regularised-evolution populations ("islands"), each with its
 own tournament RNG and mutator stream; ``M = 1`` is the paper's single
 aging population.  The populations are first filled with mutations of the
-initial program, all islands' fill scored as one batch.  Every main-loop
-step each island then proposes one child (tournament → mutate), and the
-``M`` proposals are scored as one batch through the shared
-:class:`~repro.core.evolution.CandidateScorer` — which is what lets a
-:class:`~repro.parallel.pool.EvaluationPool` evaluate them concurrently.
-Every :data:`MIGRATION_INTERVAL` steps each island offers its
-best candidate along a ring (island ``i`` receives from island ``i-1``),
-replacing the receiver's worst member, so good genetic material spreads without
+initial program, in round-robin order.  Every main-loop step each island
+then proposes one child (tournament → mutate) and scores it.  Every
+:data:`MIGRATION_INTERVAL` steps each island offers its best candidate
+along a ring (island ``i`` receives from island ``i-1``), replacing the
+receiver's worst member, so good genetic material spreads without
 collapsing the scenario diversity that independent populations provide.
+
+Between two migrations an island reads nothing but its own state: its
+population, its RNGs and the reports of the children it proposes, and a
+report depends only on the child's fingerprint.  So the search runs in
+*segments*.  From one barrier to the next — a migration step, a due
+checkpoint or the end of the budget — :func:`advance` takes islands
+through the fill and the main-loop steps with one in-process
+:class:`~repro.core.evolution.CandidateScorer` (tournament, mutate, prune,
+fingerprint, evaluate, cutoff) and returns one :class:`CandidateRecord`
+per candidate.  Without a pool the controller advances every island
+in-process, with one scorer for the whole search.  With an
+:class:`~repro.parallel.pool.EvaluationPool` it dispatches each island as
+one :class:`Segment`, which carries the island's state (population,
+tournament RNG, mutator) there and back; the executor hands the next
+segment to whichever worker is free.  A worker keeps one scorer per
+search across the segments it runs, seeds it from the populations it is
+shipped, and scores the initial program itself in its first segment.
+
+The parent process only plans segments, merges their islands, replays
+the records in serial order — the initial program, the fill's
+round-robin order, then each step's active islands — against one key set
+for the whole search, migrates and checkpoints.  So the cache statistics
+(``evaluated`` stays the distinct keys the search had to evaluate), the
+candidates' ``born_at``, the trajectory and the mined program equal the
+serial search's, whatever the worker count.  A key that another worker
+already evaluated is evaluated again, to a bitwise-equal report: that
+work is physical only, counted as ``search.duplicate_evaluations``.
 
 The controller mirrors the paper's distributed search loop: a fleet of
 evaluation workers, several concurrent populations, and checkpoints so a
 60-hour round survives restarts (:mod:`repro.parallel.checkpoint`).  A
 search's result depends on its seeds and ``num_islands``, never on whether
-a pool evaluates it or a checkpoint records it.
+a pool runs it or a checkpoint records it.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -31,6 +57,7 @@ import numpy as np
 
 from ..backtest.engine import BacktestEngine
 from ..config import AddressSpace, DEFAULT_ADDRESS_SPACE, make_rng
+from ..core.cache import CacheStats
 from ..core.correlation import CorrelationFilter
 from ..core.evolution import (
     Candidate,
@@ -49,10 +76,16 @@ from ..obs import TELEMETRY
 from .checkpoint import CHECKPOINT_VERSION, CheckpointManager, SearchCheckpoint
 from .pool import EvaluationPool
 
-__all__ = ["MIGRATION_INTERVAL", "Island", "IslandEvolutionController"]
+__all__ = ["MIGRATION_INTERVAL", "CandidateRecord", "Island",
+           "IslandEvolutionController", "Segment", "SegmentPlan",
+           "SegmentResult", "advance"]
 
-#: Main-loop steps (one child per island) between two ring migrations.
+#: Main-loop steps (one child per island) between two ring migrations;
+#: every such step is a barrier, with one island or several.
 MIGRATION_INTERVAL = 25
+
+#: Numbers the search runs of this process (see :class:`Segment`).
+_RUNS = itertools.count()
 
 
 @dataclass
@@ -70,9 +103,168 @@ class Island:
         return max(self.population, key=lambda candidate: candidate.fitness)
 
 
+@dataclass
+class CandidateRecord:
+    """One scored candidate of a segment, for the parent's replay.
+
+    ``island`` is ``None`` for the initial program.  ``outcome`` is the
+    scorer's (:class:`~repro.core.evolution.Scored`): whether this process
+    found the candidate redundant, hit its cache or evaluated it.
+    ``elapsed`` is the search's elapsed seconds when its batch was scored.
+    The parent sets ``candidate.born_at`` when it replays the record.
+    """
+
+    island: int | None
+    candidate: Candidate
+    pruned_operations: int
+    outcome: str
+    elapsed: float
+
+
+@dataclass(frozen=True)
+class SegmentPlan:
+    """What every process advancing islands does up to the next barrier.
+
+    ``root``: score the initial program first (a fresh search's first
+    segment).  ``fill``: ``(island, born_at)`` per fill child, in the
+    fill's round-robin order.  ``steps``: per main-loop step, how many
+    islands it advances (a prefix of the island indices; fewer than all
+    only on the step that spends the candidate budget).  ``elapsed`` is
+    the search's elapsed seconds at the :func:`time.perf_counter` reading
+    ``clock``; a process checks the time budget ``max_seconds`` against
+    them before every step.  That clock is the host's monotonic clock
+    (``CLOCK_MONOTONIC`` on Linux), which every process on the host
+    reads alike, so a segment that waited for a free worker does not
+    restart the budget.
+    """
+
+    root: bool
+    fill: tuple[tuple[int, int], ...]
+    steps: tuple[int, ...]
+    elapsed: float
+    clock: float
+    max_seconds: float | None
+
+
+@dataclass
+class SegmentResult:
+    """The islands one process advanced, and the records of their
+    candidates: ``fill`` in round-robin order, ``steps`` one list per step
+    run (fewer than planned when the clock stopped it).  ``evaluations``
+    and ``fingerprints`` count the evaluations and fingerprint pipeline
+    runs this process made."""
+
+    islands: list[Island]
+    root: CandidateRecord | None
+    fill: list[CandidateRecord]
+    steps: list[list[CandidateRecord]]
+    evaluations: int
+    fingerprints: int
+
+
+def _tournament(island: Island, size: int) -> Candidate:
+    """The fittest of ``size`` members drawn without replacement."""
+    population = island.population
+    indices = island.rng.choice(
+        len(population), size=min(size, len(population)), replace=False
+    )
+    return max((population[int(i)] for i in indices),
+               key=lambda candidate: candidate.fitness)
+
+
+def advance(islands: list[Island], scorer: CandidateScorer, plan: SegmentPlan,
+            initial_program: AlphaProgram, tournament_size: int) -> SegmentResult:
+    """Take ``islands`` through ``plan`` with ``scorer``, in place.
+
+    The one search loop: the controller runs it in-process, and a pool
+    worker runs it on the island of each :class:`Segment` it is handed.
+    """
+    keyed = scorer.cache.keyed
+    evaluations = 0
+
+    def elapsed() -> float:
+        return plan.elapsed + (time.perf_counter() - plan.clock)
+
+    def score(pairs: list[tuple[int | None, AlphaProgram]]) -> list[CandidateRecord]:
+        nonlocal evaluations
+        if not pairs:
+            return []
+        scored = scorer.score_detailed([program for _, program in pairs])
+        stamp = elapsed()
+        evaluations += sum(item.outcome == "evaluated" for item in scored)
+        return [
+            CandidateRecord(index, Candidate(program, item.report, 0, item.key),
+                            item.pruned_operations, item.outcome, stamp)
+            for (index, program), item in zip(pairs, scored)
+        ]
+
+    root = None
+    if plan.root:
+        [root] = score([(None, initial_program)])
+        root.candidate.born_at = 1
+        for island in islands:
+            island.population.append(root.candidate)
+    mine = {island.index: island for island in islands}
+    fill = score([(index, mine[index].mutator.mutate(initial_program))
+                  for index, _ in plan.fill if index in mine])
+    for record in fill:
+        mine[record.island].population.append(record.candidate)
+    steps = []
+    for count in plan.steps:
+        if plan.max_seconds is not None and elapsed() >= plan.max_seconds:
+            break
+        active = [island for island in islands if island.index < count]
+        records = score([
+            (island.index,
+             island.mutator.mutate(_tournament(island, tournament_size).program))
+            for island in active
+        ])
+        for island, record in zip(active, records):
+            island.population.append(record.candidate)
+            island.population.popleft()
+        steps.append(records)
+    return SegmentResult(islands, root, fill, steps, evaluations,
+                         scorer.cache.keyed - keyed)
+
+
+#: A pool worker's scorer for the search it last ran a segment of:
+#: ``(search, scorer)``.  One search at a time, so it holds no more than
+#: that search's own cache.
+_WORKER_SCORER: tuple[str, CandidateScorer] | None = None
+
+
+@dataclass
+class Segment:
+    """A pool worker's job at a barrier: advance ``island`` through
+    ``plan``.  The worker keeps one scorer per ``search`` (an id of the
+    search run) across the segments it runs, seeded from the population
+    of each; a retried segment on a fresh worker reseeds to equal
+    reports."""
+
+    search: str
+    island: Island
+    plan: SegmentPlan
+    initial_program: AlphaProgram
+    tournament_size: int
+    use_pruning: bool
+    correlation_filter: CorrelationFilter | None
+
+    def run(self, evaluator: AlphaEvaluator,
+            backtest_engine: BacktestEngine | None) -> SegmentResult:
+        global _WORKER_SCORER
+        if _WORKER_SCORER is None or _WORKER_SCORER[0] != self.search:
+            _WORKER_SCORER = (self.search, CandidateScorer(
+                evaluator, self.correlation_filter, backtest_engine,
+                self.use_pruning))
+        scorer = _WORKER_SCORER[1]
+        scorer.seed(self.island.population)
+        return advance([self.island], scorer, self.plan, self.initial_program,
+                       self.tournament_size)
+
+
 class IslandEvolutionController:
-    """The search controller: ``M`` regularised-evolution islands over one
-    shared scorer (``M = 1`` is plain regularised evolution).
+    """The search controller: ``M`` regularised-evolution islands, advanced
+    segment by segment (``M = 1`` is plain regularised evolution).
 
     Parameters
     ----------
@@ -90,10 +282,11 @@ class IslandEvolutionController:
         ``seed`` drives the per-island tournament RNGs, ``mutation_seed``
         (defaulting to the same stream) the per-island mutators.
     pool:
-        Optional :class:`EvaluationPool` over ``evaluator``'s task set; the
-        population fill and the per-step proposal batches are then
-        evaluated by worker processes.  Results are identical with or
-        without a pool (and for any worker count).
+        Optional :class:`EvaluationPool` over ``evaluator``'s task set; at
+        each barrier every island is then dispatched as one
+        :class:`Segment`, run by whichever worker is free (workers beyond
+        the island count idle).  Results are identical with or without a
+        pool (and for any worker count).
     checkpoint_path / checkpoint_interval:
         When a path is given, the full search state is checkpointed every
         ``checkpoint_interval`` searched candidates and once more at the
@@ -122,6 +315,9 @@ class IslandEvolutionController:
         self.mutation_config = mutation_config or MutationConfig()
         self.address_space = address_space
         self.limits = limits
+        self.correlation_filter = correlation_filter
+        self.backtest_engine = backtest_engine
+        self.pool = pool
         self.rng = make_rng(seed)
         self._mutation_rng = self.rng if mutation_seed is None else make_rng(mutation_seed)
         # Integer seeds identify the search for the checkpoint configuration
@@ -132,12 +328,13 @@ class IslandEvolutionController:
             if isinstance(mutation_seed, (int, np.integer))
             else "external"
         )
+        #: The in-process scorer: it advances the islands when there is no
+        #: pool, and keeps its cache across the search's segments.
         self.scorer = CandidateScorer(
             evaluator,
             correlation_filter=correlation_filter,
             backtest_engine=backtest_engine,
             use_pruning=self.config.use_pruning,
-            pool=pool,
         )
         self.checkpoint = (
             CheckpointManager(checkpoint_path, interval=checkpoint_interval)
@@ -145,6 +342,10 @@ class IslandEvolutionController:
             else None
         )
         self.islands: list[Island] = []
+        # The search's own counts, replayed from the segments' records.
+        self._candidates = 0
+        self._stats = CacheStats()
+        self._keys: set[str] = set()
         self._step = 0
         self._migrations = 0
         self._best_ever: Candidate | None = None
@@ -152,6 +353,8 @@ class IslandEvolutionController:
         self._elapsed_offset = 0.0
         self._start_time = 0.0
         self._initial_program: AlphaProgram | None = None
+        #: This run's id, which keys each pool worker's scorer.
+        self._search = ""
 
     # ------------------------------------------------------------------
     # Run / resume entry point
@@ -198,6 +401,7 @@ class IslandEvolutionController:
             resume = self.checkpoint is not None and self.checkpoint.exists()
         self._start_time = time.perf_counter()
         self._initial_program = initial_program
+        self._search = f"{os.getpid()}-{next(_RUNS)}"
         if resume:
             if self.checkpoint is None:
                 raise CheckpointError(
@@ -205,9 +409,10 @@ class IslandEvolutionController:
                 )
             self._restore(self.checkpoint.load(), initial_program)
         else:
-            self._fresh_start(initial_program)
-        self._seed_phase(initial_program)
-        self._main_phase()
+            self._fresh_start()
+        while (plan := self._plan()) is not None:
+            if not self._barrier(plan, self._advance(plan)):
+                break
         if self.checkpoint is not None:
             self._save_checkpoint()
         return self._result()
@@ -215,8 +420,11 @@ class IslandEvolutionController:
     # ------------------------------------------------------------------
     # State initialisation and restoration
     # ------------------------------------------------------------------
-    def _fresh_start(self, initial_program: AlphaProgram) -> None:
+    def _fresh_start(self) -> None:
         self.scorer.reset()
+        self._candidates = 0
+        self._stats = CacheStats()
+        self._keys = set()
         self._step = 0
         self._migrations = 0
         self._best_ever = None
@@ -225,6 +433,8 @@ class IslandEvolutionController:
         num_islands = self.config.num_islands
         mutator_seeds = self._mutation_rng.integers(0, 2**63 - 1, size=num_islands)
         rng_seeds = self.rng.integers(0, 2**63 - 1, size=num_islands)
+        # The first segment scores the initial parent and shares it with
+        # every island.
         self.islands = [
             Island(
                 index=index,
@@ -240,15 +450,6 @@ class IslandEvolutionController:
             )
             for index in range(num_islands)
         ]
-        # The initial parent is scored once and shared by every island.
-        root = Candidate(
-            program=initial_program,
-            report=self.scorer.score(initial_program),
-            born_at=self.scorer.candidates_generated,
-        )
-        for island in self.islands:
-            island.population.append(root)
-        self._register(root)
 
     def _config_echo(self) -> dict:
         return {
@@ -264,8 +465,8 @@ class IslandEvolutionController:
             # Cached reports embed cutoff decisions, so the cutoff and the
             # accepted reference series are part of the search's identity.
             "correlation": (
-                self.scorer.correlation_filter.fingerprint()
-                if self.scorer.correlation_filter is not None
+                self.correlation_filter.fingerprint()
+                if self.correlation_filter is not None
                 else None
             ),
         }
@@ -287,13 +488,17 @@ class IslandEvolutionController:
                 f"({', '.join(changed)}); resuming would silently diverge"
             )
         self.islands = state.islands
-        self.scorer.cache = state.cache
-        self.scorer.candidates_generated = state.candidates_generated
+        self._candidates = state.candidates_generated
+        self._stats = state.cache_stats
+        self._keys = state.keys
         self._step = state.step
         self._migrations = state.migrations
         self._best_ever = state.best_ever
         self._trajectory = list(state.trajectory)
         self._elapsed_offset = state.elapsed_seconds
+        self.scorer.reset()
+        self.scorer.seed(candidate for island in self.islands
+                         for candidate in island.population)
 
     # ------------------------------------------------------------------
     # Budget / bookkeeping helpers
@@ -301,46 +506,19 @@ class IslandEvolutionController:
     def _elapsed(self) -> float:
         return self._elapsed_offset + (time.perf_counter() - self._start_time)
 
-    def _budget_exhausted(self) -> bool:
-        config = self.config
-        if config.max_candidates is not None and \
-                self.scorer.candidates_generated >= config.max_candidates:
-            return True
-        if config.max_seconds is not None and self._elapsed() >= config.max_seconds:
-            return True
-        return False
-
-    def _remaining_candidates(self) -> int | None:
-        if self.config.max_candidates is None:
-            return None
-        return max(0, self.config.max_candidates - self.scorer.candidates_generated)
-
-    def _register(self, candidate: Candidate) -> None:
-        if self._best_ever is None or candidate.fitness > self._best_ever.fitness:
-            self._best_ever = candidate
-        self._trajectory.append(
-            TrajectoryPoint(
-                candidates=candidate.born_at,
-                evaluations=self.scorer.cache.stats.evaluated,
-                best_fitness=self._best_ever.fitness,
-                elapsed_seconds=self._elapsed(),
-            )
-        )
-
-    def _maybe_checkpoint(self) -> None:
-        if self.checkpoint is not None and \
-                self.checkpoint.due(self.scorer.candidates_generated):
-            self._save_checkpoint()
+    def _checkpoint_due(self, candidates: int) -> bool:
+        return self.checkpoint is not None and self.checkpoint.due(candidates)
 
     def _save_checkpoint(self) -> None:
         self.checkpoint.save(
             SearchCheckpoint(
                 version=CHECKPOINT_VERSION,
-                candidates_generated=self.scorer.candidates_generated,
+                candidates_generated=self._candidates,
                 step=self._step,
                 migrations=self._migrations,
                 elapsed_seconds=self._elapsed(),
-                cache=self.scorer.cache,
+                keys=self._keys,
+                cache_stats=self._stats,
                 islands=self.islands,
                 best_ever=self._best_ever,
                 trajectory=list(self._trajectory),
@@ -350,99 +528,163 @@ class IslandEvolutionController:
         )
 
     # ------------------------------------------------------------------
-    # Search phases
+    # Segments: plan, advance, replay
     # ------------------------------------------------------------------
-    def _seed_phase(self, initial_program: AlphaProgram) -> None:
-        """Fill every island's population by mutating the initial parent.
+    def _plan(self) -> SegmentPlan | None:
+        """The next segment, up to the next barrier (``None``: the budget
+        is spent).
 
         The fill is drawn in round-robin steps — one child per island that
-        still needs one, cut to the candidate budget — and scored as one
-        batch, so a pool sees the whole fill at once.  Every fill child
-        mutates the same parent on its island's own mutator stream and
-        none depends on another's fitness, so the programs, reports and
-        cache statistics equal those of scoring the fill step by step;
-        each child's ``born_at`` (and trajectory ``candidates``) is the
-        candidate count at the end of its round-robin step.  The time
-        budget is checked once, before the fill.
+        still needs one, cut to the candidate budget — and each child's
+        ``born_at`` is the candidate count at the end of its step.  The
+        clock is read here, before the fill; the main-loop steps read it
+        in the process that runs them.  A segment ends after the fill when
+        a checkpoint is then due, else after the first step that migrates
+        (every :data:`MIGRATION_INTERVAL` steps), makes a checkpoint due or
+        spends the candidate budget.
         """
-        if self._budget_exhausted():
-            return
-        target = self.config.population_size
-        remaining = self._remaining_candidates()
-        sizes = [len(island.population) for island in self.islands]
-        counted = self.scorer.candidates_generated
-        fill: list[tuple[Island, int]] = []
-        while remaining is None or remaining > 0:
-            needy = [index for index, size in enumerate(sizes) if size < target]
-            if remaining is not None:
-                needy = needy[:remaining]
-                remaining -= len(needy)
-            if not needy:
-                break
-            counted += len(needy)
-            for index in needy:
-                sizes[index] += 1
-                fill.append((self.islands[index], counted))
-        if not fill:
-            return
-        programs = [island.mutator.mutate(initial_program) for island, _ in fill]
-        reports = self.scorer.score_batch(programs)
-        for (island, born_at), program, report in zip(fill, programs, reports):
-            child = Candidate(program=program, report=report, born_at=born_at)
-            island.population.append(child)
-            self._register(child)
-        self._maybe_checkpoint()
-
-    def _propose(self, active: list[Island]) -> list[AlphaProgram]:
-        """Draw one tournament → mutate proposal per active island."""
         config = self.config
-        proposals = []
-        for island in active:
-            population = island.population
-            indices = island.rng.choice(
-                len(population),
-                size=min(config.tournament_size, len(population)),
-                replace=False,
-            )
-            parent = max(
-                (population[int(i)] for i in indices),
-                key=lambda candidate: candidate.fitness,
-            )
-            proposals.append(island.mutator.mutate(parent.program))
-        return proposals
+        clock = time.perf_counter()
+        elapsed = self._elapsed_offset + (clock - self._start_time)
+        count = self._candidates
+        root = count == 0
+        count += root
+        fill: list[tuple[int, int]] = []
+        steps: list[int] = []
+        exhausted = (
+            (config.max_candidates is not None and count >= config.max_candidates)
+            or (config.max_seconds is not None and elapsed >= config.max_seconds)
+        )
+        if not exhausted:
+            sizes = [len(island.population) + root for island in self.islands]
+            while True:
+                needy = [index for index, size in enumerate(sizes)
+                         if size < config.population_size]
+                if config.max_candidates is not None:
+                    needy = needy[:config.max_candidates - count]
+                if not needy:
+                    break
+                count += len(needy)
+                for index in needy:
+                    sizes[index] += 1
+                    fill.append((index, count))
+            if not (fill and self._checkpoint_due(count)):
+                steps = self._plan_steps(count)
+        if not (root or fill or steps):
+            return None
+        return SegmentPlan(root=root, fill=tuple(fill), steps=tuple(steps),
+                           elapsed=elapsed, clock=clock,
+                           max_seconds=config.max_seconds)
 
-    def _insert(self, active: list[Island], proposals: list[AlphaProgram],
-                reports: list) -> None:
-        """Age each active island by its scored child."""
-        for island, program, report in zip(active, proposals, reports):
-            child = Candidate(
-                program=program,
-                report=report,
-                born_at=self.scorer.candidates_generated,
+    def _plan_steps(self, count: int) -> list[int]:
+        """Active-island counts of the main-loop steps from ``count``
+        candidates up to the next barrier."""
+        steps: list[int] = []
+        step = self._step
+        while True:
+            active = len(self.islands)
+            if self.config.max_candidates is not None:
+                active = min(active, self.config.max_candidates - count)
+            if active <= 0:
+                return steps
+            steps.append(active)
+            count += active
+            step += 1
+            if step % MIGRATION_INTERVAL == 0 or self._checkpoint_due(count):
+                return steps
+
+    def _advance(self, plan: SegmentPlan) -> list[SegmentResult]:
+        """Run ``plan`` in-process, or as one segment per island on the
+        pool, in one dispatch."""
+        if self.pool is None:
+            return [advance(self.islands, self.scorer, plan,
+                            self._initial_program, self.config.tournament_size)]
+        segments = [
+            Segment(search=self._search, island=island, plan=plan,
+                    initial_program=self._initial_program,
+                    tournament_size=self.config.tournament_size,
+                    use_pruning=self.config.use_pruning,
+                    correlation_filter=self.correlation_filter)
+            for island in self.islands
+        ]
+        engine = self.backtest_engine if self.correlation_filter is not None else None
+        return self.pool.submit_detailed(
+            segments, evaluator=self.evaluator, backtest_engine=engine
+        ).result()
+
+    def _barrier(self, plan: SegmentPlan, results: list[SegmentResult]) -> bool:
+        """Merge the segments' islands, replay their records in serial
+        order, then migrate and checkpoint as the serial loop would.
+        Returns False when a process stopped on the clock."""
+        for result in results:
+            for island in result.islands:
+                self.islands[island.index] = island
+        candidates, evaluated = self._candidates, self._stats.evaluated
+        if plan.root:
+            # Every segment scored the initial program; one counts.
+            self._replay([results[0].root], [1])
+        if plan.fill:
+            queues: dict[int, deque] = {}
+            for result in results:
+                for record in result.fill:
+                    queues.setdefault(record.island, deque()).append(record)
+            self._replay([queues[index].popleft() for index, _ in plan.fill],
+                         [born_at for _, born_at in plan.fill])
+        done = max(len(result.steps) for result in results)
+        for step in range(done):
+            records = sorted(
+                (record for result in results if step < len(result.steps)
+                 for record in result.steps[step]),
+                key=lambda record: record.island,
             )
-            island.population.append(child)
-            island.population.popleft()
-            self._register(child)
+            self._replay(records, [self._candidates + len(records)] * len(records))
+        self._step += done
+        if TELEMETRY.enabled:
+            evaluated = self._stats.evaluated - evaluated
+            TELEMETRY.counter("search.segments").inc(len(results))
+            TELEMETRY.counter("search.candidates").inc(self._candidates - candidates)
+            TELEMETRY.counter("search.evaluations").inc(evaluated)
+            TELEMETRY.counter("search.duplicate_evaluations").inc(
+                sum(result.evaluations for result in results) - evaluated
+            )
+            TELEMETRY.counter("search.fingerprints").inc(
+                sum(result.fingerprints for result in results)
+            )
+        if done and len(self.islands) > 1 and self._step % MIGRATION_INTERVAL == 0:
+            self._migrate()
+        if (plan.fill or done) and self._checkpoint_due(self._candidates):
+            self._save_checkpoint()
+        return all(len(result.steps) == len(plan.steps) for result in results)
 
-    def _active_islands(self) -> list[Island]:
-        active = self.islands
-        remaining = self._remaining_candidates()
-        if remaining is not None:
-            active = active[:remaining]
-        return active
-
-    def _main_phase(self) -> None:
-        """Tournament → mutate → batch-score → age, one child per island,
-        with a ring migration every :data:`MIGRATION_INTERVAL` steps."""
-        while not self._budget_exhausted():
-            active = self._active_islands()
-            proposals = self._propose(active)
-            reports = self.scorer.score_batch(proposals)
-            self._insert(active, proposals, reports)
-            self._step += 1
-            if len(self.islands) > 1 and self._step % MIGRATION_INTERVAL == 0:
-                self._migrate()
-            self._maybe_checkpoint()
+    def _replay(self, records: list[CandidateRecord], born_at: list[int]) -> None:
+        """Count one scoring batch against the search's key set, then
+        register its candidates in order."""
+        stats = self._stats
+        for record in records:
+            self._candidates += 1
+            key = record.candidate.key
+            stats.pruned_operations += record.pruned_operations
+            if record.outcome == "redundant":
+                stats.redundant_alphas += 1
+            elif key is not None and key in self._keys:
+                stats.fingerprint_hits += 1
+            else:
+                stats.evaluated += 1
+                if key is not None:
+                    self._keys.add(key)
+        for record, born in zip(records, born_at):
+            candidate = record.candidate
+            candidate.born_at = born
+            if self._best_ever is None or candidate.fitness > self._best_ever.fitness:
+                self._best_ever = candidate
+            self._trajectory.append(
+                TrajectoryPoint(
+                    candidates=born,
+                    evaluations=stats.evaluated,
+                    best_fitness=self._best_ever.fitness,
+                    elapsed_seconds=record.elapsed,
+                )
+            )
 
     def _migrate(self) -> None:
         """Ring migration: island ``i`` receives island ``i-1``'s best.
@@ -482,8 +724,8 @@ class IslandEvolutionController:
             best_report=best.report,
             best_in_population=best_in_population,
             trajectory=self._trajectory,
-            cache_stats=self.scorer.cache.stats,
-            candidates_generated=self.scorer.candidates_generated,
+            cache_stats=self._stats,
+            candidates_generated=self._candidates,
             elapsed_seconds=self._elapsed(),
             num_islands=len(self.islands),
             migrations=self._migrations,

@@ -1,11 +1,11 @@
-"""Worker-pool evaluation of candidate alphas over zero-copy shared panels.
+"""Worker-pool execution over zero-copy shared panels.
 
 The paper's search is distributed: candidate alphas are scored on a fleet of
 evaluation workers for 60-hour rounds.  :class:`EvaluationPool` reproduces
 that shape on one machine with a :class:`concurrent.futures.ProcessPoolExecutor`.
 The pool is a transport: it holds the published panel and the workers, and
-every dispatch names the evaluator (and backtest engine) its programs are
-scored under.
+every dispatch names the evaluator (and backtest engine) its work runs
+under.
 
 * **Zero-copy shared panels.**  The task-set feature/label arrays are
   published once into a :class:`~repro.parallel.shm.SharedPanelStore`
@@ -19,24 +19,28 @@ scored under.
   :class:`PoolSpec` is the panel handle plus the task set's sidecar.  A
   content-signature echo in the store header guards against attaching to
   a stale store (:class:`~repro.errors.SharedPanelMismatchError`).
-* **Chunked dispatch, stacked evaluation.**  Each dispatch is cut into at
-  most ``num_workers`` contiguous chunks; the parent compiles nothing.  Every chunk runs through
-  :func:`repro.core.evolution.evaluate_misses`, the miss evaluation the
-  serial scorer runs, whose fleet groups the chunk by stack signature and
-  executes each group as one :class:`~repro.compile.stacked.StackedAlpha`
-  tape.  Per-candidate IPC is the (tiny)
-  :class:`~repro.core.program.AlphaProgram` payload out and a
-  :class:`PoolEvaluation` back.
+* **Jobs.**  :meth:`EvaluationPool.submit_detailed` dispatches a list of
+  jobs, one future each; a worker runs a job as ``job.run(evaluator,
+  backtest_engine)`` under its own copies of the dispatch's evaluator and
+  engine.  A pooled search dispatches one
+  :class:`~repro.parallel.islands.Segment` per island at each barrier: a
+  worker advances the island itself, from tournament to cutoff, and the
+  parent compiles nothing.  :meth:`EvaluationPool.evaluate_detailed` is the
+  program-batch unit: it cuts a list of programs into at most
+  ``num_workers`` contiguous chunks, each scored by
+  :func:`repro.core.evolution.evaluate_misses`, the miss evaluation every
+  scorer runs.
 
-**Robustness.**  A worker that dies mid-batch (OOM-killed, segfault) breaks
+**Robustness.**  A worker that dies mid-job (OOM-killed, segfault) breaks
 the executor; the pool detects it, rebuilds the executor — workers re-attach
 to the *same* shared store, so the restart ships no data — and requeues the
-lost batches, each at most ``max_batch_retries`` times before a
-:class:`~repro.errors.ParallelError` surfaces.  Evaluation is deterministic,
-so a retried batch returns bitwise-identical results.  :meth:`close` (and
-the context-manager exit) shuts the executor down and unlinks the shared
-segment even when a batch raised; the store's own atexit/signal/crash
-guards cover the paths that never reach ``close``.
+lost jobs, each at most ``max_batch_retries`` times before a
+:class:`~repro.errors.ParallelError` surfaces.  A job carries every input
+it reads (a segment ships its island's state), and evaluation is
+deterministic, so a retried job returns a bitwise-identical result.
+:meth:`close` (and the context-manager exit) shuts the executor down and
+unlinks the shared segment even when a job raised; the store's own
+atexit/signal/crash guards cover the paths that never reach ``close``.
 
 **Lifetime.**  A pool outlives any one search: a
 :class:`~repro.core.mining.MiningSession` builds one on its first pooled
@@ -47,8 +51,8 @@ differs between those searches travels with each dispatch.
 **Determinism.**  A dispatch ships its evaluator's constructor arguments
 (:attr:`~repro.core.interpreter.AlphaEvaluator.settings`) and, when it
 names a backtest engine, that engine's book sizes.  A worker rebuilds its
-evaluator whenever a batch names other settings, and its backtest engine
-whenever a batch names other books; evaluation derives its RNG from the
+evaluator whenever a dispatch names other settings, and its backtest engine
+whenever a dispatch names other books; evaluation derives its RNG from the
 evaluator's seed per call.  So a program's fitness report is bitwise
 identical no matter which worker (or how many retries, or which earlier
 dispatches) produced it — and identical to the dispatching evaluator's own.
@@ -58,8 +62,9 @@ or whose evaluator was built from a generator seed, raises
 
 Telemetry (behind :data:`repro.obs.TELEMETRY`): ``pool.shm_bytes`` (gauge,
 bytes of shared panel currently published), ``pool.batches_retried`` and
-``pool.worker_restarts`` (counters), next to ``pool.batches`` (chunks) /
-``pool.programs`` / ``pool.dispatch_seconds``.
+``pool.worker_restarts`` (counters), next to ``pool.batches`` (jobs) /
+``pool.programs`` (programs of program-batch dispatches) /
+``pool.dispatch_seconds``.
 """
 
 from __future__ import annotations
@@ -119,27 +124,22 @@ class PoolEvaluation:
 
 
 @dataclass
-class _WorkBatch:
-    """One worker dispatch: a contiguous chunk of the programs, the
-    settings of the evaluator they are scored under and the book sizes of
-    the backtest engine whose validation returns come back (``None``: no
-    returns).
-
-    ``fault`` is a test-only hook (``"sigkill"`` / ``"raise"``) injected by
-    the fault tests; it is never set on a retry resubmission, so an
-    injected crash exercises exactly one requeue.
-    """
+class _ProgramChunk:
+    """A job of a program-batch dispatch: a contiguous chunk of it."""
 
     programs: list[AlphaProgram]
-    evaluator: dict
-    books: tuple[int, int] | None = None
-    fault: str | None = None
+
+    def run(self, evaluator: AlphaEvaluator,
+            backtest_engine: BacktestEngine | None) -> list[PoolEvaluation]:
+        return [PoolEvaluation(report=report, valid_returns=valid_returns)
+                for report, valid_returns in evaluate_misses(
+                    evaluator, self.programs, backtest_engine)]
 
 
 @dataclass
 class _WorkerState:
     """Per-process evaluation stack, built once by the pool initializer;
-    the evaluator and backtest engine follow what each batch names."""
+    the evaluator and backtest engine follow what each dispatch names."""
 
     taskset: TaskSet
     store: SharedPanelStore
@@ -190,20 +190,23 @@ def _init_worker(spec: PoolSpec) -> None:
     _WORKER = _WorkerState.from_spec(spec)
 
 
-def _evaluate_batch(batch: _WorkBatch) -> list[PoolEvaluation]:
-    """Evaluate one chunk inside a worker process, through the miss
-    evaluation the serial scorer runs."""
+def _run_job(job, settings: dict, books: tuple[int, int] | None,
+             fault: str | None):
+    """Run one job inside a worker process.
+
+    ``fault`` is a test-only hook set by the fault tests and never on a
+    retry: ``"raise"`` fails the job before it runs, ``"sigkill"`` kills
+    the worker after the job ran but before its result is returned.
+    """
     state = _WORKER
     if state is None:  # pragma: no cover - initializer always runs first
         raise ParallelError("evaluation worker was not initialised")
-    if batch.fault == "sigkill":  # pragma: no cover - kills this process
-        os.kill(os.getpid(), _signal.SIGKILL)
-    if batch.fault == "raise":
+    if fault == "raise":
         raise ParallelError("injected worker fault (test hook)")
-    pairs = evaluate_misses(state.evaluator_for(batch.evaluator),
-                            batch.programs, state.engine_for(batch.books))
-    return [PoolEvaluation(report=report, valid_returns=valid_returns)
-            for report, valid_returns in pairs]
+    result = job.run(state.evaluator_for(settings), state.engine_for(books))
+    if fault == "sigkill":  # pragma: no cover - kills this process
+        os.kill(os.getpid(), _signal.SIGKILL)
+    return result
 
 
 def _pool_context(start_method: str | None) -> multiprocessing.context.BaseContext:
@@ -217,42 +220,44 @@ def _pool_context(start_method: str | None) -> multiprocessing.context.BaseConte
 
 
 @dataclass
-class _Chunk:
-    """One in-flight dispatch unit and its results."""
+class _Job:
+    """One in-flight job of a dispatch and its result."""
 
-    batch: _WorkBatch
+    work: object
+    settings: dict
+    books: tuple[int, int] | None
     retries: int = 0
+    fault: str | None = None
     future: object = None
-    evaluations: list[PoolEvaluation] | None = None
+    done: bool = False
+    result: object = None
 
 
 class PendingEvaluations:
-    """A dispatched batch whose results are collected on :meth:`result`.
+    """A dispatch whose job results are collected on :meth:`result`.
 
     Returned by :meth:`EvaluationPool.submit_detailed`.  The split is the
-    pool's dispatch/wait boundary: :meth:`EvaluationPool.evaluate_detailed`
-    submits, then waits here at once.
+    pool's dispatch/wait boundary: a pooled search submits its segments at
+    a barrier, then waits here.
     """
 
-    def __init__(self, pool: "EvaluationPool", chunks: list[_Chunk],
-                 num_programs: int, started: float) -> None:
+    def __init__(self, pool: "EvaluationPool", jobs: list[_Job],
+                 started: float) -> None:
         self._pool = pool
-        self._chunks = chunks
-        self._num_programs = num_programs
+        self._jobs = jobs
         self._started = started
-        self._evaluations: list[PoolEvaluation] | None = None
+        self._results: list | None = None
 
-    def result(self) -> list[PoolEvaluation]:
-        """Block until every chunk finished (retrying lost batches)."""
-        if self._evaluations is None:
-            self._evaluations = self._pool._collect(
-                self._chunks, self._num_programs, self._started
-            )
-        return self._evaluations
+    def result(self) -> list:
+        """Block until every job finished (retrying lost jobs); the job
+        results in dispatch order."""
+        if self._results is None:
+            self._results = self._pool._collect(self._jobs, self._started)
+        return self._results
 
 
 class EvaluationPool:
-    """Fans candidate-alpha evaluation out to ``num_workers`` processes.
+    """Runs search segments and program batches on ``num_workers`` processes.
 
     Parameters
     ----------
@@ -262,19 +267,19 @@ class EvaluationPool:
         evaluator (and backtest engine) must be over this task set.
     num_workers:
         Number of worker processes; defaults to the machine's CPU count.
-        A dispatch is cut into at most this many chunks.
+        A program batch is cut into at most this many chunks.
     max_batch_retries:
-        How many times a batch lost to a worker crash is requeued before
+        How many times a job lost to a worker crash is requeued before
         the pool gives up with a :class:`~repro.errors.ParallelError`.
     start_method:
         Optional multiprocessing start method override (default: ``fork``
         where available, the platform default elsewhere).
 
     The pool holds no evaluation settings: every dispatch names the
-    :class:`~repro.core.interpreter.AlphaEvaluator` its programs are scored
-    under, so its reports equal that evaluator's bit for bit.  The pool is
-    a context manager; :meth:`close` shuts the workers down and unlinks the
-    shared panel — even when a batch raised inside the block.
+    :class:`~repro.core.interpreter.AlphaEvaluator` its work runs under, so
+    its reports equal that evaluator's bit for bit.  The pool is a context
+    manager; :meth:`close` shuts the workers down and unlinks the shared
+    panel — even when a job raised inside the block.
     """
 
     def __init__(
@@ -303,12 +308,12 @@ class EvaluationPool:
         )
         self.num_workers = num_workers
         self.max_batch_retries = max_batch_retries
-        #: Lost batches requeued after worker crashes (lifetime total).
+        #: Lost jobs requeued after worker crashes (lifetime total).
         self.batches_retried = 0
         #: Executor rebuilds forced by worker crashes (lifetime total).
         self.worker_restarts = 0
         #: Test-only fault hook: set to ``"sigkill"`` or ``"raise"`` to
-        #: inject the fault into the first chunk of the next dispatch.
+        #: inject the fault into the first job of the next dispatch.
         self._inject_fault_once: str | None = None
         self._executor = self._make_executor()
         self._closed = False
@@ -346,20 +351,18 @@ class EvaluationPool:
                 "pool published, not another one"
             )
 
-    def submit_detailed(self, programs: list[AlphaProgram], *,
-                        evaluator: AlphaEvaluator,
+    def submit_detailed(self, jobs: list, *, evaluator: AlphaEvaluator,
                         backtest_engine: BacktestEngine | None = None,
                         ) -> PendingEvaluations:
-        """Dispatch ``programs`` to the workers without blocking.
+        """Dispatch ``jobs`` to the workers without blocking.
 
-        The workers score them under an evaluator rebuilt from
-        ``evaluator``'s settings and, given a ``backtest_engine``, also
-        return each valid program's validation portfolio-return series
-        under that engine's books.  Both must be over the pool's task set,
-        and ``evaluator`` must be built from an integer seed.  The programs
-        are cut into at most ``num_workers`` contiguous chunks.  Returns a
-        :class:`PendingEvaluations` whose ``result()`` yields the
-        evaluations in input order.
+        Each job runs on one worker as ``job.run(evaluator,
+        backtest_engine)``, under an evaluator rebuilt from ``evaluator``'s
+        settings and, given a ``backtest_engine``, an engine with its
+        books.  Both must be over the pool's task set, and ``evaluator``
+        must be built from an integer seed.  Returns a
+        :class:`PendingEvaluations` whose ``result()`` yields the job
+        results in input order.
         """
         if self._closed:
             raise ParallelError("the evaluation pool has been closed")
@@ -375,87 +378,74 @@ class EvaluationPool:
         if backtest_engine is not None:
             self._over_taskset("backtest engine", backtest_engine)
             books = _books(backtest_engine)
-        programs = list(programs)
         started = time.perf_counter() if TELEMETRY.enabled else 0.0
-        count = min(len(programs), self.num_workers)
-        chunks = [
-            _Chunk(batch=_WorkBatch(
-                programs=programs[len(programs) * index // count:
-                                  len(programs) * (index + 1) // count],
-                evaluator=settings,
-                books=books,
-            ))
-            for index in range(count)
-        ]
-        if chunks and self._inject_fault_once is not None:
-            chunks[0].batch.fault = self._inject_fault_once
+        pending = [_Job(work=work, settings=settings, books=books) for work in jobs]
+        if pending and self._inject_fault_once is not None:
+            pending[0].fault = self._inject_fault_once
             self._inject_fault_once = None
-        for chunk in chunks:
-            self._submit(chunk)
-        return PendingEvaluations(self, chunks, len(programs), started)
+        for job in pending:
+            self._submit(job)
+        return PendingEvaluations(self, pending, started)
 
-    def _submit(self, chunk: _Chunk) -> None:
-        """Submit one chunk; a broken executor leaves it for the retry path.
+    def _submit(self, job: _Job) -> None:
+        """Submit one job; a broken executor leaves it for the retry path.
 
-        A crashing worker can break the executor *while* a batch is still
-        being submitted, so even first submission must tolerate
-        ``BrokenExecutor`` — the chunk is left future-less and
-        :meth:`_collect` requeues it like any other lost chunk.
+        A crashing worker can break the executor *while* a dispatch is
+        still being submitted, so even first submission must tolerate
+        ``BrokenExecutor`` — the job is left future-less and
+        :meth:`_collect` requeues it like any other lost job.
         """
         try:
-            chunk.future = self._executor.submit(_evaluate_batch, chunk.batch)
+            job.future = self._executor.submit(
+                _run_job, job.work, job.settings, job.books, job.fault)
         except BrokenExecutor:
-            chunk.future = None
+            job.future = None
 
-    def _collect(self, chunks: list[_Chunk], num_programs: int,
-                 started: float) -> list[PoolEvaluation]:
-        """Gather chunk results, rebuilding the executor after crashes."""
-        with TELEMETRY.span(
-            "pool.dispatch", programs=num_programs, chunks=len(chunks)
-        ):
+    def _collect(self, jobs: list[_Job], started: float) -> list:
+        """Gather job results, rebuilding the executor after crashes."""
+        with TELEMETRY.span("pool.dispatch", jobs=len(jobs)):
             while True:
-                lost = [chunk for chunk in chunks if chunk.evaluations is None]
+                lost = [job for job in jobs if not job.done]
                 if not lost:
                     break
                 broken = False
-                for chunk in lost:
-                    if chunk.future is None:
+                for job in lost:
+                    if job.future is None:
                         broken = True
                         break
                     try:
-                        chunk.evaluations = chunk.future.result()
+                        job.result = job.future.result()
                     except BrokenExecutor:
                         broken = True
                         break
+                    job.done = True
                 if broken:
-                    self._requeue_lost(chunks)
-        evaluations = [evaluation for chunk in chunks
-                       for evaluation in chunk.evaluations]
+                    self._requeue_lost(jobs)
         if TELEMETRY.enabled:
-            TELEMETRY.counter("pool.batches").inc(len(chunks))
-            TELEMETRY.counter("pool.programs").inc(num_programs)
+            TELEMETRY.counter("pool.batches").inc(len(jobs))
             TELEMETRY.histogram("pool.dispatch_seconds").observe(
                 time.perf_counter() - started
             )
-        return evaluations
+        return [job.result for job in jobs]
 
-    def _requeue_lost(self, chunks: list[_Chunk]) -> None:
-        """A worker died mid-batch: rebuild the executor, requeue the rest.
+    def _requeue_lost(self, jobs: list[_Job]) -> None:
+        """A worker died mid-job: rebuild the executor, requeue the rest.
 
         The replacement workers attach to the same shared panel store, so
-        the restart ships zero panel bytes.  Each lost chunk may be
-        requeued at most ``max_batch_retries`` times; evaluation is
-        deterministic, so retried chunks return bitwise-identical results.
+        the restart ships zero panel bytes.  Each lost job may be requeued
+        at most ``max_batch_retries`` times; a job carries all its inputs
+        and evaluation is deterministic, so retried jobs return
+        bitwise-identical results.
         """
         if self._closed:  # pragma: no cover - close() raced a crash
             raise ParallelError("the evaluation pool has been closed")
-        lost = [chunk for chunk in chunks if chunk.evaluations is None]
-        for chunk in lost:
-            chunk.retries += 1
-            if chunk.retries > self.max_batch_retries:
+        lost = [job for job in jobs if not job.done]
+        for job in lost:
+            job.retries += 1
+            if job.retries > self.max_batch_retries:
                 raise ParallelError(
-                    f"a worker batch of {len(chunk.batch.programs)} program(s) "
-                    f"crashed the pool {chunk.retries} times "
+                    f"a worker job ({type(job.work).__name__}) crashed the "
+                    f"pool {job.retries} times "
                     f"(max_batch_retries={self.max_batch_retries}); "
                     "giving up"
                 )
@@ -466,21 +456,36 @@ class EvaluationPool:
         if TELEMETRY.enabled:
             TELEMETRY.counter("pool.worker_restarts").inc()
             TELEMETRY.counter("pool.batches_retried").inc(len(lost))
-        for chunk in lost:
+        for job in lost:
             # Injected faults are not re-armed: the retry must succeed.
-            chunk.batch.fault = None
-            self._submit(chunk)
+            job.fault = None
+            self._submit(job)
 
     # ------------------------------------------------------------------
     def evaluate_detailed(self, programs: list[AlphaProgram], *,
                           evaluator: AlphaEvaluator,
                           backtest_engine: BacktestEngine | None = None,
                           ) -> list[PoolEvaluation]:
-        """Evaluate ``programs`` across the workers, preserving input order
-        (the arguments are :meth:`submit_detailed`'s)."""
-        return self.submit_detailed(
-            programs, evaluator=evaluator, backtest_engine=backtest_engine
+        """Evaluate ``programs`` across the workers, preserving input order.
+
+        The programs are cut into at most ``num_workers`` contiguous
+        chunks, one job each; a worker returns each valid program's
+        validation portfolio-return series when ``backtest_engine`` is
+        given (the arguments are :meth:`submit_detailed`'s).
+        """
+        programs = list(programs)
+        count = min(len(programs), self.num_workers)
+        chunks = [
+            _ProgramChunk(programs[len(programs) * index // count:
+                                   len(programs) * (index + 1) // count])
+            for index in range(count)
+        ]
+        results = self.submit_detailed(
+            chunks, evaluator=evaluator, backtest_engine=backtest_engine
         ).result()
+        if TELEMETRY.enabled:
+            TELEMETRY.counter("pool.programs").inc(len(programs))
+        return [evaluation for chunk in results for evaluation in chunk]
 
     def evaluate(self, programs: list[AlphaProgram], *,
                  evaluator: AlphaEvaluator) -> list[FitnessReport]:

@@ -163,13 +163,13 @@ class TestSearchHitRate:
         )
         scorer = controller.scorer
         stream = []
-        score_batch = scorer.score_batch
+        score_detailed = scorer.score_detailed
 
         def recording(programs):
             stream.extend(programs)
-            return score_batch(programs)
+            return score_detailed(programs)
 
-        scorer.score_batch = recording
+        scorer.score_detailed = recording
         result = controller.run(domain_expert_alpha(dims))
         return result.cache_stats, stream
 

@@ -110,12 +110,12 @@ class TestRegularisedEvolution:
 
     def test_time_budget_stops_search(self, small_taskset, dims, monkeypatch):
         # A fake clock that advances 0.125 s per read.  The run reads it at
-        # the start, after each scored candidate and at each budget check.
-        # The population fill is one batch behind one check, so the root
-        # and the 3 fill children take reads 2-6; each main-loop step then
-        # reads twice.  The check on the 17th read sees 2.0 s and stops the
-        # search at 9 candidates, however fast the host is; the 18th read
-        # is the reported elapsed time.
+        # the start (read 1) and once to plan the segment (read 2, the
+        # check before the fill).  The segment stamps the root and the
+        # 3-child fill (reads 3-4), then each main-loop step reads it twice,
+        # before and after scoring.  The check on the 17th read sees 2.0 s
+        # and stops the search after 6 steps, at 10 candidates, however
+        # fast the host is; the 18th read is the reported elapsed time.
         reads = []
 
         def clock():
@@ -132,7 +132,7 @@ class TestRegularisedEvolution:
             seed=1,
         )
         result = controller.run(domain_expert_alpha(dims))
-        assert result.candidates_generated == 9
+        assert result.candidates_generated == 10
         assert len(reads) == 18
         assert result.elapsed_seconds == 2.125
 

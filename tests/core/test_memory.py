@@ -41,6 +41,36 @@ class TestOperand:
         assert Operand.scalar(1) < Operand.scalar(2)
         assert len({Operand.scalar(1), Operand.scalar(1)}) == 1
 
+    def test_hash_is_unsalted_and_distinct(self):
+        """Every operand of a 3 x 40 address space hashes to its own
+        small int, the same in every process (no ``PYTHONHASHSEED``)."""
+        operands = [Operand(kind, index) for kind in OperandType
+                    for index in range(40)]
+        assert sorted(hash(operand) for operand in operands) == list(range(120))
+        assert hash(Operand.vector(7)) == hash(Operand.parse("v7"))
+
+    def test_pickles_hold_only_type_and_index(self, monkeypatch):
+        """Pickles keep the fields-only layout of a plain frozen
+        dataclass, so states written before the hash was cached load, and
+        a loaded or copied operand hashes alike."""
+        import copy
+        import pickle
+
+        operand = Operand.matrix(3)
+        written = pickle.dumps(operand)
+        with monkeypatch.context() as patch:
+            # The layout before: the default pickling of the fields' dict.
+            patch.delattr(Operand, "__getstate__")
+            patch.delattr(Operand, "__setstate__")
+            before = object.__new__(Operand)
+            vars(before).update(type=OperandType.MATRIX, index=3)
+            written_before = pickle.dumps(before)
+        assert written == written_before
+        for twin in (pickle.loads(written_before), copy.deepcopy(operand)):
+            assert twin == operand
+            assert hash(twin) == hash(operand)
+            assert twin in {operand}
+
     @given(st.sampled_from(list(OperandType)), st.integers(0, 100))
     @settings(max_examples=50, deadline=None)
     def test_parse_name_roundtrip_property(self, operand_type, index):

@@ -1,6 +1,5 @@
 """Tests for search checkpointing and kill/resume determinism."""
 
-import contextlib
 import os
 import pickle
 
@@ -10,12 +9,10 @@ import pytest
 from repro.core import (
     AlphaEvaluator,
     EvolutionConfig,
-    FingerprintCache,
     Operation,
     domain_expert_alpha,
     get_initialization,
 )
-from repro.core.fitness import FitnessReport
 from repro.errors import CheckpointError
 from repro.parallel import (
     CHECKPOINT_VERSION,
@@ -66,7 +63,8 @@ class TestCheckpointFiles:
             step=7,
             migrations=1,
             elapsed_seconds=1.5,
-            cache=None,
+            keys={"key"},
+            cache_stats=None,
             islands=[rng],
             best_ever=None,
             trajectory=[],
@@ -99,14 +97,15 @@ class TestCheckpointFiles:
     # Version 2 echoed a main-loop scheduler that no longer exists.
     # Version 3 keyed its cache by fingerprints blind to zero arithmetic.
     # Version 4 keyed it by fingerprints that sorted commutative operands.
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, CHECKPOINT_VERSION + 1],
-                             ids=["v1", "v2", "v3", "v4", "future"])
+    # Version 5 held the search's report cache and no per-candidate keys.
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, CHECKPOINT_VERSION + 1],
+                             ids=["v1", "v2", "v3", "v4", "v5", "future"])
     def test_load_rejects_version_mismatch(self, tmp_path, version):
         checkpoint = SearchCheckpoint(
             version=version,
             candidates_generated=0, step=0, migrations=0, elapsed_seconds=0.0,
-            cache=None, islands=[], best_ever=None, trajectory=[],
-            initial_key="key",
+            keys=set(), cache_stats=None, islands=[], best_ever=None,
+            trajectory=[], initial_key="key",
         )
         path = str(tmp_path / "future.ckpt")
         save_checkpoint(path, checkpoint)
@@ -118,8 +117,8 @@ class TestCheckpointFiles:
         assert manager.due(0)  # first save is always due
         manager.save(SearchCheckpoint(
             version=CHECKPOINT_VERSION, candidates_generated=5, step=0,
-            migrations=0, elapsed_seconds=0.0, cache=None, islands=[],
-            best_ever=None, trajectory=[], initial_key="key",
+            migrations=0, elapsed_seconds=0.0, keys=set(), cache_stats=None,
+            islands=[], best_ever=None, trajectory=[], initial_key="key",
         ))
         assert not manager.due(9)
         assert manager.due(15)
@@ -264,80 +263,40 @@ class TestKillAndResume:
             controller.run(mirrored, resume=True)
 
 
-def without_memo(cache: FingerprintCache) -> FingerprintCache:
-    """A cache holding only the three fields the code before the memo had."""
-    bare = object.__new__(FingerprintCache)
-    vars(bare).update(enabled=cache.enabled, stats=cache.stats,
-                      _entries=cache._entries)
-    return bare
-
-
-@contextlib.contextmanager
-def parent_pickling(monkeypatch):
-    """Pickle caches as the code before the memo did: the default
-    ``object.__getstate__``, which pickles the instance ``__dict__``."""
-    with monkeypatch.context() as patch:
-        patch.delattr(FingerprintCache, "__getstate__")
-        yield
-
-
 class TestDerivedStateIsNotCheckpointed:
-    """The fingerprint memo and each operation's cached exact key are
-    derived state: checkpoints and pool dispatches never carry them, so
-    ``CHECKPOINT_VERSION`` stays 4 and the parent's checkpoints load."""
+    """Each operation's cached exact key and the scorers' report caches are
+    derived state: checkpoints and pool dispatches never carry them."""
 
-    def test_pickles_carry_no_memo_or_exact_key(self, dims, monkeypatch):
-        cache = FingerprintCache()
+    def test_pickles_carry_no_exact_key(self, dims):
         program = domain_expert_alpha(dims)
-        _, key, _ = cache.prepare(program)
-        cache.record(key, FitnessReport.invalid("stored"))
         program.exact_key()
-        assert cache.keyed == 1
         assert all("exact_key" in vars(operation) for operation in program.predict)
-
-        assert set(cache.__getstate__()) == {"enabled", "stats", "_entries"}
-        with parent_pickling(monkeypatch):
-            written_by_parent = pickle.dumps(without_memo(cache))
-        assert pickle.dumps(cache) == written_by_parent
         assert pickle.dumps(program) == pickle.dumps(domain_expert_alpha(dims))
         loaded = pickle.loads(pickle.dumps(program))
         assert not any("exact_key" in vars(operation)
                        for operation in loaded.predict)
         assert loaded.exact_key() == program.exact_key()
 
-    def test_a_parent_layout_cache_loads_and_keys_alike(self, dims, monkeypatch):
-        cache = FingerprintCache()
-        programs = [get_initialization(code, dims, seed=3) for code in ("D", "NN")]
-        for program in programs:
-            _, key, _ = cache.prepare(program)
-            cache.record(key, FitnessReport.invalid(f"stored {key}"))
-
-        with parent_pickling(monkeypatch):
-            written_by_parent = pickle.dumps(without_memo(cache))
-        loaded = pickle.loads(written_by_parent)
-        assert isinstance(loaded, FingerprintCache)
-        assert loaded.keyed == 0
-        assert loaded.stats == cache.stats
-        for program in programs:
-            _, key, report = loaded.prepare(program)
-            assert key == cache.prepare(program)[1]
-            assert report.reason == f"stored {key}"
-        assert loaded.keyed == cache.keyed
-        assert loaded.stats == cache.stats
-
-    def test_search_resumed_from_a_parent_layout_checkpoint_is_identical(
+    def test_checkpoint_holds_keys_and_resumes_identically(
         self, small_taskset, dims, tmp_path, monkeypatch
     ):
+        """A checkpoint holds the search's key set, not its reports: every
+        evaluated key once, and the key of every population member.  The
+        resumed scorer reseeds from the populations, and the search ends
+        with the uninterrupted run's program, report bits, counts and
+        trajectory."""
         initial = domain_expert_alpha(dims)
         uninterrupted = make_controller(small_taskset, dims).run(initial)
 
         path = str(tmp_path / "search.ckpt")
         kill_after_third_save(small_taskset, dims, initial, path, monkeypatch)
         state = load_checkpoint(path)
-        assert state.cache.keyed == 0
-        state.cache = without_memo(state.cache)
-        with parent_pickling(monkeypatch):
-            save_checkpoint(path, state)
+        assert len(state.keys) == state.cache_stats.evaluated
+        members = [candidate for island in state.islands
+                   for candidate in island.population]
+        assert any(candidate.key is not None for candidate in members)
+        assert all(candidate.key is None or candidate.key in state.keys
+                   for candidate in members)
 
         resumed = make_controller(small_taskset, dims, checkpoint_path=path).run(
             initial, resume=True

@@ -113,16 +113,17 @@ class TestPopulationFill:
     @pytest.mark.parametrize("max_candidates", [29, 27])
     def test_fill_is_one_dispatch_with_step_loop_counts(self, small_taskset,
                                                         dims, max_candidates):
-        """Four islands of 8: the root, then the fill (7 round-robin steps
-        of 4 children, cut to the budget) reaches the pool as one dispatch,
-        and every child keeps the candidate count of its step."""
+        """Four islands of 8: the root and the fill (7 round-robin steps
+        of 4 children, cut to the budget) reach the pool as one dispatch of
+        one segment per island, and every child keeps the candidate count
+        of its step."""
         with EvaluationPool(small_taskset, num_workers=2) as pool:
             dispatched = []
             submit = pool.submit_detailed
 
-            def recording_submit(programs, **kwargs):
-                dispatched.append(len(programs))
-                return submit(programs, **kwargs)
+            def recording_submit(segments, **kwargs):
+                dispatched.append(len(segments))
+                return submit(segments, **kwargs)
 
             pool.submit_detailed = recording_submit
             controller = make_controller(
@@ -130,9 +131,8 @@ class TestPopulationFill:
                 max_candidates=max_candidates, pool=pool,
             )
             result = controller.run(domain_expert_alpha(dims))
-        # The root, then the whole fill.
-        assert len(dispatched) == 2
-        assert dispatched[1] > 4
+        # The root and the whole fill, as one segment per island.
+        assert dispatched == [4]
         # What the round-robin step loop records: a step's children are
         # born at the candidate count at the end of that step.
         born = [[1] for _ in range(4)]

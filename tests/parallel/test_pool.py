@@ -1,7 +1,6 @@
 """Tests for the process-pool candidate evaluation."""
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from repro.backtest import BacktestEngine
 from repro.config import DEFAULT_ADDRESS_SPACE, AddressSpace
 from repro.core import (
     AlphaEvaluator,
-    CandidateScorer,
     Mutator,
     domain_expert_alpha,
     get_initialization,
@@ -164,39 +162,6 @@ class TestChunking:
                 assert TELEMETRY.counter("pool.programs").value == size
         assert_pairs_identical(got, expected)
 
-    def test_the_parent_compiles_nothing_during_a_pooled_score(
-        self, small_taskset, dims, programs, monkeypatch
-    ):
-        """The parent cuts chunks without planning them: a pooled
-        ``score_batch`` calls ``compile_program`` zero times in this
-        process, and the workers still stack what a serial batch stacks."""
-        import repro.compile
-        import repro.compile.compiler as compiler
-        import repro.engine.backends as backends
-        import repro.engine.fleet as fleet
-
-        parent, calls = os.getpid(), []
-        for module in (repro.compile, compiler, backends, fleet):
-            original = module.compile_program
-
-            def counting(program, _original=original):
-                if os.getpid() == parent:
-                    calls.append(program)
-                return _original(program)
-
-            monkeypatch.setattr(module, "compile_program", counting)
-        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=20)
-        serial = CandidateScorer(evaluator)
-        expected = serial.score_batch(programs)
-        assert calls, "the serial scorer compiles in this process"
-        calls.clear()
-        with EvaluationPool(small_taskset, num_workers=2) as pool:
-            pooled = CandidateScorer(evaluator, pool=pool)
-            got = pooled.score_batch(programs)
-        assert calls == []
-        for left, right in zip(got, expected):
-            assert_reports_identical(left, right)
-
 
 class TestPerDispatchSettings:
     def test_one_pool_follows_each_dispatch_seed(self, small_taskset, dims):
@@ -281,63 +246,3 @@ class TestPerDispatchSettings:
                 got = pool.evaluate_detailed(programs, evaluator=evaluator,
                                              backtest_engine=engine)
                 assert_pairs_identical(got, want)
-
-
-class TestScorerWithPool:
-    def test_pooled_scorer_matches_serial_scorer(self, small_taskset, programs):
-        # Include duplicates so the fingerprint cache and the in-batch
-        # aliasing are both exercised.
-        batch = list(programs) + list(programs[:3])
-        serial = CandidateScorer(AlphaEvaluator(small_taskset, seed=0, max_train_steps=20))
-        expected = [serial.score(program) for program in batch]
-        with EvaluationPool(small_taskset, num_workers=2) as pool:
-            pooled = CandidateScorer(
-                AlphaEvaluator(small_taskset, seed=0, max_train_steps=20), pool=pool
-            )
-            got = pooled.score_batch(batch)
-        for left, right in zip(got, expected):
-            assert_reports_identical(left, right)
-        assert pooled.cache.stats.as_dict() == serial.cache.stats.as_dict()
-        assert pooled.candidates_generated == serial.candidates_generated == len(batch)
-
-    def test_pooled_scorer_follows_a_non_default_evaluator(self, small_taskset,
-                                                           dims):
-        """The pool has no evaluator settings of its own: a scorer whose
-        evaluator trains 15 steps without ``Update()`` scores the same bits
-        pooled as serially, where a pool holding the defaults would not."""
-        batch = nn_batch(dims, size=8)
-        evaluator = AlphaEvaluator(small_taskset, seed=4, max_train_steps=15,
-                                   use_update=False)
-        defaults = AlphaEvaluator(small_taskset, seed=4)
-        serial = CandidateScorer(evaluator)
-        expected = serial.score_batch(batch)
-        assert any(
-            left.fitness != right.fitness
-            for left, right in zip(expected, CandidateScorer(defaults).score_batch(batch))
-        )
-        with EvaluationPool(small_taskset, num_workers=2) as pool:
-            pooled = CandidateScorer(evaluator, pool=pool)
-            got = pooled.score_batch(batch)
-        for left, right in zip(got, expected):
-            assert_reports_identical(left, right)
-        assert pooled.cache.stats.as_dict() == serial.cache.stats.as_dict()
-
-    def test_pooled_scorer_applies_cutoff(self, small_taskset, dims):
-        from repro.core import CorrelationFilter
-
-        program = domain_expert_alpha(dims)
-        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=20)
-        engine = BacktestEngine(small_taskset, long_k=5, short_k=5)
-        reference = engine.portfolio_returns(
-            evaluator.run(program, splits=("valid",))["valid"], split="valid"
-        )
-        correlation_filter = CorrelationFilter()
-        correlation_filter.add_reference("self", reference)
-        with EvaluationPool(small_taskset, num_workers=2) as pool:
-            scorer = CandidateScorer(
-                evaluator, correlation_filter=correlation_filter,
-                backtest_engine=engine, pool=pool,
-            )
-            report = scorer.score(program)
-        assert not report.is_valid
-        assert "cutoff" in report.reason

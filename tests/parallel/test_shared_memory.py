@@ -3,10 +3,10 @@
 Covers the zero-copy :class:`~repro.parallel.shm.SharedPanelStore` contract
 (publish → attach → identical read-only views), the content-signature attach
 guard, cleanup on every exit path, and a seeded fuzz suite asserting that
-pooled scoring is bitwise identical to the serial
-:class:`~repro.core.evolution.CandidateScorer` — across engines (the
-pool's stacked dispatch against the serial interpreter too), over
-NaN-bearing panels, and with duplicate-heavy batches.
+pooled evaluation is bitwise identical to the serial fleet batch — across
+engines (the pool's stacked dispatch against the serial interpreter too),
+over NaN-bearing panels, and with duplicate-heavy batches — and that a
+pooled search over a NaN-bearing panel mines the serial search's bits.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from numpy.lib.array_utils import byte_bounds
 
-from repro.core import AlphaEvaluator, CandidateScorer, Mutator, get_initialization
+from repro.core import AlphaEvaluator, Mutator, get_initialization
 from repro.data import TaskSet
 from repro.engine import evaluate_program_batch
 from repro.errors import SharedPanelMismatchError
@@ -255,40 +255,27 @@ class TestFuzzedPoolParity:
         ("interpreter", "interpreter"),
     ])
     @pytest.mark.parametrize("seed", [11, 23])
-    def test_pool_scorer_matches_serial_scorer(self, small_taskset, dims,
-                                               engine, serial_engine, seed):
+    def test_pool_matches_serial_evaluation(self, small_taskset, dims,
+                                            engine, serial_engine, seed):
         batch = _fuzz_batch(dims, seed)
-        serial = CandidateScorer(
+        expected = evaluate_program_batch(
             AlphaEvaluator(small_taskset, seed=0, max_train_steps=15,
-                           engine=serial_engine)
-        )
-        expected = serial.score_batch(batch)
+                           engine=serial_engine), batch)
         with EvaluationPool(small_taskset, num_workers=2) as pool:
-            pooled = CandidateScorer(
-                AlphaEvaluator(small_taskset, seed=0, max_train_steps=15,
-                               engine=engine),
-                pool=pool,
-            )
-            got = pooled.score_batch(batch)
+            got = pool.evaluate(batch, evaluator=AlphaEvaluator(
+                small_taskset, seed=0, max_train_steps=15, engine=engine))
         for left, right in zip(got, expected):
-            assert_reports_equal(left, right)
-        assert pooled.cache.stats.as_dict() == serial.cache.stats.as_dict()
+            assert_reports_equal(left, right.report)
 
     def test_parity_holds_on_nan_panels(self, small_taskset, dims):
         nan_taskset = _nan_taskset(small_taskset)
         batch = _fuzz_batch(dims, seed=31)
-        serial = CandidateScorer(
-            AlphaEvaluator(nan_taskset, seed=0, max_train_steps=15)
-        )
-        expected = serial.score_batch(batch)
+        evaluator = AlphaEvaluator(nan_taskset, seed=0, max_train_steps=15)
+        expected = evaluate_program_batch(evaluator, batch)
         with EvaluationPool(nan_taskset, num_workers=2) as pool:
-            pooled = CandidateScorer(
-                AlphaEvaluator(nan_taskset, seed=0, max_train_steps=15),
-                pool=pool,
-            )
-            got = pooled.score_batch(batch)
+            got = pool.evaluate(batch, evaluator=evaluator)
         for left, right in zip(got, expected):
-            assert_reports_equal(left, right)
+            assert_reports_equal(left, right.report)
 
     def test_duplicate_only_batch(self, small_taskset, dims):
         program = get_initialization("D", dims, seed=3)
@@ -300,18 +287,28 @@ class TestFuzzedPoolParity:
         for evaluation in evaluations[1:]:
             assert_reports_equal(evaluation.report, first)
 
-    def test_pooled_score_batch_matches_serial(self, small_taskset, dims):
-        batch = _fuzz_batch(dims, seed=47)
-        serial = CandidateScorer(
-            AlphaEvaluator(small_taskset, seed=0, max_train_steps=15)
-        )
-        expected = serial.score_batch(batch)
-        with EvaluationPool(small_taskset, num_workers=2) as pool:
-            pooled = CandidateScorer(
-                AlphaEvaluator(small_taskset, seed=0, max_train_steps=15),
-                pool=pool,
-            )
-            got = pooled.score_batch(batch)
-        for left, right in zip(got, expected):
-            assert_reports_equal(left, right)
-        assert serial.cache.stats.as_dict() == pooled.cache.stats.as_dict()
+    def test_pooled_search_matches_serial_on_nan_panels(self, small_taskset,
+                                                         dims):
+        """A migrating 3-island search over a NaN-bearing panel: two
+        workers mine the in-process search's program, report bits and
+        cache counts."""
+        from repro.core import EvolutionConfig, domain_expert_alpha
+        from repro.parallel import IslandEvolutionController
+
+        nan_taskset = _nan_taskset(small_taskset)
+
+        def search(pool):
+            return IslandEvolutionController(
+                evaluator=AlphaEvaluator(nan_taskset, seed=0, max_train_steps=15),
+                dims=dims,
+                config=EvolutionConfig(population_size=5, tournament_size=2,
+                                       max_candidates=40, num_islands=3),
+                seed=4, mutation_seed=5, pool=pool,
+            ).run(domain_expert_alpha(dims))
+
+        serial = search(None)
+        with EvaluationPool(nan_taskset, num_workers=2) as pool:
+            pooled = search(pool)
+        assert pooled.best_program == serial.best_program
+        assert_reports_equal(pooled.best_report, serial.best_report)
+        assert pooled.cache_stats == serial.cache_stats
